@@ -116,6 +116,15 @@ def _parse_complex(node, where: str) -> complex:
     raise ProblemError(f"{where}: expected a number or [re, im] pair")
 
 
+def _parse_number(doc: dict, key: str, default, cast=float):
+    """``cast(doc[key])`` (or of ``default``), refusing non-numeric values."""
+    value = doc.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemError(f"{key}: expected a number, got {value!r}") from exc
+
+
 def _parse_window(node, where: str):
     if node is None:
         return None
@@ -217,11 +226,11 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
         except ValueError as exc:
             raise ProblemError(f"table: {exc}") from exc
     elif kind == "sl":
-        a, b = float(doc.get("a", 0.0)), float(doc.get("b", 1.0))
+        a, b = _parse_number(doc, "a", 0.0), _parse_number(doc, "b", 1.0)
         prob.sl = _parse_sl_component(doc, a, b, doc.get("a_n", ()), "sl", name)
-        prob.grid_m = int(doc.get("m", 500))
+        prob.grid_m = _parse_number(doc, "m", 500, int)
     elif kind == "sl_matrix":
-        a, b = float(doc.get("a", 0.0)), float(doc.get("b", 1.0))
+        a, b = _parse_number(doc, "a", 0.0), _parse_number(doc, "b", 1.0)
         a_n = doc.get("a_n", ())
         tau1 = _parse_sl_component(doc.get("tau1", {}), a, b, a_n, "tau1", f"{name}.tau1")
         tau2 = _parse_sl_component(doc.get("tau2", {}), a, b, a_n, "tau2", f"{name}.tau2")
@@ -244,7 +253,7 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
             )
         except ValueError as exc:
             raise ProblemError(f"sl_matrix: {exc}") from exc
-        prob.grid_m = int(doc.get("m", 300))
+        prob.grid_m = _parse_number(doc, "m", 300, int)
     else:  # schrodinger
         consts = doc.get("constants", {})
         try:
@@ -261,7 +270,7 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
             )
         except ValueError as exc:
             raise ProblemError(f"schrodinger: {exc}") from exc
-        prob.grid_m = int(doc.get("m", 800))
+        prob.grid_m = _parse_number(doc, "m", 800, int)
     return prob
 
 

@@ -186,11 +186,9 @@ def eig_dense(m) -> EigenDecomposition:
 def _is_real_symmetric_tridiagonal(a: np.ndarray) -> bool:
     if np.iscomplexobj(a) or a.shape[0] != a.shape[1] or a.shape[0] < 2:
         return False
-    if not np.array_equal(a, a.T):
-        return False
-    # any nonzero outside |i-j| <= 1 disqualifies
-    mask = np.abs(np.subtract.outer(np.arange(a.shape[0]), np.arange(a.shape[0]))) > 1
-    return not np.any(a[mask])
+    # tridiagonal exactly when every nonzero lies on the three central diagonals
+    central = sum(np.count_nonzero(a.diagonal(k)) for k in (-1, 0, 1))
+    return np.count_nonzero(a) == central and np.array_equal(a, a.T)
 
 
 def sigma_min(m) -> float:

@@ -328,6 +328,7 @@ class _ShiftFamily:
         else:
             kl = ku = 0
         self.n, self.kl, self.ku = n, kl, ku
+        self.real = not np.iscomplexobj(a)
         # banded storage only pays off when the band is genuinely narrow
         self.banded = n >= 64 and (kl + ku + 1) <= max(4, n // 8)
         if self.banded:
@@ -362,28 +363,112 @@ def _projection_singular_values(proj: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(w[::-1], 0.0))
 
 
+#: probe columns of the first sketch, doubled while the oversampling is short
+_SKETCH_COLUMNS = 16
+#: columns the sketch must hold beyond the counted rank
+_SKETCH_OVERSAMPLING = 8
+_SKETCH_SEED = 20160425
+
+
+def _probe_matrix(n: int, columns: int) -> np.ndarray:
+    """Fixed-seed Gaussian n x columns probes; a function of (n, columns) only."""
+    return np.random.default_rng(_SKETCH_SEED).standard_normal((columns, n)).T
+
+
+def _checked_factor(family: _ShiftFamily, z: complex, limit: float) -> _Factorization:
+    """Factor z I - A, refusing nodes where the resolvent norm exceeds ``limit``."""
+    try:
+        fact = family.factor(z)
+    except scipy.linalg.LinAlgError as exc:
+        raise ContourError(
+            f"eigenvalue on the contour: factorization at node {z} failed ({exc})"
+        ) from exc
+    est = fact.inverse_norm_estimate()
+    if not np.isfinite(est) or est > limit:
+        raise ContourError(
+            f"eigenvalue too close to the contour: resolvent norm ~{est:.3e} "
+            f"at node {z} exceeds {limit:.3e}"
+        )
+    return fact
+
+
+def _weighted_solves(factors, weights, b: np.ndarray, real_pairs: bool, adjoint: bool = False):
+    """P b = sum_k w_k (z_k - A)^{-1} b, or P^H b when ``adjoint``.
+
+    With ``real_pairs`` the factors cover the upper half circle of a real
+    problem; each node stands for itself and its conjugate, so its term is
+    2 Re(w X), and 1x at the two real nodes (first and last).
+    """
+    last = len(weights) - 1
+    total = np.zeros(b.shape, dtype=float if real_pairs else complex)
+    for k, (fact, w) in enumerate(zip(factors, weights)):
+        term = (np.conj(w) if adjoint else w) * fact.solve(b, adjoint=adjoint)
+        if real_pairs:
+            term = term.real if k in (0, last) else 2.0 * term.real
+        total += term
+    return total
+
+
+def _sketched_singular_values(factors, weights, n: int, real_pairs: bool, sketch_below: float):
+    """Leading singular values of the contour projection P from L probe columns.
+
+    Y = P^H Omega by adjoint solves, Q = orth(Y), then the singular values of
+    the n x L matrix P Q.  Since P = P Pi_range(P^H) and Q captures
+    range(P^H), they are P's leading singular values.  L starts at
+    ``_SKETCH_COLUMNS`` and doubles until ``_SKETCH_OVERSAMPLING`` columns lie
+    beyond the counted rank.  Returns ``(singular_values, L)``, or None once L
+    reaches ``sketch_below`` (the caller then forms P densely).
+    """
+    columns = _SKETCH_COLUMNS
+    while columns < sketch_below:
+        y = _weighted_solves(factors, weights, _probe_matrix(n, columns), real_pairs, adjoint=True)
+        basis = np.linalg.qr(y)[0]
+        svals = _projection_singular_values(_weighted_solves(factors, weights, basis, real_pairs))
+        if columns - np.count_nonzero(svals > RANK_THRESHOLD) >= _SKETCH_OVERSAMPLING:
+            return svals, columns
+        columns *= 2
+    return None
+
+
 @dataclass
 class ContourRank:
-    """Trapezoid contour projection with its extracted rank."""
+    """Trapezoid contour projection with its extracted rank.
+
+    ``probe_columns`` is the number of columns the projection was applied to:
+    the sketch width L when the projection was sketched, else n.  A sketched
+    projection is never formed, so ``projection`` is None then;
+    ``singular_values`` holds the leading min(n, L) values.
+    """
 
     center: complex
     radius: float
     quadrature_points: int
-    projection: np.ndarray = field(repr=False)
+    projection: np.ndarray | None = field(repr=False)
     rank: int
     gap: float
     singular_values: np.ndarray = field(repr=False)
+    probe_columns: int
 
 
 def contour_rank(m, center: complex, radius: float, quadrature_points: int = DEFAULT_QUADRATURE) -> ContourRank:
     """Rank of the spectral projection for the circle of given center/radius.
 
-    The projection (1/2 pi i) * contour integral of the resolvent is formed by
-    the trapezoid rule; its singular values cluster near 1 and 0 and the rank
-    is the count above 0.5, accepted only when kept/dropped differ by a factor
-    of at least 10.  Raises :class:`ContourError` when an eigenvalue sits too
-    close to the circle (resolvent norm above 1e8/radius at a quadrature node)
-    and :class:`ResolutionError` when the singular-value gap is ambiguous.
+    The projection P = (1/2 pi i) * contour integral of the resolvent is
+    formed by the trapezoid rule; its singular values cluster near 1 and 0
+    and the rank is the count above 0.5, accepted only when kept/dropped
+    differ by a factor of at least 10.  Raises :class:`ContourError` when an
+    eigenvalue sits too close to the circle (resolvent norm above 1e8/radius
+    at a quadrature node) and :class:`ResolutionError` when the singular-value
+    gap is ambiguous.
+
+    When the section is stored banded (n >= 64 with a narrow band), P is
+    sketched rather than formed: each node is factored once, L fixed-seed
+    Gaussian probe columns give Y = P^H Omega by adjoint banded solves, and
+    the singular values of P orth(Y) stand in for P's.  L starts at 16 and
+    doubles until at least 8 columns lie beyond the counted rank; when L
+    would reach n the dense n-column projection is formed instead, as it is
+    for every section not stored banded.  The probes depend only on n and
+    L, so results are byte-deterministic.
     """
     a = numerics.as_matrix(section_array(m), square=True)
     q = int(quadrature_points)
@@ -392,46 +477,37 @@ def contour_rank(m, center: complex, radius: float, quadrature_points: int = DEF
     radius = float(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    center = complex(center)
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
+    family = _ShiftFamily(a)
+    return _contour_rank(family, complex(center), radius, q, family.n if family.banded else 0)
+
+
+def _contour_rank(
+    family: _ShiftFamily, center: complex, radius: float, q: int, sketch_below: float
+) -> ContourRank:
+    """Contour rank with the sketch tried while L < ``sketch_below`` (0: dense only)."""
+    n = family.n
     theta = 2.0 * np.pi * np.arange(q) / q
     nodes = center + radius * np.exp(1j * theta)
     limit = _PRECONDITION_RESNORM / radius
-    family = _ShiftFamily(a)
-
-    def resolvent_at(zq):
-        try:
-            fact = family.factor(zq)
-        except scipy.linalg.LinAlgError as exc:
-            raise ContourError(
-                f"eigenvalue on the contour: factorization at node {zq} failed ({exc})"
-            ) from exc
-        est = fact.inverse_norm_estimate()
-        if not np.isfinite(est) or est > limit:
-            raise ContourError(
-                f"eigenvalue too close to the contour: resolvent norm ~{est:.3e} "
-                f"at node {zq} exceeds {limit:.3e}"
-            )
-        return fact.solve(eye)
-
-    real_symmetric_setup = not np.iscomplexobj(a) and center.imag == 0.0 and q % 2 == 0
-    if real_symmetric_setup:
-        # nodes come in conjugate pairs, so the projection is real and only
-        # the upper half circle needs solves: pair contribution is 2 Re(w X)
-        proj = np.zeros((n, n))
-        for k in range(q // 2 + 1):
-            weight = (radius / q) * np.exp(1j * theta[k])
-            contrib = (weight * resolvent_at(nodes[k])).real
-            proj += contrib if k in (0, q // 2) else 2.0 * contrib
+    # a real matrix with a real centre has conjugate-pair nodes, so P is real
+    # and only the upper half circle needs solves
+    real_pairs = family.real and center.imag == 0.0 and q % 2 == 0
+    ks = range(q // 2 + 1) if real_pairs else range(q)
+    weights = [(radius / q) * np.exp(1j * theta[k]) for k in ks]
+    factors = (_checked_factor(family, nodes[k], limit) for k in ks)
+    sketch = None
+    if _SKETCH_COLUMNS < sketch_below:
+        factors = list(factors)  # both sketch passes reuse every node's LU
+        sketch = _sketched_singular_values(factors, weights, n, real_pairs, sketch_below)
+    if sketch is None:
+        proj = _weighted_solves(factors, weights, np.eye(n, dtype=complex), real_pairs)
+        svals, probe_columns = _projection_singular_values(proj), n
     else:
-        proj = np.zeros((n, n), dtype=complex)
-        for zq, th in zip(nodes, theta):
-            proj += (radius / q) * np.exp(1j * th) * resolvent_at(zq)
-    svals = _projection_singular_values(proj)
+        proj = None
+        svals, probe_columns = sketch
     rank = int(np.count_nonzero(svals > RANK_THRESHOLD))
     # the kept/dropped split only exists when both sides are nonempty
-    if rank == 0 or rank == n:
+    if rank == 0 or rank == svals.size:
         gap = np.inf
     else:
         kept, dropped = svals[rank - 1], svals[rank]
@@ -449,4 +525,5 @@ def contour_rank(m, center: complex, radius: float, quadrature_points: int = DEF
         rank=rank,
         gap=float(gap),
         singular_values=svals,
+        probe_columns=probe_columns,
     )

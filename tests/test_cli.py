@@ -289,6 +289,24 @@ class TestErrors:
         rc = cli.main(["run", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("sl", "m"), ("sl", "a"), ("sl", "b"), ("sl_matrix", "m"), ("sl_matrix", "a"),
+         ("sl_matrix", "b"), ("schrodinger", "m")],
+    )
+    def test_non_numeric_grid_value(self, tmp_path, capsys, kind, key):
+        docs = {
+            "sl": {"kind": "sl", "a": 0.0, "b": math.pi, "a_n": [0.0], "m": 50},
+            "sl_matrix": cli.demo_problem("sl_matrix"),
+            "schrodinger": {"kind": "schrodinger", "q": "x^2", "L_n": [4], "m": 50},
+        }
+        doc = dict(docs[kind], analysis=[])
+        cli.parse_problem(doc)  # valid before the one bad value
+        doc[key] = "abc"
+        rc = cli.main(["run", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"error: {key}: expected a number, got 'abc'" in capsys.readouterr().err
+
 
 class TestDemoDeterminism:
     def test_jacobi_demo_byte_identical_across_threads(self, tmp_path, monkeypatch):

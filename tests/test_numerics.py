@@ -116,6 +116,43 @@ class TestSigmaMin:
         assert numerics.sigma_min(np.diag([0.0, 1.0, 2.0])) == 0.0
 
 
+def mask_is_real_symmetric_tridiagonal(a):
+    """Reference structure test: symmetric, and zero wherever |i - j| > 1."""
+    if np.iscomplexobj(a) or a.shape[0] != a.shape[1] or a.shape[0] < 2:
+        return False
+    if not np.array_equal(a, a.T):
+        return False
+    mask = np.abs(np.subtract.outer(np.arange(a.shape[0]), np.arange(a.shape[0]))) > 1
+    return not np.any(a[mask])
+
+
+class TestStructureDetection:
+    def test_matches_mask_formula(self):
+        rng = np.random.default_rng(31)
+        cases = [np.zeros((2, 2)), np.eye(1), np.zeros((3, 4)), np.diag([-0.0, 1.0, 2.0])]
+        for _ in range(300):
+            n = int(rng.integers(3, 12))
+            kind = rng.integers(0, 5)
+            if kind == 0:  # dense
+                a = rng.standard_normal((n, n))
+            else:  # banded with random half-widths, sometimes sparse inside the band
+                kl, ku = (int(k) for k in rng.integers(0, 3, 2))
+                a = np.zeros((n, n))
+                for off in range(-kl, ku + 1):
+                    a += np.diag(rng.standard_normal(n - abs(off)) * rng.integers(0, 2), off)
+            if kind == 2:  # symmetric
+                a = np.triu(a) + np.triu(a, 1).T
+            if kind == 3:  # one stray entry far from the diagonal
+                a[n - 1, 0] += float(rng.integers(0, 2))
+            if kind == 4:  # complex
+                a = a + 1j * rng.integers(0, 2) * a
+            cases.append(a)
+        verdicts = [mask_is_real_symmetric_tridiagonal(a) for a in cases]
+        assert any(verdicts) and not all(verdicts)
+        for a, want in zip(cases, verdicts):
+            assert numerics._is_real_symmetric_tridiagonal(a) == want
+
+
 class TestOpNorm:
     def test_diagonal(self):
         assert numerics.op_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, abs=1e-14)

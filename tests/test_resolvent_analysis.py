@@ -4,9 +4,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from specexact import numerics, operator_model as om, resolvent_analysis as ra
-from specexact.errors import ContourError
+from specexact.errors import ContourError, ResolutionError
 from specexact.resolvent_analysis import ProbeVerdict
 
 
@@ -193,6 +194,95 @@ class TestContourRank:
             center += 0.01
         rank = ra.contour_rank(m, center, radius).rank
         assert rank == int(np.count_nonzero(np.abs(w - center) < radius))
+
+
+def contour_outcome(m, center, radius, sketch):
+    """Rank (or exception class) with the sketch forced on or off."""
+    family = ra._ShiftFamily(numerics.as_matrix(m))
+    try:
+        res = ra._contour_rank(family, complex(center), radius, 64, np.inf if sketch else 0)
+    except (ContourError, ResolutionError) as exc:
+        return type(exc), None
+    assert (res.projection is None) is sketch
+    return res.rank, res.probe_columns
+
+
+class TestSketchedContourRank:
+    def test_public_path_sketches_banded_sections_only(self):
+        n = 80
+        banded = ra.contour_rank(np.diag(np.arange(n) * 1.0), 2.0, 0.5)
+        assert (banded.rank, banded.probe_columns, banded.projection) == (1, 16, None)
+        dense = ra.contour_rank(np.diag([0.1, 0.2, 5.0]), 0.0, 1.0)
+        assert dense.probe_columns == 3 and dense.projection.shape == (3, 3)
+
+    def test_matches_dense_on_criterion_03_style_matrices(self):
+        rng = np.random.default_rng(778)
+        done = 0
+        while done < 40:
+            n = int(rng.integers(2, 41))
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            w = numerics.eig_dense(m).eigenvalues
+            center = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            radius = float(rng.uniform(0.3, 2.5))
+            if np.min(np.abs(np.abs(w - center) - radius)) < 0.1:
+                continue
+            rank, columns = contour_outcome(m, center, radius, sketch=True)
+            assert rank == contour_outcome(m, center, radius, sketch=False)[0]
+            assert rank == int(np.count_nonzero(np.abs(w - center) < radius))
+            assert columns - rank >= ra._SKETCH_OVERSAMPLING
+            done += 1
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(64, 160),
+        kl=hst.integers(0, 2),
+        ku=hst.integers(0, 2),
+        complex_entries=hst.booleans(),
+        real_center=hst.booleans(),
+        radius=hst.floats(0.05, 1.0),
+    )
+    def test_property_banded_sections_match_dense(
+        self, seed, n, kl, ku, complex_entries, real_center, radius
+    ):
+        rng = np.random.default_rng(seed)
+        m = np.zeros((n, n), dtype=complex if complex_entries else float)
+        for off in range(-kl, ku + 1):
+            d = rng.standard_normal(n - abs(off))
+            if complex_entries:
+                d = d + 1j * rng.standard_normal(n - abs(off))
+            m += np.diag(d, off)
+        # centre the circle next to an eigenvalue so that ranks above zero occur
+        lam = np.linalg.eigvals(m)[rng.integers(0, n)] + 0.01 * complex(*rng.standard_normal(2))
+        center = complex(lam.real, 0.0) if real_center else complex(lam)
+        sketched = contour_outcome(m, center, radius, sketch=True)
+        assert sketched[0] == contour_outcome(m, center, radius, sketch=False)[0]
+        if sketched[1] is not None:
+            assert sketched[1] < n
+
+    def test_doubling_and_dense_fallback(self):
+        n = 100
+
+        def clustered(k):  # k eigenvalues in [0, 1], the rest at 10, 11, ...
+            return np.diag(np.concatenate([np.linspace(0.0, 1.0, k), 10.0 + np.arange(n - k)]))
+
+        # 12 enclosed eigenvalues leave too little oversampling at L = 16
+        doubled = ra.contour_rank(clustered(12), 0.5, 2.0)
+        assert (doubled.rank, doubled.probe_columns, doubled.projection) == (12, 32, None)
+        # 60 enclosed eigenvalues would need L = 128 >= n: dense projection
+        fallback = ra.contour_rank(clustered(60), 0.5, 2.0)
+        assert (fallback.rank, fallback.probe_columns) == (60, n)
+        assert fallback.projection.shape == (n, n)
+        with pytest.raises(ContourError):
+            ra.contour_rank(clustered(12), 10.0, 1.0)
+
+    def test_fixed_seed_probes_are_deterministic(self):
+        n = 120
+        m = np.diag(np.arange(n) * 1.0) + np.diag(np.full(n - 1, 0.5), 1)
+        for center in (3.3, 3.3 + 0.1j):
+            runs = [ra.contour_rank(m, center, 0.5) for _ in range(2)]
+            assert runs[0].rank == 1 and runs[0].probe_columns == 16
+            assert runs[0].singular_values.tobytes() == runs[1].singular_values.tobytes()
 
 
 class TestNeumannBoundOnSections:
