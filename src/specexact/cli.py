@@ -20,6 +20,9 @@ hypothesis.json {problem, reports: [{theorem, lambda, constants, per_size,
                verdict, notes}]} with the constants named per theorem tag.
 report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                status, outputs, error, seconds}]}; the only file with timing.
+               A finished pseudo stage also records ``sigma_min_routes``
+               (lattice points per route: dense, tridiagonal, banded) and
+               ``dense_fallbacks`` (banded points redone by dense SVD).
 """
 
 from __future__ import annotations
@@ -284,6 +287,7 @@ class StageResult:
     outputs: list = field(default_factory=list)
     error: str = ""
     seconds: float = 0.0
+    details: dict = field(default_factory=dict)
 
 
 def _unique_name(base: str, ext: str, used: set) -> str:
@@ -311,7 +315,7 @@ def _run_spectra(prob: Problem, stage: dict, out_dir: Path, name: str) -> None:
     _atomic_write(out_dir / name, "\n".join(lines) + "\n")
 
 
-def _run_pseudo(prob: Problem, stage: dict, out_dir: Path, name: str, threads: int) -> None:
+def _run_pseudo(prob: Problem, stage: dict, out_dir: Path, name: str, threads: int) -> dict:
     if "size" not in stage or "rect" not in stage:
         raise ProblemError("pseudo stage needs 'size' and 'rect'")
     size = stage["size"]
@@ -322,6 +326,7 @@ def _run_pseudo(prob: Problem, stage: dict, out_dir: Path, name: str, threads: i
     buf = io.StringIO()
     grid.write_csv(buf)
     _atomic_write(out_dir / name, buf.getvalue())
+    return {"sigma_min_routes": grid.routes, "dense_fallbacks": grid.dense_fallbacks}
 
 
 def _run_classify(prob: Problem, stage: dict, out_dir: Path, name: str) -> dict:
@@ -468,7 +473,7 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int =
                 result.outputs = [name]
             elif op == "pseudo":
                 name = _unique_name("pseudo", "csv", used)
-                _run_pseudo(prob, stage, out_dir, name, threads)
+                result.details = _run_pseudo(prob, stage, out_dir, name, threads)
                 result.outputs = [name]
             elif op == "classify":
                 name = _unique_name("classify", "json", used)
@@ -496,6 +501,7 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int =
                 "outputs": s.outputs,
                 "error": s.error,
                 "seconds": s.seconds,
+                **s.details,
             }
             for s in stages
         ],

@@ -18,6 +18,7 @@ import numpy as np
 from . import numerics
 from .errors import AssumptionError, PoleError
 from .operator_model import BandProfile, section_array
+from .resolvent_analysis import _ShiftFamily
 
 DEFAULT_MARGIN = 1e-3
 POLE_REL = 1e-12
@@ -68,14 +69,11 @@ class HypothesisReport:
 
 def _resolvent_of(section, lam: complex, size, what: str) -> np.ndarray:
     a = numerics.as_matrix(section_array(section), square=True)
-    if lam.imag == 0.0 and not np.iscomplexobj(a):
-        shifted = a - lam.real * np.eye(a.shape[0])
-    else:
-        shifted = a - lam * np.eye(a.shape[0])
+    family = _ShiftFamily(a)
     scale = max(numerics.op_norm(a), 1.0)
-    if numerics.sigma_min(shifted) <= POLE_REL * scale:
+    if family.sigma_min(lam) <= POLE_REL * scale:
         raise PoleError(f"lambda = {lam} is (numerically) in the spectrum of {what}", index=size)
-    return np.linalg.inv(shifted)
+    return np.linalg.inv(family.shifted(lam))
 
 
 def relative_bound(
@@ -181,10 +179,7 @@ def uniform_resolvent_decay(
         sup = 0.0
         for mat in mats:
             a = numerics.as_matrix(section_array(mat), square=True)
-            shifted = a - (lam.real if lam.imag == 0 and not np.iscomplexobj(a) else lam) * np.eye(
-                a.shape[0]
-            )
-            smin = numerics.sigma_min(shifted)
+            smin = _ShiftFamily(a).sigma_min(lam)
             if smin <= POLE_REL * max(numerics.op_norm(a), 1.0):
                 raise PoleError(f"lambda = {lam} hits block j = {j}", index=j)
             sup = max(sup, 1.0 / smin)

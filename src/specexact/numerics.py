@@ -199,6 +199,12 @@ def sigma_min(m) -> float:
     there is no thresholding.  Real symmetric tridiagonal inputs use the
     tridiagonal symmetric solver (singular values of a symmetric matrix are
     the absolute eigenvalues), same accuracy class, far cheaper.
+
+    This is the dense reference.  sigma_min(A - z I) over shifts z goes
+    through ``resolvent_analysis._ShiftFamily.sigma_min``, which never forms
+    A - z I on its tridiagonal route (real symmetric tridiagonal A, real z;
+    bit-identical to this function) and uses banded LU plus Lanczos on its
+    banded route; its dense route and its Lanczos fallback call this function.
     """
     a = as_matrix(m, square=True)
     if _is_real_symmetric_tridiagonal(a):

@@ -9,6 +9,7 @@ arguments with the documented defaults.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -41,7 +42,8 @@ class ProbeVerdict(str, enum.Enum):
 class SectionLadder:
     """A truncation family: strictly increasing sizes plus a section provider.
 
-    Sections and their spectra are cached per size; providers must be pure.
+    Sections, their spectra, norms and shifted-operator families are cached
+    per size; providers must be pure.
     """
 
     label: str
@@ -50,6 +52,7 @@ class SectionLadder:
     _sections: dict = field(default_factory=dict, repr=False)
     _spectra: dict = field(default_factory=dict, repr=False)
     _norms: dict = field(default_factory=dict, repr=False)
+    _families: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.sizes = tuple(self.sizes)
@@ -67,6 +70,12 @@ class SectionLadder:
         if size not in self._spectra:
             self._spectra[size] = numerics.eig_dense(self.matrix(size))
         return self._spectra[size]
+
+    def family(self, size) -> "_ShiftFamily":
+        """The shifted-operator family of the section at ``size``."""
+        if size not in self._families:
+            self._families[size] = _ShiftFamily(self.matrix(size))
+        return self._families[size]
 
     def norm(self, size) -> float:
         if size not in self._norms:
@@ -89,15 +98,215 @@ def galerkin_ladder(spec, sizes) -> SectionLadder:
     )
 
 
+# -------------------------------- shifted operator --------------------------------
+
+#: Lanczos steps per banded sigma_min; a point that needs more falls back to dense SVD
+_LANCZOS_STEPS = 64
+#: the Ritz residual, relative to the Ritz value, that stops the Lanczos iteration
+_LANCZOS_TOL = 1e-10
+_LANCZOS_SEED = 19990601
+
+
+def _lanczos_start(n: int) -> np.ndarray:
+    """Fixed-seed unit complex Gaussian vector; a function of n only.
+
+    A symmetric start such as ``ones`` is orthogonal to every odd singular
+    vector of a persymmetric section and can miss sigma_min entirely.
+    """
+    g = np.random.default_rng(_LANCZOS_SEED).standard_normal((2, n))
+    v = g[0] + 1j * g[1]
+    return v / np.linalg.norm(v)
+
+
+class _Factorization:
+    """LU of one matrix (dense or LAPACK band storage) with optional-adjoint solves.
+
+    Raises ``LinAlgError`` when the factorization meets an exact zero pivot.
+    """
+
+    def __init__(self, n: int, kl: int = 0, ku: int = 0, ab=None, dense=None):
+        self.n = n
+        self.banded = ab is not None
+        if self.banded:
+            self.kl, self.ku = kl, ku
+            gbtrf = lapack.get_lapack_funcs("gbtrf", (ab,))
+            lu, ipiv, info = gbtrf(ab, kl, ku)
+            if info < 0:
+                raise ValueError(f"illegal argument {-info} passed to the banded LU")
+            if info > 0:
+                raise scipy.linalg.LinAlgError(f"banded LU failed with info={info}")
+            self._lu, self._ipiv = lu, ipiv
+            self._gbtrs = lapack.get_lapack_funcs("gbtrs", (lu,))
+        else:
+            import warnings
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                self._lu, self._piv = scipy.linalg.lu_factor(dense, check_finite=False)
+            if np.abs(np.diag(self._lu)).min() == 0.0:
+                raise scipy.linalg.LinAlgError("exact zero pivot")
+
+    def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        if self.banded:
+            x, info = self._gbtrs(
+                self._lu, self.kl, self.ku, b, self._ipiv, trans=2 if adjoint else 0
+            )
+            if info != 0:
+                raise scipy.linalg.LinAlgError(f"banded solve failed with info={info}")
+            return x
+        return scipy.linalg.lu_solve(
+            (self._lu, self._piv), b, trans=2 if adjoint else 0, check_finite=False
+        )
+
+    def inverse_norm_estimate(self, iterations: int = 8) -> float:
+        """Power-iteration lower estimate of ||A^{-1}||_2 (converging from below)."""
+        x = np.ones(self.n, dtype=complex) / np.sqrt(self.n)
+        est = 0.0
+        for _ in range(iterations):
+            y = self.solve(x)
+            w = self.solve(y, adjoint=True)
+            norm = np.linalg.norm(w)
+            if not np.isfinite(norm) or norm == 0.0:
+                return np.inf if not np.isfinite(norm) else 0.0
+            # Rayleigh quotient of (A^-1 A^-H) at x equals <w, x>
+            est = np.sqrt(abs(np.vdot(w, x)))
+            x = w / norm
+        return float(est)
+
+
+class _ShiftFamily:
+    """The shifted operator z I - A over many shifts z: factorization and sigma_min.
+
+    A's structure is detected once and picks the route of :meth:`sigma_min`:
+
+    - ``tridiagonal``: real symmetric tridiagonal A and real z, by the
+      tridiagonal eigensolver on the shifted diagonals, bit-identical to
+      ``numerics.sigma_min(A - z I)``;
+    - ``banded``: every other shift of a section stored banded (n >= 64 with a
+      narrow band), by banded LU of z I - A and Lanczos on
+      (z I - A)^-H (z I - A)^-1;
+    - ``dense``: everything else, by ``numerics.sigma_min`` of the dense A - z I.
+
+    Instances are read-only apart from ``fallbacks``, which collects the
+    shifts whose Lanczos run fell back to dense SVD, so threads may share one.
+    """
+
+    def __init__(self, a: np.ndarray):
+        n = a.shape[0]
+        nz_r, nz_c = np.nonzero(a)
+        if nz_r.size:
+            offs = nz_c - nz_r
+            kl, ku = int(max(0, -offs.min())), int(max(0, offs.max()))
+        else:
+            kl = ku = 0
+        self.n, self.kl, self.ku = n, kl, ku
+        self.real = not np.iscomplexobj(a)
+        self._a = a
+        self.fallbacks: list[complex] = []
+        # the structure numerics._is_real_symmetric_tridiagonal accepts
+        self.tridiagonal = (
+            self.real and n >= 2 and kl <= 1 and ku <= 1
+            and np.array_equal(np.diag(a, 1), np.diag(a, -1))
+        )
+        # banded storage only pays off when the band is genuinely narrow
+        self.banded = n >= 64 and (kl + ku + 1) <= max(4, n // 8)
+        if self.banded:
+            # band template of -A in gbtrf layout: entry (i, j) at row kl+ku+i-j
+            ab0 = np.zeros((2 * kl + ku + 1, n), dtype=complex)
+            for off in range(-kl, ku + 1):
+                d = np.diag(a, off)
+                if off >= 0:
+                    ab0[kl + ku - off, off : off + d.shape[0]] = -d
+                else:
+                    ab0[kl + ku - off, : d.shape[0]] = -d
+            self._ab0 = ab0
+            self._start = _lanczos_start(n)
+
+    def factor(self, z: complex) -> _Factorization:
+        if self.banded:
+            ab = self._ab0.copy()
+            ab[self.kl + self.ku, :] += z
+            return _Factorization(self.n, self.kl, self.ku, ab=ab)
+        return _Factorization(self.n, dense=z * np.eye(self.n) - self._a)
+
+    def shifted(self, z: complex) -> np.ndarray:
+        """Dense A - z I; a real shift of a real matrix stays real."""
+        z = complex(z)
+        if self.real and z.imag == 0.0:
+            return self._a - z.real * np.eye(self.n)
+        return self._a - z * np.eye(self.n)
+
+    def route(self, z: complex) -> str:
+        """Which of ``tridiagonal``, ``banded`` or ``dense`` :meth:`sigma_min` takes at z."""
+        if self.tridiagonal and complex(z).imag == 0.0:
+            return "tridiagonal"
+        return "banded" if self.banded else "dense"
+
+    def sigma_min(self, z: complex) -> float:
+        """Smallest singular value of A - z I; exactly 0.0 when it is exactly singular.
+
+        On the banded route an exact zero pivot of the LU gives 0.0, and a
+        Lanczos run that hits its step cap or a non-finite value is redone by
+        dense SVD (and recorded in ``fallbacks``).  Its relative accuracy is
+        the stopping tolerance 1e-10 on top of the conditioning of the solves.
+        """
+        z = complex(z)
+        route = self.route(z)
+        if route == "tridiagonal":
+            w = scipy.linalg.eigvalsh_tridiagonal(np.diag(self._a) - z.real, np.diag(self._a, 1))
+            return float(np.min(np.abs(w)))
+        if route == "banded":
+            try:
+                fact = self.factor(z)
+            except scipy.linalg.LinAlgError:
+                return 0.0
+            theta = self._largest_inverse_eigenvalue(fact)
+            if theta is not None:
+                return float(1.0 / np.sqrt(theta))
+            self.fallbacks.append(z)
+        return numerics.sigma_min(self.shifted(z))
+
+    def _largest_inverse_eigenvalue(self, fact: _Factorization) -> float | None:
+        """theta_max = 1 / sigma_min^2 of (z I - A)^-H (z I - A)^-1 by Lanczos.
+
+        Full reorthogonalisation (classical Gram-Schmidt, applied twice) keeps
+        the basis orthonormal; the run stops once the Ritz residual
+        beta_k |e_k^T s| is at most ``_LANCZOS_TOL`` theta.  None when the
+        step cap is reached first or a non-finite number appears.
+        """
+        steps = min(self.n, _LANCZOS_STEPS)
+        basis = np.empty((steps, self.n), dtype=complex)
+        alpha, beta = np.empty(steps), np.empty(steps)
+        v = self._start
+        for k in range(steps):
+            basis[k] = v
+            w = fact.solve(fact.solve(v), adjoint=True)
+            if not np.all(np.isfinite(w)):
+                return None
+            alpha[k] = np.vdot(v, w).real
+            done = basis[: k + 1]
+            for _ in range(2):
+                w -= np.conj(done @ np.conj(w)) @ done
+            beta[k] = np.linalg.norm(w)
+            ritz, vecs = scipy.linalg.eigh_tridiagonal(alpha[: k + 1], beta[:k])
+            theta = ritz[-1]
+            if not (np.isfinite(theta) and theta > 0.0):
+                return None
+            if beta[k] * abs(vecs[-1, -1]) <= _LANCZOS_TOL * theta:
+                return float(theta)
+            v = w / beta[k]
+        return None
+
+
 def resolvent_norm(m, z: complex) -> float:
-    """1 / sigma_min(M - z I); inf exactly when sigma_min is exactly zero."""
+    """1 / sigma_min(M - z I); inf exactly when sigma_min is exactly zero.
+
+    sigma_min comes from :meth:`_ShiftFamily.sigma_min`: the tridiagonal
+    eigensolver for a real symmetric tridiagonal M at real z, banded LU plus
+    Lanczos for a section stored banded, dense SVD otherwise.
+    """
     a = numerics.as_matrix(section_array(m), square=True)
-    zc = complex(z)
-    if zc.imag == 0.0 and not np.iscomplexobj(a):
-        shifted = a - zc.real * np.eye(a.shape[0])
-    else:
-        shifted = a - zc * np.eye(a.shape[0])
-    s = numerics.sigma_min(shifted)
+    s = _ShiftFamily(a).sigma_min(z)
     return float("inf") if s == 0.0 else 1.0 / s
 
 
@@ -110,7 +319,9 @@ class PseudoGrid:
 
     ``values[iy, ix]`` is 1/sigma_min(M - z) at z = re_points[ix] + 1j * im_points[iy];
     infinite values mark exactly singular shifts.  CSV layout is row-major over
-    the lattice: iy outer, ix inner.
+    the lattice: iy outer, ix inner.  ``routes`` counts the lattice points per
+    sigma_min route (``dense``, ``tridiagonal``, ``banded``);
+    ``dense_fallbacks`` counts the banded points redone by dense SVD.
     """
 
     rect: tuple[float, float, float, float]
@@ -118,6 +329,8 @@ class PseudoGrid:
     ny: int
     size: int
     values: np.ndarray
+    routes: dict = field(default_factory=dict)
+    dense_fallbacks: int = 0
 
     @property
     def re_points(self) -> np.ndarray:
@@ -144,7 +357,12 @@ class PseudoGrid:
 def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGrid:
     """Evaluate the resolvent norm on an nx-by-ny lattice over ``rect``.
 
-    ``threads`` only parallelizes independent lattice rows; values are
+    One :class:`_ShiftFamily` serves the whole lattice.  Points on the real
+    axis of a real symmetric tridiagonal section take the tridiagonal
+    eigensolver; every point of a section stored banded (n >= 64 with a narrow
+    band) takes banded LU plus Lanczos on (z - M)^-H (z - M)^-1, with a dense
+    SVD fallback should Lanczos not converge; all other points take the dense
+    SVD.  ``threads`` only parallelizes independent lattice rows; values are
     bitwise independent of the schedule.
     """
     a = numerics.as_matrix(section_array(m), square=True)
@@ -156,12 +374,11 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
     res = np.linspace(re0, re1, nx)
     ims = np.linspace(im0, im1, ny)
     values = np.empty((ny, nx), dtype=float)
-    eye = np.eye(a.shape[0])
+    family = _ShiftFamily(a)
 
     def fill_row(iy: int) -> None:
         for ix in range(nx):
-            z = complex(res[ix], ims[iy])
-            s = numerics.sigma_min(a - z * eye)
+            s = family.sigma_min(complex(res[ix], ims[iy]))
             values[iy, ix] = np.inf if s == 0.0 else 1.0 / s
 
     if threads and threads > 1:
@@ -170,7 +387,16 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
     else:
         for iy in range(ny):
             fill_row(iy)
-    return PseudoGrid(rect=(re0, re1, im0, im1), nx=nx, ny=ny, size=a.shape[0], values=values)
+    routes = Counter(family.route(complex(re, im)) for im in ims for re in res)
+    return PseudoGrid(
+        rect=(re0, re1, im0, im1),
+        nx=nx,
+        ny=ny,
+        size=a.shape[0],
+        values=values,
+        routes=dict(sorted(routes.items())),
+        dense_fallbacks=len(family.fallbacks),
+    )
 
 
 # -------------------------------- region probing --------------------------------
@@ -229,15 +455,7 @@ def region_probe(
     if len(ladder.sizes) < 6:
         raise ValueError("region probe needs a ladder of at least 6 sizes")
     zc = complex(z)
-    values = []
-    for size in ladder.sizes:
-        a = ladder.matrix(size)
-        if zc.imag == 0.0 and not np.iscomplexobj(a):
-            shifted = a - zc.real * np.eye(a.shape[0])
-        else:
-            shifted = a - zc * np.eye(a.shape[0])
-        values.append(numerics.sigma_min(shifted))
-    values = np.asarray(values)
+    values = np.asarray([ladder.family(size).sigma_min(zc) for size in ladder.sizes])
     scale = ladder.norm(ladder.sizes[-1])
     third = max(1, len(values) // 3)
     head = _geomean(values[:third])
@@ -263,93 +481,6 @@ def region_probe(
 
 
 # ------------------------------- contour projections -----------------------------
-
-
-class _Factorization:
-    """LU of one matrix (dense or LAPACK band storage) with optional-adjoint solves."""
-
-    def __init__(self, n: int, kl: int = 0, ku: int = 0, ab=None, dense=None):
-        self.n = n
-        self.banded = ab is not None
-        if self.banded:
-            self.kl, self.ku = kl, ku
-            gbtrf = lapack.get_lapack_funcs("gbtrf", (ab,))
-            lu, ipiv, info = gbtrf(ab, kl, ku)
-            if info != 0:
-                raise scipy.linalg.LinAlgError(f"banded LU failed with info={info}")
-            self._lu, self._ipiv = lu, ipiv
-            self._gbtrs = lapack.get_lapack_funcs("gbtrs", (lu,))
-        else:
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                self._lu, self._piv = scipy.linalg.lu_factor(dense, check_finite=False)
-            if np.abs(np.diag(self._lu)).min() == 0.0:
-                raise scipy.linalg.LinAlgError("exact zero pivot")
-
-    def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        if self.banded:
-            x, info = self._gbtrs(
-                self._lu, self.kl, self.ku, b, self._ipiv, trans=2 if adjoint else 0
-            )
-            if info != 0:
-                raise scipy.linalg.LinAlgError(f"banded solve failed with info={info}")
-            return x
-        return scipy.linalg.lu_solve(
-            (self._lu, self._piv), b, trans=2 if adjoint else 0, check_finite=False
-        )
-
-    def inverse_norm_estimate(self, iterations: int = 8) -> float:
-        """Power-iteration lower estimate of ||A^{-1}||_2 (converging from below)."""
-        x = np.ones(self.n, dtype=complex) / np.sqrt(self.n)
-        est = 0.0
-        for _ in range(iterations):
-            y = self.solve(x)
-            w = self.solve(y, adjoint=True)
-            norm = np.linalg.norm(w)
-            if not np.isfinite(norm) or norm == 0.0:
-                return np.inf if not np.isfinite(norm) else 0.0
-            # Rayleigh quotient of (A^-1 A^-H) at x equals <w, x>
-            est = np.sqrt(abs(np.vdot(w, x)))
-            x = w / norm
-        return float(est)
-
-
-class _ShiftFamily:
-    """Factorizer for z I - A over many shifts z, reusing A's band structure."""
-
-    def __init__(self, a: np.ndarray):
-        n = a.shape[0]
-        nz_r, nz_c = np.nonzero(a)
-        if nz_r.size:
-            offs = nz_c - nz_r
-            kl, ku = int(max(0, -offs.min())), int(max(0, offs.max()))
-        else:
-            kl = ku = 0
-        self.n, self.kl, self.ku = n, kl, ku
-        self.real = not np.iscomplexobj(a)
-        # banded storage only pays off when the band is genuinely narrow
-        self.banded = n >= 64 and (kl + ku + 1) <= max(4, n // 8)
-        if self.banded:
-            # band template of -A in gbtrf layout: entry (i, j) at row kl+ku+i-j
-            ab0 = np.zeros((2 * kl + ku + 1, n), dtype=complex)
-            for off in range(-kl, ku + 1):
-                d = np.diag(a, off)
-                if off >= 0:
-                    ab0[kl + ku - off, off : off + d.shape[0]] = -d
-                else:
-                    ab0[kl + ku - off, : d.shape[0]] = -d
-            self._ab0 = ab0
-        else:
-            self._dense = a.astype(complex, copy=False)
-
-    def factor(self, z: complex) -> _Factorization:
-        if self.banded:
-            ab = self._ab0.copy()
-            ab[self.kl + self.ku, :] += z
-            return _Factorization(self.n, self.kl, self.ku, ab=ab)
-        return _Factorization(self.n, dense=z * np.eye(self.n) - self._dense)
 
 
 def _projection_singular_values(proj: np.ndarray) -> np.ndarray:

@@ -119,6 +119,22 @@ class TestPseudo:
             if np.isfinite(want):
                 assert got == pytest.approx(want, rel=1e-10)
 
+    def test_report_records_sigma_min_routes(self, tmp_path):
+        doc = {
+            "kind": "jacobi",
+            "analysis": [
+                {"op": "spectra", "sizes": [2, 3]},
+                {"op": "pseudo", "size": 20, "rect": [-8.0, 8.0, -1.0, 1.0], "nx": 5, "ny": 3},
+            ],
+        }
+        out = tmp_path / "out"
+        assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
+        spectra, pseudo = json.loads((out / "report.json").read_text())["stages"]
+        # the im = 0 row of a real symmetric tridiagonal section is tridiagonal
+        assert pseudo["sigma_min_routes"] == {"dense": 10, "tridiagonal": 5}
+        assert pseudo["dense_fallbacks"] == 0
+        assert "sigma_min_routes" not in spectra and "dense_fallbacks" not in spectra
+
     def test_seventeen_digit_roundtrip(self, tmp_path):
         doc = {"kind": "jacobi", "analysis": [{"op": "spectra", "sizes": [2, 3]}]}
         out = tmp_path / "out"

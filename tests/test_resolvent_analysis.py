@@ -1,6 +1,7 @@
 """Resolvent norms, pseudospectra, region probes and contour projections."""
 
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -283,6 +284,117 @@ class TestSketchedContourRank:
             runs = [ra.contour_rank(m, center, 0.5) for _ in range(2)]
             assert runs[0].rank == 1 and runs[0].probe_columns == 16
             assert runs[0].singular_values.tobytes() == runs[1].singular_values.tobytes()
+
+
+def complex_oscillator_section(m: int, half: float = 6.0) -> np.ndarray:
+    """Dirichlet finite differences of -f'' + i x^2 f on (-half, half): n = m - 1.
+
+    The potential is even, so the section is persymmetric.
+    """
+    h = 2.0 * half / m
+    x = -half + h * np.arange(1, m)
+    off = np.full(m - 2, -1.0 / h**2)
+    return np.diag(2.0 / h**2 + 1j * x * x) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def dense_sigma_min(m, z):
+    """The dense reference: numerics.sigma_min of the explicitly shifted matrix."""
+    z = complex(z)
+    shift = z.real if z.imag == 0.0 and not np.iscomplexobj(m) else z
+    return numerics.sigma_min(m - shift * np.eye(m.shape[0]))
+
+
+class TestShiftFamilySigmaMin:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(64, 160),
+        kl=hst.integers(0, 3),
+        ku=hst.integers(0, 3),
+        zr=hst.floats(-3.0, 3.0),
+        zi=hst.floats(-3.0, 3.0),
+    )
+    def test_property_banded_matches_dense(self, seed, n, kl, ku, zr, zi):
+        rng = np.random.default_rng(seed)
+        m = np.zeros((n, n), dtype=complex)
+        for off in range(-kl, ku + 1):
+            m += np.diag(rng.standard_normal(n - abs(off)) + 1j * rng.standard_normal(n - abs(off)), off)
+        z = complex(zr, zi)
+        family = ra._ShiftFamily(m)
+        assert family.route(z) == "banded"
+        assert family.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
+
+    def test_persymmetric_complex_oscillator(self):
+        # an even Lanczos start vector never sees the odd singular vectors of
+        # this section; near the odd eigenvalues 3 e^{i pi/4} and 7 e^{i pi/4}
+        # sigma_min belongs to an odd one
+        m = complex_oscillator_section(200)
+        family = ra._ShiftFamily(m)
+        for z in (2.0 + 2.2j, 3 * np.exp(0.25j * np.pi) + 0.05, 5.0 + 4.9j, 1.0 + 1.0j, 8.0 + 0.5j):
+            assert family.route(z) == "banded"
+            assert family.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
+        assert family.fallbacks == []
+
+    def test_real_symmetric_tridiagonal_real_shift_is_bit_identical(self):
+        rng = np.random.default_rng(31)
+        for n in (2, 5, 40, 64, 150):
+            off = rng.standard_normal(n - 1)
+            m = np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
+            family = ra._ShiftFamily(m)
+            for z in (0.0, -0.7, complex(1.3, 0.0), float(np.linalg.eigvalsh(m)[n // 2])):
+                assert family.route(z) == "tridiagonal"
+                assert family.sigma_min(z) == dense_sigma_min(m, z)
+            assert family.route(0.5 + 0.1j) == ("banded" if n >= 64 else "dense")
+
+    def test_exact_eigenvalue_of_complex_diagonal_is_inf(self):
+        n = 100
+        rect, nx, ny = (0.0, 1.0, 0.0, 1.0), 5, 4
+        z = complex(np.linspace(0.0, 1.0, nx)[3], np.linspace(0.0, 1.0, ny)[2])
+        d = np.linspace(2.0, 3.0, n) + 1j
+        d[40] = z
+        m = np.diag(d)
+        assert ra._ShiftFamily(m).route(z) == "banded"
+        g = ra.pseudospectrum_grid(m, rect, nx, ny)
+        assert g.values[2, 3] == np.inf
+        assert np.count_nonzero(np.isinf(g.values)) == 1
+        assert ra.resolvent_norm(m, z) == np.inf
+
+    def test_step_cap_falls_back_to_dense_svd(self, monkeypatch):
+        monkeypatch.setattr(ra, "_LANCZOS_STEPS", 2)
+        m = complex_oscillator_section(200)
+        family = ra._ShiftFamily(m)
+        z = 2.0 + 2.0j
+        assert family.sigma_min(z) == dense_sigma_min(m, z)
+        assert family.fallbacks == [z]
+        g = ra.pseudospectrum_grid(m, (1.0, 3.0, 1.0, 3.0), 2, 2)
+        assert (g.routes, g.dense_fallbacks) == ({"banded": 4}, 4)
+
+    def test_fallbacks_counted_under_thread_contention(self, monkeypatch):
+        # every point falls back, and four row threads append to one list
+        monkeypatch.setattr(ra, "_LANCZOS_STEPS", 1)
+        m = complex_oscillator_section(80)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            g = ra.pseudospectrum_grid(m, (1.0, 3.0, 1.0, 3.0), 6, 16, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert g.dense_fallbacks == 6 * 16
+
+    def test_banded_grid_bitwise_equal_across_threads(self):
+        m = complex_oscillator_section(200)
+        g1 = ra.pseudospectrum_grid(m, (-1.0, 12.0, -1.0, 12.0), 6, 5, threads=1)
+        g2 = ra.pseudospectrum_grid(m, (-1.0, 12.0, -1.0, 12.0), 6, 5, threads=2)
+        assert (g1.routes, g1.dense_fallbacks) == ({"banded": 30}, 0)
+        assert g1.values.tobytes() == g2.values.tobytes()
+
+    def test_upper_triangular_400_takes_dense_route(self):
+        m = numerics.as_matrix(om.section_array(om.truncate(om.upper_triangular_spec(), 400)))
+        family = ra._ShiftFamily(m)
+        assert not family.banded and family.route(5.0 + 1.0j) == "dense"
+        g = ra.pseudospectrum_grid(m, (-2.0, 30.0, -10.0, 10.0), 2, 2)
+        assert (g.routes, g.dense_fallbacks) == ({"dense": 4}, 0)
+        assert g.values[0, 0] == 1.0 / dense_sigma_min(m, complex(-2.0, -10.0))
 
 
 class TestNeumannBoundOnSections:
