@@ -21,8 +21,9 @@ hypothesis.json {problem, reports: [{theorem, lambda, constants, per_size,
 report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                status, outputs, error, seconds}]}; the only file with timing.
                A finished pseudo stage also records ``sigma_min_routes``
-               (lattice points per route: dense, tridiagonal, banded) and
-               ``dense_fallbacks`` (banded points redone by dense SVD).
+               (lattice points per route: dense, tridiagonal, banded,
+               triangular) and ``dense_fallbacks`` (banded and triangular
+               points redone by dense SVD).
 """
 
 from __future__ import annotations

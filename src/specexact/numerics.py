@@ -201,10 +201,12 @@ def sigma_min(m) -> float:
     the absolute eigenvalues), same accuracy class, far cheaper.
 
     This is the dense reference.  sigma_min(A - z I) over shifts z goes
-    through ``resolvent_analysis._ShiftFamily.sigma_min``, which never forms
-    A - z I on its tridiagonal route (real symmetric tridiagonal A, real z;
-    bit-identical to this function) and uses banded LU plus Lanczos on its
-    banded route; its dense route and its Lanczos fallback call this function.
+    through ``resolvent_analysis._ShiftFamily.sigma_min``, which has four
+    routes: ``tridiagonal`` (real symmetric tridiagonal A, real z) never forms
+    A - z I and is bit-identical to this function; ``banded`` uses banded LU
+    plus Lanczos; ``triangular`` uses Lanczos with triangular solves on an
+    upper-triangular A; its ``dense`` route and the Lanczos fallback
+    call this function.
     """
     a = as_matrix(m, square=True)
     if _is_real_symmetric_tridiagonal(a):
@@ -215,10 +217,17 @@ def sigma_min(m) -> float:
 
 
 def op_norm(m) -> float:
-    """Largest singular value (spectral norm); rectangular inputs allowed."""
+    """Largest singular value (spectral norm); rectangular inputs allowed.
+
+    Real symmetric tridiagonal inputs use the tridiagonal symmetric solver,
+    as :func:`sigma_min` does: the largest absolute eigenvalue.
+    """
     a = as_matrix(m)
     if not np.any(a):
         return 0.0
+    if _is_real_symmetric_tridiagonal(a):
+        w = scipy.linalg.eigvalsh_tridiagonal(np.diag(a), np.diag(a, 1))
+        return float(np.max(np.abs(w)))
     s = np.linalg.svd(a, compute_uv=False)
     return float(s[0])
 

@@ -100,7 +100,7 @@ def galerkin_ladder(spec, sizes) -> SectionLadder:
 
 # -------------------------------- shifted operator --------------------------------
 
-#: Lanczos steps per banded sigma_min; a point that needs more falls back to dense SVD
+#: Lanczos steps per banded or triangular sigma_min; a point needing more falls back to dense SVD
 _LANCZOS_STEPS = 64
 #: the Ritz residual, relative to the Ritz value, that stops the Lanczos iteration
 _LANCZOS_TOL = 1e-10
@@ -119,15 +119,24 @@ def _lanczos_start(n: int) -> np.ndarray:
 
 
 class _Factorization:
-    """LU of one matrix (dense or LAPACK band storage) with optional-adjoint solves.
+    """One matrix made ready for optional-adjoint solves, in one of three storage kinds.
 
-    Raises ``LinAlgError`` when the factorization meets an exact zero pivot.
+    LU in LAPACK band storage (``ab``), dense LU (``dense``), or an upper
+    triangular matrix in Fortran order (``triangular``) that ``trtrs`` solves
+    as it stands.  Raises ``LinAlgError`` when the factorization meets an
+    exact zero pivot; for a triangular matrix, an exact zero on its diagonal.
     """
 
-    def __init__(self, n: int, kl: int = 0, ku: int = 0, ab=None, dense=None):
+    def __init__(self, n: int, kl: int = 0, ku: int = 0, ab=None, dense=None, triangular=None):
         self.n = n
         self.banded = ab is not None
-        if self.banded:
+        self._triangular = triangular
+        if triangular is not None:
+            if not np.all(np.diagonal(triangular)):
+                raise scipy.linalg.LinAlgError("exact zero on the triangular diagonal")
+            # a C-ordered matrix would be copied by the wrapper on every solve
+            self._trtrs = lapack.get_lapack_funcs("trtrs", (triangular,))
+        elif self.banded:
             self.kl, self.ku = kl, ku
             gbtrf = lapack.get_lapack_funcs("gbtrf", (ab,))
             lu, ipiv, info = gbtrf(ab, kl, ku)
@@ -147,6 +156,11 @@ class _Factorization:
                 raise scipy.linalg.LinAlgError("exact zero pivot")
 
     def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        if self._triangular is not None:
+            x, info = self._trtrs(self._triangular, b, trans=2 if adjoint else 0)
+            if info != 0:
+                raise scipy.linalg.LinAlgError(f"triangular solve failed with info={info}")
+            return x
         if self.banded:
             x, info = self._gbtrs(
                 self._lu, self.kl, self.ku, b, self._ipiv, trans=2 if adjoint else 0
@@ -185,6 +199,9 @@ class _ShiftFamily:
     - ``banded``: every other shift of a section stored banded (n >= 64 with a
       narrow band), by banded LU of z I - A and Lanczos on
       (z I - A)^-H (z I - A)^-1;
+    - ``triangular``: every shift of an upper-triangular A with n >= 64 that
+      is not stored banded, by Lanczos on (A - z I)^-H (A - z I)^-1 with
+      triangular solves; A is its own complex Schur form, so no factorization;
     - ``dense``: everything else, by ``numerics.sigma_min`` of the dense A - z I.
 
     Instances are read-only apart from ``fallbacks``, which collects the
@@ -220,6 +237,11 @@ class _ShiftFamily:
                 else:
                     ab0[kl + ku - off, : d.shape[0]] = -d
             self._ab0 = ab0
+        # the upper-triangular A of the triangular route, complex and in Fortran order
+        self._triu = None
+        if n >= 64 and kl == 0 and not self.banded:
+            self._triu = np.asfortranarray(a, dtype=complex)
+        if self.banded or self._triu is not None:
             self._start = _lanczos_start(n)
 
     def factor(self, z: complex) -> _Factorization:
@@ -229,6 +251,13 @@ class _ShiftFamily:
             return _Factorization(self.n, self.kl, self.ku, ab=ab)
         return _Factorization(self.n, dense=z * np.eye(self.n) - self._a)
 
+    def _shifted_triangular(self, z: complex) -> _Factorization:
+        """A - z I of the triangular route, a fresh Fortran-ordered copy."""
+        t = self._triu.copy(order="F")
+        diag = np.arange(self.n)
+        t[diag, diag] -= z
+        return _Factorization(self.n, triangular=t)
+
     def shifted(self, z: complex) -> np.ndarray:
         """Dense A - z I; a real shift of a real matrix stays real."""
         z = complex(z)
@@ -237,27 +266,30 @@ class _ShiftFamily:
         return self._a - z * np.eye(self.n)
 
     def route(self, z: complex) -> str:
-        """Which of ``tridiagonal``, ``banded`` or ``dense`` :meth:`sigma_min` takes at z."""
+        """The route :meth:`sigma_min` takes at z, one of the four in the class docstring."""
         if self.tridiagonal and complex(z).imag == 0.0:
             return "tridiagonal"
-        return "banded" if self.banded else "dense"
+        if self.banded:
+            return "banded"
+        return "dense" if self._triu is None else "triangular"
 
     def sigma_min(self, z: complex) -> float:
         """Smallest singular value of A - z I; exactly 0.0 when it is exactly singular.
 
-        On the banded route an exact zero pivot of the LU gives 0.0, and a
-        Lanczos run that hits its step cap or a non-finite value is redone by
-        dense SVD (and recorded in ``fallbacks``).  Its relative accuracy is
-        the stopping tolerance 1e-10 on top of the conditioning of the solves.
+        On the banded and triangular routes an exact zero pivot of the LU, or
+        an exact zero on the diagonal of A - z I, gives 0.0, and a Lanczos run
+        that hits its step cap or a non-finite value is redone by dense SVD
+        (and recorded in ``fallbacks``).  Their relative accuracy is the
+        stopping tolerance 1e-10 on top of the conditioning of the solves.
         """
         z = complex(z)
         route = self.route(z)
         if route == "tridiagonal":
             w = scipy.linalg.eigvalsh_tridiagonal(np.diag(self._a) - z.real, np.diag(self._a, 1))
             return float(np.min(np.abs(w)))
-        if route == "banded":
+        if route != "dense":
             try:
-                fact = self.factor(z)
+                fact = self.factor(z) if route == "banded" else self._shifted_triangular(z)
             except scipy.linalg.LinAlgError:
                 return 0.0
             theta = self._largest_inverse_eigenvalue(fact)
@@ -303,7 +335,8 @@ def resolvent_norm(m, z: complex) -> float:
 
     sigma_min comes from :meth:`_ShiftFamily.sigma_min`: the tridiagonal
     eigensolver for a real symmetric tridiagonal M at real z, banded LU plus
-    Lanczos for a section stored banded, dense SVD otherwise.
+    Lanczos for a section stored banded, Lanczos with triangular solves for
+    an upper-triangular M with n >= 64, dense SVD otherwise.
     """
     a = numerics.as_matrix(section_array(m), square=True)
     s = _ShiftFamily(a).sigma_min(z)
@@ -320,8 +353,9 @@ class PseudoGrid:
     ``values[iy, ix]`` is 1/sigma_min(M - z) at z = re_points[ix] + 1j * im_points[iy];
     infinite values mark exactly singular shifts.  CSV layout is row-major over
     the lattice: iy outer, ix inner.  ``routes`` counts the lattice points per
-    sigma_min route (``dense``, ``tridiagonal``, ``banded``);
-    ``dense_fallbacks`` counts the banded points redone by dense SVD.
+    sigma_min route (``dense``, ``tridiagonal``, ``banded``, ``triangular``);
+    ``dense_fallbacks`` counts the banded and triangular points redone by
+    dense SVD.
     """
 
     rect: tuple[float, float, float, float]
@@ -360,10 +394,11 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
     One :class:`_ShiftFamily` serves the whole lattice.  Points on the real
     axis of a real symmetric tridiagonal section take the tridiagonal
     eigensolver; every point of a section stored banded (n >= 64 with a narrow
-    band) takes banded LU plus Lanczos on (z - M)^-H (z - M)^-1, with a dense
-    SVD fallback should Lanczos not converge; all other points take the dense
-    SVD.  ``threads`` only parallelizes independent lattice rows; values are
-    bitwise independent of the schedule.
+    band) takes banded LU plus Lanczos on (z - M)^-H (z - M)^-1; every point
+    of an upper-triangular section with n >= 64 takes the same Lanczos by
+    triangular solves on M - z.  Both Lanczos routes fall back to the dense
+    SVD should Lanczos not converge; all other points take the dense SVD.  ``threads`` only parallelizes independent lattice rows;
+    values are bitwise independent of the schedule.
     """
     a = numerics.as_matrix(section_array(m), square=True)
     re0, re1, im0, im1 = (float(v) for v in rect)

@@ -167,6 +167,14 @@ class TestOpNorm:
         m = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         assert numerics.op_norm(m) == pytest.approx(2.0, abs=1e-14)
 
+    def test_real_symmetric_tridiagonal_matches_svd(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 7, 150, 600):
+            off = rng.standard_normal(n - 1)
+            m = np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
+            want = np.linalg.svd(m, compute_uv=False)[0]
+            assert numerics.op_norm(m) == pytest.approx(want, rel=1e-13)
+
 
 class TestSolve:
     def test_identity(self):

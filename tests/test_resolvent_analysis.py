@@ -388,13 +388,94 @@ class TestShiftFamilySigmaMin:
         assert (g1.routes, g1.dense_fallbacks) == ({"banded": 30}, 0)
         assert g1.values.tobytes() == g2.values.tobytes()
 
-    def test_upper_triangular_400_takes_dense_route(self):
+    def test_upper_triangular_400_takes_triangular_route(self):
         m = numerics.as_matrix(om.section_array(om.truncate(om.upper_triangular_spec(), 400)))
         family = ra._ShiftFamily(m)
-        assert not family.banded and family.route(5.0 + 1.0j) == "dense"
+        assert not family.banded and family.route(5.0 + 1.0j) == "triangular"
+        rect = (-2.0, 30.0, -10.0, 10.0)
+        g = ra.pseudospectrum_grid(m, rect, 2, 2)
+        assert (g.routes, g.dense_fallbacks) == ({"triangular": 4}, 0)
+        # the tolerance of the benchmark's pseudospectrum gate
+        norm = numerics.op_norm(m)
+        for iy, im in enumerate(rect[2:]):
+            for ix, re in enumerate(rect[:2]):
+                z = complex(re, im)
+                want = dense_sigma_min(m, z)
+                tol = 1e-8 * want + 100 * np.finfo(float).eps * (norm + abs(z))
+                assert abs(1.0 / g.values[iy, ix] - want) <= tol
+
+    def test_upper_triangular_40_stays_dense_and_bit_identical(self):
+        m = numerics.as_matrix(om.section_array(om.truncate(om.upper_triangular_spec(), 40)))
+        assert ra._ShiftFamily(m).route(5.0 + 1.0j) == "dense"
         g = ra.pseudospectrum_grid(m, (-2.0, 30.0, -10.0, 10.0), 2, 2)
         assert (g.routes, g.dense_fallbacks) == ({"dense": 4}, 0)
         assert g.values[0, 0] == 1.0 / dense_sigma_min(m, complex(-2.0, -10.0))
+
+
+def complex_gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def upper_triangular_complex(rng, n):
+    """Complex Gaussian diagonal, strictly upper part scaled to a moderate norm."""
+    return np.diag(complex_gaussian(rng, n)) + np.triu(complex_gaussian(rng, n, n), 1) / np.sqrt(n)
+
+
+class TestTriangularRoute:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(64, 160),
+        zr=hst.floats(-3.0, 3.0),
+        zi=hst.floats(-3.0, 3.0),
+    )
+    def test_property_upper_triangular_matches_dense(self, seed, n, zr, zi):
+        m = upper_triangular_complex(np.random.default_rng(seed), n)
+        z = complex(zr, zi)
+        family = ra._ShiftFamily(m)
+        assert not family.banded and family.route(z) == "triangular"
+        assert family.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
+        assert family.fallbacks == []
+
+    def test_general_dense_section_takes_dense_route(self):
+        m = complex_gaussian(np.random.default_rng(3), 100, 100) / np.sqrt(200)
+        family = ra._ShiftFamily(m)
+        assert not family.banded and family.route(0.5j) == "dense"
+        g = ra.pseudospectrum_grid(m, (0.0, 1.0, 0.0, 1.0), 2, 2)
+        assert (g.routes, g.dense_fallbacks) == ({"dense": 4}, 0)
+        assert g.values[0, 0] == 1.0 / dense_sigma_min(m, 0.0)
+
+    def test_exact_diagonal_eigenvalue_is_inf(self):
+        n = 100
+        rect, nx, ny = (0.0, 1.0, 0.0, 1.0), 5, 4
+        z = complex(np.linspace(0.0, 1.0, nx)[3], np.linspace(0.0, 1.0, ny)[2])
+        rng = np.random.default_rng(7)
+        d = np.linspace(2.0, 3.0, n) + 1j
+        d[40] = z
+        m = np.diag(d) + np.triu(complex_gaussian(rng, n, n), 1) / n
+        assert ra._ShiftFamily(m).route(z) == "triangular"
+        g = ra.pseudospectrum_grid(m, rect, nx, ny)
+        assert g.routes == {"triangular": nx * ny}
+        assert g.values[2, 3] == np.inf
+        assert np.count_nonzero(np.isinf(g.values)) == 1
+        assert ra.resolvent_norm(m, z) == np.inf
+
+    def test_step_cap_falls_back_to_dense_svd(self, monkeypatch):
+        monkeypatch.setattr(ra, "_LANCZOS_STEPS", 1)
+        m = upper_triangular_complex(np.random.default_rng(8), 80)
+        family = ra._ShiftFamily(m)
+        z = 0.2 + 0.1j
+        assert family.sigma_min(z) == dense_sigma_min(m, z)
+        assert family.fallbacks == [z]
+        g = ra.pseudospectrum_grid(m, (0.0, 1.0, 0.0, 1.0), 2, 2)
+        assert (g.routes, g.dense_fallbacks) == ({"triangular": 4}, 4)
+
+    def test_triangular_grid_bitwise_equal_across_threads(self):
+        m = upper_triangular_complex(np.random.default_rng(9), 120)
+        g1 = ra.pseudospectrum_grid(m, (-1.5, 1.5, -1.0, 1.0), 6, 5, threads=1)
+        g4 = ra.pseudospectrum_grid(m, (-1.5, 1.5, -1.0, 1.0), 6, 5, threads=4)
+        assert (g1.routes, g1.dense_fallbacks) == ({"triangular": 30}, 0)
+        assert g1.values.tobytes() == g4.values.tobytes()
 
 
 class TestNeumannBoundOnSections:
