@@ -19,11 +19,13 @@ classify.json  {problem, certified_sizes, uncertified_sizes, tol, candidates:
 hypothesis.json {problem, reports: [{theorem, lambda, constants, per_size,
                verdict, notes}]} with the constants named per theorem tag.
 report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
-               status, outputs, error, seconds}]}; the only file with timing.
-               A finished pseudo stage also records ``sigma_min_routes``
-               (lattice points per route: dense, tridiagonal, banded,
-               triangular) and ``dense_fallbacks`` (banded and triangular
-               points redone by dense SVD).
+               status, outputs, error, seconds, spectrum_cache}]}; the only
+               file with timing.  ``spectrum_cache`` is {hits, misses}: the
+               stage's spectrum requests answered from the problem's cache
+               and by an eigensolve.  A finished pseudo stage also records
+               ``sigma_min_routes`` (lattice points per route: dense,
+               tridiagonal, banded, triangular) and ``dense_fallbacks``
+               (banded and triangular points redone by dense SVD).
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from . import operator_model as om, resolvent_analysis as ra, spectral_tracker a
 KINDS = ("jacobi", "upper_triangular", "custom_banded", "sl", "sl_matrix", "schrodinger")
 GALERKIN_KINDS = ("jacobi", "upper_triangular", "custom_banded")
 DEMO_NAMES = ("jacobi", "upper_triangular", "sl_matrix", "oscillator", "complex_oscillator")
+#: the stages that read the problem's sections through a ladder
+LADDER_OPS = ("spectra", "pseudo", "classify")
 ENV_THREADS = "SPECEXACT_THREADS"
 
 
@@ -142,7 +146,13 @@ def _parse_window(node, where: str):
 
 @dataclass
 class Problem:
-    """Parsed problem file: a section family plus its analysis block."""
+    """Parsed problem file: a section family plus its analysis block.
+
+    Every ladder of one problem shares ``cache``, the problem's single store
+    of sections, spectra, norms and shifted-operator families keyed by size,
+    so later stages reuse what earlier ones computed.  :func:`run_problem`
+    clears it once no remaining stage reads a ladder.
+    """
 
     kind: str
     name: str
@@ -153,6 +163,7 @@ class Problem:
     sl_matrix: dz.SLMatrixProblem | None = None
     schrodinger: dz.SchrodingerProblem | None = None
     grid_m: int = 0
+    cache: ra.SectionCache = field(default_factory=ra.SectionCache, repr=False)
 
     def default_sizes(self) -> list:
         if self.kind in GALERKIN_KINDS:
@@ -161,26 +172,16 @@ class Problem:
         return list(range(1, n + 1))
 
     def ladder(self, sizes, label: str | None = None) -> ra.SectionLadder:
-        sizes = tuple(sizes)
+        """A view of the problem's sections at ``sizes``, backed by ``cache``."""
         if self.kind in GALERKIN_KINDS:
-            return ra.SectionLadder(
-                label or f"{self.name}:galerkin", sizes, lambda k: om.truncate(self.spec, k)
-            )
-        if self.kind == "sl":
-            return ra.SectionLadder(
-                label or f"{self.name}:interval", sizes, lambda n: dz.sl_assemble(self.sl, n, self.grid_m)
-            )
-        if self.kind == "sl_matrix":
-            return ra.SectionLadder(
-                label or f"{self.name}:interval2x2",
-                sizes,
-                lambda n: dz.sl_block_assemble(self.sl_matrix, n, self.grid_m),
-            )
-        return ra.SectionLadder(
-            label or f"{self.name}:domain",
-            sizes,
-            lambda n: dz.schrodinger_assemble(self.schrodinger, n, self.grid_m),
-        )
+            kind, provider = "galerkin", lambda k: om.truncate(self.spec, k)
+        elif self.kind == "sl":
+            kind, provider = "interval", lambda n: dz.sl_assemble(self.sl, n, self.grid_m)
+        elif self.kind == "sl_matrix":
+            kind, provider = "interval2x2", lambda n: dz.sl_block_assemble(self.sl_matrix, n, self.grid_m)
+        else:
+            kind, provider = "domain", lambda n: dz.schrodinger_assemble(self.schrodinger, n, self.grid_m)
+        return ra.SectionLadder(label or f"{self.name}:{kind}", tuple(sizes), provider, self.cache)
 
 
 def _parse_sl_component(node: dict, a: float, b: float, a_n, where: str, name: str) -> dz.SLProblem:
@@ -459,13 +460,20 @@ def _run_verify(prob: Problem, stage: dict, out_dir: Path, name: str) -> dict:
 
 
 def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int = 1) -> dict:
-    """Execute the analysis block in declaration order; failures don't stop later stages."""
+    """Execute the analysis block in declaration order; failures don't stop later stages.
+
+    The stages share ``prob.cache``.  It is cleared as soon as no remaining
+    stage reads a ladder (``spectra``, ``pseudo``, ``classify``), so a verify
+    stage does not keep the sections alive.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     used: set = set()
     stages: list[StageResult] = []
-    for stage in prob.analysis:
+    cache = prob.cache
+    for i, stage in enumerate(prob.analysis):
         op = stage["op"]
         result = StageResult(op=op, status="ok")
+        hits, misses = cache.spectrum_hits, cache.spectrum_misses
         start = time.perf_counter()
         try:
             if op == "spectra":
@@ -487,7 +495,13 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int =
         except Exception as exc:  # recorded per stage, run continues
             result.status = "error"
             result.error = f"{type(exc).__name__}: {exc}"
+        if not any(later["op"] in LADDER_OPS for later in prob.analysis[i + 1 :]):
+            cache.clear()
         result.seconds = time.perf_counter() - start
+        result.details["spectrum_cache"] = {
+            "hits": cache.spectrum_hits - hits,
+            "misses": cache.spectrum_misses - misses,
+        }
         stages.append(result)
     report = {
         "tool": "specexact",

@@ -363,9 +363,11 @@ def schrodinger_constants(prob_or_constants, *, knob_grid=KNOB_GRID) -> Hypothes
         raise AssumptionError(f"theorem inapplicable: need b_r < 1, got {b_r}")
 
     grid = np.asarray(knob_grid, dtype=float)
-    best = None  # (|lam0|, gamma, record)
+    top = LAMBDA_EXPONENTS[-1]
+    lam_max = 10.0**top
+    best = None  # (key, record), key = (|lam0|, gamma, nu, beta, alpha, eps)
     best_fail = None  # (gamma, record) at the largest lambda scanned
-    lam_max = 10.0 ** LAMBDA_EXPONENTS[-1]
+    eps = grid[np.newaxis, :]
     for nu in grid:
         nu_factor = 1.0 + 1.0 / (4.0 * nu)
         for beta in grid:
@@ -373,49 +375,54 @@ def schrodinger_constants(prob_or_constants, *, knob_grid=KNOB_GRID) -> Hypothes
             if b >= 1.0:
                 continue
             a = p_sup**4 / (4.0 * beta) * nu_factor + a_r * (1.0 + nu)
-            for alpha in grid:
-                if alpha >= 1.0 or b / (1.0 - alpha) >= 1.0:
-                    continue
-                eps_adm = grid if b_grad == 0.0 else grid[grid * b_grad <= alpha]
-                if eps_adm.size == 0:
-                    continue
-                # largest admissible grid delta for each eps minimizes C_alpha
-                delta_cap = alpha * eps_adm
-                pos = np.searchsorted(grid, delta_cap * (1 + 1e-15), side="right") - 1
-                ok = pos >= 0
-                if not np.any(ok):
-                    continue
-                eps_adm, pos = eps_adm[ok], pos[ok]
-                delta = grid[pos]
-                c_alpha = eps_adm * a_grad + 1.0 / (4.0 * eps_adm * delta)
-                num = a + b * c_alpha / (1.0 - alpha)
-                den = 1.0 - b / (1.0 - alpha)
-                needed = np.sqrt(num / den)
-                exps = np.ceil(np.log10(np.maximum(needed, 1.0)))
-                # strict inequality: bump when 10^k equals the threshold exactly
-                exps = np.where(10.0**exps <= needed, exps + 1, exps)
-                for i in range(eps_adm.size):
-                    k = exps[i]
-                    if k > LAMBDA_EXPONENTS[-1]:
-                        # gamma stays >= 1 on the whole lambda scan; remember the best miss
-                        gamma_at_max = float(np.sqrt(num[i] / lam_max**2 + b / (1.0 - alpha)))
-                        if best_fail is None or gamma_at_max < best_fail[0]:
-                            best_fail = (
-                                gamma_at_max,
-                                dict(nu=nu, beta=beta, alpha=alpha, eps=eps_adm[i], delta=delta[i],
-                                     a=a, b=b, c_alpha=c_alpha[i], lambda0=-lam_max,
-                                     gamma=gamma_at_max),
-                            )
-                        continue
-                    lam0 = 10.0**k
-                    gamma = float(np.sqrt(num[i] / lam0**2 + b / (1.0 - alpha)))
-                    key = (lam0, gamma, nu, beta, alpha, eps_adm[i])
-                    if gamma < 1.0 and (best is None or key < best[0]):
-                        best = (
-                            key,
-                            dict(nu=nu, beta=beta, alpha=alpha, eps=eps_adm[i], delta=delta[i],
-                                 a=a, b=b, c_alpha=c_alpha[i], lambda0=-lam0, gamma=gamma),
-                        )
+            # one row per admissible alpha, one column per eps; alpha >= 1 is
+            # dropped before it can reach b / (1 - alpha)
+            alpha = grid[grid < 1.0]
+            alpha = alpha[b / (1.0 - alpha) < 1.0][:, np.newaxis]
+            if alpha.size == 0:
+                continue
+            # largest admissible grid delta for each eps minimizes C_alpha
+            pos = np.searchsorted(grid, alpha * eps * (1 + 1e-15), side="right") - 1
+            ok = pos >= 0
+            if b_grad != 0.0:
+                ok &= eps * b_grad <= alpha
+            delta = grid[pos]
+            c_alpha = eps * a_grad + 1.0 / (4.0 * eps * delta)
+            num = a + b * c_alpha / (1.0 - alpha)
+            den = 1.0 - b / (1.0 - alpha)
+            needed = np.sqrt(num / den)
+            exps = np.ceil(np.log10(np.maximum(needed, 1.0)))
+            # strict inequality: bump when 10^k equals the threshold exactly
+            exps = np.where(10.0**exps <= needed, exps + 1, exps)
+            missed = exps > top
+            # gamma at lambda_0 = -10^k; where gamma stays >= 1 on the whole
+            # lambda scan, at the largest lambda scanned
+            lam0 = 10.0 ** np.minimum(exps, top)
+            gamma = np.sqrt(num / lam0**2 + b / (1.0 - alpha))
+
+            # nonzero walks (alpha, eps) in loop order, so ties keep the first
+            rows, cols = np.nonzero(ok & ~missed & (gamma < 1.0))
+            if rows.size:
+                k = np.lexsort((grid[cols], alpha[rows, 0], gamma[rows, cols], lam0[rows, cols]))[0]
+                i, j = rows[k], cols[k]
+                key = (lam0[i, j], float(gamma[i, j]), nu, beta, alpha[i, 0], grid[j])
+                if best is None or key < best[0]:
+                    best = (
+                        key,
+                        dict(nu=nu, beta=beta, alpha=alpha[i, 0], eps=grid[j], delta=delta[i, j],
+                             a=a, b=b, c_alpha=c_alpha[i, j], lambda0=-lam0[i, j], gamma=key[1]),
+                    )
+            rows, cols = np.nonzero(ok & missed)
+            if rows.size:
+                k = np.argmin(gamma[rows, cols])
+                i, j = rows[k], cols[k]
+                gamma_at_max = float(gamma[i, j])
+                if best_fail is None or gamma_at_max < best_fail[0]:
+                    best_fail = (
+                        gamma_at_max,
+                        dict(nu=nu, beta=beta, alpha=alpha[i, 0], eps=grid[j], delta=delta[i, j],
+                             a=a, b=b, c_alpha=c_alpha[i, j], lambda0=-lam_max, gamma=gamma_at_max),
+                    )
     base = {"a_grad": a_grad, "b_grad": b_grad, "a_r": a_r, "b_r": b_r, "p_sup": p_sup}
     if best is not None:
         record = best[1]

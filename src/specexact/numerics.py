@@ -9,7 +9,7 @@ for solves) through numpy/scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -72,15 +72,15 @@ class EigenDecomposition:
 
     ``eigenvalues`` is sorted lexicographically by (Re, Im) and counted with
     algebraic multiplicity.  ``residuals[k]`` is ||M v - lam v|| / ||v|| for the
-    returned eigenvector of ``eigenvalues[k]``.  Cluster membership uses the
-    radius ``cluster_radius``; cluster sizes sum to the dimension.
+    computed eigenvector v of ``eigenvalues[k]``; the eigenvectors themselves
+    are not kept, so a decomposition holds O(n) data.  Cluster membership
+    uses the radius ``cluster_radius``; cluster sizes sum to the dimension.
     """
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
     clusters: list[Cluster]
     cluster_radius: float
-    eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -131,7 +131,7 @@ def _tridiag_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def eig_dense(m) -> EigenDecomposition:
-    """Eigenvalues, eigenvectors, residuals and multiplicity clusters of a dense matrix.
+    """Eigenvalues, residuals and multiplicity clusters of a dense matrix.
 
     Hermitian inputs (detected exactly) go through the symmetric solver
     (tridiagonal variant where the structure allows); everything else through
@@ -145,15 +145,10 @@ def eig_dense(m) -> EigenDecomposition:
         resid /= np.linalg.norm(v, axis=0)
         order = np.lexsort((np.zeros_like(w), w))
         w = w[order].astype(np.complex128)
-        v = v[:, order]
         resid = resid[order]
         radius = max(CLUSTER_REL * _norm_scale(a, w), CLUSTER_FLOOR)
         return EigenDecomposition(
-            eigenvalues=w,
-            residuals=resid,
-            clusters=_cluster(w, radius),
-            cluster_radius=radius,
-            eigenvectors=v,
+            eigenvalues=w, residuals=resid, clusters=_cluster(w, radius), cluster_radius=radius
         )
     if np.array_equal(a, a.conj().T):
         w, v = np.linalg.eigh(a)
@@ -175,11 +170,7 @@ def eig_dense(m) -> EigenDecomposition:
     resid = np.linalg.norm(a @ v - v * w[np.newaxis, :], axis=0) / np.linalg.norm(v, axis=0)
     radius = max(CLUSTER_REL * _norm_scale(a, w), CLUSTER_FLOOR)
     return EigenDecomposition(
-        eigenvalues=w,
-        residuals=resid,
-        clusters=_cluster(w, radius),
-        cluster_radius=radius,
-        eigenvectors=v,
+        eigenvalues=w, residuals=resid, clusters=_cluster(w, radius), cluster_radius=radius
     )
 
 

@@ -39,20 +39,42 @@ class ProbeVerdict(str, enum.Enum):
 
 
 @dataclass(eq=False)
+class SectionCache:
+    """Sections, spectra, norms and shifted-operator families, keyed by size.
+
+    One cache serves every :class:`SectionLadder` built on the same pure
+    provider, so a section or spectrum computed for one ladder is reused by
+    the next.  ``spectrum_hits`` and ``spectrum_misses`` count the
+    :meth:`SectionLadder.spectrum` calls it answered from memory and by an
+    eigensolve; :meth:`clear` drops the stored data and keeps the counts.
+    """
+
+    sections: dict = field(default_factory=dict)
+    spectra: dict = field(default_factory=dict)
+    norms: dict = field(default_factory=dict)
+    families: dict = field(default_factory=dict)
+    spectrum_hits: int = 0
+    spectrum_misses: int = 0
+
+    def clear(self) -> None:
+        for store in (self.sections, self.spectra, self.norms, self.families):
+            store.clear()
+
+
+@dataclass(eq=False)
 class SectionLadder:
     """A truncation family: strictly increasing sizes plus a section provider.
 
-    Sections, their spectra, norms and shifted-operator families are cached
-    per size; providers must be pure.
+    Sections, their spectra, norms and shifted-operator families live in
+    ``cache``, keyed by size; providers must be pure.  Ladders that pass the
+    same provider may share one :class:`SectionCache`, whatever their sizes
+    and labels; by default each ladder has its own.
     """
 
     label: str
     sizes: tuple
     provider: Callable = field(repr=False)
-    _sections: dict = field(default_factory=dict, repr=False)
-    _spectra: dict = field(default_factory=dict, repr=False)
-    _norms: dict = field(default_factory=dict, repr=False)
-    _families: dict = field(default_factory=dict, repr=False)
+    cache: SectionCache = field(default_factory=SectionCache, repr=False)
 
     def __post_init__(self):
         self.sizes = tuple(self.sizes)
@@ -60,27 +82,32 @@ class SectionLadder:
             raise ValueError("ladder sizes must be strictly increasing")
 
     def matrix(self, size) -> np.ndarray:
-        if size not in self._sections:
-            self._sections[size] = numerics.as_matrix(
-                section_array(self.provider(size)), square=True
-            )
-        return self._sections[size]
+        sections = self.cache.sections
+        if size not in sections:
+            sections[size] = numerics.as_matrix(section_array(self.provider(size)), square=True)
+        return sections[size]
 
     def spectrum(self, size) -> numerics.EigenDecomposition:
-        if size not in self._spectra:
-            self._spectra[size] = numerics.eig_dense(self.matrix(size))
-        return self._spectra[size]
+        spectra = self.cache.spectra
+        if size in spectra:
+            self.cache.spectrum_hits += 1
+        else:
+            self.cache.spectrum_misses += 1
+            spectra[size] = numerics.eig_dense(self.matrix(size))
+        return spectra[size]
 
     def family(self, size) -> "_ShiftFamily":
         """The shifted-operator family of the section at ``size``."""
-        if size not in self._families:
-            self._families[size] = _ShiftFamily(self.matrix(size))
-        return self._families[size]
+        families = self.cache.families
+        if size not in families:
+            families[size] = _ShiftFamily(self.matrix(size))
+        return families[size]
 
     def norm(self, size) -> float:
-        if size not in self._norms:
-            self._norms[size] = numerics.op_norm(self.matrix(size))
-        return self._norms[size]
+        norms = self.cache.norms
+        if size not in norms:
+            norms[size] = numerics.op_norm(self.matrix(size))
+        return norms[size]
 
     def conjugated(self) -> "SectionLadder":
         """Ladder of conjugate transposes (the discrete adjoint family)."""

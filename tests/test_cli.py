@@ -134,6 +134,17 @@ class TestPseudo:
         assert pseudo["sigma_min_routes"] == {"dense": 10, "tridiagonal": 5}
         assert pseudo["dense_fallbacks"] == 0
         assert "sigma_min_routes" not in spectra and "dense_fallbacks" not in spectra
+        assert spectra["spectrum_cache"] == {"hits": 0, "misses": 2}
+        assert pseudo["spectrum_cache"] == {"hits": 0, "misses": 0}
+
+    def test_report_records_spectrum_cache_hits(self, tmp_path):
+        # the classify stage tracks the 7 spectra the spectra stage computed
+        out = tmp_path / "out"
+        assert cli.main(["demo", "oscillator", "--out", str(out)]) == 0
+        spectra, classify, verify = json.loads((out / "report.json").read_text())["stages"]
+        assert spectra["spectrum_cache"] == {"hits": 0, "misses": 7}
+        assert classify["spectrum_cache"] == {"hits": 7, "misses": 0}
+        assert verify["spectrum_cache"] == {"hits": 0, "misses": 0}
 
     def test_seventeen_digit_roundtrip(self, tmp_path):
         doc = {"kind": "jacobi", "analysis": [{"op": "spectra", "sizes": [2, 3]}]}
@@ -143,6 +154,45 @@ class TestPseudo:
             for tok in line.split(","):
                 v = float(tok)
                 assert f"{v:.17g}" == tok
+
+
+class TestSharedCache:
+    @pytest.mark.parametrize("demo", cli.DEMO_NAMES)
+    def test_shared_cache_matches_fresh_ladders(self, tmp_path, demo):
+        # whole analysis on one cache vs one freshly parsed problem per stage
+        doc = cli.demo_problem(demo)
+        raw = cli._dump_json(doc).encode()
+        shared = cli.parse_problem(doc, name_hint=demo)
+        cli.run_problem(shared, tmp_path / "shared", raw)
+        fresh_files = {}
+        for i, stage in enumerate(doc["analysis"]):
+            out = tmp_path / f"fresh{i}"
+            cli.run_problem(cli.parse_problem(dict(doc, analysis=[stage]), name_hint=demo), out, raw)
+            for name in data_files(out):
+                fresh_files[name] = (out / name).read_bytes()
+        names = data_files(tmp_path / "shared")
+        assert names == sorted(fresh_files) and len(names) == len(doc["analysis"])
+        for name in names:
+            assert (tmp_path / "shared" / name).read_bytes() == fresh_files[name], name
+
+    def test_cache_released_before_verify(self, tmp_path, monkeypatch):
+        prob = cli.parse_problem(cli.demo_problem("sl_matrix"))
+        cache = prob.cache
+        stores = lambda: (cache.sections, cache.spectra, cache.norms, cache.families)
+        seen = []
+        run_verify = cli._run_verify
+
+        def spy(*args):
+            seen.append([len(store) for store in stores()])
+            return run_verify(*args)
+
+        monkeypatch.setattr(cli, "_run_verify", spy)
+        report = cli.run_problem(prob, tmp_path / "out", b"")
+        assert [s["status"] for s in report["stages"]] == ["ok", "ok"]
+        assert cache.spectrum_misses == 10
+        # no stage after spectra reads a ladder, so verify runs on an empty cache
+        assert seen == [[0, 0, 0, 0]]
+        assert all(len(store) == 0 for store in stores())
 
 
 class TestSpectraSubcommand:

@@ -1,9 +1,13 @@
 """Sufficient-condition checkers: relative bounds, decay profiles, constant pipelines."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from specexact import discretize as dz, hypothesis_checker as hc, numerics, operator_model as om
+from specexact import cli, discretize as dz, hypothesis_checker as hc, numerics, operator_model as om
 from specexact.errors import AssumptionError, PoleError
 from specexact.hypothesis_checker import Verdict
 
@@ -271,6 +275,112 @@ class TestSchrodingerConstants:
     def test_b_r_one_rejected(self):
         with pytest.raises(AssumptionError):
             hc.schrodinger_constants({"a_grad": 0.0, "b_grad": 0.0, "a_r": 0.0, "b_r": 1.0, "p_sup": 0.0})
+
+
+def loop_schrodinger_constants(consts, knob_grid=hc.KNOB_GRID) -> hc.HypothesisReport:
+    """Reference: the scalar loop over all four knobs that the vectorized search replaced."""
+    a_grad, b_grad = float(consts["a_grad"]), float(consts["b_grad"])
+    a_r, b_r = float(consts["a_r"]), float(consts["b_r"])
+    p_sup = float(consts.get("p_sup", 0.0))
+    grid = np.asarray(knob_grid, dtype=float)
+    best = None
+    best_fail = None
+    lam_max = 10.0 ** hc.LAMBDA_EXPONENTS[-1]
+    for nu in grid:
+        nu_factor = 1.0 + 1.0 / (4.0 * nu)
+        for beta in grid:
+            b = max(beta * nu_factor, b_r * (1.0 + nu))
+            if b >= 1.0:
+                continue
+            a = p_sup**4 / (4.0 * beta) * nu_factor + a_r * (1.0 + nu)
+            for alpha in grid:
+                if alpha >= 1.0 or b / (1.0 - alpha) >= 1.0:
+                    continue
+                eps_adm = grid if b_grad == 0.0 else grid[grid * b_grad <= alpha]
+                if eps_adm.size == 0:
+                    continue
+                delta_cap = alpha * eps_adm
+                pos = np.searchsorted(grid, delta_cap * (1 + 1e-15), side="right") - 1
+                ok = pos >= 0
+                if not np.any(ok):
+                    continue
+                eps_adm, pos = eps_adm[ok], pos[ok]
+                delta = grid[pos]
+                c_alpha = eps_adm * a_grad + 1.0 / (4.0 * eps_adm * delta)
+                num = a + b * c_alpha / (1.0 - alpha)
+                den = 1.0 - b / (1.0 - alpha)
+                needed = np.sqrt(num / den)
+                exps = np.ceil(np.log10(np.maximum(needed, 1.0)))
+                exps = np.where(10.0**exps <= needed, exps + 1, exps)
+                for i in range(eps_adm.size):
+                    k = exps[i]
+                    if k > hc.LAMBDA_EXPONENTS[-1]:
+                        gamma_at_max = float(np.sqrt(num[i] / lam_max**2 + b / (1.0 - alpha)))
+                        if best_fail is None or gamma_at_max < best_fail[0]:
+                            best_fail = (
+                                gamma_at_max,
+                                dict(nu=nu, beta=beta, alpha=alpha, eps=eps_adm[i], delta=delta[i],
+                                     a=a, b=b, c_alpha=c_alpha[i], lambda0=-lam_max,
+                                     gamma=gamma_at_max),
+                            )
+                        continue
+                    lam0 = 10.0**k
+                    gamma = float(np.sqrt(num[i] / lam0**2 + b / (1.0 - alpha)))
+                    key = (lam0, gamma, nu, beta, alpha, eps_adm[i])
+                    if gamma < 1.0 and (best is None or key < best[0]):
+                        best = (
+                            key,
+                            dict(nu=nu, beta=beta, alpha=alpha, eps=eps_adm[i], delta=delta[i],
+                                 a=a, b=b, c_alpha=c_alpha[i], lambda0=-lam0, gamma=gamma),
+                        )
+    base = {"a_grad": a_grad, "b_grad": b_grad, "a_r": a_r, "b_r": b_r, "p_sup": p_sup}
+    if best is not None:
+        record = best[1]
+        return hc.HypothesisReport(
+            theorem="Schrodinger", lam=complex(record["lambda0"]), constants={**base, **record},
+            per_size={}, verdict=Verdict.PASS,
+        )
+    return hc.HypothesisReport(
+        theorem="Schrodinger", lam=None, constants={**base, **(best_fail[1] if best_fail else {})},
+        per_size={}, verdict=Verdict.FAIL,
+        notes="no knob combination reached gamma < 1 within the lambda_0 scan",
+    )
+
+
+def assert_same_as_loop(consts, knob_grid=hc.KNOB_GRID) -> hc.HypothesisReport:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = hc.schrodinger_constants(consts, knob_grid=knob_grid)
+    want = loop_schrodinger_constants(consts, knob_grid)
+    assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
+    return rep
+
+
+def scaled(lo: float, hi: float, zero: bool = False):
+    """10^x for x in [lo, hi], or exactly 0.0 when ``zero``."""
+    values = hst.floats(lo, hi).map(lambda x: 10.0**x)
+    return hst.one_of(hst.just(0.0), values) if zero else values
+
+
+class TestSchrodingerConstantsVectorized:
+    @pytest.mark.parametrize("demo", ["oscillator", "complex_oscillator"])
+    def test_demo_constants_bit_identical_to_loop(self, demo):
+        prob = cli.parse_problem(cli.demo_problem(demo))
+        rep = assert_same_as_loop(prob.schrodinger.assumption_constants())
+        assert rep.verdict is Verdict.PASS
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        a_grad=scaled(-3.0, 9.0, zero=True),
+        b_grad=scaled(-3.0, 4.0, zero=True),
+        a_r=scaled(-3.0, 20.0),
+        b_r=hst.floats(0.0, 0.999),
+        p_sup=scaled(-2.0, 3.0, zero=True),
+        knobs=hst.sets(hst.sampled_from(hc.KNOB_GRID), min_size=3, max_size=14),
+    )
+    def test_property_bit_identical_to_loop(self, a_grad, b_grad, a_r, b_r, p_sup, knobs):
+        consts = {"a_grad": a_grad, "b_grad": b_grad, "a_r": a_r, "b_r": b_r, "p_sup": p_sup}
+        assert_same_as_loop(consts, tuple(sorted(knobs)))
 
 
 class TestBandedCaseReport:
