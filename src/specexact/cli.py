@@ -22,10 +22,18 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                status, outputs, error, seconds, spectrum_cache}]}; the only
                file with timing.  ``spectrum_cache`` is {hits, misses}: the
                stage's spectrum requests answered from the problem's cache
-               and by an eigensolve.  A finished pseudo stage also records
-               ``sigma_min_routes`` (lattice points per route: dense,
-               tridiagonal, banded, triangular) and ``dense_fallbacks``
-               (banded and triangular points redone by dense SVD).
+               and by an eigensolve.  Spectra and classify stages also
+               record ``eig_routes`` (the stage's eigensolves per route:
+               tridiagonal, hermitian, general) and ``residuals_computed``
+               (residuals the stage computed: n per hermitian or general
+               eigensolve, one per written row of a tridiagonal section).
+               A finished classify stage records ``probe_ratios``, one entry
+               per candidate: its lambda and verdict and the four ratios its
+               region probe was judged by (``RegionProbe.ratios``).  A
+               finished pseudo stage records ``sigma_min_routes`` (lattice
+               points per route: dense, tridiagonal, banded, triangular) and
+               ``dense_fallbacks`` (banded and triangular points redone by
+               dense SVD).
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, discretize as dz, hypothesis_checker as hc
+from . import __version__, discretize as dz, hypothesis_checker as hc, numerics
 from . import operator_model as om, resolvent_analysis as ra, spectral_tracker as st
 
 KINDS = ("jacobi", "upper_triangular", "custom_banded", "sl", "sl_matrix", "schrodinger")
@@ -131,6 +139,14 @@ def _parse_number(doc: dict, key: str, default, cast=float):
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemError(f"{key}: expected a number, got {value!r}") from exc
+
+
+def _parse_list(doc: dict, key: str) -> list:
+    """``doc[key]`` (default empty), refusing anything but a list."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ProblemError(f"{key}: expected a list, got {value!r}")
+    return value
 
 
 def _parse_window(node, where: str):
@@ -232,11 +248,11 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
             raise ProblemError(f"table: {exc}") from exc
     elif kind == "sl":
         a, b = _parse_number(doc, "a", 0.0), _parse_number(doc, "b", 1.0)
-        prob.sl = _parse_sl_component(doc, a, b, doc.get("a_n", ()), "sl", name)
+        prob.sl = _parse_sl_component(doc, a, b, _parse_list(doc, "a_n"), "sl", name)
         prob.grid_m = _parse_number(doc, "m", 500, int)
     elif kind == "sl_matrix":
         a, b = _parse_number(doc, "a", 0.0), _parse_number(doc, "b", 1.0)
-        a_n = doc.get("a_n", ())
+        a_n = _parse_list(doc, "a_n")
         tau1 = _parse_sl_component(doc.get("tau1", {}), a, b, a_n, "tau1", f"{name}.tau1")
         tau2 = _parse_sl_component(doc.get("tau2", {}), a, b, a_n, "tau2", f"{name}.tau2")
         sup = doc.get("sup_norms", {})
@@ -267,7 +283,7 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
                 p=parse_coefficient(doc.get("p", 0.0), "p"),
                 q=parse_coefficient(doc.get("q", 0.0), "q"),
                 r=parse_coefficient(doc.get("r", 0.0), "r"),
-                L_n=tuple(float(x) for x in doc.get("L_n", ())),
+                L_n=tuple(float(x) for x in _parse_list(doc, "L_n")),
                 a_grad=consts.get("a_grad"),
                 b_grad=consts.get("b_grad"),
                 a_r=consts.get("a_r"),
@@ -308,10 +324,7 @@ def _run_spectra(prob: Problem, stage: dict, out_dir: Path, name: str) -> None:
     ladder = prob.ladder(sizes)
     lines = ["n,re,im,residual"]
     for size in ladder.sizes:
-        dec = ladder.spectrum(size)
-        s = st.SpectrumResult.from_eig(size, dec)
-        if window is not None:
-            s = s.windowed(window)
+        s = st.SpectrumResult.from_eig(size, ladder.spectrum(size), window, residuals=True)
         for lam, res in zip(s.eigenvalues, s.residuals):
             lines.append(f"{_fmt(size)},{_fmt(lam.real)},{_fmt(lam.imag)},{_fmt(res)}")
     _atomic_write(out_dir / name, "\n".join(lines) + "\n")
@@ -355,7 +368,11 @@ def _run_classify(prob: Problem, stage: dict, out_dir: Path, name: str) -> dict:
         "candidates": [p.to_dict() for p in points],
     }
     _atomic_write(out_dir / name, _dump_json(doc))
-    return doc
+    ratios = [
+        {"lambda": [p.value.real, p.value.imag], "verdict": p.verdict.value, **p.probe.ratios}
+        for p in points
+    ]
+    return {"probe_ratios": ratios}
 
 
 def _verify_checks(prob: Problem, stage: dict) -> list[hc.HypothesisReport]:
@@ -474,6 +491,7 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int =
         op = stage["op"]
         result = StageResult(op=op, status="ok")
         hits, misses = cache.spectrum_hits, cache.spectrum_misses
+        routes, residuals = cache.eig_routes.copy(), cache.residuals_computed
         start = time.perf_counter()
         try:
             if op == "spectra":
@@ -486,7 +504,7 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int =
                 result.outputs = [name]
             elif op == "classify":
                 name = _unique_name("classify", "json", used)
-                _run_classify(prob, stage, out_dir, name)
+                result.details = _run_classify(prob, stage, out_dir, name)
                 result.outputs = [name]
             elif op == "verify":
                 name = _unique_name("hypothesis", "json", used)
@@ -495,13 +513,18 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int =
         except Exception as exc:  # recorded per stage, run continues
             result.status = "error"
             result.error = f"{type(exc).__name__}: {exc}"
-        if not any(later["op"] in LADDER_OPS for later in prob.analysis[i + 1 :]):
-            cache.clear()
-        result.seconds = time.perf_counter() - start
         result.details["spectrum_cache"] = {
             "hits": cache.spectrum_hits - hits,
             "misses": cache.spectrum_misses - misses,
         }
+        if op in ("spectra", "classify"):
+            result.details["eig_routes"] = {
+                route: cache.eig_routes[route] - routes[route] for route in numerics.EIG_ROUTES
+            }
+            result.details["residuals_computed"] = cache.residuals_computed - residuals
+        if not any(later["op"] in LADDER_OPS for later in prob.analysis[i + 1 :]):
+            cache.clear()
+        result.seconds = time.perf_counter() - start
         stages.append(result)
     report = {
         "tool": "specexact",
@@ -697,16 +720,35 @@ def _demo_summary(name: str, out_dir: Path) -> list[str]:
 
 
 def _parse_sizes(text: str) -> list:
+    """argparse ``type=`` of a size list such as ``2:40:2`` or ``3,5,7``."""
     out = []
-    for chunk in text.split(","):
-        if ":" in chunk:
-            parts = [int(v) for v in chunk.split(":")]
-            start, stop = parts[0], parts[1]
-            step = parts[2] if len(parts) > 2 else 1
-            out.extend(range(start, stop + 1, step))
-        else:
-            out.append(int(chunk))
+    try:
+        for chunk in text.split(","):
+            if ":" in chunk:
+                parts = [int(v) for v in chunk.split(":")]
+                start, stop = parts[0], parts[1]
+                step = parts[2] if len(parts) > 2 else 1
+                out.extend(range(start, stop + 1, step))
+            else:
+                out.append(int(chunk))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected sizes such as 2:40:2 or 3,5,7, got {text!r}") from exc
     return out
+
+
+def _numbers(cast, counts: tuple, form: str):
+    """argparse ``type=`` of ``len in counts`` comma-separated numbers, e.g. ``form`` 'nx,ny'."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [cast(v) for v in text.split(",")]
+        except ValueError:
+            values = []
+        if len(values) not in counts:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        return values
+
+    return parse
 
 
 def _load_problem(path: str) -> tuple[Problem, bytes]:
@@ -760,19 +802,21 @@ def main(argv=None) -> int:
 
     p_spectra = sub.add_parser("spectra", help="eigenvalues along a ladder -> spectra.csv")
     add_common(p_spectra)
-    p_spectra.add_argument("--sizes", default=None, help="e.g. 2:40:2 or 3,5,7")
+    p_spectra.add_argument("--sizes", type=_parse_sizes, default=None, help="e.g. 2:40:2 or 3,5,7")
 
     p_pseudo = sub.add_parser("pseudo", help="resolvent-norm grid -> pseudo.csv")
     add_common(p_pseudo)
     p_pseudo.add_argument("--size", type=int, required=True)
-    p_pseudo.add_argument("--rect", required=True, help="re_min,re_max,im_min,im_max")
-    p_pseudo.add_argument("--grid", default="40,40", help="nx,ny")
+    p_pseudo.add_argument("--rect", type=_numbers(float, (4,), "re_min,re_max,im_min,im_max"),
+                          required=True, help="re_min,re_max,im_min,im_max")
+    p_pseudo.add_argument("--grid", type=_numbers(int, (2,), "nx,ny"), default="40,40", help="nx,ny")
 
     p_classify = sub.add_parser("classify", help="track limits and classify them -> classify.json")
     add_common(p_classify)
-    p_classify.add_argument("--sizes", default=None, help="certified ladder sizes")
-    p_classify.add_argument("--uncertified-sizes", default=None)
-    p_classify.add_argument("--lambda", dest="lam", default=None, help="re,im of one point")
+    p_classify.add_argument("--sizes", type=_parse_sizes, default=None, help="certified ladder sizes")
+    p_classify.add_argument("--uncertified-sizes", type=_parse_sizes, default=None)
+    p_classify.add_argument("--lambda", dest="lam", type=_numbers(float, (1, 2), "re or re,im"),
+                            default=None, help="re,im of one point")
     p_classify.add_argument("--tol", type=float, default=1e-6)
 
     p_verify = sub.add_parser("verify", help="run the problem's verify checks -> hypothesis.json")
@@ -799,29 +843,22 @@ def main(argv=None) -> int:
         elif args.command == "spectra":
             stage = {"op": "spectra"}
             if args.sizes:
-                stage["sizes"] = _parse_sizes(args.sizes)
+                stage["sizes"] = args.sizes
             prob.analysis = [stage]
             report = run_problem(prob, out_dir, raw, threads=_threads_from(args))
         elif args.command == "pseudo":
-            nx, ny = (int(v) for v in args.grid.split(","))
-            stage = {
-                "op": "pseudo",
-                "size": args.size,
-                "rect": [float(v) for v in args.rect.split(",")],
-                "nx": nx,
-                "ny": ny,
-            }
+            nx, ny = args.grid
+            stage = {"op": "pseudo", "size": args.size, "rect": args.rect, "nx": nx, "ny": ny}
             prob.analysis = [stage]
             report = run_problem(prob, out_dir, raw, threads=_threads_from(args))
         elif args.command == "classify":
             stage = {"op": "classify", "tol": args.tol}
             if args.sizes:
-                stage["certified_sizes"] = _parse_sizes(args.sizes)
+                stage["certified_sizes"] = args.sizes
             if args.uncertified_sizes:
-                stage["uncertified_sizes"] = _parse_sizes(args.uncertified_sizes)
+                stage["uncertified_sizes"] = args.uncertified_sizes
             if args.lam:
-                parts = [float(v) for v in args.lam.split(",")]
-                stage["lambda"] = parts if len(parts) == 2 else [parts[0], 0.0]
+                stage["lambda"] = args.lam if len(args.lam) == 2 else [args.lam[0], 0.0]
             prob.analysis = [stage]
             report = run_problem(prob, out_dir, raw, threads=_threads_from(args))
         else:  # verify

@@ -9,7 +9,8 @@ for solves) through numpy/scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -66,29 +67,146 @@ class Cluster:
         return len(self.indices)
 
 
-@dataclass
+class SymmetricTridiagonal:
+    """A real symmetric tridiagonal matrix kept as its diagonals: O(n) storage.
+
+    ``d`` is the diagonal and ``e`` the off-diagonal.  Each method solves only
+    for what its caller reads: all eigenvalues (``sterf``), the distance from
+    one real shift to the spectrum (a Sturm count, then ``stebz`` bisection for
+    at most two eigenvalues), or residuals at chosen eigenvalues (``dstein``
+    inverse iteration).
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.d, self.e = np.diag(a).copy(), np.diag(a, 1).copy()
+
+    @property
+    def n(self) -> int:
+        return self.d.shape[0]
+
+    def eigenvalues(self) -> np.ndarray:
+        """All eigenvalues, ascending."""
+        return scipy.linalg.eigvalsh_tridiagonal(self.d, self.e)
+
+    @cached_property
+    def _recurrence(self) -> tuple[list, list, float]:
+        # Python floats keep the scalar recurrence of sturm_count fast;
+        # pivmin is LAPACK dstebz's: the safe minimum times max(1, max e_j^2)
+        e2 = self.e * self.e
+        pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+        return self.d.tolist(), [0.0] + e2.tolist(), pivmin
+
+    def sturm_count(self, z: float) -> int:
+        """Number of eigenvalues <= z: the nonpositive pivots of the LDL^T of T - z.
+
+        A pivot of magnitude below pivmin is replaced by -pivmin, as LAPACK's
+        dlaebz does, so an exact zero pivot cannot divide by zero.
+        """
+        d, e2, pivmin = self._recurrence
+        count, q = 0, 1.0
+        for dj, e2j in zip(d, e2):
+            q = dj - z - e2j / q
+            if abs(q) < pivmin:
+                q = -pivmin
+            if q <= 0.0:
+                count += 1
+        return count
+
+    def distance_to_spectrum(self, z: float) -> float:
+        """min |lambda - z| over the eigenvalues, which is sigma_min(T - z) for real z.
+
+        With k = :meth:`sturm_count` (z), the eigenvalues k - 1 and k (from 0)
+        bracket z; ``stebz`` bisection computes just those two, to an absolute
+        accuracy of about eps ||T||.
+        """
+        k = self.sturm_count(z)
+        pair = (max(k - 1, 0), min(k, self.n - 1))
+        lam = scipy.linalg.eigvalsh_tridiagonal(self.d, self.e, select="i", select_range=pair)
+        return float(np.min(np.abs(lam - z)))
+
+    def residuals(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """||T v - w[r] v|| / ||v|| for the inverse-iteration vector v at each w[r], r in ``rows``.
+
+        ``w`` holds all eigenvalues, ascending.  LAPACK ``dstein`` runs once
+        per row: one call reorthogonalizes its vectors within clusters of
+        eigenvalues closer than 1e-3 ||T||, which costs O(n m^2) for m rows,
+        and a residual needs no orthogonality.  An exact zero off-diagonal
+        splits T into blocks; ``dstebz`` then assigns each requested
+        eigenvalue its block, and dstein iterates on that block alone.
+        """
+        n = self.n
+        iblock = np.ones(n, dtype=np.int32)
+        isplit = np.zeros(n, dtype=np.int32)
+        isplit[0] = n
+        blocks = None
+        if rows.size and not np.all(self.e):
+            lo, hi = int(rows.min()), int(rows.max())
+            _m, _w, blocks, isplit, info = lapack.dstebz(
+                self.d, self.e, 2, 0.0, 0.0, lo + 1, hi + 1, 0.0, b"E"
+            )
+            if info != 0:
+                raise ConvergenceError(f"bisection for eigenvalues {lo}..{hi} failed (info={info})")
+        vecs = np.empty((n, rows.size))
+        for i, r in enumerate(rows):
+            if blocks is not None:
+                iblock[0] = blocks[r - lo]
+            # a vector that missed dstein's convergence test still yields its residual
+            vecs[:, i] = lapack.dstein(self.d, self.e, w[r : r + 1], iblock, isplit)[0][:, 0]
+        tv = self.d[:, np.newaxis] * vecs
+        tv[:-1] += self.e[:, np.newaxis] * vecs[1:]
+        tv[1:] += self.e[:, np.newaxis] * vecs[:-1]
+        return np.linalg.norm(tv - vecs * w[rows], axis=0) / np.linalg.norm(vecs, axis=0)
+
+
+#: eig_dense routes, one per structure
+EIG_ROUTES = ("tridiagonal", "hermitian", "general")
+
+
+@dataclass(eq=False)
 class EigenDecomposition:
-    """Spectrum of one dense matrix, with multiplicity clusters and residuals.
+    """Spectrum of one dense matrix; residuals and multiplicity clusters on demand.
 
     ``eigenvalues`` is sorted lexicographically by (Re, Im) and counted with
-    algebraic multiplicity.  ``residuals[k]`` is ||M v - lam v|| / ||v|| for the
-    computed eigenvector v of ``eigenvalues[k]``; the eigenvectors themselves
-    are not kept, so a decomposition holds O(n) data.  Cluster membership
-    uses the radius ``cluster_radius``; cluster sizes sum to the dimension.
+    algebraic multiplicity; ``route`` names the solver (one of
+    ``EIG_ROUTES``).  The residual of an eigenvalue lam is ||M v - lam v|| /
+    ||v|| for its computed eigenvector v.  On the ``hermitian`` and
+    ``general`` routes every residual is computed with the eigenvalues, from
+    the eigenvectors, which are then dropped.  On the ``tridiagonal`` route
+    the decomposition keeps the section's O(n) diagonals instead, and
+    :meth:`residuals_at` computes the residuals of the requested eigenvalues
+    only, each time it is asked.  ``residuals_computed`` counts the residuals
+    computed so far.  ``clusters`` groups the eigenvalues within
+    ``cluster_radius`` of each other (cluster sizes sum to the dimension); it
+    is computed on first access.
     """
 
     eigenvalues: np.ndarray
-    residuals: np.ndarray
-    clusters: list[Cluster]
     cluster_radius: float
+    route: str
+    all_residuals: np.ndarray | None = field(default=None, repr=False)
+    tridiagonal: SymmetricTridiagonal | None = field(default=None, repr=False)
+    residuals_computed: int = 0
 
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def multiplicity_in_disk(self, center: complex, radius: float) -> int:
-        """Number of eigenvalues (with multiplicity) strictly inside a disk."""
-        return int(np.count_nonzero(np.abs(self.eigenvalues - center) < radius))
+    def residuals_at(self, rows) -> np.ndarray:
+        """Residuals of ``eigenvalues[rows]``, in the order of ``rows``."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if self.all_residuals is not None:
+            return self.all_residuals[rows]
+        self.residuals_computed += rows.size
+        return self.tridiagonal.residuals(self.eigenvalues.real, rows)
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """Every residual, in eigenvalue order."""
+        return self.residuals_at(np.arange(self.dimension))
+
+    @cached_property
+    def clusters(self) -> list[Cluster]:
+        return _cluster(self.eigenvalues, self.cluster_radius)
 
 
 def _cluster(eigenvalues: np.ndarray, radius: float) -> list[Cluster]:
@@ -122,38 +240,29 @@ def _cluster(eigenvalues: np.ndarray, radius: float) -> list[Cluster]:
     return clusters
 
 
-def _tridiag_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    d = np.diag(a)[:, np.newaxis] * v
-    e = np.diag(a, 1)
-    d[:-1] += e[:, np.newaxis] * v[1:]
-    d[1:] += e[:, np.newaxis] * v[:-1]
-    return d
-
-
 def eig_dense(m) -> EigenDecomposition:
-    """Eigenvalues, residuals and multiplicity clusters of a dense matrix.
+    """Eigenvalues of a dense matrix, with residuals and clusters (see :class:`EigenDecomposition`).
 
-    Hermitian inputs (detected exactly) go through the symmetric solver
-    (tridiagonal variant where the structure allows); everything else through
-    complex QR iteration.  Raises :class:`ConvergenceError` naming the stuck
-    index if QR iteration fails.
+    One route per structure.  Real symmetric tridiagonal inputs: eigenvalues
+    only, by ``eigvalsh_tridiagonal``; residuals come later, on demand.
+    Other Hermitian inputs (detected exactly): ``eigh`` with eigenvectors.
+    Everything else: complex QR iteration (``zgeev``) with eigenvectors.  On
+    the last two routes every residual is computed here.  Raises
+    :class:`ConvergenceError` naming the stuck index if QR iteration fails.
     """
     a = as_matrix(m, square=True)
     if _is_real_symmetric_tridiagonal(a):
-        w, v = scipy.linalg.eigh_tridiagonal(np.diag(a), np.diag(a, 1))
-        resid = np.linalg.norm(_tridiag_matvec(a, v) - v * w[np.newaxis, :], axis=0)
-        resid /= np.linalg.norm(v, axis=0)
-        order = np.lexsort((np.zeros_like(w), w))
-        w = w[order].astype(np.complex128)
-        resid = resid[order]
-        radius = max(CLUSTER_REL * _norm_scale(a, w), CLUSTER_FLOOR)
-        return EigenDecomposition(
-            eigenvalues=w, residuals=resid, clusters=_cluster(w, radius), cluster_radius=radius
-        )
+        tri = SymmetricTridiagonal(a)
+        w = tri.eigenvalues().astype(np.complex128)  # ascending, hence (Re, Im) order
+        # the largest entry of a lies on one of its diagonals
+        radius = max(CLUSTER_REL * _norm_scale(np.concatenate([tri.d, tri.e]), w), CLUSTER_FLOOR)
+        return EigenDecomposition(eigenvalues=w, cluster_radius=radius, route="tridiagonal", tridiagonal=tri)
     if np.array_equal(a, a.conj().T):
+        route = "hermitian"
         w, v = np.linalg.eigh(a)
         w = w.astype(np.complex128)
     else:
+        route = "general"
         z = a.astype(np.complex128, copy=False)
         w, _, v, info = lapack.zgeev(z, compute_vl=0, compute_vr=1)
         if info < 0:
@@ -170,16 +279,17 @@ def eig_dense(m) -> EigenDecomposition:
     resid = np.linalg.norm(a @ v - v * w[np.newaxis, :], axis=0) / np.linalg.norm(v, axis=0)
     radius = max(CLUSTER_REL * _norm_scale(a, w), CLUSTER_FLOOR)
     return EigenDecomposition(
-        eigenvalues=w, residuals=resid, clusters=_cluster(w, radius), cluster_radius=radius
+        eigenvalues=w, cluster_radius=radius, route=route, all_residuals=resid, residuals_computed=w.size
     )
 
 
 def _is_real_symmetric_tridiagonal(a: np.ndarray) -> bool:
     if np.iscomplexobj(a) or a.shape[0] != a.shape[1] or a.shape[0] < 2:
         return False
-    # tridiagonal exactly when every nonzero lies on the three central diagonals
+    # tridiagonal exactly when every nonzero lies on the three central diagonals,
+    # and then symmetric exactly when its two off-diagonals are equal
     central = sum(np.count_nonzero(a.diagonal(k)) for k in (-1, 0, 1))
-    return np.count_nonzero(a) == central and np.array_equal(a, a.T)
+    return np.count_nonzero(a) == central and np.array_equal(a.diagonal(1), a.diagonal(-1))
 
 
 def sigma_min(m) -> float:
@@ -188,21 +298,23 @@ def sigma_min(m) -> float:
     Computed by bidiagonalization SVD; exactly-singular structure (zero rows,
     exact rank deficiency found by the factorization) yields exactly 0.0 --
     there is no thresholding.  Real symmetric tridiagonal inputs use the
-    tridiagonal symmetric solver (singular values of a symmetric matrix are
-    the absolute eigenvalues), same accuracy class, far cheaper.
+    tridiagonal symmetric solver for all eigenvalues (singular values of a
+    symmetric matrix are the absolute eigenvalues), same accuracy class, far
+    cheaper.
 
     This is the dense reference.  sigma_min(A - z I) over shifts z goes
     through ``resolvent_analysis._ShiftFamily.sigma_min``, which has four
     routes: ``tridiagonal`` (real symmetric tridiagonal A, real z) never forms
-    A - z I and is bit-identical to this function; ``banded`` uses banded LU
-    plus Lanczos; ``triangular`` uses Lanczos with triangular solves on an
-    upper-triangular A; its ``dense`` route and the Lanczos fallback
-    call this function.
+    A - z I and computes only the one or two eigenvalues that bracket z
+    (:meth:`SymmetricTridiagonal.distance_to_spectrum`), which agree with
+    this function to about eps ||A||, not bit for bit; ``banded`` uses banded
+    LU plus Lanczos; ``triangular`` uses Lanczos with triangular solves on an
+    upper-triangular A; its ``dense`` route and the Lanczos fallback call
+    this function.
     """
     a = as_matrix(m, square=True)
     if _is_real_symmetric_tridiagonal(a):
-        w = scipy.linalg.eigvalsh_tridiagonal(np.diag(a), np.diag(a, 1))
-        return float(np.min(np.abs(w)))
+        return float(np.min(np.abs(SymmetricTridiagonal(a).eigenvalues())))
     s = np.linalg.svd(a, compute_uv=False)
     return float(s[-1])
 
@@ -217,8 +329,7 @@ def op_norm(m) -> float:
     if not np.any(a):
         return 0.0
     if _is_real_symmetric_tridiagonal(a):
-        w = scipy.linalg.eigvalsh_tridiagonal(np.diag(a), np.diag(a, 1))
-        return float(np.max(np.abs(w)))
+        return float(np.max(np.abs(SymmetricTridiagonal(a).eigenvalues())))
     s = np.linalg.svd(a, compute_uv=False)
     return float(s[0])
 

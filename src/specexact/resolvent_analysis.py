@@ -46,7 +46,9 @@ class SectionCache:
     provider, so a section or spectrum computed for one ladder is reused by
     the next.  ``spectrum_hits`` and ``spectrum_misses`` count the
     :meth:`SectionLadder.spectrum` calls it answered from memory and by an
-    eigensolve; :meth:`clear` drops the stored data and keeps the counts.
+    eigensolve, and ``eig_routes`` counts those eigensolves per
+    ``numerics.eig_dense`` route.  :meth:`clear` drops the stored data and
+    keeps these counts.
     """
 
     sections: dict = field(default_factory=dict)
@@ -55,6 +57,12 @@ class SectionCache:
     families: dict = field(default_factory=dict)
     spectrum_hits: int = 0
     spectrum_misses: int = 0
+    eig_routes: Counter = field(default_factory=Counter)
+
+    @property
+    def residuals_computed(self) -> int:
+        """Residuals computed so far by the spectra the cache holds."""
+        return sum(dec.residuals_computed for dec in self.spectra.values())
 
     def clear(self) -> None:
         for store in (self.sections, self.spectra, self.norms, self.families):
@@ -94,6 +102,7 @@ class SectionLadder:
         else:
             self.cache.spectrum_misses += 1
             spectra[size] = numerics.eig_dense(self.matrix(size))
+            self.cache.eig_routes[spectra[size].route] += 1
         return spectra[size]
 
     def family(self, size) -> "_ShiftFamily":
@@ -215,14 +224,33 @@ class _Factorization:
         return float(est)
 
 
+def _band_widths(a: np.ndarray) -> tuple[int, int]:
+    """(kl, ku): the outermost nonzero sub- and superdiagonal of a square a, (0, 0) if none.
+
+    Diagonals are counted outward from the main one until they hold every
+    nonzero of a, so a narrow band costs one pass over a, not an index array.
+    """
+    remaining = np.count_nonzero(a) - np.count_nonzero(a.diagonal())
+    kl = ku = 0
+    k = 1
+    while remaining:
+        lower, upper = np.count_nonzero(a.diagonal(-k)), np.count_nonzero(a.diagonal(k))
+        kl, ku = (k if lower else kl), (k if upper else ku)
+        remaining -= lower + upper
+        k += 1
+    return kl, ku
+
+
 class _ShiftFamily:
     """The shifted operator z I - A over many shifts z: factorization and sigma_min.
 
     A's structure is detected once and picks the route of :meth:`sigma_min`:
 
     - ``tridiagonal``: real symmetric tridiagonal A and real z, by the
-      tridiagonal eigensolver on the shifted diagonals, bit-identical to
-      ``numerics.sigma_min(A - z I)``;
+      distance from z to the spectrum: a Sturm count of A - z on A's
+      diagonals, then bisection for the one or two eigenvalues that bracket
+      z, O(n) each (``numerics.SymmetricTridiagonal.distance_to_spectrum``);
+      it agrees with ``numerics.sigma_min(A - z I)`` to about eps ||A||;
     - ``banded``: every other shift of a section stored banded (n >= 64 with a
       narrow band), by banded LU of z I - A and Lanczos on
       (z I - A)^-H (z I - A)^-1;
@@ -237,12 +265,7 @@ class _ShiftFamily:
 
     def __init__(self, a: np.ndarray):
         n = a.shape[0]
-        nz_r, nz_c = np.nonzero(a)
-        if nz_r.size:
-            offs = nz_c - nz_r
-            kl, ku = int(max(0, -offs.min())), int(max(0, offs.max()))
-        else:
-            kl = ku = 0
+        kl, ku = _band_widths(a)
         self.n, self.kl, self.ku = n, kl, ku
         self.real = not np.iscomplexobj(a)
         self._a = a
@@ -252,6 +275,8 @@ class _ShiftFamily:
             self.real and n >= 2 and kl <= 1 and ku <= 1
             and np.array_equal(np.diag(a, 1), np.diag(a, -1))
         )
+        if self.tridiagonal:
+            self._tri = numerics.SymmetricTridiagonal(a)
         # banded storage only pays off when the band is genuinely narrow
         self.banded = n >= 64 and (kl + ku + 1) <= max(4, n // 8)
         if self.banded:
@@ -312,8 +337,7 @@ class _ShiftFamily:
         z = complex(z)
         route = self.route(z)
         if route == "tridiagonal":
-            w = scipy.linalg.eigvalsh_tridiagonal(np.diag(self._a) - z.real, np.diag(self._a, 1))
-            return float(np.min(np.abs(w)))
+            return self._tri.distance_to_spectrum(z.real)
         if route != "dense":
             try:
                 fact = self.factor(z) if route == "banded" else self._shifted_triangular(z)
@@ -360,10 +384,12 @@ class _ShiftFamily:
 def resolvent_norm(m, z: complex) -> float:
     """1 / sigma_min(M - z I); inf exactly when sigma_min is exactly zero.
 
-    sigma_min comes from :meth:`_ShiftFamily.sigma_min`: the tridiagonal
-    eigensolver for a real symmetric tridiagonal M at real z, banded LU plus
-    Lanczos for a section stored banded, Lanczos with triangular solves for
-    an upper-triangular M with n >= 64, dense SVD otherwise.
+    sigma_min comes from :meth:`_ShiftFamily.sigma_min`: for a real
+    symmetric tridiagonal M at real z, the distance from z to the nearest
+    eigenvalue (a Sturm count, then bisection for the two eigenvalues that
+    bracket z); banded LU plus Lanczos for a section stored banded, Lanczos
+    with triangular solves for an upper-triangular M with n >= 64, dense SVD
+    otherwise.
     """
     a = numerics.as_matrix(section_array(m), square=True)
     s = _ShiftFamily(a).sigma_min(z)
@@ -419,13 +445,16 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
     """Evaluate the resolvent norm on an nx-by-ny lattice over ``rect``.
 
     One :class:`_ShiftFamily` serves the whole lattice.  Points on the real
-    axis of a real symmetric tridiagonal section take the tridiagonal
-    eigensolver; every point of a section stored banded (n >= 64 with a narrow
-    band) takes banded LU plus Lanczos on (z - M)^-H (z - M)^-1; every point
-    of an upper-triangular section with n >= 64 takes the same Lanczos by
-    triangular solves on M - z.  Both Lanczos routes fall back to the dense
-    SVD should Lanczos not converge; all other points take the dense SVD.  ``threads`` only parallelizes independent lattice rows;
-    values are bitwise independent of the schedule.
+    axis of a real symmetric tridiagonal section take the distance to the
+    nearest eigenvalue, by a Sturm count and bisection for the two
+    eigenvalues that bracket the point; every other point of a section stored
+    banded (n >= 64 with a narrow band) takes banded LU plus Lanczos on
+    (z - M)^-H (z - M)^-1; every point of an upper-triangular section with
+    n >= 64 takes the same Lanczos by triangular solves on M - z.  Both
+    Lanczos routes fall back to the dense SVD should Lanczos not converge;
+    all other points take the dense SVD.  ``threads`` only parallelizes
+    independent lattice rows; values are bitwise independent of the
+    schedule.
     """
     a = numerics.as_matrix(section_array(m), square=True)
     re0, re1, im0, im1 = (float(v) for v in rect)
@@ -466,7 +495,11 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
 
 @dataclass
 class RegionProbe:
-    """sigma_min(M_n - z) along a truncation ladder plus a trend verdict."""
+    """sigma_min(M_n - z) along a truncation ladder plus a trend verdict.
+
+    ``ratios`` holds the four quantities the verdict compared with its
+    thresholds (see :func:`region_probe`); ``to_dict`` leaves them out.
+    """
 
     point: complex
     sizes: tuple
@@ -476,6 +509,7 @@ class RegionProbe:
     tail_geomean: float
     tail_min: float
     scale: float
+    ratios: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -496,6 +530,11 @@ def _geomean(values: np.ndarray) -> float:
     return float(np.exp(np.mean(np.log(values))))
 
 
+def _ratio(num: float, den: float) -> float | None:
+    """num / den, or None where the denominator is zero."""
+    return float(num / den) if den != 0.0 else None
+
+
 def region_probe(
     ladder: SectionLadder,
     z: complex,
@@ -513,6 +552,10 @@ def region_probe(
     BoundedEvidence: the ladder minimum stays above ``bounded_floor * scale``
     and final/initial stays at least ``decay_ratio``.  Anything else is
     Inconclusive.  ``scale`` is the spectral norm of the largest section.
+    The probe's ``ratios`` record final / (``zero_floor`` * scale), tail /
+    head, min / (``bounded_floor`` * scale) and final / first, None where a
+    denominator is zero, so a report can show how near each threshold the
+    verdict was.
     """
     if len(ladder.sizes) < 6:
         raise ValueError("region probe needs a ladder of at least 6 sizes")
@@ -539,6 +582,12 @@ def region_probe(
         tail_geomean=tail,
         tail_min=float(values[-third:].min()),
         scale=scale,
+        ratios={
+            "final_over_zero_floor": _ratio(final, zero_floor * scale),
+            "tail_over_head": _ratio(tail, head),
+            "min_over_bounded_floor": _ratio(values.min(), bounded_floor * scale),
+            "final_over_first": _ratio(final, first),
+        },
     )
 
 
@@ -643,7 +692,13 @@ class ContourRank:
     probe_columns: int
 
 
-def contour_rank(m, center: complex, radius: float, quadrature_points: int = DEFAULT_QUADRATURE) -> ContourRank:
+def contour_rank(
+    m,
+    center: complex,
+    radius: float,
+    quadrature_points: int = DEFAULT_QUADRATURE,
+    family: "_ShiftFamily | None" = None,
+) -> ContourRank:
     """Rank of the spectral projection for the circle of given center/radius.
 
     The projection P = (1/2 pi i) * contour integral of the resolvent is
@@ -662,15 +717,18 @@ def contour_rank(m, center: complex, radius: float, quadrature_points: int = DEF
     would reach n the dense n-column projection is formed instead, as it is
     for every section not stored banded.  The probes depend only on n and
     L, so results are byte-deterministic.
+
+    ``family`` is the shifted-operator family of ``m`` when the caller holds
+    one (:meth:`SectionLadder.family`); without it one is built from ``m``.
     """
-    a = numerics.as_matrix(section_array(m), square=True)
     q = int(quadrature_points)
     if q < 16:
         raise ValueError("need at least 16 quadrature points")
     radius = float(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    family = _ShiftFamily(a)
+    if family is None:
+        family = _ShiftFamily(numerics.as_matrix(section_array(m), square=True))
     return _contour_rank(family, complex(center), radius, q, family.n if family.banded else 0)
 
 

@@ -40,29 +40,30 @@ class ClassVerdict(str, enum.Enum):
 
 @dataclass
 class SpectrumResult:
-    """Eigenvalues (with residuals) of one section, tagged by its ladder size."""
+    """Eigenvalues (optionally with residuals) of one section, tagged by its ladder size."""
 
     size: object
     eigenvalues: np.ndarray
     residuals: np.ndarray | None = None
 
     @classmethod
-    def from_eig(cls, size, decomposition: numerics.EigenDecomposition) -> "SpectrumResult":
+    def from_eig(
+        cls, size, decomposition: numerics.EigenDecomposition, window=None, residuals: bool = False
+    ) -> "SpectrumResult":
+        """The eigenvalues in the closed rectangle ``window`` (re0, re1, im0, im1), or all.
+
+        Residuals are asked of the decomposition only with ``residuals``, and
+        only for the eigenvalues kept.
+        """
+        w = decomposition.eigenvalues
+        rows = np.arange(w.size)
+        if window is not None:
+            re0, re1, im0, im1 = window
+            rows = rows[(w.real >= re0) & (w.real <= re1) & (w.imag >= im0) & (w.imag <= im1)]
         return cls(
             size=size,
-            eigenvalues=decomposition.eigenvalues.copy(),
-            residuals=decomposition.residuals.copy(),
-        )
-
-    def windowed(self, window) -> "SpectrumResult":
-        """Restrict to the closed rectangle (re0, re1, im0, im1)."""
-        re0, re1, im0, im1 = window
-        w = self.eigenvalues
-        keep = (w.real >= re0) & (w.real <= re1) & (w.imag >= im0) & (w.imag <= im1)
-        return SpectrumResult(
-            size=self.size,
-            eigenvalues=w[keep],
-            residuals=None if self.residuals is None else self.residuals[keep],
+            eigenvalues=w[rows],
+            residuals=decomposition.residuals_at(rows) if residuals else None,
         )
 
 
@@ -232,6 +233,12 @@ def candidate_radius(lam: complex, others: Sequence[complex], clustering_radius:
     return min(CONTOUR_RADIUS_CAP, max(gap / 2.0, floor))
 
 
+def _ladder_contour_rank(ladder: SectionLadder, size, lam: complex, radius: float, q: int) -> int:
+    """Contour rank at one ladder size, on the ladder's own shift family."""
+    family = ladder.family(size)
+    return ra.contour_rank(ladder.matrix(size), lam, radius, quadrature_points=q, family=family).rank
+
+
 @dataclass
 class ClassifiedPoint:
     """Classification of one limit candidate with its full evidence trail."""
@@ -288,11 +295,7 @@ def classify_point(
         note = ""
         for size in sizes:
             try:
-                ranks.append(
-                    ra.contour_rank(
-                        certified.matrix(size), lam, radius, quadrature_points=quadrature_points
-                    ).rank
-                )
+                ranks.append(_ladder_contour_rank(certified, size, lam, radius, quadrature_points))
             except (ContourError, ResolutionError) as exc:
                 ranks.append(None)
                 note = f"contour-blocked at size {size}: {exc}"
@@ -395,11 +398,7 @@ def multiplicity_check(
     note = ""
     for size in certified.sizes:
         try:
-            ranks.append(
-                ra.contour_rank(
-                    certified.matrix(size), lam, radius, quadrature_points=quadrature_points
-                ).rank
-            )
+            ranks.append(_ladder_contour_rank(certified, size, lam, radius, quadrature_points))
         except (ContourError, ResolutionError) as exc:
             ranks.append(None)
             note = f"contour-blocked at size {size}: {exc}"
@@ -442,10 +441,7 @@ def track_and_classify(
     ``window`` restricts tracking to a rectangle (re0, re1, im0, im1); the
     inclusion evidence is only about candidates found there.
     """
-    spectra = []
-    for size in certified.sizes:
-        s = SpectrumResult.from_eig(size, certified.spectrum(size))
-        spectra.append(s.windowed(window) if window is not None else s)
+    spectra = [SpectrumResult.from_eig(size, certified.spectrum(size), window) for size in certified.sizes]
     trajectories = match_trajectories(spectra)
     candidates = detect_limits(trajectories, tol, ladder_length=len(certified.sizes))
     values = [c.value for c in candidates]

@@ -146,6 +146,36 @@ class TestPseudo:
         assert classify["spectrum_cache"] == {"hits": 7, "misses": 0}
         assert verify["spectrum_cache"] == {"hits": 0, "misses": 0}
 
+    def test_classify_computes_no_residuals(self, tmp_path):
+        # classify first: it runs the 7 tridiagonal eigensolves and asks for no
+        # residual; spectra then hits the cache and computes one per written row
+        doc = cli.demo_problem("oscillator")
+        doc["analysis"] = doc["analysis"][1::-1]
+        out = tmp_path / "out"
+        assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
+        classify, spectra = json.loads((out / "report.json").read_text())["stages"]
+        assert classify["eig_routes"] == {"tridiagonal": 7, "hermitian": 0, "general": 0}
+        assert classify["residuals_computed"] == 0
+        rows = len((out / "spectra.csv").read_text().splitlines()) - 1
+        assert spectra["eig_routes"] == {"tridiagonal": 0, "hermitian": 0, "general": 0}
+        assert spectra["residuals_computed"] == rows > 0
+
+    def test_report_records_probe_ratios(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["demo", "oscillator", "--out", str(out)]) == 0
+        spectra, classify, verify = json.loads((out / "report.json").read_text())["stages"]
+        assert "probe_ratios" not in spectra and "eig_routes" not in verify
+        candidates = json.loads((out / "classify.json").read_text())["candidates"]
+        assert [r["lambda"] for r in classify["probe_ratios"]] == [c["lambda"] for c in candidates]
+        for ratios, cand in zip(classify["probe_ratios"], candidates):
+            probe = cand["probe"]
+            values = probe["values"]
+            assert ratios["verdict"] == cand["verdict"] == "TrueEigenvalue"
+            assert ratios["final_over_zero_floor"] == values[-1] / (1e-10 * probe["scale"])
+            assert ratios["tail_over_head"] == probe["tail_geomean"] / probe["head_geomean"]
+            assert ratios["min_over_bounded_floor"] == min(values) / (1e-6 * probe["scale"])
+            assert ratios["final_over_first"] == values[-1] / values[0]
+
     def test_seventeen_digit_roundtrip(self, tmp_path):
         doc = {"kind": "jacobi", "analysis": [{"op": "spectra", "sizes": [2, 3]}]}
         out = tmp_path / "out"
@@ -372,6 +402,28 @@ class TestErrors:
         rc = cli.main(["run", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"error: {key}: expected a number, got 'abc'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "command, flags, problem",
+        [
+            ("pseudo", ["--size", "1", "--rect", "a,b,c,d"], {}),
+            ("pseudo", ["--size", "1", "--rect", "0,1,0,1", "--grid", "4"], {}),
+            ("spectra", ["--sizes", "x"], {}),
+            ("run", [], {"L_n": 5}),
+        ],
+        ids=["rect", "grid", "sizes", "L_n"],
+    )
+    def test_bad_input_exits_2_with_error_line(self, tmp_path, capsys, command, flags, problem):
+        doc = {"kind": "schrodinger", "q": "x^2", "L_n": [4], "m": 50, "analysis": [], **problem}
+        argv = [command, write_problem(tmp_path, doc), "--out", str(tmp_path / "o"), *flags]
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse reports a bad option value by exiting
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
 
 class TestDemoDeterminism:

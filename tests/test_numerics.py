@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from specexact import numerics
 from specexact.errors import DataError, DimensionError, SingularMatrixError
@@ -68,6 +69,41 @@ class TestEigDense:
     def test_nan_rejected(self):
         with pytest.raises(DataError):
             numerics.eig_dense([[np.nan, 0], [0, 1]])
+
+
+class TestTridiagonalEig:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(2, 200),
+        split=hst.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        repeated=hst.booleans(),
+    )
+    def test_property_eigenvalues_and_written_residuals(self, seed, n, split, repeated):
+        rng = np.random.default_rng(seed)
+        main = rng.standard_normal(n)
+        off = rng.standard_normal(n - 1) * (rng.random(n - 1) >= split)
+        if repeated:  # two equal blocks split by an exact zero: every eigenvalue doubles
+            h = n // 2
+            main[h : 2 * h], off[h : 2 * h - 1], off[h - 1] = main[:h], off[: h - 1], 0.0
+        m = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+        d = numerics.eig_dense(m)
+        norm = np.linalg.norm(m, 2)
+        assert d.route == "tridiagonal" and d.residuals_computed == 0
+        np.testing.assert_array_equal(d.eigenvalues.imag, 0.0)
+        assert np.max(np.abs(d.eigenvalues.real - np.linalg.eigvalsh(m))) <= 1e-10 * norm
+        rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        res = d.residuals_at(rows)
+        assert res.shape == rows.shape and d.residuals_computed == rows.size
+        assert np.all(res <= 100 * np.finfo(float).eps * norm)
+
+    def test_general_route_computes_every_residual_eagerly(self):
+        m = np.array([[1.0, 2.0], [0.0, 3.0]])
+        d = numerics.eig_dense(m)
+        assert d.route == "general" and d.residuals_computed == 2
+        np.testing.assert_array_equal(d.residuals_at([1]), d.residuals[[1]])
+        assert d.residuals_computed == 2
+        assert numerics.eig_dense(np.eye(3) + 1j * np.diag([1.0, 1.0], 1) - 1j * np.diag([1.0, 1.0], -1)).route == "hermitian"
 
 
 class TestSigmaMin:

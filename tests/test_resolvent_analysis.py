@@ -304,6 +304,52 @@ def dense_sigma_min(m, z):
     return numerics.sigma_min(m - shift * np.eye(m.shape[0]))
 
 
+def gate_tolerance(sigma, norm, z):
+    """The benchmark's pseudospectrum gate: 1e-8 sigma + 100 ulp (||A|| + |z|)."""
+    return 1e-8 * sigma + 100 * np.finfo(float).eps * (norm + abs(z))
+
+
+def symmetric_tridiagonal(rng, n, split):
+    """Random real symmetric tridiagonal matrix; about ``split`` of its off-diagonal exactly zero."""
+    off = rng.standard_normal(n - 1) * (rng.random(n - 1) >= split)
+    return np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+class TestTridiagonalRoute:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(2, 200),
+        split=hst.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        where=hst.sampled_from(["eigenvalue", "below", "above", "inside"]),
+    )
+    def test_property_matches_dense(self, seed, n, split, where):
+        rng = np.random.default_rng(seed)
+        m = symmetric_tridiagonal(rng, n, split)
+        w = numerics.eig_dense(m).eigenvalues.real
+        norm = numerics.op_norm(m)
+        z = {
+            "eigenvalue": w[rng.integers(n)],
+            "below": w[0] - rng.uniform(1e-3, 2.0),
+            "above": w[-1] + rng.uniform(1e-3, 2.0),
+            "inside": rng.uniform(w[0], w[-1]),
+        }[where]
+        family = ra._ShiftFamily(m)
+        assert family.route(z) == "tridiagonal"
+        if where in ("below", "above"):
+            assert family._tri.sturm_count(z) == (0 if where == "below" else n)
+        want = dense_sigma_min(m, z)
+        assert abs(family.sigma_min(z) - want) <= gate_tolerance(want, norm, z)
+
+    def test_exact_eigenvalue_of_diagonal_is_zero(self):
+        # an all-zero off-diagonal splits T into 1 x 1 blocks, whose eigenvalues are exact
+        m = np.diag([3.0, -1.0, 2.0, 2.0])
+        family = ra._ShiftFamily(m)
+        assert family.route(2.0) == "tridiagonal"
+        assert family.sigma_min(2.0) == 0.0 and ra.resolvent_norm(m, 2.0) == np.inf
+        assert family.sigma_min(0.0) == 1.0
+
+
 class TestShiftFamilySigmaMin:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -335,15 +381,17 @@ class TestShiftFamilySigmaMin:
             assert family.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
         assert family.fallbacks == []
 
-    def test_real_symmetric_tridiagonal_real_shift_is_bit_identical(self):
+    def test_real_symmetric_tridiagonal_real_shift_is_within_gate_tolerance(self):
         rng = np.random.default_rng(31)
         for n in (2, 5, 40, 64, 150):
             off = rng.standard_normal(n - 1)
             m = np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
             family = ra._ShiftFamily(m)
+            norm = numerics.op_norm(m)
             for z in (0.0, -0.7, complex(1.3, 0.0), float(np.linalg.eigvalsh(m)[n // 2])):
                 assert family.route(z) == "tridiagonal"
-                assert family.sigma_min(z) == dense_sigma_min(m, z)
+                want = dense_sigma_min(m, z)
+                assert abs(family.sigma_min(z) - want) <= gate_tolerance(want, norm, z)
             assert family.route(0.5 + 0.1j) == ("banded" if n >= 64 else "dense")
 
     def test_exact_eigenvalue_of_complex_diagonal_is_inf(self):
