@@ -149,6 +149,14 @@ def _parse_list(doc: dict, key: str) -> list:
     return value
 
 
+def _parse_object(doc: dict, key: str) -> dict:
+    """``doc[key]`` (default empty), refusing anything but a JSON object."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ProblemError(f"{key}: expected an object, got {value!r}")
+    return value
+
+
 def _parse_window(node, where: str):
     if node is None:
         return None
@@ -253,9 +261,9 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
     elif kind == "sl_matrix":
         a, b = _parse_number(doc, "a", 0.0), _parse_number(doc, "b", 1.0)
         a_n = _parse_list(doc, "a_n")
-        tau1 = _parse_sl_component(doc.get("tau1", {}), a, b, a_n, "tau1", f"{name}.tau1")
-        tau2 = _parse_sl_component(doc.get("tau2", {}), a, b, a_n, "tau2", f"{name}.tau2")
-        sup = doc.get("sup_norms", {})
+        tau1 = _parse_sl_component(_parse_object(doc, "tau1"), a, b, a_n, "tau1", f"{name}.tau1")
+        tau2 = _parse_sl_component(_parse_object(doc, "tau2"), a, b, a_n, "tau2", f"{name}.tau2")
+        sup = _parse_object(doc, "sup_norms")
         try:
             prob.sl_matrix = dz.SLMatrixProblem(
                 name=name,
@@ -276,7 +284,7 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
             raise ProblemError(f"sl_matrix: {exc}") from exc
         prob.grid_m = _parse_number(doc, "m", 300, int)
     else:  # schrodinger
-        consts = doc.get("constants", {})
+        consts = _parse_object(doc, "constants")
         try:
             prob.schrodinger = dz.SchrodingerProblem(
                 name=name,
@@ -446,19 +454,7 @@ def _verify_checks(prob: Problem, stage: dict) -> list[hc.HypothesisReport]:
             if search.verdict is hc.Verdict.PASS:
                 lam0 = search.lam
                 sizes = check.get("sizes") or prob.default_sizes()
-                m = prob.grid_m
-                k = mp.tau1.unknowns(m)
-                a_secs, b_secs, c_secs, d_secs = [], [], [], []
-                for n in sizes:
-                    t1 = dz.sl_assemble(mp.tau1, n, m).data
-                    t2 = dz.sl_assemble(mp.tau2, n, m).data
-                    an = mp.tau1.a_n[n - 1]
-                    h = (mp.tau1.b - an) / m
-                    nodes = an + h * np.arange(1, k + 1)
-                    a_secs.append(mp.gamma1 * t1)
-                    d_secs.append(mp.gamma2 * t2)
-                    b_secs.append(np.diag(dz._sample(mp.s, nodes)) @ t2 + np.diag(dz._sample(mp.t, nodes)))
-                    c_secs.append(np.diag(dz._sample(mp.u, nodes)) @ t1 + np.diag(dz._sample(mp.v, nodes)))
+                a_secs, b_secs, c_secs, d_secs = zip(*(dz.sl_blocks(mp, n, prob.grid_m) for n in sizes))
                 reports.append(hc.gamma_product_2x2(a_secs, b_secs, c_secs, d_secs, lam0, sizes))
         elif kind == "schrodinger":
             if prob.schrodinger is None:

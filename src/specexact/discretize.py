@@ -203,8 +203,14 @@ class SLMatrixProblem:
         return self.tau1.ladder_length
 
 
-def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> SectionMatrix:
-    """2K x 2K section with blocks [g1 T1, diag(s) T2 + diag(t); diag(u) T1 + diag(v), g2 T2]."""
+def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[np.ndarray, ...]:
+    """The four K x K blocks (A, B, C, D) of the 2x2 section at truncation index n.
+
+    A = g1 T1, B = diag(s) T2 + diag(t), C = diag(u) T1 + diag(v) and
+    D = g2 T2, where T1 and T2 are the :func:`sl_assemble` sections of the
+    two components on m grid cells and the multipliers are sampled at the
+    interior nodes.
+    """
     k1 = prob.tau1.unknowns(m)
     k2 = prob.tau2.unknowns(m)
     if k1 != k2:
@@ -220,11 +226,16 @@ def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> SectionMatrix:
     td = np.diag(_sample(prob.t, nodes))
     ud = np.diag(_sample(prob.u, nodes))
     vd = np.diag(_sample(prob.v, nodes))
-    top = np.hstack([prob.gamma1 * t1, sd @ t2 + td])
-    bottom = np.hstack([ud @ t1 + vd, prob.gamma2 * t2])
-    mat = np.vstack([top, bottom])
+    return prob.gamma1 * t1, sd @ t2 + td, ud @ t1 + vd, prob.gamma2 * t2
+
+
+def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> SectionMatrix:
+    """2K x 2K section [[A, B], [C, D]] of the blocks :func:`sl_blocks` returns."""
+    a, b, c, d = sl_blocks(prob, n, m)
+    mat = np.vstack([np.hstack([a, b]), np.hstack([c, d])])
     if np.iscomplexobj(mat) and np.all(mat.imag == 0.0):
         mat = mat.real.copy()
+    an = prob.tau1.a_n[n - 1]
     return SectionMatrix(
         data=mat,
         provenance=Provenance(

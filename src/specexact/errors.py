@@ -17,14 +17,6 @@ class ConvergenceError(RuntimeError):
         self.stuck_index = stuck_index
 
 
-class SingularMatrixError(RuntimeError):
-    """Linear solve met a pivot too small to trust."""
-
-    def __init__(self, message: str, pivot: float = 0.0):
-        super().__init__(message)
-        self.pivot = pivot
-
-
 class PoleError(ValueError):
     """A shift landed on (or too close to) a spectrum point it must avoid."""
 

@@ -68,9 +68,10 @@ class HypothesisReport:
 
 
 def _resolvent_of(section, lam: complex, size, what: str) -> np.ndarray:
-    a = numerics.as_matrix(section_array(section), square=True)
-    family = _ShiftFamily(a)
-    scale = max(numerics.op_norm(a), 1.0)
+    """(A - lam)^-1 of a Section, or of an array read as one; PoleError when lam is in the spectrum."""
+    section = numerics.Section.of(section)
+    family = _ShiftFamily(section)
+    scale = max(numerics.op_norm(section), 1.0)
     if family.sigma_min(lam) <= POLE_REL * scale:
         raise PoleError(f"lambda = {lam} is (numerically) in the spectrum of {what}", index=size)
     return np.linalg.inv(family.shifted(lam))
@@ -165,8 +166,8 @@ def uniform_resolvent_decay(
 ) -> HypothesisReport:
     """Decay profile d_j = sup_n ||(B_j^{(n)} - lam)^{-1}|| along the block index.
 
-    ``block_family[j]`` is either one matrix B_j or a sequence over the inner
-    n-range.  PassEvidence iff the head-third geometric mean exceeds the
+    ``block_family[j]`` is either one matrix B_j (a ``numerics.Section``, an
+    array or a SectionMatrix) or a sequence of them over the inner n-range.  PassEvidence iff the head-third geometric mean exceeds the
     tail-third one by at least ``decay_factor`` and the tail minimum is below
     ``tail_threshold``.  File under 'Galerkin' via ``tag`` when the blocks come
     from a block-aligned finite-section splitting.
@@ -178,9 +179,9 @@ def uniform_resolvent_decay(
         mats = entry if isinstance(entry, (list, tuple)) else [entry]
         sup = 0.0
         for mat in mats:
-            a = numerics.as_matrix(section_array(mat), square=True)
-            smin = _ShiftFamily(a).sigma_min(lam)
-            if smin <= POLE_REL * max(numerics.op_norm(a), 1.0):
+            section = numerics.Section.of(mat)
+            smin = _ShiftFamily(section).sigma_min(lam)
+            if smin <= POLE_REL * max(numerics.op_norm(section), 1.0):
                 raise PoleError(f"lambda = {lam} hits block j = {j}", index=j)
             sup = max(sup, 1.0 / smin)
         profile.append(sup)

@@ -1,10 +1,14 @@
 """Dense linear-algebra kernels with explicit tolerance contracts.
 
-Everything here is a pure function of its inputs and deterministic for a
-fixed input, so concurrent use on distinct inputs is safe.  Backed by
-LAPACK (balancing + Hessenberg + implicitly shifted QR for general
-eigenproblems, bidiagonalization for singular values, partial-pivot LU
-for solves) through numpy/scipy.
+A square input is read as a :class:`Section`: the validated matrix plus its
+structure (band widths, real or complex, Hermitian or not, and the diagonals
+of a real symmetric tridiagonal matrix), detected once when the Section is
+built.  Each kernel picks its route from that structure.  Everything here is
+a pure function of its inputs and deterministic for a fixed input, so
+concurrent use on distinct inputs is safe.  Backed by LAPACK (balancing +
+Hessenberg + implicitly shifted QR for general eigenproblems, bisection and
+inverse iteration for tridiagonal ones, bidiagonalization for singular
+values) through numpy/scipy.
 """
 
 from __future__ import annotations
@@ -16,14 +20,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .errors import ConvergenceError, DataError, DimensionError, SingularMatrixError
-
-# Eigenvalues closer than max(CLUSTER_REL * scale, CLUSTER_FLOOR) are one cluster.
-CLUSTER_REL = 1e-8
-CLUSTER_FLOOR = 1e-10
-
-# Pivots below PIVOT_REL * scale mean "numerically singular" in solve().
-PIVOT_REL = 1e-14
+from .errors import ConvergenceError, DataError, DimensionError
+from .operator_model import section_array
 
 
 def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -45,26 +43,6 @@ def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
         i, j = np.argwhere(~np.isfinite(arr))[0]
         raise DataError(f"{name} has a non-finite entry at ({i + 1}, {j + 1})")
     return arr
-
-
-def _norm_scale(m: np.ndarray, eigenvalues: np.ndarray | None = None) -> float:
-    """Cheap spectral-norm proxy: max of entry magnitude and spectral radius."""
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    if eigenvalues is not None and eigenvalues.size:
-        scale = max(scale, float(np.abs(eigenvalues).max()))
-    return scale
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """One group of numerically coincident eigenvalues."""
-
-    indices: tuple[int, ...]
-    center: complex
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
 
 
 class SymmetricTridiagonal:
@@ -158,13 +136,65 @@ class SymmetricTridiagonal:
         return np.linalg.norm(tv - vecs * w[rows], axis=0) / np.linalg.norm(vecs, axis=0)
 
 
+def _band_widths(a: np.ndarray) -> tuple[int, int]:
+    """(kl, ku): the outermost nonzero sub- and superdiagonal of a square a, (0, 0) if none.
+
+    Diagonals are counted outward from the main one until they hold every
+    nonzero of a, so a narrow band costs one pass over a, not an index array.
+    """
+    remaining = np.count_nonzero(a) - np.count_nonzero(a.diagonal())
+    kl = ku = 0
+    k = 1
+    while remaining:
+        lower, upper = np.count_nonzero(a.diagonal(-k)), np.count_nonzero(a.diagonal(k))
+        kl, ku = (k if lower else kl), (k if upper else ku)
+        remaining -= lower + upper
+        k += 1
+    return kl, ku
+
+
+class Section:
+    """A validated square matrix together with its structure, detected once.
+
+    ``data`` is the float64 or complex128 array (see :func:`as_matrix`) and
+    ``n`` its order.  ``kl`` and ``ku`` are the outermost nonzero sub- and
+    superdiagonal, (0, 0) for a diagonal matrix; ``real`` says ``data`` is
+    real; ``hermitian`` says it equals its conjugate transpose exactly.
+    ``tridiagonal`` holds the :class:`SymmetricTridiagonal` diagonals when
+    the matrix is real symmetric tridiagonal with n >= 2, else None.
+
+    The constructor makes one band scan and one Hermitian test.  A Hermitian
+    matrix has kl == ku, and everything outside its band is zero on both
+    sides, so the test compares only the kl + 1 pairs of diagonals inside
+    the band.  Nothing here is declared: every field follows from ``data``.
+    """
+
+    def __init__(self, m):
+        a = as_matrix(section_array(m), square=True)
+        self.data = a
+        self.n = a.shape[0]
+        self.kl, self.ku = _band_widths(a)
+        self.real = not np.iscomplexobj(a)
+        self.hermitian = self.kl == self.ku and all(
+            np.array_equal(a.diagonal(-k), a.diagonal(k).conj()) for k in range(self.kl + 1)
+        )
+        self.tridiagonal = None
+        if self.real and self.hermitian and self.n >= 2 and self.kl <= 1:
+            self.tridiagonal = SymmetricTridiagonal(a)
+
+    @classmethod
+    def of(cls, m) -> "Section":
+        """``m`` itself when it is a Section, else a new Section of the array or SectionMatrix ``m``."""
+        return m if isinstance(m, cls) else cls(m)
+
+
 #: eig_dense routes, one per structure
 EIG_ROUTES = ("tridiagonal", "hermitian", "general")
 
 
 @dataclass(eq=False)
 class EigenDecomposition:
-    """Spectrum of one dense matrix; residuals and multiplicity clusters on demand.
+    """Spectrum of one dense matrix, with residuals on demand.
 
     ``eigenvalues`` is sorted lexicographically by (Re, Im) and counted with
     algebraic multiplicity; ``route`` names the solver (one of
@@ -175,13 +205,10 @@ class EigenDecomposition:
     the decomposition keeps the section's O(n) diagonals instead, and
     :meth:`residuals_at` computes the residuals of the requested eigenvalues
     only, each time it is asked.  ``residuals_computed`` counts the residuals
-    computed so far.  ``clusters`` groups the eigenvalues within
-    ``cluster_radius`` of each other (cluster sizes sum to the dimension); it
-    is computed on first access.
+    computed so far.
     """
 
     eigenvalues: np.ndarray
-    cluster_radius: float
     route: str
     all_residuals: np.ndarray | None = field(default=None, repr=False)
     tridiagonal: SymmetricTridiagonal | None = field(default=None, repr=False)
@@ -204,60 +231,24 @@ class EigenDecomposition:
         """Every residual, in eigenvalue order."""
         return self.residuals_at(np.arange(self.dimension))
 
-    @cached_property
-    def clusters(self) -> list[Cluster]:
-        return _cluster(self.eigenvalues, self.cluster_radius)
-
-
-def _cluster(eigenvalues: np.ndarray, radius: float) -> list[Cluster]:
-    # Single linkage over the lex-sorted values; a sliding window on Re keeps
-    # the pair scan near-linear for the sizes this module targets.
-    n = eigenvalues.shape[0]
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    start = 0
-    for i in range(n):
-        while eigenvalues[i].real - eigenvalues[start].real > radius:
-            start += 1
-        for j in range(start, i):
-            if abs(eigenvalues[i] - eigenvalues[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [
-        Cluster(indices=tuple(idx), center=complex(np.mean(eigenvalues[idx])))
-        for idx in sorted(groups.values())
-    ]
-    return clusters
-
 
 def eig_dense(m) -> EigenDecomposition:
-    """Eigenvalues of a dense matrix, with residuals and clusters (see :class:`EigenDecomposition`).
+    """Eigenvalues of a :class:`Section`, with residuals (see :class:`EigenDecomposition`).
 
-    One route per structure.  Real symmetric tridiagonal inputs: eigenvalues
-    only, by ``eigvalsh_tridiagonal``; residuals come later, on demand.
-    Other Hermitian inputs (detected exactly): ``eigh`` with eigenvectors.
-    Everything else: complex QR iteration (``zgeev``) with eigenvectors.  On
-    the last two routes every residual is computed here.  Raises
+    ``m`` is a Section, or an array or SectionMatrix read as one.  One route
+    per structure.  Real symmetric tridiagonal sections: eigenvalues only,
+    by ``eigvalsh_tridiagonal``; residuals come later, on demand.  Other
+    Hermitian sections: ``eigh`` with eigenvectors.  Everything else:
+    complex QR iteration (``zgeev``) with eigenvectors.  On the last two
+    routes every residual is computed here.  Raises
     :class:`ConvergenceError` naming the stuck index if QR iteration fails.
     """
-    a = as_matrix(m, square=True)
-    if _is_real_symmetric_tridiagonal(a):
-        tri = SymmetricTridiagonal(a)
-        w = tri.eigenvalues().astype(np.complex128)  # ascending, hence (Re, Im) order
-        # the largest entry of a lies on one of its diagonals
-        radius = max(CLUSTER_REL * _norm_scale(np.concatenate([tri.d, tri.e]), w), CLUSTER_FLOOR)
-        return EigenDecomposition(eigenvalues=w, cluster_radius=radius, route="tridiagonal", tridiagonal=tri)
-    if np.array_equal(a, a.conj().T):
+    sec = Section.of(m)
+    if sec.tridiagonal is not None:
+        w = sec.tridiagonal.eigenvalues().astype(np.complex128)  # ascending, hence (Re, Im) order
+        return EigenDecomposition(eigenvalues=w, route="tridiagonal", tridiagonal=sec.tridiagonal)
+    a = sec.data
+    if sec.hermitian:
         route = "hermitian"
         w, v = np.linalg.eigh(a)
         w = w.astype(np.complex128)
@@ -277,27 +268,15 @@ def eig_dense(m) -> EigenDecomposition:
     w = w[order]
     v = v[:, order]
     resid = np.linalg.norm(a @ v - v * w[np.newaxis, :], axis=0) / np.linalg.norm(v, axis=0)
-    radius = max(CLUSTER_REL * _norm_scale(a, w), CLUSTER_FLOOR)
-    return EigenDecomposition(
-        eigenvalues=w, cluster_radius=radius, route=route, all_residuals=resid, residuals_computed=w.size
-    )
-
-
-def _is_real_symmetric_tridiagonal(a: np.ndarray) -> bool:
-    if np.iscomplexobj(a) or a.shape[0] != a.shape[1] or a.shape[0] < 2:
-        return False
-    # tridiagonal exactly when every nonzero lies on the three central diagonals,
-    # and then symmetric exactly when its two off-diagonals are equal
-    central = sum(np.count_nonzero(a.diagonal(k)) for k in (-1, 0, 1))
-    return np.count_nonzero(a) == central and np.array_equal(a.diagonal(1), a.diagonal(-1))
+    return EigenDecomposition(eigenvalues=w, route=route, all_residuals=resid, residuals_computed=w.size)
 
 
 def sigma_min(m) -> float:
-    """Smallest singular value of a square matrix.
+    """Smallest singular value of a :class:`Section` (or of an array read as one).
 
     Computed by bidiagonalization SVD; exactly-singular structure (zero rows,
     exact rank deficiency found by the factorization) yields exactly 0.0 --
-    there is no thresholding.  Real symmetric tridiagonal inputs use the
+    there is no thresholding.  Real symmetric tridiagonal sections use the
     tridiagonal symmetric solver for all eigenvalues (singular values of a
     symmetric matrix are the absolute eigenvalues), same accuracy class, far
     cheaper.
@@ -312,56 +291,25 @@ def sigma_min(m) -> float:
     upper-triangular A; its ``dense`` route and the Lanczos fallback call
     this function.
     """
-    a = as_matrix(m, square=True)
-    if _is_real_symmetric_tridiagonal(a):
-        return float(np.min(np.abs(SymmetricTridiagonal(a).eigenvalues())))
-    s = np.linalg.svd(a, compute_uv=False)
+    sec = Section.of(m)
+    if sec.tridiagonal is not None:
+        return float(np.min(np.abs(sec.tridiagonal.eigenvalues())))
+    s = np.linalg.svd(sec.data, compute_uv=False)
     return float(s[-1])
 
 
 def op_norm(m) -> float:
     """Largest singular value (spectral norm); rectangular inputs allowed.
 
-    Real symmetric tridiagonal inputs use the tridiagonal symmetric solver,
-    as :func:`sigma_min` does: the largest absolute eigenvalue.
+    A square input is read as a :class:`Section`; a real symmetric
+    tridiagonal one uses the tridiagonal symmetric solver, as
+    :func:`sigma_min` does: the largest absolute eigenvalue.
     """
-    a = as_matrix(m)
+    a = m.data if isinstance(m, Section) else as_matrix(section_array(m))
     if not np.any(a):
         return 0.0
-    if _is_real_symmetric_tridiagonal(a):
-        return float(np.max(np.abs(SymmetricTridiagonal(a).eigenvalues())))
+    tri = Section.of(m).tridiagonal if a.shape[0] == a.shape[1] else None
+    if tri is not None:
+        return float(np.max(np.abs(tri.eigenvalues())))
     s = np.linalg.svd(a, compute_uv=False)
     return float(s[0])
-
-
-def solve(m, b) -> np.ndarray:
-    """Solve M X = B by partial-pivot LU.
-
-    Raises :class:`SingularMatrixError` carrying the offending pivot magnitude
-    when the smallest pivot falls below ``1e-14 * ||M||_F``.
-    """
-    a = as_matrix(m, square=True)
-    rhs = np.asarray(b)
-    vector = rhs.ndim == 1
-    rhs = as_matrix(rhs[:, np.newaxis] if vector else rhs, name="rhs")
-    if rhs.shape[0] != a.shape[0]:
-        raise DimensionError(f"rhs has {rhs.shape[0]} rows, matrix has {a.shape[0]}")
-    if np.iscomplexobj(a) != np.iscomplexobj(rhs):
-        a = a.astype(np.complex128)
-        rhs = rhs.astype(np.complex128)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    scale = float(np.linalg.norm(a))
-    if pivots.min() < PIVOT_REL * scale:
-        raise SingularMatrixError(
-            f"matrix numerically singular: pivot {pivots.min():.3e} below "
-            f"{PIVOT_REL:g} * ||M|| = {PIVOT_REL * scale:.3e}",
-            pivot=float(pivots.min()),
-        )
-    x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    return x[:, 0] if vector else x

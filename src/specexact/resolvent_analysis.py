@@ -20,7 +20,6 @@ from scipy.linalg import lapack
 
 from . import numerics, operator_model
 from .errors import ContourError, ResolutionError
-from .operator_model import section_array
 
 #: contour-projection singular values are split at this threshold ...
 RANK_THRESHOLD = 0.5
@@ -42,9 +41,12 @@ class ProbeVerdict(str, enum.Enum):
 class SectionCache:
     """Sections, spectra, norms and shifted-operator families, keyed by size.
 
-    One cache serves every :class:`SectionLadder` built on the same pure
-    provider, so a section or spectrum computed for one ladder is reused by
-    the next.  ``spectrum_hits`` and ``spectrum_misses`` count the
+    ``sections`` holds :class:`numerics.Section` objects, so a section is
+    validated and its structure detected once, and its spectrum, norm and
+    shift family all read that one structure.  One cache serves every
+    :class:`SectionLadder` built on the same pure provider, so a section or
+    spectrum computed for one ladder is reused by the next.
+    ``spectrum_hits`` and ``spectrum_misses`` count the
     :meth:`SectionLadder.spectrum` calls it answered from memory and by an
     eigensolve, and ``eig_routes`` counts those eigensolves per
     ``numerics.eig_dense`` route.  :meth:`clear` drops the stored data and
@@ -89,10 +91,10 @@ class SectionLadder:
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("ladder sizes must be strictly increasing")
 
-    def matrix(self, size) -> np.ndarray:
+    def matrix(self, size) -> numerics.Section:
         sections = self.cache.sections
         if size not in sections:
-            sections[size] = numerics.as_matrix(section_array(self.provider(size)), square=True)
+            sections[size] = numerics.Section.of(self.provider(size))
         return sections[size]
 
     def spectrum(self, size) -> numerics.EigenDecomposition:
@@ -123,7 +125,7 @@ class SectionLadder:
         return SectionLadder(
             label=f"{self.label}*",
             sizes=self.sizes,
-            provider=lambda s: self.matrix(s).conj().T,
+            provider=lambda s: self.matrix(s).data.conj().T,
         )
 
 
@@ -224,27 +226,11 @@ class _Factorization:
         return float(est)
 
 
-def _band_widths(a: np.ndarray) -> tuple[int, int]:
-    """(kl, ku): the outermost nonzero sub- and superdiagonal of a square a, (0, 0) if none.
-
-    Diagonals are counted outward from the main one until they hold every
-    nonzero of a, so a narrow band costs one pass over a, not an index array.
-    """
-    remaining = np.count_nonzero(a) - np.count_nonzero(a.diagonal())
-    kl = ku = 0
-    k = 1
-    while remaining:
-        lower, upper = np.count_nonzero(a.diagonal(-k)), np.count_nonzero(a.diagonal(k))
-        kl, ku = (k if lower else kl), (k if upper else ku)
-        remaining -= lower + upper
-        k += 1
-    return kl, ku
-
-
 class _ShiftFamily:
     """The shifted operator z I - A over many shifts z: factorization and sigma_min.
 
-    A's structure is detected once and picks the route of :meth:`sigma_min`:
+    A is a :class:`numerics.Section` (an array or SectionMatrix is read as
+    one), and its structure picks the route of :meth:`sigma_min`:
 
     - ``tridiagonal``: real symmetric tridiagonal A and real z, by the
       distance from z to the spectrum: a Sturm count of A - z on A's
@@ -263,20 +249,11 @@ class _ShiftFamily:
     shifts whose Lanczos run fell back to dense SVD, so threads may share one.
     """
 
-    def __init__(self, a: np.ndarray):
-        n = a.shape[0]
-        kl, ku = _band_widths(a)
-        self.n, self.kl, self.ku = n, kl, ku
-        self.real = not np.iscomplexobj(a)
-        self._a = a
+    def __init__(self, m):
+        self.section = sec = numerics.Section.of(m)
+        a, n, kl, ku = sec.data, sec.n, sec.kl, sec.ku
+        self.n, self.kl, self.ku, self.real = n, kl, ku, sec.real
         self.fallbacks: list[complex] = []
-        # the structure numerics._is_real_symmetric_tridiagonal accepts
-        self.tridiagonal = (
-            self.real and n >= 2 and kl <= 1 and ku <= 1
-            and np.array_equal(np.diag(a, 1), np.diag(a, -1))
-        )
-        if self.tridiagonal:
-            self._tri = numerics.SymmetricTridiagonal(a)
         # banded storage only pays off when the band is genuinely narrow
         self.banded = n >= 64 and (kl + ku + 1) <= max(4, n // 8)
         if self.banded:
@@ -301,7 +278,7 @@ class _ShiftFamily:
             ab = self._ab0.copy()
             ab[self.kl + self.ku, :] += z
             return _Factorization(self.n, self.kl, self.ku, ab=ab)
-        return _Factorization(self.n, dense=z * np.eye(self.n) - self._a)
+        return _Factorization(self.n, dense=z * np.eye(self.n) - self.section.data)
 
     def _shifted_triangular(self, z: complex) -> _Factorization:
         """A - z I of the triangular route, a fresh Fortran-ordered copy."""
@@ -313,13 +290,14 @@ class _ShiftFamily:
     def shifted(self, z: complex) -> np.ndarray:
         """Dense A - z I; a real shift of a real matrix stays real."""
         z = complex(z)
+        a = self.section.data
         if self.real and z.imag == 0.0:
-            return self._a - z.real * np.eye(self.n)
-        return self._a - z * np.eye(self.n)
+            return a - z.real * np.eye(self.n)
+        return a - z * np.eye(self.n)
 
     def route(self, z: complex) -> str:
         """The route :meth:`sigma_min` takes at z, one of the four in the class docstring."""
-        if self.tridiagonal and complex(z).imag == 0.0:
+        if self.section.tridiagonal is not None and complex(z).imag == 0.0:
             return "tridiagonal"
         if self.banded:
             return "banded"
@@ -337,7 +315,7 @@ class _ShiftFamily:
         z = complex(z)
         route = self.route(z)
         if route == "tridiagonal":
-            return self._tri.distance_to_spectrum(z.real)
+            return self.section.tridiagonal.distance_to_spectrum(z.real)
         if route != "dense":
             try:
                 fact = self.factor(z) if route == "banded" else self._shifted_triangular(z)
@@ -389,10 +367,9 @@ def resolvent_norm(m, z: complex) -> float:
     eigenvalue (a Sturm count, then bisection for the two eigenvalues that
     bracket z); banded LU plus Lanczos for a section stored banded, Lanczos
     with triangular solves for an upper-triangular M with n >= 64, dense SVD
-    otherwise.
+    otherwise.  ``m`` is a :class:`numerics.Section`, or an array read as one.
     """
-    a = numerics.as_matrix(section_array(m), square=True)
-    s = _ShiftFamily(a).sigma_min(z)
+    s = _ShiftFamily(m).sigma_min(z)
     return float("inf") if s == 0.0 else 1.0 / s
 
 
@@ -452,11 +429,11 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
     (z - M)^-H (z - M)^-1; every point of an upper-triangular section with
     n >= 64 takes the same Lanczos by triangular solves on M - z.  Both
     Lanczos routes fall back to the dense SVD should Lanczos not converge;
-    all other points take the dense SVD.  ``threads`` only parallelizes
-    independent lattice rows; values are bitwise independent of the
-    schedule.
+    all other points take the dense SVD.  ``m`` is a
+    :class:`numerics.Section`, or an array read as one.  ``threads`` only
+    parallelizes independent lattice rows; values are bitwise independent of
+    the schedule.
     """
-    a = numerics.as_matrix(section_array(m), square=True)
     re0, re1, im0, im1 = (float(v) for v in rect)
     if not (re1 > re0 and im1 > im0):
         raise ValueError("rectangle must be nondegenerate")
@@ -465,7 +442,7 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
     res = np.linspace(re0, re1, nx)
     ims = np.linspace(im0, im1, ny)
     values = np.empty((ny, nx), dtype=float)
-    family = _ShiftFamily(a)
+    family = _ShiftFamily(m)
 
     def fill_row(iy: int) -> None:
         for ix in range(nx):
@@ -483,7 +460,7 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
         rect=(re0, re1, im0, im1),
         nx=nx,
         ny=ny,
-        size=a.shape[0],
+        size=family.n,
         values=values,
         routes=dict(sorted(routes.items())),
         dense_fallbacks=len(family.fallbacks),
@@ -718,6 +695,7 @@ def contour_rank(
     for every section not stored banded.  The probes depend only on n and
     L, so results are byte-deterministic.
 
+    ``m`` is a :class:`numerics.Section`, or an array read as one.
     ``family`` is the shifted-operator family of ``m`` when the caller holds
     one (:meth:`SectionLadder.family`); without it one is built from ``m``.
     """
@@ -728,7 +706,7 @@ def contour_rank(
     if radius <= 0:
         raise ValueError("radius must be positive")
     if family is None:
-        family = _ShiftFamily(numerics.as_matrix(section_array(m), square=True))
+        family = _ShiftFamily(m)
     return _contour_rank(family, complex(center), radius, q, family.n if family.banded else 0)
 
 

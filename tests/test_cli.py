@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from specexact import cli
+from specexact import cli, numerics
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -224,6 +224,25 @@ class TestSharedCache:
         assert seen == [[0, 0, 0, 0]]
         assert all(len(store) == 0 for store in stores())
 
+    def test_oscillator_demo_scans_each_section_once(self, tmp_path, monkeypatch):
+        # spectra, shift families, norms and contour ranks all read the
+        # structure of one Section per ladder size: 7 sections, 7 scans
+        sections, scans = [], []
+        init, band_widths = numerics.Section.__init__, numerics._band_widths
+
+        def counting_init(self, m):
+            sections.append(self)
+            init(self, m)
+
+        def counting_band_widths(a):
+            scans.append(a.shape[0])
+            return band_widths(a)
+
+        monkeypatch.setattr(numerics.Section, "__init__", counting_init)
+        monkeypatch.setattr(numerics, "_band_widths", counting_band_widths)
+        assert cli.main(["demo", "oscillator", "--out", str(tmp_path / "out")]) == 0
+        assert len(sections) == 7 and len(scans) == 7
+
 
 class TestSpectraSubcommand:
     def test_sizes_flag(self, tmp_path):
@@ -411,8 +430,12 @@ class TestErrors:
             ("pseudo", ["--size", "1", "--rect", "0,1,0,1", "--grid", "4"], {}),
             ("spectra", ["--sizes", "x"], {}),
             ("run", [], {"L_n": 5}),
+            ("run", [], {"constants": 5}),
+            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "tau1": 5}),
+            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "tau2": 5}),
+            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "sup_norms": 5}),
         ],
-        ids=["rect", "grid", "sizes", "L_n"],
+        ids=["rect", "grid", "sizes", "L_n", "constants", "tau1", "tau2", "sup_norms"],
     )
     def test_bad_input_exits_2_with_error_line(self, tmp_path, capsys, command, flags, problem):
         doc = {"kind": "schrodinger", "q": "x^2", "L_n": [4], "m": 50, "analysis": [], **problem}

@@ -1,11 +1,11 @@
-"""Kernel contracts: eigensolve, singular values, solves, and their invariants."""
+"""Kernel contracts: section structure, eigensolve, singular values, and their invariants."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
-from specexact import numerics
-from specexact.errors import DataError, DimensionError, SingularMatrixError
+from specexact import numerics, operator_model as om
+from specexact.errors import DataError, DimensionError
 
 
 def random_hermitian(rng, n):
@@ -21,12 +21,10 @@ class TestEigDense:
     def test_identity_is_one_cluster(self):
         d = numerics.eig_dense(np.eye(3))
         np.testing.assert_allclose(d.eigenvalues, [1, 1, 1], atol=1e-14)
-        assert [c.size for c in d.clusters] == [3]
 
     def test_nilpotent_jordan_block(self):
         d = numerics.eig_dense([[0, 1], [0, 0]])
         np.testing.assert_allclose(d.eigenvalues, [0, 0], atol=1e-12)
-        assert [c.size for c in d.clusters] == [2]
 
     def test_residual_invariant_random(self):
         rng = np.random.default_rng(7)
@@ -54,13 +52,6 @@ class TestEigDense:
             # conjugated set must match the original set
             w2c = np.sort_complex(np.conj(w2))
             np.testing.assert_allclose(np.sort_complex(w1), w2c, atol=1e-8 * numerics.op_norm(m))
-
-    def test_cluster_sizes_sum_to_dimension(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            n = int(rng.integers(1, 30))
-            d = numerics.eig_dense(rng.standard_normal((n, n)))
-            assert sum(c.size for c in d.clusters) == n
 
     def test_non_square_raises(self):
         with pytest.raises(DimensionError):
@@ -152,6 +143,12 @@ class TestSigmaMin:
         assert numerics.sigma_min(np.diag([0.0, 1.0, 2.0])) == 0.0
 
 
+def reference_band_widths(a):
+    """(kl, ku) from the index array of every nonzero entry."""
+    rows, cols = np.nonzero(a)
+    return int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
+
+
 def mask_is_real_symmetric_tridiagonal(a):
     """Reference structure test: symmetric, and zero wherever |i - j| > 1."""
     if np.iscomplexobj(a) or a.shape[0] != a.shape[1] or a.shape[0] < 2:
@@ -186,7 +183,59 @@ class TestStructureDetection:
         verdicts = [mask_is_real_symmetric_tridiagonal(a) for a in cases]
         assert any(verdicts) and not all(verdicts)
         for a, want in zip(cases, verdicts):
-            assert numerics._is_real_symmetric_tridiagonal(a) == want
+            if a.shape[0] != a.shape[1]:
+                with pytest.raises(DimensionError):
+                    numerics.Section(a)
+            else:
+                assert (numerics.Section(a).tridiagonal is not None) == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 9),
+        kl=hst.integers(0, 3),
+        ku=hst.integers(0, 3),
+        holes=hst.sampled_from([0.0, 0.3, 0.7]),
+        dtype=hst.sampled_from(["real", "complex_dtype", "complex"]),
+        shape=hst.sampled_from(["band", "symmetric", "hermitian", "stray"]),
+        negative_zero=hst.booleans(),
+    )
+    @example(seed=0, n=1, kl=0, ku=0, holes=0.0, dtype="complex", shape="band", negative_zero=False)
+    @example(seed=1, n=6, kl=1, ku=1, holes=0.0, dtype="real", shape="stray", negative_zero=True)
+    def test_property_matches_reference_formulas(
+        self, seed, n, kl, ku, holes, dtype, shape, negative_zero
+    ):
+        rng = np.random.default_rng(seed)
+        i, j = np.indices((n, n))
+        band = (i - j <= kl) & (j - i <= ku)
+        a = rng.standard_normal((n, n)) * band * (rng.random((n, n)) >= holes)  # exact zeros in the band
+        if dtype != "real":
+            a = a.astype(complex)
+        if dtype == "complex":
+            a += 1j * rng.standard_normal((n, n)) * band * (rng.random((n, n)) >= 0.5)
+        if shape == "symmetric":
+            a = np.triu(a) + np.triu(a, 1).T
+        elif shape == "hermitian":
+            a = np.triu(a, 1) + np.triu(a, 1).conj().T + np.diag(np.diag(a).real)
+        elif shape == "stray":  # one entry far outside the band
+            a[(n - 1, 0) if rng.random() < 0.5 else (0, n - 1)] = 1.0 + rng.random()
+        if negative_zero:  # -0.0 above the diagonal, facing +0.0 below it
+            a[(a == 0) & (i < j)] = -0.0
+        sec = numerics.Section(a)
+        assert (sec.n, sec.real) == (n, dtype == "real")
+        assert (sec.kl, sec.ku) == reference_band_widths(a)
+        assert sec.hermitian == np.array_equal(a, a.conj().T)
+        assert (sec.tridiagonal is not None) == mask_is_real_symmetric_tridiagonal(a)
+        if sec.tridiagonal is not None:
+            np.testing.assert_array_equal(sec.tridiagonal.d, np.diag(a))
+            np.testing.assert_array_equal(sec.tridiagonal.e, np.diag(a, 1))
+
+    def test_of_accepts_array_section_matrix_and_section(self):
+        a = np.diag([1.0, 2.0]) + np.diag([3.0], 1) + np.diag([3.0], -1)
+        sec = numerics.Section.of(a)
+        assert numerics.Section.of(sec) is sec
+        wrapped = om.SectionMatrix(a, om.Provenance("t", "test", 2))
+        assert numerics.Section.of(wrapped).tridiagonal is not None
 
 
 class TestOpNorm:
@@ -210,40 +259,3 @@ class TestOpNorm:
             m = np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
             want = np.linalg.svd(m, compute_uv=False)[0]
             assert numerics.op_norm(m) == pytest.approx(want, rel=1e-13)
-
-
-class TestSolve:
-    def test_identity(self):
-        b = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(numerics.solve(np.eye(3), b), b)
-
-    def test_diagonal_inverse(self):
-        x = numerics.solve(np.diag([2.0, 4.0]), np.eye(2))
-        np.testing.assert_allclose(x, np.diag([0.5, 0.25]), atol=1e-15)
-
-    def test_permutation_scaled_inverse(self):
-        x = numerics.solve([[0.0, 2.0], [2.0, 0.0]], np.eye(2))
-        np.testing.assert_allclose(x, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
-
-    def test_roundtrip_random(self):
-        rng = np.random.default_rng(31)
-        for _ in range(25):
-            n = int(rng.integers(2, 25))
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-            x = numerics.solve(m, b)
-            err = np.linalg.norm(m @ x - b)
-            assert err <= 1e-9 * numerics.op_norm(m) * max(np.linalg.norm(b), 1.0)
-
-    def test_singular_raises_with_pivot(self):
-        with pytest.raises(SingularMatrixError) as exc:
-            numerics.solve([[1.0, 1.0], [1.0, 1.0]], np.eye(2))
-        assert exc.value.pivot < 1e-14
-
-    def test_vector_rhs(self):
-        x = numerics.solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-        np.testing.assert_allclose(x, [1.0, 1.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            numerics.solve(np.eye(2), np.ones((3, 1)))

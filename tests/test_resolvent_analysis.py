@@ -337,7 +337,7 @@ class TestTridiagonalRoute:
         family = ra._ShiftFamily(m)
         assert family.route(z) == "tridiagonal"
         if where in ("below", "above"):
-            assert family._tri.sturm_count(z) == (0 if where == "below" else n)
+            assert family.section.tridiagonal.sturm_count(z) == (0 if where == "below" else n)
         want = dense_sigma_min(m, z)
         assert abs(family.sigma_min(z) - want) <= gate_tolerance(want, norm, z)
 
