@@ -141,12 +141,15 @@ def _parse_number(doc: dict, key: str, default, cast=float):
         raise ProblemError(f"{key}: expected a number, got {value!r}") from exc
 
 
-def _parse_list(doc: dict, key: str) -> list:
-    """``doc[key]`` (default empty), refusing anything but a list."""
+def _parse_list(doc: dict, key: str) -> tuple:
+    """``doc[key]`` (default empty) as a tuple of floats, refusing anything but a list of numbers."""
     value = doc.get(key, [])
     if not isinstance(value, list):
         raise ProblemError(f"{key}: expected a list, got {value!r}")
-    return value
+    try:
+        return tuple(float(v) for v in value)
+    except (TypeError, ValueError) as exc:
+        raise ProblemError(f"{key}: expected a list of numbers, got {value!r}") from exc
 
 
 def _parse_object(doc: dict, key: str) -> dict:
@@ -216,10 +219,10 @@ def _parse_sl_component(node: dict, a: float, b: float, a_n, where: str, name: s
             q=parse_coefficient(node.get("q", 0.0), f"{where}.q"),
             a=a,
             b=b,
-            beta=float(node.get("beta", 0.0)),
-            a_n=tuple(float(x) for x in a_n),
-            p_min=float(node.get("p_min", 1.0)),
-            q_min=float(node.get("q_min", 0.0)),
+            beta=_parse_number(node, "beta", 0.0),
+            a_n=a_n,
+            p_min=_parse_number(node, "p_min", 1.0),
+            q_min=_parse_number(node, "q_min", 0.0),
         )
     except ValueError as exc:
         raise ProblemError(f"{where}: {exc}") from exc
@@ -275,27 +278,30 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
                 t=parse_coefficient(doc.get("t", 0.0), "t"),
                 u=parse_coefficient(doc.get("u", 0.0), "u"),
                 v=parse_coefficient(doc.get("v", 0.0), "v"),
-                sup_s=float(sup.get("s", 0.0)),
-                sup_t=float(sup.get("t", 0.0)),
-                sup_u=float(sup.get("u", 0.0)),
-                sup_v=float(sup.get("v", 0.0)),
+                sup_s=_parse_number(sup, "s", 0.0),
+                sup_t=_parse_number(sup, "t", 0.0),
+                sup_u=_parse_number(sup, "u", 0.0),
+                sup_v=_parse_number(sup, "v", 0.0),
             )
         except ValueError as exc:
             raise ProblemError(f"sl_matrix: {exc}") from exc
         prob.grid_m = _parse_number(doc, "m", 300, int)
     else:  # schrodinger
         consts = _parse_object(doc, "constants")
+        # an absent (or null) constant is fitted
+        declared = {
+            key: _parse_number(consts, key, None)
+            for key in ("a_grad", "b_grad", "a_r", "b_r")
+            if consts.get(key) is not None
+        }
         try:
             prob.schrodinger = dz.SchrodingerProblem(
                 name=name,
                 p=parse_coefficient(doc.get("p", 0.0), "p"),
                 q=parse_coefficient(doc.get("q", 0.0), "q"),
                 r=parse_coefficient(doc.get("r", 0.0), "r"),
-                L_n=tuple(float(x) for x in _parse_list(doc, "L_n")),
-                a_grad=consts.get("a_grad"),
-                b_grad=consts.get("b_grad"),
-                a_r=consts.get("a_r"),
-                b_r=consts.get("b_r"),
+                L_n=_parse_list(doc, "L_n"),
+                **declared,
             )
         except ValueError as exc:
             raise ProblemError(f"schrodinger: {exc}") from exc

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AssumptionError, CoefficientError
-from .operator_model import Provenance, SectionMatrix
+from .numerics import Section
 
 #: fraction of audit nodes allowed to violate a declared assumption constant
 AUDIT_VIOLATION_BUDGET = 1e-3
@@ -89,7 +89,6 @@ def _validate_sl_coefficients(prob: SLProblem, p_vals, q_vals):
     slack_p = 1e-12 * (1.0 + abs(prob.p_min))
     slack_q = 1e-12 * (1.0 + abs(prob.q_min))
     if np.any(p_vals <= 0):
-        x_bad = np.argmin(p_vals)
         raise CoefficientError(f"p sampled non-positive (min {p_vals.min():.3e})")
     if np.any(p_vals < prob.p_min - slack_p):
         raise CoefficientError(
@@ -101,7 +100,7 @@ def _validate_sl_coefficients(prob: SLProblem, p_vals, q_vals):
         )
 
 
-def sl_assemble(prob: SLProblem, n: int, m: int) -> SectionMatrix:
+def sl_assemble(prob: SLProblem, n: int, m: int) -> Section:
     """Stiffness matrix of the truncated problem on (a_n, b) with m grid cells.
 
     Grid x_i = a_n + i h, h = (b - a_n)/m.  Interior rows use the conservative
@@ -109,6 +108,11 @@ def sl_assemble(prob: SLProblem, n: int, m: int) -> SectionMatrix:
     Dirichlet at a_n eliminates f_0; beta = 0 eliminates f_m as well, else the
     ghost value f_{m+1} = f_{m-1} + (2 h cot(beta) / p(b)) f_m closes row m.
     """
+    return Section(_sl_matrix(prob, n, m))
+
+
+def _sl_matrix(prob: SLProblem, n: int, m: int) -> np.ndarray:
+    """The array of :func:`sl_assemble`, with no Section built."""
     if m < 2:
         raise ValueError(f"need at least 2 grid cells, got {m}")
     if not 1 <= n <= len(prob.a_n):
@@ -140,12 +144,7 @@ def sl_assemble(prob: SLProblem, n: int, m: int) -> SectionMatrix:
         c = 2.0 * h / (np.tan(prob.beta) * pb)
         mat[k - 1, k - 2] = -(pl + pr) * inv_h2
         mat[k - 1, k - 1] = (pl + pr * (1.0 - c)) * inv_h2 + q_nodes[k - 1]
-    return SectionMatrix(
-        data=mat,
-        provenance=Provenance(
-            name=prob.name, scheme="interval_truncation", size=n, grid=(an, prob.b, m)
-        ),
-    )
+    return mat
 
 
 def symmetrize_scaling(mat: np.ndarray) -> np.ndarray:
@@ -217,8 +216,8 @@ def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[np.ndarray, ...]:
         raise ValueError(
             f"component grids mismatch: {k1} vs {k2} interior unknowns (check the betas)"
         )
-    t1 = sl_assemble(prob.tau1, n, m).data
-    t2 = sl_assemble(prob.tau2, n, m).data
+    t1 = _sl_matrix(prob.tau1, n, m)
+    t2 = _sl_matrix(prob.tau2, n, m)
     an = prob.tau1.a_n[n - 1]
     h = (prob.tau1.b - an) / m
     nodes = an + h * np.arange(1, k1 + 1)
@@ -229,19 +228,13 @@ def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[np.ndarray, ...]:
     return prob.gamma1 * t1, sd @ t2 + td, ud @ t1 + vd, prob.gamma2 * t2
 
 
-def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> SectionMatrix:
+def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> Section:
     """2K x 2K section [[A, B], [C, D]] of the blocks :func:`sl_blocks` returns."""
     a, b, c, d = sl_blocks(prob, n, m)
     mat = np.vstack([np.hstack([a, b]), np.hstack([c, d])])
     if np.iscomplexobj(mat) and np.all(mat.imag == 0.0):
         mat = mat.real.copy()
-    an = prob.tau1.a_n[n - 1]
-    return SectionMatrix(
-        data=mat,
-        provenance=Provenance(
-            name=prob.name, scheme="interval_truncation_2x2", size=n, grid=(an, prob.tau1.b, m)
-        ),
-    )
+    return Section(mat)
 
 
 # -------------------------------- Schrodinger ----------------------------------
@@ -367,7 +360,7 @@ class SchrodingerProblem:
         )
 
 
-def schrodinger_assemble(prob: SchrodingerProblem, n: int, m: int) -> SectionMatrix:
+def schrodinger_assemble(prob: SchrodingerProblem, n: int, m: int) -> Section:
     """Dirichlet section of -f'' + p f' + v f on (-L_n, L_n) with m grid cells.
 
     Central differences: -(f_{i+1} - 2 f_i + f_{i-1})/h^2
@@ -392,9 +385,4 @@ def schrodinger_assemble(prob: SchrodingerProblem, n: int, m: int) -> SectionMat
     mat[idx[1:], idx[1:] - 1] = -inv_h2 - pv[1:] / (2.0 * h)
     if np.all(mat.imag == 0.0):
         mat = mat.real.copy()
-    return SectionMatrix(
-        data=mat,
-        provenance=Provenance(
-            name=prob.name, scheme="domain_truncation", size=n, grid=(-half, half, m)
-        ),
-    )
+    return Section(mat)

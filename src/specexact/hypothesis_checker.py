@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics
 from .errors import AssumptionError, PoleError
-from .operator_model import BandProfile, section_array
+from .operator_model import BandProfile
 from .resolvent_analysis import _ShiftFamily
 
 DEFAULT_MARGIN = 1e-3
@@ -53,8 +53,6 @@ class HypothesisReport:
                 return [enc(x) for x in v.tolist()]
             if isinstance(v, (list, tuple)):
                 return [enc(x) for x in v]
-            if isinstance(v, bool):
-                return v
             return v
 
         return {
@@ -67,13 +65,24 @@ class HypothesisReport:
         }
 
 
-def _resolvent_of(section, lam: complex, size, what: str) -> np.ndarray:
-    """(A - lam)^-1 of a Section, or of an array read as one; PoleError when lam is in the spectrum."""
+def _pole_checked(section, lam: complex, message: str, index) -> tuple[_ShiftFamily, float]:
+    """The shift family of a Section (or of an array read as one) and sigma_min(A - lam).
+
+    Raises :class:`PoleError` with ``message`` and ``index`` when sigma_min
+    is at most ``POLE_REL`` max(||A||, 1): lam is (numerically) in the spectrum.
+    """
     section = numerics.Section.of(section)
     family = _ShiftFamily(section)
-    scale = max(numerics.op_norm(section), 1.0)
-    if family.sigma_min(lam) <= POLE_REL * scale:
-        raise PoleError(f"lambda = {lam} is (numerically) in the spectrum of {what}", index=size)
+    smin = family.sigma_min(lam)
+    if smin <= POLE_REL * max(numerics.op_norm(section), 1.0):
+        raise PoleError(message, index=index)
+    return family, smin
+
+
+def _resolvent_of(section, lam: complex, size, what: str) -> np.ndarray:
+    """(A - lam)^-1 of a Section, or of an array read as one; PoleError when lam is in the spectrum."""
+    message = f"lambda = {lam} is (numerically) in the spectrum of {what}"
+    family, _ = _pole_checked(section, lam, message, size)
     return np.linalg.inv(family.shifted(lam))
 
 
@@ -95,11 +104,11 @@ def relative_bound(
     lam = complex(lam)
     if len(t_sections) != len(s_sections):
         raise ValueError("need matching T and S section lists")
-    sizes = list(sizes) if sizes is not None else [section_array(t).shape[0] for t in t_sections]
+    sizes = list(sizes) if sizes is not None else [np.shape(t)[0] for t in t_sections]
     gammas = []
     for size, t, s in zip(sizes, t_sections, s_sections):
         resolvent = _resolvent_of(t, lam, size, f"T-section at size {size}")
-        gammas.append(numerics.op_norm(section_array(s) @ resolvent))
+        gammas.append(numerics.op_norm(np.asarray(s) @ resolvent))
     gammas = np.asarray(gammas)
     sup = float(gammas.max())
     third = max(1, len(gammas) // 3)
@@ -136,13 +145,13 @@ def gamma_product_2x2(
     lengths = {len(a_sections), len(b_sections), len(c_sections), len(d_sections)}
     if len(lengths) != 1:
         raise ValueError("the four section lists must have equal length")
-    sizes = list(sizes) if sizes is not None else [section_array(a).shape[0] for a in a_sections]
+    sizes = list(sizes) if sizes is not None else [np.shape(a)[0] for a in a_sections]
     g_ac, g_db = [], []
     for size, a, b, c, d in zip(sizes, a_sections, b_sections, c_sections, d_sections):
         res_a = _resolvent_of(a, lam, size, f"A-section at size {size}")
         res_d = _resolvent_of(d, lam, size, f"D-section at size {size}")
-        g_ac.append(numerics.op_norm(section_array(c) @ res_a))
-        g_db.append(numerics.op_norm(section_array(b) @ res_d))
+        g_ac.append(numerics.op_norm(np.asarray(c) @ res_a))
+        g_db.append(numerics.op_norm(np.asarray(b) @ res_d))
     gamma_ac = float(np.max(g_ac))
     gamma_db = float(np.max(g_db))
     product = gamma_ac * gamma_db
@@ -166,11 +175,12 @@ def uniform_resolvent_decay(
 ) -> HypothesisReport:
     """Decay profile d_j = sup_n ||(B_j^{(n)} - lam)^{-1}|| along the block index.
 
-    ``block_family[j]`` is either one matrix B_j (a ``numerics.Section``, an
-    array or a SectionMatrix) or a sequence of them over the inner n-range.  PassEvidence iff the head-third geometric mean exceeds the
-    tail-third one by at least ``decay_factor`` and the tail minimum is below
-    ``tail_threshold``.  File under 'Galerkin' via ``tag`` when the blocks come
-    from a block-aligned finite-section splitting.
+    ``block_family[j]`` is either one matrix B_j (a ``numerics.Section`` or
+    an array) or a sequence of them over the inner n-range.  PassEvidence iff
+    the head-third geometric mean exceeds the tail-third one by at least
+    ``decay_factor`` and the tail minimum is below ``tail_threshold``.  File
+    under 'Galerkin' via ``tag`` when the blocks come from a block-aligned
+    finite-section splitting.
     """
     lam = complex(lam)
     profile = []
@@ -179,10 +189,7 @@ def uniform_resolvent_decay(
         mats = entry if isinstance(entry, (list, tuple)) else [entry]
         sup = 0.0
         for mat in mats:
-            section = numerics.Section.of(mat)
-            smin = _ShiftFamily(section).sigma_min(lam)
-            if smin <= POLE_REL * max(numerics.op_norm(section), 1.0):
-                raise PoleError(f"lambda = {lam} hits block j = {j}", index=j)
+            _, smin = _pole_checked(mat, lam, f"lambda = {lam} hits block j = {j}", j)
             sup = max(sup, 1.0 / smin)
         profile.append(sup)
     profile = np.asarray(profile)

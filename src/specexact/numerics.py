@@ -21,7 +21,6 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import ConvergenceError, DataError, DimensionError
-from .operator_model import section_array
 
 
 def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -170,7 +169,7 @@ class Section:
     """
 
     def __init__(self, m):
-        a = as_matrix(section_array(m), square=True)
+        a = as_matrix(m, square=True)
         self.data = a
         self.n = a.shape[0]
         self.kl, self.ku = _band_widths(a)
@@ -184,8 +183,12 @@ class Section:
 
     @classmethod
     def of(cls, m) -> "Section":
-        """``m`` itself when it is a Section, else a new Section of the array or SectionMatrix ``m``."""
+        """``m`` itself when it is a Section, else a new Section of the array ``m``."""
         return m if isinstance(m, cls) else cls(m)
+
+    def __array__(self, dtype=None, copy=None):
+        """``data``, so numpy reads a Section as its matrix."""
+        return self.data if dtype is None and not copy else np.array(self.data, dtype=dtype)
 
 
 #: eig_dense routes, one per structure
@@ -235,7 +238,7 @@ class EigenDecomposition:
 def eig_dense(m) -> EigenDecomposition:
     """Eigenvalues of a :class:`Section`, with residuals (see :class:`EigenDecomposition`).
 
-    ``m`` is a Section, or an array or SectionMatrix read as one.  One route
+    ``m`` is a Section, or an array read as one.  One route
     per structure.  Real symmetric tridiagonal sections: eigenvalues only,
     by ``eigvalsh_tridiagonal``; residuals come later, on demand.  Other
     Hermitian sections: ``eigh`` with eigenvectors.  Everything else:
@@ -288,8 +291,9 @@ def sigma_min(m) -> float:
     (:meth:`SymmetricTridiagonal.distance_to_spectrum`), which agree with
     this function to about eps ||A||, not bit for bit; ``banded`` uses banded
     LU plus Lanczos; ``triangular`` uses Lanczos with triangular solves on an
-    upper-triangular A; its ``dense`` route and the Lanczos fallback call
-    this function.
+    upper-triangular A; its ``dense`` route and the Lanczos fallback take the
+    SVD of A - z I directly, as this function would: a shift that reaches
+    them is never real symmetric tridiagonal, so no Section is built for it.
     """
     sec = Section.of(m)
     if sec.tridiagonal is not None:
@@ -305,7 +309,7 @@ def op_norm(m) -> float:
     tridiagonal one uses the tridiagonal symmetric solver, as
     :func:`sigma_min` does: the largest absolute eigenvalue.
     """
-    a = m.data if isinstance(m, Section) else as_matrix(section_array(m))
+    a = m.data if isinstance(m, Section) else as_matrix(m)
     if not np.any(a):
         return 0.0
     tri = Section.of(m).tridiagonal if a.shape[0] == a.shape[1] else None

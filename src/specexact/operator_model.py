@@ -7,13 +7,13 @@ Specs are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DataError, PoleError
+from .numerics import Section
 
 #: ratio-test threshold for the summability hints (cases b/c)
 RATIO_THRESHOLD = 0.99
@@ -28,33 +28,6 @@ class BandMeta:
 
     lower: int | None
     upper: int | None
-
-
-@dataclass(frozen=True)
-class Provenance:
-    name: str
-    scheme: str
-    size: int
-    grid: tuple | None = None
-
-
-@dataclass(frozen=True)
-class SectionMatrix:
-    """A dense finite section together with where it came from."""
-
-    data: np.ndarray
-    provenance: Provenance
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
-def section_array(m) -> np.ndarray:
-    """Accept a SectionMatrix or a bare array-like, return the ndarray."""
-    if isinstance(m, SectionMatrix):
-        return m.data
-    return np.asarray(m)
 
 
 @dataclass(frozen=True)
@@ -80,14 +53,6 @@ class OperatorSpec:
                             f"spec '{self.name}': declared band violated at ({i}, {j})"
                         )
 
-    def entry(self, i: int, j: int) -> complex:
-        if self.band_meta is not None:
-            if self.band_meta.upper is not None and j - i > self.band_meta.upper:
-                return 0.0
-            if self.band_meta.lower is not None and i - j > self.band_meta.lower:
-                return 0.0
-        return complex(self.entry_rule(i, j))
-
 
 def _assemble(spec: OperatorSpec, k: int) -> np.ndarray:
     out = np.zeros((k, k), dtype=np.complex128)
@@ -106,19 +71,21 @@ def _assemble(spec: OperatorSpec, k: int) -> np.ndarray:
             if val != val or abs(val) == np.inf:  # NaN or Inf
                 raise DataError(f"spec '{spec.name}': non-finite entry at ({i}, {j})")
             out[i - 1, j - 1] = val
-    if np.all(out.imag == 0.0):
-        return out.real.copy()
-    return out
+    return _real_if_exact(out)
 
 
-def truncate(spec: OperatorSpec, k: int) -> SectionMatrix:
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """A real copy of a complex ``a`` whose imaginary parts are all exactly zero, else ``a``."""
+    if np.all(a.imag == 0.0):
+        return a.real.copy()
+    return a
+
+
+def truncate(spec: OperatorSpec, k: int) -> Section:
     """Leading k-by-k principal section (the Galerkin compression)."""
     if k < 1:
         raise ValueError(f"section size must be >= 1, got {k}")
-    return SectionMatrix(
-        data=_assemble(spec, int(k)),
-        provenance=Provenance(name=spec.name, scheme="galerkin", size=int(k)),
-    )
+    return Section(_assemble(spec, int(k)))
 
 
 # ------------------------------- block splitting ------------------------------
@@ -126,27 +93,26 @@ def truncate(spec: OperatorSpec, k: int) -> SectionMatrix:
 
 @dataclass(frozen=True)
 class BlockSplit:
-    """Splitting A = T + S with T the block diagonal over the given cut points."""
+    """Splitting A = T + S with T the block diagonal over the given cut points.
+
+    ``matrix`` is the leading section of A up to the last cut, assembled
+    once; every section of T and S is sliced from it.
+    """
 
     spec: OperatorSpec
     cut_points: tuple[int, ...]
     diagonal_blocks: tuple[np.ndarray, ...] = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
 
-    def block_index(self, i: int) -> int:
-        """1-based block number containing row/column i."""
-        if i < 1 or i > self.cut_points[-1]:
-            raise ValueError(f"index {i} outside the covered range 1..{self.cut_points[-1]}")
-        return bisect.bisect_left(self.cut_points, i) + 1
-
-    def coupling_rule(self, i: int, j: int) -> complex:
-        """Entry rule of S = A - T: zero inside diagonal blocks."""
-        if self.block_index(i) == self.block_index(j):
-            return 0.0
-        return self.spec.entry(i, j)
+    def _leading(self, k: int) -> np.ndarray:
+        """The leading k-by-k section of A, real when its entries are (as :func:`truncate` gives)."""
+        if not 1 <= k <= self.cut_points[-1]:
+            raise ValueError(f"cut points cover only 1..{self.cut_points[-1]}, need {k}")
+        return _real_if_exact(self.matrix[:k, :k])
 
     def diag_section(self, k: int) -> np.ndarray:
         """Leading k-by-k section of T = diag(B_n)."""
-        a = _assemble(self.spec, k)
+        a = self._leading(k)
         t = np.zeros_like(a)
         lo = 0
         for cut in self.cut_points:
@@ -155,13 +121,11 @@ class BlockSplit:
             if hi == k:
                 break
             lo = hi
-        else:
-            raise ValueError(f"cut points cover only 1..{self.cut_points[-1]}, need {k}")
         return t
 
     def coupling_section(self, k: int) -> np.ndarray:
         """Leading k-by-k section of S = A - T (exact complement of diag_section)."""
-        return _assemble(self.spec, k) - self.diag_section(k)
+        return self._leading(k) - self.diag_section(k)
 
 
 def split_blocks(spec: OperatorSpec, cut_points: Sequence[int]) -> BlockSplit:
@@ -175,7 +139,7 @@ def split_blocks(spec: OperatorSpec, cut_points: Sequence[int]) -> BlockSplit:
     for cut in cuts:
         blocks.append(a[lo:cut, lo:cut].copy())
         lo = cut
-    return BlockSplit(spec=spec, cut_points=cuts, diagonal_blocks=tuple(blocks))
+    return BlockSplit(spec=spec, cut_points=cuts, diagonal_blocks=tuple(blocks), matrix=a)
 
 
 # -------------------------------- band profiles -------------------------------

@@ -41,7 +41,8 @@ class ProbeVerdict(str, enum.Enum):
 class SectionCache:
     """Sections, spectra, norms and shifted-operator families, keyed by size.
 
-    ``sections`` holds :class:`numerics.Section` objects, so a section is
+    ``sections`` holds :class:`numerics.Section` objects (the provider's own
+    when it returns one, as every section builder does), so a section is
     validated and its structure detected once, and its spectrum, norm and
     shift family all read that one structure.  One cache serves every
     :class:`SectionLadder` built on the same pure provider, so a section or
@@ -229,8 +230,8 @@ class _Factorization:
 class _ShiftFamily:
     """The shifted operator z I - A over many shifts z: factorization and sigma_min.
 
-    A is a :class:`numerics.Section` (an array or SectionMatrix is read as
-    one), and its structure picks the route of :meth:`sigma_min`:
+    A is a :class:`numerics.Section` (an array is read as one), and its
+    structure picks the route of :meth:`sigma_min`:
 
     - ``tridiagonal``: real symmetric tridiagonal A and real z, by the
       distance from z to the spectrum: a Sturm count of A - z on A's
@@ -243,7 +244,9 @@ class _ShiftFamily:
     - ``triangular``: every shift of an upper-triangular A with n >= 64 that
       is not stored banded, by Lanczos on (A - z I)^-H (A - z I)^-1 with
       triangular solves; A is its own complex Schur form, so no factorization;
-    - ``dense``: everything else, by ``numerics.sigma_min`` of the dense A - z I.
+    - ``dense``: everything else, by SVD of the dense A - z I, which is never
+      real symmetric tridiagonal here, so ``numerics.sigma_min`` would take
+      the same SVD.
 
     Instances are read-only apart from ``fallbacks``, which collects the
     shifts whose Lanczos run fell back to dense SVD, so threads may share one.
@@ -325,7 +328,7 @@ class _ShiftFamily:
             if theta is not None:
                 return float(1.0 / np.sqrt(theta))
             self.fallbacks.append(z)
-        return numerics.sigma_min(self.shifted(z))
+        return float(np.linalg.svd(self.shifted(z), compute_uv=False)[-1])
 
     def _largest_inverse_eigenvalue(self, fact: _Factorization) -> float | None:
         """theta_max = 1 / sigma_min^2 of (z I - A)^-H (z I - A)^-1 by Lanczos.

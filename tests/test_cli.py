@@ -243,6 +243,24 @@ class TestSharedCache:
         assert cli.main(["demo", "oscillator", "--out", str(tmp_path / "out")]) == 0
         assert len(sections) == 7 and len(scans) == 7
 
+    def test_jacobi_pseudo_stage_builds_one_section(self, tmp_path, monkeypatch):
+        # the 264 complex lattice shifts of the size-20 section take the dense
+        # route, whose SVD of A - z I needs no Section of its own
+        doc = cli.demo_problem("jacobi")
+        doc["analysis"] = [stage for stage in doc["analysis"] if stage["op"] == "pseudo"]
+        sections = []
+        init = numerics.Section.__init__
+
+        def counting_init(self, m):
+            sections.append(self)
+            init(self, m)
+
+        monkeypatch.setattr(numerics.Section, "__init__", counting_init)
+        report = cli.run_problem(cli.parse_problem(doc), tmp_path / "out", b"")
+        (stage,) = report["stages"]
+        assert stage["status"] == "ok" and stage["sigma_min_routes"] == {"dense": 264, "tridiagonal": 33}
+        assert len(sections) == 1
+
 
 class TestSpectraSubcommand:
     def test_sizes_flag(self, tmp_path):
@@ -434,8 +452,16 @@ class TestErrors:
             ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "tau1": 5}),
             ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "tau2": 5}),
             ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "sup_norms": 5}),
+            ("run", [], {"kind": "sl", "a_n": [0.0], "beta": [1]}),
+            ("run", [], {"kind": "sl", "a_n": [0.0], "p_min": [1]}),
+            ("run", [], {"kind": "sl", "a_n": [[0.0]]}),
+            ("run", [], {"L_n": [[4]]}),
+            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "sup_norms": {"s": [1]}}),
+            ("run", [], {"constants": {"b_r": "x"}}),
+            ("run", [], {"constants": {"a_grad": "x"}}),
         ],
-        ids=["rect", "grid", "sizes", "L_n", "constants", "tau1", "tau2", "sup_norms"],
+        ids=["rect", "grid", "sizes", "L_n", "constants", "tau1", "tau2", "sup_norms", "beta",
+             "p_min", "a_n_entry", "L_n_entry", "sup_norms_entry", "b_r", "a_grad"],
     )
     def test_bad_input_exits_2_with_error_line(self, tmp_path, capsys, command, flags, problem):
         doc = {"kind": "schrodinger", "q": "x^2", "L_n": [4], "m": 50, "analysis": [], **problem}

@@ -46,6 +46,18 @@ def dirichlet_laplacian(a_n=(0.0,)):
     return dz.SLProblem("lap", ONE, ZERO, 0.0, np.pi, 0.0, a_n, 1.0, 0.0)
 
 
+def test_builders_return_sections():
+    mp = dz.SLMatrixProblem("m", dirichlet_laplacian(), dirichlet_laplacian(), 1.0, 2.0,
+                            ZERO, ZERO, ZERO, ZERO, 0.0, 0.0, 0.0, 0.0)
+    sp = dz.SchrodingerProblem("osc", p=ZERO, q=lambda x: x * x, r=ZERO, L_n=(4.0,))
+    for sec, n in [
+        (dz.sl_assemble(dirichlet_laplacian(), 1, 10), 9),
+        (dz.sl_block_assemble(mp, 1, 10), 18),
+        (dz.schrodinger_assemble(sp, 1, 10), 9),
+    ]:
+        assert isinstance(sec, numerics.Section) and sec.n == n and sec.real
+
+
 class TestSLAssemble:
     def test_single_interior_node(self):
         m = dz.sl_assemble(dirichlet_laplacian(), 1, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
-from specexact import numerics, operator_model as om
+from specexact import numerics
 from specexact.errors import DataError, DimensionError
 
 
@@ -230,12 +230,13 @@ class TestStructureDetection:
             np.testing.assert_array_equal(sec.tridiagonal.d, np.diag(a))
             np.testing.assert_array_equal(sec.tridiagonal.e, np.diag(a, 1))
 
-    def test_of_accepts_array_section_matrix_and_section(self):
+    def test_of_accepts_array_and_section(self):
         a = np.diag([1.0, 2.0]) + np.diag([3.0], 1) + np.diag([3.0], -1)
         sec = numerics.Section.of(a)
-        assert numerics.Section.of(sec) is sec
-        wrapped = om.SectionMatrix(a, om.Provenance("t", "test", 2))
-        assert numerics.Section.of(wrapped).tridiagonal is not None
+        assert numerics.Section.of(sec) is sec and sec.tridiagonal is not None
+        # numpy reads a Section as its matrix
+        assert np.asarray(sec) is sec.data
+        np.testing.assert_array_equal(np.asarray(sec, dtype=complex), a)
 
 
 class TestOpNorm:

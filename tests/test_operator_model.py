@@ -11,7 +11,7 @@ class TestTruncate:
     def test_jacobi_k3(self):
         m = om.truncate(om.jacobi_spec(), 3)
         np.testing.assert_array_equal(m.data, [[0, 2, 0], [2, 0, 1], [0, 1, 0]])
-        assert m.provenance.scheme == "galerkin" and m.provenance.size == 3
+        assert isinstance(m, numerics.Section) and m.tridiagonal is not None
 
     def test_single_entry(self):
         m = om.truncate(om.upper_triangular_spec(), 1)
@@ -53,28 +53,50 @@ class TestSplitBlocks:
         spec = om.diagonal_spec(lambda i: float(i))
         sp = om.split_blocks(spec, range(1, 9))
         assert all(b.shape == (1, 1) for b in sp.diagonal_blocks)
-        for i in range(1, 9):
-            for j in range(1, 9):
-                if i != j:
-                    assert sp.coupling_rule(i, j) == 0.0
+        np.testing.assert_array_equal(sp.coupling_section(8), np.zeros((8, 8)))
 
     def test_upper_triangular_unit_cuts(self):
         sp = om.split_blocks(om.upper_triangular_spec(), range(1, 9))
         for j, block in enumerate(sp.diagonal_blocks, start=1):
             np.testing.assert_array_equal(block, [[j**3]])
-        assert sp.coupling_rule(2, 5) == 5.0
-        assert sp.coupling_rule(5, 2) == 0.0
+        s = sp.coupling_section(8)
+        assert s[1, 4] == 5.0 and s[4, 1] == 0.0 and s[4, 4] == 0.0
 
     def test_reassembly_exact(self):
+        # a real leading block with complex entries further out: each slice
+        # of the complex assembly is real exactly when truncate's section is
+        table = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
+        table[0, 1] = table[1, 0] = 0.5
+        table[3, 4] = 2j
+        table[4, 2] = 1 - 1j
         for spec, cuts in [
             (om.jacobi_spec(), range(2, 30, 2)),
             (om.upper_triangular_spec(), (1, 3, 7, 20)),
+            (om.custom_banded_spec(table, tail="repeat_edge"), (2, 3, 5, 20)),
         ]:
             sp = om.split_blocks(spec, cuts)
-            for k in (1, 5, 17, 20):
-                np.testing.assert_array_equal(
-                    sp.diag_section(k) + sp.coupling_section(k), om.truncate(spec, k).data
-                )
+            for k in (1, 2, 3, 4, 5, 17, 20):
+                want = om.truncate(spec, k).data
+                t, s = sp.diag_section(k), sp.coupling_section(k)
+                assert t.dtype == s.dtype == want.dtype
+                np.testing.assert_array_equal(t + s, want)
+
+    def test_one_assembly_per_split(self, monkeypatch):
+        # the jacobi demo's relative_bound: 60 sizes, each a T and an S section
+        sizes = []
+        assemble = om._assemble
+        monkeypatch.setattr(om, "_assemble", lambda spec, k: sizes.append(k) or assemble(spec, k))
+        sp = om.split_blocks(om.jacobi_spec(), range(2, 122, 2))
+        for k in range(2, 122, 2):
+            sp.diag_section(k)
+            sp.coupling_section(k)
+        assert sizes == [120]
+
+    def test_section_beyond_last_cut(self):
+        sp = om.split_blocks(om.jacobi_spec(), (2, 4))
+        for k in (0, 5):
+            with pytest.raises(ValueError, match="cover only"):
+                sp.diag_section(k)
 
     def test_non_monotone_cuts(self):
         with pytest.raises(ValueError):

@@ -437,7 +437,7 @@ class TestShiftFamilySigmaMin:
         assert g1.values.tobytes() == g2.values.tobytes()
 
     def test_upper_triangular_400_takes_triangular_route(self):
-        m = numerics.as_matrix(om.section_array(om.truncate(om.upper_triangular_spec(), 400)))
+        m = om.truncate(om.upper_triangular_spec(), 400).data
         family = ra._ShiftFamily(m)
         assert not family.banded and family.route(5.0 + 1.0j) == "triangular"
         rect = (-2.0, 30.0, -10.0, 10.0)
@@ -453,7 +453,7 @@ class TestShiftFamilySigmaMin:
                 assert abs(1.0 / g.values[iy, ix] - want) <= tol
 
     def test_upper_triangular_40_stays_dense_and_bit_identical(self):
-        m = numerics.as_matrix(om.section_array(om.truncate(om.upper_triangular_spec(), 40)))
+        m = om.truncate(om.upper_triangular_spec(), 40).data
         assert ra._ShiftFamily(m).route(5.0 + 1.0j) == "dense"
         g = ra.pseudospectrum_grid(m, (-2.0, 30.0, -10.0, 10.0), 2, 2)
         assert (g.routes, g.dense_fallbacks) == ({"dense": 4}, 0)
