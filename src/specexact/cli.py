@@ -60,6 +60,9 @@ DEMO_NAMES = ("jacobi", "upper_triangular", "sl_matrix", "oscillator", "complex_
 #: the stages that read the problem's sections through a ladder
 LADDER_OPS = ("spectra", "pseudo", "classify")
 ENV_THREADS = "SPECEXACT_THREADS"
+#: the largest section a problem may ask for: its dense complex128 array,
+#: 16 n^2 bytes, must fit in 1 GiB, so n <= 8192
+MAX_SECTION_BYTES = 1 << 30
 
 
 class ProblemError(ValueError):
@@ -133,8 +136,10 @@ def _parse_complex(node, where: str) -> complex:
 
 
 def _parse_number(doc: dict, key: str, default, cast=float):
-    """``cast(doc[key])`` (or of ``default``), refusing non-numeric values."""
+    """``cast(doc[key])`` (or of ``default``), refusing non-numeric values and booleans."""
     value = doc.get(key, default)
+    if isinstance(value, bool):
+        raise ProblemError(f"{key}: expected a number, got {value!r}")
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -176,9 +181,9 @@ class Problem:
     """Parsed problem file: a section family plus its analysis block.
 
     Every ladder of one problem shares ``cache``, the problem's single store
-    of sections, spectra, norms and shifted-operator families keyed by size,
-    so later stages reuse what earlier ones computed.  :func:`run_problem`
-    clears it once no remaining stage reads a ladder.
+    of sections and spectra keyed by size, so later stages reuse what
+    earlier ones computed.  :func:`run_problem` clears it once no remaining
+    stage reads a ladder.
     """
 
     kind: str
@@ -209,6 +214,34 @@ class Problem:
         else:
             kind, provider = "domain", lambda n: dz.schrodinger_assemble(self.schrodinger, n, self.grid_m)
         return ra.SectionLadder(label or f"{self.name}:{kind}", tuple(sizes), provider, self.cache)
+
+
+def _check_section_size(n, where: str) -> None:
+    """Refuse a section of order n whose dense complex128 array exceeds ``MAX_SECTION_BYTES``."""
+    n = max(n, 0)
+    nbytes = 16 * n * n  # a float n overflows to inf here, where n ** 2 would raise
+    if nbytes > MAX_SECTION_BYTES:
+        raise ProblemError(
+            f"{where}: a section of order {n} needs {nbytes} bytes as a dense complex128 "
+            f"array, above the cap of {MAX_SECTION_BYTES} bytes"
+        )
+
+
+def _check_galerkin_sizes(prob: Problem) -> None:
+    """Apply :func:`_check_section_size` to a Galerkin problem's ladder sizes, cuts and scans.
+
+    Values that are not numbers are left to the stage that reads them.
+    """
+    if prob.kind not in GALERKIN_KINDS:
+        return
+    for i, stage in enumerate(prob.analysis):
+        checks = stage.get("checks")
+        for node in [stage, *(checks if isinstance(checks, list) else [])]:
+            for key in ("size", "sizes", "certified_sizes", "uncertified_sizes", "cuts", "scan"):
+                value = node.get(key) if isinstance(node, dict) else None
+                for v in value if isinstance(value, list) else [value]:
+                    if isinstance(v, (int, float)) and not isinstance(v, bool):
+                        _check_section_size(v, f"analysis[{i}]")
 
 
 def _parse_sl_component(node: dict, a: float, b: float, a_n, where: str, name: str) -> dz.SLProblem:
@@ -261,6 +294,7 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
         a, b = _parse_number(doc, "a", 0.0), _parse_number(doc, "b", 1.0)
         prob.sl = _parse_sl_component(doc, a, b, _parse_list(doc, "a_n"), "sl", name)
         prob.grid_m = _parse_number(doc, "m", 500, int)
+        _check_section_size(prob.sl.unknowns(prob.grid_m), "m")
     elif kind == "sl_matrix":
         a, b = _parse_number(doc, "a", 0.0), _parse_number(doc, "b", 1.0)
         a_n = _parse_list(doc, "a_n")
@@ -286,6 +320,7 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
         except ValueError as exc:
             raise ProblemError(f"sl_matrix: {exc}") from exc
         prob.grid_m = _parse_number(doc, "m", 300, int)
+        _check_section_size(2 * prob.sl_matrix.tau1.unknowns(prob.grid_m), "m")
     else:  # schrodinger
         consts = _parse_object(doc, "constants")
         # an absent (or null) constant is fitted
@@ -306,6 +341,8 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
         except ValueError as exc:
             raise ProblemError(f"schrodinger: {exc}") from exc
         prob.grid_m = _parse_number(doc, "m", 800, int)
+        _check_section_size(prob.grid_m - 1, "m")
+    _check_galerkin_sizes(prob)
     return prob
 
 
@@ -839,20 +876,15 @@ def main(argv=None) -> int:
             return _exit_code(report)
 
         prob, raw = _load_problem(args.problem)
-        out_dir = Path(args.out)
-        if args.command == "run":
-            report = run_problem(prob, out_dir, raw, threads=_threads_from(args))
-        elif args.command == "spectra":
+        if args.command == "spectra":
             stage = {"op": "spectra"}
             if args.sizes:
                 stage["sizes"] = args.sizes
             prob.analysis = [stage]
-            report = run_problem(prob, out_dir, raw, threads=_threads_from(args))
         elif args.command == "pseudo":
             nx, ny = args.grid
             stage = {"op": "pseudo", "size": args.size, "rect": args.rect, "nx": nx, "ny": ny}
             prob.analysis = [stage]
-            report = run_problem(prob, out_dir, raw, threads=_threads_from(args))
         elif args.command == "classify":
             stage = {"op": "classify", "tol": args.tol}
             if args.sizes:
@@ -862,13 +894,13 @@ def main(argv=None) -> int:
             if args.lam:
                 stage["lambda"] = args.lam if len(args.lam) == 2 else [args.lam[0], 0.0]
             prob.analysis = [stage]
-            report = run_problem(prob, out_dir, raw, threads=_threads_from(args))
-        else:  # verify
+        elif args.command == "verify":
             stages = [s for s in prob.analysis if s["op"] == "verify"]
             if not stages:
                 raise ProblemError("problem file has no verify stage")
             prob.analysis = stages
-            report = run_problem(prob, out_dir, raw, threads=_threads_from(args))
+        _check_galerkin_sizes(prob)  # the sizes a subcommand took from argv
+        report = run_problem(prob, Path(args.out), raw, threads=_threads_from(args))
         for s in report["stages"]:
             status = s["status"] + ("" if s["status"] == "ok" else f" ({s['error']})")
             print(f"[{s['op']}] {status} -> {', '.join(s['outputs']) or '-'}")

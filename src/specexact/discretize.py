@@ -1,6 +1,6 @@
 """Finite-difference assembly of truncated singular differential problems.
 
-Two families: Sturm-Liouville expressions -(p f')' + q f on (a, b) with a
+Two kinds of problem: Sturm-Liouville expressions -(p f')' + q f on (a, b) with a
 Robin condition at the regular endpoint b and a Dirichlet cut at a_n > a
 (scalar and 2x2 operator-matrix form), and 1D Schrodinger expressions
 -f'' + p f' + v f on (-L_n, L_n) with Dirichlet ends and complex potential

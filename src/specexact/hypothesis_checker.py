@@ -18,7 +18,6 @@ import numpy as np
 from . import numerics
 from .errors import AssumptionError, PoleError
 from .operator_model import BandProfile
-from .resolvent_analysis import _ShiftFamily
 
 DEFAULT_MARGIN = 1e-3
 POLE_REL = 1e-12
@@ -65,25 +64,24 @@ class HypothesisReport:
         }
 
 
-def _pole_checked(section, lam: complex, message: str, index) -> tuple[_ShiftFamily, float]:
-    """The shift family of a Section (or of an array read as one) and sigma_min(A - lam).
+def _pole_checked(section, lam: complex, message: str, index) -> tuple[numerics.Section, float]:
+    """A Section (an array is read as one) and sigma_min(A - lam).
 
     Raises :class:`PoleError` with ``message`` and ``index`` when sigma_min
     is at most ``POLE_REL`` max(||A||, 1): lam is (numerically) in the spectrum.
     """
     section = numerics.Section.of(section)
-    family = _ShiftFamily(section)
-    smin = family.sigma_min(lam)
-    if smin <= POLE_REL * max(numerics.op_norm(section), 1.0):
+    smin = section.sigma_min(lam)
+    if smin <= POLE_REL * max(section.norm, 1.0):
         raise PoleError(message, index=index)
-    return family, smin
+    return section, smin
 
 
 def _resolvent_of(section, lam: complex, size, what: str) -> np.ndarray:
     """(A - lam)^-1 of a Section, or of an array read as one; PoleError when lam is in the spectrum."""
     message = f"lambda = {lam} is (numerically) in the spectrum of {what}"
-    family, _ = _pole_checked(section, lam, message, size)
-    return np.linalg.inv(family.shifted(lam))
+    section, _ = _pole_checked(section, lam, message, size)
+    return np.linalg.inv(section.shifted(lam))
 
 
 def relative_bound(

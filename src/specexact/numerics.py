@@ -3,16 +3,18 @@
 A square input is read as a :class:`Section`: the validated matrix plus its
 structure (band widths, real or complex, Hermitian or not, and the diagonals
 of a real symmetric tridiagonal matrix), detected once when the Section is
-built.  Each kernel picks its route from that structure.  Everything here is
-a pure function of its inputs and deterministic for a fixed input, so
-concurrent use on distinct inputs is safe.  Backed by LAPACK (balancing +
-Hessenberg + implicitly shifted QR for general eigenproblems, bisection and
-inverse iteration for tridiagonal ones, bidiagonalization for singular
-values) through numpy/scipy.
+built.  Each kernel picks its route from that structure.  A Section is also
+the shifted operator A - z I over many shifts z (factorization, sigma_min)
+and caches its norm.  Everything here is deterministic for a fixed input,
+and threads may share a Section.  Backed by LAPACK (balancing + Hessenberg
++ implicitly shifted QR for general eigenproblems, bisection and inverse
+iteration for tridiagonal ones, LU and triangular solves for shifts,
+bidiagonalization for singular values) through numpy/scipy.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -152,8 +154,83 @@ def _band_widths(a: np.ndarray) -> tuple[int, int]:
     return kl, ku
 
 
+#: Lanczos steps per banded or triangular sigma_min; a point needing more falls back to dense SVD
+_LANCZOS_STEPS = 64
+#: the Ritz residual, relative to the Ritz value, that stops the Lanczos iteration
+_LANCZOS_TOL = 1e-10
+_LANCZOS_SEED = 19990601
+
+
+class Factorization:
+    """One matrix made ready for optional-adjoint solves, in one of three storage kinds.
+
+    LU in LAPACK band storage (``ab``), dense LU (``dense``), or an upper
+    triangular matrix in Fortran order (``triangular``) that ``trtrs`` solves
+    as it stands.  Raises ``LinAlgError`` when the factorization meets an
+    exact zero pivot; for a triangular matrix, an exact zero on its diagonal.
+    """
+
+    def __init__(self, n: int, kl: int = 0, ku: int = 0, ab=None, dense=None, triangular=None):
+        self.n = n
+        self.banded = ab is not None
+        self._triangular = triangular
+        if triangular is not None:
+            if not np.all(np.diagonal(triangular)):
+                raise scipy.linalg.LinAlgError("exact zero on the triangular diagonal")
+            # a C-ordered matrix would be copied by the wrapper on every solve
+            self._trtrs = lapack.get_lapack_funcs("trtrs", (triangular,))
+        elif self.banded:
+            self.kl, self.ku = kl, ku
+            gbtrf = lapack.get_lapack_funcs("gbtrf", (ab,))
+            lu, ipiv, info = gbtrf(ab, kl, ku)
+            if info < 0:
+                raise ValueError(f"illegal argument {-info} passed to the banded LU")
+            if info > 0:
+                raise scipy.linalg.LinAlgError(f"banded LU failed with info={info}")
+            self._lu, self._ipiv = lu, ipiv
+            self._gbtrs = lapack.get_lapack_funcs("gbtrs", (lu,))
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                self._lu, self._piv = scipy.linalg.lu_factor(dense, check_finite=False)
+            if np.abs(np.diag(self._lu)).min() == 0.0:
+                raise scipy.linalg.LinAlgError("exact zero pivot")
+
+    def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        if self._triangular is not None:
+            x, info = self._trtrs(self._triangular, b, trans=2 if adjoint else 0)
+            if info != 0:
+                raise scipy.linalg.LinAlgError(f"triangular solve failed with info={info}")
+            return x
+        if self.banded:
+            x, info = self._gbtrs(
+                self._lu, self.kl, self.ku, b, self._ipiv, trans=2 if adjoint else 0
+            )
+            if info != 0:
+                raise scipy.linalg.LinAlgError(f"banded solve failed with info={info}")
+            return x
+        return scipy.linalg.lu_solve(
+            (self._lu, self._piv), b, trans=2 if adjoint else 0, check_finite=False
+        )
+
+    def inverse_norm_estimate(self, iterations: int = 8) -> float:
+        """Power-iteration lower estimate of ||A^{-1}||_2 (converging from below)."""
+        x = np.ones(self.n, dtype=complex) / np.sqrt(self.n)
+        est = 0.0
+        for _ in range(iterations):
+            y = self.solve(x)
+            w = self.solve(y, adjoint=True)
+            norm = np.linalg.norm(w)
+            if not np.isfinite(norm) or norm == 0.0:
+                return np.inf if not np.isfinite(norm) else 0.0
+            # Rayleigh quotient of (A^-1 A^-H) at x equals <w, x>
+            est = np.sqrt(abs(np.vdot(w, x)))
+            x = w / norm
+        return float(est)
+
+
 class Section:
-    """A validated square matrix together with its structure, detected once.
+    """A validated square matrix A together with its structure, and A - z I over shifts z.
 
     ``data`` is the float64 or complex128 array (see :func:`as_matrix`) and
     ``n`` its order.  ``kl`` and ``ku`` are the outermost nonzero sub- and
@@ -161,25 +238,55 @@ class Section:
     real; ``hermitian`` says it equals its conjugate transpose exactly.
     ``tridiagonal`` holds the :class:`SymmetricTridiagonal` diagonals when
     the matrix is real symmetric tridiagonal with n >= 2, else None.
+    ``banded`` says the section is stored banded for shifted solves (n >= 64
+    with a narrow band); ``triangular`` says it is upper triangular with
+    n >= 64 and not stored banded.
 
     The constructor makes one band scan and one Hermitian test.  A Hermitian
     matrix has kl == ku, and everything outside its band is zero on both
     sides, so the test compares only the kl + 1 pairs of diagonals inside
     the band.  Nothing here is declared: every field follows from ``data``.
+
+    The structure picks the route of :meth:`sigma_min` (z), the smallest
+    singular value of A - z I:
+
+    - ``tridiagonal``: real symmetric tridiagonal A and real z, by the
+      distance from z to the spectrum: a Sturm count of A - z on A's
+      diagonals, then bisection for the one or two eigenvalues that bracket
+      z, O(n) each (:meth:`SymmetricTridiagonal.distance_to_spectrum`); it
+      agrees with :func:`sigma_min` of A - z I to about eps ||A||;
+    - ``banded``: every other shift of a section stored banded, by banded LU
+      of z I - A and Lanczos on (z I - A)^-H (z I - A)^-1;
+    - ``triangular``: every shift of a ``triangular`` section, by Lanczos on
+      (A - z I)^-H (A - z I)^-1 with triangular solves; A is its own complex
+      Schur form, so no factorization;
+    - ``dense``: everything else, by SVD of the dense A - z I, which is never
+      real symmetric tridiagonal here, so :func:`sigma_min` would take the
+      same SVD.
+
+    The band template of the banded route, the Fortran-ordered copy of the
+    triangular route, the Lanczos start vector and :attr:`norm` are built on
+    first use.  Instances are read-only apart from those and ``fallbacks``,
+    which collects the shifts whose Lanczos run fell back to dense SVD, so
+    threads may share one.
     """
 
     def __init__(self, m):
         a = as_matrix(m, square=True)
         self.data = a
-        self.n = a.shape[0]
-        self.kl, self.ku = _band_widths(a)
+        self.n = n = a.shape[0]
+        self.kl, self.ku = kl, ku = _band_widths(a)
         self.real = not np.iscomplexobj(a)
-        self.hermitian = self.kl == self.ku and all(
-            np.array_equal(a.diagonal(-k), a.diagonal(k).conj()) for k in range(self.kl + 1)
+        self.hermitian = kl == ku and all(
+            np.array_equal(a.diagonal(-k), a.diagonal(k).conj()) for k in range(kl + 1)
         )
         self.tridiagonal = None
-        if self.real and self.hermitian and self.n >= 2 and self.kl <= 1:
+        if self.real and self.hermitian and n >= 2 and kl <= 1:
             self.tridiagonal = SymmetricTridiagonal(a)
+        # banded storage only pays off when the band is genuinely narrow
+        self.banded = n >= 64 and (kl + ku + 1) <= max(4, n // 8)
+        self.triangular = n >= 64 and kl == 0 and not self.banded
+        self.fallbacks: list[complex] = []
 
     @classmethod
     def of(cls, m) -> "Section":
@@ -189,6 +296,125 @@ class Section:
     def __array__(self, dtype=None, copy=None):
         """``data``, so numpy reads a Section as its matrix."""
         return self.data if dtype is None and not copy else np.array(self.data, dtype=dtype)
+
+    @cached_property
+    def norm(self) -> float:
+        """The spectral norm ||A||, by :func:`op_norm`."""
+        return op_norm(self)
+
+    @cached_property
+    def _band_template(self) -> np.ndarray:
+        """-A in ``gbtrf`` band layout: entry (i, j) at row kl + ku + i - j."""
+        kl, ku = self.kl, self.ku
+        ab0 = np.zeros((2 * kl + ku + 1, self.n), dtype=complex)
+        for off in range(-kl, ku + 1):
+            d = np.diag(self.data, off)
+            if off >= 0:
+                ab0[kl + ku - off, off : off + d.shape[0]] = -d
+            else:
+                ab0[kl + ku - off, : d.shape[0]] = -d
+        return ab0
+
+    @cached_property
+    def _triu(self) -> np.ndarray:
+        """The upper-triangular A of the triangular route, complex and in Fortran order."""
+        return np.asfortranarray(self.data, dtype=complex)
+
+    @cached_property
+    def _lanczos_start(self) -> np.ndarray:
+        """Fixed-seed unit complex Gaussian vector; a function of n only.
+
+        A symmetric start such as ``ones`` is orthogonal to every odd singular
+        vector of a persymmetric section and can miss sigma_min entirely.
+        """
+        g = np.random.default_rng(_LANCZOS_SEED).standard_normal((2, self.n))
+        v = g[0] + 1j * g[1]
+        return v / np.linalg.norm(v)
+
+    def factor(self, z: complex) -> Factorization:
+        """z I - A, factored: banded LU for a section stored banded, dense LU otherwise."""
+        if self.banded:
+            ab = self._band_template.copy()
+            ab[self.kl + self.ku, :] += z
+            return Factorization(self.n, self.kl, self.ku, ab=ab)
+        return Factorization(self.n, dense=z * np.eye(self.n) - self.data)
+
+    def _shifted_triangular(self, z: complex) -> Factorization:
+        """A - z I of the triangular route, a fresh Fortran-ordered copy."""
+        t = self._triu.copy(order="F")
+        diag = np.arange(self.n)
+        t[diag, diag] -= z
+        return Factorization(self.n, triangular=t)
+
+    def shifted(self, z: complex) -> np.ndarray:
+        """Dense A - z I; a real shift of a real matrix stays real."""
+        z = complex(z)
+        if self.real and z.imag == 0.0:
+            return self.data - z.real * np.eye(self.n)
+        return self.data - z * np.eye(self.n)
+
+    def sigma_min_route(self, z: complex) -> str:
+        """The route :meth:`sigma_min` takes at z, one of the four in the class docstring."""
+        if self.tridiagonal is not None and complex(z).imag == 0.0:
+            return "tridiagonal"
+        if self.banded:
+            return "banded"
+        return "triangular" if self.triangular else "dense"
+
+    def sigma_min(self, z: complex) -> float:
+        """Smallest singular value of A - z I; exactly 0.0 when it is exactly singular.
+
+        On the banded and triangular routes an exact zero pivot of the LU, or
+        an exact zero on the diagonal of A - z I, gives 0.0, and a Lanczos run
+        that hits its step cap or a non-finite value is redone by dense SVD
+        (and recorded in ``fallbacks``).  Their relative accuracy is the
+        stopping tolerance 1e-10 on top of the conditioning of the solves.
+        """
+        z = complex(z)
+        route = self.sigma_min_route(z)
+        if route == "tridiagonal":
+            return self.tridiagonal.distance_to_spectrum(z.real)
+        if route != "dense":
+            try:
+                fact = self.factor(z) if route == "banded" else self._shifted_triangular(z)
+            except scipy.linalg.LinAlgError:
+                return 0.0
+            theta = self._largest_inverse_eigenvalue(fact)
+            if theta is not None:
+                return float(1.0 / np.sqrt(theta))
+            self.fallbacks.append(z)
+        return float(np.linalg.svd(self.shifted(z), compute_uv=False)[-1])
+
+    def _largest_inverse_eigenvalue(self, fact: Factorization) -> float | None:
+        """theta_max = 1 / sigma_min^2 of (z I - A)^-H (z I - A)^-1 by Lanczos.
+
+        Full reorthogonalisation (classical Gram-Schmidt, applied twice) keeps
+        the basis orthonormal; the run stops once the Ritz residual
+        beta_k |e_k^T s| is at most ``_LANCZOS_TOL`` theta.  None when the
+        step cap is reached first or a non-finite number appears.
+        """
+        steps = min(self.n, _LANCZOS_STEPS)
+        basis = np.empty((steps, self.n), dtype=complex)
+        alpha, beta = np.empty(steps), np.empty(steps)
+        v = self._lanczos_start
+        for k in range(steps):
+            basis[k] = v
+            w = fact.solve(fact.solve(v), adjoint=True)
+            if not np.all(np.isfinite(w)):
+                return None
+            alpha[k] = np.vdot(v, w).real
+            done = basis[: k + 1]
+            for _ in range(2):
+                w -= np.conj(done @ np.conj(w)) @ done
+            beta[k] = np.linalg.norm(w)
+            ritz, vecs = scipy.linalg.eigh_tridiagonal(alpha[: k + 1], beta[:k])
+            theta = ritz[-1]
+            if not (np.isfinite(theta) and theta > 0.0):
+                return None
+            if beta[k] * abs(vecs[-1, -1]) <= _LANCZOS_TOL * theta:
+                return float(theta)
+            v = w / beta[k]
+        return None
 
 
 #: eig_dense routes, one per structure
@@ -285,15 +511,10 @@ def sigma_min(m) -> float:
     cheaper.
 
     This is the dense reference.  sigma_min(A - z I) over shifts z goes
-    through ``resolvent_analysis._ShiftFamily.sigma_min``, which has four
-    routes: ``tridiagonal`` (real symmetric tridiagonal A, real z) never forms
-    A - z I and computes only the one or two eigenvalues that bracket z
-    (:meth:`SymmetricTridiagonal.distance_to_spectrum`), which agree with
-    this function to about eps ||A||, not bit for bit; ``banded`` uses banded
-    LU plus Lanczos; ``triangular`` uses Lanczos with triangular solves on an
-    upper-triangular A; its ``dense`` route and the Lanczos fallback take the
-    SVD of A - z I directly, as this function would: a shift that reaches
-    them is never real symmetric tridiagonal, so no Section is built for it.
+    through :meth:`Section.sigma_min`, whose ``tridiagonal`` route agrees
+    with this function to about eps ||A||, not bit for bit; its ``dense``
+    route and the Lanczos fallback take the SVD of A - z I directly, as this
+    function would, without building a Section of the shift.
     """
     sec = Section.of(m)
     if sec.tridiagonal is not None:
@@ -305,15 +526,16 @@ def sigma_min(m) -> float:
 def op_norm(m) -> float:
     """Largest singular value (spectral norm); rectangular inputs allowed.
 
-    A square input is read as a :class:`Section`; a real symmetric
+    Structure is read only from a :class:`Section`: a real symmetric
     tridiagonal one uses the tridiagonal symmetric solver, as
-    :func:`sigma_min` does: the largest absolute eigenvalue.
+    :func:`sigma_min` does: the largest absolute eigenvalue.  An array goes
+    straight to the SVD, with no band scan.
     """
-    a = m.data if isinstance(m, Section) else as_matrix(m)
+    sec = m if isinstance(m, Section) else None
+    a = sec.data if sec is not None else as_matrix(m)
     if not np.any(a):
         return 0.0
-    tri = Section.of(m).tridiagonal if a.shape[0] == a.shape[1] else None
-    if tri is not None:
-        return float(np.max(np.abs(tri.eigenvalues())))
+    if sec is not None and sec.tridiagonal is not None:
+        return float(np.max(np.abs(sec.tridiagonal.eigenvalues())))
     s = np.linalg.svd(a, compute_uv=False)
     return float(s[0])

@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
 
 from . import numerics, operator_model
 from .errors import ContourError, ResolutionError
@@ -39,12 +38,12 @@ class ProbeVerdict(str, enum.Enum):
 
 @dataclass(eq=False)
 class SectionCache:
-    """Sections, spectra, norms and shifted-operator families, keyed by size.
+    """Sections and spectra, keyed by size.
 
     ``sections`` holds :class:`numerics.Section` objects (the provider's own
     when it returns one, as every section builder does), so a section is
     validated and its structure detected once, and its spectrum, norm and
-    shift family all read that one structure.  One cache serves every
+    shifted solves all read that one structure.  One cache serves every
     :class:`SectionLadder` built on the same pure provider, so a section or
     spectrum computed for one ladder is reused by the next.
     ``spectrum_hits`` and ``spectrum_misses`` count the
@@ -56,8 +55,6 @@ class SectionCache:
 
     sections: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict)
-    norms: dict = field(default_factory=dict)
-    families: dict = field(default_factory=dict)
     spectrum_hits: int = 0
     spectrum_misses: int = 0
     eig_routes: Counter = field(default_factory=Counter)
@@ -68,18 +65,19 @@ class SectionCache:
         return sum(dec.residuals_computed for dec in self.spectra.values())
 
     def clear(self) -> None:
-        for store in (self.sections, self.spectra, self.norms, self.families):
-            store.clear()
+        self.sections.clear()
+        self.spectra.clear()
 
 
 @dataclass(eq=False)
 class SectionLadder:
     """A truncation family: strictly increasing sizes plus a section provider.
 
-    Sections, their spectra, norms and shifted-operator families live in
-    ``cache``, keyed by size; providers must be pure.  Ladders that pass the
-    same provider may share one :class:`SectionCache`, whatever their sizes
-    and labels; by default each ladder has its own.
+    Sections and their spectra live in ``cache``, keyed by size; each
+    Section also caches its norm and shifted-operator data.  Providers must
+    be pure.  Ladders that pass the same provider may share one
+    :class:`SectionCache`, whatever their sizes and labels; by default each
+    ladder has its own.
     """
 
     label: str
@@ -108,18 +106,9 @@ class SectionLadder:
             self.cache.eig_routes[spectra[size].route] += 1
         return spectra[size]
 
-    def family(self, size) -> "_ShiftFamily":
-        """The shifted-operator family of the section at ``size``."""
-        families = self.cache.families
-        if size not in families:
-            families[size] = _ShiftFamily(self.matrix(size))
-        return families[size]
-
     def norm(self, size) -> float:
-        norms = self.cache.norms
-        if size not in norms:
-            norms[size] = numerics.op_norm(self.matrix(size))
-        return norms[size]
+        """The spectral norm of the section at ``size`` (:attr:`numerics.Section.norm`)."""
+        return self.matrix(size).norm
 
     def conjugated(self) -> "SectionLadder":
         """Ladder of conjugate transposes (the discrete adjoint family)."""
@@ -137,242 +126,14 @@ def galerkin_ladder(spec, sizes) -> SectionLadder:
     )
 
 
-# -------------------------------- shifted operator --------------------------------
-
-#: Lanczos steps per banded or triangular sigma_min; a point needing more falls back to dense SVD
-_LANCZOS_STEPS = 64
-#: the Ritz residual, relative to the Ritz value, that stops the Lanczos iteration
-_LANCZOS_TOL = 1e-10
-_LANCZOS_SEED = 19990601
-
-
-def _lanczos_start(n: int) -> np.ndarray:
-    """Fixed-seed unit complex Gaussian vector; a function of n only.
-
-    A symmetric start such as ``ones`` is orthogonal to every odd singular
-    vector of a persymmetric section and can miss sigma_min entirely.
-    """
-    g = np.random.default_rng(_LANCZOS_SEED).standard_normal((2, n))
-    v = g[0] + 1j * g[1]
-    return v / np.linalg.norm(v)
-
-
-class _Factorization:
-    """One matrix made ready for optional-adjoint solves, in one of three storage kinds.
-
-    LU in LAPACK band storage (``ab``), dense LU (``dense``), or an upper
-    triangular matrix in Fortran order (``triangular``) that ``trtrs`` solves
-    as it stands.  Raises ``LinAlgError`` when the factorization meets an
-    exact zero pivot; for a triangular matrix, an exact zero on its diagonal.
-    """
-
-    def __init__(self, n: int, kl: int = 0, ku: int = 0, ab=None, dense=None, triangular=None):
-        self.n = n
-        self.banded = ab is not None
-        self._triangular = triangular
-        if triangular is not None:
-            if not np.all(np.diagonal(triangular)):
-                raise scipy.linalg.LinAlgError("exact zero on the triangular diagonal")
-            # a C-ordered matrix would be copied by the wrapper on every solve
-            self._trtrs = lapack.get_lapack_funcs("trtrs", (triangular,))
-        elif self.banded:
-            self.kl, self.ku = kl, ku
-            gbtrf = lapack.get_lapack_funcs("gbtrf", (ab,))
-            lu, ipiv, info = gbtrf(ab, kl, ku)
-            if info < 0:
-                raise ValueError(f"illegal argument {-info} passed to the banded LU")
-            if info > 0:
-                raise scipy.linalg.LinAlgError(f"banded LU failed with info={info}")
-            self._lu, self._ipiv = lu, ipiv
-            self._gbtrs = lapack.get_lapack_funcs("gbtrs", (lu,))
-        else:
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                self._lu, self._piv = scipy.linalg.lu_factor(dense, check_finite=False)
-            if np.abs(np.diag(self._lu)).min() == 0.0:
-                raise scipy.linalg.LinAlgError("exact zero pivot")
-
-    def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        if self._triangular is not None:
-            x, info = self._trtrs(self._triangular, b, trans=2 if adjoint else 0)
-            if info != 0:
-                raise scipy.linalg.LinAlgError(f"triangular solve failed with info={info}")
-            return x
-        if self.banded:
-            x, info = self._gbtrs(
-                self._lu, self.kl, self.ku, b, self._ipiv, trans=2 if adjoint else 0
-            )
-            if info != 0:
-                raise scipy.linalg.LinAlgError(f"banded solve failed with info={info}")
-            return x
-        return scipy.linalg.lu_solve(
-            (self._lu, self._piv), b, trans=2 if adjoint else 0, check_finite=False
-        )
-
-    def inverse_norm_estimate(self, iterations: int = 8) -> float:
-        """Power-iteration lower estimate of ||A^{-1}||_2 (converging from below)."""
-        x = np.ones(self.n, dtype=complex) / np.sqrt(self.n)
-        est = 0.0
-        for _ in range(iterations):
-            y = self.solve(x)
-            w = self.solve(y, adjoint=True)
-            norm = np.linalg.norm(w)
-            if not np.isfinite(norm) or norm == 0.0:
-                return np.inf if not np.isfinite(norm) else 0.0
-            # Rayleigh quotient of (A^-1 A^-H) at x equals <w, x>
-            est = np.sqrt(abs(np.vdot(w, x)))
-            x = w / norm
-        return float(est)
-
-
-class _ShiftFamily:
-    """The shifted operator z I - A over many shifts z: factorization and sigma_min.
-
-    A is a :class:`numerics.Section` (an array is read as one), and its
-    structure picks the route of :meth:`sigma_min`:
-
-    - ``tridiagonal``: real symmetric tridiagonal A and real z, by the
-      distance from z to the spectrum: a Sturm count of A - z on A's
-      diagonals, then bisection for the one or two eigenvalues that bracket
-      z, O(n) each (``numerics.SymmetricTridiagonal.distance_to_spectrum``);
-      it agrees with ``numerics.sigma_min(A - z I)`` to about eps ||A||;
-    - ``banded``: every other shift of a section stored banded (n >= 64 with a
-      narrow band), by banded LU of z I - A and Lanczos on
-      (z I - A)^-H (z I - A)^-1;
-    - ``triangular``: every shift of an upper-triangular A with n >= 64 that
-      is not stored banded, by Lanczos on (A - z I)^-H (A - z I)^-1 with
-      triangular solves; A is its own complex Schur form, so no factorization;
-    - ``dense``: everything else, by SVD of the dense A - z I, which is never
-      real symmetric tridiagonal here, so ``numerics.sigma_min`` would take
-      the same SVD.
-
-    Instances are read-only apart from ``fallbacks``, which collects the
-    shifts whose Lanczos run fell back to dense SVD, so threads may share one.
-    """
-
-    def __init__(self, m):
-        self.section = sec = numerics.Section.of(m)
-        a, n, kl, ku = sec.data, sec.n, sec.kl, sec.ku
-        self.n, self.kl, self.ku, self.real = n, kl, ku, sec.real
-        self.fallbacks: list[complex] = []
-        # banded storage only pays off when the band is genuinely narrow
-        self.banded = n >= 64 and (kl + ku + 1) <= max(4, n // 8)
-        if self.banded:
-            # band template of -A in gbtrf layout: entry (i, j) at row kl+ku+i-j
-            ab0 = np.zeros((2 * kl + ku + 1, n), dtype=complex)
-            for off in range(-kl, ku + 1):
-                d = np.diag(a, off)
-                if off >= 0:
-                    ab0[kl + ku - off, off : off + d.shape[0]] = -d
-                else:
-                    ab0[kl + ku - off, : d.shape[0]] = -d
-            self._ab0 = ab0
-        # the upper-triangular A of the triangular route, complex and in Fortran order
-        self._triu = None
-        if n >= 64 and kl == 0 and not self.banded:
-            self._triu = np.asfortranarray(a, dtype=complex)
-        if self.banded or self._triu is not None:
-            self._start = _lanczos_start(n)
-
-    def factor(self, z: complex) -> _Factorization:
-        if self.banded:
-            ab = self._ab0.copy()
-            ab[self.kl + self.ku, :] += z
-            return _Factorization(self.n, self.kl, self.ku, ab=ab)
-        return _Factorization(self.n, dense=z * np.eye(self.n) - self.section.data)
-
-    def _shifted_triangular(self, z: complex) -> _Factorization:
-        """A - z I of the triangular route, a fresh Fortran-ordered copy."""
-        t = self._triu.copy(order="F")
-        diag = np.arange(self.n)
-        t[diag, diag] -= z
-        return _Factorization(self.n, triangular=t)
-
-    def shifted(self, z: complex) -> np.ndarray:
-        """Dense A - z I; a real shift of a real matrix stays real."""
-        z = complex(z)
-        a = self.section.data
-        if self.real and z.imag == 0.0:
-            return a - z.real * np.eye(self.n)
-        return a - z * np.eye(self.n)
-
-    def route(self, z: complex) -> str:
-        """The route :meth:`sigma_min` takes at z, one of the four in the class docstring."""
-        if self.section.tridiagonal is not None and complex(z).imag == 0.0:
-            return "tridiagonal"
-        if self.banded:
-            return "banded"
-        return "dense" if self._triu is None else "triangular"
-
-    def sigma_min(self, z: complex) -> float:
-        """Smallest singular value of A - z I; exactly 0.0 when it is exactly singular.
-
-        On the banded and triangular routes an exact zero pivot of the LU, or
-        an exact zero on the diagonal of A - z I, gives 0.0, and a Lanczos run
-        that hits its step cap or a non-finite value is redone by dense SVD
-        (and recorded in ``fallbacks``).  Their relative accuracy is the
-        stopping tolerance 1e-10 on top of the conditioning of the solves.
-        """
-        z = complex(z)
-        route = self.route(z)
-        if route == "tridiagonal":
-            return self.section.tridiagonal.distance_to_spectrum(z.real)
-        if route != "dense":
-            try:
-                fact = self.factor(z) if route == "banded" else self._shifted_triangular(z)
-            except scipy.linalg.LinAlgError:
-                return 0.0
-            theta = self._largest_inverse_eigenvalue(fact)
-            if theta is not None:
-                return float(1.0 / np.sqrt(theta))
-            self.fallbacks.append(z)
-        return float(np.linalg.svd(self.shifted(z), compute_uv=False)[-1])
-
-    def _largest_inverse_eigenvalue(self, fact: _Factorization) -> float | None:
-        """theta_max = 1 / sigma_min^2 of (z I - A)^-H (z I - A)^-1 by Lanczos.
-
-        Full reorthogonalisation (classical Gram-Schmidt, applied twice) keeps
-        the basis orthonormal; the run stops once the Ritz residual
-        beta_k |e_k^T s| is at most ``_LANCZOS_TOL`` theta.  None when the
-        step cap is reached first or a non-finite number appears.
-        """
-        steps = min(self.n, _LANCZOS_STEPS)
-        basis = np.empty((steps, self.n), dtype=complex)
-        alpha, beta = np.empty(steps), np.empty(steps)
-        v = self._start
-        for k in range(steps):
-            basis[k] = v
-            w = fact.solve(fact.solve(v), adjoint=True)
-            if not np.all(np.isfinite(w)):
-                return None
-            alpha[k] = np.vdot(v, w).real
-            done = basis[: k + 1]
-            for _ in range(2):
-                w -= np.conj(done @ np.conj(w)) @ done
-            beta[k] = np.linalg.norm(w)
-            ritz, vecs = scipy.linalg.eigh_tridiagonal(alpha[: k + 1], beta[:k])
-            theta = ritz[-1]
-            if not (np.isfinite(theta) and theta > 0.0):
-                return None
-            if beta[k] * abs(vecs[-1, -1]) <= _LANCZOS_TOL * theta:
-                return float(theta)
-            v = w / beta[k]
-        return None
-
-
 def resolvent_norm(m, z: complex) -> float:
     """1 / sigma_min(M - z I); inf exactly when sigma_min is exactly zero.
 
-    sigma_min comes from :meth:`_ShiftFamily.sigma_min`: for a real
-    symmetric tridiagonal M at real z, the distance from z to the nearest
-    eigenvalue (a Sturm count, then bisection for the two eigenvalues that
-    bracket z); banded LU plus Lanczos for a section stored banded, Lanczos
-    with triangular solves for an upper-triangular M with n >= 64, dense SVD
-    otherwise.  ``m`` is a :class:`numerics.Section`, or an array read as one.
+    sigma_min comes from :meth:`numerics.Section.sigma_min`, by the route
+    the Section's structure picks (see :class:`numerics.Section`).  ``m`` is
+    a Section, or an array read as one.
     """
-    s = _ShiftFamily(m).sigma_min(z)
+    s = numerics.Section.of(m).sigma_min(z)
     return float("inf") if s == 0.0 else 1.0 / s
 
 
@@ -424,18 +185,12 @@ class PseudoGrid:
 def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGrid:
     """Evaluate the resolvent norm on an nx-by-ny lattice over ``rect``.
 
-    One :class:`_ShiftFamily` serves the whole lattice.  Points on the real
-    axis of a real symmetric tridiagonal section take the distance to the
-    nearest eigenvalue, by a Sturm count and bisection for the two
-    eigenvalues that bracket the point; every other point of a section stored
-    banded (n >= 64 with a narrow band) takes banded LU plus Lanczos on
-    (z - M)^-H (z - M)^-1; every point of an upper-triangular section with
-    n >= 64 takes the same Lanczos by triangular solves on M - z.  Both
-    Lanczos routes fall back to the dense SVD should Lanczos not converge;
-    all other points take the dense SVD.  ``m`` is a
-    :class:`numerics.Section`, or an array read as one.  ``threads`` only
-    parallelizes independent lattice rows; values are bitwise independent of
-    the schedule.
+    One :class:`numerics.Section` serves the whole lattice; each point takes
+    the :meth:`numerics.Section.sigma_min` route its structure picks.  ``m``
+    is a Section, or an array read as one.  ``threads`` only parallelizes
+    independent lattice rows; values are bitwise independent of the
+    schedule.  ``dense_fallbacks`` counts this lattice's fallbacks only, not
+    those the Section recorded before.
     """
     re0, re1, im0, im1 = (float(v) for v in rect)
     if not (re1 > re0 and im1 > im0):
@@ -445,11 +200,12 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
     res = np.linspace(re0, re1, nx)
     ims = np.linspace(im0, im1, ny)
     values = np.empty((ny, nx), dtype=float)
-    family = _ShiftFamily(m)
+    section = numerics.Section.of(m)
+    earlier_fallbacks = len(section.fallbacks)
 
     def fill_row(iy: int) -> None:
         for ix in range(nx):
-            s = family.sigma_min(complex(res[ix], ims[iy]))
+            s = section.sigma_min(complex(res[ix], ims[iy]))
             values[iy, ix] = np.inf if s == 0.0 else 1.0 / s
 
     if threads and threads > 1:
@@ -458,15 +214,15 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
     else:
         for iy in range(ny):
             fill_row(iy)
-    routes = Counter(family.route(complex(re, im)) for im in ims for re in res)
+    routes = Counter(section.sigma_min_route(complex(re, im)) for im in ims for re in res)
     return PseudoGrid(
         rect=(re0, re1, im0, im1),
         nx=nx,
         ny=ny,
-        size=family.n,
+        size=section.n,
         values=values,
         routes=dict(sorted(routes.items())),
-        dense_fallbacks=len(family.fallbacks),
+        dense_fallbacks=len(section.fallbacks) - earlier_fallbacks,
     )
 
 
@@ -540,8 +296,8 @@ def region_probe(
     if len(ladder.sizes) < 6:
         raise ValueError("region probe needs a ladder of at least 6 sizes")
     zc = complex(z)
-    values = np.asarray([ladder.family(size).sigma_min(zc) for size in ladder.sizes])
-    scale = ladder.norm(ladder.sizes[-1])
+    values = np.asarray([ladder.matrix(size).sigma_min(zc) for size in ladder.sizes])
+    scale = ladder.matrix(ladder.sizes[-1]).norm
     third = max(1, len(values) // 3)
     head = _geomean(values[:third])
     tail = _geomean(values[-third:])
@@ -597,10 +353,10 @@ def _probe_matrix(n: int, columns: int) -> np.ndarray:
     return np.random.default_rng(_SKETCH_SEED).standard_normal((columns, n)).T
 
 
-def _checked_factor(family: _ShiftFamily, z: complex, limit: float) -> _Factorization:
+def _checked_factor(section: numerics.Section, z: complex, limit: float) -> numerics.Factorization:
     """Factor z I - A, refusing nodes where the resolvent norm exceeds ``limit``."""
     try:
-        fact = family.factor(z)
+        fact = section.factor(z)
     except scipy.linalg.LinAlgError as exc:
         raise ContourError(
             f"eigenvalue on the contour: factorization at node {z} failed ({exc})"
@@ -677,7 +433,6 @@ def contour_rank(
     center: complex,
     radius: float,
     quadrature_points: int = DEFAULT_QUADRATURE,
-    family: "_ShiftFamily | None" = None,
 ) -> ContourRank:
     """Rank of the spectral projection for the circle of given center/radius.
 
@@ -698,9 +453,8 @@ def contour_rank(
     for every section not stored banded.  The probes depend only on n and
     L, so results are byte-deterministic.
 
-    ``m`` is a :class:`numerics.Section`, or an array read as one.
-    ``family`` is the shifted-operator family of ``m`` when the caller holds
-    one (:meth:`SectionLadder.family`); without it one is built from ``m``.
+    ``m`` is a :class:`numerics.Section`, or an array read as one; a
+    ladder's own Section reuses its band template across calls.
     """
     q = int(quadrature_points)
     if q < 16:
@@ -708,25 +462,24 @@ def contour_rank(
     radius = float(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if family is None:
-        family = _ShiftFamily(m)
-    return _contour_rank(family, complex(center), radius, q, family.n if family.banded else 0)
+    section = numerics.Section.of(m)
+    return _contour_rank(section, complex(center), radius, q, section.n if section.banded else 0)
 
 
 def _contour_rank(
-    family: _ShiftFamily, center: complex, radius: float, q: int, sketch_below: float
+    section: numerics.Section, center: complex, radius: float, q: int, sketch_below: float
 ) -> ContourRank:
     """Contour rank with the sketch tried while L < ``sketch_below`` (0: dense only)."""
-    n = family.n
+    n = section.n
     theta = 2.0 * np.pi * np.arange(q) / q
     nodes = center + radius * np.exp(1j * theta)
     limit = _PRECONDITION_RESNORM / radius
     # a real matrix with a real centre has conjugate-pair nodes, so P is real
     # and only the upper half circle needs solves
-    real_pairs = family.real and center.imag == 0.0 and q % 2 == 0
+    real_pairs = section.real and center.imag == 0.0 and q % 2 == 0
     ks = range(q // 2 + 1) if real_pairs else range(q)
     weights = [(radius / q) * np.exp(1j * theta[k]) for k in ks]
-    factors = (_checked_factor(family, nodes[k], limit) for k in ks)
+    factors = (_checked_factor(section, nodes[k], limit) for k in ks)
     sketch = None
     if _SKETCH_COLUMNS < sketch_below:
         factors = list(factors)  # both sketch passes reuse every node's LU

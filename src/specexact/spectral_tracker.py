@@ -233,12 +233,6 @@ def candidate_radius(lam: complex, others: Sequence[complex], clustering_radius:
     return min(CONTOUR_RADIUS_CAP, max(gap / 2.0, floor))
 
 
-def _ladder_contour_rank(ladder: SectionLadder, size, lam: complex, radius: float, q: int) -> int:
-    """Contour rank at one ladder size, on the ladder's own shift family."""
-    family = ladder.family(size)
-    return ra.contour_rank(ladder.matrix(size), lam, radius, quadrature_points=q, family=family).rank
-
-
 @dataclass
 class ClassifiedPoint:
     """Classification of one limit candidate with its full evidence trail."""
@@ -295,7 +289,7 @@ def classify_point(
         note = ""
         for size in sizes:
             try:
-                ranks.append(_ladder_contour_rank(certified, size, lam, radius, quadrature_points))
+                ranks.append(ra.contour_rank(certified.matrix(size), lam, radius, quadrature_points).rank)
             except (ContourError, ResolutionError) as exc:
                 ranks.append(None)
                 note = f"contour-blocked at size {size}: {exc}"
@@ -398,7 +392,7 @@ def multiplicity_check(
     note = ""
     for size in certified.sizes:
         try:
-            ranks.append(_ladder_contour_rank(certified, size, lam, radius, quadrature_points))
+            ranks.append(ra.contour_rank(certified.matrix(size), lam, radius, quadrature_points).rank)
         except (ContourError, ResolutionError) as exc:
             ranks.append(None)
             note = f"contour-blocked at size {size}: {exc}"

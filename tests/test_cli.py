@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ class TestSharedCache:
     def test_cache_released_before_verify(self, tmp_path, monkeypatch):
         prob = cli.parse_problem(cli.demo_problem("sl_matrix"))
         cache = prob.cache
-        stores = lambda: (cache.sections, cache.spectra, cache.norms, cache.families)
+        stores = lambda: (cache.sections, cache.spectra)
         seen = []
         run_verify = cli._run_verify
 
@@ -221,11 +222,11 @@ class TestSharedCache:
         assert [s["status"] for s in report["stages"]] == ["ok", "ok"]
         assert cache.spectrum_misses == 10
         # no stage after spectra reads a ladder, so verify runs on an empty cache
-        assert seen == [[0, 0, 0, 0]]
+        assert seen == [[0, 0]]
         assert all(len(store) == 0 for store in stores())
 
     def test_oscillator_demo_scans_each_section_once(self, tmp_path, monkeypatch):
-        # spectra, shift families, norms and contour ranks all read the
+        # spectra, shifted solves, norms and contour ranks all read the
         # structure of one Section per ladder size: 7 sections, 7 scans
         sections, scans = [], []
         init, band_widths = numerics.Section.__init__, numerics._band_widths
@@ -242,6 +243,23 @@ class TestSharedCache:
         monkeypatch.setattr(numerics, "_band_widths", counting_band_widths)
         assert cli.main(["demo", "oscillator", "--out", str(tmp_path / "out")]) == 0
         assert len(sections) == 7 and len(scans) == 7
+
+    def test_jacobi_verify_stage_builds_one_section_per_pole_check(self, tmp_path, monkeypatch):
+        # 60 T-sections of relative_bound and 60 diagonal blocks of
+        # uniform_decay; the products S (T - lambda)^-1 go to the SVD unscanned
+        doc = cli.demo_problem("jacobi")
+        doc["analysis"] = [stage for stage in doc["analysis"] if stage["op"] == "verify"]
+        sections = []
+        init = numerics.Section.__init__
+
+        def counting_init(self, m):
+            sections.append(self)
+            init(self, m)
+
+        monkeypatch.setattr(numerics.Section, "__init__", counting_init)
+        report = cli.run_problem(cli.parse_problem(doc), tmp_path / "out", b"")
+        assert [s["status"] for s in report["stages"]] == ["ok"]
+        assert len(sections) == 120
 
     def test_jacobi_pseudo_stage_builds_one_section(self, tmp_path, monkeypatch):
         # the 264 complex lattice shifts of the size-20 section take the dense
@@ -459,9 +477,12 @@ class TestErrors:
             ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "sup_norms": {"s": [1]}}),
             ("run", [], {"constants": {"b_r": "x"}}),
             ("run", [], {"constants": {"a_grad": "x"}}),
+            ("run", [], {"m": True}),
+            ("run", [], {"kind": "sl", "a_n": [0.0], "a": True}),
         ],
         ids=["rect", "grid", "sizes", "L_n", "constants", "tau1", "tau2", "sup_norms", "beta",
-             "p_min", "a_n_entry", "L_n_entry", "sup_norms_entry", "b_r", "a_grad"],
+             "p_min", "a_n_entry", "L_n_entry", "sup_norms_entry", "b_r", "a_grad", "m_bool",
+             "a_bool"],
     )
     def test_bad_input_exits_2_with_error_line(self, tmp_path, capsys, command, flags, problem):
         doc = {"kind": "schrodinger", "q": "x^2", "L_n": [4], "m": 50, "analysis": [], **problem}
@@ -473,6 +494,57 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+
+class TestSizeGuard:
+    """Sections above cli.MAX_SECTION_BYTES are refused at parse time, before any assembly."""
+
+    @pytest.fixture(autouse=True)
+    def no_assembly(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled a section")
+
+        for name in ("sl_assemble", "sl_block_assemble", "sl_blocks", "schrodinger_assemble"):
+            monkeypatch.setattr(cli.dz, name, refuse)
+        for name in ("truncate", "split_blocks", "band_profile"):
+            monkeypatch.setattr(cli.om, name, refuse)
+
+    @pytest.mark.parametrize(
+        "doc, n",
+        [
+            ({"kind": "schrodinger", "q": "x^2", "L_n": [4], "m": 1_000_000_000}, 999_999_999),
+            ({"kind": "schrodinger", "q": "x^2", "L_n": [4], "m": 8194}, 8193),
+            ({"kind": "sl", "a_n": [0.0], "m": 10_000}, 9999),
+            ({**cli.demo_problem("sl_matrix"), "m": 4098}, 8194),
+            ({"kind": "jacobi", "analysis": [{"op": "spectra", "sizes": [2, 9000]}]}, 9000),
+            ({"kind": "jacobi", "analysis": [{"op": "pseudo", "size": 10**6}]}, 10**6),
+            ({"kind": "jacobi", "analysis": [{"op": "pseudo", "size": 1e300}]}, 1e300),
+            ({"kind": "jacobi", "analysis": [{"op": "classify", "uncertified_sizes": [3, 8193]}]}, 8193),
+            ({"kind": "jacobi", "analysis": [{"op": "verify", "checks": [{"cuts": [2, 9000]}]}]}, 9000),
+            ({"kind": "upper_triangular", "analysis": [{"op": "verify", "checks": [{"scan": 10**5}]}]},
+             10**5),
+        ],
+        ids=["schrodinger_1e9", "schrodinger_edge", "sl", "sl_matrix", "spectra_sizes",
+             "pseudo_size", "float_size", "uncertified_sizes", "verify_cuts", "verify_scan"],
+    )
+    def test_oversized_section_refused(self, tmp_path, capsys, doc, n):
+        with pytest.raises(cli.ProblemError, match=re.escape(f"order {n} needs {16 * n * n} bytes")):
+            cli.parse_problem(doc)
+        assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{16 * n * n} bytes" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_cap_admits_order_8192(self):
+        assert 16 * 8192**2 == cli.MAX_SECTION_BYTES
+        cli.parse_problem({"kind": "schrodinger", "q": "x^2", "L_n": [4], "m": 8193})
+        cli.parse_problem({**cli.demo_problem("sl_matrix"), "m": 4097})
+        cli.parse_problem({"kind": "jacobi", "analysis": [{"op": "spectra", "sizes": [8192]}]})
+
+    def test_subcommand_sizes_refused(self, tmp_path, capsys):
+        path = write_problem(tmp_path, {"kind": "jacobi", "analysis": []})
+        assert cli.main(["spectra", path, "--sizes", "2,9000", "--out", str(tmp_path / "o")]) == 2
+        assert f"{16 * 9000**2} bytes" in capsys.readouterr().err
 
 
 class TestDemoDeterminism:

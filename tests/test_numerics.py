@@ -259,4 +259,4 @@ class TestOpNorm:
             off = rng.standard_normal(n - 1)
             m = np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
             want = np.linalg.svd(m, compute_uv=False)[0]
-            assert numerics.op_norm(m) == pytest.approx(want, rel=1e-13)
+            assert numerics.op_norm(numerics.Section(m)) == pytest.approx(want, rel=1e-13)

@@ -199,9 +199,9 @@ class TestContourRank:
 
 def contour_outcome(m, center, radius, sketch):
     """Rank (or exception class) with the sketch forced on or off."""
-    family = ra._ShiftFamily(numerics.as_matrix(m))
+    section = numerics.Section(m)
     try:
-        res = ra._contour_rank(family, complex(center), radius, 64, np.inf if sketch else 0)
+        res = ra._contour_rank(section, complex(center), radius, 64, np.inf if sketch else 0)
     except (ContourError, ResolutionError) as exc:
         return type(exc), None
     assert (res.projection is None) is sketch
@@ -334,20 +334,20 @@ class TestTridiagonalRoute:
             "above": w[-1] + rng.uniform(1e-3, 2.0),
             "inside": rng.uniform(w[0], w[-1]),
         }[where]
-        family = ra._ShiftFamily(m)
-        assert family.route(z) == "tridiagonal"
+        section = numerics.Section(m)
+        assert section.sigma_min_route(z) == "tridiagonal"
         if where in ("below", "above"):
-            assert family.section.tridiagonal.sturm_count(z) == (0 if where == "below" else n)
+            assert section.tridiagonal.sturm_count(z) == (0 if where == "below" else n)
         want = dense_sigma_min(m, z)
-        assert abs(family.sigma_min(z) - want) <= gate_tolerance(want, norm, z)
+        assert abs(section.sigma_min(z) - want) <= gate_tolerance(want, norm, z)
 
     def test_exact_eigenvalue_of_diagonal_is_zero(self):
         # an all-zero off-diagonal splits T into 1 x 1 blocks, whose eigenvalues are exact
         m = np.diag([3.0, -1.0, 2.0, 2.0])
-        family = ra._ShiftFamily(m)
-        assert family.route(2.0) == "tridiagonal"
-        assert family.sigma_min(2.0) == 0.0 and ra.resolvent_norm(m, 2.0) == np.inf
-        assert family.sigma_min(0.0) == 1.0
+        section = numerics.Section(m)
+        assert section.sigma_min_route(2.0) == "tridiagonal"
+        assert section.sigma_min(2.0) == 0.0 and ra.resolvent_norm(m, 2.0) == np.inf
+        assert section.sigma_min(0.0) == 1.0
 
 
 class TestShiftFamilySigmaMin:
@@ -366,33 +366,33 @@ class TestShiftFamilySigmaMin:
         for off in range(-kl, ku + 1):
             m += np.diag(rng.standard_normal(n - abs(off)) + 1j * rng.standard_normal(n - abs(off)), off)
         z = complex(zr, zi)
-        family = ra._ShiftFamily(m)
-        assert family.route(z) == "banded"
-        assert family.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
+        section = numerics.Section(m)
+        assert section.sigma_min_route(z) == "banded"
+        assert section.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
 
     def test_persymmetric_complex_oscillator(self):
         # an even Lanczos start vector never sees the odd singular vectors of
         # this section; near the odd eigenvalues 3 e^{i pi/4} and 7 e^{i pi/4}
         # sigma_min belongs to an odd one
         m = complex_oscillator_section(200)
-        family = ra._ShiftFamily(m)
+        section = numerics.Section(m)
         for z in (2.0 + 2.2j, 3 * np.exp(0.25j * np.pi) + 0.05, 5.0 + 4.9j, 1.0 + 1.0j, 8.0 + 0.5j):
-            assert family.route(z) == "banded"
-            assert family.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
-        assert family.fallbacks == []
+            assert section.sigma_min_route(z) == "banded"
+            assert section.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
+        assert section.fallbacks == []
 
     def test_real_symmetric_tridiagonal_real_shift_is_within_gate_tolerance(self):
         rng = np.random.default_rng(31)
         for n in (2, 5, 40, 64, 150):
             off = rng.standard_normal(n - 1)
             m = np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
-            family = ra._ShiftFamily(m)
+            section = numerics.Section(m)
             norm = numerics.op_norm(m)
             for z in (0.0, -0.7, complex(1.3, 0.0), float(np.linalg.eigvalsh(m)[n // 2])):
-                assert family.route(z) == "tridiagonal"
+                assert section.sigma_min_route(z) == "tridiagonal"
                 want = dense_sigma_min(m, z)
-                assert abs(family.sigma_min(z) - want) <= gate_tolerance(want, norm, z)
-            assert family.route(0.5 + 0.1j) == ("banded" if n >= 64 else "dense")
+                assert abs(section.sigma_min(z) - want) <= gate_tolerance(want, norm, z)
+            assert section.sigma_min_route(0.5 + 0.1j) == ("banded" if n >= 64 else "dense")
 
     def test_exact_eigenvalue_of_complex_diagonal_is_inf(self):
         n = 100
@@ -401,25 +401,27 @@ class TestShiftFamilySigmaMin:
         d = np.linspace(2.0, 3.0, n) + 1j
         d[40] = z
         m = np.diag(d)
-        assert ra._ShiftFamily(m).route(z) == "banded"
+        assert numerics.Section(m).sigma_min_route(z) == "banded"
         g = ra.pseudospectrum_grid(m, rect, nx, ny)
         assert g.values[2, 3] == np.inf
         assert np.count_nonzero(np.isinf(g.values)) == 1
         assert ra.resolvent_norm(m, z) == np.inf
 
     def test_step_cap_falls_back_to_dense_svd(self, monkeypatch):
-        monkeypatch.setattr(ra, "_LANCZOS_STEPS", 2)
+        monkeypatch.setattr(numerics, "_LANCZOS_STEPS", 2)
         m = complex_oscillator_section(200)
-        family = ra._ShiftFamily(m)
+        section = numerics.Section(m)
         z = 2.0 + 2.0j
-        assert family.sigma_min(z) == dense_sigma_min(m, z)
-        assert family.fallbacks == [z]
-        g = ra.pseudospectrum_grid(m, (1.0, 3.0, 1.0, 3.0), 2, 2)
+        assert section.sigma_min(z) == dense_sigma_min(m, z)
+        assert section.fallbacks == [z]
+        # the grid on the same Section counts its own four fallbacks, not the earlier one
+        g = ra.pseudospectrum_grid(section, (1.0, 3.0, 1.0, 3.0), 2, 2)
         assert (g.routes, g.dense_fallbacks) == ({"banded": 4}, 4)
+        assert len(section.fallbacks) == 5
 
     def test_fallbacks_counted_under_thread_contention(self, monkeypatch):
         # every point falls back, and four row threads append to one list
-        monkeypatch.setattr(ra, "_LANCZOS_STEPS", 1)
+        monkeypatch.setattr(numerics, "_LANCZOS_STEPS", 1)
         m = complex_oscillator_section(80)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -438,8 +440,8 @@ class TestShiftFamilySigmaMin:
 
     def test_upper_triangular_400_takes_triangular_route(self):
         m = om.truncate(om.upper_triangular_spec(), 400).data
-        family = ra._ShiftFamily(m)
-        assert not family.banded and family.route(5.0 + 1.0j) == "triangular"
+        section = numerics.Section(m)
+        assert not section.banded and section.sigma_min_route(5.0 + 1.0j) == "triangular"
         rect = (-2.0, 30.0, -10.0, 10.0)
         g = ra.pseudospectrum_grid(m, rect, 2, 2)
         assert (g.routes, g.dense_fallbacks) == ({"triangular": 4}, 0)
@@ -454,7 +456,7 @@ class TestShiftFamilySigmaMin:
 
     def test_upper_triangular_40_stays_dense_and_bit_identical(self):
         m = om.truncate(om.upper_triangular_spec(), 40).data
-        assert ra._ShiftFamily(m).route(5.0 + 1.0j) == "dense"
+        assert numerics.Section(m).sigma_min_route(5.0 + 1.0j) == "dense"
         g = ra.pseudospectrum_grid(m, (-2.0, 30.0, -10.0, 10.0), 2, 2)
         assert (g.routes, g.dense_fallbacks) == ({"dense": 4}, 0)
         assert g.values[0, 0] == 1.0 / dense_sigma_min(m, complex(-2.0, -10.0))
@@ -480,15 +482,15 @@ class TestTriangularRoute:
     def test_property_upper_triangular_matches_dense(self, seed, n, zr, zi):
         m = upper_triangular_complex(np.random.default_rng(seed), n)
         z = complex(zr, zi)
-        family = ra._ShiftFamily(m)
-        assert not family.banded and family.route(z) == "triangular"
-        assert family.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
-        assert family.fallbacks == []
+        section = numerics.Section(m)
+        assert not section.banded and section.sigma_min_route(z) == "triangular"
+        assert section.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
+        assert section.fallbacks == []
 
     def test_general_dense_section_takes_dense_route(self):
         m = complex_gaussian(np.random.default_rng(3), 100, 100) / np.sqrt(200)
-        family = ra._ShiftFamily(m)
-        assert not family.banded and family.route(0.5j) == "dense"
+        section = numerics.Section(m)
+        assert not section.banded and section.sigma_min_route(0.5j) == "dense"
         g = ra.pseudospectrum_grid(m, (0.0, 1.0, 0.0, 1.0), 2, 2)
         assert (g.routes, g.dense_fallbacks) == ({"dense": 4}, 0)
         assert g.values[0, 0] == 1.0 / dense_sigma_min(m, 0.0)
@@ -501,7 +503,7 @@ class TestTriangularRoute:
         d = np.linspace(2.0, 3.0, n) + 1j
         d[40] = z
         m = np.diag(d) + np.triu(complex_gaussian(rng, n, n), 1) / n
-        assert ra._ShiftFamily(m).route(z) == "triangular"
+        assert numerics.Section(m).sigma_min_route(z) == "triangular"
         g = ra.pseudospectrum_grid(m, rect, nx, ny)
         assert g.routes == {"triangular": nx * ny}
         assert g.values[2, 3] == np.inf
@@ -509,14 +511,16 @@ class TestTriangularRoute:
         assert ra.resolvent_norm(m, z) == np.inf
 
     def test_step_cap_falls_back_to_dense_svd(self, monkeypatch):
-        monkeypatch.setattr(ra, "_LANCZOS_STEPS", 1)
+        monkeypatch.setattr(numerics, "_LANCZOS_STEPS", 1)
         m = upper_triangular_complex(np.random.default_rng(8), 80)
-        family = ra._ShiftFamily(m)
+        section = numerics.Section(m)
         z = 0.2 + 0.1j
-        assert family.sigma_min(z) == dense_sigma_min(m, z)
-        assert family.fallbacks == [z]
-        g = ra.pseudospectrum_grid(m, (0.0, 1.0, 0.0, 1.0), 2, 2)
+        assert section.sigma_min(z) == dense_sigma_min(m, z)
+        assert section.fallbacks == [z]
+        # the grid on the same Section counts its own four fallbacks, not the earlier one
+        g = ra.pseudospectrum_grid(section, (0.0, 1.0, 0.0, 1.0), 2, 2)
         assert (g.routes, g.dense_fallbacks) == ({"triangular": 4}, 4)
+        assert len(section.fallbacks) == 5
 
     def test_triangular_grid_bitwise_equal_across_threads(self):
         m = upper_triangular_complex(np.random.default_rng(9), 120)
