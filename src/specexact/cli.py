@@ -57,8 +57,23 @@ from . import operator_model as om, resolvent_analysis as ra, spectral_tracker a
 KINDS = ("jacobi", "upper_triangular", "custom_banded", "sl", "sl_matrix", "schrodinger")
 GALERKIN_KINDS = ("jacobi", "upper_triangular", "custom_banded")
 DEMO_NAMES = ("jacobi", "upper_triangular", "sl_matrix", "oscillator", "complex_oscillator")
-#: the stages that read the problem's sections through a ladder
-LADDER_OPS = ("spectra", "pseudo", "classify")
+#: each analysis op: its output file, and what it reads of the problem's cache
+#: ("spectra" and the sections under them, "sections" alone, or nothing)
+STAGES = {
+    "spectra": ("spectra.csv", "spectra"),
+    "pseudo": ("pseudo.csv", "sections"),
+    "classify": ("classify.json", "spectra"),
+    "verify": ("hypothesis.json", None),
+}
+#: each verify check and the problem kinds whose data it reads
+CHECKS = {
+    "relative_bound": GALERKIN_KINDS,
+    "uniform_decay": GALERKIN_KINDS,
+    "band_case": GALERKIN_KINDS,
+    "sl_coercivity": ("sl", "sl_matrix"),
+    "sl_matrix": ("sl_matrix",),
+    "schrodinger": ("schrodinger",),
+}
 ENV_THREADS = "SPECEXACT_THREADS"
 #: the largest section a problem may ask for: its dense complex128 array,
 #: 16 n^2 bytes, must fit in 1 GiB, so n <= 8192
@@ -127,50 +142,56 @@ def parse_coefficient(node, where: str):
     raise ProblemError(f"{where}: unsupported coefficient node {node!r}")
 
 
-def _parse_complex(node, where: str) -> complex:
-    if isinstance(node, (int, float)):
-        return complex(node)
-    if isinstance(node, list) and len(node) == 2:
-        return complex(float(node[0]), float(node[1]))
-    raise ProblemError(f"{where}: expected a number or [re, im] pair")
+def _parse_number(value, where: str, cast=float, cap: bool = False):
+    """``cast(value)``, refusing non-numbers, booleans and, for ``int``, fractions.
 
-
-def _parse_number(doc: dict, key: str, default, cast=float):
-    """``cast(doc[key])`` (or of ``default``), refusing non-numeric values and booleans."""
-    value = doc.get(key, default)
+    With ``cap`` the number is a section order: :func:`_check_section_size`
+    sees it as written, before the integer check.
+    """
     if isinstance(value, bool):
-        raise ProblemError(f"{key}: expected a number, got {value!r}")
+        raise ProblemError(f"{where}: expected a number, got {value!r}")
     try:
-        return cast(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ProblemError(f"{key}: expected a number, got {value!r}") from exc
+        raise ProblemError(f"{where}: expected a number, got {value!r}") from exc
+    if cap:
+        _check_section_size(value if isinstance(value, (int, float)) else number, where)
+    if cast is int and not number.is_integer():
+        raise ProblemError(f"{where}: expected an integer, got {value!r}")
+    return value if cast is int and isinstance(value, int) else cast(number)
 
 
-def _parse_list(doc: dict, key: str) -> tuple:
-    """``doc[key]`` (default empty) as a tuple of floats, refusing anything but a list of numbers."""
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        raise ProblemError(f"{key}: expected a list, got {value!r}")
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ProblemError(f"{key}: expected a list of numbers, got {value!r}") from exc
+def _parse_list(value, where: str, cast=float, cap: bool = False) -> tuple:
+    """``value`` as a tuple of :func:`_parse_number` entries, refusing anything but a list."""
+    entries = enumerate(_parse_as(value, where, list))
+    return tuple(_parse_number(v, f"{where}[{j}]", cast, cap) for j, v in entries)
 
 
-def _parse_object(doc: dict, key: str) -> dict:
-    """``doc[key]`` (default empty), refusing anything but a JSON object."""
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ProblemError(f"{key}: expected an object, got {value!r}")
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
+
+
+def _parse_as(value, where: str, kind: type):
+    """``value``, refusing anything but a JSON value of type ``kind``."""
+    if not isinstance(value, kind):
+        raise ProblemError(f"{where}: expected {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 
-def _parse_window(node, where: str):
+def _parse_complex(node, where: str) -> complex:
+    """A number or an [re, im] pair."""
+    if isinstance(node, list) and len(node) == 2:
+        return complex(*_parse_list(node, where))
+    return complex(_parse_number(node, where))
+
+
+def _parse_rect(node, where: str):
+    """[re_min, re_max, im_min, im_max] as a tuple of floats; None stays None."""
     if node is None:
         return None
-    if not (isinstance(node, list) and len(node) == 4):
-        raise ProblemError(f"{where}: window must be [re_min, re_max, im_min, im_max]")
-    return tuple(float(v) for v in node)
+    rect = _parse_list(node, where)
+    if len(rect) != 4:
+        raise ProblemError(f"{where}: expected [re_min, re_max, im_min, im_max], got {node!r}")
+    return rect
 
 
 # ------------------------------- problem building --------------------------------
@@ -188,8 +209,7 @@ class Problem:
 
     kind: str
     name: str
-    analysis: list
-    raw: dict
+    analysis: list = field(default_factory=list)
     spec: om.OperatorSpec | None = None
     sl: dz.SLProblem | None = None
     sl_matrix: dz.SLMatrixProblem | None = None
@@ -197,11 +217,12 @@ class Problem:
     grid_m: int = 0
     cache: ra.SectionCache = field(default_factory=ra.SectionCache, repr=False)
 
-    def default_sizes(self) -> list:
+    def default_sizes(self, where: str) -> tuple:
+        """The whole ladder; Galerkin problems have none, so ``where`` must name its sizes."""
         if self.kind in GALERKIN_KINDS:
-            raise ProblemError(f"{self.kind} problems need explicit section sizes")
+            raise ProblemError(f"{where}: {self.kind} problems need explicit section sizes")
         n = (self.sl or self.sl_matrix or self.schrodinger).ladder_length
-        return list(range(1, n + 1))
+        return tuple(range(1, n + 1))
 
     def ladder(self, sizes, label: str | None = None) -> ra.SectionLadder:
         """A view of the problem's sections at ``sizes``, backed by ``cache``."""
@@ -227,23 +248,6 @@ def _check_section_size(n, where: str) -> None:
         )
 
 
-def _check_galerkin_sizes(prob: Problem) -> None:
-    """Apply :func:`_check_section_size` to a Galerkin problem's ladder sizes, cuts and scans.
-
-    Values that are not numbers are left to the stage that reads them.
-    """
-    if prob.kind not in GALERKIN_KINDS:
-        return
-    for i, stage in enumerate(prob.analysis):
-        checks = stage.get("checks")
-        for node in [stage, *(checks if isinstance(checks, list) else [])]:
-            for key in ("size", "sizes", "certified_sizes", "uncertified_sizes", "cuts", "scan"):
-                value = node.get(key) if isinstance(node, dict) else None
-                for v in value if isinstance(value, list) else [value]:
-                    if isinstance(v, (int, float)) and not isinstance(v, bool):
-                        _check_section_size(v, f"analysis[{i}]")
-
-
 def _parse_sl_component(node: dict, a: float, b: float, a_n, where: str, name: str) -> dz.SLProblem:
     try:
         return dz.SLProblem(
@@ -252,10 +256,10 @@ def _parse_sl_component(node: dict, a: float, b: float, a_n, where: str, name: s
             q=parse_coefficient(node.get("q", 0.0), f"{where}.q"),
             a=a,
             b=b,
-            beta=_parse_number(node, "beta", 0.0),
+            beta=_parse_number(node.get("beta", 0.0), "beta"),
             a_n=a_n,
-            p_min=_parse_number(node, "p_min", 1.0),
-            q_min=_parse_number(node, "q_min", 0.0),
+            p_min=_parse_number(node.get("p_min", 1.0), "p_min"),
+            q_min=_parse_number(node.get("q_min", 0.0), "q_min"),
         )
     except ValueError as exc:
         raise ProblemError(f"{where}: {exc}") from exc
@@ -271,12 +275,7 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
     analysis = doc.get("analysis", [])
     if not isinstance(analysis, list):
         raise ProblemError("analysis must be a list of stages")
-    for i, stage in enumerate(analysis):
-        if not isinstance(stage, dict) or "op" not in stage:
-            raise ProblemError(f"analysis[{i}]: each stage needs an 'op' field")
-        if stage["op"] not in ("spectra", "pseudo", "classify", "verify"):
-            raise ProblemError(f"analysis[{i}]: unknown op {stage['op']!r}")
-    prob = Problem(kind=kind, name=name, analysis=analysis, raw=doc)
+    prob = Problem(kind=kind, name=name)
 
     if kind == "jacobi":
         prob.spec = om.jacobi_spec()
@@ -288,19 +287,21 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
             raise ProblemError("custom_banded needs a 'table'")
         try:
             prob.spec = om.custom_banded_spec(table, tail=doc.get("tail", "zero"), name=name)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:  # numpy raises TypeError on a non-numeric entry
             raise ProblemError(f"table: {exc}") from exc
     elif kind == "sl":
-        a, b = _parse_number(doc, "a", 0.0), _parse_number(doc, "b", 1.0)
-        prob.sl = _parse_sl_component(doc, a, b, _parse_list(doc, "a_n"), "sl", name)
-        prob.grid_m = _parse_number(doc, "m", 500, int)
+        a, b = _parse_number(doc.get("a", 0.0), "a"), _parse_number(doc.get("b", 1.0), "b")
+        prob.sl = _parse_sl_component(doc, a, b, _parse_list(doc.get("a_n", []), "a_n"), "sl", name)
+        prob.grid_m = _parse_number(doc.get("m", 500), "m", int)
         _check_section_size(prob.sl.unknowns(prob.grid_m), "m")
     elif kind == "sl_matrix":
-        a, b = _parse_number(doc, "a", 0.0), _parse_number(doc, "b", 1.0)
-        a_n = _parse_list(doc, "a_n")
-        tau1 = _parse_sl_component(_parse_object(doc, "tau1"), a, b, a_n, "tau1", f"{name}.tau1")
-        tau2 = _parse_sl_component(_parse_object(doc, "tau2"), a, b, a_n, "tau2", f"{name}.tau2")
-        sup = _parse_object(doc, "sup_norms")
+        a, b = _parse_number(doc.get("a", 0.0), "a"), _parse_number(doc.get("b", 1.0), "b")
+        a_n = _parse_list(doc.get("a_n", []), "a_n")
+        tau1, tau2 = (
+            _parse_sl_component(_parse_as(doc.get(key, {}), key, dict), a, b, a_n, key, f"{name}.{key}")
+            for key in ("tau1", "tau2")
+        )
+        sup = _parse_as(doc.get("sup_norms", {}), "sup_norms", dict)
         try:
             prob.sl_matrix = dz.SLMatrixProblem(
                 name=name,
@@ -312,20 +313,20 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
                 t=parse_coefficient(doc.get("t", 0.0), "t"),
                 u=parse_coefficient(doc.get("u", 0.0), "u"),
                 v=parse_coefficient(doc.get("v", 0.0), "v"),
-                sup_s=_parse_number(sup, "s", 0.0),
-                sup_t=_parse_number(sup, "t", 0.0),
-                sup_u=_parse_number(sup, "u", 0.0),
-                sup_v=_parse_number(sup, "v", 0.0),
+                sup_s=_parse_number(sup.get("s", 0.0), "sup_norms.s"),
+                sup_t=_parse_number(sup.get("t", 0.0), "sup_norms.t"),
+                sup_u=_parse_number(sup.get("u", 0.0), "sup_norms.u"),
+                sup_v=_parse_number(sup.get("v", 0.0), "sup_norms.v"),
             )
         except ValueError as exc:
             raise ProblemError(f"sl_matrix: {exc}") from exc
-        prob.grid_m = _parse_number(doc, "m", 300, int)
+        prob.grid_m = _parse_number(doc.get("m", 300), "m", int)
         _check_section_size(2 * prob.sl_matrix.tau1.unknowns(prob.grid_m), "m")
     else:  # schrodinger
-        consts = _parse_object(doc, "constants")
+        consts = _parse_as(doc.get("constants", {}), "constants", dict)
         # an absent (or null) constant is fitted
         declared = {
-            key: _parse_number(consts, key, None)
+            key: _parse_number(consts[key], f"constants.{key}")
             for key in ("a_grad", "b_grad", "a_r", "b_r")
             if consts.get(key) is not None
         }
@@ -335,32 +336,89 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
                 p=parse_coefficient(doc.get("p", 0.0), "p"),
                 q=parse_coefficient(doc.get("q", 0.0), "q"),
                 r=parse_coefficient(doc.get("r", 0.0), "r"),
-                L_n=_parse_list(doc, "L_n"),
+                L_n=_parse_list(doc.get("L_n", []), "L_n"),
                 **declared,
             )
         except ValueError as exc:
             raise ProblemError(f"schrodinger: {exc}") from exc
-        prob.grid_m = _parse_number(doc, "m", 800, int)
+        prob.grid_m = _parse_number(doc.get("m", 800), "m", int)
         _check_section_size(prob.grid_m - 1, "m")
-    _check_galerkin_sizes(prob)
+    prob.analysis = [_parse_stage(prob, stage, f"analysis[{i}]") for i, stage in enumerate(analysis)]
     return prob
+
+
+def _parse_stage(prob: Problem, stage, where: str) -> dict:
+    """``stage`` with every field its op reads typed and defaulted: the one stage schema.
+
+    The runners read these fields and cast nothing.  On Galerkin problems each
+    section size meets :func:`_check_section_size` as written, before any
+    other check of its stage.
+    """
+    if not isinstance(stage, dict) or "op" not in stage:
+        raise ProblemError(f"{where}: each stage needs an 'op' field")
+    op = stage["op"]
+    if not isinstance(op, str) or op not in STAGES:
+        raise ProblemError(f"{where}: unknown op {op!r}")
+    cap = prob.kind in GALERKIN_KINDS
+    read = lambda key, parse, default, *args: parse(stage.get(key, default), f"{where}.{key}", *args)
+    sizes = lambda key: read(key, _parse_list, [], int, cap)
+    if op == "spectra":
+        window = read("window", _parse_rect, None)
+        return {"op": op, "sizes": sizes("sizes") or prob.default_sizes(where), "window": window}
+    if op == "pseudo":
+        size = read("size", _parse_number, None, int, cap) if "size" in stage else None
+        rect = read("rect", _parse_rect, None)
+        if size is None or rect is None:
+            raise ProblemError(f"{where}: pseudo stage needs 'size' and 'rect'")
+        return {"op": op, "size": size, "rect": rect, "nx": read("nx", _parse_number, 40, int),
+                "ny": read("ny", _parse_number, 40, int)}
+    if op == "classify":
+        uncertified = sizes("uncertified_sizes")
+        return {
+            "op": op,
+            "certified_sizes": sizes("certified_sizes") or sizes("sizes") or prob.default_sizes(where),
+            "uncertified_sizes": uncertified,
+            "certified_label": read("certified_label", _parse_as, "certified", str),
+            "tol": read("tol", _parse_number, 1e-6),
+            "window": read("window", _parse_rect, None),
+            "quadrature_points": read("quadrature_points", _parse_number, ra.DEFAULT_QUADRATURE, int),
+            "lambda": None if stage.get("lambda") is None else read("lambda", _parse_complex, None),
+        }
+    checks = enumerate(read("checks", _parse_as, [], list))
+    return {"op": op, "checks": [_parse_check(prob, c, f"{where}.checks[{j}]", cap) for j, c in checks]}
+
+
+def _parse_check(prob: Problem, check, where: str, cap: bool) -> dict:
+    """One verify check, typed and defaulted like a stage, its section sizes capped first."""
+    check = _parse_as(check, where, dict)
+    read = lambda key, parse, default, *args: parse(check.get(key, default), f"{where}.{key}", *args)
+    cuts, sizes = read("cuts", _parse_list, [], int, cap), read("sizes", _parse_list, [], int, cap)
+    scan = read("scan", _parse_number, 100, int, cap)
+    kind = check.get("check")
+    if not isinstance(kind, str) or kind not in CHECKS:
+        raise ProblemError(f"{where}: unknown check {kind!r}; checks are {sorted(CHECKS)}")
+    if prob.kind not in CHECKS[kind]:
+        raise ProblemError(f"{where}: the {kind} check needs a {' or '.join(CHECKS[kind])} problem")
+    if kind in ("relative_bound", "uniform_decay") and not cuts:
+        raise ProblemError(f"{where}: {kind} needs block 'cuts'")
+    if not sizes and kind in ("relative_bound", "sl_matrix"):
+        sizes = cuts if kind == "relative_bound" else prob.default_sizes(where)
+    return {
+        "check": kind,
+        "lambda": read("lambda", _parse_complex, 0.0),
+        "cuts": cuts,
+        "sizes": sizes,
+        "scan": scan,
+        "normalize": read("normalize", _parse_as, False, bool),
+        "tag": read("tag", _parse_as, "Galerkin" if kind == "uniform_decay" else "PerturbGSR", str),
+    }
 
 
 # --------------------------------- stage runners ---------------------------------
 
 
-@dataclass
-class StageResult:
-    op: str
-    status: str
-    outputs: list = field(default_factory=list)
-    error: str = ""
-    seconds: float = 0.0
-    details: dict = field(default_factory=dict)
-
-
-def _unique_name(base: str, ext: str, used: set) -> str:
-    name = f"{base}.{ext}"
+def _unique_name(name: str, used: set) -> str:
+    base, ext = name.split(".")
     k = 2
     while name in used:
         name = f"{base}_{k}.{ext}"
@@ -369,47 +427,38 @@ def _unique_name(base: str, ext: str, used: set) -> str:
     return name
 
 
-def _run_spectra(prob: Problem, stage: dict, out_dir: Path, name: str) -> None:
-    sizes = stage.get("sizes") or prob.default_sizes()
-    window = _parse_window(stage.get("window"), "spectra.window")
-    ladder = prob.ladder(sizes)
+def _run_spectra(prob: Problem, stage: dict, path: Path, threads: int) -> dict:
+    ladder = prob.ladder(stage["sizes"])
     lines = ["n,re,im,residual"]
     for size in ladder.sizes:
-        s = st.SpectrumResult.from_eig(size, ladder.spectrum(size), window, residuals=True)
+        s = st.SpectrumResult.from_eig(size, ladder.spectrum(size), stage["window"], residuals=True)
         for lam, res in zip(s.eigenvalues, s.residuals):
             lines.append(f"{_fmt(size)},{_fmt(lam.real)},{_fmt(lam.imag)},{_fmt(res)}")
-    _atomic_write(out_dir / name, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
+    return {}
 
 
-def _run_pseudo(prob: Problem, stage: dict, out_dir: Path, name: str, threads: int) -> dict:
-    if "size" not in stage or "rect" not in stage:
-        raise ProblemError("pseudo stage needs 'size' and 'rect'")
+def _run_pseudo(prob: Problem, stage: dict, path: Path, threads: int) -> dict:
     size = stage["size"]
-    rect = tuple(float(v) for v in stage["rect"])
-    nx, ny = int(stage.get("nx", 40)), int(stage.get("ny", 40))
     matrix = prob.ladder([size]).matrix(size)
-    grid = ra.pseudospectrum_grid(matrix, rect, nx, ny, threads=threads)
+    grid = ra.pseudospectrum_grid(matrix, stage["rect"], stage["nx"], stage["ny"], threads=threads)
     buf = io.StringIO()
     grid.write_csv(buf)
-    _atomic_write(out_dir / name, buf.getvalue())
+    _atomic_write(path, buf.getvalue())
     return {"sigma_min_routes": grid.routes, "dense_fallbacks": grid.dense_fallbacks}
 
 
-def _run_classify(prob: Problem, stage: dict, out_dir: Path, name: str) -> dict:
-    certified_sizes = stage.get("certified_sizes") or stage.get("sizes") or prob.default_sizes()
-    certified = prob.ladder(certified_sizes, label=stage.get("certified_label", "certified"))
+def _run_classify(prob: Problem, stage: dict, path: Path, threads: int) -> dict:
+    certified = prob.ladder(stage["certified_sizes"], label=stage["certified_label"])
     uncertified = None
-    if stage.get("uncertified_sizes"):
+    if stage["uncertified_sizes"]:
         uncertified = prob.ladder(stage["uncertified_sizes"], label="uncertified")
-    tol = float(stage.get("tol", 1e-6))
-    window = _parse_window(stage.get("window"), "classify.window")
-    quad = int(stage.get("quadrature_points", ra.DEFAULT_QUADRATURE))
-    if stage.get("lambda") is not None:
-        lam = _parse_complex(stage["lambda"], "classify.lambda")
-        points = [st.classify_point(lam, certified, uncertified, tol=tol, quadrature_points=quad)]
+    tol, quad = stage["tol"], stage["quadrature_points"]
+    if stage["lambda"] is not None:
+        points = [st.classify_point(stage["lambda"], certified, uncertified, tol=tol, quadrature_points=quad)]
     else:
         points = st.track_and_classify(
-            certified, uncertified, window=window, tol=tol, quadrature_points=quad
+            certified, uncertified, window=stage["window"], tol=tol, quadrature_points=quad
         )
     doc = {
         "problem": prob.name,
@@ -418,7 +467,7 @@ def _run_classify(prob: Problem, stage: dict, out_dir: Path, name: str) -> dict:
         "tol": tol,
         "candidates": [p.to_dict() for p in points],
     }
-    _atomic_write(out_dir / name, _dump_json(doc))
+    _atomic_write(path, _dump_json(doc))
     ratios = [
         {"lambda": [p.value.real, p.value.imag], "verdict": p.verdict.value, **p.probe.ratios}
         for p in points
@@ -427,52 +476,26 @@ def _run_classify(prob: Problem, stage: dict, out_dir: Path, name: str) -> dict:
 
 
 def _verify_checks(prob: Problem, stage: dict) -> list[hc.HypothesisReport]:
+    """The stage's reports; :func:`_parse_check` has matched each check to the problem's data."""
     reports: list[hc.HypothesisReport] = []
-    for i, check in enumerate(stage.get("checks", [])):
-        where = f"verify.checks[{i}]"
-        kind = check.get("check")
+    for check in stage["checks"]:
+        kind, lam, sizes = check["check"], check["lambda"], check["sizes"]
         if kind == "relative_bound":
-            if prob.spec is None:
-                raise ProblemError(f"{where}: relative_bound needs a matrix-spec problem")
-            cuts = check.get("cuts")
-            if not cuts:
-                raise ProblemError(f"{where}: relative_bound needs block 'cuts'")
-            lam = _parse_complex(check.get("lambda", 0.0), f"{where}.lambda")
-            sizes = check.get("sizes") or list(cuts)
-            split = om.split_blocks(prob.spec, cuts)
+            split = om.split_blocks(prob.spec, check["cuts"])
             t_secs = [split.diag_section(k) for k in sizes]
             s_secs = [split.coupling_section(k) for k in sizes]
-            reports.append(
-                hc.relative_bound(t_secs, s_secs, lam, sizes, tag=check.get("tag", "PerturbGSR"))
-            )
+            reports.append(hc.relative_bound(t_secs, s_secs, lam, sizes, tag=check["tag"]))
         elif kind == "uniform_decay":
-            if prob.spec is None:
-                raise ProblemError(f"{where}: uniform_decay needs a matrix-spec problem")
-            cuts = check.get("cuts")
-            if not cuts:
-                raise ProblemError(f"{where}: uniform_decay needs block 'cuts'")
-            lam = _parse_complex(check.get("lambda", 0.0), f"{where}.lambda")
-            split = om.split_blocks(prob.spec, cuts)
-            reports.append(
-                hc.uniform_resolvent_decay(
-                    list(split.diagonal_blocks), lam, tag=check.get("tag", "Galerkin")
-                )
-            )
+            split = om.split_blocks(prob.spec, check["cuts"])
+            reports.append(hc.uniform_resolvent_decay(list(split.diagonal_blocks), lam, tag=check["tag"]))
         elif kind == "band_case":
-            if prob.spec is None:
-                raise ProblemError(f"{where}: band_case needs a matrix-spec problem")
-            lam = None
-            normalize = bool(check.get("normalize", False))
-            if normalize:
-                lam = _parse_complex(check.get("lambda", 0.0), f"{where}.lambda")
+            normalize = check["normalize"]
             profile = om.band_profile(
-                prob.spec, int(check.get("scan", 100)), lam=lam, normalize_by_diag=normalize
+                prob.spec, check["scan"], lam=lam if normalize else None, normalize_by_diag=normalize
             )
             reports.append(hc.banded_case_report(profile))
         elif kind == "sl_coercivity":
-            comp = prob.sl or (prob.sl_matrix.tau1 if prob.sl_matrix else None)
-            if comp is None:
-                raise ProblemError(f"{where}: sl_coercivity needs an sl or sl_matrix problem")
+            comp = prob.sl or prob.sl_matrix.tau1
             c = hc.sl_coercivity(comp.p_min, comp.q_min, comp.beta)
             reports.append(
                 hc.HypothesisReport(
@@ -486,8 +509,6 @@ def _verify_checks(prob: Problem, stage: dict) -> list[hc.HypothesisReport]:
             )
         elif kind == "sl_matrix":
             mp = prob.sl_matrix
-            if mp is None:
-                raise ProblemError(f"{where}: sl_matrix check needs an sl_matrix problem")
             search = hc.sl_lambda0_search(
                 mp.gamma1, mp.gamma2, mp.sup_s, mp.sup_t, mp.sup_u, mp.sup_v
             )
@@ -495,93 +516,62 @@ def _verify_checks(prob: Problem, stage: dict) -> list[hc.HypothesisReport]:
             search.constants["c_beta_2"] = hc.sl_coercivity(mp.tau2.p_min, mp.tau2.q_min, mp.tau2.beta)
             reports.append(search)
             if search.verdict is hc.Verdict.PASS:
-                lam0 = search.lam
-                sizes = check.get("sizes") or prob.default_sizes()
                 a_secs, b_secs, c_secs, d_secs = zip(*(dz.sl_blocks(mp, n, prob.grid_m) for n in sizes))
-                reports.append(hc.gamma_product_2x2(a_secs, b_secs, c_secs, d_secs, lam0, sizes))
-        elif kind == "schrodinger":
-            if prob.schrodinger is None:
-                raise ProblemError(f"{where}: schrodinger check needs a schrodinger problem")
+                reports.append(hc.gamma_product_2x2(a_secs, b_secs, c_secs, d_secs, search.lam, sizes))
+        else:  # schrodinger
             reports.append(hc.schrodinger_constants(prob.schrodinger))
-        else:
-            raise ProblemError(f"{where}: unknown check {kind!r}")
     return reports
 
 
-def _run_verify(prob: Problem, stage: dict, out_dir: Path, name: str) -> dict:
+def _run_verify(prob: Problem, stage: dict, path: Path, threads: int) -> dict:
     reports = _verify_checks(prob, stage)
-    doc = {"problem": prob.name, "reports": [r.to_dict() for r in reports]}
-    _atomic_write(out_dir / name, _dump_json(doc))
-    return doc
+    _atomic_write(path, _dump_json({"problem": prob.name, "reports": [r.to_dict() for r in reports]}))
+    return {}
 
 
 def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int = 1) -> dict:
     """Execute the analysis block in declaration order; failures don't stop later stages.
 
-    The stages share ``prob.cache``.  It is cleared as soon as no remaining
-    stage reads a ladder (``spectra``, ``pseudo``, ``classify``), so a verify
-    stage does not keep the sections alive.
+    Each op's runner is ``_run_<op>``, looked up when its stage runs.  The
+    stages share ``prob.cache``.  It is cleared as soon as no remaining stage
+    reads a ladder (see ``STAGES``), so a verify stage does not keep the
+    sections alive.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     used: set = set()
-    stages: list[StageResult] = []
+    entries: list[dict] = []
     cache = prob.cache
     for i, stage in enumerate(prob.analysis):
         op = stage["op"]
-        result = StageResult(op=op, status="ok")
+        entry = {"op": op, "status": "ok", "outputs": [], "error": ""}
         hits, misses = cache.spectrum_hits, cache.spectrum_misses
         routes, residuals = cache.eig_routes.copy(), cache.residuals_computed
         start = time.perf_counter()
+        name = _unique_name(STAGES[op][0], used)
         try:
-            if op == "spectra":
-                name = _unique_name("spectra", "csv", used)
-                _run_spectra(prob, stage, out_dir, name)
-                result.outputs = [name]
-            elif op == "pseudo":
-                name = _unique_name("pseudo", "csv", used)
-                result.details = _run_pseudo(prob, stage, out_dir, name, threads)
-                result.outputs = [name]
-            elif op == "classify":
-                name = _unique_name("classify", "json", used)
-                result.details = _run_classify(prob, stage, out_dir, name)
-                result.outputs = [name]
-            elif op == "verify":
-                name = _unique_name("hypothesis", "json", used)
-                _run_verify(prob, stage, out_dir, name)
-                result.outputs = [name]
+            entry.update(globals()[f"_run_{op}"](prob, stage, out_dir / name, threads), outputs=[name])
         except Exception as exc:  # recorded per stage, run continues
-            result.status = "error"
-            result.error = f"{type(exc).__name__}: {exc}"
-        result.details["spectrum_cache"] = {
+            entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
+        entry["spectrum_cache"] = {
             "hits": cache.spectrum_hits - hits,
             "misses": cache.spectrum_misses - misses,
         }
-        if op in ("spectra", "classify"):
-            result.details["eig_routes"] = {
+        if STAGES[op][1] == "spectra":
+            entry["eig_routes"] = {
                 route: cache.eig_routes[route] - routes[route] for route in numerics.EIG_ROUTES
             }
-            result.details["residuals_computed"] = cache.residuals_computed - residuals
-        if not any(later["op"] in LADDER_OPS for later in prob.analysis[i + 1 :]):
+            entry["residuals_computed"] = cache.residuals_computed - residuals
+        if not any(STAGES[later["op"]][1] for later in prob.analysis[i + 1 :]):
             cache.clear()
-        result.seconds = time.perf_counter() - start
-        stages.append(result)
+        entry["seconds"] = time.perf_counter() - start
+        entries.append(entry)
     report = {
         "tool": "specexact",
         "version": __version__,
         "problem": prob.name,
         "kind": prob.kind,
         "input_sha256": hashlib.sha256(input_bytes).hexdigest(),
-        "stages": [
-            {
-                "op": s.op,
-                "status": s.status,
-                "outputs": s.outputs,
-                "error": s.error,
-                "seconds": s.seconds,
-                **s.details,
-            }
-            for s in stages
-        ],
+        "stages": entries,
     }
     _atomic_write(out_dir / "report.json", _dump_json(report))
     return report
@@ -876,30 +866,22 @@ def main(argv=None) -> int:
             return _exit_code(report)
 
         prob, raw = _load_problem(args.problem)
-        if args.command == "spectra":
-            stage = {"op": "spectra"}
-            if args.sizes:
-                stage["sizes"] = args.sizes
-            prob.analysis = [stage]
-        elif args.command == "pseudo":
-            nx, ny = args.grid
-            stage = {"op": "pseudo", "size": args.size, "rect": args.rect, "nx": nx, "ny": ny}
-            prob.analysis = [stage]
-        elif args.command == "classify":
-            stage = {"op": "classify", "tol": args.tol}
-            if args.sizes:
-                stage["certified_sizes"] = args.sizes
-            if args.uncertified_sizes:
-                stage["uncertified_sizes"] = args.uncertified_sizes
-            if args.lam:
-                stage["lambda"] = args.lam if len(args.lam) == 2 else [args.lam[0], 0.0]
-            prob.analysis = [stage]
-        elif args.command == "verify":
-            stages = [s for s in prob.analysis if s["op"] == "verify"]
-            if not stages:
+        if args.command == "verify":
+            prob.analysis = [s for s in prob.analysis if s["op"] == "verify"]
+            if not prob.analysis:
                 raise ProblemError("problem file has no verify stage")
-            prob.analysis = stages
-        _check_galerkin_sizes(prob)  # the sizes a subcommand took from argv
+        elif args.command != "run":  # a stage from argv, parsed like one from the file
+            stage = {"op": args.command}
+            if args.command == "spectra":
+                stage.update(sizes=args.sizes or [])
+            elif args.command == "pseudo":
+                stage.update(size=args.size, rect=args.rect, nx=args.grid[0], ny=args.grid[1])
+            else:
+                stage.update(tol=args.tol, certified_sizes=args.sizes or [],
+                             uncertified_sizes=args.uncertified_sizes or [])
+                if args.lam:
+                    stage["lambda"] = args.lam if len(args.lam) == 2 else args.lam[0]
+            prob.analysis = [_parse_stage(prob, stage, args.command)]
         report = run_problem(prob, Path(args.out), raw, threads=_threads_from(args))
         for s in report["stages"]:
             status = s["status"] + ("" if s["status"] == "ok" else f" ({s['error']})")

@@ -259,6 +259,19 @@ class ClassifiedPoint:
         }
 
 
+def _contour_ranks(ladder: SectionLadder, sizes, lam: complex, radius: float, quadrature_points: int):
+    """Contour rank at ``lam`` per size (None where blocked), and the last blocked size's note or ""."""
+    ranks: list[int | None] = []
+    note = ""
+    for size in sizes:
+        try:
+            ranks.append(ra.contour_rank(ladder.matrix(size), lam, radius, quadrature_points).rank)
+        except (ContourError, ResolutionError) as exc:
+            ranks.append(None)
+            note = f"contour-blocked at size {size}: {exc}"
+    return ranks, note
+
+
 def classify_point(
     lam: complex,
     certified: SectionLadder,
@@ -285,14 +298,7 @@ def classify_point(
     if probe.verdict is ProbeVerdict.UNBOUNDED:
         radius = candidate_radius(lam, neighbors, clustering_radius)
         sizes = certified.sizes[-STABLE_RANKS:]
-        ranks: list[int | None] = []
-        note = ""
-        for size in sizes:
-            try:
-                ranks.append(ra.contour_rank(certified.matrix(size), lam, radius, quadrature_points).rank)
-            except (ContourError, ResolutionError) as exc:
-                ranks.append(None)
-                note = f"contour-blocked at size {size}: {exc}"
+        ranks, note = _contour_ranks(certified, sizes, lam, radius, quadrature_points)
         good = [r for r in ranks if r is not None]
         if len(good) == len(sizes) and len(set(good)) == 1 and good[0] >= 1:
             return ClassifiedPoint(
@@ -388,14 +394,7 @@ def multiplicity_check(
         outside = np.abs(w - lam)[np.abs(w - lam) > max(near, 1e-12)]
         gap = float(outside.min()) if outside.size else np.inf
         radius = min(CONTOUR_RADIUS_CAP, max(gap / 2.0, CONTOUR_RADIUS_FLOOR_FACTOR * near))
-    ranks: list[int | None] = []
-    note = ""
-    for size in certified.sizes:
-        try:
-            ranks.append(ra.contour_rank(certified.matrix(size), lam, radius, quadrature_points).rank)
-        except (ContourError, ResolutionError) as exc:
-            ranks.append(None)
-            note = f"contour-blocked at size {size}: {exc}"
+    ranks, note = _contour_ranks(certified, certified.sizes, lam, radius, quadrature_points)
     multiplicity = None
     first_stable = None
     good = [(s, r) for s, r in zip(certified.sizes, ranks) if r is not None]

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as hst
 
 from specexact import cli, numerics
 
@@ -14,6 +15,11 @@ def write_problem(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def jacobi_stage(**stage):
+    """A jacobi problem whose analysis is the one stage given."""
+    return {"kind": "jacobi", "analysis": [stage]}
 
 
 def data_files(out_dir):
@@ -460,31 +466,60 @@ class TestErrors:
 
 
     @pytest.mark.parametrize(
-        "command, flags, problem",
+        "command, flags, problem, where",
         [
-            ("pseudo", ["--size", "1", "--rect", "a,b,c,d"], {}),
-            ("pseudo", ["--size", "1", "--rect", "0,1,0,1", "--grid", "4"], {}),
-            ("spectra", ["--sizes", "x"], {}),
-            ("run", [], {"L_n": 5}),
-            ("run", [], {"constants": 5}),
-            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "tau1": 5}),
-            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "tau2": 5}),
-            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "sup_norms": 5}),
-            ("run", [], {"kind": "sl", "a_n": [0.0], "beta": [1]}),
-            ("run", [], {"kind": "sl", "a_n": [0.0], "p_min": [1]}),
-            ("run", [], {"kind": "sl", "a_n": [[0.0]]}),
-            ("run", [], {"L_n": [[4]]}),
-            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "sup_norms": {"s": [1]}}),
-            ("run", [], {"constants": {"b_r": "x"}}),
-            ("run", [], {"constants": {"a_grad": "x"}}),
-            ("run", [], {"m": True}),
-            ("run", [], {"kind": "sl", "a_n": [0.0], "a": True}),
+            ("pseudo", ["--size", "1", "--rect", "a,b,c,d"], {}, "--rect"),
+            ("pseudo", ["--size", "1", "--rect", "0,1,0,1", "--grid", "4"], {}, "--grid"),
+            ("spectra", ["--sizes", "x"], {}, "--sizes"),
+            ("run", [], {"L_n": 5}, "L_n"),
+            ("run", [], {"constants": 5}, "constants"),
+            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "tau1": 5}, "tau1"),
+            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "tau2": 5}, "tau2"),
+            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "sup_norms": 5}, "sup_norms"),
+            ("run", [], {"kind": "sl", "a_n": [0.0], "beta": [1]}, "beta"),
+            ("run", [], {"kind": "sl", "a_n": [0.0], "p_min": [1]}, "p_min"),
+            ("run", [], {"kind": "sl", "a_n": [[0.0]]}, "a_n[0]"),
+            ("run", [], {"L_n": [[4]]}, "L_n[0]"),
+            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "sup_norms": {"s": [1]}},
+             "sup_norms.s"),
+            ("run", [], {"constants": {"b_r": "x"}}, "constants.b_r"),
+            ("run", [], {"constants": {"a_grad": "x"}}, "constants.a_grad"),
+            ("run", [], {"m": True}, "m"),
+            ("run", [], {"kind": "sl", "a_n": [0.0], "a": True}, "a"),
+            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "gamma1": True}, "gamma1"),
+            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "gamma2": [True, False]},
+             "gamma2"),
+            ("run", [], jacobi_stage(op="classify", certified_sizes=[2, 4, 6], **{"lambda": True}),
+             "analysis[0].lambda"),
+            ("run", [], {"kind": "custom_banded", "table": [[{"a": 1}]]}, "table"),
+            ("run", [], jacobi_stage(op="spectra", sizes=[2.5, 3]), "analysis[0].sizes"),
+            ("run", [], jacobi_stage(op="spectra", sizes=[True, 3]), "analysis[0].sizes"),
+            ("run", [], jacobi_stage(op="pseudo", size=8.7, rect=[0, 1, 0, 1]), "analysis[0].size"),
+            ("run", [], jacobi_stage(op="pseudo", size=8, rect=[0, 1, 0, 1], nx=4.9), "analysis[0].nx"),
+            ("run", [], jacobi_stage(op="pseudo", size=8, rect=[0, 1, 0, 1], nx="abc"), "analysis[0].nx"),
+            ("run", [], jacobi_stage(op="classify", certified_sizes=[2, 4, 6], quadrature_points=40.9),
+             "analysis[0].quadrature_points"),
+            ("run", [], jacobi_stage(op="verify", checks=[{"check": "relative_bound", "cuts": [2.5, 4, 6]}]),
+             "analysis[0].checks[0].cuts"),
+            ("run", [], jacobi_stage(op="verify", checks=[{"check": "band_case", "scan": "x"}]),
+             "analysis[0].checks[0].scan"),
+            ("run", [], jacobi_stage(op="pseudo", size=8, rect="abcd"), "analysis[0].rect"),
+            ("run", [], jacobi_stage(op="classify", certified_sizes=[2, 4, 6], tol="x"), "analysis[0].tol"),
+            ("run", [], jacobi_stage(op="spectra", sizes=[2, 3], window=[0, 1, "a", 2]),
+             "analysis[0].window"),
+            ("run", [], jacobi_stage(op="verify", checks=5), "analysis[0].checks"),
+            ("run", [], jacobi_stage(op="verify", checks=[5]), "analysis[0].checks[0]"),
+            ("run", [], jacobi_stage(op="classify", certified_sizes=[2, 4, 6], **{"lambda": ["a", "b"]}),
+             "analysis[0].lambda"),
         ],
         ids=["rect", "grid", "sizes", "L_n", "constants", "tau1", "tau2", "sup_norms", "beta",
              "p_min", "a_n_entry", "L_n_entry", "sup_norms_entry", "b_r", "a_grad", "m_bool",
-             "a_bool"],
+             "a_bool", "gamma1_bool", "gamma2_bool", "lambda_bool", "table_entry", "stage_sizes_frac",
+             "stage_sizes_bool", "pseudo_size_frac", "pseudo_nx_frac", "pseudo_nx_str", "quadrature_frac",
+             "cuts_frac", "scan_str", "rect_str", "tol_str", "window_entry", "checks_int",
+             "checks_entry", "lambda_strs"],
     )
-    def test_bad_input_exits_2_with_error_line(self, tmp_path, capsys, command, flags, problem):
+    def test_bad_input_exits_2_with_error_line(self, tmp_path, capsys, command, flags, problem, where):
         doc = {"kind": "schrodinger", "q": "x^2", "L_n": [4], "m": 50, "analysis": [], **problem}
         argv = [command, write_problem(tmp_path, doc), "--out", str(tmp_path / "o"), *flags]
         try:
@@ -493,7 +528,7 @@ class TestErrors:
             rc = exc.code
         assert rc == 2
         err = capsys.readouterr().err
-        assert "error:" in err and "Traceback" not in err
+        assert "error:" in err and where in err and "Traceback" not in err
 
 
 class TestSizeGuard:
@@ -545,6 +580,102 @@ class TestSizeGuard:
         path = write_problem(tmp_path, {"kind": "jacobi", "analysis": []})
         assert cli.main(["spectra", path, "--sizes", "2,9000", "--out", str(tmp_path / "o")]) == 2
         assert f"{16 * 9000**2} bytes" in capsys.readouterr().err
+
+
+JSON_VALUES = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.floats() | hst.text(max_size=6),
+    lambda inner: hst.lists(inner, max_size=4) | hst.dictionaries(hst.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+#: arbitrary values, and lists of small integers that often pass for ladder sizes
+FIELD_VALUES = JSON_VALUES | hst.lists(hst.integers(-2, 12), max_size=5)
+STAGE_KEYS = ("sizes", "size", "rect", "nx", "ny", "window", "certified_sizes", "uncertified_sizes",
+              "certified_label", "tol", "quadrature_points", "lambda")
+CHECK_KEYS = ("cuts", "sizes", "scan", "lambda", "normalize", "tag")
+VALID_DOCS = {
+    "jacobi": {"kind": "jacobi"},
+    "upper_triangular": {"kind": "upper_triangular"},
+    "custom_banded": {"kind": "custom_banded", "table": [[2.0, -1.0], [-1.0, 2.0]]},
+    "sl": {"kind": "sl", "a_n": [0.5, 0.0], "m": 50},
+    "sl_matrix": {**cli.demo_problem("sl_matrix"), "analysis": []},
+    "schrodinger": {"kind": "schrodinger", "q": "x^2", "L_n": [4, 5, 6], "m": 50},
+}
+TOP_KEYS = ("m", "a", "b", "a_n", "L_n", "table", "tail", "gamma1", "gamma2", "sup_norms", "constants",
+            "tau1", "beta", "p_min", "q", "name")
+
+
+@hst.composite
+def problem_documents(draw):
+    """A valid problem of each kind, with stages and checks whose fields carry arbitrary values."""
+    check = hst.fixed_dictionaries(
+        {"check": hst.sampled_from(sorted(cli.CHECKS)) | JSON_VALUES},
+        optional={key: FIELD_VALUES for key in CHECK_KEYS},
+    )
+    stage = hst.fixed_dictionaries(
+        {"op": hst.sampled_from(sorted(cli.STAGES))},
+        optional={**{key: FIELD_VALUES for key in STAGE_KEYS}, "checks": hst.lists(check, max_size=3)},
+    )
+    doc = dict(VALID_DOCS[draw(hst.sampled_from(sorted(VALID_DOCS)))])
+    doc.update(draw(hst.dictionaries(hst.sampled_from(TOP_KEYS), FIELD_VALUES, max_size=2)))
+    doc["analysis"] = draw(hst.lists(stage | JSON_VALUES, max_size=3))
+    return doc
+
+
+class TestContractFuzz:
+    """Any input gives a Problem or a ProblemError; ``main`` exits 0 or 2, never with a traceback."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(JSON_VALUES)
+    def test_parse_problem_on_any_json_value(self, doc):
+        try:
+            assert isinstance(cli.parse_problem(doc), cli.Problem)
+        except cli.ProblemError:
+            pass
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(problem_documents())
+    @example({"kind": "custom_banded", "table": [[{"a": 1}]]})
+    @example({"kind": "jacobi", "analysis": [{"op": "spectra", "sizes": [2.5, 3]}]})
+    def test_parse_problem_on_arbitrary_stage_fields(self, doc):
+        try:
+            prob = cli.parse_problem(doc)
+        except cli.ProblemError:
+            return
+        for stage in prob.analysis:
+            sizes = stage.get("sizes", ()) + stage.get("certified_sizes", ()) + stage.get("uncertified_sizes", ())
+            assert all(type(n) is int for n in sizes)
+
+    # flag values stay short: _parse_sizes lists every size of a range such as 2:40:2
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        command=hst.sampled_from(["run", "demo", "spectra", "pseudo", "classify", "verify"]) | hst.text(max_size=6),
+        target=hst.sampled_from(["jacobi.json", "schrodinger.json", "missing.json", "", *cli.DEMO_NAMES]),
+        flags=hst.lists(
+            hst.tuples(
+                hst.sampled_from(["--out", "--threads", "--sizes", "--size", "--rect", "--grid", "--lambda",
+                                  "--tol", "--uncertified-sizes"]),
+                hst.text(alphabet="0123456789,:-.eaxinf", max_size=6) | hst.text(max_size=6),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_main_exits_0_or_2(self, tmp_path, monkeypatch, capsys, command, target, flags):
+        # nothing is computed, so fuzzed --threads and --grid values start no work
+        monkeypatch.setattr(cli, "run_problem", lambda prob, out_dir, raw, threads=1: {
+            "stages": [{"op": s["op"], "status": "ok", "outputs": [], "error": ""} for s in prob.analysis]
+        })
+        monkeypatch.chdir(tmp_path)
+        verify = {"op": "verify", "checks": [{"check": "schrodinger"}]}
+        write_problem(tmp_path, {"kind": "jacobi", "analysis": []}, "jacobi.json")
+        write_problem(tmp_path, {**VALID_DOCS["schrodinger"], "analysis": [verify]}, "schrodinger.json")
+        try:
+            rc = cli.main([command, target, *(f"{flag}={value}" for flag, value in flags)])
+        except SystemExit as exc:  # argparse reports a bad option value by exiting
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc in (0, 2) and "Traceback" not in err
+        assert rc == 0 or "error:" in err
 
 
 class TestDemoDeterminism:
