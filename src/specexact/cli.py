@@ -370,8 +370,11 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
         rect = read("rect", _parse_rect, None)
         if size is None or rect is None:
             raise ProblemError(f"{where}: pseudo stage needs 'size' and 'rect'")
-        return {"op": op, "size": size, "rect": rect, "nx": read("nx", _parse_number, 40, int),
-                "ny": read("ny", _parse_number, 40, int)}
+        nx, ny = read("nx", _parse_number, 40, int), read("ny", _parse_number, 40, int)
+        if nx * ny > MAX_SECTION_BYTES // 80:  # per point, a float64 and a pseudo.csv row in one buffer
+            raise ProblemError(f"{where}.nx, {where}.ny: a lattice of {nx} x {ny} points is above "
+                               f"the cap of {MAX_SECTION_BYTES // 80} points")
+        return {"op": op, "size": size, "rect": rect, "nx": nx, "ny": ny}
     if op == "classify":
         uncertified = sizes("uncertified_sizes")
         return {
@@ -749,7 +752,8 @@ def _demo_summary(name: str, out_dir: Path) -> list[str]:
 
 
 def _parse_sizes(text: str) -> list:
-    """argparse ``type=`` of a size list such as ``2:40:2`` or ``3,5,7``."""
+    """argparse ``type=`` of a size list such as ``2:40:2`` or ``3,5,7``, capped before it is listed."""
+    largest = math.isqrt(MAX_SECTION_BYTES // 16)  # the largest section order the cap allows
     out = []
     try:
         for chunk in text.split(","):
@@ -757,9 +761,14 @@ def _parse_sizes(text: str) -> list:
                 parts = [int(v) for v in chunk.split(":")]
                 start, stop = parts[0], parts[1]
                 step = parts[2] if len(parts) > 2 else 1
-                out.extend(range(start, stop + 1, step))
+                sizes = range(start, stop + 1, step)
+                if sizes and max(sizes[0], sizes[-1]) > largest:
+                    raise argparse.ArgumentTypeError(f"{chunk!r}: a size above the section cap {largest}")
             else:
-                out.append(int(chunk))
+                sizes = [int(chunk)]
+            if len(out) + len(sizes) > largest:
+                raise argparse.ArgumentTypeError(f"{text!r}: more than {largest} sizes")
+            out.extend(sizes)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected sizes such as 2:40:2 or 3,5,7, got {text!r}") from exc
     return out

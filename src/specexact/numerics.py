@@ -2,7 +2,7 @@
 
 A square input is read as a :class:`Section`: the validated matrix plus its
 structure (band widths, real or complex, Hermitian or not, and the diagonals
-of a real symmetric tridiagonal matrix), detected once when the Section is
+of a Hermitian tridiagonal matrix), detected once when the Section is
 built.  Each kernel picks its route from that structure.  A Section is also
 the shifted operator A - z I over many shifts z (factorization, sigma_min)
 and caches its norm.  Everything here is deterministic for a fixed input,
@@ -47,17 +47,20 @@ def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
 
 
 class SymmetricTridiagonal:
-    """A real symmetric tridiagonal matrix kept as its diagonals: O(n) storage.
+    """A Hermitian tridiagonal A kept as the diagonals of a real symmetric T: O(n) storage.
 
-    ``d`` is the diagonal and ``e`` the off-diagonal.  Each method solves only
-    for what its caller reads: all eigenvalues (``sterf``), the distance from
-    one real shift to the spectrum (a Sturm count, then ``stebz`` bisection for
-    at most two eigenvalues), or residuals at chosen eigenvalues (``dstein``
-    inverse iteration).
+    ``d``, ``e`` are T's diagonals, A's own when A is real, (Re d, |e|) when
+    it is complex: A = U T U^H for a diagonal unitary U.  Each method solves
+    only for what its caller reads: all eigenvalues (``sterf``), the distance
+    from one shift to the spectrum (a Sturm count, then ``stebz`` bisection for
+    at most two eigenvalues), or residuals at chosen eigenvalues (``dstein``).
     """
 
     def __init__(self, a: np.ndarray):
-        self.d, self.e = np.diag(a).copy(), np.diag(a, 1).copy()
+        d, e = np.diag(a), np.diag(a, 1)
+        if np.iscomplexobj(a):
+            d, e = d.real, np.abs(e)
+        self.d, self.e = d.copy(), e.copy()
 
     @property
     def n(self) -> int:
@@ -91,14 +94,14 @@ class SymmetricTridiagonal:
                 count += 1
         return count
 
-    def distance_to_spectrum(self, z: float) -> float:
-        """min |lambda - z| over the eigenvalues, which is sigma_min(T - z) for real z.
+    def distance_to_spectrum(self, z: complex) -> float:
+        """min |lambda - z| over the eigenvalues, which is sigma_min(T - z I) as T is normal.
 
-        With k = :meth:`sturm_count` (z), the eigenvalues k - 1 and k (from 0)
-        bracket z; ``stebz`` bisection computes just those two, to an absolute
-        accuracy of about eps ||T||.
+        With k = :meth:`sturm_count` (Re z), the eigenvalues k - 1 and k (from 0)
+        bracket Re z, so one of them is nearest to z; ``stebz`` bisection
+        computes just those two, to an absolute accuracy of about eps ||T||.
         """
-        k = self.sturm_count(z)
+        k = self.sturm_count(z.real)
         pair = (max(k - 1, 0), min(k, self.n - 1))
         lam = scipy.linalg.eigvalsh_tridiagonal(self.d, self.e, select="i", select_range=pair)
         return float(np.min(np.abs(lam - z)))
@@ -237,7 +240,7 @@ class Section:
     superdiagonal, (0, 0) for a diagonal matrix; ``real`` says ``data`` is
     real; ``hermitian`` says it equals its conjugate transpose exactly.
     ``tridiagonal`` holds the :class:`SymmetricTridiagonal` diagonals when
-    the matrix is real symmetric tridiagonal with n >= 2, else None.
+    the matrix is Hermitian tridiagonal with n >= 2 in either dtype, else None.
     ``banded`` says the section is stored banded for shifted solves (n >= 64
     with a narrow band); ``triangular`` says it is upper triangular with
     n >= 64 and not stored banded.
@@ -250,19 +253,17 @@ class Section:
     The structure picks the route of :meth:`sigma_min` (z), the smallest
     singular value of A - z I:
 
-    - ``tridiagonal``: real symmetric tridiagonal A and real z, by the
-      distance from z to the spectrum: a Sturm count of A - z on A's
-      diagonals, then bisection for the one or two eigenvalues that bracket
-      z, O(n) each (:meth:`SymmetricTridiagonal.distance_to_spectrum`); it
-      agrees with :func:`sigma_min` of A - z I to about eps ||A||;
-    - ``banded``: every other shift of a section stored banded, by banded LU
+    - ``tridiagonal``: every shift of a Hermitian tridiagonal A, by the
+      distance from z to the spectrum (A is normal): a Sturm count at Re z,
+      then bisection for the one or two eigenvalues that bracket it, O(n)
+      each (:meth:`SymmetricTridiagonal.distance_to_spectrum`); it agrees
+      with the SVD of A - z I to about eps ||A||;
+    - ``banded``: every shift of another section stored banded, by banded LU
       of z I - A and Lanczos on (z I - A)^-H (z I - A)^-1;
     - ``triangular``: every shift of a ``triangular`` section, by Lanczos on
       (A - z I)^-H (A - z I)^-1 with triangular solves; A is its own complex
       Schur form, so no factorization;
-    - ``dense``: everything else, by SVD of the dense A - z I, which is never
-      real symmetric tridiagonal here, so :func:`sigma_min` would take the
-      same SVD.
+    - ``dense``: everything else, by SVD of the dense A - z I.
 
     The band template of the banded route, the Fortran-ordered copy of the
     triangular route, the Lanczos start vector and :attr:`norm` are built on
@@ -281,7 +282,7 @@ class Section:
             np.array_equal(a.diagonal(-k), a.diagonal(k).conj()) for k in range(kl + 1)
         )
         self.tridiagonal = None
-        if self.real and self.hermitian and n >= 2 and kl <= 1:
+        if self.hermitian and n >= 2 and kl <= 1:
             self.tridiagonal = SymmetricTridiagonal(a)
         # banded storage only pays off when the band is genuinely narrow
         self.banded = n >= 64 and (kl + ku + 1) <= max(4, n // 8)
@@ -346,16 +347,9 @@ class Section:
         t[diag, diag] -= z
         return Factorization(self.n, triangular=t)
 
-    def shifted(self, z: complex) -> np.ndarray:
-        """Dense A - z I; a real shift of a real matrix stays real."""
-        z = complex(z)
-        if self.real and z.imag == 0.0:
-            return self.data - z.real * np.eye(self.n)
-        return self.data - z * np.eye(self.n)
-
     def sigma_min_route(self, z: complex) -> str:
         """The route :meth:`sigma_min` takes at z, one of the four in the class docstring."""
-        if self.tridiagonal is not None and complex(z).imag == 0.0:
+        if self.tridiagonal is not None:
             return "tridiagonal"
         if self.banded:
             return "banded"
@@ -373,7 +367,7 @@ class Section:
         z = complex(z)
         route = self.sigma_min_route(z)
         if route == "tridiagonal":
-            return self.tridiagonal.distance_to_spectrum(z.real)
+            return self.tridiagonal.distance_to_spectrum(z)
         if route != "dense":
             try:
                 fact = self.factor(z) if route == "banded" else self._shifted_triangular(z)
@@ -383,7 +377,8 @@ class Section:
             if theta is not None:
                 return float(1.0 / np.sqrt(theta))
             self.fallbacks.append(z)
-        return float(np.linalg.svd(self.shifted(z), compute_uv=False)[-1])
+        shift = z.real if self.real and z.imag == 0.0 else z
+        return float(np.linalg.svd(self.data - shift * np.eye(self.n), compute_uv=False)[-1])
 
     def _largest_inverse_eigenvalue(self, fact: Factorization) -> float | None:
         """theta_max = 1 / sigma_min^2 of (z I - A)^-H (z I - A)^-1 by Lanczos.
@@ -465,8 +460,8 @@ def eig_dense(m) -> EigenDecomposition:
     """Eigenvalues of a :class:`Section`, with residuals (see :class:`EigenDecomposition`).
 
     ``m`` is a Section, or an array read as one.  One route
-    per structure.  Real symmetric tridiagonal sections: eigenvalues only,
-    by ``eigvalsh_tridiagonal``; residuals come later, on demand.  Other
+    per structure.  Hermitian tridiagonal sections, in either dtype:
+    eigenvalues only, by ``eigvalsh_tridiagonal``; residuals on demand.  Other
     Hermitian sections: ``eigh`` with eigenvectors.  Everything else:
     complex QR iteration (``zgeev``) with eigenvectors.  On the last two
     routes every residual is computed here.  Raises
@@ -503,18 +498,12 @@ def eig_dense(m) -> EigenDecomposition:
 def sigma_min(m) -> float:
     """Smallest singular value of a :class:`Section` (or of an array read as one).
 
-    Computed by bidiagonalization SVD; exactly-singular structure (zero rows,
-    exact rank deficiency found by the factorization) yields exactly 0.0 --
-    there is no thresholding.  Real symmetric tridiagonal sections use the
-    tridiagonal symmetric solver for all eigenvalues (singular values of a
-    symmetric matrix are the absolute eigenvalues), same accuracy class, far
-    cheaper.
-
-    This is the dense reference.  sigma_min(A - z I) over shifts z goes
-    through :meth:`Section.sigma_min`, whose ``tridiagonal`` route agrees
-    with this function to about eps ||A||, not bit for bit; its ``dense``
-    route and the Lanczos fallback take the SVD of A - z I directly, as this
-    function would, without building a Section of the shift.
+    The dense reference: bidiagonalization SVD, with no thresholding, so
+    exactly-singular structure yields exactly 0.0.  A Hermitian tridiagonal
+    input, in either dtype, takes the eigenvalue path instead: its smallest
+    absolute eigenvalue by the tridiagonal symmetric solver, same accuracy
+    class, far cheaper.  :meth:`Section.sigma_min` (z) serves shifts; its
+    ``dense`` route and Lanczos fallback take the SVD of A - z I directly.
     """
     sec = Section.of(m)
     if sec.tridiagonal is not None:
@@ -526,8 +515,8 @@ def sigma_min(m) -> float:
 def op_norm(m) -> float:
     """Largest singular value (spectral norm); rectangular inputs allowed.
 
-    Structure is read only from a :class:`Section`: a real symmetric
-    tridiagonal one uses the tridiagonal symmetric solver, as
+    Structure is read only from a :class:`Section`: a Hermitian tridiagonal
+    one, in either dtype, uses the tridiagonal symmetric solver, as
     :func:`sigma_min` does: the largest absolute eigenvalue.  An array goes
     straight to the SVD, with no band scan.
     """

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,18 @@ def write_problem(tmp_path, doc, name="problem.json"):
 def jacobi_stage(**stage):
     """A jacobi problem whose analysis is the one stage given."""
     return {"kind": "jacobi", "analysis": [stage]}
+
+
+def assert_pseudo_matches_svd(csv_path, prob, size):
+    """Every resolvent norm of a pseudo.csv within the pseudospectrum gate of a dense SVD."""
+    a = np.asarray(prob.ladder([size]).matrix(size))
+    norm = np.linalg.norm(a, 2)
+    for line in csv_path.read_text().strip().split("\n")[1:]:
+        re_s, im_s, val_s = line.split(",")
+        z = complex(float(re_s), float(im_s))
+        want = np.linalg.svd(a - z * np.eye(size), compute_uv=False)[-1]
+        got = 1.0 / float(val_s)
+        assert abs(got - want) <= 1e-8 * want + 100 * np.finfo(float).eps * (norm + abs(z))
 
 
 def data_files(out_dir):
@@ -137,8 +150,9 @@ class TestPseudo:
         out = tmp_path / "out"
         assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
         spectra, pseudo = json.loads((out / "report.json").read_text())["stages"]
-        # the im = 0 row of a real symmetric tridiagonal section is tridiagonal
-        assert pseudo["sigma_min_routes"] == {"dense": 10, "tridiagonal": 5}
+        # every shift of a Hermitian tridiagonal section is tridiagonal
+        assert pseudo["sigma_min_routes"] == {"tridiagonal": 15}
+        assert_pseudo_matches_svd(out / "pseudo.csv", cli.parse_problem(doc), 20)
         assert pseudo["dense_fallbacks"] == 0
         assert "sigma_min_routes" not in spectra and "dense_fallbacks" not in spectra
         assert spectra["spectrum_cache"] == {"hits": 0, "misses": 2}
@@ -268,8 +282,8 @@ class TestSharedCache:
         assert len(sections) == 120
 
     def test_jacobi_pseudo_stage_builds_one_section(self, tmp_path, monkeypatch):
-        # the 264 complex lattice shifts of the size-20 section take the dense
-        # route, whose SVD of A - z I needs no Section of its own
+        # all 297 lattice shifts of the size-20 section take the tridiagonal
+        # route, on the Section's own diagonals
         doc = cli.demo_problem("jacobi")
         doc["analysis"] = [stage for stage in doc["analysis"] if stage["op"] == "pseudo"]
         sections = []
@@ -282,8 +296,9 @@ class TestSharedCache:
         monkeypatch.setattr(numerics.Section, "__init__", counting_init)
         report = cli.run_problem(cli.parse_problem(doc), tmp_path / "out", b"")
         (stage,) = report["stages"]
-        assert stage["status"] == "ok" and stage["sigma_min_routes"] == {"dense": 264, "tridiagonal": 33}
+        assert stage["status"] == "ok" and stage["sigma_min_routes"] == {"tridiagonal": 297}
         assert len(sections) == 1
+        assert_pseudo_matches_svd(tmp_path / "out" / "pseudo.csv", cli.parse_problem(doc), 20)
 
 
 class TestSpectraSubcommand:
@@ -511,13 +526,16 @@ class TestErrors:
             ("run", [], jacobi_stage(op="verify", checks=[5]), "analysis[0].checks[0]"),
             ("run", [], jacobi_stage(op="classify", certified_sizes=[2, 4, 6], **{"lambda": ["a", "b"]}),
              "analysis[0].lambda"),
+            ("run", [], jacobi_stage(op="pseudo", size=20, rect=[-8, 8, -1, 1], nx=10**12, ny=40),
+             "analysis[0].nx"),
+            ("spectra", ["--sizes", "1:1000000000"], {}, "--sizes"),
         ],
         ids=["rect", "grid", "sizes", "L_n", "constants", "tau1", "tau2", "sup_norms", "beta",
              "p_min", "a_n_entry", "L_n_entry", "sup_norms_entry", "b_r", "a_grad", "m_bool",
              "a_bool", "gamma1_bool", "gamma2_bool", "lambda_bool", "table_entry", "stage_sizes_frac",
              "stage_sizes_bool", "pseudo_size_frac", "pseudo_nx_frac", "pseudo_nx_str", "quadrature_frac",
              "cuts_frac", "scan_str", "rect_str", "tol_str", "window_entry", "checks_int",
-             "checks_entry", "lambda_strs"],
+             "checks_entry", "lambda_strs", "pseudo_lattice", "sizes_range"],
     )
     def test_bad_input_exits_2_with_error_line(self, tmp_path, capsys, command, flags, problem, where):
         doc = {"kind": "schrodinger", "q": "x^2", "L_n": [4], "m": 50, "analysis": [], **problem}
@@ -532,7 +550,8 @@ class TestErrors:
 
 
 class TestSizeGuard:
-    """Sections above cli.MAX_SECTION_BYTES are refused at parse time, before any assembly."""
+    """Sections above cli.MAX_SECTION_BYTES, and size lists and lattices sized from it,
+    are refused at parse time, before any assembly."""
 
     @pytest.fixture(autouse=True)
     def no_assembly(self, monkeypatch):
@@ -580,6 +599,38 @@ class TestSizeGuard:
         path = write_problem(tmp_path, {"kind": "jacobi", "analysis": []})
         assert cli.main(["spectra", path, "--sizes", "2,9000", "--out", str(tmp_path / "o")]) == 2
         assert f"{16 * 9000**2} bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", ["1:1000000000", "-1000000000:0", "1:8000,1:8000"])
+    def test_size_range_refused_before_it_is_listed(self, tmp_path, capsys, sizes):
+        path = write_problem(tmp_path, {"kind": "jacobi", "analysis": []})
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["spectra", path, f"--sizes={sizes}", "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2 and peak < 1 << 20
+        err = capsys.readouterr().err
+        assert "error: argument --sizes" in err and "8192" in err and "Traceback" not in err
+        assert cli._parse_sizes("2:40:2") == list(range(2, 41, 2))
+        assert cli._parse_sizes("3,5,7") == [3, 5, 7]
+        assert len(cli._parse_sizes("1:8192")) == 8192
+
+    def test_pseudo_lattice_refused(self, tmp_path, capsys):
+        stage = {"op": "pseudo", "size": 20, "rect": [-8, 8, -1, 1], "nx": 10**12, "ny": 40}
+        limit = cli.MAX_SECTION_BYTES // 80
+        with pytest.raises(cli.ProblemError, match=re.escape(f"analysis[0].nx, analysis[0].ny: a lattice")):
+            cli.parse_problem(jacobi_stage(**stage))
+        path = write_problem(tmp_path, {"kind": "jacobi", "analysis": []})
+        flags = ["--size", "20", "--rect=-8,8,-1,1", "--out", str(tmp_path / "o")]
+        assert cli.main(["pseudo", path, "--grid", f"{limit + 1},1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pseudo.nx, pseudo.ny:") and str(limit) in err
+        assert not (tmp_path / "o").exists()
+        # the demo and benchmark lattices, and the largest admitted one, pass
+        for nx, ny in ((33, 9), (12, 12), (limit, 1)):
+            cli.parse_problem(jacobi_stage(**{**stage, "nx": nx, "ny": ny}))
 
 
 JSON_VALUES = hst.recursive(

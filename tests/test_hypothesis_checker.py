@@ -92,6 +92,42 @@ class TestRelativeBound:
             oracle = brute_force_opnorm(target, rng)
             assert abs(1.0 - oracle) <= 1e-6
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.sampled_from([6, 40, 64, 100]),
+        shape=hst.sampled_from(["hermitian_tridiagonal", "banded", "dense"]),
+        complex_t=hst.booleans(),
+        complex_lam=hst.booleans(),
+    )
+    def test_property_gamma_matches_explicit_inverse(self, seed, n, shape, complex_t, complex_lam):
+        rng = np.random.default_rng(seed)
+        i, j = np.indices((n, n))
+
+        def section():
+            m = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_t else 0.0)
+            if shape == "hermitian_tridiagonal":
+                m = np.triu(np.tril(m, 1), 1)
+                return m + m.conj().T + np.diag(rng.uniform(3.0, 6.0, n))
+            if shape == "banded":
+                m = m * (np.abs(i - j) <= 2)
+            return m + 4.0 * np.sqrt(n) * np.eye(n)  # spectrum well right of lam
+
+        t, d, s, b = section(), section(), section(), section()
+        lam = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0) if complex_lam else 0.0)
+        sec = numerics.Section(t)
+        assert sec.banded == (n >= 64 and shape != "dense")
+        assert (sec.tridiagonal is not None) == (shape == "hermitian_tridiagonal")
+
+        def want(t, s):
+            return numerics.op_norm(s @ np.linalg.inv(t - lam * np.eye(n)))
+
+        rep = hc.relative_bound([sec], [s], lam)
+        assert rep.per_size["gamma"][0] == pytest.approx(want(t, s), rel=1e-12)
+        two = hc.gamma_product_2x2([t], [b], [s], [d], lam)
+        assert two.constants["gamma_ac"] == pytest.approx(want(t, s), rel=1e-12)
+        assert two.constants["gamma_db"] == pytest.approx(want(d, b), rel=1e-12)
+
     def test_neumann_consequence(self):
         sizes = list(range(2, 42, 2))
         t_secs, s_secs = self.jacobi_sections(sizes)

@@ -94,7 +94,9 @@ class TestTridiagonalEig:
         assert d.route == "general" and d.residuals_computed == 2
         np.testing.assert_array_equal(d.residuals_at([1]), d.residuals[[1]])
         assert d.residuals_computed == 2
-        assert numerics.eig_dense(np.eye(3) + 1j * np.diag([1.0, 1.0], 1) - 1j * np.diag([1.0, 1.0], -1)).route == "hermitian"
+        # a dense Hermitian input: a Hermitian tridiagonal one takes the tridiagonal route
+        h = numerics.eig_dense(np.array([[2.0, 1j, 1.0], [-1j, 2.0, 1j], [1.0, -1j, 2.0]]))
+        assert h.route == "hermitian" and h.residuals_computed == 3
 
 
 class TestSigmaMin:
@@ -149,11 +151,11 @@ def reference_band_widths(a):
     return int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
 
 
-def mask_is_real_symmetric_tridiagonal(a):
-    """Reference structure test: symmetric, and zero wherever |i - j| > 1."""
-    if np.iscomplexobj(a) or a.shape[0] != a.shape[1] or a.shape[0] < 2:
+def mask_is_hermitian_tridiagonal(a):
+    """Reference structure test: Hermitian, and zero wherever |i - j| > 1."""
+    if a.shape[0] != a.shape[1] or a.shape[0] < 2:
         return False
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, a.conj().T):
         return False
     mask = np.abs(np.subtract.outer(np.arange(a.shape[0]), np.arange(a.shape[0]))) > 1
     return not np.any(a[mask])
@@ -165,7 +167,7 @@ class TestStructureDetection:
         cases = [np.zeros((2, 2)), np.eye(1), np.zeros((3, 4)), np.diag([-0.0, 1.0, 2.0])]
         for _ in range(300):
             n = int(rng.integers(3, 12))
-            kind = rng.integers(0, 5)
+            kind = rng.integers(0, 6)
             if kind == 0:  # dense
                 a = rng.standard_normal((n, n))
             else:  # banded with random half-widths, sometimes sparse inside the band
@@ -179,9 +181,13 @@ class TestStructureDetection:
                 a[n - 1, 0] += float(rng.integers(0, 2))
             if kind == 4:  # complex
                 a = a + 1j * rng.integers(0, 2) * a
+            if kind == 5:  # complex Hermitian
+                a = np.triu(a, 1) + 1j * np.triu(a, 1)
+                a = a + a.conj().T + np.diag(rng.standard_normal(n))
             cases.append(a)
-        verdicts = [mask_is_real_symmetric_tridiagonal(a) for a in cases]
+        verdicts = [mask_is_hermitian_tridiagonal(a) for a in cases]
         assert any(verdicts) and not all(verdicts)
+        assert any(v and np.iscomplexobj(a) for a, v in zip(cases, verdicts))
         for a, want in zip(cases, verdicts):
             if a.shape[0] != a.shape[1]:
                 with pytest.raises(DimensionError):
@@ -225,10 +231,11 @@ class TestStructureDetection:
         assert (sec.n, sec.real) == (n, dtype == "real")
         assert (sec.kl, sec.ku) == reference_band_widths(a)
         assert sec.hermitian == np.array_equal(a, a.conj().T)
-        assert (sec.tridiagonal is not None) == mask_is_real_symmetric_tridiagonal(a)
-        if sec.tridiagonal is not None:
-            np.testing.assert_array_equal(sec.tridiagonal.d, np.diag(a))
-            np.testing.assert_array_equal(sec.tridiagonal.e, np.diag(a, 1))
+        assert (sec.tridiagonal is not None) == mask_is_hermitian_tridiagonal(a)
+        if sec.tridiagonal is not None:  # (Re d, |e|) for complex input, the diagonals as stored for real
+            want_e = np.abs(np.diag(a, 1)) if dtype != "real" else np.diag(a, 1)
+            np.testing.assert_array_equal(sec.tridiagonal.d, np.diag(a).real)
+            np.testing.assert_array_equal(sec.tridiagonal.e, want_e)
 
     def test_of_accepts_array_and_section(self):
         a = np.diag([1.0, 2.0]) + np.diag([3.0], 1) + np.diag([3.0], -1)
@@ -260,3 +267,56 @@ class TestOpNorm:
             m = np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
             want = np.linalg.svd(m, compute_uv=False)[0]
             assert numerics.op_norm(numerics.Section(m)) == pytest.approx(want, rel=1e-13)
+
+
+class TestFactorization:
+    """The shifted solves behind verify's gamma and the contour gate, in all three storage kinds."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        kind=hst.sampled_from(["banded", "dense", "triangular"]),
+        m=hst.integers(0, 56),
+        wide=hst.booleans(),
+        complex_a=hst.booleans(),
+    )
+    def test_property_solves_estimate_and_singular(self, seed, kind, m, wide, complex_a):
+        rng = np.random.default_rng(seed)
+        n = 2 + m if kind == "dense" and not wide else 64 + m
+        kl, ku = (int(k) for k in rng.integers(0, 4, 2))
+        if kind == "triangular" or (kind == "dense" and wide):
+            kl, ku = (0 if kind == "triangular" else n - 1), n - 1
+        i, j = np.indices((n, n))
+        # a diagonal in the unit disc plus a band of norm about 1, so |z| = 4 is
+        # far from the spectrum and z I - A is well conditioned
+        a = rng.standard_normal((n, n)) / (2 * np.sqrt(n)) * ((i - j <= kl) & (j - i <= ku) & (i != j))
+        diag = rng.uniform(-1.0, 1.0, n)
+        if complex_a:
+            a = a + 1j * rng.standard_normal((n, n)) * (a != 0) / (2 * np.sqrt(n))
+            diag = diag * np.exp(2j * np.pi * rng.random(n))
+        a += np.diag(diag)
+        z = 4.0 * (np.exp(2j * np.pi * rng.random()) if complex_a else rng.choice([-1.0, 1.0]))
+
+        def factor(mat):
+            sec = numerics.Section(mat)
+            assert (sec.banded, sec.triangular) == (kind == "banded", kind == "triangular")
+            if kind == "triangular":  # A - z I, A being its own Schur form
+                return sec._shifted_triangular(z), mat - z * np.eye(n)
+            return sec.factor(z), z * np.eye(n) - mat
+
+        fact, shifted = factor(a)
+        b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        for adjoint, mat in ((False, shifted), (True, shifted.conj().T)):
+            want = np.linalg.solve(mat, b)
+            got = fact.solve(b, adjoint=adjoint)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        inv_norm = 1.0 / np.linalg.svd(shifted, compute_uv=False)[-1]
+        # a lower estimate, converging from below
+        assert 0.5 * inv_norm <= fact.inverse_norm_estimate() <= inv_norm * (1.0 + 1e-12)
+
+        # row k of z I - A exactly zero: an exact zero pivot
+        k = int(rng.integers(n))
+        a[k, :] = 0.0
+        a[k, k] = z
+        with pytest.raises(np.linalg.LinAlgError):
+            factor(a)

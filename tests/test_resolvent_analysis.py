@@ -322,23 +322,33 @@ class TestTridiagonalRoute:
         n=hst.integers(2, 200),
         split=hst.sampled_from([0.0, 0.1, 0.5, 1.0]),
         where=hst.sampled_from(["eigenvalue", "below", "above", "inside"]),
+        stored=hst.sampled_from(["real", "complex"]),
     )
-    def test_property_matches_dense(self, seed, n, split, where):
+    def test_property_matches_dense(self, seed, n, split, where, stored):
         rng = np.random.default_rng(seed)
         m = symmetric_tridiagonal(rng, n, split)
-        w = numerics.eig_dense(m).eigenvalues.real
-        norm = numerics.op_norm(m)
+        if stored == "complex":  # Hermitian, with random unimodular off-diagonal phases
+            phase = np.diag(np.exp(2j * np.pi * rng.random(n - 1)), 1)
+            m = np.diag(np.diag(m)) + np.triu(m, 1) * phase + (np.triu(m, 1) * phase).conj().T
+        d = numerics.eig_dense(m)
+        w = d.eigenvalues.real
+        norm = np.linalg.norm(m, 2)
+        assert d.route == "tridiagonal"
+        assert np.max(np.abs(w - np.linalg.eigvalsh(m))) <= 1e-13 * norm
+        assert np.all(d.residuals_at(rng.permutation(n)[:10]) <= 1e-12 * norm)
         z = {
             "eigenvalue": w[rng.integers(n)],
             "below": w[0] - rng.uniform(1e-3, 2.0),
             "above": w[-1] + rng.uniform(1e-3, 2.0),
             "inside": rng.uniform(w[0], w[-1]),
         }[where]
+        if stored == "complex":
+            z = complex(z, rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 2.0))
         section = numerics.Section(m)
         assert section.sigma_min_route(z) == "tridiagonal"
         if where in ("below", "above"):
-            assert section.tridiagonal.sturm_count(z) == (0 if where == "below" else n)
-        want = dense_sigma_min(m, z)
+            assert section.tridiagonal.sturm_count(np.real(z)) == (0 if where == "below" else n)
+        want = np.linalg.svd(m - z * np.eye(n), compute_uv=False)[-1]
         assert abs(section.sigma_min(z) - want) <= gate_tolerance(want, norm, z)
 
     def test_exact_eigenvalue_of_diagonal_is_zero(self):
@@ -392,7 +402,10 @@ class TestShiftFamilySigmaMin:
                 assert section.sigma_min_route(z) == "tridiagonal"
                 want = dense_sigma_min(m, z)
                 assert abs(section.sigma_min(z) - want) <= gate_tolerance(want, norm, z)
-            assert section.sigma_min_route(0.5 + 0.1j) == ("banded" if n >= 64 else "dense")
+            # every shift of a Hermitian tridiagonal section takes the tridiagonal route
+            assert section.sigma_min_route(0.5 + 0.1j) == "tridiagonal"
+            want = dense_sigma_min(m, 0.5 + 0.1j)
+            assert abs(section.sigma_min(0.5 + 0.1j) - want) <= gate_tolerance(want, norm, 0.5 + 0.1j)
 
     def test_exact_eigenvalue_of_complex_diagonal_is_inf(self):
         n = 100
