@@ -350,9 +350,9 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
 def _parse_stage(prob: Problem, stage, where: str) -> dict:
     """``stage`` with every field its op reads typed and defaulted: the one stage schema.
 
-    The runners read these fields and cast nothing.  On Galerkin problems each
-    section size meets :func:`_check_section_size` as written, before any
-    other check of its stage.
+    The runners read these fields and neither cast nor range-check them.  On
+    Galerkin problems each section size meets :func:`_check_section_size` as
+    written, before any other check of its stage.
     """
     if not isinstance(stage, dict) or "op" not in stage:
         raise ProblemError(f"{where}: each stage needs an 'op' field")
@@ -362,6 +362,13 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
     cap = prob.kind in GALERKIN_KINDS
     read = lambda key, parse, default, *args: parse(stage.get(key, default), f"{where}.{key}", *args)
     sizes = lambda key: read(key, _parse_list, [], int, cap)
+
+    def above(key, low, default, *args):  # refused here, not later as a stage error
+        value = read(key, _parse_number, default, *args)
+        if not value > low:
+            raise ProblemError(f"{where}.{key}: expected a value above {low}, got {value!r}")
+        return value
+
     if op == "spectra":
         window = read("window", _parse_rect, None)
         return {"op": op, "sizes": sizes("sizes") or prob.default_sizes(where), "window": window}
@@ -370,7 +377,7 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
         rect = read("rect", _parse_rect, None)
         if size is None or rect is None:
             raise ProblemError(f"{where}: pseudo stage needs 'size' and 'rect'")
-        nx, ny = read("nx", _parse_number, 40, int), read("ny", _parse_number, 40, int)
+        nx, ny = (above(key, 1, 40, int) for key in ("nx", "ny"))
         if nx * ny > MAX_SECTION_BYTES // 80:  # per point, a float64 and a pseudo.csv row in one buffer
             raise ProblemError(f"{where}.nx, {where}.ny: a lattice of {nx} x {ny} points is above "
                                f"the cap of {MAX_SECTION_BYTES // 80} points")
@@ -382,9 +389,9 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
             "certified_sizes": sizes("certified_sizes") or sizes("sizes") or prob.default_sizes(where),
             "uncertified_sizes": uncertified,
             "certified_label": read("certified_label", _parse_as, "certified", str),
-            "tol": read("tol", _parse_number, 1e-6),
+            "tol": above("tol", 0, 1e-6),
             "window": read("window", _parse_rect, None),
-            "quadrature_points": read("quadrature_points", _parse_number, ra.DEFAULT_QUADRATURE, int),
+            "quadrature_points": above("quadrature_points", 15, ra.DEFAULT_QUADRATURE, int),
             "lambda": None if stage.get("lambda") is None else read("lambda", _parse_complex, None),
         }
     checks = enumerate(read("checks", _parse_as, [], list))

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AssumptionError, CoefficientError
-from .numerics import Section
+from .numerics import Section, real_if_exact
 
 #: fraction of audit nodes allowed to violate a declared assumption constant
 AUDIT_VIOLATION_BUDGET = 1e-3
@@ -107,12 +107,8 @@ def sl_assemble(prob: SLProblem, n: int, m: int) -> Section:
     scheme -[p_{i+1/2}(f_{i+1}-f_i) - p_{i-1/2}(f_i-f_{i-1})]/h^2 + q_i f_i.
     Dirichlet at a_n eliminates f_0; beta = 0 eliminates f_m as well, else the
     ghost value f_{m+1} = f_{m-1} + (2 h cot(beta) / p(b)) f_m closes row m.
+    The Section is declared tridiagonal: its three diagonals, no dense array.
     """
-    return Section(_sl_matrix(prob, n, m))
-
-
-def _sl_matrix(prob: SLProblem, n: int, m: int) -> np.ndarray:
-    """The array of :func:`sl_assemble`, with no Section built."""
     if m < 2:
         raise ValueError(f"need at least 2 grid cells, got {m}")
     if not 1 <= n <= len(prob.a_n):
@@ -126,15 +122,10 @@ def _sl_matrix(prob: SLProblem, n: int, m: int) -> np.ndarray:
     q_nodes = _sample_real(prob.q, nodes, "q")
     _validate_sl_coefficients(prob, p_stag, q_nodes)
 
-    mat = np.zeros((k, k))
     inv_h2 = 1.0 / (h * h)
-    for i in range(k):  # 0-based row for node x_{i+1}
-        pl, pr = p_stag[i], p_stag[i + 1]
-        mat[i, i] = (pl + pr) * inv_h2 + q_nodes[i]
-        if i > 0:
-            mat[i, i - 1] = -pl * inv_h2
-        if i < k - 1:
-            mat[i, i + 1] = -pr * inv_h2
+    diag = (p_stag[:-1] + p_stag[1:]) * inv_h2 + q_nodes  # row i: (p_{i-1/2} + p_{i+1/2}) / h^2 + q_i
+    upper = -p_stag[1:-1] * inv_h2
+    lower = upper.copy()
     if prob.beta != 0.0:
         # ghost elimination at b, last interior row overwritten
         pl, pr = p_stag[k - 1], p_stag[k]
@@ -142,9 +133,9 @@ def _sl_matrix(prob: SLProblem, n: int, m: int) -> np.ndarray:
         if pb <= 0:
             raise CoefficientError(f"p(b) must be positive, got {pb}")
         c = 2.0 * h / (np.tan(prob.beta) * pb)
-        mat[k - 1, k - 2] = -(pl + pr) * inv_h2
-        mat[k - 1, k - 1] = (pl + pr * (1.0 - c)) * inv_h2 + q_nodes[k - 1]
-    return mat
+        lower[k - 2] = -(pl + pr) * inv_h2
+        diag[k - 1] = (pl + pr * (1.0 - c)) * inv_h2 + q_nodes[k - 1]
+    return Section({-1: lower, 0: diag, 1: upper})
 
 
 def symmetrize_scaling(mat: np.ndarray) -> np.ndarray:
@@ -216,8 +207,8 @@ def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[np.ndarray, ...]:
         raise ValueError(
             f"component grids mismatch: {k1} vs {k2} interior unknowns (check the betas)"
         )
-    t1 = _sl_matrix(prob.tau1, n, m)
-    t2 = _sl_matrix(prob.tau2, n, m)
+    t1 = sl_assemble(prob.tau1, n, m).data
+    t2 = sl_assemble(prob.tau2, n, m).data
     an = prob.tau1.a_n[n - 1]
     h = (prob.tau1.b - an) / m
     nodes = an + h * np.arange(1, k1 + 1)
@@ -231,10 +222,7 @@ def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[np.ndarray, ...]:
 def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> Section:
     """2K x 2K section [[A, B], [C, D]] of the blocks :func:`sl_blocks` returns."""
     a, b, c, d = sl_blocks(prob, n, m)
-    mat = np.vstack([np.hstack([a, b]), np.hstack([c, d])])
-    if np.iscomplexobj(mat) and np.all(mat.imag == 0.0):
-        mat = mat.real.copy()
-    return Section(mat)
+    return Section(real_if_exact(np.block([[a, b], [c, d]])))
 
 
 # -------------------------------- Schrodinger ----------------------------------
@@ -364,7 +352,8 @@ def schrodinger_assemble(prob: SchrodingerProblem, n: int, m: int) -> Section:
     """Dirichlet section of -f'' + p f' + v f on (-L_n, L_n) with m grid cells.
 
     Central differences: -(f_{i+1} - 2 f_i + f_{i-1})/h^2
-    + p_i (f_{i+1} - f_{i-1})/(2h) + v_i f_i.
+    + p_i (f_{i+1} - f_{i-1})/(2h) + v_i f_i.  The Section is declared
+    tridiagonal, and real when v and p are.
     """
     if m < 4:
         raise ValueError(f"need at least 4 grid cells, got {m}")
@@ -378,11 +367,6 @@ def schrodinger_assemble(prob: SchrodingerProblem, n: int, m: int) -> Section:
     pv = _sample(prob.p, nodes).astype(complex)
     vv = _sample(prob.q, nodes).astype(complex) + _sample(prob.r, nodes).astype(complex)
     inv_h2 = 1.0 / (h * h)
-    mat = np.zeros((k, k), dtype=complex)
-    idx = np.arange(k)
-    mat[idx, idx] = 2.0 * inv_h2 + vv
-    mat[idx[:-1], idx[:-1] + 1] = -inv_h2 + pv[:-1] / (2.0 * h)
-    mat[idx[1:], idx[1:] - 1] = -inv_h2 - pv[1:] / (2.0 * h)
-    if np.all(mat.imag == 0.0):
-        mat = mat.real.copy()
-    return Section(mat)
+    return Section(
+        {-1: -inv_h2 - pv[1:] / (2.0 * h), 0: 2.0 * inv_h2 + vv, 1: -inv_h2 + pv[:-1] / (2.0 * h)}
+    )

@@ -1,15 +1,15 @@
-"""Dense linear-algebra kernels with explicit tolerance contracts.
+"""Linear-algebra kernels with explicit tolerance contracts.
 
-A square input is read as a :class:`Section`: the validated matrix plus its
-structure (band widths, real or complex, Hermitian or not, and the diagonals
-of a Hermitian tridiagonal matrix), detected once when the Section is
-built.  Each kernel picks its route from that structure.  A Section is also
-the shifted operator A - z I over many shifts z (factorization, sigma_min)
-and caches its norm.  Everything here is deterministic for a fixed input,
-and threads may share a Section.  Backed by LAPACK (balancing + Hessenberg
-+ implicitly shifted QR for general eigenproblems, bisection and inverse
-iteration for tridiagonal ones, LU and triangular solves for shifts,
-bidiagonalization for singular values) through numpy/scipy.
+A square input is read as a :class:`Section`: its nonzero diagonals, as a
+builder declares them or one band scan of an array finds them, plus the
+structure they give (band widths, real or complex, Hermitian or not).  Each
+kernel picks its route from that structure; only dense routes build the
+n x n array.  A Section is also the shifted operator A - z I over many
+shifts z (factorization, sigma_min) and caches its norm.  Everything here is
+deterministic for a fixed input, and threads may share a Section.  Backed by
+LAPACK (balancing + Hessenberg + implicitly shifted QR for general
+eigenproblems, bisection and inverse iteration for tridiagonal ones, LU and
+triangular solves for shifts, bidiagonalization for singular values).
 """
 
 from __future__ import annotations
@@ -46,19 +46,24 @@ def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def real_if_exact(a: np.ndarray) -> np.ndarray:
+    """A real copy of ``a`` when no imaginary part is nonzero, else ``a``."""
+    return a if np.any(a.imag) else a.real.copy()
+
+
 class SymmetricTridiagonal:
     """A Hermitian tridiagonal A kept as the diagonals of a real symmetric T: O(n) storage.
 
-    ``d``, ``e`` are T's diagonals, A's own when A is real, (Re d, |e|) when
-    it is complex: A = U T U^H for a diagonal unitary U.  Each method solves
-    only for what its caller reads: all eigenvalues (``sterf``), the distance
-    from one shift to the spectrum (a Sturm count, then ``stebz`` bisection for
-    at most two eigenvalues), or residuals at chosen eigenvalues (``dstein``).
+    Built from A's diagonal and superdiagonal; ``d``, ``e`` are T's, A's own
+    when A is real, (Re d, |e|) when it is complex: A = U T U^H for a diagonal
+    unitary U.  Each method solves only for what its caller reads: all
+    eigenvalues (``sterf``), the distance from one shift to the spectrum (a
+    Sturm count, then ``stebz`` bisection for at most two eigenvalues), or
+    residuals at chosen eigenvalues (``dstein``).
     """
 
-    def __init__(self, a: np.ndarray):
-        d, e = np.diag(a), np.diag(a, 1)
-        if np.iscomplexobj(a):
+    def __init__(self, d: np.ndarray, e: np.ndarray):
+        if np.iscomplexobj(d):
             d, e = d.real, np.abs(e)
         self.d, self.e = d.copy(), e.copy()
 
@@ -157,6 +162,22 @@ def _band_widths(a: np.ndarray) -> tuple[int, int]:
     return kl, ku
 
 
+def _declared_diagonals(declared: dict) -> dict:
+    """A builder's ``{j - i: diagonal}`` as :class:`Section` keeps it (see there)."""
+    diags = {int(off): np.asarray(d) for off, d in declared.items()}
+    n = np.size(diags.setdefault(0, np.zeros(0)))
+    for off, d in diags.items():
+        if n == 0 or d.shape != (n - abs(off),):
+            raise DimensionError(f"declared diagonal {off} has shape {d.shape}, the order is {n}")
+        if not np.all(np.isfinite(d)):
+            t = int(np.argmin(np.isfinite(d))) + 1
+            raise DataError(f"matrix has a non-finite entry at ({t + max(-off, 0)}, {t + max(off, 0)})")
+    real = not any(np.any(np.imag(d)) for d in diags.values())
+    keep = lambda d: np.asarray(np.real(d), dtype=float) if real else np.asarray(d, dtype=complex)
+    nonzero = [off for off, d in diags.items() if np.any(d)] + [0]
+    return {off: keep(diags.get(off, np.zeros(n - abs(off)))) for off in range(min(nonzero), max(nonzero) + 1)}
+
+
 #: Lanczos steps per banded or triangular sigma_min; a point needing more falls back to dense SVD
 _LANCZOS_STEPS = 64
 #: the Ritz residual, relative to the Ritz value, that stops the Lanczos iteration
@@ -200,29 +221,23 @@ class Factorization:
                 raise scipy.linalg.LinAlgError("exact zero pivot")
 
     def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        trans = 2 if adjoint else 0
         if self._triangular is not None:
-            x, info = self._trtrs(self._triangular, b, trans=2 if adjoint else 0)
-            if info != 0:
-                raise scipy.linalg.LinAlgError(f"triangular solve failed with info={info}")
-            return x
-        if self.banded:
-            x, info = self._gbtrs(
-                self._lu, self.kl, self.ku, b, self._ipiv, trans=2 if adjoint else 0
-            )
-            if info != 0:
-                raise scipy.linalg.LinAlgError(f"banded solve failed with info={info}")
-            return x
-        return scipy.linalg.lu_solve(
-            (self._lu, self._piv), b, trans=2 if adjoint else 0, check_finite=False
-        )
+            x, info = self._trtrs(self._triangular, b, trans=trans)
+        elif self.banded:
+            x, info = self._gbtrs(self._lu, self.kl, self.ku, b, self._ipiv, trans=trans)
+        else:
+            return scipy.linalg.lu_solve((self._lu, self._piv), b, trans=trans, check_finite=False)
+        if info != 0:
+            raise scipy.linalg.LinAlgError(f"solve failed with info={info}")
+        return x
 
     def inverse_norm_estimate(self, iterations: int = 8) -> float:
         """Power-iteration lower estimate of ||A^{-1}||_2 (converging from below)."""
         x = np.ones(self.n, dtype=complex) / np.sqrt(self.n)
         est = 0.0
         for _ in range(iterations):
-            y = self.solve(x)
-            w = self.solve(y, adjoint=True)
+            w = self.solve(self.solve(x), adjoint=True)
             norm = np.linalg.norm(w)
             if not np.isfinite(norm) or norm == 0.0:
                 return np.inf if not np.isfinite(norm) else 0.0
@@ -233,22 +248,22 @@ class Factorization:
 
 
 class Section:
-    """A validated square matrix A together with its structure, and A - z I over shifts z.
+    """A square matrix A kept as its nonzero diagonals, with its structure, and A - z I over shifts z.
 
-    ``data`` is the float64 or complex128 array (see :func:`as_matrix`) and
-    ``n`` its order.  ``kl`` and ``ku`` are the outermost nonzero sub- and
-    superdiagonal, (0, 0) for a diagonal matrix; ``real`` says ``data`` is
-    real; ``hermitian`` says it equals its conjugate transpose exactly.
-    ``tridiagonal`` holds the :class:`SymmetricTridiagonal` diagonals when
-    the matrix is Hermitian tridiagonal with n >= 2 in either dtype, else None.
-    ``banded`` says the section is stored banded for shifted solves (n >= 64
-    with a narrow band); ``triangular`` says it is upper triangular with
-    n >= 64 and not stored banded.
-
-    The constructor makes one band scan and one Hermitian test.  A Hermitian
-    matrix has kl == ku, and everything outside its band is zero on both
-    sides, so the test compares only the kl + 1 pairs of diagonals inside
-    the band.  Nothing here is declared: every field follows from ``data``.
+    ``diagonals`` maps each offset j - i from -kl to ku to its float64 or
+    complex128 diagonal; ``n`` is the order.  The input is a square array
+    (see :func:`as_matrix`), whose band one scan finds, or the diagonals a
+    builder declares, ``{j - i: diagonal}`` with the main one included:
+    checked for finite values, stored real when no imaginary part is
+    nonzero, and trimmed of all-zero outer diagonals, so either input gives
+    the same structure.  ``data``, the dense array, is the input array or is
+    built by the dense routes alone (SVD, ``zgeev``, ``eigh``, dense LU).
+    ``kl``, ``ku`` are the outermost nonzero sub- and superdiagonal; ``real``
+    says A is real; ``hermitian``, A = A^H exactly: kl == ku and the kl + 1
+    diagonal pairs inside the band conjugate.  ``tridiagonal`` holds the
+    :class:`SymmetricTridiagonal` diagonals of a Hermitian tridiagonal A with
+    n >= 2, else None.  ``banded``: stored banded for shifted solves (n >= 64
+    with a narrow band); ``triangular``: upper triangular, n >= 64, not banded.
 
     The structure picks the route of :meth:`sigma_min` (z), the smallest
     singular value of A - z I:
@@ -258,32 +273,33 @@ class Section:
       then bisection for the one or two eigenvalues that bracket it, O(n)
       each (:meth:`SymmetricTridiagonal.distance_to_spectrum`); it agrees
       with the SVD of A - z I to about eps ||A||;
-    - ``banded``: every shift of another section stored banded, by banded LU
-      of z I - A and Lanczos on (z I - A)^-H (z I - A)^-1;
-    - ``triangular``: every shift of a ``triangular`` section, by Lanczos on
-      (A - z I)^-H (A - z I)^-1 with triangular solves; A is its own complex
-      Schur form, so no factorization;
+    - ``banded`` and ``triangular``: every shift of a section stored so, by
+      Lanczos on (z I - A)^-H (z I - A)^-1 with the solves of :meth:`factor`;
     - ``dense``: everything else, by SVD of the dense A - z I.
 
-    The band template of the banded route, the Fortran-ordered copy of the
-    triangular route, the Lanczos start vector and :attr:`norm` are built on
-    first use.  Instances are read-only apart from those and ``fallbacks``,
-    which collects the shifts whose Lanczos run fell back to dense SVD, so
-    threads may share one.
+    ``data``, the band and triangular templates (-A, stored for those
+    routes), the Lanczos start vector and :attr:`norm` are built on first
+    use.  Instances are read-only apart from those and ``fallbacks`` (the
+    shifts whose Lanczos run fell back to dense SVD): threads may share one.
     """
 
     def __init__(self, m):
-        a = as_matrix(m, square=True)
-        self.data = a
-        self.n = n = a.shape[0]
-        self.kl, self.ku = kl, ku = _band_widths(a)
-        self.real = not np.iscomplexobj(a)
+        if isinstance(m, dict):
+            diagonals = _declared_diagonals(m)
+        else:
+            a = self.data = as_matrix(m, square=True)
+            kl, ku = _band_widths(a)
+            diagonals = {off: a.diagonal(off) for off in range(-kl, ku + 1)}
+        self.diagonals = diagonals
+        self.n = n = diagonals[0].shape[0]
+        self.kl, self.ku = kl, ku = -min(diagonals), max(diagonals)
+        self.real = not np.iscomplexobj(diagonals[0])
         self.hermitian = kl == ku and all(
-            np.array_equal(a.diagonal(-k), a.diagonal(k).conj()) for k in range(kl + 1)
+            np.array_equal(diagonals[-k], diagonals[k].conj()) for k in range(kl + 1)
         )
         self.tridiagonal = None
         if self.hermitian and n >= 2 and kl <= 1:
-            self.tridiagonal = SymmetricTridiagonal(a)
+            self.tridiagonal = SymmetricTridiagonal(diagonals[0], diagonals.get(1, np.zeros(n - 1)))
         # banded storage only pays off when the band is genuinely narrow
         self.banded = n >= 64 and (kl + ku + 1) <= max(4, n // 8)
         self.triangular = n >= 64 and kl == 0 and not self.banded
@@ -291,12 +307,20 @@ class Section:
 
     @classmethod
     def of(cls, m) -> "Section":
-        """``m`` itself when it is a Section, else a new Section of the array ``m``."""
+        """``m`` itself when it is a Section, else a new Section of ``m``."""
         return m if isinstance(m, cls) else cls(m)
 
     def __array__(self, dtype=None, copy=None):
         """``data``, so numpy reads a Section as its matrix."""
         return self.data if dtype is None and not copy else np.array(self.data, dtype=dtype)
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The dense n x n array, placed from the diagonals."""
+        a = np.zeros((self.n, self.n), dtype=self.diagonals[0].dtype)
+        for off, d in self.diagonals.items():
+            np.fill_diagonal(a[max(-off, 0) :, max(off, 0) :], d)
+        return a
 
     @cached_property
     def norm(self) -> float:
@@ -308,18 +332,14 @@ class Section:
         """-A in ``gbtrf`` band layout: entry (i, j) at row kl + ku + i - j."""
         kl, ku = self.kl, self.ku
         ab0 = np.zeros((2 * kl + ku + 1, self.n), dtype=complex)
-        for off in range(-kl, ku + 1):
-            d = np.diag(self.data, off)
-            if off >= 0:
-                ab0[kl + ku - off, off : off + d.shape[0]] = -d
-            else:
-                ab0[kl + ku - off, : d.shape[0]] = -d
+        for off, d in self.diagonals.items():
+            ab0[kl + ku - off, max(off, 0) : max(off, 0) + d.shape[0]] = -d
         return ab0
 
     @cached_property
-    def _triu(self) -> np.ndarray:
-        """The upper-triangular A of the triangular route, complex and in Fortran order."""
-        return np.asfortranarray(self.data, dtype=complex)
+    def _triangular_template(self) -> np.ndarray:
+        """-A of the triangular route, complex and in Fortran order."""
+        return -np.asfortranarray(self.data, dtype=complex)
 
     @cached_property
     def _lanczos_start(self) -> np.ndarray:
@@ -333,19 +353,16 @@ class Section:
         return v / np.linalg.norm(v)
 
     def factor(self, z: complex) -> Factorization:
-        """z I - A, factored: banded LU for a section stored banded, dense LU otherwise."""
+        """z I - A, factored: banded LU if stored banded, as it stands if triangular, else dense LU."""
         if self.banded:
             ab = self._band_template.copy()
             ab[self.kl + self.ku, :] += z
             return Factorization(self.n, self.kl, self.ku, ab=ab)
+        if self.triangular:
+            t = self._triangular_template.copy(order="F")
+            t[np.diag_indices(self.n)] += z
+            return Factorization(self.n, triangular=t)
         return Factorization(self.n, dense=z * np.eye(self.n) - self.data)
-
-    def _shifted_triangular(self, z: complex) -> Factorization:
-        """A - z I of the triangular route, a fresh Fortran-ordered copy."""
-        t = self._triu.copy(order="F")
-        diag = np.arange(self.n)
-        t[diag, diag] -= z
-        return Factorization(self.n, triangular=t)
 
     def sigma_min_route(self, z: complex) -> str:
         """The route :meth:`sigma_min` takes at z, one of the four in the class docstring."""
@@ -359,7 +376,7 @@ class Section:
         """Smallest singular value of A - z I; exactly 0.0 when it is exactly singular.
 
         On the banded and triangular routes an exact zero pivot of the LU, or
-        an exact zero on the diagonal of A - z I, gives 0.0, and a Lanczos run
+        an exact zero on the diagonal of z I - A, gives 0.0, and a Lanczos run
         that hits its step cap or a non-finite value is redone by dense SVD
         (and recorded in ``fallbacks``).  Their relative accuracy is the
         stopping tolerance 1e-10 on top of the conditioning of the solves.
@@ -370,7 +387,7 @@ class Section:
             return self.tridiagonal.distance_to_spectrum(z)
         if route != "dense":
             try:
-                fact = self.factor(z) if route == "banded" else self._shifted_triangular(z)
+                fact = self.factor(z)
             except scipy.linalg.LinAlgError:
                 return 0.0
             theta = self._largest_inverse_eigenvalue(fact)
@@ -521,10 +538,9 @@ def op_norm(m) -> float:
     straight to the SVD, with no band scan.
     """
     sec = m if isinstance(m, Section) else None
+    if sec is not None and sec.tridiagonal is not None:
+        return float(np.max(np.abs(sec.tridiagonal.eigenvalues())))
     a = sec.data if sec is not None else as_matrix(m)
     if not np.any(a):
         return 0.0
-    if sec is not None and sec.tridiagonal is not None:
-        return float(np.max(np.abs(sec.tridiagonal.eigenvalues())))
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(s[0])
+    return float(np.linalg.svd(a, compute_uv=False)[0])

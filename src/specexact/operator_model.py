@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataError, PoleError
-from .numerics import Section
+from .numerics import Section, real_if_exact
 
 #: ratio-test threshold for the summability hints (cases b/c)
 RATIO_THRESHOLD = 0.99
@@ -71,14 +71,7 @@ def _assemble(spec: OperatorSpec, k: int) -> np.ndarray:
             if val != val or abs(val) == np.inf:  # NaN or Inf
                 raise DataError(f"spec '{spec.name}': non-finite entry at ({i}, {j})")
             out[i - 1, j - 1] = val
-    return _real_if_exact(out)
-
-
-def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    """A real copy of a complex ``a`` whose imaginary parts are all exactly zero, else ``a``."""
-    if np.all(a.imag == 0.0):
-        return a.real.copy()
-    return a
+    return real_if_exact(out)
 
 
 def truncate(spec: OperatorSpec, k: int) -> Section:
@@ -108,7 +101,7 @@ class BlockSplit:
         """The leading k-by-k section of A, real when its entries are (as :func:`truncate` gives)."""
         if not 1 <= k <= self.cut_points[-1]:
             raise ValueError(f"cut points cover only 1..{self.cut_points[-1]}, need {k}")
-        return _real_if_exact(self.matrix[:k, :k])
+        return real_if_exact(self.matrix[:k, :k])
 
     def diag_section(self, k: int) -> np.ndarray:
         """Leading k-by-k section of T = diag(B_n)."""

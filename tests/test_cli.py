@@ -245,9 +245,10 @@ class TestSharedCache:
         assert seen == [[0, 0]]
         assert all(len(store) == 0 for store in stores())
 
-    def test_oscillator_demo_scans_each_section_once(self, tmp_path, monkeypatch):
-        # spectra, shifted solves, norms and contour ranks all read the
-        # structure of one Section per ladder size: 7 sections, 7 scans
+    def test_oscillator_demo_sections_stay_declared(self, tmp_path, monkeypatch):
+        # spectra, shifted solves, norms and contour ranks all read one
+        # Section per ladder size, declared tridiagonal by its builder: no
+        # band scan, and no dense array built
         sections, scans = [], []
         init, band_widths = numerics.Section.__init__, numerics._band_widths
 
@@ -262,7 +263,8 @@ class TestSharedCache:
         monkeypatch.setattr(numerics.Section, "__init__", counting_init)
         monkeypatch.setattr(numerics, "_band_widths", counting_band_widths)
         assert cli.main(["demo", "oscillator", "--out", str(tmp_path / "out")]) == 0
-        assert len(sections) == 7 and len(scans) == 7
+        assert len(sections) == 7 and scans == []
+        assert not any("data" in vars(sec) for sec in sections)
 
     def test_jacobi_verify_stage_builds_one_section_per_pole_check(self, tmp_path, monkeypatch):
         # 60 T-sections of relative_bound and 60 diagonal blocks of
@@ -529,13 +531,22 @@ class TestErrors:
             ("run", [], jacobi_stage(op="pseudo", size=20, rect=[-8, 8, -1, 1], nx=10**12, ny=40),
              "analysis[0].nx"),
             ("spectra", ["--sizes", "1:1000000000"], {}, "--sizes"),
+            ("run", [], jacobi_stage(op="pseudo", size=20, rect=[-8, 8, -1, 1], nx=1, ny=40), "analysis[0].nx"),
+            ("run", [], jacobi_stage(op="pseudo", size=20, rect=[-8, 8, -1, 1], ny=-3), "analysis[0].ny"),
+            ("run", [], jacobi_stage(op="classify", certified_sizes=[2, 4, 6], tol=-1), "analysis[0].tol"),
+            ("run", [], jacobi_stage(op="classify", certified_sizes=[2, 4, 6], tol=0.0), "analysis[0].tol"),
+            ("run", [], jacobi_stage(op="classify", certified_sizes=[2, 4, 6], quadrature_points=15),
+             "analysis[0].quadrature_points"),
+            ("pseudo", ["--size", "1", "--rect", "0,1,0,1", "--grid", "1,40"], {}, "pseudo.nx"),
+            ("classify", ["--sizes", "1,2", "--tol", "0"], {"L_n": [4, 5]}, "classify.tol"),
         ],
         ids=["rect", "grid", "sizes", "L_n", "constants", "tau1", "tau2", "sup_norms", "beta",
              "p_min", "a_n_entry", "L_n_entry", "sup_norms_entry", "b_r", "a_grad", "m_bool",
              "a_bool", "gamma1_bool", "gamma2_bool", "lambda_bool", "table_entry", "stage_sizes_frac",
              "stage_sizes_bool", "pseudo_size_frac", "pseudo_nx_frac", "pseudo_nx_str", "quadrature_frac",
              "cuts_frac", "scan_str", "rect_str", "tol_str", "window_entry", "checks_int",
-             "checks_entry", "lambda_strs", "pseudo_lattice", "sizes_range"],
+             "checks_entry", "lambda_strs", "pseudo_lattice", "sizes_range", "pseudo_nx_1", "pseudo_ny_neg",
+             "tol_neg", "tol_zero", "quadrature_15", "grid_1", "classify_tol_0"],
     )
     def test_bad_input_exits_2_with_error_line(self, tmp_path, capsys, command, flags, problem, where):
         doc = {"kind": "schrodinger", "q": "x^2", "L_n": [4], "m": 50, "analysis": [], **problem}
@@ -624,12 +635,13 @@ class TestSizeGuard:
             cli.parse_problem(jacobi_stage(**stage))
         path = write_problem(tmp_path, {"kind": "jacobi", "analysis": []})
         flags = ["--size", "20", "--rect=-8,8,-1,1", "--out", str(tmp_path / "o")]
-        assert cli.main(["pseudo", path, "--grid", f"{limit + 1},1", *flags]) == 2
+        # ny = 2, the smallest lattice axis a pseudo stage admits
+        assert cli.main(["pseudo", path, "--grid", f"{limit // 2 + 1},2", *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: pseudo.nx, pseudo.ny:") and str(limit) in err
         assert not (tmp_path / "o").exists()
         # the demo and benchmark lattices, and the largest admitted one, pass
-        for nx, ny in ((33, 9), (12, 12), (limit, 1)):
+        for nx, ny in ((33, 9), (12, 12), (limit // 2, 2)):
             cli.parse_problem(jacobi_stage(**{**stage, "nx": nx, "ny": ny}))
 
 

@@ -6,7 +6,7 @@ from scipy.linalg import solve_banded
 from scipy.optimize import linear_sum_assignment
 
 from specexact import discretize as dz, numerics
-from specexact.errors import AssumptionError, CoefficientError
+from specexact.errors import AssumptionError, CoefficientError, DataError, DimensionError
 
 ONE = lambda x: 1.0
 ZERO = lambda x: 0.0
@@ -226,3 +226,72 @@ class TestSchrodingerAssemble:
         assert c["b_r"] < 1.0
         # covering property: the audit must accept its own fit
         sp.audit(1)
+
+
+def declared_sections(m):
+    """Builder Sections on m grid cells, keyed by what they cover."""
+    sl = lambda beta: dz.SLProblem(
+        "varpq", lambda x: 2.0 + np.sin(x), lambda x: 1.0 + x * x, 0.0, np.pi, beta, (0.1,), 1.0, 1.0
+    )
+    sp = lambda p, q: dz.SchrodingerProblem("s", p=p, q=q, r=ZERO, L_n=(4.0,))
+    return {
+        "sl_dirichlet": dz.sl_assemble(sl(0.0), 1, m),
+        "sl_robin": dz.sl_assemble(sl(np.pi / 4), 1, m),
+        "schrodinger_real_q": dz.schrodinger_assemble(sp(ZERO, lambda x: x * x), 1, m),
+        "schrodinger_complex_q": dz.schrodinger_assemble(sp(ZERO, lambda x: 1j * x * x), 1, m),
+        "schrodinger_drift": dz.schrodinger_assemble(sp(lambda x: 0.5 - 0.25j, lambda x: x * x), 1, m),
+    }
+
+
+class TestDeclaredStructure:
+    """A builder's declared diagonals give the Section its dense array would: same structure, same results."""
+
+    STRUCTURE = ("n", "kl", "ku", "real", "hermitian", "banded", "triangular")
+
+    @pytest.mark.parametrize("m", [12, 80])
+    @pytest.mark.parametrize("name", list(declared_sections(12)))
+    def test_declared_matches_detected(self, name, m):
+        declared = declared_sections(m)[name]
+        assert "data" not in vars(declared)
+        padded = numerics.Section(  # zero outer diagonals and a gap, which the Section trims
+            {**declared.diagonals, -3: np.zeros(declared.n - 3), 2: -0.0 * declared.diagonals[1][1:]}
+        )
+        detected = numerics.Section(declared.data)
+        for sec in (declared, padded):
+            assert [getattr(sec, key) for key in self.STRUCTURE] == [
+                getattr(detected, key) for key in self.STRUCTURE
+            ]
+            assert (sec.tridiagonal is None) == (detected.tridiagonal is None)
+            if sec.tridiagonal is not None:
+                np.testing.assert_array_equal(sec.tridiagonal.d, detected.tridiagonal.d)
+                np.testing.assert_array_equal(sec.tridiagonal.e, detected.tridiagonal.e)
+            np.testing.assert_array_equal(sec._band_template, detected._band_template)
+            np.testing.assert_array_equal(sec.data, detected.data)
+
+        rows = [0, declared.n // 2, declared.n - 1]
+        got, want = numerics.eig_dense(declared), numerics.eig_dense(detected)
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+        np.testing.assert_array_equal(got.residuals_at(rows), want.residuals_at(rows))
+        b = np.random.default_rng(m).standard_normal((declared.n, 2)) + 0j
+        for z in (0.5, 3.0 + 1.0j, -2.0j):
+            assert declared.sigma_min(z) == detected.sigma_min(z)
+            for adjoint in (False, True):
+                np.testing.assert_array_equal(
+                    declared.factor(z).solve(b, adjoint), detected.factor(z).solve(b, adjoint)
+                )
+
+    def test_real_builder_stays_real(self):
+        assert declared_sections(12)["schrodinger_real_q"].diagonals[0].dtype == np.float64
+        assert not declared_sections(12)["schrodinger_complex_q"].real
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+    def test_non_finite_declared_diagonal_raises(self, bad):
+        with pytest.raises(DataError, match=r"\(3, 2\)"):
+            numerics.Section({-1: [1.0, bad], 0: [1.0, 2.0, 3.0], 1: [0.0, 0.0]})
+        with pytest.raises(DataError, match=r"\(1, 1\)"):
+            numerics.Section({0: [bad, 2.0]})
+
+    @pytest.mark.parametrize("diagonals", [{}, {1: [1.0]}, {0: []}, {0: [1.0, 2.0], 1: [1.0, 2.0]}, {0: [[1.0]]}])
+    def test_malformed_declared_diagonals_raise(self, diagonals):
+        with pytest.raises(DimensionError):
+            numerics.Section(diagonals)
