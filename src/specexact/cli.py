@@ -24,9 +24,11 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                stage's spectrum requests answered from the problem's cache
                and by an eigensolve.  Spectra and classify stages also
                record ``eig_routes`` (the stage's eigensolves per route:
-               tridiagonal, hermitian, general) and ``residuals_computed``
-               (residuals the stage computed: n per hermitian or general
-               eigensolve, one per written row of a tridiagonal section).
+               tridiagonal, banded, hermitian, general) and
+               ``residuals_computed`` (residuals the stage computed: n per
+               hermitian or general eigensolve, one per written row of a
+               tridiagonal or banded section).  An sl_matrix section
+               interleaves its two components' unknowns, so it is banded.
                A finished classify stage records ``probe_ratios``, one entry
                per candidate: its lambda and verdict and the four ratios its
                region probe was judged by (``RegionProbe.ratios``).  A

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AssumptionError, CoefficientError
-from .numerics import Section, real_if_exact
+from .numerics import Section
 
 #: fraction of audit nodes allowed to violate a declared assumption constant
 AUDIT_VIOLATION_BUDGET = 1e-3
@@ -193,6 +193,22 @@ class SLMatrixProblem:
         return self.tau1.ladder_length
 
 
+def _sl_components(prob: SLMatrixProblem, n: int, m: int) -> tuple:
+    """T1, T2 (the :func:`sl_assemble` sections) and s, t, u, v sampled at the interior nodes."""
+    k1 = prob.tau1.unknowns(m)
+    k2 = prob.tau2.unknowns(m)
+    if k1 != k2:
+        raise ValueError(
+            f"component grids mismatch: {k1} vs {k2} interior unknowns (check the betas)"
+        )
+    t1 = sl_assemble(prob.tau1, n, m)
+    t2 = sl_assemble(prob.tau2, n, m)
+    an = prob.tau1.a_n[n - 1]
+    h = (prob.tau1.b - an) / m
+    nodes = an + h * np.arange(1, k1 + 1)
+    return t1, t2, *(_sample(f, nodes) for f in (prob.s, prob.t, prob.u, prob.v))
+
+
 def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[np.ndarray, ...]:
     """The four K x K blocks (A, B, C, D) of the 2x2 section at truncation index n.
 
@@ -201,28 +217,43 @@ def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[np.ndarray, ...]:
     two components on m grid cells and the multipliers are sampled at the
     interior nodes.
     """
-    k1 = prob.tau1.unknowns(m)
-    k2 = prob.tau2.unknowns(m)
-    if k1 != k2:
-        raise ValueError(
-            f"component grids mismatch: {k1} vs {k2} interior unknowns (check the betas)"
-        )
-    t1 = sl_assemble(prob.tau1, n, m).data
-    t2 = sl_assemble(prob.tau2, n, m).data
-    an = prob.tau1.a_n[n - 1]
-    h = (prob.tau1.b - an) / m
-    nodes = an + h * np.arange(1, k1 + 1)
-    sd = np.diag(_sample(prob.s, nodes))
-    td = np.diag(_sample(prob.t, nodes))
-    ud = np.diag(_sample(prob.u, nodes))
-    vd = np.diag(_sample(prob.v, nodes))
-    return prob.gamma1 * t1, sd @ t2 + td, ud @ t1 + vd, prob.gamma2 * t2
+    t1, t2, s, t, u, v = _sl_components(prob, n, m)
+    t1, t2 = t1.data, t2.data
+    return prob.gamma1 * t1, np.diag(s) @ t2 + np.diag(t), np.diag(u) @ t1 + np.diag(v), prob.gamma2 * t2
 
 
 def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> Section:
-    """2K x 2K section [[A, B], [C, D]] of the blocks :func:`sl_blocks` returns."""
-    a, b, c, d = sl_blocks(prob, n, m)
-    return Section(real_if_exact(np.block([[a, b], [c, d]])))
+    """2K x 2K section of [[A, B], [C, D]] (:func:`sl_blocks`), with the unknowns interleaved.
+
+    Unknown 2i is the first component at node i and 2i + 1 the second: a
+    permutation similarity of the block matrix, so the spectrum is the same,
+    and every coupling of the tridiagonal T1, T2 lands within three
+    diagonals of the main one.  The Section is declared from the diagonals
+    of T1, T2 and the sampled multipliers, offsets -3..3; no block is built.
+    """
+    t1, t2, s, t, u, v = _sl_components(prob, n, m)
+    k = s.shape[0]
+    (l1, d1, u1), (l2, d2, u2) = (
+        [sec.diagonals.get(off, np.zeros(k - 1)) for off in (-1, 0, 1)] for sec in (t1, t2)
+    )
+    g1, g2 = prob.gamma1, prob.gamma2
+
+    def interleave(off, even, odd):
+        # row 2i holds the first component's entry, row 2i + 1 the second's
+        d = np.zeros(max(2 * k - abs(off), 0), dtype=complex)
+        d[0::2], d[1::2] = even, odd
+        return d
+
+    diagonals = {
+        -3: interleave(-3, u[1:] * l1, 0.0),
+        -2: interleave(-2, g1 * l1, g2 * l2),
+        -1: interleave(-1, u * d1 + v, s[1:] * l2),
+        0: interleave(0, g1 * d1, g2 * d2),
+        1: interleave(1, s * d2 + t, u[:-1] * u1),
+        2: interleave(2, g1 * u1, g2 * u2),
+        3: interleave(3, s[:-1] * u2, 0.0),
+    }
+    return Section({off: d for off, d in diagonals.items() if abs(off) < 2 * k})
 
 
 # -------------------------------- Schrodinger ----------------------------------

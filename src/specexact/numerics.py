@@ -5,11 +5,14 @@ builder declares them or one band scan of an array finds them, plus the
 structure they give (band widths, real or complex, Hermitian or not).  Each
 kernel picks its route from that structure; only dense routes build the
 n x n array.  A Section is also the shifted operator A - z I over many
-shifts z (factorization, sigma_min) and caches its norm.  Everything here is
-deterministic for a fixed input, and threads may share a Section.  Backed by
-LAPACK (balancing + Hessenberg + implicitly shifted QR for general
-eigenproblems, bisection and inverse iteration for tridiagonal ones, LU and
-triangular solves for shifts, bidiagonalization for singular values).
+shifts z (factorization, sigma_min) and caches its norm.  Eigenvalues of a
+tridiagonal or banded section come without eigenvectors; a residual is
+computed only when asked for, by inverse iteration at its eigenvalue.
+Everything here is deterministic for a fixed input, and threads may share a
+Section.  Backed by LAPACK (balancing + Hessenberg + implicitly shifted QR
+for general eigenproblems, band reduction for Hermitian banded ones,
+bisection and inverse iteration for tridiagonal ones, LU and triangular
+solves for shifts, bidiagonalization for singular values).
 """
 
 from __future__ import annotations
@@ -257,7 +260,9 @@ class Section:
     checked for finite values, stored real when no imaginary part is
     nonzero, and trimmed of all-zero outer diagonals, so either input gives
     the same structure.  ``data``, the dense array, is the input array or is
-    built by the dense routes alone (SVD, ``zgeev``, ``eigh``, dense LU).
+    built by the dense routes alone (SVD, ``zgeev`` and ``eigh`` with
+    eigenvectors, dense LU); :meth:`dense` gives a copy the Section does not
+    keep.  :meth:`matvec` applies A from the diagonals.
     ``kl``, ``ku`` are the outermost nonzero sub- and superdiagonal; ``real``
     says A is real; ``hermitian``, A = A^H exactly: kl == ku and the kl + 1
     diagonal pairs inside the band conjugate.  ``tridiagonal`` holds the
@@ -316,7 +321,11 @@ class Section:
 
     @cached_property
     def data(self) -> np.ndarray:
-        """The dense n x n array, placed from the diagonals."""
+        """The dense n x n array, kept once built (:meth:`dense`)."""
+        return self.dense()
+
+    def dense(self) -> np.ndarray:
+        """A new dense n x n array, placed from the diagonals."""
         a = np.zeros((self.n, self.n), dtype=self.diagonals[0].dtype)
         for off, d in self.diagonals.items():
             np.fill_diagonal(a[max(-off, 0) :, max(off, 0) :], d)
@@ -326,6 +335,43 @@ class Section:
     def norm(self) -> float:
         """The spectral norm ||A||, by :func:`op_norm`."""
         return op_norm(self)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x from the diagonals, O(n (kl + ku + 1))."""
+        y = self.diagonals[0] * x
+        for off, d in self.diagonals.items():
+            if off > 0:
+                y[: self.n - off] += d * x[off:]
+            elif off < 0:
+                y[-off:] += d * x[: self.n + off]
+        return y
+
+    def inverse_iteration_residual(self, lam: complex) -> float:
+        """||A x - lam x|| for the unit x of two inverse-iteration steps at the eigenvalue lam.
+
+        The steps solve against :meth:`factor` (lam) from the fixed-seed
+        Lanczos start vector, as LAPACK's ``xSTEIN``/``xHSEIN`` do.  An exact
+        zero pivot (lam is exact) moves the shift to lam + eps ||A||_inf,
+        the row-sum norm read from the diagonals.  A solve that overflows
+        (lam I - A is singular to the range of floating point, as at a
+        Jordan block) ends the iteration, and the residual is then
+        :meth:`sigma_min` (lam), the least residual any unit vector has.
+        """
+        try:
+            fact = self.factor(lam)
+        except scipy.linalg.LinAlgError:
+            rows = np.zeros(self.n)
+            for off, d in self.diagonals.items():
+                rows[max(-off, 0) : max(-off, 0) + d.shape[0]] += np.abs(d)
+            fact = self.factor(lam + np.finfo(float).eps * rows.max())
+        x = self._lanczos_start
+        for _ in range(2):
+            x = fact.solve(x)
+            norm = scipy.linalg.norm(x, check_finite=False)  # BLAS nrm2: scaled, no overflow
+            if not np.isfinite(norm):
+                return self.sigma_min(lam)
+            x = x / norm
+        return float(np.linalg.norm(self.matvec(x) - lam * x))
 
     @cached_property
     def _band_template(self) -> np.ndarray:
@@ -430,29 +476,32 @@ class Section:
 
 
 #: eig_dense routes, one per structure
-EIG_ROUTES = ("tridiagonal", "hermitian", "general")
+EIG_ROUTES = ("tridiagonal", "banded", "hermitian", "general")
 
 
 @dataclass(eq=False)
 class EigenDecomposition:
-    """Spectrum of one dense matrix, with residuals on demand.
+    """Spectrum of one :class:`Section`, with residuals on demand.
 
     ``eigenvalues`` is sorted lexicographically by (Re, Im) and counted with
     algebraic multiplicity; ``route`` names the solver (one of
-    ``EIG_ROUTES``).  The residual of an eigenvalue lam is ||M v - lam v|| /
-    ||v|| for its computed eigenvector v.  On the ``hermitian`` and
-    ``general`` routes every residual is computed with the eigenvalues, from
-    the eigenvectors, which are then dropped.  On the ``tridiagonal`` route
-    the decomposition keeps the section's O(n) diagonals instead, and
+    ``EIG_ROUTES``); ``section`` is the Section solved.  The residual of an
+    eigenvalue lam is ||A v - lam v|| / ||v|| for a vector v computed for
+    it.  On the dense ``hermitian`` and ``general`` routes v is the computed
+    eigenvector and every residual is computed with the eigenvalues, into
+    ``all_residuals``; the eigenvectors are then dropped.  On the
+    ``tridiagonal`` and ``banded`` routes no eigenvector is computed, and
     :meth:`residuals_at` computes the residuals of the requested eigenvalues
-    only, each time it is asked.  ``residuals_computed`` counts the residuals
-    computed so far.
+    only, each time it is asked: v comes from ``dstein``
+    (:meth:`SymmetricTridiagonal.residuals`) or from two steps of inverse
+    iteration (:meth:`Section.inverse_iteration_residual`).
+    ``residuals_computed`` counts the residuals computed so far.
     """
 
     eigenvalues: np.ndarray
     route: str
+    section: Section = field(repr=False)
     all_residuals: np.ndarray | None = field(default=None, repr=False)
-    tridiagonal: SymmetricTridiagonal | None = field(default=None, repr=False)
     residuals_computed: int = 0
 
     @property
@@ -465,7 +514,9 @@ class EigenDecomposition:
         if self.all_residuals is not None:
             return self.all_residuals[rows]
         self.residuals_computed += rows.size
-        return self.tridiagonal.residuals(self.eigenvalues.real, rows)
+        if self.route == "tridiagonal":
+            return self.section.tridiagonal.residuals(self.eigenvalues.real, rows)
+        return np.array([self.section.inverse_iteration_residual(lam) for lam in self.eigenvalues[rows]])
 
     @property
     def residuals(self) -> np.ndarray:
@@ -473,21 +524,54 @@ class EigenDecomposition:
         return self.residuals_at(np.arange(self.dimension))
 
 
+def _zgeev(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a dense a by complex QR iteration, with right eigenvectors if ``vectors``."""
+    w, _, v, info = lapack.zgeev(a.astype(np.complex128, copy=False), compute_vl=0, compute_vr=int(vectors))
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} passed to the eigensolver")
+    if info > 0:
+        raise ConvergenceError(
+            f"QR iteration failed to converge; eigenvalues {info + 1}..{a.shape[0]} "
+            "converged, earlier ones did not",
+            stuck_index=int(info),
+        )
+    return w, v
+
+
 def eig_dense(m) -> EigenDecomposition:
     """Eigenvalues of a :class:`Section`, with residuals (see :class:`EigenDecomposition`).
 
-    ``m`` is a Section, or an array read as one.  One route
-    per structure.  Hermitian tridiagonal sections, in either dtype:
-    eigenvalues only, by ``eigvalsh_tridiagonal``; residuals on demand.  Other
-    Hermitian sections: ``eigh`` with eigenvectors.  Everything else:
-    complex QR iteration (``zgeev``) with eigenvectors.  On the last two
-    routes every residual is computed here.  Raises
-    :class:`ConvergenceError` naming the stuck index if QR iteration fails.
+    ``m`` is a Section, or an array read as one.  One route per structure:
+
+    - ``tridiagonal``: Hermitian tridiagonal sections, in either dtype,
+      by ``eigvalsh_tridiagonal``;
+    - ``banded``: every other section stored banded, Hermitian ones by
+      ``eigvals_banded`` on the diagonals (no dense array is built), the
+      rest by ``zgeev`` without eigenvectors on a dense copy the Section
+      does not keep;
+    - ``hermitian``: other Hermitian sections, by ``eigh`` with eigenvectors;
+    - ``general``: everything else, by ``zgeev`` with eigenvectors.
+
+    The first two compute residuals on demand, the last two every residual
+    here.  Raises :class:`ConvergenceError` naming the stuck index if QR
+    iteration fails.
     """
     sec = Section.of(m)
     if sec.tridiagonal is not None:
         w = sec.tridiagonal.eigenvalues().astype(np.complex128)  # ascending, hence (Re, Im) order
-        return EigenDecomposition(eigenvalues=w, route="tridiagonal", tridiagonal=sec.tridiagonal)
+        return EigenDecomposition(eigenvalues=w, route="tridiagonal", section=sec)
+    if sec.banded:
+        if sec.hermitian:
+            # upper band storage: row ku - k holds diagonal k from column k on
+            ab = np.zeros((sec.ku + 1, sec.n), dtype=sec.diagonals[0].dtype)
+            for k in range(sec.ku + 1):
+                ab[sec.ku - k, k:] = sec.diagonals[k]
+            w = scipy.linalg.eigvals_banded(ab, overwrite_a_band=True, check_finite=False)
+            w = w.astype(np.complex128)
+        else:
+            w, _ = _zgeev(sec.dense(), vectors=False)  # a temporary: the Section keeps its band
+            w = w[np.lexsort((w.imag, w.real))]
+        return EigenDecomposition(eigenvalues=w, route="banded", section=sec)
     a = sec.data
     if sec.hermitian:
         route = "hermitian"
@@ -495,21 +579,14 @@ def eig_dense(m) -> EigenDecomposition:
         w = w.astype(np.complex128)
     else:
         route = "general"
-        z = a.astype(np.complex128, copy=False)
-        w, _, v, info = lapack.zgeev(z, compute_vl=0, compute_vr=1)
-        if info < 0:
-            raise ValueError(f"illegal argument {-info} passed to the eigensolver")
-        if info > 0:
-            raise ConvergenceError(
-                f"QR iteration failed to converge; eigenvalues {info + 1}..{a.shape[0]} "
-                "converged, earlier ones did not",
-                stuck_index=int(info),
-            )
+        w, v = _zgeev(a, vectors=True)
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     v = v[:, order]
     resid = np.linalg.norm(a @ v - v * w[np.newaxis, :], axis=0) / np.linalg.norm(v, axis=0)
-    return EigenDecomposition(eigenvalues=w, route=route, all_residuals=resid, residuals_computed=w.size)
+    return EigenDecomposition(
+        eigenvalues=w, route=route, section=sec, all_residuals=resid, residuals_computed=w.size
+    )
 
 
 def sigma_min(m) -> float:

@@ -111,11 +111,13 @@ class SectionLadder:
         return self.matrix(size).norm
 
     def conjugated(self) -> "SectionLadder":
-        """Ladder of conjugate transposes (the discrete adjoint family)."""
+        """Ladder of conjugate transposes (the discrete adjoint family), declared by their diagonals."""
         return SectionLadder(
             label=f"{self.label}*",
             sizes=self.sizes,
-            provider=lambda s: self.matrix(s).data.conj().T,
+            provider=lambda s: numerics.Section(
+                {-off: d.conj() for off, d in self.matrix(s).diagonals.items()}
+            ),
         )
 
 

@@ -175,10 +175,10 @@ class TestPseudo:
         out = tmp_path / "out"
         assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
         classify, spectra = json.loads((out / "report.json").read_text())["stages"]
-        assert classify["eig_routes"] == {"tridiagonal": 7, "hermitian": 0, "general": 0}
+        assert classify["eig_routes"] == {"tridiagonal": 7, "banded": 0, "hermitian": 0, "general": 0}
         assert classify["residuals_computed"] == 0
         rows = len((out / "spectra.csv").read_text().splitlines()) - 1
-        assert spectra["eig_routes"] == {"tridiagonal": 0, "hermitian": 0, "general": 0}
+        assert spectra["eig_routes"] == {"tridiagonal": 0, "banded": 0, "hermitian": 0, "general": 0}
         assert spectra["residuals_computed"] == rows > 0
 
     def test_report_records_probe_ratios(self, tmp_path):
@@ -265,6 +265,40 @@ class TestSharedCache:
         assert cli.main(["demo", "oscillator", "--out", str(tmp_path / "out")]) == 0
         assert len(sections) == 7 and scans == []
         assert not any("data" in vars(sec) for sec in sections)
+
+    @pytest.mark.parametrize("demo, solves", [("sl_matrix", 10), ("complex_oscillator", 7)])
+    def test_demo_spectra_take_banded_route(self, tmp_path, monkeypatch, demo, solves):
+        # eigenvalues without eigenvectors, one inverse-iteration residual per
+        # written row, and the sections keep their declared band: no scan, and
+        # no dense array kept (sl_matrix builds none at all)
+        sections, scans, dense = [], [], []
+        init, band_widths, dense_copy = numerics.Section.__init__, numerics._band_widths, numerics.Section.dense
+
+        def counting_init(self, m):
+            sections.append(self)
+            init(self, m)
+
+        def counting_band_widths(a):
+            scans.append(a.shape[0])
+            return band_widths(a)
+
+        def counting_dense(self):
+            dense.append(self.n)
+            return dense_copy(self)
+
+        monkeypatch.setattr(numerics.Section, "__init__", counting_init)
+        monkeypatch.setattr(numerics, "_band_widths", counting_band_widths)
+        monkeypatch.setattr(numerics.Section, "dense", counting_dense)
+        doc = cli.demo_problem(demo)
+        doc["analysis"] = doc["analysis"][:1]
+        out = tmp_path / "out"
+        assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
+        (spectra,) = json.loads((out / "report.json").read_text())["stages"]
+        assert spectra["eig_routes"] == {"tridiagonal": 0, "banded": solves, "hermitian": 0, "general": 0}
+        rows = len((out / "spectra.csv").read_text().splitlines()) - 1
+        assert spectra["residuals_computed"] == rows > 0
+        assert scans == [] and not any("data" in vars(sec) for sec in sections)
+        assert len(dense) == (0 if demo == "sl_matrix" else solves)
 
     def test_jacobi_verify_stage_builds_one_section_per_pole_check(self, tmp_path, monkeypatch):
         # 60 T-sections of relative_bound and 60 diagonal blocks of

@@ -280,6 +280,52 @@ class TestDeclaredStructure:
                     declared.factor(z).solve(b, adjoint), detected.factor(z).solve(b, adjoint)
                 )
 
+    @pytest.mark.parametrize("m", [12, 80])
+    @pytest.mark.parametrize("coupling", ["hermitian", "varying"])
+    def test_sl_block_declared_matches_detected(self, coupling, m):
+        # beta = 0 and t = v != 0; s = u constant keeps [[A, B], [C, D]]
+        # symmetric, non-constant s and u do not
+        vary = coupling == "varying"
+        tau = dz.SLProblem("varp", lambda x: 2.0 + np.sin(x), lambda x: 1.0 + x * x, 0.0, np.pi, 0.0, (0.1,), 1.0, 1.0)
+        s = (lambda x: 0.3 + 0.1 * np.sin(x)) if vary else (lambda x: 0.4)
+        u = (lambda x: 0.2 * np.cos(x)) if vary else s
+        tv = lambda x: 0.3 * np.cos(x)
+        mp = dz.SLMatrixProblem("blk", tau, tau, 1.0, 1.0, s, tv, u, tv, 0.5, 0.3, 0.5, 0.3)
+        declared = dz.sl_block_assemble(mp, 1, m)
+        assert "data" not in vars(declared) and (declared.kl, declared.ku) == (3, 3)
+        detected = numerics.Section(declared.data)
+        assert [getattr(declared, key) for key in self.STRUCTURE] == [
+            getattr(detected, key) for key in self.STRUCTURE
+        ]
+        assert declared.hermitian is not vary and declared.banded is (m == 80)
+        # the interleaved unknowns: a permutation similarity of the block matrix
+        a, b, c, d = dz.sl_blocks(mp, 1, m)
+        k = a.shape[0]
+        perm = np.ravel(np.column_stack([np.arange(k), k + np.arange(k)]))
+        blocks = np.block([[a, b], [c, d]])
+        np.testing.assert_array_equal(declared.data, blocks[np.ix_(perm, perm)].real)
+
+        rows = [0, declared.n // 2, declared.n - 1]
+        got, want = numerics.eig_dense(declared), numerics.eig_dense(detected)
+        assert got.route == want.route == ("banded" if m == 80 else "hermitian" if not vary else "general")
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+        np.testing.assert_array_equal(got.residuals_at(rows), want.residuals_at(rows))
+        if not vary:
+            norm = np.linalg.norm(blocks, 2)
+            ref = np.linalg.eigvalsh(blocks)
+            assert np.max(np.abs(got.eigenvalues.real - ref)) <= 1e-14 * norm
+            assert np.all(got.residuals_at(rows) <= 1e-14 * norm)
+
+    def test_sl_block_banded_spectra_build_no_dense_array(self):
+        # the Hermitian banded route reads the diagonals: eigenvalues and residuals alike
+        tau = dz.SLProblem("lap", ONE, ZERO, 0.0, np.pi, 0.0, (0.1,), 1.0, 0.0)
+        half = lambda x: 0.5
+        mp = dz.SLMatrixProblem("blk", tau, tau, 1.0, 1.0, half, ZERO, half, ZERO, 0.5, 0, 0.5, 0)
+        sec = dz.sl_block_assemble(mp, 1, 300)
+        dec = numerics.eig_dense(sec)
+        assert dec.route == "banded" and dec.residuals_at([0, 1, sec.n - 1]).shape == (3,)
+        assert "data" not in vars(sec)
+
     def test_real_builder_stays_real(self):
         assert declared_sections(12)["schrodinger_real_q"].diagonals[0].dtype == np.float64
         assert not declared_sections(12)["schrodinger_complex_q"].real

@@ -99,6 +99,56 @@ class TestTridiagonalEig:
         assert h.route == "hermitian" and h.residuals_computed == 3
 
 
+def banded_diagonals(kind, n, half, rng):
+    """Diagonals {j - i: d} of a random banded matrix of the given kind."""
+    cplx = lambda k: rng.standard_normal(n - k) + 1j * rng.standard_normal(n - k)
+    if kind == "real_symmetric":
+        upper = {k: rng.standard_normal(n - k) for k in range(half + 1)}
+    elif kind == "hermitian":
+        upper = {0: rng.standard_normal(n), **{k: cplx(k) for k in range(1, half + 1)}}
+    elif kind == "non_normal":
+        return {k: cplx(abs(k)) for k in range(-half, half + 1)}
+    elif kind == "diagonal":  # complex, so not Hermitian: every eigenvalue is an exact pivot
+        return {0: cplx(0)}
+    else:  # jordan: one eigenvalue of multiplicity n and one eigenvector
+        return {0: np.full(n, 0.5 + 0.25j), 1: np.ones(n - 1)}
+    return {**upper, **{-k: upper[k].conj() for k in range(1, half + 1)}}
+
+
+class TestBandedEig:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.sampled_from([64, 97, 200]),
+        half=hst.sampled_from([2, 3]),
+        kind=hst.sampled_from(["real_symmetric", "hermitian", "non_normal", "diagonal", "jordan"]),
+    )
+    @example(seed=0, n=64, half=2, kind="diagonal")
+    @example(seed=0, n=200, half=3, kind="jordan")
+    def test_property_eigenvalues_and_inverse_iteration_residuals(self, seed, n, half, kind):
+        rng = np.random.default_rng(seed)
+        sec = numerics.Section(banded_diagonals(kind, n, half, rng))
+        a = sec.dense()  # a copy the Section does not keep
+        norm = np.linalg.norm(a, 2)
+        d = numerics.eig_dense(sec)
+        assert d.route == "banded" and d.section is sec and d.residuals_computed == 0
+        if sec.hermitian:
+            np.testing.assert_array_equal(d.eigenvalues.imag, 0.0)
+            assert np.max(np.abs(d.eigenvalues.real - np.linalg.eigvalsh(a))) <= 1e-14 * norm
+        else:
+            want = np.linalg.eigvals(a)
+            dist = np.abs(d.eigenvalues[:, np.newaxis] - want[np.newaxis, :])
+            assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-10 * norm
+        rows = rng.permutation(n)[: int(rng.integers(1, 12))]
+        res = d.residuals_at(rows)
+        assert res.shape == rows.shape and d.residuals_computed == rows.size
+        assert np.all(np.isfinite(res))
+        if kind != "non_normal":  # normal inputs, and the Jordan block's exact eigenvector
+            assert np.all(res <= 1e-12 * norm)
+        if sec.hermitian:
+            assert "data" not in vars(sec)
+
+
 class TestSigmaMin:
     def test_identity(self):
         assert numerics.sigma_min(np.eye(4)) == pytest.approx(1.0, abs=1e-14)

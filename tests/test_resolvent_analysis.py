@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from specexact import numerics, operator_model as om, resolvent_analysis as ra
+from specexact import discretize as dz, numerics, operator_model as om, resolvent_analysis as ra
 from specexact.errors import ContourError, ResolutionError
 from specexact.resolvent_analysis import ProbeVerdict
 
@@ -559,3 +559,20 @@ class TestNeumannBoundOnSections:
             assert lhs >= rhs - 1e-10
             # same bound in resolvent-norm form
             assert ra.resolvent_norm(t + s, 0.0) <= ra.resolvent_norm(t, 0.0) / (1 - gamma) + 1e-8
+
+
+class TestConjugatedLadder:
+    def test_schrodinger_adjoint_ladder_stays_declared(self):
+        # the conjugate transpose is declared from the diagonals: no dense
+        # array on either ladder, and the spectrum is the conjugate
+        prob = dz.SchrodingerProblem("osc", p=lambda x: 0.0, q=lambda x: 1j * x * x, r=lambda x: 0.0, L_n=(3.0, 4.0))
+        lad = ra.SectionLadder("osc", (1, 2), lambda n: dz.schrodinger_assemble(prob, n, 80))
+        adj = lad.conjugated()
+        for size in adj.sizes:
+            sec, sec_h = lad.matrix(size), adj.matrix(size)
+            assert (sec_h.kl, sec_h.ku, sec_h.hermitian, sec_h.banded) == (sec.ku, sec.kl, False, True)
+            np.testing.assert_array_equal(sec_h.diagonals[1], sec.diagonals[-1].conj())
+            w, w_h = lad.spectrum(size).eigenvalues, adj.spectrum(size).eigenvalues
+            assert np.max(np.abs(np.sort_complex(w.conj()) - np.sort_complex(w_h))) <= 1e-10 * np.abs(w).max()
+        assert not any("data" in vars(sec) for sec in lad.cache.sections.values())
+        assert not any("data" in vars(sec) for sec in adj.cache.sections.values())
