@@ -24,11 +24,15 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                stage's spectrum requests answered from the problem's cache
                and by an eigensolve.  Spectra and classify stages also
                record ``eig_routes`` (the stage's eigensolves per route:
-               tridiagonal, banded, hermitian, general) and
+               tridiagonal, banded, windowed, hermitian, general),
                ``residuals_computed`` (residuals the stage computed: n per
                hermitian or general eigensolve, one per written row of a
-               tridiagonal or banded section).  An sl_matrix section
-               interleaves its two components' unknowns, so it is banded.
+               tridiagonal, banded or windowed section) and
+               ``windowed_checks`` (per windowed solve: size, found,
+               contour_rank, gap, probe_columns, and fallback, null or the
+               reason the whole spectrum was computed instead).  An
+               sl_matrix section interleaves its two components' unknowns,
+               so it is banded.
                A finished classify stage records ``probe_ratios``, one entry
                per candidate: its lambda and verdict and the four ratios its
                region probe was judged by (``RegionProbe.ratios``).  A
@@ -440,10 +444,10 @@ def _unique_name(name: str, used: set) -> str:
 
 
 def _run_spectra(prob: Problem, stage: dict, path: Path, threads: int) -> dict:
-    ladder = prob.ladder(stage["sizes"])
+    ladder, window = prob.ladder(stage["sizes"]), stage["window"]
     lines = ["n,re,im,residual"]
     for size in ladder.sizes:
-        s = st.SpectrumResult.from_eig(size, ladder.spectrum(size), stage["window"], residuals=True)
+        s = st.SpectrumResult.from_eig(size, ladder.spectrum(size, window), window, residuals=True)
         for lam, res in zip(s.eigenvalues, s.residuals):
             lines.append(f"{_fmt(size)},{_fmt(lam.real)},{_fmt(lam.imag)},{_fmt(res)}")
     _atomic_write(path, "\n".join(lines) + "\n")
@@ -558,6 +562,7 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int =
         entry = {"op": op, "status": "ok", "outputs": [], "error": ""}
         hits, misses = cache.spectrum_hits, cache.spectrum_misses
         routes, residuals = cache.eig_routes.copy(), cache.residuals_computed
+        checks = len(cache.windowed_checks)
         start = time.perf_counter()
         name = _unique_name(STAGES[op][0], used)
         try:
@@ -573,6 +578,7 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int =
                 route: cache.eig_routes[route] - routes[route] for route in numerics.EIG_ROUTES
             }
             entry["residuals_computed"] = cache.residuals_computed - residuals
+            entry["windowed_checks"] = cache.windowed_checks[checks:]
         if not any(STAGES[later["op"]][1] for later in prob.analysis[i + 1 :]):
             cache.clear()
         entry["seconds"] = time.perf_counter() - start

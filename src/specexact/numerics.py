@@ -7,7 +7,11 @@ kernel picks its route from that structure; only dense routes build the
 n x n array.  A Section is also the shifted operator A - z I over many
 shifts z (factorization, sigma_min) and caches its norm.  Eigenvalues of a
 tridiagonal or banded section come without eigenvectors; a residual is
-computed only when asked for, by inverse iteration at its eigenvalue.
+computed only when asked for, by inverse iteration at its eigenvalue.  An
+eigenvalue estimate is refined by two-sided Rayleigh-quotient iteration on
+the same shifted factorizations; ``resolvent_analysis.windowed_spectrum``
+refines its contour estimates so, and adds the ``windowed`` route to
+``EIG_ROUTES``.
 Everything here is deterministic for a fixed input, and threads may share a
 Section.  Backed by LAPACK (balancing + Hessenberg + implicitly shifted QR
 for general eigenproblems, band reduction for Hermitian banded ones,
@@ -262,7 +266,8 @@ class Section:
     the same structure.  ``data``, the dense array, is the input array or is
     built by the dense routes alone (SVD, ``zgeev`` and ``eigh`` with
     eigenvectors, dense LU); :meth:`dense` gives a copy the Section does not
-    keep.  :meth:`matvec` applies A from the diagonals.
+    keep.  :meth:`matvec` applies A from the diagonals; :attr:`inf_norm` is
+    ||A||_inf, read from them.
     ``kl``, ``ku`` are the outermost nonzero sub- and superdiagonal; ``real``
     says A is real; ``hermitian``, A = A^H exactly: kl == ku and the kl + 1
     diagonal pairs inside the band conjugate.  ``tridiagonal`` holds the
@@ -283,8 +288,8 @@ class Section:
     - ``dense``: everything else, by SVD of the dense A - z I.
 
     ``data``, the band and triangular templates (-A, stored for those
-    routes), the Lanczos start vector and :attr:`norm` are built on first
-    use.  Instances are read-only apart from those and ``fallbacks`` (the
+    routes), the Lanczos start vector, :attr:`norm` and :attr:`inf_norm` are
+    built on first use.  Instances are read-only apart from those and ``fallbacks`` (the
     shifts whose Lanczos run fell back to dense SVD): threads may share one.
     """
 
@@ -357,13 +362,7 @@ class Section:
         Jordan block) ends the iteration, and the residual is then
         :meth:`sigma_min` (lam), the least residual any unit vector has.
         """
-        try:
-            fact = self.factor(lam)
-        except scipy.linalg.LinAlgError:
-            rows = np.zeros(self.n)
-            for off, d in self.diagonals.items():
-                rows[max(-off, 0) : max(-off, 0) + d.shape[0]] += np.abs(d)
-            fact = self.factor(lam + np.finfo(float).eps * rows.max())
+        fact = self._factor_near(lam)
         x = self._lanczos_start
         for _ in range(2):
             x = fact.solve(x)
@@ -372,6 +371,50 @@ class Section:
                 return self.sigma_min(lam)
             x = x / norm
         return float(np.linalg.norm(self.matvec(x) - lam * x))
+
+    def _factor_near(self, lam: complex) -> Factorization:
+        """:meth:`factor` (lam), or at lam + eps ||A||_inf when lam is exact (a zero pivot)."""
+        try:
+            return self.factor(lam)
+        except scipy.linalg.LinAlgError:
+            return self.factor(lam + np.finfo(float).eps * self.inf_norm)
+
+    def refined_eigenvalue(self, lam: complex, steps: int) -> tuple[complex, float]:
+        """``lam`` moved onto a nearby eigenvalue mu by two-sided Rayleigh-quotient iteration, and its residual.
+
+        Each step solves (mu I - A) x = x and (mu I - A)^H y = y against
+        :meth:`factor` (mu), from the fixed-seed Lanczos start, and sets mu to
+        the two-sided Rayleigh quotient y^H A x / y^H x, which converges
+        cubically to a simple eigenvalue whether or not A is normal.  An
+        exact zero pivot moves the shift as :meth:`inverse_iteration_residual`
+        does.  An overflowing solve (mu is an eigenvalue to working
+        precision) or a quotient that is not finite ends the iteration early.
+        The residual is ||A x - mu x|| for the last unit x: mu is an exact
+        eigenvalue of A - (A x - mu x) x^H.  It is inf when no step completed.
+        """
+        mu, residual = complex(lam), np.inf
+        x = y = self._lanczos_start
+        for _ in range(steps):
+            fact = self._factor_near(mu)
+            x, y = fact.solve(x), fact.solve(y, adjoint=True)
+            norms = scipy.linalg.norm(x, check_finite=False), scipy.linalg.norm(y, check_finite=False)
+            if not np.all(np.isfinite(norms)):
+                break
+            x, y = x / norms[0], y / norms[1]
+            ax = self.matvec(x)
+            quotient = complex(np.vdot(y, ax) / np.vdot(y, x))
+            if not np.isfinite(quotient):
+                break
+            mu, residual = quotient, float(np.linalg.norm(ax - quotient * x))
+        return mu, residual
+
+    @cached_property
+    def inf_norm(self) -> float:
+        """||A||_inf, the largest absolute row sum, read from the diagonals."""
+        rows = np.zeros(self.n)
+        for off, d in self.diagonals.items():
+            rows[max(-off, 0) : max(-off, 0) + d.shape[0]] += np.abs(d)
+        return float(rows.max())
 
     @cached_property
     def _band_template(self) -> np.ndarray:
@@ -475,8 +518,9 @@ class Section:
         return None
 
 
-#: eig_dense routes, one per structure
-EIG_ROUTES = ("tridiagonal", "banded", "hermitian", "general")
+#: spectrum routes: the four of eig_dense, one per structure, and ``windowed``
+#: (``resolvent_analysis.windowed_spectrum``, the eigenvalues inside one circle)
+EIG_ROUTES = ("tridiagonal", "banded", "windowed", "hermitian", "general")
 
 
 @dataclass(eq=False)
@@ -485,12 +529,16 @@ class EigenDecomposition:
 
     ``eigenvalues`` is sorted lexicographically by (Re, Im) and counted with
     algebraic multiplicity; ``route`` names the solver (one of
-    ``EIG_ROUTES``); ``section`` is the Section solved.  The residual of an
+    ``EIG_ROUTES``); ``section`` is the Section solved.  ``window`` is None
+    when ``eigenvalues`` is the whole spectrum; on the ``windowed`` route it
+    is the rectangle (re0, re1, im0, im1) asked for, and ``eigenvalues`` holds
+    every eigenvalue inside a circle around it, so it is complete for any
+    rectangle inside ``window``.  The residual of an
     eigenvalue lam is ||A v - lam v|| / ||v|| for a vector v computed for
     it.  On the dense ``hermitian`` and ``general`` routes v is the computed
     eigenvector and every residual is computed with the eigenvalues, into
     ``all_residuals``; the eigenvectors are then dropped.  On the
-    ``tridiagonal`` and ``banded`` routes no eigenvector is computed, and
+    ``tridiagonal``, ``banded`` and ``windowed`` routes no eigenvector is computed, and
     :meth:`residuals_at` computes the residuals of the requested eigenvalues
     only, each time it is asked: v comes from ``dstein``
     (:meth:`SymmetricTridiagonal.residuals`) or from two steps of inverse
@@ -503,6 +551,7 @@ class EigenDecomposition:
     section: Section = field(repr=False)
     all_residuals: np.ndarray | None = field(default=None, repr=False)
     residuals_computed: int = 0
+    window: tuple | None = None
 
     @property
     def dimension(self) -> int:

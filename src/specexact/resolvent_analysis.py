@@ -1,9 +1,16 @@
-"""Resolvent norms, pseudospectra grids, region-of-boundedness probes, contour ranks.
+"""Resolvent norms, pseudospectra grids, region-of-boundedness probes, contour ranks, windowed spectra.
 
 Verdicts produced here are *evidence*, never proofs: the region of
 boundedness is an asymptotic notion and a finite ladder can only exhibit
 trends.  The thresholds that define the evidence standard are keyword
 arguments with the documented defaults.
+
+A ladder's spectrum request may carry a window.  On a section stored banded
+and not Hermitian it is answered by :func:`windowed_spectrum`: the
+eigenvalues inside a circle around the window, extracted from the same node
+factorizations and solves as the circle's contour rank, and accepted only
+when their number equals that rank; otherwise the whole spectrum is computed
+and the fallback recorded.  Every other request gets the whole spectrum.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -28,6 +35,14 @@ GAP_FACTOR = 10.0
 DEFAULT_QUADRATURE = 64
 
 _PRECONDITION_RESNORM = 1e8  # scaled by 1/radius in contour_rank
+#: the circle of a windowed spectrum: the window's circumcircle, radius times this
+WINDOW_CIRCLE_MARGIN = 1.05
+#: Rayleigh-quotient steps that refine an extracted eigenvalue, before and after its snap
+_REFINE_STEPS = 2
+#: the snap grid of extracted eigenvalues: spacing 2^-_SNAP_BITS ||A||_inf, rounded up to a power of 2
+_SNAP_BITS = 24
+#: an extracted eigenvalue counts as found when its residual is at most this times ||A||_inf
+_RESIDUAL_REL = 1e-12
 
 
 class ProbeVerdict(str, enum.Enum):
@@ -46,11 +61,16 @@ class SectionCache:
     shifted solves all read that one structure.  One cache serves every
     :class:`SectionLadder` built on the same pure provider, so a section or
     spectrum computed for one ladder is reused by the next.
-    ``spectrum_hits`` and ``spectrum_misses`` count the
-    :meth:`SectionLadder.spectrum` calls it answered from memory and by an
-    eigensolve, and ``eig_routes`` counts those eigensolves per
-    ``numerics.eig_dense`` route.  :meth:`clear` drops the stored data and
-    keeps these counts.
+    ``spectra`` holds one :class:`numerics.EigenDecomposition` per size: the
+    whole spectrum, which serves every request, or a windowed one, which
+    serves the requests whose window lies inside its own; a request it
+    cannot serve replaces it.  ``spectrum_hits`` and ``spectrum_misses``
+    count the :meth:`SectionLadder.spectrum` calls it answered from memory
+    and by an eigensolve, ``eig_routes`` counts those eigensolves per route
+    (``numerics.EIG_ROUTES``), and ``windowed_checks`` holds the count check
+    of each windowed solve, its ladder size included (see
+    :class:`WindowedCheck`).  :meth:`clear` drops the stored data and keeps
+    these counts.
     """
 
     sections: dict = field(default_factory=dict)
@@ -58,15 +78,40 @@ class SectionCache:
     spectrum_hits: int = 0
     spectrum_misses: int = 0
     eig_routes: Counter = field(default_factory=Counter)
+    windowed_checks: list = field(default_factory=list)
+    _dropped_residuals: int = field(default=0, repr=False)
 
     @property
     def residuals_computed(self) -> int:
-        """Residuals computed so far by the spectra the cache holds."""
-        return sum(dec.residuals_computed for dec in self.spectra.values())
+        """Residuals computed so far by the spectra the cache holds or has dropped."""
+        return self._dropped_residuals + sum(dec.residuals_computed for dec in self.spectra.values())
+
+    def store(self, size, decomposition: numerics.EigenDecomposition) -> None:
+        """Hold ``decomposition`` as the spectrum at ``size``, replacing the one held."""
+        if size in self.spectra:
+            self._dropped_residuals += self.spectra[size].residuals_computed
+        self.spectra[size] = decomposition
 
     def clear(self) -> None:
+        self._dropped_residuals = self.residuals_computed
         self.sections.clear()
         self.spectra.clear()
+
+
+def _bounds(window) -> tuple:
+    """(re0, re1, im0, im1) of a rectangle given by its corners in any order."""
+    re0, re1, im0, im1 = (float(v) for v in window)
+    return min(re0, re1), max(re0, re1), min(im0, im1), max(im0, im1)
+
+
+def _serves(held, window) -> bool:
+    """A spectrum computed for window ``held`` (None: all) is complete inside ``window``."""
+    if held is None:
+        return True
+    if window is None:
+        return False
+    (a0, a1, b0, b1), (c0, c1, d0, d1) = _bounds(held), _bounds(window)
+    return a0 <= c0 and c1 <= a1 and b0 <= d0 and d1 <= b1
 
 
 @dataclass(eq=False)
@@ -96,15 +141,29 @@ class SectionLadder:
             sections[size] = numerics.Section.of(self.provider(size))
         return sections[size]
 
-    def spectrum(self, size) -> numerics.EigenDecomposition:
-        spectra = self.cache.spectra
-        if size in spectra:
-            self.cache.spectrum_hits += 1
+    def spectrum(self, size, window=None) -> numerics.EigenDecomposition:
+        """The spectrum at ``size``, complete at least inside ``window`` (re0, re1, im0, im1).
+
+        A cached spectrum serves the request when it is whole or its window
+        holds ``window``.  Otherwise a section stored banded and not
+        Hermitian, asked with a window, goes to :func:`windowed_spectrum`;
+        every other request to :func:`numerics.eig_dense`, whole.
+        """
+        cache = self.cache
+        held = cache.spectra.get(size)
+        if held is not None and _serves(held.window, window):
+            cache.spectrum_hits += 1
+            return held
+        cache.spectrum_misses += 1
+        section = self.matrix(size)
+        if window is not None and section.banded and not section.hermitian:
+            dec, check = windowed_spectrum(section, window)
+            cache.windowed_checks.append({"size": size, **asdict(check)})
         else:
-            self.cache.spectrum_misses += 1
-            spectra[size] = numerics.eig_dense(self.matrix(size))
-            self.cache.eig_routes[spectra[size].route] += 1
-        return spectra[size]
+            dec = numerics.eig_dense(section)
+        cache.store(size, dec)
+        cache.eig_routes[dec.route] += 1
+        return dec
 
     def norm(self, size) -> float:
         """The spectral norm of the section at ``size`` (:attr:`numerics.Section.norm`)."""
@@ -372,40 +431,51 @@ def _checked_factor(section: numerics.Section, z: complex, limit: float) -> nume
     return fact
 
 
-def _weighted_solves(factors, weights, b: np.ndarray, real_pairs: bool, adjoint: bool = False):
+def _weighted_solves(factors, weights, b: np.ndarray, real_pairs: bool, adjoint: bool = False, nodes=None):
     """P b = sum_k w_k (z_k - A)^{-1} b, or P^H b when ``adjoint``.
 
-    With ``real_pairs`` the factors cover the upper half circle of a real
-    problem; each node stands for itself and its conjugate, so its term is
-    2 Re(w X), and 1x at the two real nodes (first and last).
+    With ``nodes`` (the z_k) it returns the pair (P b, M b), where
+    M b = sum_k w_k z_k (z_k - A)^{-1} b is the first moment, from the same
+    solves.  With ``real_pairs`` the factors cover the upper half circle of a
+    real problem; each node stands for itself and its conjugate, so its term
+    is 2 Re(w X), and 1x at the two real nodes (first and last).
     """
     last = len(weights) - 1
-    total = np.zeros(b.shape, dtype=float if real_pairs else complex)
+    dtype = float if real_pairs else complex
+    total = np.zeros(b.shape, dtype=dtype)
+    first = None if nodes is None else np.zeros(b.shape, dtype=dtype)
+
+    def add(acc, term, k):
+        acc += (term.real if k in (0, last) else 2.0 * term.real) if real_pairs else term
+
     for k, (fact, w) in enumerate(zip(factors, weights)):
-        term = (np.conj(w) if adjoint else w) * fact.solve(b, adjoint=adjoint)
-        if real_pairs:
-            term = term.real if k in (0, last) else 2.0 * term.real
-        total += term
-    return total
+        x = fact.solve(b, adjoint=adjoint)
+        add(total, (np.conj(w) if adjoint else w) * x, k)
+        if first is not None:
+            add(first, w * nodes[k] * x, k)
+    return total if first is None else (total, first)
 
 
-def _sketched_singular_values(factors, weights, n: int, real_pairs: bool, sketch_below: float):
+def _sketched_singular_values(factors, weights, n: int, real_pairs: bool, sketch_below: float, nodes=None):
     """Leading singular values of the contour projection P from L probe columns.
 
     Y = P^H Omega by adjoint solves, Q = orth(Y), then the singular values of
     the n x L matrix P Q.  Since P = P Pi_range(P^H) and Q captures
     range(P^H), they are P's leading singular values.  L starts at
     ``_SKETCH_COLUMNS`` and doubles until ``_SKETCH_OVERSAMPLING`` columns lie
-    beyond the counted rank.  Returns ``(singular_values, L)``, or None once L
-    reaches ``sketch_below`` (the caller then forms P densely).
+    beyond the counted rank.  Returns ``(singular_values, L, solved)``, where
+    ``solved`` is what :func:`_weighted_solves` gave for Q (P Q, or the pair
+    (P Q, M Q) with ``nodes``), or None once L reaches ``sketch_below`` (the
+    caller then forms P densely).
     """
     columns = _SKETCH_COLUMNS
     while columns < sketch_below:
         y = _weighted_solves(factors, weights, _probe_matrix(n, columns), real_pairs, adjoint=True)
         basis = np.linalg.qr(y)[0]
-        svals = _projection_singular_values(_weighted_solves(factors, weights, basis, real_pairs))
+        solved = _weighted_solves(factors, weights, basis, real_pairs, nodes=nodes)
+        svals = _projection_singular_values(solved if nodes is None else solved[0])
         if columns - np.count_nonzero(svals > RANK_THRESHOLD) >= _SKETCH_OVERSAMPLING:
-            return svals, columns
+            return svals, columns, solved
         columns *= 2
     return None
 
@@ -417,7 +487,10 @@ class ContourRank:
     ``probe_columns`` is the number of columns the projection was applied to:
     the sketch width L when the projection was sketched, else n.  A sketched
     projection is never formed, so ``projection`` is None then;
-    ``singular_values`` holds the leading min(n, L) values.
+    ``singular_values`` holds the leading min(n, L) values.  ``moments`` is
+    None unless asked for: then the pair (A0, A1) of Beyn's method, the
+    projection P and the first moment M = sum_k w_k z_k (z_k - A)^{-1} applied
+    to the same probe columns (the sketch basis Q, or the identity).
     """
 
     center: complex
@@ -428,6 +501,7 @@ class ContourRank:
     gap: float
     singular_values: np.ndarray = field(repr=False)
     probe_columns: int
+    moments: tuple | None = field(default=None, repr=False)
 
 
 def contour_rank(
@@ -469,9 +543,17 @@ def contour_rank(
 
 
 def _contour_rank(
-    section: numerics.Section, center: complex, radius: float, q: int, sketch_below: float
+    section: numerics.Section,
+    center: complex,
+    radius: float,
+    q: int,
+    sketch_below: float,
+    moments: bool = False,
 ) -> ContourRank:
-    """Contour rank with the sketch tried while L < ``sketch_below`` (0: dense only)."""
+    """Contour rank with the sketch tried while L < ``sketch_below`` (0: dense only).
+
+    With ``moments`` the result also carries Beyn's (A0, A1), from the same solves.
+    """
     n = section.n
     theta = 2.0 * np.pi * np.arange(q) / q
     nodes = center + radius * np.exp(1j * theta)
@@ -481,17 +563,19 @@ def _contour_rank(
     real_pairs = section.real and center.imag == 0.0 and q % 2 == 0
     ks = range(q // 2 + 1) if real_pairs else range(q)
     weights = [(radius / q) * np.exp(1j * theta[k]) for k in ks]
+    solve_nodes = [nodes[k] for k in ks] if moments else None
     factors = (_checked_factor(section, nodes[k], limit) for k in ks)
     sketch = None
     if _SKETCH_COLUMNS < sketch_below:
         factors = list(factors)  # both sketch passes reuse every node's LU
-        sketch = _sketched_singular_values(factors, weights, n, real_pairs, sketch_below)
+        sketch = _sketched_singular_values(factors, weights, n, real_pairs, sketch_below, solve_nodes)
     if sketch is None:
-        proj = _weighted_solves(factors, weights, np.eye(n, dtype=complex), real_pairs)
+        solved = _weighted_solves(factors, weights, np.eye(n, dtype=complex), real_pairs, nodes=solve_nodes)
+        proj = solved if solve_nodes is None else solved[0]
         svals, probe_columns = _projection_singular_values(proj), n
     else:
         proj = None
-        svals, probe_columns = sketch
+        svals, probe_columns, solved = sketch
     rank = int(np.count_nonzero(svals > RANK_THRESHOLD))
     # the kept/dropped split only exists when both sides are nonempty
     if rank == 0 or rank == svals.size:
@@ -513,4 +597,116 @@ def _contour_rank(
         gap=float(gap),
         singular_values=svals,
         probe_columns=probe_columns,
+        moments=solved if moments else None,
     )
+
+
+# --------------------------------- windowed spectra -------------------------------
+
+
+@dataclass
+class WindowedCheck:
+    """The count check of one :func:`windowed_spectrum` solve.
+
+    ``found`` eigenvalues inside the circle against its ``contour_rank`` k,
+    with the rank's kept/dropped singular-value ``gap`` (compare it with
+    ``GAP_FACTOR``; None when nothing is kept or nothing dropped) and the
+    ``probe_columns`` of the sketch.  ``fallback`` is None, or why the whole
+    spectrum was computed instead; the fields the solve did not reach stay
+    None.
+    """
+
+    found: int | None = None
+    contour_rank: int | None = None
+    gap: float | None = None
+    probe_columns: int | None = None
+    fallback: str | None = None
+
+
+def _beyn_eigenvalues(a0: np.ndarray, a1: np.ndarray, rank: int) -> np.ndarray:
+    """Eigenvalues of Beyn's reduced matrix V^H A1 W S^-1, with A0 = V S W^H cut at ``rank``."""
+    if rank == 0:
+        return np.zeros(0, dtype=complex)
+    v, s, wh = np.linalg.svd(a0, full_matrices=False)
+    return np.linalg.eigvals((v[:, :rank].conj().T @ a1 @ wh[:rank].conj().T) / s[:rank])
+
+
+def _settled(section: numerics.Section, mu: complex, spacing: float) -> tuple[complex, float]:
+    """The eigenvalue near the estimate ``mu``, as a function of its grid cell alone, and its residual.
+
+    ``mu`` is refined (:meth:`numerics.Section.refined_eigenvalue`) to within
+    rounding noise of an eigenvalue, snapped to the grid of the given
+    power-of-2 ``spacing``, and refined again from the grid point.  Estimates
+    of one eigenvalue from different circles refine into the same cell
+    unless its noise straddles a cell edge, so a windowed spectrum holds the
+    same bits whichever window it was extracted for.
+    """
+    mu, _ = section.refined_eigenvalue(mu, _REFINE_STEPS)
+    grid = complex(spacing * round(mu.real / spacing), spacing * round(mu.imag / spacing))
+    return section.refined_eigenvalue(grid, _REFINE_STEPS)
+
+
+def _distinct(values: np.ndarray, tol: float) -> np.ndarray:
+    """``values`` sorted by (Re, Im), each kept only when no kept one lies within ``tol``."""
+    kept: list[complex] = []
+    for v in values[np.lexsort((values.imag, values.real))]:
+        if all(abs(v - u) > tol for u in kept):
+            kept.append(v)
+    return np.asarray(kept, dtype=complex)
+
+
+def windowed_spectrum(m, window) -> tuple[numerics.EigenDecomposition, WindowedCheck]:
+    """The eigenvalues of a section inside a circle around ``window``, by contour extraction.
+
+    ``window`` is the rectangle (re0, re1, im0, im1).  The circle is its
+    circumcircle with the radius enlarged by ``WINDOW_CIRCLE_MARGIN``, so the
+    window's edges lie strictly inside.  One pass over its
+    ``DEFAULT_QUADRATURE`` nodes, each factored once as :func:`contour_rank`
+    factors it, gives the contour rank k of the circle and, from the same
+    solves, Beyn's moments A0 = P Q and A1 = M Q on the sketch basis Q
+    (W.-J. Beyn, Linear Algebra Appl. 436 (2012) 3839-3863).  The k x k
+    reduced problem gives k eigenvalue estimates.  Each is refined by
+    Rayleigh-quotient iteration and snapped to a grid of spacing about
+    2^-24 ||A||_inf, which makes the value independent of the circle
+    (:func:`_settled`).  A value counts as found when its residual is at
+    most 1e-12 ||A||_inf (it is then an exact eigenvalue of a matrix that
+    close to A), lies inside the circle, and is not within one grid spacing
+    of a value found before it.
+
+    Count check: the values kept must number exactly k.  When they do not,
+    or the contour raises :class:`ContourError` or :class:`ResolutionError`,
+    the whole spectrum comes from :func:`numerics.eig_dense` instead, and
+    the returned :class:`WindowedCheck` says why.  A repeated eigenvalue
+    takes that fallback too.  Otherwise the result has route ``windowed``,
+    its ``window``, and every eigenvalue inside the circle, with residuals
+    on demand (:meth:`numerics.Section.inverse_iteration_residual`).  ``m``
+    is a Section, or an array read as one.
+    """
+    section = numerics.Section.of(m)
+    re0, re1, im0, im1 = _bounds(window)
+    center = complex(re0 + re1, im0 + im1) / 2.0
+    radius = WINDOW_CIRCLE_MARGIN * abs(complex(re1, im1) - center)
+    check = WindowedCheck()
+    if not (np.isfinite(radius) and radius > 0.0):
+        check.fallback = f"no circle around the window {tuple(window)}"
+        return numerics.eig_dense(section), check
+    try:
+        contour = _contour_rank(
+            section, center, radius, DEFAULT_QUADRATURE, section.n if section.banded else 0, moments=True
+        )
+    except (ContourError, ResolutionError) as exc:
+        check.fallback = f"{type(exc).__name__}: {exc}"
+        return numerics.eig_dense(section), check
+    k = contour.rank
+    check.contour_rank, check.probe_columns = k, contour.probe_columns
+    check.gap = contour.gap if np.isfinite(contour.gap) else None
+    spacing = np.ldexp(1.0, np.frexp(section.inf_norm)[1] - _SNAP_BITS)
+    settled = [_settled(section, mu, spacing) for mu in _beyn_eigenvalues(*contour.moments, k)]
+    accurate = [mu for mu, residual in settled if residual <= _RESIDUAL_REL * section.inf_norm]
+    values = _distinct(np.array(accurate, dtype=complex), spacing)
+    values = values[np.abs(values - center) < radius]
+    check.found = values.size
+    if values.size != k:
+        check.fallback = f"found {values.size} eigenvalues inside the circle, contour rank {k}"
+        return numerics.eig_dense(section), check
+    return numerics.EigenDecomposition(values, "windowed", section, window=tuple(window)), check

@@ -434,7 +434,9 @@ def track_and_classify(
     ``window`` restricts tracking to a rectangle (re0, re1, im0, im1); the
     inclusion evidence is only about candidates found there.
     """
-    spectra = [SpectrumResult.from_eig(size, certified.spectrum(size), window) for size in certified.sizes]
+    spectra = [
+        SpectrumResult.from_eig(size, certified.spectrum(size, window), window) for size in certified.sizes
+    ]
     trajectories = match_trajectories(spectra)
     candidates = detect_limits(trajectories, tol, ladder_length=len(certified.sizes))
     values = [c.value for c in candidates]

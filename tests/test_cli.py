@@ -175,10 +175,10 @@ class TestPseudo:
         out = tmp_path / "out"
         assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
         classify, spectra = json.loads((out / "report.json").read_text())["stages"]
-        assert classify["eig_routes"] == {"tridiagonal": 7, "banded": 0, "hermitian": 0, "general": 0}
+        assert classify["eig_routes"] == {"tridiagonal": 7, "banded": 0, "windowed": 0, "hermitian": 0, "general": 0}
         assert classify["residuals_computed"] == 0
         rows = len((out / "spectra.csv").read_text().splitlines()) - 1
-        assert spectra["eig_routes"] == {"tridiagonal": 0, "banded": 0, "hermitian": 0, "general": 0}
+        assert spectra["eig_routes"] == {"tridiagonal": 0, "banded": 0, "windowed": 0, "hermitian": 0, "general": 0}
         assert spectra["residuals_computed"] == rows > 0
 
     def test_report_records_probe_ratios(self, tmp_path):
@@ -270,7 +270,9 @@ class TestSharedCache:
     def test_demo_spectra_take_banded_route(self, tmp_path, monkeypatch, demo, solves):
         # eigenvalues without eigenvectors, one inverse-iteration residual per
         # written row, and the sections keep their declared band: no scan, and
-        # no dense array kept (sl_matrix builds none at all)
+        # no dense array built.  The Hermitian sl_matrix sections take the
+        # banded route; the non-Hermitian complex_oscillator ones, asked with
+        # the stage window, the windowed route, with no fallback
         sections, scans, dense = [], [], []
         init, band_widths, dense_copy = numerics.Section.__init__, numerics._band_widths, numerics.Section.dense
 
@@ -294,11 +296,16 @@ class TestSharedCache:
         out = tmp_path / "out"
         assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
         (spectra,) = json.loads((out / "report.json").read_text())["stages"]
-        assert spectra["eig_routes"] == {"tridiagonal": 0, "banded": solves, "hermitian": 0, "general": 0}
+        route = "banded" if demo == "sl_matrix" else "windowed"
+        routes = dict.fromkeys(numerics.EIG_ROUTES, 0) | {route: solves}
+        assert spectra["eig_routes"] == routes
         rows = len((out / "spectra.csv").read_text().splitlines()) - 1
         assert spectra["residuals_computed"] == rows > 0
         assert scans == [] and not any("data" in vars(sec) for sec in sections)
-        assert len(dense) == (0 if demo == "sl_matrix" else solves)
+        assert dense == []
+        checks = spectra["windowed_checks"]
+        assert len(checks) == (0 if demo == "sl_matrix" else solves)
+        assert all(c["fallback"] is None and c["found"] == c["contour_rank"] for c in checks)
 
     def test_jacobi_verify_stage_builds_one_section_per_pole_check(self, tmp_path, monkeypatch):
         # 60 T-sections of relative_bound and 60 diagonal blocks of

@@ -1,13 +1,15 @@
 """Resolvent norms, pseudospectra, region probes and contour projections."""
 
 import io
+import json
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
+from scipy.optimize import linear_sum_assignment
 
-from specexact import discretize as dz, numerics, operator_model as om, resolvent_analysis as ra
+from specexact import cli, discretize as dz, numerics, operator_model as om, resolvent_analysis as ra
 from specexact.errors import ContourError, ResolutionError
 from specexact.resolvent_analysis import ProbeVerdict
 
@@ -576,3 +578,278 @@ class TestConjugatedLadder:
             assert np.max(np.abs(np.sort_complex(w.conj()) - np.sort_complex(w_h))) <= 1e-10 * np.abs(w).max()
         assert not any("data" in vars(sec) for sec in lad.cache.sections.values())
         assert not any("data" in vars(sec) for sec in adj.cache.sections.values())
+
+
+# ---------------------------------- windowed spectra ---------------------------------
+
+#: the complex_oscillator demo's spectra and classify windows
+DEMO_WINDOW = (-0.5, 4.0, -0.5, 4.0)
+DEMO_CLASSIFY_WINDOW = (0.0, 1.5, 0.0, 1.5)
+PLANTED_WINDOW = (-1.0, 1.0, -0.5, 0.5)
+
+
+def in_window(w, window):
+    re0, re1, im0, im1 = window
+    return w[(w.real >= re0) & (w.real <= re1) & (w.imag >= im0) & (w.imag <= im1)]
+
+
+def window_circle(window):
+    """Centre and radius of the circle ``windowed_spectrum`` draws around ``window``."""
+    re0, re1, im0, im1 = window
+    center = complex(re0 + re1, im0 + im1) / 2.0
+    return center, ra.WINDOW_CIRCLE_MARGIN * abs(complex(re1, im1) - center)
+
+
+def demo_ladder(name="complex_oscillator"):
+    prob = cli.parse_problem(cli.demo_problem(name))
+    return prob.ladder(prob.default_sizes("test"))
+
+
+def planted_section(seed, n, ku, near, repeat, jordan, window=PLANTED_WINDOW):
+    """A banded, non-normal, non-Hermitian section whose eigenvalues are planted.
+
+    Block upper triangular with kl = 1 and ``ku`` superdiagonals: 1x1 blocks
+    and 2x2 blocks S [[l1, b], [0, l2]] S^-1 with S = [[1, 0], [t, 1]], coupled
+    by random entries above the blocks, so the eigenvalues are the planted
+    diagonal ones.  Planted: three values inside ``window``, ``near`` values
+    1e-3 r inside or outside a window edge or the circle of radius r, and a
+    value mu of multiplicity ``repeat``, one Jordan block when ``jordan``
+    (consecutive, coupled by ones), else semisimple (each copy a direct
+    summand).  Returns the Section and mu.
+    """
+    rng = np.random.default_rng(seed)
+    re0, re1, im0, im1 = window
+    center, r = window_circle(window)
+    lam = center + 4 * r * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    planted = [complex(rng.uniform(re0, re1), rng.uniform(im0, im1)) for _ in range(3)]
+    for _ in range(near):
+        side, where = rng.choice([-1.0, 1.0]) * 1e-3 * r, rng.integers(0, 3)
+        if where == 0:
+            planted.append(complex(rng.choice([re0, re1]) + side, rng.uniform(im0, im1)))
+        elif where == 1:
+            planted.append(complex(rng.uniform(re0, re1), rng.choice([im0, im1]) + side))
+        else:
+            planted.append(center + (r + side) * np.exp(2j * np.pi * rng.random()))
+    mu = complex(rng.uniform(re0 + 0.3, re1 - 0.3), rng.uniform(im0 + 0.2, im1 - 0.2))
+    lam[np.abs(lam - mu) < 0.1] += 0.5  # background values keep clear of mu's cluster
+    slots = rng.permutation(np.arange(1, n - 1, 2))  # odd slots: neighbours differ
+    lam[slots[: len(planted)]] = planted
+    upper = {k: 0.5 * (rng.standard_normal(n - k) + 1j * rng.standard_normal(n - k)) for k in range(1, ku + 1)}
+    protected = set()
+    if jordan:
+        start = int(rng.integers(1, n - repeat))
+        copies = range(start, start + repeat)
+        upper[1][start : start + repeat - 1] = 1.0
+        protected.update(range(start - 1, start + repeat + 1))
+    else:
+        copies = [int(s) + 1 for s in slots[len(planted) : len(planted) + repeat]]  # even slots
+        for p in copies:
+            for k, d in upper.items():  # row p and column p hold nothing off the diagonal
+                d[p : p + 1] = 0.0
+                if p >= k:
+                    d[p - k] = 0.0
+            protected.update((p - 1, p, p + 1))
+    lam[list(copies)] = mu
+    sub = np.zeros(n - 1, dtype=complex)
+    i = 0
+    while i < n - 1:
+        if rng.random() < 0.5 and not {i, i + 1} & protected:
+            b, t = upper[1][i], 0.5 * (rng.standard_normal() + 1j * rng.standard_normal())
+            l1, l2 = lam[i], lam[i + 1]
+            lam[i], lam[i + 1], sub[i] = l1 - b * t, t * b + l2, t * (l1 - t * b - l2)
+            i += 2
+        else:
+            i += 1
+    return numerics.Section({-1: sub, 0: lam, **upper}), mu
+
+
+def assert_windowed_or_fallback(sec, window, mu=None):
+    """The windowed spectrum is zgeev's inside the window, or it records a fallback and is zgeev's.
+
+    Eigenvalues within 0.05 of ``mu`` (a planted repeated value) are matched as a
+    cluster: the same count on both sides, each with a backward error below
+    1e-11 ||A||; all others pair up with zgeev's within 1e-10 ||A||.
+    """
+    dec, check = ra.windowed_spectrum(sec, window)
+    ref = numerics.eig_dense(sec)
+    assert ref.route == "banded"
+    if check.fallback is not None:
+        assert dec.route == "banded" and dec.window is None
+        np.testing.assert_array_equal(dec.eigenvalues, ref.eigenvalues)
+        return check
+    assert dec.route == "windowed" and dec.window == tuple(window)
+    assert check.found == check.contour_rank == dec.eigenvalues.size
+    got, want = in_window(dec.eigenvalues, window), in_window(ref.eigenvalues, window)
+    assert got.size == want.size  # never fewer in-window eigenvalues than zgeev
+    a = sec.dense()
+    norm = np.linalg.norm(a, 2)
+    if mu is not None:
+        near_got, near_want = np.abs(got - mu) < 0.05, np.abs(want - mu) < 0.05
+        assert near_got.sum() == near_want.sum()
+        for lam in got[near_got]:
+            smin = np.linalg.svd(a - lam * np.eye(sec.n), compute_uv=False)[-1]
+            assert smin <= 1e-11 * norm
+        got, want = got[~near_got], want[~near_want]
+    if got.size:
+        cost = np.abs(got[:, np.newaxis] - want[np.newaxis, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() <= 1e-10 * norm
+    return check
+
+
+class TestWindowedSpectrum:
+    def test_demo_sections_match_banded_route(self):
+        # the 7 complex_oscillator sections: the same in-window eigenvalues as
+        # zgeev within 1e-10 relative, no fallback, residuals below 1e-14 ||A||
+        ladder = demo_ladder()
+        for size in ladder.sizes:
+            sec = ladder.matrix(size)
+            dec, check = ra.windowed_spectrum(sec, DEMO_WINDOW)
+            assert dec.route == "windowed" and check.fallback is None
+            assert check.found == check.contour_rank and check.gap >= ra.GAP_FACTOR
+            got = in_window(dec.eigenvalues, DEMO_WINDOW)
+            want = in_window(numerics.eig_dense(sec).eigenvalues, DEMO_WINDOW)
+            assert got.size == want.size > 0
+            np.testing.assert_array_less(np.abs(got - want), 1e-10 * np.abs(want))
+            rows = np.flatnonzero(np.isin(dec.eigenvalues, got))
+            norm = np.linalg.norm(sec.dense(), 2)
+            assert np.all(dec.residuals_at(rows) <= 1e-14 * norm)
+        assert not any("data" in vars(sec) for sec in ladder.cache.sections.values())
+
+    def test_demo_classify_unchanged_against_banded_route(self, tmp_path, monkeypatch):
+        # the demo's candidates and verdicts with the windowed route and with
+        # every windowed request sent to zgeev instead
+        def classify(out):
+            assert cli.main(["demo", "complex_oscillator", "--out", str(out)]) == 0
+            return json.loads((out / "classify.json").read_text())["candidates"]
+
+        windowed = classify(tmp_path / "windowed")
+        monkeypatch.setattr(ra, "windowed_spectrum", lambda m, window: (numerics.eig_dense(m), ra.WindowedCheck()))
+        banded = classify(tmp_path / "banded")
+        assert [(c["verdict"], c["multiplicity"], c["ranks"]) for c in windowed] == [
+            (c["verdict"], c["multiplicity"], c["ranks"]) for c in banded
+        ] == [("TrueEigenvalue", 1, [1, 1, 1])]
+        for got, want in zip(windowed, banded):
+            assert abs(complex(*got["lambda"]) - complex(*want["lambda"])) <= 1e-10
+            assert got["probe"]["verdict"] == want["probe"]["verdict"]
+
+    def test_sub_window_gives_the_same_bits(self):
+        # snapped refinement: a solve for the classify window returns exactly
+        # the eigenvalues the spectra window's solve holds inside its circle,
+        # so a cache hit and a fresh solve write the same bytes
+        ladder = demo_ladder()
+        center, radius = window_circle(DEMO_CLASSIFY_WINDOW)
+        for size in ladder.sizes:
+            big, _ = ra.windowed_spectrum(ladder.matrix(size), DEMO_WINDOW)
+            small, check = ra.windowed_spectrum(ladder.matrix(size), DEMO_CLASSIFY_WINDOW)
+            assert check.fallback is None
+            inside = big.eigenvalues[np.abs(big.eigenvalues - center) < radius]
+            np.testing.assert_array_equal(small.eigenvalues, inside)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(64, 200),
+        ku=hst.integers(1, 3),
+        near=hst.integers(0, 4),
+        repeat=hst.integers(1, 4),
+        jordan=hst.booleans(),
+    )
+    @example(seed=1, n=64, ku=1, near=0, repeat=1, jordan=False)
+    @example(seed=2, n=200, ku=3, near=4, repeat=4, jordan=True)
+    @example(seed=3, n=150, ku=2, near=2, repeat=4, jordan=False)
+    def test_property_planted_matches_zgeev_or_falls_back(self, seed, n, ku, near, repeat, jordan):
+        sec, mu = planted_section(seed, n, ku, near, repeat, jordan)
+        assert sec.kl + sec.ku <= 4 and sec.banded and not sec.hermitian
+        assert_windowed_or_fallback(sec, PLANTED_WINDOW, mu if repeat > 1 else None)
+
+    def test_planted_cases_take_both_branches(self):
+        # simple eigenvalues away from the circle are extracted; a repeated
+        # eigenvalue falls back on the count check: semisimple copies refine
+        # onto one value, and a Jordan block's values miss the residual bound
+        sec, _ = planted_section(1, 64, 1, 0, 1, False)
+        assert assert_windowed_or_fallback(sec, PLANTED_WINDOW).fallback is None
+        for jordan, missing in ((False, 2), (True, 3)):
+            sec, mu = planted_section(0, 120, 2, 0, 3, jordan)
+            check = assert_windowed_or_fallback(sec, PLANTED_WINDOW, mu)
+            assert check.fallback.startswith("found") and check.found == check.contour_rank - missing
+
+    @pytest.mark.parametrize("angle", [0.0, np.pi / ra.DEFAULT_QUADRATURE])
+    def test_eigenvalue_on_the_circle_falls_back(self, angle):
+        # on a quadrature node the node's factorization is refused; between
+        # two nodes the rank or the count check gives way: zgeev either way
+        sec, _ = planted_section(7, 96, 2, 0, 1, False)
+        center, radius = window_circle(PLANTED_WINDOW)
+        diagonals = dict(sec.diagonals)
+        diagonals[0] = diagonals[0].copy()
+        slot = int(np.flatnonzero(diagonals[-1] == 0)[4]) + 1  # a 1x1 block
+        diagonals[0][slot] = center + radius * np.exp(1j * angle)
+        sec = numerics.Section(diagonals)
+        check = assert_windowed_or_fallback(sec, PLANTED_WINDOW)
+        assert check.fallback is not None
+        if angle == 0.0:
+            assert check.fallback.startswith("ContourError") and check.contour_rank is None
+
+    def test_exact_eigenvalues_on_the_snap_grid_are_found(self):
+        # dyadic diagonal of an upper bidiagonal section: every eigenvalue is a
+        # grid point, so the refinement after the snap starts on an exact zero pivot
+        n = 64
+        sec = numerics.Section({0: (np.arange(n) - 32) / 4 + 0.125 + 0.125j, 1: np.full(n - 1, 0.125)})
+        check = assert_windowed_or_fallback(sec, PLANTED_WINDOW)
+        assert check.fallback is None and check.found == 10  # 8 of them in the window
+
+    def test_window_without_area_falls_back(self):
+        sec, _ = planted_section(1, 64, 1, 0, 1, False)
+        dec, check = ra.windowed_spectrum(sec, (0.5, 0.5, 0.25, 0.25))
+        assert dec.route == "banded" and check.fallback.startswith("no circle")
+
+
+class TestSpectrumCacheContainment:
+    @staticmethod
+    def ladder():
+        prob = dz.SchrodingerProblem("osc", p=lambda x: 0.0, q=lambda x: 1j * x * x, r=lambda x: 0.0, L_n=(3.0, 4.0))
+        return ra.SectionLadder("osc", (1, 2), lambda n: dz.schrodinger_assemble(prob, n, 80))
+
+    def test_windowed_entry_serves_contained_windows(self):
+        lad = self.ladder()
+        cache = lad.cache
+        first = lad.spectrum(1, DEMO_WINDOW)
+        assert first.route == "windowed" and first.window == DEMO_WINDOW
+        assert (cache.spectrum_hits, cache.spectrum_misses) == (0, 1)
+        # a sub-window, and the same window written corner-swapped, hit
+        assert lad.spectrum(1, DEMO_CLASSIFY_WINDOW) is first
+        assert lad.spectrum(1, (4.0, -0.5, 4.0, -0.5)) is first
+        assert (cache.spectrum_hits, cache.spectrum_misses) == (2, 1)
+        first.residuals_at([0, 1])
+        # a window reaching outside misses and replaces the entry
+        other = lad.spectrum(1, (2.5, 5.0, 2.5, 5.0))
+        assert other is not first and other.route == "windowed"
+        assert cache.spectra[1] is other
+        assert (cache.spectrum_hits, cache.spectrum_misses) == (2, 2)
+        # no window asks for the whole spectrum: a miss, whatever window is held
+        whole = lad.spectrum(1)
+        assert whole.route == "banded" and whole.window is None
+        assert whole.dimension == lad.matrix(1).n
+        assert (cache.spectrum_hits, cache.spectrum_misses) == (2, 3)
+        # a whole spectrum serves every request
+        for window in (None, DEMO_WINDOW, (-1e3, 1e3, -1e3, 1e3)):
+            assert lad.spectrum(1, window) is whole
+        assert (cache.spectrum_hits, cache.spectrum_misses) == (5, 3)
+        # other sizes have their own entries
+        assert lad.spectrum(2, DEMO_CLASSIFY_WINDOW).route == "windowed"
+        assert (cache.spectrum_hits, cache.spectrum_misses) == (5, 4)
+        assert dict(cache.eig_routes) == {"windowed": 3, "banded": 1}
+        assert [c["size"] for c in cache.windowed_checks] == [1, 1, 2]
+        assert all(c["fallback"] is None for c in cache.windowed_checks)
+        # residuals of a replaced entry stay counted, and clear() keeps the count
+        assert cache.residuals_computed == 2
+        cache.clear()
+        assert cache.residuals_computed == 2 and cache.spectra == {}
+
+    def test_hermitian_and_small_sections_ignore_the_window(self):
+        # the windowed route is for sections stored banded and not Hermitian
+        herm = ra.SectionLadder("h", (1,), lambda n: numerics.Section({0: np.arange(80.0), 1: np.ones(79), -1: np.ones(79)}))
+        small = ra.SectionLadder("s", (1,), lambda n: numerics.Section({0: np.arange(20.0) + 1j, 1: np.ones(19)}))
+        assert herm.spectrum(1, DEMO_WINDOW).route == "tridiagonal"
+        assert small.spectrum(1, DEMO_WINDOW).route == "general"
+        assert herm.cache.windowed_checks == [] and small.cache.windowed_checks == []
