@@ -24,10 +24,11 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                stage's spectrum requests answered from the problem's cache
                and by an eigensolve.  Spectra and classify stages also
                record ``eig_routes`` (the stage's eigensolves per route:
-               tridiagonal, banded, windowed, hermitian, general),
-               ``residuals_computed`` (residuals the stage computed: n per
-               hermitian or general eigensolve, one per written row of a
-               tridiagonal, banded or windowed section) and
+               tridiagonal, bisection, banded, windowed, hermitian,
+               general), ``residuals_computed`` (residuals the stage
+               computed: n per hermitian or general eigensolve, one per
+               written row of a tridiagonal, bisection, banded or windowed
+               section) and
                ``windowed_checks`` (per windowed solve: size, found,
                contour_rank, gap, probe_columns, and fallback, null or the
                reason the whole spectrum was computed instead).  An

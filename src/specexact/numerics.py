@@ -7,11 +7,12 @@ kernel picks its route from that structure; only dense routes build the
 n x n array.  A Section is also the shifted operator A - z I over many
 shifts z (factorization, sigma_min) and caches its norm.  Eigenvalues of a
 tridiagonal or banded section come without eigenvectors; a residual is
-computed only when asked for, by inverse iteration at its eigenvalue.  An
-eigenvalue estimate is refined by two-sided Rayleigh-quotient iteration on
-the same shifted factorizations; ``resolvent_analysis.windowed_spectrum``
-refines its contour estimates so, and adds the ``windowed`` route to
-``EIG_ROUTES``.
+computed only when asked for, by inverse iteration at its eigenvalue.  A
+Hermitian tridiagonal section asked for the eigenvalues in a window computes
+only those, by bisection.  An eigenvalue estimate is refined by two-sided
+Rayleigh-quotient iteration on the same shifted factorizations;
+``resolvent_analysis.windowed_spectrum`` refines its contour estimates so,
+and adds the ``windowed`` route to ``EIG_ROUTES``.
 Everything here is deterministic for a fixed input, and threads may share a
 Section.  Backed by LAPACK (balancing + Hessenberg + implicitly shifted QR
 for general eigenproblems, band reduction for Hermitian banded ones,
@@ -64,9 +65,10 @@ class SymmetricTridiagonal:
     Built from A's diagonal and superdiagonal; ``d``, ``e`` are T's, A's own
     when A is real, (Re d, |e|) when it is complex: A = U T U^H for a diagonal
     unitary U.  Each method solves only for what its caller reads: all
-    eigenvalues (``sterf``), the distance from one shift to the spectrum (a
-    Sturm count, then ``stebz`` bisection for at most two eigenvalues), or
-    residuals at chosen eigenvalues (``dstein``).
+    eigenvalues (``sterf``), the eigenvalues in an interval (Sturm counts,
+    then ``dstebz`` bisection for each eigenvalue inside), the distance from
+    one shift to the spectrum (a Sturm count, then ``dstebz`` for at most two
+    eigenvalues), or residuals at chosen eigenvalues (``dstein``).
     """
 
     def __init__(self, d: np.ndarray, e: np.ndarray):
@@ -81,6 +83,32 @@ class SymmetricTridiagonal:
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending."""
         return scipy.linalg.eigvalsh_tridiagonal(self.d, self.e)
+
+    def eigenvalues_between(self, lo: float, hi: float) -> np.ndarray:
+        """The eigenvalues in [lo, hi], ascending, and any within a small pad of it.
+
+        The pad, 16 eps ||T|| + 4 pivmin, exceeds the error of bisection and
+        of the Sturm count.  :meth:`sturm_count` at lo - pad and hi + pad
+        gives the indices of the eigenvalues between, and ``dstebz`` bisects
+        for each index on its own, to the absolute tolerance 2 safmin (full
+        relative accuracy, as LAPACK advises).  An eigenvalue's bits then
+        depend on T and its index alone, not on the interval: the values
+        computed for an interval are those computed for any interval that
+        holds it.  Each costs O(n) per bisection step, so a wide interval
+        can cost more than :meth:`eigenvalues`.
+        """
+        _, _, pivmin = self._recurrence
+        bound = float(np.abs(self.d).max() + 2.0 * np.abs(self.e).max(initial=0.0))  # >= ||T||
+        pad = 16.0 * np.finfo(float).eps * bound + 4.0 * pivmin
+        first, last = self.sturm_count(lo - pad), self.sturm_count(hi + pad)
+        abstol = 2.0 * np.finfo(float).tiny
+        found = []
+        for k in range(first + 1, last + 1):
+            m, w, _, _, info = lapack.dstebz(self.d, self.e, 2, 0.0, 0.0, k, k, abstol, b"E")
+            if info != 0:
+                raise ConvergenceError(f"bisection for eigenvalue {k - 1} failed (info={info})")
+            found.append(w[:m])
+        return np.sort(np.concatenate(found)) if found else np.zeros(0)
 
     @cached_property
     def _recurrence(self) -> tuple[list, list, float]:
@@ -118,38 +146,29 @@ class SymmetricTridiagonal:
         lam = scipy.linalg.eigvalsh_tridiagonal(self.d, self.e, select="i", select_range=pair)
         return float(np.min(np.abs(lam - z)))
 
-    def residuals(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """||T v - w[r] v|| / ||v|| for the inverse-iteration vector v at each w[r], r in ``rows``.
+    def residuals(self, lam: np.ndarray) -> np.ndarray:
+        """||T v - mu v|| / ||v|| for the inverse-iteration vector v at each eigenvalue mu in ``lam``.
 
-        ``w`` holds all eigenvalues, ascending.  LAPACK ``dstein`` runs once
-        per row: one call reorthogonalizes its vectors within clusters of
-        eigenvalues closer than 1e-3 ||T||, which costs O(n m^2) for m rows,
-        and a residual needs no orthogonality.  An exact zero off-diagonal
-        splits T into blocks; ``dstebz`` then assigns each requested
-        eigenvalue its block, and dstein iterates on that block alone.
+        LAPACK ``dstein`` runs once per value, on all of T: one call
+        reorthogonalizes its vectors within clusters of eigenvalues closer
+        than 1e-3 ||T||, which costs O(n m^2) for m values, and a residual
+        needs no orthogonality.  An exact zero off-diagonal splits T into
+        blocks, but needs no block assignment: inverse iteration at an
+        eigenvalue of one block still converges to an eigenvector of T, so a
+        value is all dstein is given, whichever interval it was computed for.
         """
         n = self.n
         iblock = np.ones(n, dtype=np.int32)
         isplit = np.zeros(n, dtype=np.int32)
         isplit[0] = n
-        blocks = None
-        if rows.size and not np.all(self.e):
-            lo, hi = int(rows.min()), int(rows.max())
-            _m, _w, blocks, isplit, info = lapack.dstebz(
-                self.d, self.e, 2, 0.0, 0.0, lo + 1, hi + 1, 0.0, b"E"
-            )
-            if info != 0:
-                raise ConvergenceError(f"bisection for eigenvalues {lo}..{hi} failed (info={info})")
-        vecs = np.empty((n, rows.size))
-        for i, r in enumerate(rows):
-            if blocks is not None:
-                iblock[0] = blocks[r - lo]
+        vecs = np.empty((n, lam.size))
+        for i in range(lam.size):
             # a vector that missed dstein's convergence test still yields its residual
-            vecs[:, i] = lapack.dstein(self.d, self.e, w[r : r + 1], iblock, isplit)[0][:, 0]
+            vecs[:, i] = lapack.dstein(self.d, self.e, lam[i : i + 1], iblock, isplit)[0][:, 0]
         tv = self.d[:, np.newaxis] * vecs
         tv[:-1] += self.e[:, np.newaxis] * vecs[1:]
         tv[1:] += self.e[:, np.newaxis] * vecs[:-1]
-        return np.linalg.norm(tv - vecs * w[rows], axis=0) / np.linalg.norm(vecs, axis=0)
+        return np.linalg.norm(tv - vecs * lam, axis=0) / np.linalg.norm(vecs, axis=0)
 
 
 def _band_widths(a: np.ndarray) -> tuple[int, int]:
@@ -518,9 +537,10 @@ class Section:
         return None
 
 
-#: spectrum routes: the four of eig_dense, one per structure, and ``windowed``
+#: spectrum routes: the five of eig_dense, ``bisection`` for a Hermitian tridiagonal
+#: section asked with a window and one per structure otherwise, and ``windowed``
 #: (``resolvent_analysis.windowed_spectrum``, the eigenvalues inside one circle)
-EIG_ROUTES = ("tridiagonal", "banded", "windowed", "hermitian", "general")
+EIG_ROUTES = ("tridiagonal", "bisection", "banded", "windowed", "hermitian", "general")
 
 
 @dataclass(eq=False)
@@ -530,19 +550,22 @@ class EigenDecomposition:
     ``eigenvalues`` is sorted lexicographically by (Re, Im) and counted with
     algebraic multiplicity; ``route`` names the solver (one of
     ``EIG_ROUTES``); ``section`` is the Section solved.  ``window`` is None
-    when ``eigenvalues`` is the whole spectrum; on the ``windowed`` route it
-    is the rectangle (re0, re1, im0, im1) asked for, and ``eigenvalues`` holds
-    every eigenvalue inside a circle around it, so it is complete for any
-    rectangle inside ``window``.  The residual of an
+    when ``eigenvalues`` is the whole spectrum.  Otherwise ``eigenvalues`` is
+    complete inside the rectangle ``window`` (re0, re1, im0, im1) and may hold
+    eigenvalues outside it: on the ``windowed`` route ``window`` is the
+    rectangle asked for, and ``eigenvalues`` holds every eigenvalue inside a
+    circle around it; on the ``bisection`` route ``window`` is the real
+    interval asked for with an unbounded imaginary extent, as the spectrum
+    is real.  The residual of an
     eigenvalue lam is ||A v - lam v|| / ||v|| for a vector v computed for
     it.  On the dense ``hermitian`` and ``general`` routes v is the computed
     eigenvector and every residual is computed with the eigenvalues, into
     ``all_residuals``; the eigenvectors are then dropped.  On the
-    ``tridiagonal``, ``banded`` and ``windowed`` routes no eigenvector is computed, and
-    :meth:`residuals_at` computes the residuals of the requested eigenvalues
-    only, each time it is asked: v comes from ``dstein``
-    (:meth:`SymmetricTridiagonal.residuals`) or from two steps of inverse
-    iteration (:meth:`Section.inverse_iteration_residual`).
+    ``tridiagonal``, ``bisection``, ``banded`` and ``windowed`` routes no
+    eigenvector is computed, and :meth:`residuals_at` computes the residuals
+    of the requested eigenvalues only, each time it is asked: v comes from
+    ``dstein`` (:meth:`SymmetricTridiagonal.residuals`) or from two steps of
+    inverse iteration (:meth:`Section.inverse_iteration_residual`).
     ``residuals_computed`` counts the residuals computed so far.
     """
 
@@ -563,8 +586,8 @@ class EigenDecomposition:
         if self.all_residuals is not None:
             return self.all_residuals[rows]
         self.residuals_computed += rows.size
-        if self.route == "tridiagonal":
-            return self.section.tridiagonal.residuals(self.eigenvalues.real, rows)
+        if self.section.tridiagonal is not None:
+            return self.section.tridiagonal.residuals(self.eigenvalues.real[rows])
         return np.array([self.section.inverse_iteration_residual(lam) for lam in self.eigenvalues[rows]])
 
     @property
@@ -587,13 +610,22 @@ def _zgeev(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def eig_dense(m) -> EigenDecomposition:
+def eig_dense(m, window=None) -> EigenDecomposition:
     """Eigenvalues of a :class:`Section`, with residuals (see :class:`EigenDecomposition`).
 
-    ``m`` is a Section, or an array read as one.  One route per structure:
+    ``m`` is a Section, or an array read as one; ``window`` is None or a
+    rectangle (re0, re1, im0, im1), corners in any order.  Only a Hermitian
+    tridiagonal section reads the window:
+
+    - ``bisection``: a Hermitian tridiagonal section, in either dtype, asked
+      with a window: the eigenvalues whose real part lies in [re0, re1]
+      (:meth:`SymmetricTridiagonal.eigenvalues_between`), with ``window``
+      (re0, re1, -inf, inf).  Their bits do not depend on the window.
+
+    Every other request gets the whole spectrum, one route per structure:
 
     - ``tridiagonal``: Hermitian tridiagonal sections, in either dtype,
-      by ``eigvalsh_tridiagonal``;
+      by ``eigvalsh_tridiagonal`` (``sterf``);
     - ``banded``: every other section stored banded, Hermitian ones by
       ``eigvals_banded`` on the diagonals (no dense array is built), the
       rest by ``zgeev`` without eigenvectors on a dense copy the Section
@@ -601,12 +633,16 @@ def eig_dense(m) -> EigenDecomposition:
     - ``hermitian``: other Hermitian sections, by ``eigh`` with eigenvectors;
     - ``general``: everything else, by ``zgeev`` with eigenvectors.
 
-    The first two compute residuals on demand, the last two every residual
+    The first three compute residuals on demand, the last two every residual
     here.  Raises :class:`ConvergenceError` naming the stuck index if QR
-    iteration fails.
+    iteration or bisection fails.
     """
     sec = Section.of(m)
     if sec.tridiagonal is not None:
+        if window is not None:
+            re0, re1 = sorted(float(v) for v in window[:2])
+            w = sec.tridiagonal.eigenvalues_between(re0, re1).astype(np.complex128)
+            return EigenDecomposition(w, "bisection", sec, window=(re0, re1, -np.inf, np.inf))
         w = sec.tridiagonal.eigenvalues().astype(np.complex128)  # ascending, hence (Re, Im) order
         return EigenDecomposition(eigenvalues=w, route="tridiagonal", section=sec)
     if sec.banded:

@@ -5,8 +5,11 @@ boundedness is an asymptotic notion and a finite ladder can only exhibit
 trends.  The thresholds that define the evidence standard are keyword
 arguments with the documented defaults.
 
-A ladder's spectrum request may carry a window.  On a section stored banded
-and not Hermitian it is answered by :func:`windowed_spectrum`: the
+A ladder's spectrum request may carry a window.  Two kinds of section answer
+it with the window's eigenvalues alone (their window route, see
+:func:`_window_route`).  A Hermitian tridiagonal one computes the eigenvalues
+in the window's real interval by bisection (``numerics.eig_dense``).  One
+stored banded and not Hermitian goes to :func:`windowed_spectrum`: the
 eigenvalues inside a circle around the window, extracted from the same node
 factorizations and solves as the circle's contour rank, and accepted only
 when their number equals that rank; otherwise the whole spectrum is computed
@@ -61,10 +64,14 @@ class SectionCache:
     shifted solves all read that one structure.  One cache serves every
     :class:`SectionLadder` built on the same pure provider, so a section or
     spectrum computed for one ladder is reused by the next.
-    ``spectra`` holds one :class:`numerics.EigenDecomposition` per size: the
-    whole spectrum, which serves every request, or a windowed one, which
-    serves the requests whose window lies inside its own; a request it
-    cannot serve replaces it.  ``spectrum_hits`` and ``spectrum_misses``
+    ``spectra`` holds one :class:`numerics.EigenDecomposition` per size; a
+    request it cannot serve replaces it.  A windowed one serves the requests
+    whose window lies inside its own.  The whole spectrum serves every
+    request on a section without a window route; on a section with one
+    (bisection or contour extraction) it serves only requests without a
+    window, because a windowed solve gives other bits in the last digits.
+    So the bytes a windowed request yields do not depend on which requests
+    came before it.  ``spectrum_hits`` and ``spectrum_misses``
     count the :meth:`SectionLadder.spectrum` calls it answered from memory
     and by an eigensolve, ``eig_routes`` counts those eigensolves per route
     (``numerics.EIG_ROUTES``), and ``windowed_checks`` holds the count check
@@ -104,13 +111,30 @@ def _bounds(window) -> tuple:
     return min(re0, re1), max(re0, re1), min(im0, im1), max(im0, im1)
 
 
-def _serves(held, window) -> bool:
-    """A spectrum computed for window ``held`` (None: all) is complete inside ``window``."""
-    if held is None:
-        return True
+def _window_route(section: numerics.Section) -> str | None:
+    """The route that answers a windowed request on ``section``, None for the whole spectrum.
+
+    ``bisection`` for a Hermitian tridiagonal section (:func:`numerics.eig_dense`),
+    ``windowed`` for one stored banded and not Hermitian (:func:`windowed_spectrum`).
+    """
+    if section.tridiagonal is not None:
+        return "bisection"
+    if section.banded and not section.hermitian:
+        return "windowed"
+    return None
+
+
+def _serves(held: numerics.EigenDecomposition, window) -> bool:
+    """``held`` answers a request for ``window`` (None: the whole spectrum) as a fresh solve would.
+
+    A windowed ``held`` answers the windows inside its own; a whole one, a
+    request without a window, or any request on a section with no window route.
+    """
+    if held.window is None:
+        return window is None or _window_route(held.section) is None
     if window is None:
         return False
-    (a0, a1, b0, b1), (c0, c1, d0, d1) = _bounds(held), _bounds(window)
+    (a0, a1, b0, b1), (c0, c1, d0, d1) = _bounds(held.window), _bounds(window)
     return a0 <= c0 and c1 <= a1 and b0 <= d0 and d1 <= b1
 
 
@@ -144,23 +168,28 @@ class SectionLadder:
     def spectrum(self, size, window=None) -> numerics.EigenDecomposition:
         """The spectrum at ``size``, complete at least inside ``window`` (re0, re1, im0, im1).
 
-        A cached spectrum serves the request when it is whole or its window
-        holds ``window``.  Otherwise a section stored banded and not
-        Hermitian, asked with a window, goes to :func:`windowed_spectrum`;
-        every other request to :func:`numerics.eig_dense`, whole.
+        A cached spectrum serves the request as :class:`SectionCache` says:
+        a windowed one whose window holds ``window``, or a whole one, except
+        that on a section with a window route a whole spectrum serves only a
+        request without a window.  Otherwise a request with a window on a
+        section stored banded and not Hermitian goes to
+        :func:`windowed_spectrum`; every other request to
+        :func:`numerics.eig_dense`, with its window, which a Hermitian
+        tridiagonal section answers by bisection and any other by its whole
+        spectrum.
         """
         cache = self.cache
         held = cache.spectra.get(size)
-        if held is not None and _serves(held.window, window):
+        if held is not None and _serves(held, window):
             cache.spectrum_hits += 1
             return held
         cache.spectrum_misses += 1
         section = self.matrix(size)
-        if window is not None and section.banded and not section.hermitian:
+        if window is not None and _window_route(section) == "windowed":
             dec, check = windowed_spectrum(section, window)
             cache.windowed_checks.append({"size": size, **asdict(check)})
         else:
-            dec = numerics.eig_dense(section)
+            dec = numerics.eig_dense(section, window)
         cache.store(size, dec)
         cache.eig_routes[dec.route] += 1
         return dec
@@ -415,13 +444,24 @@ def _probe_matrix(n: int, columns: int) -> np.ndarray:
 
 
 def _checked_factor(section: numerics.Section, z: complex, limit: float) -> numerics.Factorization:
-    """Factor z I - A, refusing nodes where the resolvent norm exceeds ``limit``."""
+    """Factor z I - A, refusing nodes where the resolvent norm exceeds ``limit``.
+
+    The norm is the power estimate :meth:`numerics.Factorization.inverse_norm_estimate`,
+    a lower bound, except at a node where a bound already passes: for a
+    Hermitian A, ||(z I - A)^-1|| = 1 / dist(z, spectrum) <= 1 / |Im z|, so
+    where that is at most ``limit`` / 2 the estimate cannot exceed the limit
+    and is skipped.  On a contour's circle of radius r, with limit 1e8 / r,
+    that is every node farther than 2e-8 r from the real axis.  The nodes
+    refused are the same either way.
+    """
     try:
         fact = section.factor(z)
     except scipy.linalg.LinAlgError as exc:
         raise ContourError(
             f"eigenvalue on the contour: factorization at node {z} failed ({exc})"
         ) from exc
+    if section.hermitian and abs(z.imag) * limit >= 2.0:
+        return fact
     est = fact.inverse_norm_estimate()
     if not np.isfinite(est) or est > limit:
         raise ContourError(
@@ -517,8 +557,10 @@ def contour_rank(
     and the rank is the count above 0.5, accepted only when kept/dropped
     differ by a factor of at least 10.  Raises :class:`ContourError` when an
     eigenvalue sits too close to the circle (resolvent norm above 1e8/radius
-    at a quadrature node) and :class:`ResolutionError` when the singular-value
-    gap is ambiguous.
+    at a quadrature node; on a Hermitian section only a node within
+    2e-8 radius of the real axis can be that close, and only such nodes are
+    estimated, see :func:`_checked_factor`) and
+    :class:`ResolutionError` when the singular-value gap is ambiguous.
 
     When the section is stored banded (n >= 64 with a narrow band), P is
     sketched rather than formed: each node is factored once, L fixed-seed

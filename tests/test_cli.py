@@ -168,17 +168,18 @@ class TestPseudo:
         assert verify["spectrum_cache"] == {"hits": 0, "misses": 0}
 
     def test_classify_computes_no_residuals(self, tmp_path):
-        # classify first: it runs the 7 tridiagonal eigensolves and asks for no
-        # residual; spectra then hits the cache and computes one per written row
+        # classify first: it runs the 7 bisection eigensolves of its window
+        # [0, 8] and asks for no residual; the spectra window [0, 8.5] reaches
+        # outside it, so spectra solves again and computes one per written row
         doc = cli.demo_problem("oscillator")
         doc["analysis"] = doc["analysis"][1::-1]
         out = tmp_path / "out"
         assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
         classify, spectra = json.loads((out / "report.json").read_text())["stages"]
-        assert classify["eig_routes"] == {"tridiagonal": 7, "banded": 0, "windowed": 0, "hermitian": 0, "general": 0}
-        assert classify["residuals_computed"] == 0
+        routes = dict.fromkeys(numerics.EIG_ROUTES, 0) | {"bisection": 7}
+        assert classify["eig_routes"] == routes and classify["residuals_computed"] == 0
         rows = len((out / "spectra.csv").read_text().splitlines()) - 1
-        assert spectra["eig_routes"] == {"tridiagonal": 0, "banded": 0, "windowed": 0, "hermitian": 0, "general": 0}
+        assert spectra["eig_routes"] == routes and spectra["spectrum_cache"] == {"hits": 0, "misses": 7}
         assert spectra["residuals_computed"] == rows > 0
 
     def test_report_records_probe_ratios(self, tmp_path):
@@ -225,6 +226,23 @@ class TestSharedCache:
         assert names == sorted(fresh_files) and len(names) == len(doc["analysis"])
         for name in names:
             assert (tmp_path / "shared" / name).read_bytes() == fresh_files[name], name
+
+    @pytest.mark.parametrize("demo", ["oscillator", "complex_oscillator"])
+    def test_whole_spectra_stage_in_front_leaves_windowed_bytes(self, tmp_path, demo):
+        # a whole spectrum held for every size serves no windowed request on
+        # sections with a window route, so the windowed stage writes what it
+        # writes alone
+        doc = cli.demo_problem(demo)
+        windowed = doc["analysis"][0]
+        assert windowed["op"] == "spectra" and "window" in windowed
+        outputs = {}
+        for label, analysis in (("alone", [windowed]), ("behind", [{"op": "spectra"}, windowed])):
+            out = tmp_path / label
+            assert cli.main(["run", write_problem(tmp_path, dict(doc, analysis=analysis)), "--out", str(out)]) == 0
+            outputs[label] = out
+        whole, behind = json.loads((outputs["behind"] / "report.json").read_text())["stages"]
+        assert whole["spectrum_cache"] == behind["spectrum_cache"] == {"hits": 0, "misses": 7}
+        assert (outputs["behind"] / "spectra_2.csv").read_bytes() == (outputs["alone"] / "spectra.csv").read_bytes()
 
     def test_cache_released_before_verify(self, tmp_path, monkeypatch):
         prob = cli.parse_problem(cli.demo_problem("sl_matrix"))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as hst
 
 from specexact import numerics
@@ -97,6 +98,96 @@ class TestTridiagonalEig:
         # a dense Hermitian input: a Hermitian tridiagonal one takes the tridiagonal route
         h = numerics.eig_dense(np.array([[2.0, 1j, 1.0], [-1j, 2.0, 1j], [1.0, -1j, 2.0]]))
         assert h.route == "hermitian" and h.residuals_computed == 3
+
+
+def bisection_case(rng, n, case):
+    """Diagonals (d, e) of a real symmetric tridiagonal T, and the index of an isolated entry or None.
+
+    ``wilkinson``: W_n^+, whose largest eigenvalues come in pairs closer than
+    1e-13; ``split`` and ``edge``: about a third of e exactly zero, and in
+    ``edge`` one diagonal entry cut off on both sides, an exact eigenvalue.
+    """
+    if case == "wilkinson":
+        return np.abs(np.arange(n) - (n - 1) / 2.0), np.ones(n - 1), None
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    if case in ("split", "edge"):
+        e[rng.random(n - 1) < 0.3] = 0.0
+    if case != "edge":
+        return d, e, None
+    j = int(rng.integers(n))
+    e[max(j - 1, 0) : j + 1] = 0.0
+    return d, e, j
+
+
+def sliding_match(got, want, tol):
+    """The largest |got - want[j0:j0 + len(got)]| over the offsets j0 near got[0]'s place in want."""
+    j = int(np.searchsorted(want, got[0] - tol))
+    offsets = range(max(j - 2, 0), min(j + 2, want.size - got.size) + 1)
+    return min(np.abs(got - want[j0 : j0 + got.size]).max() for j0 in offsets)
+
+
+class TestBisectionEig:
+    """The bisection route against eigvalsh_tridiagonal: a window's eigenvalues and their residuals."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.sampled_from([2, 3, 64, 200]),
+        stored=hst.sampled_from(["real", "complex"]),
+        case=hst.sampled_from(["random", "wilkinson", "split", "edge", "off_axis"]),
+        side=hst.sampled_from([-1.0, 0.0, 1.0]),
+    )
+    @example(seed=0, n=200, stored="real", case="wilkinson", side=0.0)
+    @example(seed=1, n=64, stored="complex", case="split", side=0.0)
+    @example(seed=2, n=3, stored="real", case="edge", side=1.0)
+    @example(seed=3, n=200, stored="complex", case="edge", side=-1.0)
+    @example(seed=4, n=2, stored="real", case="off_axis", side=0.0)
+    def test_property_window_matches_eigvalsh_tridiagonal(self, seed, n, stored, case, side):
+        rng = np.random.default_rng(seed)
+        d, e, isolated = bisection_case(rng, n, case)
+        upper = e * np.exp(2j * np.pi * rng.random(n - 1)) if stored == "complex" else e
+        sec = numerics.Section({0: d, 1: upper, -1: np.conj(upper)})
+        assert sec.tridiagonal is not None and sec.real == (stored == "real" or not np.any(e))
+        # sterf's own error reaches about 10 eps ||T|| at n = 200, so the 4 eps
+        # comparison is with eigvalsh_tridiagonal's bisection driver
+        want = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stebz")
+        norm = float(np.abs(want).max()) or 1.0
+        tol = 4 * np.finfo(float).eps * norm
+        # window edges in gaps wider than 8 tol, or within eps ||T|| of an exact eigenvalue
+        gaps = np.flatnonzero(np.diff(want) > 8 * tol)
+        cuts = np.concatenate([[want[0] - 1.0], (want[gaps] + want[gaps + 1]) / 2, [want[-1] + 1.0]])
+        lo, hi = np.sort(rng.choice(cuts, 2))
+        if isolated is not None:
+            lo = d[isolated] + side * np.finfo(float).eps * norm
+            hi = max(hi, lo + 2 * np.finfo(float).eps * norm)
+        im = (0.5, 1.0) if case == "off_axis" else (-1.0, 1.0)
+        dec = numerics.eig_dense(sec, (hi, lo, *im))
+        assert dec.route == "bisection" and dec.window == (lo, hi, -np.inf, np.inf)
+        assert dec.residuals_computed == 0
+        got = dec.eigenvalues
+        np.testing.assert_array_equal(got.imag, 0.0)
+        got = got.real
+        assert np.all(np.diff(got) >= 0.0)
+        inside = lambda w: w[(w >= lo) & (w <= hi)] if case != "off_axis" else w[:0]
+        assert inside(got).size == inside(want).size
+        if isolated is not None:
+            assert (d[isolated] in inside(got)) == (side <= 0.0)
+        if got.size:
+            assert sliding_match(got, want, tol) <= tol
+            sterf = scipy.linalg.eigvalsh_tridiagonal(d, e)
+            assert sliding_match(got, sterf, 8 * tol) <= 8 * tol
+            rows = rng.permutation(got.size)
+            assert np.all(dec.residuals_at(rows) <= 1e-13 * norm)
+            assert dec.residuals_computed == got.size
+        # the same bits from a window inside this one
+        if inside(got).size:
+            sub = numerics.eig_dense(sec, (inside(got)[0], inside(got)[-1], -1.0, 1.0)).eigenvalues
+            np.testing.assert_array_equal(sub[(sub.real >= lo) & (sub.real <= hi)], got[(got >= lo) & (got <= hi)])
+
+    def test_unwindowed_request_takes_sterf(self):
+        sec = numerics.Section({0: np.arange(5.0), 1: np.ones(4), -1: np.ones(4)})
+        whole = numerics.eig_dense(sec)
+        assert whole.route == "tridiagonal" and whole.window is None and whole.dimension == 5
 
 
 def banded_diagonals(kind, n, half, rng):

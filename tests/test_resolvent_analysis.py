@@ -199,6 +199,139 @@ class TestContourRank:
         assert rank == int(np.count_nonzero(np.abs(w - center) < radius))
 
 
+def contour_nodes(section, center, radius, q):
+    """The nodes contour_rank factors, in its order: the upper half circle of a real problem."""
+    nodes = center + radius * np.exp(2j * np.pi * np.arange(q) / q)
+    real_pairs = section.real and complex(center).imag == 0.0 and q % 2 == 0
+    return nodes[: q // 2 + 1] if real_pairs else nodes
+
+
+def old_rule_refuses(section, center, radius, q):
+    """The contour guard with a power estimate at every node: True when some node is refused."""
+    limit = ra._PRECONDITION_RESNORM / radius
+    for z in contour_nodes(section, center, radius, q):
+        try:
+            est = section.factor(z).inverse_norm_estimate()
+        except np.linalg.LinAlgError:
+            return True
+        if not np.isfinite(est) or est > limit:
+            return True
+    return False
+
+
+def refuses(section, center, radius, q):
+    """True when contour_rank raises ContourError; a ResolutionError is no refusal."""
+    try:
+        ra.contour_rank(section, center, radius, q)
+    except ContourError:
+        return True
+    except ResolutionError:
+        return False
+    return False
+
+
+def hermitian_with_eigenvalue(rng, n, lam, half, complex_a):
+    """A Hermitian section with band half-width ``half`` (n - 1: dense) and the exact eigenvalue lam.
+
+    Random entries, with row and column n // 2 cut off the band, so lam on
+    the diagonal there is an eigenvalue whatever the rest is.
+    """
+    i, j = np.indices((n, n))
+    a = rng.standard_normal((n, n)) * (np.abs(i - j) <= half)
+    if complex_a:
+        a = a + 1j * rng.standard_normal((n, n)) * (np.abs(i - j) <= half) * (i != j)
+    a = (a + a.conj().T) / 2
+    k = n // 2
+    a[k, :] = a[:, k] = 0.0
+    a[k, k] = lam
+    return numerics.Section(a)
+
+
+class TestHermitianContourGuard:
+    """The guard skips the power estimate at non-real nodes of Hermitian sections, and refuses the same contours."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        storage=hst.sampled_from(["tridiagonal", "pentadiagonal", "dense"]),
+        complex_a=hst.booleans(),
+        distance=hst.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-3, 0.3]),
+        center_im=hst.sampled_from([0.0, 0.0, 0.4, -0.7]),
+    )
+    @example(seed=0, storage="tridiagonal", complex_a=False, distance=1e-9, center_im=0.0)
+    @example(seed=1, storage="dense", complex_a=True, distance=1e-9, center_im=0.0)
+    def test_property_refuses_as_the_old_rule(self, seed, storage, complex_a, distance, center_im):
+        # an eigenvalue at ``distance`` r outside or inside the circle, beside
+        # the real node c + r, or beside the circle where it crosses the real axis
+        rng = np.random.default_rng(seed)
+        n = 40 if storage == "dense" else 96
+        half = {"tridiagonal": 1, "pentadiagonal": 2, "dense": n - 1}[storage]
+        center, radius = complex(rng.uniform(-1.0, 1.0), center_im), float(rng.uniform(1.0, 2.0))
+        crossing = center.real + np.sqrt(radius**2 - center_im**2)
+        lam = crossing + rng.choice([-1.0, 1.0]) * distance * radius
+        sec = hermitian_with_eigenvalue(rng, n, lam, half, complex_a)
+        assert sec.hermitian and sec.banded == (storage != "dense") and (sec.tridiagonal is not None) == (half == 1)
+        assert refuses(sec, center, radius, 32) == old_rule_refuses(sec, center, radius, 32)
+
+    @pytest.mark.parametrize("storage", ["tridiagonal", "dense"])
+    @pytest.mark.parametrize("complex_a", [False, True])
+    def test_eigenvalue_beside_a_real_node_still_refused(self, storage, complex_a):
+        rng = np.random.default_rng(5)
+        n = 40 if storage == "dense" else 96
+        sec = hermitian_with_eigenvalue(rng, n, 1.0 + 1e-9, 1 if storage == "tridiagonal" else n - 1, complex_a)
+        assert old_rule_refuses(sec, 0.0, 1.0, 32)
+        with pytest.raises(ContourError, match="too close"):
+            ra.contour_rank(sec, 0.0, 1.0, 32)
+
+    @pytest.mark.parametrize("n", [8, 96])
+    def test_non_normal_section_refused_at_a_non_real_node(self, n):
+        # a Jordan-like pair [[lam, M], [0, lam]] 1e-3 r from a non-real node:
+        # its resolvent there is about M / (1e-3 r)^2, far above the limit,
+        # though 1 / |Im z| is small and the real nodes pass, so a bound for
+        # Hermitian sections applied here would let the contour through
+        z = complex(np.exp(2j * np.pi * 5 / 32))
+        lam = z * (1.0 - 1e-3)
+        a = np.diag(np.linspace(3.0, 4.0, n).astype(complex))
+        a[0, 0] = a[1, 1] = lam
+        a[0, 1] = 1e6
+        sec = numerics.Section(a)
+        assert not sec.hermitian and sec.banded == (n >= 64)
+        limit = ra._PRECONDITION_RESNORM
+        refused = [
+            abs(z.imag) for z in contour_nodes(sec, 0.0, 1.0, 32) if sec.factor(z).inverse_norm_estimate() > limit
+        ]
+        assert refused and min(refused) * limit >= 2.0
+        assert old_rule_refuses(sec, 0.0, 1.0, 32)
+        with pytest.raises(ContourError, match="too close"):
+            ra.contour_rank(sec, 0.0, 1.0, 32)
+
+    def test_osc_classify_section_estimates_real_nodes_only(self, monkeypatch):
+        # criterion 06's largest section: 2 of the 17 nodes of a 32-point contour
+        doc = {"kind": "schrodinger", "p": 0.0, "q": "x^2", "r": 0.0, "L_n": [10.0], "m": 1600}
+        prob = cli.parse_problem(doc)
+        (size,) = prob.default_sizes("test")
+        sec = prob.ladder([size]).matrix(size)
+        assert sec.n == 1599 and sec.hermitian and sec.real and sec.banded
+        factor, estimate = numerics.Section.factor, numerics.Factorization.inverse_norm_estimate
+        factored, estimated = [], []
+
+        def tagged_factor(self, z):
+            fact = factor(self, z)
+            fact.node = z
+            factored.append(z)
+            return fact
+
+        def counted_estimate(self, iterations=8):
+            estimated.append(self.node)
+            return estimate(self, iterations)
+
+        monkeypatch.setattr(numerics.Section, "factor", tagged_factor)
+        monkeypatch.setattr(numerics.Factorization, "inverse_norm_estimate", counted_estimate)
+        assert ra.contour_rank(sec, 3.0, 1.0, 32).rank == 1
+        assert len(factored) == 17 and len(estimated) == 2
+        assert np.allclose(sorted(np.real(estimated)), [2.0, 4.0]) and np.all(np.abs(np.imag(estimated)) < 1e-12)
+
+
 def contour_outcome(m, center, radius, sketch):
     """Rank (or exception class) with the sketch forced on or off."""
     section = numerics.Section(m)
@@ -831,25 +964,59 @@ class TestSpectrumCacheContainment:
         assert whole.route == "banded" and whole.window is None
         assert whole.dimension == lad.matrix(1).n
         assert (cache.spectrum_hits, cache.spectrum_misses) == (2, 3)
-        # a whole spectrum serves every request
-        for window in (None, DEMO_WINDOW, (-1e3, 1e3, -1e3, 1e3)):
-            assert lad.spectrum(1, window) is whole
-        assert (cache.spectrum_hits, cache.spectrum_misses) == (5, 3)
+        assert lad.spectrum(1) is whole
+        assert (cache.spectrum_hits, cache.spectrum_misses) == (3, 3)
+        # a whole zgeev spectrum does not serve a window: the windowed solve's
+        # bits differ, and must not depend on what was asked before
+        again = lad.spectrum(1, DEMO_WINDOW)
+        assert again.route == "windowed" and again.window == DEMO_WINDOW
+        np.testing.assert_array_equal(again.eigenvalues, first.eigenvalues)
+        assert (cache.spectrum_hits, cache.spectrum_misses) == (3, 4)
         # other sizes have their own entries
         assert lad.spectrum(2, DEMO_CLASSIFY_WINDOW).route == "windowed"
-        assert (cache.spectrum_hits, cache.spectrum_misses) == (5, 4)
-        assert dict(cache.eig_routes) == {"windowed": 3, "banded": 1}
-        assert [c["size"] for c in cache.windowed_checks] == [1, 1, 2]
+        assert (cache.spectrum_hits, cache.spectrum_misses) == (3, 5)
+        assert dict(cache.eig_routes) == {"windowed": 4, "banded": 1}
+        assert [c["size"] for c in cache.windowed_checks] == [1, 1, 1, 2]
         assert all(c["fallback"] is None for c in cache.windowed_checks)
         # residuals of a replaced entry stay counted, and clear() keeps the count
         assert cache.residuals_computed == 2
         cache.clear()
         assert cache.residuals_computed == 2 and cache.spectra == {}
 
+    def test_hermitian_tridiagonal_window_takes_bisection(self):
+        # the window's real interval, by bisection; the held interval serves
+        # every window inside it, whatever its imaginary extent, with the bits
+        # a fresh solve for that window gives
+        lad = ra.SectionLadder("osc", (1,), lambda n: demo_ladder("oscillator").matrix(7))
+        cache = lad.cache
+        spectra_window, classify_window = (0.0, 8.5, -1.0, 1.0), (0.0, 8.0, -1.0, 1.0)
+        held = lad.spectrum(1, spectra_window)
+        assert held.route == "bisection" and held.window == (0.0, 8.5, -np.inf, np.inf)
+        assert held.dimension == 4 and "data" not in vars(held.section)
+        for window in (classify_window, (8.0, 0.0, 5.0, 6.0), (1.0, 2.0, -1e9, 1e9)):
+            assert lad.spectrum(1, window) is held
+        assert (cache.spectrum_hits, cache.spectrum_misses) == (3, 1)
+        fresh = numerics.eig_dense(held.section, classify_window)
+        np.testing.assert_array_equal(fresh.eigenvalues, held.eigenvalues)
+        # a whole spectrum replaces it, and serves no window
+        whole = lad.spectrum(1)
+        assert whole.route == "tridiagonal" and whole.window is None
+        again = lad.spectrum(1, classify_window)
+        assert again.route == "bisection" and again is not whole
+        np.testing.assert_array_equal(again.eigenvalues, held.eigenvalues)
+        assert (cache.spectrum_hits, cache.spectrum_misses) == (3, 3)
+        assert dict(cache.eig_routes) == {"bisection": 2, "tridiagonal": 1}
+        assert cache.windowed_checks == []
+
     def test_hermitian_and_small_sections_ignore_the_window(self):
-        # the windowed route is for sections stored banded and not Hermitian
-        herm = ra.SectionLadder("h", (1,), lambda n: numerics.Section({0: np.arange(80.0), 1: np.ones(79), -1: np.ones(79)}))
+        # a Hermitian section wider than tridiagonal and a small one have no
+        # window route: their whole spectrum is computed and serves every window
+        band = {0: np.arange(80.0), 1: np.ones(79), -1: np.ones(79), 2: np.ones(78), -2: np.ones(78)}
+        herm = ra.SectionLadder("h", (1,), lambda n: numerics.Section(band))
         small = ra.SectionLadder("s", (1,), lambda n: numerics.Section({0: np.arange(20.0) + 1j, 1: np.ones(19)}))
-        assert herm.spectrum(1, DEMO_WINDOW).route == "tridiagonal"
-        assert small.spectrum(1, DEMO_WINDOW).route == "general"
-        assert herm.cache.windowed_checks == [] and small.cache.windowed_checks == []
+        for lad, route in ((herm, "banded"), (small, "general")):
+            whole = lad.spectrum(1, DEMO_WINDOW)
+            assert whole.route == route and whole.window is None
+            assert lad.spectrum(1, (-1e3, 1e3, -1e3, 1e3)) is whole and lad.spectrum(1) is whole
+            assert (lad.cache.spectrum_hits, lad.cache.spectrum_misses) == (2, 1)
+            assert lad.cache.windowed_checks == []
