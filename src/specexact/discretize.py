@@ -138,23 +138,6 @@ def sl_assemble(prob: SLProblem, n: int, m: int) -> Section:
     return Section({-1: lower, 0: diag, 1: upper})
 
 
-def symmetrize_scaling(mat: np.ndarray) -> np.ndarray:
-    """Diagonal d with diag(d) M diag(1/d) symmetric, for tridiagonal real M.
-
-    Requires positive products M[i, i+1] * M[i+1, i] on the coupled band.
-    """
-    n = mat.shape[0]
-    d = np.ones(n)
-    for i in range(n - 1):
-        up, lo = mat[i, i + 1], mat[i + 1, i]
-        if up == 0.0 and lo == 0.0:
-            continue
-        if up * lo <= 0.0:
-            raise ValueError(f"pair ({i}, {i + 1}) not symmetrizable: product {up * lo}")
-        d[i + 1] = d[i] * np.sqrt(up / lo)
-    return d
-
-
 @dataclass(frozen=True)
 class SLMatrixProblem:
     """2x2 operator matrix [[g1 T1, s T2 + t], [u T1 + v, g2 T2]] on one interval.
@@ -362,21 +345,6 @@ class SchrodingerProblem:
                     f"audit nodes; worst at x = {xs[worst]:.6g}",
                     location=float(xs[worst]),
                 )
-
-    def adjoint(self) -> "SchrodingerProblem":
-        """Coefficients of the formal adjoint: p -> -conj(p), q -> conj(q), r -> conj(r)."""
-        p, q, r = self.p, self.q, self.r
-        return SchrodingerProblem(
-            name=f"{self.name}*",
-            p=lambda x: -np.conj(p(x)),
-            q=lambda x: np.conj(q(x)),
-            r=lambda x: np.conj(r(x)),
-            L_n=self.L_n,
-            a_grad=self.a_grad,
-            b_grad=self.b_grad,
-            a_r=self.a_r,
-            b_r=self.b_r,
-        )
 
 
 def schrodinger_assemble(prob: SchrodingerProblem, n: int, m: int) -> Section:

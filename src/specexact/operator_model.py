@@ -1,8 +1,11 @@
 """Generative infinite operator matrices: truncation, block splitting, band profiles.
 
-Index convention: entry rules take 1-based (i, j), matching the usual matrix
-representation A_ij = <A e_j, e_i>; array storage is 0-based internally.
-Specs are immutable after construction and all operations are pure.
+A spec is a name and a function ``diagonals(k)`` that gives the leading
+k-by-k section as the ``{j - i: diagonal}`` dict :class:`numerics.Section`
+accepts, which checks it, stores it real when it can and trims its all-zero
+outer diagonals.  Each built-in spec computes its diagonals with numpy over
+the 1-based row index i of A_ij = <A e_j, e_i>.  Specs are immutable after
+construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -20,65 +23,18 @@ RATIO_THRESHOLD = 0.99
 
 
 @dataclass(frozen=True)
-class BandMeta:
-    """Declared band structure: entries vanish for j - i > upper or i - j > lower.
-
-    ``None`` for a bound means unbounded on that side.
-    """
-
-    lower: int | None
-    upper: int | None
-
-
-@dataclass(frozen=True)
 class OperatorSpec:
-    """An infinite matrix given by a pure entry rule (1-based indices)."""
+    """An infinite matrix given by its leading sections' diagonals: ``diagonals(k)`` -> {j - i: diagonal}."""
 
     name: str
-    entry_rule: Callable[[int, int], complex]
-    band_meta: BandMeta | None = None
-
-    def __post_init__(self):
-        if self.band_meta is not None:
-            # spot-check the declaration: sampled entries outside the band must vanish
-            bm = self.band_meta
-            for i in (1, 3, 11):
-                for j in (1, 4, 13):
-                    inside_upper = bm.upper is None or j - i <= bm.upper
-                    inside_lower = bm.lower is None or i - j <= bm.lower
-                    if inside_upper and inside_lower:
-                        continue
-                    if self.entry_rule(i, j) != 0:
-                        raise DataError(
-                            f"spec '{self.name}': declared band violated at ({i}, {j})"
-                        )
-
-
-def _assemble(spec: OperatorSpec, k: int) -> np.ndarray:
-    out = np.zeros((k, k), dtype=np.complex128)
-    bm = spec.band_meta
-    for i in range(1, k + 1):
-        # column range restricted by the declared band
-        j_start = 1
-        j_end = k
-        if bm is not None:
-            if bm.lower is not None:
-                j_start = max(1, i - bm.lower)
-            if bm.upper is not None:
-                j_end = min(k, i + bm.upper)
-        for j in range(j_start, j_end + 1):
-            val = complex(spec.entry_rule(i, j))
-            if val != val or abs(val) == np.inf:  # NaN or Inf
-                raise DataError(f"spec '{spec.name}': non-finite entry at ({i}, {j})")
-            out[i - 1, j - 1] = val
-    return real_if_exact(out)
+    diagonals: Callable[[int], dict]
 
 
 def truncate(spec: OperatorSpec, k: int) -> Section:
     """Leading k-by-k principal section (the Galerkin compression)."""
     if k < 1:
         raise ValueError(f"section size must be >= 1, got {k}")
-    return Section(_assemble(spec, int(k)))
+    return Section(spec.diagonals(int(k)))
 
 
 # ------------------------------- block splitting ------------------------------
@@ -126,7 +82,7 @@ def split_blocks(spec: OperatorSpec, cut_points: Sequence[int]) -> BlockSplit:
     cuts = tuple(int(c) for c in cut_points)
     if not cuts or any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])) or cuts[0] < 1:
         raise ValueError("cut points must be strictly increasing positive integers")
-    a = _assemble(spec, cuts[-1])
+    a = Section(spec.diagonals(cuts[-1])).data
     blocks = []
     lo = 0
     for cut in cuts:
@@ -199,7 +155,7 @@ def band_profile(
     """
     if scan_limit < 2:
         raise ValueError("scan_limit must be >= 2")
-    a = _assemble(spec, scan_limit)
+    a = Section(spec.diagonals(scan_limit)).data
     if normalize_by_diag:
         if lam is None:
             raise ValueError("normalize_by_diag requires lam")
@@ -272,50 +228,30 @@ def band_profile(
 # -------------------------------- built-in specs ------------------------------
 
 
-def jacobi_offdiag(k: int) -> float:
-    """Off-diagonal weights q_k: k+1 for odd k, k/2 for even k."""
-    return float(k + 1) if k % 2 == 1 else k / 2.0
-
-
 def jacobi_spec() -> OperatorSpec:
-    """Selfadjoint Jacobi matrix with zero diagonal and weights ``jacobi_offdiag``.
+    """Selfadjoint Jacobi matrix with zero diagonal and weights A_{i,i+1} = A_{i+1,i} = q_i.
 
-    Block-aligned cuts (2, 4, 6, ...) give B_n = [[0, 2n], [2n, 0]]; the full
-    Galerkin family produces an eigenvalue 0 on every odd section.
+    q_i is i + 1 for odd i and i / 2 for even i.  Block-aligned cuts (2, 4,
+    6, ...) give B_n = [[0, 2n], [2n, 0]]; the full Galerkin family produces
+    an eigenvalue 0 on every odd section.
     """
 
-    def rule(i: int, j: int) -> float:
-        if j == i + 1:
-            return jacobi_offdiag(i)
-        if i == j + 1:
-            return jacobi_offdiag(j)
-        return 0.0
+    def diagonals(k: int) -> dict:
+        i = np.arange(1, k)
+        q = np.where(i % 2 == 1, i + 1.0, i / 2.0)
+        return {-1: q, 0: np.zeros(k), 1: q}
 
-    return OperatorSpec(name="jacobi", entry_rule=rule, band_meta=BandMeta(1, 1))
+    return OperatorSpec(name="jacobi", diagonals=diagonals)
 
 
 def upper_triangular_spec() -> OperatorSpec:
     """Upper triangular matrix with A_ij = j above the diagonal and A_jj = j^3."""
 
-    def rule(i: int, j: int) -> float:
-        if i < j:
-            return float(j)
-        if i == j:
-            return float(j) ** 3
-        return 0.0
+    def diagonals(k: int) -> dict:
+        j = np.arange(1.0, k + 1)
+        return {0: j**3, **{off: j[off:] for off in range(1, k)}}
 
-    return OperatorSpec(name="upper_triangular", entry_rule=rule, band_meta=BandMeta(0, None))
-
-
-def diagonal_spec(diag: Callable[[int], complex], name: str = "diagonal") -> OperatorSpec:
-    def rule(i: int, j: int) -> complex:
-        return diag(i) if i == j else 0.0
-
-    return OperatorSpec(name=name, entry_rule=rule, band_meta=BandMeta(0, 0))
-
-
-def identity_spec() -> OperatorSpec:
-    return diagonal_spec(lambda i: 1.0, name="identity")
+    return OperatorSpec(name="upper_triangular", diagonals=diagonals)
 
 
 def custom_banded_spec(
@@ -336,17 +272,13 @@ def custom_banded_spec(
         raise ValueError(f"unknown tail rule {tail!r}; choose 'zero' or 'repeat_edge'")
     s = arr.shape[0]
 
-    def rule(i: int, j: int) -> complex:
-        if i <= s and j <= s:
-            return arr[i - 1, j - 1]
-        if tail == "zero":
-            return 0.0
-        off = j - i
-        if abs(off) >= s:
-            return 0.0
-        # last tabulated entry on this diagonal
-        if off >= 0:
-            return arr[s - 1 - off, s - 1]
-        return arr[s - 1, s - 1 + off]
+    def diagonals(k: int) -> dict:
+        out = {}
+        for off in range(1 - min(s, k), min(s, k)):
+            tabulated = np.diagonal(arr, off)
+            edge = tabulated[-1] if tail == "repeat_edge" else 0.0
+            length = k - abs(off)
+            out[off] = np.concatenate([tabulated[:length], np.full(max(length - tabulated.size, 0), edge)])
+        return out
 
-    return OperatorSpec(name=name, entry_rule=rule)
+    return OperatorSpec(name=name, diagonals=diagonals)

@@ -198,16 +198,6 @@ class SectionLadder:
         """The spectral norm of the section at ``size`` (:attr:`numerics.Section.norm`)."""
         return self.matrix(size).norm
 
-    def conjugated(self) -> "SectionLadder":
-        """Ladder of conjugate transposes (the discrete adjoint family), declared by their diagonals."""
-        return SectionLadder(
-            label=f"{self.label}*",
-            sizes=self.sizes,
-            provider=lambda s: numerics.Section(
-                {-off: d.conj() for off, d in self.matrix(s).diagonals.items()}
-            ),
-        )
-
 
 def galerkin_ladder(spec, sizes) -> SectionLadder:
     """Ladder of leading principal sections of an operator spec."""

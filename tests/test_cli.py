@@ -327,7 +327,9 @@ class TestSharedCache:
 
     def test_jacobi_verify_stage_builds_one_section_per_pole_check(self, tmp_path, monkeypatch):
         # 60 T-sections of relative_bound and 60 diagonal blocks of
-        # uniform_decay; the products S (T - lambda)^-1 go to the SVD unscanned
+        # uniform_decay; the products S (T - lambda)^-1 go to the SVD unscanned.
+        # Three more are the declared sections the two splits and the band
+        # profile assemble once each.
         doc = cli.demo_problem("jacobi")
         doc["analysis"] = [stage for stage in doc["analysis"] if stage["op"] == "verify"]
         sections = []
@@ -340,7 +342,7 @@ class TestSharedCache:
         monkeypatch.setattr(numerics.Section, "__init__", counting_init)
         report = cli.run_problem(cli.parse_problem(doc), tmp_path / "out", b"")
         assert [s["status"] for s in report["stages"]] == ["ok"]
-        assert len(sections) == 120
+        assert len(sections) == 120 + 3
 
     def test_jacobi_pseudo_stage_builds_one_section(self, tmp_path, monkeypatch):
         # all 297 lattice shifts of the size-20 section take the tridiagonal

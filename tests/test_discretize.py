@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import solve_banded
 from scipy.optimize import linear_sum_assignment
 
-from specexact import discretize as dz, numerics
+from specexact import discretize as dz, numerics, operator_model as om
 from specexact.errors import AssumptionError, CoefficientError, DataError, DimensionError
 
 ONE = lambda x: 1.0
@@ -86,9 +86,7 @@ class TestSLAssemble:
         # beta = pi/2: mixed Dirichlet/Neumann on an interval of length pi
         # has eigenvalues (k + 1/2)^2
         prob = dz.SLProblem("neu", ONE, ZERO, 0.0, np.pi, np.pi / 2, (0.0,), 1.0, 0.0)
-        m = dz.sl_assemble(prob, 1, 800).data
-        d = dz.symmetrize_scaling(m)
-        w = np.linalg.eigvalsh(d[:, None] * m / d[None, :])
+        w = np.sort(numerics.eig_dense(dz.sl_assemble(prob, 1, 800)).eigenvalues.real)
         np.testing.assert_allclose(w[:3], [0.25, 2.25, 6.25], atol=2e-2)
 
     def test_robin_symmetrizable_within_tolerance(self):
@@ -96,7 +94,8 @@ class TestSLAssemble:
             "rob", lambda x: 2.0 + np.sin(x), lambda x: 1.0, 0.0, np.pi, np.pi / 4, (0.1,), 1.0, 1.0
         )
         m = dz.sl_assemble(prob, 1, 50).data
-        d = dz.symmetrize_scaling(m)
+        # diag(d) M diag(1/d) is symmetric for d_{i+1} / d_i = sqrt(M_{i,i+1} / M_{i+1,i})
+        d = np.cumprod(np.concatenate([[1.0], np.sqrt(np.diag(m, 1) / np.diag(m, -1))]))
         sym = d[:, None] * m / d[None, :]
         assert np.abs(sym - sym.T).max() <= 1e-12 * np.abs(m).max()
 
@@ -199,8 +198,12 @@ class TestSchrodingerAssemble:
         sp = dz.SchrodingerProblem(
             "c", p=lambda x: 0.5, q=lambda x: 1j * x * x + x * x, r=lambda x: 1j * np.cos(x), L_n=(4.0,)
         )
+        # the formal adjoint: p -> -conj(p), q -> conj(q), r -> conj(r)
+        adj = dz.SchrodingerProblem(
+            "c*", p=lambda x: -0.5, q=lambda x: -1j * x * x + x * x, r=lambda x: -1j * np.cos(x), L_n=(4.0,)
+        )
         a = dz.schrodinger_assemble(sp, 1, 60).data
-        aa = dz.schrodinger_assemble(sp.adjoint(), 1, 60).data
+        aa = dz.schrodinger_assemble(adj, 1, 60).data
         assert np.abs(aa - a.conj().T).max() <= 1e-14 * np.abs(a).max()
 
     def test_domain_monotonicity(self):
@@ -228,8 +231,12 @@ class TestSchrodingerAssemble:
         sp.audit(1)
 
 
+#: a 3 x 3 custom_banded table, nonsymmetric and complex off its leading 2 x 2 block
+GALERKIN_TABLE = [[2.0, -1.0, 0.0], [-1.0, 3.0, 0.5j], [0.0, 0.25, 4.0]]
+
+
 def declared_sections(m):
-    """Builder Sections on m grid cells, keyed by what they cover."""
+    """Builder Sections on m grid cells (Galerkin sections of size m), keyed by what they cover."""
     sl = lambda beta: dz.SLProblem(
         "varpq", lambda x: 2.0 + np.sin(x), lambda x: 1.0 + x * x, 0.0, np.pi, beta, (0.1,), 1.0, 1.0
     )
@@ -240,6 +247,10 @@ def declared_sections(m):
         "schrodinger_real_q": dz.schrodinger_assemble(sp(ZERO, lambda x: x * x), 1, m),
         "schrodinger_complex_q": dz.schrodinger_assemble(sp(ZERO, lambda x: 1j * x * x), 1, m),
         "schrodinger_drift": dz.schrodinger_assemble(sp(lambda x: 0.5 - 0.25j, lambda x: x * x), 1, m),
+        "jacobi": om.truncate(om.jacobi_spec(), m),
+        "upper_triangular": om.truncate(om.upper_triangular_spec(), m),
+        "custom_banded_zero": om.truncate(om.custom_banded_spec(GALERKIN_TABLE, tail="zero"), m),
+        "custom_banded_repeat_edge": om.truncate(om.custom_banded_spec(GALERKIN_TABLE, tail="repeat_edge"), m),
     }
 
 
@@ -253,8 +264,10 @@ class TestDeclaredStructure:
     def test_declared_matches_detected(self, name, m):
         declared = declared_sections(m)[name]
         assert "data" not in vars(declared)
+        n, kl, ku = declared.n, declared.kl, declared.ku
+        padding = {-kl - 2: np.zeros(n - kl - 2), ku + 1: np.full(n - ku - 1, -0.0)}
         padded = numerics.Section(  # zero outer diagonals and a gap, which the Section trims
-            {**declared.diagonals, -3: np.zeros(declared.n - 3), 2: -0.0 * declared.diagonals[1][1:]}
+            {**declared.diagonals, **{off: d for off, d in padding.items() if abs(off) < n}}
         )
         detected = numerics.Section(declared.data)
         for sec in (declared, padded):

@@ -2,9 +2,47 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from specexact import numerics, operator_model as om
 from specexact.errors import DataError, PoleError
+
+#: fields of a Section's structure, as tests/test_discretize.py compares them
+STRUCTURE = ("n", "kl", "ku", "real", "hermitian", "banded", "triangular")
+
+
+# Per-entry reference rules (1-based i, j) of the built-in specs, and the
+# dense assembly that calls them once per entry: the diagonal producers must
+# give exactly these arrays.
+
+
+def jacobi_rule(i, j):
+    q = lambda k: float(k + 1) if k % 2 == 1 else k / 2.0
+    return q(i) if j == i + 1 else q(j) if i == j + 1 else 0.0
+
+
+def upper_triangular_rule(i, j):
+    return float(j) if i < j else float(j) ** 3 if i == j else 0.0
+
+
+def custom_banded_rule(table, tail):
+    arr = np.asarray(table, dtype=np.complex128)
+    s = arr.shape[0]
+
+    def rule(i, j):
+        if i <= s and j <= s:
+            return arr[i - 1, j - 1]
+        off = j - i
+        if tail == "zero" or abs(off) >= s:
+            return 0.0
+        return arr[s - 1 - off, s - 1] if off >= 0 else arr[s - 1, s - 1 + off]
+
+    return rule
+
+
+def reference_array(rule, k):
+    a = np.array([[complex(rule(i, j)) for j in range(1, k + 1)] for i in range(1, k + 1)])
+    return numerics.real_if_exact(a)
 
 
 class TestTruncate:
@@ -28,7 +66,8 @@ class TestTruncate:
             np.testing.assert_array_equal(om.truncate(spec, k).data, big[:k, :k])
 
     def test_nonfinite_entry_named(self):
-        bad = om.OperatorSpec("bad", lambda i, j: np.nan if (i, j) == (2, 3) else 0.0)
+        # A_23 is the second entry of the first superdiagonal
+        bad = om.OperatorSpec("bad", lambda k: {0: np.zeros(k), 1: np.where(np.arange(1, k) == 2, np.nan, 0.0)})
         with pytest.raises(DataError, match=r"\(2, 3\)"):
             om.truncate(bad, 4)
 
@@ -36,11 +75,48 @@ class TestTruncate:
         with pytest.raises(ValueError):
             om.truncate(om.jacobi_spec(), 0)
 
-    @pytest.mark.parametrize("offset", [10, -10])
-    def test_band_declaration_spot_checked(self, offset):
-        rule = lambda i, j: 1.0 if i - j == offset else 0.0
-        with pytest.raises(DataError, match="declared band"):
-            om.OperatorSpec("cheat", rule, band_meta=om.BandMeta(1, 1))
+    @pytest.mark.parametrize("k", [2, 3, 80, 400])
+    def test_jacobi_stays_tridiagonal(self, k):
+        sec = om.truncate(om.jacobi_spec(), k)
+        assert "data" not in vars(sec) and (sec.kl, sec.ku) == (1, 1) and sec.tridiagonal is not None
+
+    @staticmethod
+    def assert_matches_rule(spec, rule, k, big):
+        """truncate(spec, k) is the per-entry reference: values, dtype, structure, nesting in size big."""
+        want = reference_array(rule, k)
+        sec = om.truncate(spec, k)
+        assert sec.data.dtype == want.dtype
+        np.testing.assert_array_equal(sec.data, want)
+        reference = numerics.Section(want)
+        assert [getattr(sec, f) for f in STRUCTURE] == [getattr(reference, f) for f in STRUCTURE]
+        np.testing.assert_array_equal(sec.data, om.truncate(spec, big).data[:k, :k])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 12])
+    def test_builtin_specs_match_entry_rules(self, k):
+        self.assert_matches_rule(om.jacobi_spec(), jacobi_rule, k, 13)
+        self.assert_matches_rule(om.upper_triangular_spec(), upper_triangular_rule, k, 13)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        s=hst.integers(1, 5),
+        k=hst.integers(1, 15),
+        entries=hst.sampled_from(["real", "complex", "complex_outside"]),
+        holes=hst.sampled_from([0.0, 0.5]),
+        tail=hst.sampled_from(["zero", "repeat_edge"]),
+    )
+    @example(seed=0, s=3, k=2, entries="complex_outside", holes=0.0, tail="repeat_edge")
+    def test_property_custom_banded_matches_entry_rule(self, seed, s, k, entries, holes, tail):
+        k = 1 + (k - 1) % (3 * s)  # 1 <= k <= 3 s
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal((s, s)) * (rng.random((s, s)) >= holes)  # exact zeros
+        if entries != "real":
+            imag = rng.standard_normal((s, s))
+            if entries == "complex_outside":  # the section of size k is real, larger ones are not
+                imag[:k, :k] = 0.0
+            table = table + 1j * imag
+        spec = om.custom_banded_spec(table, tail=tail)
+        self.assert_matches_rule(spec, custom_banded_rule(table, tail), k, 3 * s)
 
 
 class TestSplitBlocks:
@@ -50,7 +126,7 @@ class TestSplitBlocks:
             np.testing.assert_array_equal(block, [[0, 2 * n], [2 * n, 0]])
 
     def test_diagonal_spec_unit_cuts(self):
-        spec = om.diagonal_spec(lambda i: float(i))
+        spec = om.OperatorSpec("diag", lambda k: {0: np.arange(1.0, k + 1)})
         sp = om.split_blocks(spec, range(1, 9))
         assert all(b.shape == (1, 1) for b in sp.diagonal_blocks)
         np.testing.assert_array_equal(sp.coupling_section(8), np.zeros((8, 8)))
@@ -81,12 +157,12 @@ class TestSplitBlocks:
                 assert t.dtype == s.dtype == want.dtype
                 np.testing.assert_array_equal(t + s, want)
 
-    def test_one_assembly_per_split(self, monkeypatch):
+    def test_one_assembly_per_split(self):
         # the jacobi demo's relative_bound: 60 sizes, each a T and an S section
         sizes = []
-        assemble = om._assemble
-        monkeypatch.setattr(om, "_assemble", lambda spec, k: sizes.append(k) or assemble(spec, k))
-        sp = om.split_blocks(om.jacobi_spec(), range(2, 122, 2))
+        jacobi = om.jacobi_spec()
+        counted = om.OperatorSpec("jacobi", lambda k: sizes.append(k) or jacobi.diagonals(k))
+        sp = om.split_blocks(counted, range(2, 122, 2))
         for k in range(2, 122, 2):
             sp.diag_section(k)
             sp.coupling_section(k)
@@ -118,7 +194,7 @@ class TestBandProfile:
         assert p.hint == "c"
 
     def test_zero_operator(self):
-        p = om.band_profile(om.OperatorSpec("zero", lambda i, j: 0.0), 20)
+        p = om.band_profile(om.OperatorSpec("zero", lambda k: {0: np.zeros(k)}), 20)
         assert p.row_counts.max() == 0 and p.col_counts.max() == 0
         assert p.row_envelope.max() == 0.0 and p.col_envelope.max() == 0.0
 
@@ -130,7 +206,7 @@ class TestBandProfile:
     def test_scaling_covariance(self):
         base = om.jacobi_spec()
         c = 3.7
-        scaled = om.OperatorSpec("scaled", lambda i, j: c * base.entry_rule(i, j))
+        scaled = om.OperatorSpec("scaled", lambda k: {off: c * d for off, d in base.diagonals(k).items()})
         p0 = om.band_profile(base, 40)
         p1 = om.band_profile(scaled, 40)
         np.testing.assert_array_equal(p0.row_counts, p1.row_counts)

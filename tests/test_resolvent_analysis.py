@@ -114,7 +114,8 @@ class TestRegionProbe:
         assert probe.values[-1] < 1e-10 * probe.scale
 
     def test_identity_constant(self):
-        lad = ra.galerkin_ladder(om.identity_spec(), range(2, 16, 2))
+        identity = om.OperatorSpec("identity", lambda k: {0: np.ones(k)})
+        lad = ra.galerkin_ladder(identity, range(2, 16, 2))
         probe = ra.region_probe(lad, 2.0)
         assert probe.verdict is ProbeVerdict.BOUNDED
         np.testing.assert_allclose(probe.values, 1.0, atol=1e-14)
@@ -696,13 +697,18 @@ class TestNeumannBoundOnSections:
             assert ra.resolvent_norm(t + s, 0.0) <= ra.resolvent_norm(t, 0.0) / (1 - gamma) + 1e-8
 
 
+def conjugate_transpose(sec):
+    """The Section of A^H, declared from the diagonals of A."""
+    return numerics.Section({-off: d.conj() for off, d in sec.diagonals.items()})
+
+
 class TestConjugatedLadder:
     def test_schrodinger_adjoint_ladder_stays_declared(self):
         # the conjugate transpose is declared from the diagonals: no dense
         # array on either ladder, and the spectrum is the conjugate
         prob = dz.SchrodingerProblem("osc", p=lambda x: 0.0, q=lambda x: 1j * x * x, r=lambda x: 0.0, L_n=(3.0, 4.0))
         lad = ra.SectionLadder("osc", (1, 2), lambda n: dz.schrodinger_assemble(prob, n, 80))
-        adj = lad.conjugated()
+        adj = ra.SectionLadder("osc*", lad.sizes, lambda n: conjugate_transpose(lad.matrix(n)))
         for size in adj.sizes:
             sec, sec_h = lad.matrix(size), adj.matrix(size)
             assert (sec_h.kl, sec_h.ku, sec_h.hermitian, sec_h.banded) == (sec.ku, sec.kl, False, True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specexact import discretize as dz, operator_model as om, resolvent_analysis as ra, spectral_tracker as st
+from specexact import discretize as dz, numerics, operator_model as om, resolvent_analysis as ra, spectral_tracker as st
 from specexact.spectral_tracker import ClassVerdict
 
 ZERO = lambda x: 0.0
@@ -96,7 +96,8 @@ class TestClassifyPoint:
         assert pts[0].value == pytest.approx(1.0, abs=5e-3)
 
     def test_resolvent_set_point_undecided(self):
-        diag = ra.galerkin_ladder(om.diagonal_spec(lambda i: float(i)), range(2, 16, 2))
+        spec = om.OperatorSpec("diag", lambda k: {0: np.arange(1.0, k + 1)})
+        diag = ra.galerkin_ladder(spec, range(2, 16, 2))
         cp = st.classify_point(1.5, diag)
         assert cp.verdict is ClassVerdict.UNDECIDED
         assert "resolvent set" in cp.note
@@ -110,7 +111,11 @@ class TestClassifyPoint:
         assert len(pts) == 1
         lam = pts[0].value
         cp = st.classify_point(lam, lad, tol=5e-3)
-        cp_adj = st.classify_point(np.conj(lam), lad.conjugated(), tol=5e-3)
+        # the adjoint ladder: each section's conjugate transpose, declared from its diagonals
+        adj = ra.SectionLadder(
+            "c*", lad.sizes, lambda n: numerics.Section({-off: d.conj() for off, d in lad.matrix(n).diagonals.items()})
+        )
+        cp_adj = st.classify_point(np.conj(lam), adj, tol=5e-3)
         assert cp.verdict is cp_adj.verdict
         assert cp.multiplicity == cp_adj.multiplicity
 
