@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import numerics, resolvent_analysis as ra
 from .errors import ContourError, ResolutionError
@@ -30,6 +29,8 @@ CONTOUR_RADIUS_CAP = 1.0
 CONTOUR_RADIUS_FLOOR_FACTOR = 100.0
 #: ranks must agree over this many trailing ladder sizes
 STABLE_RANKS = 3
+#: entries per block of the nearest-neighbor distances in ``_nn_spacing_radius``
+_NN_BLOCK = 1 << 16
 
 
 class ClassVerdict(str, enum.Enum):
@@ -95,14 +96,103 @@ class Trajectory:
 
 
 def _nn_spacing_radius(values: np.ndarray) -> float:
-    """Default matching radius: half the median nearest-neighbor spacing."""
-    if values.shape[0] < 2:
+    """Default matching radius: half the median nearest-neighbor spacing.
+
+    The distances are taken in blocks of about ``_NN_BLOCK`` entries, so
+    memory stays O(n) per block rather than an n x n matrix; each row's
+    minimum is the same reduction either way.
+    """
+    n = values.shape[0]
+    if n < 2:
         return float("inf")
-    dist = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(dist, np.inf)
-    nn = dist.min(axis=1)
+    step = max(1, _NN_BLOCK // n)
+    nn = np.empty(n)
+    for start in range(0, n, step):
+        block = np.abs(values[start : start + step, None] - values[None, :])
+        rows = np.arange(block.shape[0])
+        block[rows, start + rows] = np.inf
+        nn[start : start + step] = block.min(axis=1)
     med = float(np.median(nn))
     return float("inf") if med == 0.0 else 0.5 * med
+
+
+def _assignment(prev: np.ndarray, curr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-total-cost assignment for the costs |prev[i] - curr[j]|.
+
+    The shortest augmenting path method of Jonker & Volgenant (1987), in the
+    form of Crouse (2016, IEEE TAES 52(4)), step for step as SciPy's
+    ``rectangular_lsap.cpp`` does it, so it returns the same ``(rows, cols)``
+    as SciPy's solver on the full cost matrix, ties included.  A row's costs
+    are computed when the search visits that row, so memory is O(n).  A
+    non-finite cost raises ``ValueError``.
+    """
+    transpose = prev.shape[0] > curr.shape[0]
+    a, b = (curr, prev) if transpose else (prev, curr)
+    if not (a.imag.any() or b.imag.any()):
+        # |x + 0j| is |x| exactly, and real differences are cheaper
+        a, b = np.ascontiguousarray(a.real), np.ascontiguousarray(b.real)
+    nr, nc = a.shape[0], b.shape[0]
+    u, v = np.zeros(nr), np.zeros(nc)
+    col4row = np.full(nr, -1, dtype=np.intp)
+    row4col = np.full(nc, -1, dtype=np.intp)
+    path, shortest = np.empty(nc, dtype=np.intp), np.empty(nc)
+    cost, shorter = np.empty(nc), np.empty(nc, dtype=bool)
+    for cur in range(nr):
+        # Dijkstra from row cur over the reduced costs.  SciPy scans a list of
+        # the remaining columns that starts reversed (so a constant cost gives
+        # the identity) and drops a scanned column by swap-remove; pos[j] is
+        # column j's place in that list, which only breaks ties.  Here a scanned
+        # column is masked by an infinite dual instead, so each pass is over all
+        # nc columns.
+        order = np.arange(nc - 1, -1, -1)
+        pos = order.copy()
+        dist, src, duals = np.full(nc, np.inf), np.empty(nc, dtype=np.intp), v.copy()
+        rows, cols = [], []
+        i, min_val, sink, left = cur, 0.0, -1, nc
+        while sink < 0:
+            rows.append(i)
+            np.abs(a[i] - b, out=cost)
+            if i == cur and not np.isfinite(cost).all():  # each whole cost row passes here once
+                raise ValueError("assignment costs must be finite")
+            np.add(cost, min_val, out=cost)
+            np.subtract(cost, u[i], out=cost)
+            np.subtract(cost, duals, out=cost)
+            np.less(cost, dist, out=shorter)
+            np.copyto(dist, cost, where=shorter)
+            np.copyto(src, i, where=shorter)
+            j = int(dist.argmin())
+            min_val = dist[j]
+            ties = np.flatnonzero(dist == min_val)
+            if ties.size > 1:
+                # the last unassigned column in list order wins, else the first
+                free = ties[row4col[ties] < 0]
+                j = int(free[pos[free].argmax()] if free.size else ties[pos[ties].argmin()])
+            shortest[j], path[j] = min_val, src[j]
+            cols.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            left -= 1
+            order[pos[j]] = order[left]
+            pos[order[left]] = pos[j]
+            dist[j], duals[j] = np.inf, -np.inf
+        u[cur] += min_val
+        others = np.asarray(rows[1:], dtype=np.intp)
+        u[others] += min_val - shortest[col4row[others]]
+        cols = np.asarray(cols, dtype=np.intp)
+        v[cols] -= min_val - shortest[cols]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        by_row = np.argsort(col4row)
+        return col4row[by_row], by_row
+    return np.arange(nr), col4row
 
 
 def match_trajectories(
@@ -141,10 +231,10 @@ def match_trajectories(
             radius = _nn_spacing_radius(smaller)
         next_active: dict[int, Trajectory] = {}
         if prev.size and curr.size:
-            cost = np.abs(prev[:, None] - curr[None, :])
-            rows, cols = linear_sum_assignment(cost)
-            for i, j in zip(rows, cols):
-                if cost[i, j] <= radius and i in active:
+            rows, cols = _assignment(prev, curr)
+            cost = np.abs(prev[rows] - curr[cols])
+            for i, j, c in zip(rows, cols, cost):
+                if c <= radius and i in active:
                     t = active[i]
                     t.append(sizes[step], curr[j])
                     next_active[j] = t

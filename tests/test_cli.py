@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -814,3 +818,23 @@ class TestDemoDeterminism:
         assert {"spectra.csv", "pseudo.csv", "classify.json", "hypothesis.json"} <= set(names)
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_heavy_scipy_package(self):
+        # a fresh interpreter: this test process has imported scipy.optimize itself
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import specexact.cli, sys; "
+            "heavy = [m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.special', 'scipy.spatial') "
+            "if m in sys.modules]; print(heavy)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"

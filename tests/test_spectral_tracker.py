@@ -1,7 +1,12 @@
 """Trajectory matching, limit detection and pollution classification."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
+from scipy.optimize import linear_sum_assignment
 
 from specexact import discretize as dz, numerics, operator_model as om, resolvent_analysis as ra, spectral_tracker as st
 from specexact.spectral_tracker import ClassVerdict
@@ -43,6 +48,143 @@ class TestMatchTrajectories:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             st.match_trajectories(spectra([1], [[1.0]]))
+
+
+def dense_nn_spacing_radius(values):
+    """The nearest-neighbor radius from the whole n x n distance matrix: the reference."""
+    if values.shape[0] < 2:
+        return float("inf")
+    dist = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(dist, np.inf)
+    med = float(np.median(dist.min(axis=1)))
+    return float("inf") if med == 0.0 else 0.5 * med
+
+
+def scipy_match_trajectories(spectra, match_radius=None):
+    """The matching as it was, by SciPy's assignment on the dense cost matrix: the reference."""
+    sizes = [s.size for s in spectra]
+    sorted_vals = []
+    for s in spectra:
+        w = np.asarray(s.eigenvalues, dtype=complex)
+        sorted_vals.append(w[np.lexsort((w.imag, w.real))])
+    trajectories, active = [], {}
+    for j, v in enumerate(sorted_vals[0]):
+        t = st.Trajectory()
+        t.append(sizes[0], v)
+        trajectories.append(t)
+        active[j] = t
+    for step in range(1, len(spectra)):
+        prev, curr = sorted_vals[step - 1], sorted_vals[step]
+        radius = match_radius
+        if radius is None:
+            radius = dense_nn_spacing_radius(prev if prev.shape[0] <= curr.shape[0] else curr)
+        next_active = {}
+        if prev.size and curr.size:
+            cost = np.abs(prev[:, None] - curr[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            for i, j in zip(rows, cols):
+                if cost[i, j] <= radius and i in active:
+                    t = active[i]
+                    t.append(sizes[step], curr[j])
+                    next_active[j] = t
+        for j, v in enumerate(curr):
+            if j not in next_active:
+                t = st.Trajectory()
+                t.append(sizes[step], v)
+                trajectories.append(t)
+                next_active[j] = t
+        active = next_active
+    return trajectories
+
+
+def paths(trajectories):
+    return [(t.sizes, t.values) for t in trajectories]
+
+
+@hst.composite
+def value_pairs(draw):
+    """Two value vectors of 1-8 entries: real, integer (costs tie) or complex with repeats."""
+    kind = draw(hst.sampled_from(["real", "integer", "complex"]))
+    m, n = draw(hst.integers(1, 8)), draw(hst.integers(1, 8))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    if kind == "real":
+        prev, curr = rng.standard_normal(m), rng.standard_normal(n)
+    elif kind == "integer":
+        prev, curr = rng.integers(0, 4, m).astype(float), rng.integers(0, 4, n).astype(float)
+    else:
+        pool = rng.integers(-2, 3, 4) + 1j * rng.integers(-2, 3, 4)
+        prev, curr = rng.choice(pool, m), rng.choice(pool, n)
+    return prev.astype(complex), curr.astype(complex)
+
+
+class TestAssignment:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(value_pairs())
+    @example((np.array([0.0, 1.0, 2.0, 3.0, 4.0], dtype=complex), np.array([2.0], dtype=complex)))
+    @example((np.array([2.0], dtype=complex), np.array([0.0, 1.0, 2.0, 3.0, 4.0], dtype=complex)))
+    @example((np.ones(6, dtype=complex), np.ones(6, dtype=complex)))
+    def test_property_same_as_scipy(self, pair):
+        prev, curr = pair
+        rows, cols = st._assignment(prev, curr)
+        want_rows, want_cols = linear_sum_assignment(np.abs(prev[:, None] - curr[None, :]))
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(cols, want_cols)
+
+    @pytest.mark.parametrize(
+        "prev, curr",
+        [
+            ([0.0, np.nan], [1.0, 2.0]),
+            ([0.0, 1.0], [complex(2.0, np.inf), 3.0]),
+            ([np.inf], [1.0, 2.0, 3.0]),
+            ([1.0, 2.0, 3.0], [0.0, -np.inf]),
+            ([1e308, 0.0], [-1e308, 1.0]),  # finite values whose difference overflows
+        ],
+    )
+    def test_nonfinite_cost_raises(self, prev, curr):
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            st._assignment(np.asarray(prev, dtype=complex), np.asarray(curr, dtype=complex))
+
+    def test_jacobi_ladder_same_trajectories_as_scipy(self):
+        # interlaced real spectra of nested Hermitian sections, matched in real arithmetic
+        specs = [
+            st.SpectrumResult(k, numerics.eig_dense(om.truncate(om.jacobi_spec(), k)).eigenvalues)
+            for k in (199, 200, 201)
+        ]
+        assert paths(st.match_trajectories(specs)) == paths(scipy_match_trajectories(specs))
+
+    def test_unwindowed_ladder_scale(self):
+        # 1599, 1600 and 1601 converging complex eigenvalues, one new value per rung
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal(1601) + 1j * rng.standard_normal(1601)
+        specs = [
+            st.SpectrumResult(n, base[:n] + 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+            for n in (1599, 1600, 1601)
+        ]
+        start = time.perf_counter()
+        got = st.match_trajectories(specs)
+        seconds = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            st.match_trajectories(specs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert paths(got) == paths(scipy_match_trajectories(specs))
+        assert seconds < 2.0
+        assert peak < 10e6
+
+
+class TestNearestNeighborRadius:
+    @pytest.mark.parametrize("n", [1, 2, 3, 300, 1000])
+    def test_same_as_dense(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert st._nn_spacing_radius(values) == dense_nn_spacing_radius(values)
+        duplicated = np.concatenate([values, values[: n // 3]])
+        assert st._nn_spacing_radius(duplicated) == dense_nn_spacing_radius(duplicated)
+
+    def test_all_equal_is_infinite(self):
+        assert st._nn_spacing_radius(np.full(700, 2.0 + 1j)) == float("inf")
 
 
 class TestDetectLimits:
