@@ -35,8 +35,16 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                sl_matrix section interleaves its two components' unknowns,
                so it is banded.
                A finished classify stage records ``probe_ratios``, one entry
-               per candidate: its lambda and verdict and the four ratios its
-               region probe was judged by (``RegionProbe.ratios``).  A
+               per candidate: its lambda and verdict, the four ratios its
+               region probe was judged by (``RegionProbe.ratios``) and
+               ``contours``, one entry per contour rank size: size, route
+               (closed_form, sketched or dense), gap (the kept/dropped
+               singular-value ratio, judged against 10; null when infinite)
+               and node_distance (on the closed_form route, the least
+               distance from a node to the spectrum over the radius, judged
+               against 1e-8; null otherwise), with route, gap and
+               node_distance all null where the contour was blocked.  It
+               also records ``contour_routes``, its contour ranks per route.  A
                finished pseudo stage records ``sigma_min_routes`` (lattice
                points per route: dense, tridiagonal, banded, triangular) and
                ``dense_fallbacks`` (banded and triangular points redone by
@@ -53,6 +61,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -486,10 +495,16 @@ def _run_classify(prob: Problem, stage: dict, path: Path, threads: int) -> dict:
     }
     _atomic_write(path, _dump_json(doc))
     ratios = [
-        {"lambda": [p.value.real, p.value.imag], "verdict": p.verdict.value, **p.probe.ratios}
+        {
+            "lambda": [p.value.real, p.value.imag],
+            "verdict": p.verdict.value,
+            **p.probe.ratios,
+            "contours": p.contours,
+        }
         for p in points
     ]
-    return {"probe_ratios": ratios}
+    routes = Counter(c["route"] for p in points for c in p.contours if c["route"] is not None)
+    return {"probe_ratios": ratios, "contour_routes": {route: routes[route] for route in ra.CONTOUR_ROUTES}}
 
 
 def _verify_checks(prob: Problem, stage: dict) -> list[hc.HypothesisReport]:

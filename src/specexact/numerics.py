@@ -66,7 +66,8 @@ class SymmetricTridiagonal:
     when A is real, (Re d, |e|) when it is complex: A = U T U^H for a diagonal
     unitary U.  Each method solves only for what its caller reads: all
     eigenvalues (``sterf``), the eigenvalues in an interval (Sturm counts,
-    then ``dstebz`` bisection for each eigenvalue inside), the distance from
+    then ``dstebz`` bisection for each eigenvalue inside) or of an index
+    range (``dstebz`` alone), the distance from
     one shift to the spectrum (a Sturm count, then ``dstebz`` for at most two
     eigenvalues), or residuals at chosen eigenvalues (``dstein``).
     """
@@ -89,21 +90,28 @@ class SymmetricTridiagonal:
 
         The pad, 16 eps ||T|| + 4 pivmin, exceeds the error of bisection and
         of the Sturm count.  :meth:`sturm_count` at lo - pad and hi + pad
-        gives the indices of the eigenvalues between, and ``dstebz`` bisects
-        for each index on its own, to the absolute tolerance 2 safmin (full
-        relative accuracy, as LAPACK advises).  An eigenvalue's bits then
-        depend on T and its index alone, not on the interval: the values
-        computed for an interval are those computed for any interval that
-        holds it.  Each costs O(n) per bisection step, so a wide interval
-        can cost more than :meth:`eigenvalues`.
+        gives the indices of the eigenvalues between, and
+        :meth:`eigenvalues_by_index` bisects for each.  The values computed
+        for an interval are then those computed for any interval that holds
+        it.  Each costs O(n) per bisection step, so a wide interval can cost
+        more than :meth:`eigenvalues`.
         """
         _, _, pivmin = self._recurrence
         bound = float(np.abs(self.d).max() + 2.0 * np.abs(self.e).max(initial=0.0))  # >= ||T||
         pad = 16.0 * np.finfo(float).eps * bound + 4.0 * pivmin
-        first, last = self.sturm_count(lo - pad), self.sturm_count(hi + pad)
+        return self.eigenvalues_by_index(self.sturm_count(lo - pad), self.sturm_count(hi + pad))
+
+    def eigenvalues_by_index(self, first: int, stop: int) -> np.ndarray:
+        """The eigenvalues of indices first, ..., stop - 1 (from 0, ascending), ascending.
+
+        Indices outside 0, ..., n - 1 are skipped.  ``dstebz`` bisects for
+        each index on its own, to the absolute tolerance 2 safmin (full
+        relative accuracy, as LAPACK advises), so an eigenvalue's bits depend
+        on T and its index alone, not on the range it was asked with.
+        """
         abstol = 2.0 * np.finfo(float).tiny
         found = []
-        for k in range(first + 1, last + 1):
+        for k in range(max(first, 0) + 1, min(stop, self.n) + 1):
             m, w, _, _, info = lapack.dstebz(self.d, self.e, 2, 0.0, 0.0, k, k, abstol, b"E")
             if info != 0:
                 raise ConvergenceError(f"bisection for eigenvalue {k - 1} failed (info={info})")

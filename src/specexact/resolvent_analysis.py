@@ -36,6 +36,8 @@ RANK_THRESHOLD = 0.5
 GAP_FACTOR = 10.0
 #: default number of trapezoid points on a circle
 DEFAULT_QUADRATURE = 64
+#: the routes of a contour rank (see ContourRank)
+CONTOUR_ROUTES = ("closed_form", "sketched", "dense")
 
 _PRECONDITION_RESNORM = 1e8  # scaled by 1/radius in contour_rank
 #: the circle of a windowed spectrum: the window's circumcircle, radius times this
@@ -442,7 +444,9 @@ def _checked_factor(section: numerics.Section, z: complex, limit: float) -> nume
     where that is at most ``limit`` / 2 the estimate cannot exceed the limit
     and is skipped.  On a contour's circle of radius r, with limit 1e8 / r,
     that is every node farther than 2e-8 r from the real axis.  The nodes
-    refused are the same either way.
+    refused are the same either way.  The bound serves the Hermitian
+    sections that are not tridiagonal: :func:`contour_rank` takes a
+    Hermitian tridiagonal one in closed form and factors no node.
     """
     try:
         fact = section.factor(z)
@@ -514,13 +518,24 @@ def _sketched_singular_values(factors, weights, n: int, real_pairs: bool, sketch
 class ContourRank:
     """Trapezoid contour projection with its extracted rank.
 
-    ``probe_columns`` is the number of columns the projection was applied to:
-    the sketch width L when the projection was sketched, else n.  A sketched
-    projection is never formed, so ``projection`` is None then;
-    ``singular_values`` holds the leading min(n, L) values.  ``moments`` is
-    None unless asked for: then the pair (A0, A1) of Beyn's method, the
-    projection P and the first moment M = sum_k w_k z_k (z_k - A)^{-1} applied
-    to the same probe columns (the sketch basis Q, or the identity).
+    ``route`` says how the projection's singular values were found:
+
+    - ``closed_form``: a Hermitian tridiagonal section (see
+      :func:`_closed_form_contour_rank`).  Nothing is formed or solved, so
+      ``projection`` is None and ``probe_columns`` 0; ``singular_values``
+      holds |f(lambda)| at the eigenvalues in and beside the annulus the
+      circle lies in, descending, and ``node_distance`` is the guard's
+      margin: the least distance from a node to one of those eigenvalues,
+      over the radius (inf when there is none);
+    - ``sketched``: the projection applied to L probe columns and never
+      formed, so ``projection`` is None, ``probe_columns`` is L and
+      ``singular_values`` holds the leading L values;
+    - ``dense``: the n x n projection, with ``probe_columns`` n.
+
+    ``node_distance`` is None on the last two.  ``moments`` is None unless
+    asked for: then the pair (A0, A1) of Beyn's method, the projection P and
+    the first moment M = sum_k w_k z_k (z_k - A)^{-1} applied to the same
+    probe columns (the sketch basis Q, or the identity).
     """
 
     center: complex
@@ -531,7 +546,14 @@ class ContourRank:
     gap: float
     singular_values: np.ndarray = field(repr=False)
     probe_columns: int
+    route: str
     moments: tuple | None = field(default=None, repr=False)
+    node_distance: float | None = None
+
+    def margins(self) -> dict:
+        """``route``, and the ``gap`` and ``node_distance`` it was judged by, None where infinite."""
+        finite = lambda x: x if x is not None and np.isfinite(x) else None
+        return {"route": self.route, "gap": finite(self.gap), "node_distance": finite(self.node_distance)}
 
 
 def contour_rank(
@@ -547,19 +569,27 @@ def contour_rank(
     and the rank is the count above 0.5, accepted only when kept/dropped
     differ by a factor of at least 10.  Raises :class:`ContourError` when an
     eigenvalue sits too close to the circle (resolvent norm above 1e8/radius
-    at a quadrature node; on a Hermitian section only a node within
-    2e-8 radius of the real axis can be that close, and only such nodes are
-    estimated, see :func:`_checked_factor`) and
-    :class:`ResolutionError` when the singular-value gap is ambiguous.
+    at a quadrature node) and :class:`ResolutionError` when the
+    singular-value gap is ambiguous.  A centre or radius that is not finite,
+    a radius that is not positive and fewer than 16 quadrature points raise
+    ``ValueError``.
 
-    When the section is stored banded (n >= 64 with a narrow band), P is
-    sketched rather than formed: each node is factored once, L fixed-seed
-    Gaussian probe columns give Y = P^H Omega by adjoint banded solves, and
-    the singular values of P orth(Y) stand in for P's.  L starts at 16 and
-    doubles until at least 8 columns lie beyond the counted rank; when L
-    would reach n the dense n-column projection is formed instead, as it is
-    for every section not stored banded.  The probes depend only on n and
-    L, so results are byte-deterministic.
+    The section's declared structure picks one of three routes (see
+    :class:`ContourRank`):
+
+    - ``closed_form``: a Hermitian tridiagonal section, from its
+      eigenvalues near the circle alone, with no node factored
+      (:func:`_closed_form_contour_rank`);
+    - ``sketched``: any other section stored banded (n >= 64 with a narrow band).
+      Each node is factored once; L fixed-seed Gaussian probe columns give
+      Y = P^H Omega by adjoint banded solves, and the singular values of
+      P orth(Y) stand in for P's.  L starts at 16 and doubles until at least
+      8 columns lie beyond the counted rank.  The probes depend only on n
+      and L, so results are byte-deterministic.  The guard estimates the
+      resolvent norm at each node, or bounds it on a Hermitian section
+      (:func:`_checked_factor`);
+    - ``dense``: every other section, and a sketch whose L would reach n:
+      the n-column projection is formed.
 
     ``m`` is a :class:`numerics.Section`, or an array read as one; a
     ladder's own Section reuses its band template across calls.
@@ -567,11 +597,132 @@ def contour_rank(
     q = int(quadrature_points)
     if q < 16:
         raise ValueError("need at least 16 quadrature points")
-    radius = float(radius)
+    center, radius = complex(center), float(radius)
+    if not (np.isfinite(center) and np.isfinite(radius)):
+        raise ValueError(f"contour centre {center} and radius {radius} must be finite")
     if radius <= 0:
         raise ValueError("radius must be positive")
     section = numerics.Section.of(m)
-    return _contour_rank(section, complex(center), radius, q, section.n if section.banded else 0)
+    if section.tridiagonal is not None:
+        return _closed_form_contour_rank(section.tridiagonal, center, radius, q)
+    return _contour_rank(section, center, radius, q, section.n if section.banded else 0)
+
+
+def _rank_and_gap(svals: np.ndarray, q: int) -> tuple[int, float]:
+    """The count of ``svals`` (descending) above ``RANK_THRESHOLD``, and kept/dropped.
+
+    Raises :class:`ResolutionError` when kept/dropped is below ``GAP_FACTOR``.
+    """
+    rank = int(np.count_nonzero(svals > RANK_THRESHOLD))
+    # the kept/dropped split only exists when both sides are nonempty
+    if rank == 0 or rank == svals.size:
+        gap = np.inf
+    else:
+        kept, dropped = svals[rank - 1], svals[rank]
+        gap = np.inf if dropped == 0.0 else float(kept / dropped)
+    if gap < GAP_FACTOR:
+        raise ResolutionError(
+            f"ambiguous projection rank: kept/dropped singular-value ratio {gap:.2f} < "
+            f"{GAP_FACTOR:g}; increase the quadrature point count (used {q})"
+        )
+    return rank, float(gap)
+
+
+def _filter_values(lam: np.ndarray, center: complex, radius: float, q: int) -> np.ndarray:
+    """|f(lam)| = |1 / (1 - u^q)|, u = (lam - c) / r: the trapezoid projection at each eigenvalue."""
+    u = (lam - (center.real if center.imag == 0.0 else center)) / radius
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f = np.abs(1.0 / (1.0 - u**q))
+    # a complex u^q overflows into nan only where |f| < 1e-300; f is inf at a node
+    f[np.isnan(f)] = 0.0
+    return f
+
+
+def _filter_bound(x: float, center: complex, radius: float, q: int) -> float:
+    """1 / (|u|^q - 1), u = (x - c) / r, inf where |u| <= 1.
+
+    A bound on |f| at x and at every real point farther from Re c.
+    """
+    with np.errstate(over="ignore"):
+        mag = np.abs((x - center) / radius) ** q
+    return np.inf if mag <= 1.0 else float(1.0 / (mag - 1.0))
+
+
+def _closed_form_contour_rank(
+    tri: numerics.SymmetricTridiagonal, center: complex, radius: float, q: int
+) -> ContourRank:
+    """:func:`contour_rank` of a Hermitian tridiagonal section, from a few of its eigenvalues.
+
+    With the nodes z_k = c + r e^{2 pi i k / q} and weights (r / q) e^{2 pi i k / q},
+    the trapezoid projection of a normal A acts on an eigenvalue lambda as
+    f(lambda) = 1 / (1 - u^q), u = (lambda - c) / r: FEAST's rational filter
+    (Tang & Polizzi 2014, SIMAX 35; Guettel, Polizzi, Tang & Viaud 2015,
+    SISC 37).  So P = U f(Lambda) U^H, and its singular values are the
+    |f(lambda_j)|.  Where |u|^q > 3, |f| <= 1 / (|u|^q - 1) < 1/2: such an
+    eigenvalue is uncounted, and as |u| grows along the real axis on either
+    side of Re c, so does that bound shrink.  So with rho = r 3^{1/q} and
+    c = a + ib, the Sturm counts at a -+ sqrt(rho^2 - b^2) give the indices
+    of the eigenvalues in the disc |lambda - c| <= rho, and each of those and
+    the nearest index on either side is bisected
+    (:meth:`numerics.SymmetricTridiagonal.eigenvalues_by_index`).  For a real
+    centre the nearest one outside has the largest |f| of its side; for a
+    non-real one each side steps outward while the next bound could exceed
+    the largest uncounted |f| found.  When rho <= |b| no eigenvalue is near
+    the circle: the rank is 0.
+
+    The guard reads the exact ||(z_k - A)^{-1}|| = 1 / min_j |z_k - lambda_j|
+    over those eigenvalues, which hold every one within rho - r > 1e-8 r
+    (for q < 1e8) of the circle, and refuses above 1e8 / r as :func:`_checked_factor` does (a
+    zero distance is an infinite norm).  Rank and gap are split as on the
+    other routes.  Costs two Sturm counts and a bisection per eigenvalue
+    taken, O(n) each.
+    """
+    n = tri.n
+    a, b = center.real, center.imag
+    rho = radius * 3.0 ** (1.0 / q)
+    lam = np.zeros(0)
+    if rho > abs(b):
+        half = np.sqrt(rho * rho - b * b)
+        first, stop = max(tri.sturm_count(a - half) - 1, 0), min(tri.sturm_count(a + half) + 1, n)
+        lam = tri.eigenvalues_by_index(first, stop)
+        f = _filter_values(lam, center, radius, q)
+        uncounted = f[f <= RANK_THRESHOLD].max(initial=0.0)
+        while b and first > 0 and _filter_bound(lam[0], center, radius, q) > uncounted:
+            first -= 1
+            x = tri.eigenvalues_by_index(first, first + 1)
+            lam, uncounted = np.concatenate([x, lam]), max(uncounted, _filter_values(x, center, radius, q)[0])
+        while b and stop < n and _filter_bound(lam[-1], center, radius, q) > uncounted:
+            x = tri.eigenvalues_by_index(stop, stop + 1)
+            stop += 1
+            lam, uncounted = np.concatenate([lam, x]), max(uncounted, _filter_values(x, center, radius, q)[0])
+    # the nodes _contour_rank factors
+    nodes = center + radius * np.exp(1j * (2.0 * np.pi * np.arange(q) / q))
+    distance, k = np.inf, 0
+    if lam.size:
+        gaps = np.abs(nodes[:, np.newaxis] - lam[np.newaxis, :]).min(axis=1)
+        k = int(np.argmin(gaps))
+        distance = float(gaps[k])
+    limit = _PRECONDITION_RESNORM / radius
+    norm = np.inf if distance == 0.0 else 1.0 / distance
+    if norm > limit:
+        raise ContourError(
+            f"eigenvalue too close to the contour: resolvent norm {norm:.3e} "
+            f"at node {nodes[k]} exceeds {limit:.3e}"
+        )
+    svals = np.sort(_filter_values(lam, center, radius, q))[::-1]
+    rank, gap = _rank_and_gap(svals, q)
+    return ContourRank(
+        center=center,
+        radius=radius,
+        quadrature_points=q,
+        projection=None,
+        rank=rank,
+        gap=gap,
+        singular_values=svals,
+        probe_columns=0,
+        route="closed_form",
+        node_distance=distance / radius,
+    )
 
 
 def _contour_rank(
@@ -608,27 +759,17 @@ def _contour_rank(
     else:
         proj = None
         svals, probe_columns, solved = sketch
-    rank = int(np.count_nonzero(svals > RANK_THRESHOLD))
-    # the kept/dropped split only exists when both sides are nonempty
-    if rank == 0 or rank == svals.size:
-        gap = np.inf
-    else:
-        kept, dropped = svals[rank - 1], svals[rank]
-        gap = np.inf if dropped == 0.0 else float(kept / dropped)
-    if gap < GAP_FACTOR:
-        raise ResolutionError(
-            f"ambiguous projection rank: kept/dropped singular-value ratio {gap:.2f} < "
-            f"{GAP_FACTOR:g}; increase the quadrature point count (used {q})"
-        )
+    rank, gap = _rank_and_gap(svals, q)
     return ContourRank(
         center=center,
         radius=radius,
         quadrature_points=q,
         projection=proj,
         rank=rank,
-        gap=float(gap),
+        gap=gap,
         singular_values=svals,
         probe_columns=probe_columns,
+        route="dense" if proj is not None else "sketched",
         moments=solved if moments else None,
     )
 

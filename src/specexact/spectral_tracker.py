@@ -325,7 +325,13 @@ def candidate_radius(lam: complex, others: Sequence[complex], clustering_radius:
 
 @dataclass
 class ClassifiedPoint:
-    """Classification of one limit candidate with its full evidence trail."""
+    """Classification of one limit candidate with its full evidence trail.
+
+    ``contours`` holds, per rank size, the size and the
+    :meth:`resolvent_analysis.ContourRank.margins` of its contour (route,
+    gap, node distance), all three None where the contour was blocked;
+    ``to_dict`` leaves it out.
+    """
 
     value: complex
     verdict: ClassVerdict
@@ -335,6 +341,7 @@ class ClassifiedPoint:
     ranks: list = field(default_factory=list)
     source: str = ""
     note: str = ""
+    contours: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -350,16 +357,24 @@ class ClassifiedPoint:
 
 
 def _contour_ranks(ladder: SectionLadder, sizes, lam: complex, radius: float, quadrature_points: int):
-    """Contour rank at ``lam`` per size (None where blocked), and the last blocked size's note or ""."""
+    """Contour rank at ``lam`` per size (None where blocked), and its margins (see :class:`ClassifiedPoint`).
+
+    Also the last blocked size's note, or "".
+    """
     ranks: list[int | None] = []
+    contours: list[dict] = []
     note = ""
     for size in sizes:
         try:
-            ranks.append(ra.contour_rank(ladder.matrix(size), lam, radius, quadrature_points).rank)
+            contour = ra.contour_rank(ladder.matrix(size), lam, radius, quadrature_points)
         except (ContourError, ResolutionError) as exc:
             ranks.append(None)
+            contours.append({"size": size, "route": None, "gap": None, "node_distance": None})
             note = f"contour-blocked at size {size}: {exc}"
-    return ranks, note
+        else:
+            ranks.append(contour.rank)
+            contours.append({"size": size, **contour.margins()})
+    return ranks, contours, note
 
 
 def classify_point(
@@ -388,7 +403,7 @@ def classify_point(
     if probe.verdict is ProbeVerdict.UNBOUNDED:
         radius = candidate_radius(lam, neighbors, clustering_radius)
         sizes = certified.sizes[-STABLE_RANKS:]
-        ranks, note = _contour_ranks(certified, sizes, lam, radius, quadrature_points)
+        ranks, contours, note = _contour_ranks(certified, sizes, lam, radius, quadrature_points)
         good = [r for r in ranks if r is not None]
         if len(good) == len(sizes) and len(set(good)) == 1 and good[0] >= 1:
             return ClassifiedPoint(
@@ -399,6 +414,7 @@ def classify_point(
                 rank_sizes=list(sizes),
                 ranks=ranks,
                 source=certified.label,
+                contours=contours,
             )
         return ClassifiedPoint(
             value=lam,
@@ -409,6 +425,7 @@ def classify_point(
             ranks=ranks,
             source=certified.label,
             note=note or "contour ranks did not stabilize at m >= 1",
+            contours=contours,
         )
 
     if probe.verdict is ProbeVerdict.BOUNDED and uncertified is not None:
@@ -484,7 +501,7 @@ def multiplicity_check(
         outside = np.abs(w - lam)[np.abs(w - lam) > max(near, 1e-12)]
         gap = float(outside.min()) if outside.size else np.inf
         radius = min(CONTOUR_RADIUS_CAP, max(gap / 2.0, CONTOUR_RADIUS_FLOOR_FACTOR * near))
-    ranks, note = _contour_ranks(certified, certified.sizes, lam, radius, quadrature_points)
+    ranks, _, note = _contour_ranks(certified, certified.sizes, lam, radius, quadrature_points)
     multiplicity = None
     first_stable = None
     good = [(s, r) for s, r in zip(certified.sizes, ranks) if r is not None]

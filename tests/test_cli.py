@@ -202,6 +202,23 @@ class TestPseudo:
             assert ratios["min_over_bounded_floor"] == min(values) / (1e-6 * probe["scale"])
             assert ratios["final_over_first"] == values[-1] / values[0]
 
+    def test_report_records_contour_routes_and_margins(self, tmp_path):
+        # 4 candidates x 3 rank sizes, all Hermitian tridiagonal: 12 closed-form contours,
+        # every gap and node distance far from its threshold (10, and 1e-8 of the radius)
+        out = tmp_path / "out"
+        assert cli.main(["demo", "oscillator", "--out", str(out)]) == 0
+        spectra, classify, verify = json.loads((out / "report.json").read_text())["stages"]
+        assert classify["contour_routes"] == {"closed_form": 12, "sketched": 0, "dense": 0}
+        assert "contour_routes" not in spectra and "contour_routes" not in verify
+        candidates = json.loads((out / "classify.json").read_text())["candidates"]
+        assert "contours" not in candidates[0]
+        for ratios, cand in zip(classify["probe_ratios"], candidates):
+            assert [c["size"] for c in ratios["contours"]] == cand["rank_sizes"]
+            for contour in ratios["contours"]:
+                assert set(contour) == {"size", "route", "gap", "node_distance"}
+                assert contour["route"] == "closed_form"
+                assert contour["gap"] > 1e3 and contour["node_distance"] > 1e-6
+
     def test_seventeen_digit_roundtrip(self, tmp_path):
         doc = {"kind": "jacobi", "analysis": [{"op": "spectra", "sizes": [2, 3]}]}
         out = tmp_path / "out"

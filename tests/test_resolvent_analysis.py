@@ -306,13 +306,9 @@ class TestHermitianContourGuard:
         with pytest.raises(ContourError, match="too close"):
             ra.contour_rank(sec, 0.0, 1.0, 32)
 
-    def test_osc_classify_section_estimates_real_nodes_only(self, monkeypatch):
-        # criterion 06's largest section: 2 of the 17 nodes of a 32-point contour
-        doc = {"kind": "schrodinger", "p": 0.0, "q": "x^2", "r": 0.0, "L_n": [10.0], "m": 1600}
-        prob = cli.parse_problem(doc)
-        (size,) = prob.default_sizes("test")
-        sec = prob.ladder([size]).matrix(size)
-        assert sec.n == 1599 and sec.hermitian and sec.real and sec.banded
+    @staticmethod
+    def count_factors_and_estimates(monkeypatch):
+        """Record the node of each Section.factor call and of each power estimate made."""
         factor, estimate = numerics.Section.factor, numerics.Factorization.inverse_norm_estimate
         factored, estimated = [], []
 
@@ -328,7 +324,33 @@ class TestHermitianContourGuard:
 
         monkeypatch.setattr(numerics.Section, "factor", tagged_factor)
         monkeypatch.setattr(numerics.Factorization, "inverse_norm_estimate", counted_estimate)
-        assert ra.contour_rank(sec, 3.0, 1.0, 32).rank == 1
+        return factored, estimated
+
+    @staticmethod
+    def osc_classify_section():
+        """Criterion 06's largest section, n = 1599."""
+        doc = {"kind": "schrodinger", "p": 0.0, "q": "x^2", "r": 0.0, "L_n": [10.0], "m": 1600}
+        prob = cli.parse_problem(doc)
+        (size,) = prob.default_sizes("test")
+        return prob.ladder([size]).matrix(size)
+
+    def test_osc_classify_section_factors_no_node(self, monkeypatch):
+        sec = self.osc_classify_section()
+        assert sec.n == 1599 and sec.hermitian and sec.real and sec.banded and sec.tridiagonal is not None
+        factored, estimated = self.count_factors_and_estimates(monkeypatch)
+        res = ra.contour_rank(sec, 3.0, 1.0, 32)
+        assert (res.rank, res.route, res.projection, res.probe_columns) == (1, "closed_form", None, 0)
+        assert factored == [] and estimated == []
+
+    def test_hermitian_pentadiagonal_section_estimates_real_nodes_only(self, monkeypatch):
+        # the same section with a small second diagonal: 2 of the 17 nodes of a 32-point contour
+        diagonals = dict(self.osc_classify_section().diagonals)
+        diagonals[2] = diagonals[-2] = np.full(diagonals[0].size - 2, 1e-3)
+        sec = numerics.Section(diagonals)
+        assert sec.n == 1599 and sec.hermitian and sec.real and sec.banded and sec.tridiagonal is None
+        factored, estimated = self.count_factors_and_estimates(monkeypatch)
+        res = ra.contour_rank(sec, 3.0, 1.0, 32)
+        assert (res.rank, res.route) == (1, "sketched")
         assert len(factored) == 17 and len(estimated) == 2
         assert np.allclose(sorted(np.real(estimated)), [2.0, 4.0]) and np.all(np.abs(np.imag(estimated)) < 1e-12)
 
@@ -346,11 +368,16 @@ def contour_outcome(m, center, radius, sketch):
 
 class TestSketchedContourRank:
     def test_public_path_sketches_banded_sections_only(self):
+        # a Hermitian pentadiagonal section stored banded is sketched, a small
+        # non-Hermitian one dense, and a diagonal one takes the closed form
         n = 80
-        banded = ra.contour_rank(np.diag(np.arange(n) * 1.0), 2.0, 0.5)
-        assert (banded.rank, banded.probe_columns, banded.projection) == (1, 16, None)
-        dense = ra.contour_rank(np.diag([0.1, 0.2, 5.0]), 0.0, 1.0)
-        assert dense.probe_columns == 3 and dense.projection.shape == (3, 3)
+        penta = np.diag(np.arange(n) * 1.0) + np.diag(np.full(n - 2, 1e-3), 2) + np.diag(np.full(n - 2, 1e-3), -2)
+        banded = ra.contour_rank(penta, 2.0, 0.5)
+        assert (banded.rank, banded.probe_columns, banded.projection, banded.route) == (1, 16, None, "sketched")
+        dense = ra.contour_rank(np.diag([0.1, 0.2, 5.0]) + np.diag([0.0, 1.0], 1), 0.0, 1.0)
+        assert dense.probe_columns == 3 and dense.projection.shape == (3, 3) and dense.route == "dense"
+        closed = ra.contour_rank(np.diag(np.arange(n) * 1.0), 2.0, 0.5)
+        assert (closed.rank, closed.probe_columns, closed.projection, closed.route) == (1, 0, None, "closed_form")
 
     def test_matches_dense_on_criterion_03_style_matrices(self):
         rng = np.random.default_rng(778)
@@ -400,8 +427,10 @@ class TestSketchedContourRank:
     def test_doubling_and_dense_fallback(self):
         n = 100
 
-        def clustered(k):  # k eigenvalues in [0, 1], the rest at 10, 11, ...
-            return np.diag(np.concatenate([np.linspace(0.0, 1.0, k), 10.0 + np.arange(n - k)]))
+        def clustered(k):  # k eigenvalues in [0, 1], the rest at 10, 11, ...; not Hermitian, so not closed form
+            return np.diag(np.concatenate([np.linspace(0.0, 1.0, k), 10.0 + np.arange(n - k)])) + np.diag(
+                np.full(n - 2, 1e-3), 2
+            )
 
         # 12 enclosed eigenvalues leave too little oversampling at L = 16
         doubled = ra.contour_rank(clustered(12), 0.5, 2.0)
@@ -418,8 +447,164 @@ class TestSketchedContourRank:
         m = np.diag(np.arange(n) * 1.0) + np.diag(np.full(n - 1, 0.5), 1)
         for center in (3.3, 3.3 + 0.1j):
             runs = [ra.contour_rank(m, center, 0.5) for _ in range(2)]
-            assert runs[0].rank == 1 and runs[0].probe_columns == 16
+            assert runs[0].rank == 1 and runs[0].probe_columns == 16 and runs[0].route == "sketched"
             assert runs[0].singular_values.tobytes() == runs[1].singular_values.tobytes()
+
+
+def planted_tridiagonal(rng, n, complex_a, split, planted):
+    """A random Hermitian tridiagonal section with the exact eigenvalues ``planted``.
+
+    Each planted value sits on the diagonal of its own 1 x 1 block, cut off
+    by zero off-diagonals; about ``split`` of the other off-diagonals are
+    exactly zero too.
+    """
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1) * (rng.random(n - 1) >= split)
+    if complex_a:
+        e = e * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n - 1))
+    for i, lam in zip(rng.permutation(n), planted):
+        d[i] = lam
+        e[max(i - 1, 0) : i + 1] = 0.0
+    return numerics.Section({0: d, 1: e, -1: e.conj()})
+
+
+def contour_or_error(fn):
+    """fn()'s ContourRank, or the class of the ContourError or ResolutionError it raised."""
+    try:
+        return fn()
+    except (ContourError, ResolutionError) as exc:
+        return type(exc)
+
+
+class TestClosedFormContourRank:
+    """Hermitian tridiagonal contours in closed form against the sketched and the dense projection."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.sampled_from([2, 3, 40, 96, 200]),
+        complex_a=hst.booleans(),
+        split=hst.sampled_from([0.0, 0.3]),
+        q=hst.sampled_from([16, 17, 32, 33, 64, 65]),
+        center_im=hst.sampled_from([0.0, 0.0, 0.6, -0.6, 1.5]),
+        where=hst.sampled_from(["clear", "near", "node", "cluster_in", "cluster_on", "cluster_out"]),
+    )
+    @example(seed=3, n=96, complex_a=False, split=0.0, q=32, center_im=0.0, where="node")
+    @example(seed=4, n=40, complex_a=True, split=0.3, q=17, center_im=-0.6, where="node")
+    @example(seed=5, n=200, complex_a=False, split=0.0, q=16, center_im=0.0, where="cluster_on")
+    @example(seed=6, n=3, complex_a=True, split=0.0, q=33, center_im=0.6, where="near")
+    def test_property_matches_sketched_and_dense(self, seed, n, complex_a, split, q, center_im, where):
+        rng = np.random.default_rng(seed)
+        radius = float(rng.uniform(0.3, 1.5))
+        a, b = float(rng.uniform(-1.0, 1.0)), center_im * radius
+        crossing = a + np.sqrt(max(radius**2 - b**2, 0.0))  # where the circle meets the real axis
+        k = 0
+        if where == "node" and b:
+            # a centre that puts node k on the real axis, up to rounding
+            k = int(rng.integers(1, q // 2))
+            b = -radius * np.sin(2.0 * np.pi * k / q)
+        center = complex(a, b)
+        node = center + radius * np.exp(1j * (2.0 * np.pi * np.arange(q) / q))
+        planted = {
+            "clear": [],
+            "near": [crossing + rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0) * 1e-9 * radius],
+            "node": [node[k].real],
+            "cluster_in": a + 0.2 * radius + radius * 1e-6 * np.arange(3),
+            "cluster_on": crossing + radius * 1e-6 * np.array([-1.5, -0.5, 0.5]),
+            "cluster_out": crossing + radius * (0.2 + 1e-6 * np.arange(3)),
+        }[where]
+        sec = planted_tridiagonal(rng, n, complex_a, split, planted)
+        assert sec.tridiagonal is not None
+        closed = contour_or_error(lambda: ra.contour_rank(sec, center, radius, q))
+        sketched = contour_or_error(lambda: ra._contour_rank(sec, center, radius, q, np.inf))
+        dense = contour_or_error(lambda: ra._contour_rank(sec, center, radius, q, 0))
+        outcome = lambda res: res if isinstance(res, type) else res.rank
+        assert outcome(closed) == outcome(sketched) == outcome(dense)
+        if isinstance(closed, type):
+            return
+        assert (closed.route, closed.projection, closed.probe_columns) == ("closed_form", None, 0)
+        assert sketched.route == "sketched" and dense.route == "dense"
+        svals = np.linalg.svd(dense.projection, compute_uv=False)
+        if closed.singular_values.size == 0:  # the circle lies off the real axis: nothing is near it
+            assert abs(b) >= radius * 3.0 ** (1.0 / q) and closed.rank == 0 and svals[0] < ra.RANK_THRESHOLD
+            return
+        # P's singular values down to the largest dropped one are the closed form's |f|, within
+        # 1e-10 plus, near a node, the first-order change of |f| = |1 / (1 - u^q)| under an
+        # eigenvalue error of 1e-14 r: q |f| |f - 1| 1e-14
+        lead = min(closed.rank + 1, n)
+        assert closed.singular_values.size >= lead
+        assert np.all(np.diff(closed.singular_values) <= 0.0)
+        got, want = closed.singular_values[:lead], svals[:lead]
+        assert np.all(np.abs(got - want) <= 1e-10 + 1e-14 * q * want * np.abs(want - 1.0))
+        # the guard's margin is the distance from the nodes to the spectrum
+        w = np.linalg.eigvalsh(sec.dense())
+        assert closed.node_distance == pytest.approx(np.abs(node[:, None] - w[None, :]).min() / radius, rel=1e-9)
+
+    def test_eigenvalue_beside_a_non_real_node_refused(self):
+        # node 3 of 32 sits on the real axis (up to rounding) for this centre,
+        # with an eigenvalue 1e-10 r from it: only a non-real node is that close
+        q, radius, k = 32, 1.0, 3
+        center = complex(0.3, -np.sin(2.0 * np.pi * k / q))
+        z = center + radius * np.exp(1j * (2.0 * np.pi * k / q))
+        assert abs(z.imag) < 1e-15
+        sec = planted_tridiagonal(np.random.default_rng(1), 96, False, 0.0, [z.real + 1e-10])
+        with pytest.raises(ContourError, match="too close"):
+            ra.contour_rank(sec, center, radius, q)
+        with pytest.raises(ContourError, match="too close"):
+            ra._contour_rank(sec, center, radius, q, 0)
+
+    def test_non_real_centre_steps_outward_to_the_largest_dropped_value(self):
+        # c = a + ib with b = (1 + 1e-5) r and q = 512: the eigenvalue at a, 1e-5 r from a node,
+        # is counted with |f| ~ 195.  u^q has phase pi at x1 = a + b tan(11 pi / q), the nearest
+        # eigenvalue outside the annulus, and phase 0 at x2 = a + b tan(12 pi / q), so the next
+        # one out has the larger |f|: 1 / (|u|^q - 1) against 1 / (|u|^q + 1)
+        q, radius, a = 512, 1.0, 0.25
+        b = radius * (1.0 + 1e-5)
+        x1, x2 = a + b * np.tan(11 * np.pi / q), a + b * np.tan(12 * np.pi / q)
+        assert abs(complex(x1, -b)) > radius * 3.0 ** (1.0 / q)
+        sec = planted_tridiagonal(np.random.default_rng(0), 6, False, 0.0, [a - 5.0, a, x1, x2, a + 5.0, a + 6.0])
+        center = complex(a, b)
+        closed, dense = ra.contour_rank(sec, center, radius, q), ra._contour_rank(sec, center, radius, q, 0)
+        f = ra._filter_values(np.array([a, x1, x2]), center, radius, q)
+        assert closed.rank == dense.rank == 1 and f[2] > 1.3 * f[1]
+        assert np.allclose(closed.singular_values[:2], [f[0], f[2]], rtol=1e-12, atol=0.0)
+        svals = np.linalg.svd(dense.projection, compute_uv=False)
+        assert np.allclose(closed.singular_values[:3], svals[:3], rtol=1e-9)
+        assert closed.gap == pytest.approx(dense.gap, rel=1e-9)
+
+    def test_circle_off_the_real_axis_counts_nothing(self):
+        # rho = r 3^(1/q) <= |Im c|: no eigenvalue is taken, and no Sturm count is made
+        sec = planted_tridiagonal(np.random.default_rng(2), 40, True, 0.0, [])
+        res = ra.contour_rank(sec, complex(0.0, 1.2), 1.0, 32)
+        assert (res.rank, res.gap, res.singular_values.size, res.node_distance) == (0, np.inf, 0, np.inf)
+        assert ra._contour_rank(sec, complex(0.0, 1.2), 1.0, 32, 0).rank == 0
+        assert res.margins() == {"route": "closed_form", "gap": None, "node_distance": None}
+
+    def test_eigenvalues_between_is_bisection_by_index(self):
+        tri = planted_tridiagonal(np.random.default_rng(3), 200, False, 0.3, []).tridiagonal
+        w = tri.eigenvalues()
+        inside = tri.eigenvalues_between(w[50] - 1e-9, w[60] + 1e-9)
+        assert inside.tobytes() == tri.eigenvalues_by_index(50, 61).tobytes()
+        assert np.allclose(inside, w[50:61], rtol=0, atol=1e-13)
+        # each value's bits do not depend on the range it was asked with
+        assert tri.eigenvalues_by_index(55, 56).tobytes() == inside[5:6].tobytes()
+        assert tri.eigenvalues_by_index(-3, 2).size == 2 and tri.eigenvalues_by_index(198, 205).size == 2
+
+
+@pytest.mark.parametrize("storage", ["diagonal", "pentadiagonal"])
+@pytest.mark.parametrize(
+    "center, radius",
+    [(np.nan, 1.0), (np.inf, 1.0), (1j * np.inf, 1.0), (complex(0.0, np.nan), 1.0), (0.0, np.nan), (0.0, np.inf)],
+)
+def test_contour_rank_refuses_non_finite_input(storage, center, radius):
+    n = 80
+    m = np.diag(np.arange(n) * 1.0)
+    if storage == "pentadiagonal":
+        m += np.diag(np.full(n - 2, 1e-3), 2) + np.diag(np.full(n - 2, 1e-3), -2)
+    sec = numerics.Section(m)
+    assert (sec.tridiagonal is not None) == (storage == "diagonal")
+    with pytest.raises(ValueError, match="finite"):
+        ra.contour_rank(sec, center, radius)
 
 
 def complex_oscillator_section(m: int, half: float = 6.0) -> np.ndarray:
