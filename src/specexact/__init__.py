@@ -7,3 +7,5 @@ checks computable sufficient conditions for spectrally exact approximation.
 """
 
 __version__ = "0.1.0"
+
+from . import numerics  # noqa: E402,F401  first, so SciPy's LAPACK loads before numpy (see there)

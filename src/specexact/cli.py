@@ -57,6 +57,7 @@ import argparse
 import hashlib
 import io
 import json
+import locale  # argparse's gettext imports it at its first message; loaded here so that no run pays for it
 import math
 import os
 import sys
@@ -94,6 +95,9 @@ ENV_THREADS = "SPECEXACT_THREADS"
 #: the largest section a problem may ask for: its dense complex128 array,
 #: 16 n^2 bytes, must fit in 1 GiB, so n <= 8192
 MAX_SECTION_BYTES = 1 << 30
+#: the most trapezoid nodes a classify contour may take: far past any useful rule
+#: (the demos take 32-64), while each contour route costs O(quadrature_points)
+MAX_QUADRATURE_POINTS = 4096
 
 
 class ProblemError(ValueError):
@@ -379,10 +383,12 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
     read = lambda key, parse, default, *args: parse(stage.get(key, default), f"{where}.{key}", *args)
     sizes = lambda key: read(key, _parse_list, [], int, cap)
 
-    def above(key, low, default, *args):  # refused here, not later as a stage error
+    def above(key, low, default, *args, most=math.inf):  # refused here, not later as a stage error
         value = read(key, _parse_number, default, *args)
         if not value > low:
             raise ProblemError(f"{where}.{key}: expected a value above {low}, got {value!r}")
+        if value > most:
+            raise ProblemError(f"{where}.{key}: expected a value of at most {most}, got {value!r}")
         return value
 
     if op == "spectra":
@@ -407,7 +413,9 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
             "certified_label": read("certified_label", _parse_as, "certified", str),
             "tol": above("tol", 0, 1e-6),
             "window": read("window", _parse_rect, None),
-            "quadrature_points": above("quadrature_points", 15, ra.DEFAULT_QUADRATURE, int),
+            "quadrature_points": above(
+                "quadrature_points", 15, ra.DEFAULT_QUADRATURE, int, most=MAX_QUADRATURE_POINTS
+            ),
             "lambda": None if stage.get("lambda") is None else read("lambda", _parse_complex, None),
         }
     checks = enumerate(read("checks", _parse_as, [], list))

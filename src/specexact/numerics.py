@@ -18,19 +18,95 @@ Section.  Backed by LAPACK (balancing + Hessenberg + implicitly shifted QR
 for general eigenproblems, band reduction for Hermitian banded ones,
 bisection and inverse iteration for tridiagonal ones, LU and triangular
 solves for shifts, bidiagonalization for singular values).
+
+LAPACK and BLAS are reached through SciPy's two compiled extension modules,
+``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, loaded on their own
+(:func:`_scipy_linalg_extension`): ``scipy.linalg``'s Python layer, and the
+numpy submodules it imports, are never loaded.  Each call names the typed
+routine the ``scipy.linalg`` function it stands for would pick (``d`` for
+float64 operands, ``z`` when any operand is complex128) with the same
+arguments, so results are bit-for-bit those of ``scipy.linalg``; the checks
+those functions made on ``info`` are made here (:func:`_check_info`).
 """
 
 from __future__ import annotations
 
-import warnings
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
-from .errors import ConvergenceError, DataError, DimensionError
+def _scipy_linalg_extension(name: str):
+    """The compiled module ``scipy.linalg.<name>``, loaded without SciPy's package init.
+
+    An already imported module is reused.  Otherwise the extension file is
+    loaded from SciPy's ``linalg`` folder and registered under its canonical
+    name, so an ``import scipy.linalg`` before or after shares the module
+    object.  A SciPy laid out otherwise falls back to a plain import.
+    """
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec("scipy")
+    folders = spec.submodule_search_locations if spec is not None else None
+    if folders:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folders[0], "linalg", name + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(full, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(full, path, loader=loader)
+                )
+                loader.exec_module(module)
+                sys.modules[full] = module
+                return module
+    return importlib.import_module(full)
+
+
+# Loaded before numpy: SciPy's BLAS starts its worker threads when it loads, and
+# they spin for about 0.1 s of CPU before they sleep, so numpy's import overlaps
+# that spin and the first computation does not.  The package imports this module first.
+_flapack = _scipy_linalg_extension("_flapack")
+_fblas = _scipy_linalg_extension("_fblas")
+
+import numpy as np  # noqa: E402
+import numpy.random  # noqa: E402  loaded here so that no run pays for it (np.random.default_rng)
+
+from .errors import ConvergenceError, DataError, DimensionError  # noqa: E402
+
+
+def _lapack(name: str, *operands):
+    """The LAPACK routine ``name`` for the operands: ``z`` if any is complex, else ``d``."""
+    return getattr(_flapack, ("z" if any(np.iscomplexobj(a) for a in operands) else "d") + name)
+
+
+def _check_info(info: int, routine: str) -> None:
+    """ValueError for an illegal argument (info < 0), LinAlgError for a failure (info > 0)."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} failed (LAPACK info={info})")
+
+
+def _stevd(d: np.ndarray, e: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, and eigenvectors if ``vectors``, of the real symmetric tridiagonal (d, e).
+
+    ``dstevd``, the default driver of ``eigh_tridiagonal``, after that
+    function's quick exit for order 1.  Without vectors it runs ``dsterf``.
+    """
+    if d.shape[0] == 1:
+        return d.copy(), np.ones((1, 1))
+    w, v, info = _flapack.dstevd(d, e, compute_v=int(vectors))
+    _check_info(info, "dstevd")
+    return w, v
+
+
+def _nrm2(x: np.ndarray) -> float:
+    """||x|| of a vector by BLAS ``dnrm2``/``dznrm2``: scaled, so it cannot overflow."""
+    return (_fblas.dznrm2 if np.iscomplexobj(x) else _fblas.dnrm2)(x)
 
 
 def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -65,11 +141,11 @@ class SymmetricTridiagonal:
     Built from A's diagonal and superdiagonal; ``d``, ``e`` are T's, A's own
     when A is real, (Re d, |e|) when it is complex: A = U T U^H for a diagonal
     unitary U.  Each method solves only for what its caller reads: all
-    eigenvalues (``sterf``), the eigenvalues in an interval (Sturm counts,
-    then ``dstebz`` bisection for each eigenvalue inside) or of an index
-    range (``dstebz`` alone), the distance from
-    one shift to the spectrum (a Sturm count, then ``dstebz`` for at most two
-    eigenvalues), or residuals at chosen eigenvalues (``dstein``).
+    eigenvalues (``dstevd``, which runs ``dsterf``), the eigenvalues in an
+    interval (Sturm counts, then ``dstebz`` bisection for each eigenvalue
+    inside) or of an index range (``dstebz`` alone), the distance from
+    one shift to the spectrum (a Sturm count, then one ``dstebz`` call for at
+    most two eigenvalues), or residuals at chosen eigenvalues (``dstein``).
     """
 
     def __init__(self, d: np.ndarray, e: np.ndarray):
@@ -82,8 +158,8 @@ class SymmetricTridiagonal:
         return self.d.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        """All eigenvalues, ascending."""
-        return scipy.linalg.eigvalsh_tridiagonal(self.d, self.e)
+        """All eigenvalues, ascending, by ``dstevd`` without vectors (:func:`_stevd`)."""
+        return _stevd(self.d, self.e, vectors=False)[0]
 
     def eigenvalues_between(self, lo: float, hi: float) -> np.ndarray:
         """The eigenvalues in [lo, hi], ascending, and any within a small pad of it.
@@ -112,7 +188,7 @@ class SymmetricTridiagonal:
         abstol = 2.0 * np.finfo(float).tiny
         found = []
         for k in range(max(first, 0) + 1, min(stop, self.n) + 1):
-            m, w, _, _, info = lapack.dstebz(self.d, self.e, 2, 0.0, 0.0, k, k, abstol, b"E")
+            m, w, _, _, info = _flapack.dstebz(self.d, self.e, 2, 0.0, 0.0, k, k, abstol, b"E")
             if info != 0:
                 raise ConvergenceError(f"bisection for eigenvalue {k - 1} failed (info={info})")
             found.append(w[:m])
@@ -147,12 +223,16 @@ class SymmetricTridiagonal:
 
         With k = :meth:`sturm_count` (Re z), the eigenvalues k - 1 and k (from 0)
         bracket Re z, so one of them is nearest to z; ``stebz`` bisection
-        computes just those two, to an absolute accuracy of about eps ||T||.
+        computes just those two, to an absolute accuracy of about eps ||T||,
+        in one call with the arguments of ``eigvalsh_tridiagonal`` (``select="i"``).
         """
+        if self.n == 1:  # that function's quick exit
+            return float(np.min(np.abs(self.d - z)))
         k = self.sturm_count(z.real)
-        pair = (max(k - 1, 0), min(k, self.n - 1))
-        lam = scipy.linalg.eigvalsh_tridiagonal(self.d, self.e, select="i", select_range=pair)
-        return float(np.min(np.abs(lam - z)))
+        first, last = max(k - 1, 0) + 1, min(k, self.n - 1) + 1
+        m, lam, _, _, info = _flapack.dstebz(self.d, self.e, 2, 0.0, 0.0, first, last, 0.0, b"E")
+        _check_info(info, "dstebz")
+        return float(np.min(np.abs(lam[:m] - z)))
 
     def residuals(self, lam: np.ndarray) -> np.ndarray:
         """||T v - mu v|| / ||v|| for the inverse-iteration vector v at each eigenvalue mu in ``lam``.
@@ -172,7 +252,7 @@ class SymmetricTridiagonal:
         vecs = np.empty((n, lam.size))
         for i in range(lam.size):
             # a vector that missed dstein's convergence test still yields its residual
-            vecs[:, i] = lapack.dstein(self.d, self.e, lam[i : i + 1], iblock, isplit)[0][:, 0]
+            vecs[:, i] = _flapack.dstein(self.d, self.e, lam[i : i + 1], iblock, isplit)[0][:, 0]
         tv = self.d[:, np.newaxis] * vecs
         tv[:-1] += self.e[:, np.newaxis] * vecs[1:]
         tv[1:] += self.e[:, np.newaxis] * vecs[:-1]
@@ -234,25 +314,25 @@ class Factorization:
         self._triangular = triangular
         if triangular is not None:
             if not np.all(np.diagonal(triangular)):
-                raise scipy.linalg.LinAlgError("exact zero on the triangular diagonal")
+                raise np.linalg.LinAlgError("exact zero on the triangular diagonal")
             # a C-ordered matrix would be copied by the wrapper on every solve
-            self._trtrs = lapack.get_lapack_funcs("trtrs", (triangular,))
+            self._trtrs = _lapack("trtrs", triangular)
         elif self.banded:
             self.kl, self.ku = kl, ku
-            gbtrf = lapack.get_lapack_funcs("gbtrf", (ab,))
-            lu, ipiv, info = gbtrf(ab, kl, ku)
+            lu, ipiv, info = _lapack("gbtrf", ab)(ab, kl, ku)
             if info < 0:
                 raise ValueError(f"illegal argument {-info} passed to the banded LU")
             if info > 0:
-                raise scipy.linalg.LinAlgError(f"banded LU failed with info={info}")
+                raise np.linalg.LinAlgError(f"banded LU failed with info={info}")
             self._lu, self._ipiv = lu, ipiv
-            self._gbtrs = lapack.get_lapack_funcs("gbtrs", (lu,))
+            self._gbtrs = _lapack("gbtrs", lu)
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                self._lu, self._piv = scipy.linalg.lu_factor(dense, check_finite=False)
+            # getrf as lu_factor calls it; a zero pivot is refused here, not warned about
+            self._lu, self._piv, info = _lapack("getrf", dense)(dense)
+            if info < 0:
+                raise ValueError(f"illegal argument {-info} passed to the LU")
             if np.abs(np.diag(self._lu)).min() == 0.0:
-                raise scipy.linalg.LinAlgError("exact zero pivot")
+                raise np.linalg.LinAlgError("exact zero pivot")
 
     def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         trans = 2 if adjoint else 0
@@ -261,9 +341,9 @@ class Factorization:
         elif self.banded:
             x, info = self._gbtrs(self._lu, self.kl, self.ku, b, self._ipiv, trans=trans)
         else:
-            return scipy.linalg.lu_solve((self._lu, self._piv), b, trans=trans, check_finite=False)
-        if info != 0:
-            raise scipy.linalg.LinAlgError(f"solve failed with info={info}")
+            # getrs of the type lu_solve picks: a real LU meets a complex b as complex
+            x, info = _lapack("getrs", self._lu, b)(self._lu, self._piv, b, trans=trans)
+        _check_info(info, "the solve")
         return x
 
     def inverse_norm_estimate(self, iterations: int = 8) -> float:
@@ -393,7 +473,7 @@ class Section:
         x = self._lanczos_start
         for _ in range(2):
             x = fact.solve(x)
-            norm = scipy.linalg.norm(x, check_finite=False)  # BLAS nrm2: scaled, no overflow
+            norm = _nrm2(x)
             if not np.isfinite(norm):
                 return self.sigma_min(lam)
             x = x / norm
@@ -403,7 +483,7 @@ class Section:
         """:meth:`factor` (lam), or at lam + eps ||A||_inf when lam is exact (a zero pivot)."""
         try:
             return self.factor(lam)
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             return self.factor(lam + np.finfo(float).eps * self.inf_norm)
 
     def refined_eigenvalue(self, lam: complex, steps: int) -> tuple[complex, float]:
@@ -424,7 +504,7 @@ class Section:
         for _ in range(steps):
             fact = self._factor_near(mu)
             x, y = fact.solve(x), fact.solve(y, adjoint=True)
-            norms = scipy.linalg.norm(x, check_finite=False), scipy.linalg.norm(y, check_finite=False)
+            norms = _nrm2(x), _nrm2(y)
             if not np.all(np.isfinite(norms)):
                 break
             x, y = x / norms[0], y / norms[1]
@@ -504,7 +584,7 @@ class Section:
         if route != "dense":
             try:
                 fact = self.factor(z)
-            except scipy.linalg.LinAlgError:
+            except np.linalg.LinAlgError:
                 return 0.0
             theta = self._largest_inverse_eigenvalue(fact)
             if theta is not None:
@@ -535,7 +615,7 @@ class Section:
             for _ in range(2):
                 w -= np.conj(done @ np.conj(w)) @ done
             beta[k] = np.linalg.norm(w)
-            ritz, vecs = scipy.linalg.eigh_tridiagonal(alpha[: k + 1], beta[:k])
+            ritz, vecs = _stevd(alpha[: k + 1], beta[:k], vectors=True)
             theta = ritz[-1]
             if not (np.isfinite(theta) and theta > 0.0):
                 return None
@@ -606,7 +686,7 @@ class EigenDecomposition:
 
 def _zgeev(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of a dense a by complex QR iteration, with right eigenvectors if ``vectors``."""
-    w, _, v, info = lapack.zgeev(a.astype(np.complex128, copy=False), compute_vl=0, compute_vr=int(vectors))
+    w, _, v, info = _flapack.zgeev(a.astype(np.complex128, copy=False), compute_vl=0, compute_vr=int(vectors))
     if info < 0:
         raise ValueError(f"illegal argument {-info} passed to the eigensolver")
     if info > 0:
@@ -633,9 +713,10 @@ def eig_dense(m, window=None) -> EigenDecomposition:
     Every other request gets the whole spectrum, one route per structure:
 
     - ``tridiagonal``: Hermitian tridiagonal sections, in either dtype,
-      by ``eigvalsh_tridiagonal`` (``sterf``);
+      by ``dstevd`` without vectors (which runs ``dsterf``), or ``dstebz``
+      per index with a window;
     - ``banded``: every other section stored banded, Hermitian ones by
-      ``eigvals_banded`` on the diagonals (no dense array is built), the
+      ``dsbevd``/``zhbevd`` on the diagonals (no dense array is built), the
       rest by ``zgeev`` without eigenvectors on a dense copy the Section
       does not keep;
     - ``hermitian``: other Hermitian sections, by ``eigh`` with eigenvectors;
@@ -659,7 +740,10 @@ def eig_dense(m, window=None) -> EigenDecomposition:
             ab = np.zeros((sec.ku + 1, sec.n), dtype=sec.diagonals[0].dtype)
             for k in range(sec.ku + 1):
                 ab[sec.ku - k, k:] = sec.diagonals[k]
-            w = scipy.linalg.eigvals_banded(ab, overwrite_a_band=True, check_finite=False)
+            # as eigvals_banded calls it: no vectors, upper storage, ab overwritten
+            bevd = _flapack.zhbevd if np.iscomplexobj(ab) else _flapack.dsbevd
+            w, _, info = bevd(ab, compute_v=0, lower=0, overwrite_ab=1)
+            _check_info(info, "the banded eigensolver")
             w = w.astype(np.complex128)
         else:
             w, _ = _zgeev(sec.dense(), vectors=False)  # a temporary: the Section keeps its band

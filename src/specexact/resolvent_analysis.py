@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+import numpy.random  # loaded here so that no run pays for it (np.random.default_rng)
 
 from . import numerics, operator_model
 from .errors import ContourError, ResolutionError
@@ -450,7 +450,7 @@ def _checked_factor(section: numerics.Section, z: complex, limit: float) -> nume
     """
     try:
         fact = section.factor(z)
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise ContourError(
             f"eigenvalue on the contour: factorization at node {z} failed ({exc})"
         ) from exc

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import numpy.ma  # np.median imports it at its first call; loaded here so that no run pays for it
 
 from . import numerics, resolvent_analysis as ra
 from .errors import ContourError, ResolutionError

@@ -641,6 +641,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error:" in err and where in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "points", [cli.MAX_QUADRATURE_POINTS + 1, 10**9, 1e9], ids=["cap_plus_1", "int_1e9", "float_1e9"]
+    )
+    def test_quadrature_points_above_cap_exit_2(self, tmp_path, capsys, points):
+        doc = jacobi_stage(op="classify", certified_sizes=[2, 4, 6], quadrature_points=points)
+        rc = cli.main(["run", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "error: " in err and "analysis[0].quadrature_points" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_quadrature_points_at_cap_accepted(self):
+        doc = jacobi_stage(op="classify", certified_sizes=[2, 4, 6], quadrature_points=cli.MAX_QUADRATURE_POINTS)
+        assert cli.parse_problem(doc).analysis[0]["quadrature_points"] == cli.MAX_QUADRATURE_POINTS
+
 
 class TestSizeGuard:
     """Sections above cli.MAX_SECTION_BYTES, and size lists and lattices sized from it,
@@ -837,21 +851,76 @@ class TestDemoDeterminism:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def run_fresh(code: str) -> str:
+    """stdout of ``code`` in a fresh interpreter on this checkout's ``src``; the code must exit 0."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+#: packages the CLI does not need: scipy.linalg's Python layer and what it imports, and scipy's other subpackages
+HEAVY_MODULES = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "scipy.optimize", "scipy.sparse",
+                 "scipy.special", "scipy.spatial")
+
+
 class TestImportFootprint:
+    # fresh interpreters: this test process has imported scipy.linalg and scipy.optimize itself
     def test_cli_import_loads_no_heavy_scipy_package(self):
-        # a fresh interpreter: this test process has imported scipy.optimize itself
-        src = Path(__file__).resolve().parents[1] / "src"
+        code = f"import specexact.cli, sys; print([m for m in {HEAVY_MODULES!r} if m in sys.modules])"
+        assert run_fresh(code) == "[]"
+
+    @pytest.mark.parametrize("scipy_first", [False, True], ids=["scipy_after", "scipy_before"])
+    def test_scipy_linalg_shares_the_compiled_modules(self, scipy_first):
+        imports = ["import specexact.cli", "import scipy.linalg"]
+        code = "; ".join(
+            (imports[::-1] if scipy_first else imports)
+            + [
+                "import numpy as np",
+                "from specexact import numerics",
+                "print(scipy.linalg.lapack._flapack is numerics._flapack, scipy.linalg.blas._fblas is numerics._fblas)",
+                "print(scipy.linalg.eigvalsh_tridiagonal(np.array([2.0, 2.0]), np.array([1.0])))",
+            ]
+        )
+        assert run_fresh(code).splitlines() == ["True True", "[1. 3.]"]
+
+    def test_compiled_modules_load_before_numpy(self):
+        # SciPy's BLAS worker threads spin for about 0.1 s once loaded: numpy's import, not a run, overlaps that
         code = (
-            "import specexact.cli, sys; "
-            "heavy = [m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.special', 'scipy.spatial') "
-            "if m in sys.modules]; print(heavy)"
+            "import sys, traceback\n"
+            "class Hook:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            print(any(f.name == '_scipy_linalg_extension' for f in traceback.extract_stack()))\n"
+            "sys.meta_path.insert(0, Hook())\n"
+            "import specexact.cli\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=120,
+        assert run_fresh(code) == "True"
+
+    def test_scipy_laid_out_otherwise_is_imported_as_usual(self):
+        # no extension suffix matches, so the loader falls back to a plain import of scipy.linalg's modules
+        code = (
+            "import importlib.machinery, sys; importlib.machinery.EXTENSION_SUFFIXES[:] = ['.missing']; "
+            "from specexact import numerics; "
+            "print('scipy.linalg' in sys.modules, numerics._flapack is sys.modules['scipy.linalg._flapack'])"
         )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        assert run_fresh(code) == "True True"
+
+    def test_demos_import_nothing_after_start_up(self, tmp_path):
+        # an import inside cli.main would be timed as the run's own work
+        code = (
+            "import contextlib, io, sys\n"
+            "import specexact.cli as cli\n"
+            "before = set(sys.modules)\n"
+            f"for name in {cli.DEMO_NAMES!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert cli.main(['demo', name, '--out', {str(tmp_path)!r} + '/' + name]) == 0\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        assert run_fresh(code) == "[]"

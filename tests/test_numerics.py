@@ -1,5 +1,7 @@
 """Kernel contracts: section structure, eigensolve, singular values, and their invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -459,3 +461,142 @@ class TestFactorization:
         a[k, k] = z
         with pytest.raises(np.linalg.LinAlgError):
             factor(a)
+
+
+def reference_inverse_iteration_residual(sec, lam):
+    """:meth:`Section.inverse_iteration_residual` on ``scipy.linalg``'s lu_factor, lu_solve and norm."""
+
+    def solver(mu):
+        if sec.banded or sec.triangular:
+            return sec.factor(mu).solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(mu * np.eye(sec.n) - sec.data, check_finite=False)
+        if np.abs(np.diag(lu[0])).min() == 0.0:
+            raise np.linalg.LinAlgError("exact zero pivot")
+        return lambda b: scipy.linalg.lu_solve(lu, b, check_finite=False)
+
+    try:
+        solve = solver(lam)
+    except np.linalg.LinAlgError:
+        solve = solver(lam + np.finfo(float).eps * sec.inf_norm)
+    x = sec._lanczos_start
+    for _ in range(2):
+        x = solve(x)
+        norm = scipy.linalg.norm(x, check_finite=False)
+        if not np.isfinite(norm):
+            return sec.sigma_min(lam)
+        x = x / norm
+    return float(np.linalg.norm(sec.matvec(x) - lam * x))
+
+
+def tridiagonal_case(rng, n, case):
+    """Diagonals (d, e) of a Hermitian tridiagonal matrix: real, complex, or with an exact zero off-diagonal."""
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1) + (1j * rng.standard_normal(n - 1) if case == "complex" else 0.0)
+    if case == "split" and n > 1:
+        e[rng.integers(n - 1)] = 0.0
+    return d, e
+
+
+class TestDirectLapack:
+    """Each LAPACK/BLAS call site gives the bits of the ``scipy.linalg`` function it stands for."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.sampled_from([1, 2, 3, 17, 200]),
+        case=hst.sampled_from(["real", "complex", "split"]),
+        z=hst.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+    )
+    @example(seed=0, n=1, case="real", z=0.5)
+    @example(seed=1, n=2, case="split", z=1j)
+    @example(seed=2, n=2, case="complex", z=-0.25 + 2j)
+    def test_tridiagonal_eigenvalues_and_distance(self, seed, n, case, z):
+        rng = np.random.default_rng(seed)
+        d, e = tridiagonal_case(rng, n, case)
+        t = numerics.SymmetricTridiagonal(d.astype(e.dtype), e)
+        want = scipy.linalg.eigvalsh_tridiagonal(t.d, t.e)
+        assert np.array_equal(t.eigenvalues(), want)
+        k = t.sturm_count(z.real)
+        pair = (max(k - 1, 0), min(k, n - 1))
+        lam = scipy.linalg.eigvalsh_tridiagonal(t.d, t.e, select="i", select_range=pair)
+        assert np.array_equal(t.distance_to_spectrum(z), float(np.min(np.abs(lam - z))))
+        if n >= 2:
+            sec = numerics.Section({0: d, 1: e, -1: e.conj()})
+            assert np.array_equal(numerics.eig_dense(sec).eigenvalues, want.astype(complex))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 40),
+        split=hst.booleans(),
+    )
+    @example(seed=0, n=1, split=False)
+    @example(seed=1, n=2, split=True)
+    def test_lanczos_ritz_step(self, seed, n, split):
+        # the step's tridiagonal: positive alpha, nonnegative beta
+        rng = np.random.default_rng(seed)
+        alpha, beta = rng.random(n) + 0.1, rng.random(n - 1)
+        if split and n > 1:
+            beta[rng.integers(n - 1)] = 0.0
+        ritz, vecs = numerics._stevd(alpha, beta, vectors=True)
+        want, want_vecs = scipy.linalg.eigh_tridiagonal(alpha, beta)
+        assert np.array_equal(ritz, want) and np.array_equal(vecs[-1], want_vecs[-1])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.sampled_from([64, 97]),
+        half=hst.sampled_from([2, 3]),
+        kind=hst.sampled_from(["real_symmetric", "hermitian"]),
+    )
+    def test_banded_hermitian_route(self, seed, n, half, kind):
+        sec = numerics.Section(banded_diagonals(kind, n, half, np.random.default_rng(seed)))
+        ab = np.zeros((half + 1, n), dtype=sec.diagonals[0].dtype)
+        for k in range(half + 1):
+            ab[half - k, k:] = sec.diagonals[k]
+        d = numerics.eig_dense(sec)
+        assert d.route == "banded" and sec.real == (kind == "real_symmetric")
+        assert np.array_equal(d.eigenvalues, scipy.linalg.eigvals_banded(ab).astype(complex))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.sampled_from([1, 2, 5, 40]),
+        complex_a=hst.booleans(),
+        complex_z=hst.booleans(),
+        complex_b=hst.booleans(),
+        columns=hst.sampled_from([0, 1, 3]),
+    )
+    def test_dense_factorization_solves(self, seed, n, complex_a, complex_z, complex_b, columns):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_a else 0.0)
+        z = 3.0 * n + (2j if complex_z else 0.0)
+        shape = (n, columns) if columns else (n,)
+        b = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_b else 0.0)
+        dense = z * np.eye(n) - a
+        fact = numerics.Factorization(n, dense=dense)
+        lu_piv = scipy.linalg.lu_factor(dense, check_finite=False)
+        assert np.array_equal(fact._lu, lu_piv[0]) and np.array_equal(fact._piv, lu_piv[1])
+        for adjoint in (False, True):
+            want = scipy.linalg.lu_solve(lu_piv, b, trans=2 if adjoint else 0, check_finite=False)
+            got = fact.solve(b, adjoint=adjoint)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.sampled_from([1, 2, 5, 30, 64, 97]),
+        kind=hst.sampled_from(["real_symmetric", "hermitian", "non_normal", "diagonal", "jordan"]),
+    )
+    @example(seed=0, n=5, kind="diagonal")  # an exact eigenvalue: a zero pivot moves the shift
+    @example(seed=0, n=64, kind="diagonal")
+    def test_inverse_iteration_residual(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        sec = numerics.Section(banded_diagonals(kind, n, min(2, n - 1), rng))
+        a = sec.dense()
+        lams = sec.diagonals[0][:3] if kind == "diagonal" else np.linalg.eigvals(a)[:3]
+        for lam in lams:
+            got = sec.inverse_iteration_residual(lam)
+            assert np.array_equal(got, reference_inverse_iteration_residual(sec, lam))
