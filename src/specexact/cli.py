@@ -92,6 +92,9 @@ CHECKS = {
     "schrodinger": ("schrodinger",),
 }
 ENV_THREADS = "SPECEXACT_THREADS"
+#: the most grid threads a run may ask for: values never depend on the count, and
+#: a pool may start up to min(threads, lattice rows) OS threads
+MAX_THREADS = 256
 #: the largest section a problem may ask for: its dense complex128 array,
 #: 16 n^2 bytes, must fit in 1 GiB, so n <= 8192
 MAX_SECTION_BYTES = 1 << 30
@@ -120,16 +123,35 @@ def _dump_json(obj) -> str:
 
 # ------------------------------ coefficient parsing ------------------------------
 
+def _exp_minus_x2(x: np.ndarray) -> np.ndarray:
+    # math.exp point by point: np.exp differs from it in the last bit at some points
+    return np.array([math.exp(-v * v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
 _NAMED_COEFFS = {
     "x": lambda x: x,
     "x^2": lambda x: x * x,
     "i*x^2": lambda x: 1j * x * x,
-    "exp(-x^2)": lambda x: math.exp(-x * x),
+    "exp(-x^2)": _exp_minus_x2,
 }
 
 
+def _table(x: np.ndarray, xs: np.ndarray, re: np.ndarray, im: np.ndarray | None) -> np.ndarray:
+    """The table's linear interpolant at the points x: real, or complex with parts set exactly."""
+    if im is None:
+        return np.interp(x, xs, re)
+    out = np.empty(x.shape, dtype=complex)
+    out.real, out.imag = np.interp(x, xs, re), np.interp(x, xs, im)
+    return out
+
+
 def parse_coefficient(node, where: str):
-    """Whitelisted coefficient: number, [re, im], named built-in, or sample table."""
+    """Whitelisted coefficient: number, [re, im], named built-in, or sample table.
+
+    Each is a :data:`specexact.discretize.Coefficient`, called on a 1-d array
+    of points; a number comes back as a scalar, broadcast by the caller.  On
+    an array each gives, bit for bit, what it gave point by point.
+    """
     if isinstance(node, bool):
         raise ProblemError(f"{where}: booleans are not coefficients")
     if isinstance(node, (int, float)):
@@ -156,9 +178,8 @@ def parse_coefficient(node, where: str):
             raise ProblemError(f"{where}: table needs matching 1-d x/re/im with >= 2 samples")
         if np.any(np.diff(xs) <= 0):
             raise ProblemError(f"{where}: table x values must be strictly increasing")
-        if np.any(im != 0.0):
-            return lambda x: complex(np.interp(x, xs, re), np.interp(x, xs, im))
-        return lambda x: float(np.interp(x, xs, re))
+        imag = im if np.any(im != 0.0) else None
+        return lambda x: _table(x, xs, re, imag)
     raise ProblemError(f"{where}: unsupported coefficient node {node!r}")
 
 
@@ -842,13 +863,19 @@ def _load_problem(path: str) -> tuple[Problem, bytes]:
 
 
 def _threads_from(args) -> int:
+    """``--threads``, else ``$SPECEXACT_THREADS``, else 1; at least 1, and above ``MAX_THREADS`` refused."""
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(ENV_THREADS, "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+        threads, where = max(1, args.threads), "--threads"
+    else:
+        env = os.environ.get(ENV_THREADS, "")
+        try:
+            threads = max(1, int(env)) if env else 1
+        except ValueError:
+            threads = 1
+        where = f"${ENV_THREADS}"
+    if threads > MAX_THREADS:
+        raise ProblemError(f"{where}: at most {MAX_THREADS} threads, got {threads}")
+    return threads
 
 
 def _exit_code(report: dict) -> int:
@@ -868,7 +895,7 @@ def main(argv=None) -> int:
             sp.add_argument("problem", help="path to a JSON problem file")
         sp.add_argument("--out", default="specexact-out", help="output directory")
         sp.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads for grid stages (default ${ENV_THREADS} or 1); "
+                        help=f"worker threads for grid stages (default ${ENV_THREADS} or 1, at most {MAX_THREADS}); "
                         "affects speed only, never values")
 
     add_common(sub.add_parser("run", help="run the problem file's analysis block"))

@@ -23,14 +23,31 @@ from .numerics import Section
 #: fraction of audit nodes allowed to violate a declared assumption constant
 AUDIT_VIOLATION_BUDGET = 1e-3
 AUDIT_POINTS = 10_000
+#: a coefficient: called once on a float64 array of points, it returns an array of that shape or a scalar
+Coefficient = Callable[[np.ndarray], object]
 
 
-def _sample(f: Callable, xs: np.ndarray) -> np.ndarray:
-    return np.asarray([f(float(x)) for x in xs])
+def _sample(f: Coefficient, xs: np.ndarray, what: str) -> np.ndarray:
+    """The coefficient ``what`` at the points ``xs``: one call ``f(xs)``, broadcast to their shape.
+
+    A coefficient takes an array of points and returns an array of that
+    shape or a scalar.  One that raises on an array, or returns anything
+    else, is refused with :class:`CoefficientError`.
+    """
+    try:
+        vals = np.broadcast_to(np.asarray(f(xs)), xs.shape)
+    except Exception as exc:  # any failure of a user callable is the coefficient's
+        raise CoefficientError(
+            f"coefficient {what} must map an array of points to an array of that shape or a scalar "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+    if vals.dtype.kind not in "biufc":
+        raise CoefficientError(f"coefficient {what} returned non-numeric values (dtype {vals.dtype})")
+    return vals
 
 
-def _sample_real(f: Callable, xs: np.ndarray, what: str) -> np.ndarray:
-    vals = _sample(f, xs)
+def _sample_real(f: Coefficient, xs: np.ndarray, what: str) -> np.ndarray:
+    vals = _sample(f, xs, what)
     if np.iscomplexobj(vals):
         if np.any(vals.imag != 0):
             raise CoefficientError(f"{what} must be real-valued")
@@ -51,8 +68,8 @@ class SLProblem:
     """
 
     name: str
-    p: Callable[[float], float]
-    q: Callable[[float], float]
+    p: Coefficient
+    q: Coefficient
     a: float
     b: float
     beta: float
@@ -129,7 +146,7 @@ def sl_assemble(prob: SLProblem, n: int, m: int) -> Section:
     if prob.beta != 0.0:
         # ghost elimination at b, last interior row overwritten
         pl, pr = p_stag[k - 1], p_stag[k]
-        pb = float(prob.p(prob.b))
+        pb = float(_sample_real(prob.p, np.array([prob.b]), "p")[0])
         if pb <= 0:
             raise CoefficientError(f"p(b) must be positive, got {pb}")
         c = 2.0 * h / (np.tan(prob.beta) * pb)
@@ -151,10 +168,10 @@ class SLMatrixProblem:
     tau2: SLProblem
     gamma1: complex
     gamma2: complex
-    s: Callable[[float], complex]
-    t: Callable[[float], complex]
-    u: Callable[[float], complex]
-    v: Callable[[float], complex]
+    s: Coefficient
+    t: Coefficient
+    u: Coefficient
+    v: Coefficient
     sup_s: float
     sup_t: float
     sup_u: float
@@ -189,7 +206,7 @@ def _sl_components(prob: SLMatrixProblem, n: int, m: int) -> tuple:
     an = prob.tau1.a_n[n - 1]
     h = (prob.tau1.b - an) / m
     nodes = an + h * np.arange(1, k1 + 1)
-    return t1, t2, *(_sample(f, nodes) for f in (prob.s, prob.t, prob.u, prob.v))
+    return t1, t2, *(_sample(getattr(prob, c), nodes, c) for c in "stuv")
 
 
 def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[np.ndarray, ...]:
@@ -202,7 +219,9 @@ def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[np.ndarray, ...]:
     """
     t1, t2, s, t, u, v = _sl_components(prob, n, m)
     t1, t2 = t1.data, t2.data
-    return prob.gamma1 * t1, np.diag(s) @ t2 + np.diag(t), np.diag(u) @ t1 + np.diag(v), prob.gamma2 * t2
+    # row scaling gives the entries of diag(s) @ t2 exactly (each of its sums has one nonzero
+    # term); only a zero's sign can differ, and adding diag(t) makes each off-diagonal zero +0.0
+    return prob.gamma1 * t1, s[:, None] * t2 + np.diag(t), u[:, None] * t1 + np.diag(v), prob.gamma2 * t2
 
 
 def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> Section:
@@ -262,9 +281,9 @@ class SchrodingerProblem:
     """
 
     name: str
-    p: Callable[[float], complex]
-    q: Callable[[float], complex]
-    r: Callable[[float], complex]
+    p: Coefficient
+    q: Coefficient
+    r: Coefficient
     L_n: tuple[float, ...]
     a_grad: float | None = None
     b_grad: float | None = None
@@ -294,12 +313,12 @@ class SchrodingerProblem:
         if self._resolved:
             return dict(self._resolved)
         xs = self._audit_grid(self.L_n[-1])
-        qv = _sample(self.q, xs).astype(complex)
+        qv = _sample(self.q, xs, "q").astype(complex)
         if np.any(qv.real < -1e-12 * (1.0 + np.abs(qv))):
             bad = int(np.argmin(qv.real))
             raise AssumptionError(f"Re q must be >= 0; violated at x = {xs[bad]:.6g}", location=float(xs[bad]))
-        rv = _sample(self.r, xs).astype(complex)
-        pv = _sample(self.p, xs).astype(complex)
+        rv = _sample(self.r, xs, "r").astype(complex)
+        pv = _sample(self.p, xs, "p").astype(complex)
         dq = np.gradient(qv, xs)
         q2 = np.abs(qv) ** 2
         out = {}
@@ -327,8 +346,8 @@ class SchrodingerProblem:
         """
         consts = self.assumption_constants()
         xs = self._audit_grid(self.L_n[n - 1])
-        qv = _sample(self.q, xs).astype(complex)
-        rv = _sample(self.r, xs).astype(complex)
+        qv = _sample(self.q, xs, "q").astype(complex)
+        rv = _sample(self.r, xs, "r").astype(complex)
         dq = np.gradient(qv, xs)
         q2 = np.abs(qv) ** 2
         slack = 1e-9 * (1.0 + q2)
@@ -363,8 +382,8 @@ def schrodinger_assemble(prob: SchrodingerProblem, n: int, m: int) -> Section:
     h = 2.0 * half / m
     k = m - 1
     nodes = -half + h * np.arange(1, k + 1)
-    pv = _sample(prob.p, nodes).astype(complex)
-    vv = _sample(prob.q, nodes).astype(complex) + _sample(prob.r, nodes).astype(complex)
+    pv = _sample(prob.p, nodes, "p").astype(complex)
+    vv = _sample(prob.q, nodes, "q").astype(complex) + _sample(prob.r, nodes, "r").astype(complex)
     inv_h2 = 1.0 / (h * h)
     return Section(
         {-1: -inv_h2 - pv[1:] / (2.0 * h), 0: 2.0 * inv_h2 + vv, 1: -inv_h2 + pv[:-1] / (2.0 * h)}

@@ -46,6 +46,14 @@ def _scipy_linalg_extension(name: str):
     loaded from SciPy's ``linalg`` folder and registered under its canonical
     name, so an ``import scipy.linalg`` before or after shares the module
     object.  A SciPy laid out otherwise falls back to a plain import.
+
+    One gap is left open: when this module loads first, a later ``import
+    scipy.linalg`` does not set ``_flapack`` or ``_fblas`` as attributes of
+    the ``scipy.linalg`` package, since the import system sets a parent's
+    attribute only when it loads the submodule itself.  Every import form
+    (``import scipy.linalg._flapack``, ``from scipy.linalg import _flapack``)
+    and ``scipy.linalg.lapack._flapack`` still reach the shared module; only
+    code that reads the private attribute off the package object fails.
     """
     full = f"scipy.linalg.{name}"
     if full in sys.modules:
@@ -143,15 +151,18 @@ class SymmetricTridiagonal:
     unitary U.  Each method solves only for what its caller reads: all
     eigenvalues (``dstevd``, which runs ``dsterf``), the eigenvalues in an
     interval (Sturm counts, then ``dstebz`` bisection for each eigenvalue
-    inside) or of an index range (``dstebz`` alone), the distance from
-    one shift to the spectrum (a Sturm count, then one ``dstebz`` call for at
-    most two eigenvalues), or residuals at chosen eigenvalues (``dstein``).
+    inside) or of an index range (``dstebz`` alone, at most once per index),
+    the distance from one shift to the spectrum (a Sturm count, then one
+    ``dstebz`` call for at most two eigenvalues), or residuals at chosen
+    eigenvalues (``dstein``).
     """
 
     def __init__(self, d: np.ndarray, e: np.ndarray):
         if np.iscomplexobj(d):
             d, e = d.real, np.abs(e)
         self.d, self.e = d.copy(), e.copy()
+        #: index -> the values one dstebz call returned for it (see eigenvalues_by_index)
+        self._by_index: dict[int, np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -183,15 +194,19 @@ class SymmetricTridiagonal:
         Indices outside 0, ..., n - 1 are skipped.  ``dstebz`` bisects for
         each index on its own, to the absolute tolerance 2 safmin (full
         relative accuracy, as LAPACK advises), so an eigenvalue's bits depend
-        on T and its index alone, not on the range it was asked with.
+        on T and its index alone, not on the range it was asked with.  Each
+        index is therefore bisected once per object: a later call that asks
+        for it again reads the value kept from the first.
         """
         abstol = 2.0 * np.finfo(float).tiny
-        found = []
-        for k in range(max(first, 0) + 1, min(stop, self.n) + 1):
-            m, w, _, _, info = _flapack.dstebz(self.d, self.e, 2, 0.0, 0.0, k, k, abstol, b"E")
-            if info != 0:
-                raise ConvergenceError(f"bisection for eigenvalue {k - 1} failed (info={info})")
-            found.append(w[:m])
+        indices = range(max(first, 0), min(stop, self.n))
+        for k in indices:
+            if k not in self._by_index:
+                m, w, _, _, info = _flapack.dstebz(self.d, self.e, 2, 0.0, 0.0, k + 1, k + 1, abstol, b"E")
+                if info != 0:
+                    raise ConvergenceError(f"bisection for eigenvalue {k} failed (info={info})")
+                self._by_index[k] = w[:m].copy()
+        found = [self._by_index[k] for k in indices]
         return np.sort(np.concatenate(found)) if found else np.zeros(0)
 
     @cached_property

@@ -270,9 +270,9 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
     One :class:`numerics.Section` serves the whole lattice; each point takes
     the :meth:`numerics.Section.sigma_min` route its structure picks.  ``m``
     is a Section, or an array read as one.  ``threads`` only parallelizes
-    independent lattice rows; values are bitwise independent of the
-    schedule.  ``dense_fallbacks`` counts this lattice's fallbacks only, not
-    those the Section recorded before.
+    independent lattice rows, on at most one thread per row; values are
+    bitwise independent of the schedule.  ``dense_fallbacks`` counts this
+    lattice's fallbacks only, not those the Section recorded before.
     """
     re0, re1, im0, im1 = (float(v) for v in rect)
     if not (re1 > re0 and im1 > im0):
@@ -291,7 +291,7 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
             values[iy, ix] = np.inf if s == 0.0 else 1.0 / s
 
     if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=min(int(threads), ny)) as pool:
             list(pool.map(fill_row, range(ny)))
     else:
         for iy in range(ny):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import numpy.ma  # np.median imports it at its first call; loaded here so that no run pays for it
 
 from . import numerics, resolvent_analysis as ra
 from .errors import ContourError, ResolutionError
@@ -96,6 +95,21 @@ class Trajectory:
         return float(diffs[-k:].max())
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a 1-d array of n >= 1 entries, bit for bit, from one partition.
+
+    The partition is ``np.median``'s, at the middle entries and the last, so
+    equal entries (0.0 and -0.0) land as there, and so is the rest:
+    ``np.mean`` of the middle entry or the two middle ones, NaN when the last
+    entry is NaN.  ``np.median`` itself would import ``numpy.ma`` for its
+    masked-array check.
+    """
+    n = x.shape[0]
+    half = n // 2
+    part = np.partition(x, [half - 1, half, -1] if n % 2 == 0 else [half, -1])
+    return float("nan") if np.isnan(part[-1]) else float(np.mean(part[half - 1 + n % 2 : half + 1]))
+
+
 def _nn_spacing_radius(values: np.ndarray) -> float:
     """Default matching radius: half the median nearest-neighbor spacing.
 
@@ -113,7 +127,7 @@ def _nn_spacing_radius(values: np.ndarray) -> float:
         rows = np.arange(block.shape[0])
         block[rows, start + rows] = np.inf
         nn[start : start + step] = block.min(axis=1)
-    med = float(np.median(nn))
+    med = _median(nn)
     return float("inf") if med == 0.0 else 0.5 * med
 
 

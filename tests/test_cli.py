@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as hst
 
-from specexact import cli, numerics
+from specexact import cli, discretize as dz, numerics
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -472,6 +472,28 @@ class TestClassifySubcommand:
         assert doc["candidates"][0]["verdict"] == "Spurious"
 
 
+# 37 samples of sin(x) and cos(3x) on [-11, 11]: the sampling grid crosses every segment and both ends
+TABLE_X = np.linspace(-11.0, 11.0, 37)
+TABLE_RE, TABLE_IM = np.sin(TABLE_X), np.cos(3.0 * TABLE_X)
+COEFFICIENT_NODES = {
+    "constant": -2.5,
+    "pair": [0.5, -1.5],
+    "real_table": {"table": {"x": TABLE_X.tolist(), "re": TABLE_RE.tolist()}},
+    "complex_table": {"table": {"x": TABLE_X.tolist(), "re": TABLE_RE.tolist(), "im": TABLE_IM.tolist()}},
+}
+# each whitelisted coefficient as a scalar formula, evaluated point by point
+PER_POINT = {
+    "x": lambda x: x,
+    "x^2": lambda x: x * x,
+    "i*x^2": lambda x: 1j * x * x,
+    "exp(-x^2)": lambda x: math.exp(-x * x),
+    "constant": lambda x: -2.5,
+    "pair": lambda x: complex(0.5, -1.5),
+    "real_table": lambda x: float(np.interp(x, TABLE_X, TABLE_RE)),
+    "complex_table": lambda x: complex(np.interp(x, TABLE_X, TABLE_RE), np.interp(x, TABLE_X, TABLE_IM)),
+}
+
+
 class TestCoefficientForms:
     def test_table_coefficient_interpolates(self, tmp_path):
         # q tabulated as the constant 2.5: spectrum shifts by exactly 2.5
@@ -507,6 +529,14 @@ class TestCoefficientForms:
         rows = (out / "spectra.csv").read_text().strip().split("\n")[1:]
         vals = np.array([float(r.split(",")[1]) for r in rows])
         assert np.all((vals > 0.0) & (vals < 4.0))
+
+    @pytest.mark.parametrize("name", list(PER_POINT))
+    def test_array_sampling_equals_per_point_bits(self, name):
+        xs = np.linspace(-12.0, 12.0, 100001)
+        got = dz._sample(cli.parse_coefficient(COEFFICIENT_NODES.get(name, name), "q"), xs, "q")
+        want = np.asarray([PER_POINT[name](x) for x in xs.tolist()])
+        assert got.shape == xs.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_bad_table_rejected(self, tmp_path):
         doc = {
@@ -654,6 +684,30 @@ class TestErrors:
     def test_quadrature_points_at_cap_accepted(self):
         doc = jacobi_stage(op="classify", certified_sizes=[2, 4, 6], quadrature_points=cli.MAX_QUADRATURE_POINTS)
         assert cli.parse_problem(doc).analysis[0]["quadrature_points"] == cli.MAX_QUADRATURE_POINTS
+
+
+class TestThreadCap:
+    @pytest.mark.parametrize("value", [cli.MAX_THREADS + 1, 10**9])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_above_cap_exit_2(self, tmp_path, monkeypatch, capsys, source, value):
+        # refused before any stage runs, so no pool is ever sized from the value
+        monkeypatch.setattr(cli, "run_problem", lambda *a, **k: pytest.fail("a stage ran"))
+        path = write_problem(tmp_path, jacobi_stage(op="pseudo", size=8, rect=[-1, 1, -1, 1], nx=2, ny=2))
+        flags = ["--threads", str(value)] if source == "flag" else []
+        if source == "env":
+            monkeypatch.setenv(cli.ENV_THREADS, str(value))
+        assert cli.main(["run", path, "--out", str(tmp_path / "o"), *flags]) == 2
+        err = capsys.readouterr().err
+        name = "--threads" if source == "flag" else f"${cli.ENV_THREADS}"
+        assert err.startswith(f"error: {name}: at most {cli.MAX_THREADS} threads") and "Traceback" not in err
+        assert cli.main(["demo", "jacobi", "--out", str(tmp_path / "d"), *flags]) == 2
+
+    def test_at_cap_accepted(self, tmp_path, monkeypatch):
+        # a spectra stage starts no pool, whatever the thread count
+        monkeypatch.setenv(cli.ENV_THREADS, str(cli.MAX_THREADS))
+        path = write_problem(tmp_path, jacobi_stage(op="spectra", sizes=[4]))
+        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 0
+        assert cli.main(["run", path, "--out", str(tmp_path / "p"), "--threads", str(cli.MAX_THREADS)]) == 0
 
 
 class TestSizeGuard:
@@ -867,7 +921,7 @@ def run_fresh(code: str) -> str:
 
 #: packages the CLI does not need: scipy.linalg's Python layer and what it imports, and scipy's other subpackages
 HEAVY_MODULES = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "scipy.optimize", "scipy.sparse",
-                 "scipy.special", "scipy.spatial")
+                 "scipy.special", "scipy.spatial", "numpy.ma")
 
 
 class TestImportFootprint:
@@ -889,6 +943,17 @@ class TestImportFootprint:
             ]
         )
         assert run_fresh(code).splitlines() == ["True True", "[1. 3.]"]
+
+    def test_later_scipy_linalg_reaches_the_shared_modules_by_every_import_form(self):
+        # the package attribute itself may be missing (the documented gap), but never another module
+        code = (
+            "import specexact.cli, sys; import scipy.linalg; from specexact import numerics; "
+            "from scipy.linalg import _flapack, _fblas; import scipy.linalg._flapack as direct; "
+            "print(scipy.linalg.lapack._flapack is numerics._flapack, _flapack is numerics._flapack, "
+            "_fblas is numerics._fblas, direct is numerics._flapack, "
+            "getattr(scipy.linalg, '_flapack', None) in (None, numerics._flapack))"
+        )
+        assert run_fresh(code) == "True True True True True"
 
     def test_compiled_modules_load_before_numpy(self):
         # SciPy's BLAS worker threads spin for about 0.1 s once loaded: numpy's import, not a run, overlaps that

@@ -1,5 +1,7 @@
 """Finite-difference assemblies: Sturm-Liouville, 2x2 blocks, 1D Schrodinger."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -116,6 +118,35 @@ class TestSLAssemble:
     def test_bad_beta(self):
         with pytest.raises(ValueError):
             dz.SLProblem("bad", ONE, ZERO, 0.0, np.pi, np.pi, (0.1,), 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "coefficient, message",
+        [
+            (lambda x: math.sin(x), "TypeError"),  # scalar-only: raises on an array
+            (lambda x: x[:-1], "ValueError"),  # one point short: cannot broadcast
+            (lambda x: np.ones((2, 1)), "ValueError"),
+            (lambda x: "1.0", "non-numeric"),
+        ],
+        ids=["scalar_only", "short", "wrong_shape", "string"],
+    )
+    def test_coefficient_off_the_array_contract(self, coefficient, message):
+        sl = dz.SLProblem("sl", ONE, coefficient, 0.0, np.pi, 0.0, (0.1,), 1.0, 0.0)
+        with pytest.raises(CoefficientError, match=f"coefficient q .*{message}"):
+            dz.sl_assemble(sl, 1, 20)
+        osc = dz.SchrodingerProblem("osc", p=ZERO, q=lambda x: x * x, r=coefficient, L_n=(4.0,))
+        with pytest.raises(CoefficientError, match=f"coefficient r .*{message}"):
+            dz.schrodinger_assemble(osc, 1, 20)
+        tau = dirichlet_laplacian()
+        mp = dz.SLMatrixProblem("blk", tau, tau, 1.0, 1.0, ZERO, ZERO, coefficient, ZERO, 0, 0, 0.5, 0)
+        with pytest.raises(CoefficientError, match=f"coefficient u .*{message}"):
+            dz.sl_blocks(mp, 1, 20)
+
+    def test_coefficient_is_called_once_per_sampling_on_an_array(self):
+        seen = []
+        q = lambda x: seen.append((type(x), np.shape(x))) or x * x
+        dz.schrodinger_assemble(dz.SchrodingerProblem("osc", p=ZERO, q=q, r=ZERO, L_n=(4.0,)), 1, 40)
+        # fitted constants, the audit, then the section's nodes
+        assert seen == [(np.ndarray, (dz.AUDIT_POINTS,))] * 2 + [(np.ndarray, (39,))]
 
     def test_p_bound_violation(self):
         prob = dz.SLProblem("badp", lambda x: 0.5, ZERO, 0.0, np.pi, 0.0, (0.1,), 1.0, 0.0)
@@ -328,6 +359,17 @@ class TestDeclaredStructure:
             ref = np.linalg.eigvalsh(blocks)
             assert np.max(np.abs(got.eigenvalues.real - ref)) <= 1e-14 * norm
             assert np.all(got.residuals_at(rows) <= 1e-14 * norm)
+
+    @pytest.mark.parametrize("beta", [0.0, np.pi / 4])
+    def test_sl_blocks_scale_rows_as_the_diagonal_products(self, beta):
+        # s and u change sign, so some products are -0.0 before diag(t) and diag(v) are added
+        tau = dz.SLProblem("varp", lambda x: 2.0 + np.sin(x), lambda x: 1.0 + x * x, 0.0, np.pi, beta, (0.1,), 1.0, 1.0)
+        s, u = (lambda x: 0.3 * np.sin(3.0 * x)), (lambda x: -0.2 * np.cos(2.0 * x))
+        mp = dz.SLMatrixProblem("blk", tau, tau, 1.0, 1.0, s, lambda x: 0.1 * x, u, ZERO, 0.3, 0.4, 0.2, 0.0)
+        t1, t2, s_v, t_v, u_v, v_v = dz._sl_components(mp, 1, 60)
+        _, b, c, _ = dz.sl_blocks(mp, 1, 60)
+        assert b.tobytes() == (np.diag(s_v) @ t2.data + np.diag(t_v)).tobytes()
+        assert c.tobytes() == (np.diag(u_v) @ t1.data + np.diag(v_v)).tobytes()
 
     def test_sl_block_banded_spectra_build_no_dense_array(self):
         # the Hermitian banded route reads the diagonals: eigenvalues and residuals alike

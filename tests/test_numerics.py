@@ -1,5 +1,6 @@
 """Kernel contracts: section structure, eigensolve, singular values, and their invariants."""
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as hst
 
-from specexact import numerics
+from specexact import numerics, resolvent_analysis as ra
 from specexact.errors import DataError, DimensionError
 
 
@@ -190,6 +191,79 @@ class TestBisectionEig:
         sec = numerics.Section({0: np.arange(5.0), 1: np.ones(4), -1: np.ones(4)})
         whole = numerics.eig_dense(sec)
         assert whole.route == "tridiagonal" and whole.window is None and whole.dimension == 5
+
+
+class CountingLapack:
+    """``numerics._flapack`` with each ``dstebz`` call's index range (il, iu) recorded."""
+
+    def __init__(self, lapack):
+        self._lapack, self.ranges = lapack, []
+
+    def __getattr__(self, name):
+        return getattr(self._lapack, name)
+
+    def dstebz(self, *args):
+        self.ranges.append(tuple(args[5:7]))
+        return self._lapack.dstebz(*args)
+
+
+@contextlib.contextmanager
+def counting_dstebz():
+    counter = CountingLapack(numerics._flapack)
+    numerics._flapack = counter
+    try:
+        yield counter
+    finally:
+        numerics._flapack = counter._lapack
+
+
+class TestBisectionMemo:
+    """``eigenvalues_by_index`` bisects each index once per object, with the bits of a fresh object."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.sampled_from([2, 3, 17, 64]),  # a Section of order 1 has no SymmetricTridiagonal
+        dtype=hst.sampled_from(["real", "complex"]),
+        zeros=hst.integers(0, 3),
+        ranges=hst.lists(hst.tuples(hst.integers(-3, 70), hst.integers(-3, 70)), min_size=1, max_size=6),
+    )
+    @example(seed=0, n=17, dtype="complex", zeros=2, ranges=[(3, 9), (0, 5), (8, 17), (2, 4)])
+    @example(seed=1, n=2, dtype="real", zeros=1, ranges=[(0, 2), (1, 2), (-3, 70)])
+    def test_overlapping_ranges_in_any_order(self, seed, n, dtype, zeros, ranges):
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal(n)
+        e = rng.standard_normal(n - 1) + (1j * rng.standard_normal(n - 1) if dtype == "complex" else 0.0)
+        e[rng.integers(n - 1, size=zeros)] = 0.0  # exact zeros split T into blocks
+        fresh = {}
+        for k in range(n):
+            one = numerics.SymmetricTridiagonal(d.astype(e.dtype), e).eigenvalues_by_index(k, k + 1)
+            assert one.shape == (1,)
+            fresh[k] = one
+        t = numerics.SymmetricTridiagonal(d.astype(e.dtype), e)
+        asked = set()
+        with counting_dstebz() as lapack:
+            for first, stop in ranges:
+                got = t.eigenvalues_by_index(first, stop)
+                indices = range(max(first, 0), min(stop, n))
+                want = np.sort(np.concatenate([fresh[k] for k in indices])) if indices else np.zeros(0)
+                assert got.tobytes() == want.tobytes()
+                asked.update(indices)
+        assert sorted(lapack.ranges) == [(k + 1, k + 1) for k in sorted(asked)]
+
+    def test_window_and_closed_form_contour_share_their_bisections(self):
+        # the oscillator's eigenvalues 1, 3, 5, ...: the window's values serve the contours around them
+        n = 399
+        h = 16.0 / (n + 1)
+        x = -8.0 + h * np.arange(1, n + 1)
+        t = numerics.SymmetricTridiagonal(2.0 / h**2 + x * x, np.full(n - 1, -1.0 / h**2))
+        with counting_dstebz() as lapack:
+            window = t.eigenvalues_between(0.0, 8.0)
+            for c in (1.0, 3.0, 5.0, 7.0):
+                ra._closed_form_contour_rank(t, complex(c, 0.0), 0.5, 32)
+                ra._closed_form_contour_rank(t, complex(c, 0.25), 0.5, 32)
+        assert window.size == 4 and len(lapack.ranges) == len(set(lapack.ranges))
+        assert set(lapack.ranges) >= {(k + 1, k + 1) for k in range(4)}
 
 
 def banded_diagonals(kind, n, half, rng):

@@ -81,6 +81,30 @@ class TestPseudospectrumGrid:
         g4 = ra.pseudospectrum_grid(m, (-1, 3, -1, 1), 11, 9, threads=4)
         np.testing.assert_array_equal(g1.values, g4.values)
 
+    @pytest.mark.parametrize("threads, ny, workers", [(10**9, 3, 3), (2, 5, 2), (7, 7, 7)])
+    def test_pool_takes_at_most_one_thread_per_row(self, monkeypatch, threads, ny, workers):
+        # a stand-in executor that runs the rows here: a huge thread count starts no thread
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, rows):
+                return map(fn, rows)
+
+        monkeypatch.setattr(ra, "ThreadPoolExecutor", SerialPool)
+        m = np.diag([0.0, 1.0, 2.0])
+        g = ra.pseudospectrum_grid(m, (-1, 3, -1, 1), 4, ny, threads=threads)
+        assert pools == [workers]
+        np.testing.assert_array_equal(g.values, ra.pseudospectrum_grid(m, (-1, 3, -1, 1), 4, ny).values)
+
     def test_csv_format(self):
         g = ra.pseudospectrum_grid(np.diag([0.0, 1.0]), (0, 1, 0, 1), 2, 2)
         buf = io.StringIO()

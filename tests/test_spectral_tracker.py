@@ -60,6 +60,35 @@ def dense_nn_spacing_radius(values):
     return float("inf") if med == 0.0 else 0.5 * med
 
 
+class TestMedian:
+    """``_median`` is ``np.median`` bit for bit, without importing ``numpy.ma``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        values=hst.lists(
+            hst.floats(allow_nan=False, allow_infinity=True, allow_subnormal=True, width=64),
+            min_size=1,
+            max_size=40,
+        ),
+        repeat=hst.integers(0, 3),
+    )
+    @example(values=[1.0, 2.0], repeat=0)  # even n: the mean of the two middle entries
+    @example(values=[-0.0, 0.0, 1.0], repeat=0)  # odd n
+    @example(values=[1.7976931348623157e308, 1.7976931348623157e308], repeat=0)  # the sum overflows
+    @example(values=[5e-324, 5e-324], repeat=0)  # subnormal halves
+    @example(values=[-np.inf, np.inf], repeat=0)
+    def test_equals_np_median(self, values, repeat):
+        x = np.asarray(values + values[:repeat], dtype=float)  # ties from repeats
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(np.median(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = st._median(x)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_nan_entry_gives_nan(self):
+        assert np.isnan(st._median(np.array([1.0, np.nan, 0.0])))
+
+
 def scipy_match_trajectories(spectra, match_radius=None):
     """The matching as it was, by SciPy's assignment on the dense cost matrix: the reference."""
     sizes = [s.size for s in spectra]
