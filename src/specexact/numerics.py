@@ -35,6 +35,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -149,20 +150,24 @@ class SymmetricTridiagonal:
     Built from A's diagonal and superdiagonal; ``d``, ``e`` are T's, A's own
     when A is real, (Re d, |e|) when it is complex: A = U T U^H for a diagonal
     unitary U.  Each method solves only for what its caller reads: all
-    eigenvalues (``dstevd``, which runs ``dsterf``), the eigenvalues in an
-    interval (Sturm counts, then ``dstebz`` bisection for each eigenvalue
-    inside) or of an index range (``dstebz`` alone, at most once per index),
-    the distance from one shift to the spectrum (a Sturm count, then one
-    ``dstebz`` call for at most two eigenvalues), or residuals at chosen
-    eigenvalues (``dstein``).
+    eigenvalues (``dstevd``, which runs ``dsterf``), Sturm counts (LAPACK's,
+    with no bisection), or residuals at chosen eigenvalues (``dstein``).
+    Every other query, the eigenvalues in an interval, the distance from a
+    shift to the spectrum and the norm max |lambda| (:func:`op_norm`), reads
+    one eigenvalue source, the memo of :meth:`eigenvalues_by_index`, which
+    threads may share.
     """
 
     def __init__(self, d: np.ndarray, e: np.ndarray):
         if np.iscomplexobj(d):
             d, e = d.real, np.abs(e)
         self.d, self.e = d.copy(), e.copy()
-        #: index -> the values one dstebz call returned for it (see eigenvalues_by_index)
-        self._by_index: dict[int, np.ndarray] = {}
+        #: index -> the values one dstebz call returned for it (see eigenvalues_by_index);
+        #: of order 1 the eigenvalue is d[0], as dstebz refuses an empty e
+        self._by_index: dict[int, np.ndarray] = {0: self.d.copy()} if self.n == 1 else {}
+        self._lock = threading.Lock()
+        #: Gershgorin's bound, >= ||T||
+        self._bound = float(np.abs(self.d).max() + 2.0 * np.abs(self.e).max(initial=0.0))
 
     @property
     def n(self) -> int:
@@ -175,7 +180,8 @@ class SymmetricTridiagonal:
     def eigenvalues_between(self, lo: float, hi: float) -> np.ndarray:
         """The eigenvalues in [lo, hi], ascending, and any within a small pad of it.
 
-        The pad, 16 eps ||T|| + 4 pivmin, exceeds the error of bisection and
+        The pad, 16 eps ||T|| + 4 pivmin (``dstebz``'s pivmin: the safe
+        minimum times max(1, max e_j^2)), exceeds the error of bisection and
         of the Sturm count.  :meth:`sturm_count` at lo - pad and hi + pad
         gives the indices of the eigenvalues between, and
         :meth:`eigenvalues_by_index` bisects for each.  The values computed
@@ -183,71 +189,64 @@ class SymmetricTridiagonal:
         it.  Each costs O(n) per bisection step, so a wide interval can cost
         more than :meth:`eigenvalues`.
         """
-        _, _, pivmin = self._recurrence
-        bound = float(np.abs(self.d).max() + 2.0 * np.abs(self.e).max(initial=0.0))  # >= ||T||
-        pad = 16.0 * np.finfo(float).eps * bound + 4.0 * pivmin
+        pivmin = np.finfo(float).tiny * max(1.0, float(np.square(self.e).max(initial=0.0)))
+        pad = 16.0 * np.finfo(float).eps * self._bound + 4.0 * pivmin
         return self.eigenvalues_by_index(self.sturm_count(lo - pad), self.sturm_count(hi + pad))
 
     def eigenvalues_by_index(self, first: int, stop: int) -> np.ndarray:
         """The eigenvalues of indices first, ..., stop - 1 (from 0, ascending), ascending.
 
         Indices outside 0, ..., n - 1 are skipped.  ``dstebz`` bisects for
-        each index on its own, to the absolute tolerance 2 safmin (full
-        relative accuracy, as LAPACK advises), so an eigenvalue's bits depend
-        on T and its index alone, not on the range it was asked with.  Each
-        index is therefore bisected once per object: a later call that asks
-        for it again reads the value kept from the first.
+        each index in a call of its own, to the absolute tolerance 2 safmin
+        (full relative accuracy, as LAPACK advises), so an eigenvalue's bits
+        depend on T and its index alone: bisecting indices 0-3 of the
+        m = 1600 oscillator section in one call moves indices 1-3 by 1-2
+        ulps.  Each index is therefore bisected once per object, and a later
+        call that asks for it again reads the value kept from the first.
         """
         abstol = 2.0 * np.finfo(float).tiny
         indices = range(max(first, 0), min(stop, self.n))
-        for k in indices:
-            if k not in self._by_index:
-                m, w, _, _, info = _flapack.dstebz(self.d, self.e, 2, 0.0, 0.0, k + 1, k + 1, abstol, b"E")
-                if info != 0:
-                    raise ConvergenceError(f"bisection for eigenvalue {k} failed (info={info})")
-                self._by_index[k] = w[:m].copy()
+        # dstebz holds the interpreter lock, so holding this one too costs threads no parallelism
+        with self._lock:
+            for k in indices:
+                if k not in self._by_index:
+                    m, w, _, _, info = _flapack.dstebz(self.d, self.e, 2, 0.0, 0.0, k + 1, k + 1, abstol, b"E")
+                    if info != 0:
+                        raise ConvergenceError(f"bisection for eigenvalue {k} failed (info={info})")
+                    self._by_index[k] = w[:m].copy()
         found = [self._by_index[k] for k in indices]
         return np.sort(np.concatenate(found)) if found else np.zeros(0)
 
-    @cached_property
-    def _recurrence(self) -> tuple[list, list, float]:
-        # Python floats keep the scalar recurrence of sturm_count fast;
-        # pivmin is LAPACK dstebz's: the safe minimum times max(1, max e_j^2)
-        e2 = self.e * self.e
-        pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
-        return self.d.tolist(), [0.0] + e2.tolist(), pivmin
-
     def sturm_count(self, z: float) -> int:
-        """Number of eigenvalues <= z: the nonpositive pivots of the LDL^T of T - z.
+        """Number of eigenvalues <= z: the nonpositive pivots of the LDL^T of T - z, counted by LAPACK.
 
-        A pivot of magnitude below pivmin is replaced by -pivmin, as LAPACK's
-        dlaebz does, so an exact zero pivot cannot divide by zero.
+        ``dstebz`` on (-c, z], c = 2 bound + 1 (bound, Gershgorin's, is at
+        least ||T||), with a tolerance so large that it bisects nothing,
+        returns the count alone; a pivot of magnitude at most pivmin counts
+        as -pivmin.  A shift at or beyond +-c (+-inf too; LAPACK refuses
+        z <= -c) and a T of order 1 are answered here.  NaN raises ValueError.
         """
-        d, e2, pivmin = self._recurrence
-        count, q = 0, 1.0
-        for dj, e2j in zip(d, e2):
-            q = dj - z - e2j / q
-            if abs(q) < pivmin:
-                q = -pivmin
-            if q <= 0.0:
-                count += 1
-        return count
+        if np.isnan(z):
+            raise ValueError(f"Sturm count at a shift that is not a number: {z}")
+        if self.n == 1:
+            return int(self.d[0] <= z)
+        c = 2.0 * self._bound + 1.0
+        if abs(z) >= c:
+            return 0 if z < 0 else self.n
+        m, _, _, _, info = _flapack.dstebz(self.d, self.e, 1, -c, z, 0, 0, np.finfo(float).max, b"B")
+        _check_info(info, "dstebz")
+        return int(m)
 
     def distance_to_spectrum(self, z: complex) -> float:
         """min |lambda - z| over the eigenvalues, which is sigma_min(T - z I) as T is normal.
 
         With k = :meth:`sturm_count` (Re z), the eigenvalues k - 1 and k (from 0)
-        bracket Re z, so one of them is nearest to z; ``stebz`` bisection
-        computes just those two, to an absolute accuracy of about eps ||T||,
-        in one call with the arguments of ``eigvalsh_tridiagonal`` (``select="i"``).
+        bracket Re z, so one of them is nearest to z.  Both come from the memo
+        of :meth:`eigenvalues_by_index`, to full relative accuracy, so the
+        distance is exactly 0.0 at a shift that is one of them.
         """
-        if self.n == 1:  # that function's quick exit
-            return float(np.min(np.abs(self.d - z)))
         k = self.sturm_count(z.real)
-        first, last = max(k - 1, 0) + 1, min(k, self.n - 1) + 1
-        m, lam, _, _, info = _flapack.dstebz(self.d, self.e, 2, 0.0, 0.0, first, last, 0.0, b"E")
-        _check_info(info, "dstebz")
-        return float(np.min(np.abs(lam[:m] - z)))
+        return float(np.min(np.abs(self.eigenvalues_by_index(k - 1, k + 1) - z)))
 
     def residuals(self, lam: np.ndarray) -> np.ndarray:
         """||T v - mu v|| / ||v|| for the inverse-iteration vector v at each eigenvalue mu in ``lam``.
@@ -401,10 +400,9 @@ class Section:
     singular value of A - z I:
 
     - ``tridiagonal``: every shift of a Hermitian tridiagonal A, by the
-      distance from z to the spectrum (A is normal): a Sturm count at Re z,
-      then bisection for the one or two eigenvalues that bracket it, O(n)
-      each (:meth:`SymmetricTridiagonal.distance_to_spectrum`); it agrees
-      with the SVD of A - z I to about eps ||A||;
+      distance from z to the spectrum (A is normal), from a Sturm count at
+      Re z and the section's bisection memo, its one eigenvalue source: exactly
+      0.0 at a memo eigenvalue (:meth:`SymmetricTridiagonal.distance_to_spectrum`);
     - ``banded`` and ``triangular``: every shift of a section stored so, by
       Lanczos on (z I - A)^-H (z I - A)^-1 with the solves of :meth:`factor`;
     - ``dense``: everything else, by SVD of the dense A - z I.
@@ -802,13 +800,14 @@ def op_norm(m) -> float:
     """Largest singular value (spectral norm); rectangular inputs allowed.
 
     Structure is read only from a :class:`Section`: a Hermitian tridiagonal
-    one, in either dtype, uses the tridiagonal symmetric solver, as
-    :func:`sigma_min` does: the largest absolute eigenvalue.  An array goes
-    straight to the SVD, with no band scan.
+    one, in either dtype, is normal, so its norm is max(|lambda_0|, |lambda_{n-1}|),
+    from its bisection memo.  An array goes straight to the SVD, with no band scan.
     """
     sec = m if isinstance(m, Section) else None
     if sec is not None and sec.tridiagonal is not None:
-        return float(np.max(np.abs(sec.tridiagonal.eigenvalues())))
+        tri = sec.tridiagonal
+        ends = np.concatenate([tri.eigenvalues_by_index(0, 1), tri.eigenvalues_by_index(tri.n - 1, tri.n)])
+        return float(np.abs(ends).max())
     a = sec.data if sec is not None else as_matrix(m)
     if not np.any(a):
         return 0.0

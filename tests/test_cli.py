@@ -904,6 +904,13 @@ class TestDemoDeterminism:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_jacobi_pseudo_byte_identical_at_one_and_two_threads(self, tmp_path):
+        # the row threads share each section's bisection memo
+        outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
+        for threads, out in zip((1, 2), outs):
+            assert cli.main(["demo", "jacobi", "--out", str(out), "--threads", str(threads)]) == 0
+        assert (outs[0] / "pseudo.csv").read_bytes() == (outs[1] / "pseudo.csv").read_bytes()
+
 
 def run_fresh(code: str) -> str:
     """stdout of ``code`` in a fresh interpreter on this checkout's ``src``; the code must exit 0."""
@@ -989,3 +996,19 @@ class TestImportFootprint:
             "print(sorted(set(sys.modules) - before))\n"
         )
         assert run_fresh(code) == "[]"
+
+
+def test_oscillator_demo_and_criterion_06_make_no_full_tridiagonal_solve(tmp_path):
+    # every Hermitian tridiagonal query of a windowed run, the section norm too, is answered by bisection;
+    # the probe script is the one the CI runs against the installed package
+    probe = Path(__file__).resolve().parent / "no_full_tridiagonal_solve.py"
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, str(probe), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.strip() == "exit codes [0, 0] dstevd orders []"

@@ -1,7 +1,9 @@
 """Kernel contracts: section structure, eigensolve, singular values, and their invariants."""
 
 import contextlib
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -194,16 +196,23 @@ class TestBisectionEig:
 
 
 class CountingLapack:
-    """``numerics._flapack`` with each ``dstebz`` call's index range (il, iu) recorded."""
+    """``numerics._flapack`` with each bisection's index range (il, iu) recorded, and Sturm counts counted.
+
+    A ``dstebz`` call of range ``I`` (2) bisects; one of range ``V`` (1) is
+    the count of :meth:`numerics.SymmetricTridiagonal.sturm_count`.
+    """
 
     def __init__(self, lapack):
-        self._lapack, self.ranges = lapack, []
+        self._lapack, self.ranges, self.counts = lapack, [], 0
 
     def __getattr__(self, name):
         return getattr(self._lapack, name)
 
     def dstebz(self, *args):
-        self.ranges.append(tuple(args[5:7]))
+        if args[2] == 2:
+            self.ranges.append(tuple(args[5:7]))
+        else:
+            self.counts += 1
         return self._lapack.dstebz(*args)
 
 
@@ -223,18 +232,20 @@ class TestBisectionMemo:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         seed=hst.integers(0, 2**32 - 1),
-        n=hst.sampled_from([2, 3, 17, 64]),  # a Section of order 1 has no SymmetricTridiagonal
+        n=hst.sampled_from([1, 2, 3, 17, 64]),
         dtype=hst.sampled_from(["real", "complex"]),
         zeros=hst.integers(0, 3),
         ranges=hst.lists(hst.tuples(hst.integers(-3, 70), hst.integers(-3, 70)), min_size=1, max_size=6),
     )
     @example(seed=0, n=17, dtype="complex", zeros=2, ranges=[(3, 9), (0, 5), (8, 17), (2, 4)])
     @example(seed=1, n=2, dtype="real", zeros=1, ranges=[(0, 2), (1, 2), (-3, 70)])
+    @example(seed=2, n=1, dtype="complex", zeros=0, ranges=[(0, 1), (-3, 70), (1, 2)])
     def test_overlapping_ranges_in_any_order(self, seed, n, dtype, zeros, ranges):
         rng = np.random.default_rng(seed)
         d = rng.standard_normal(n)
         e = rng.standard_normal(n - 1) + (1j * rng.standard_normal(n - 1) if dtype == "complex" else 0.0)
-        e[rng.integers(n - 1, size=zeros)] = 0.0  # exact zeros split T into blocks
+        if n > 1:
+            e[rng.integers(n - 1, size=zeros)] = 0.0  # exact zeros split T into blocks
         fresh = {}
         for k in range(n):
             one = numerics.SymmetricTridiagonal(d.astype(e.dtype), e).eigenvalues_by_index(k, k + 1)
@@ -249,7 +260,25 @@ class TestBisectionMemo:
                 want = np.sort(np.concatenate([fresh[k] for k in indices])) if indices else np.zeros(0)
                 assert got.tobytes() == want.tobytes()
                 asked.update(indices)
-        assert sorted(lapack.ranges) == [(k + 1, k + 1) for k in sorted(asked)]
+        # of order 1 the eigenvalue is d[0], with no LAPACK call
+        assert sorted(lapack.ranges) == ([] if n == 1 else [(k + 1, k + 1) for k in sorted(asked)])
+        if n == 1:
+            assert fresh[0].tobytes() == d.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_sturm_count_at_infinite_and_nan_shifts(self, n, capfd):
+        rng = np.random.default_rng(n)
+        t = numerics.SymmetricTridiagonal(rng.standard_normal(n), rng.standard_normal(n - 1))
+        with counting_dstebz() as lapack:
+            assert t.sturm_count(-np.inf) == 0 and t.sturm_count(np.inf) == n
+            # and an order-1 T answers every shift without LAPACK
+            if n == 1:
+                assert t.sturm_count(t.d[0]) == 1 and t.sturm_count(np.nextafter(t.d[0], -np.inf)) == 0
+        assert lapack.counts == 0 and lapack.ranges == []
+        # at -inf dstebz would refuse the interval and print xerbla's message
+        assert capfd.readouterr().err == ""
+        with pytest.raises(ValueError, match="nan"):
+            t.sturm_count(np.nan)
 
     def test_window_and_closed_form_contour_share_their_bisections(self):
         # the oscillator's eigenvalues 1, 3, 5, ...: the window's values serve the contours around them
@@ -264,6 +293,114 @@ class TestBisectionMemo:
                 ra._closed_form_contour_rank(t, complex(c, 0.25), 0.5, 32)
         assert window.size == 4 and len(lapack.ranges) == len(set(lapack.ranges))
         assert set(lapack.ranges) >= {(k + 1, k + 1) for k in range(4)}
+
+
+def reference_sturm_count(d, e, z):
+    """Eigenvalues of the real symmetric tridiagonal (d, e) at most z: the nonpositive pivots of the LDL^T of T - z.
+
+    The reference of :meth:`numerics.SymmetricTridiagonal.sturm_count`, as a
+    Python loop: a pivot of magnitude below pivmin, ``dstebz``'s, is replaced
+    by -pivmin.
+    """
+    e2 = [0.0] + (e * e).tolist()
+    pivmin = np.finfo(float).tiny * max(1.0, max(e2))
+    count, q = 0, 1.0
+    for dj, e2j in zip(d.tolist(), e2):
+        q = dj - z - e2j / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q <= 0.0:
+            count += 1
+    return count
+
+
+def hermitian_tridiagonal(seed, n, case, zeros):
+    """(T, A): a random Hermitian tridiagonal A, real or complex with ``zeros`` exact zero off-diagonals, its T."""
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1) + (1j * rng.standard_normal(n - 1) if case == "complex" else 0.0)
+    if n > 1:
+        e[rng.integers(n - 1, size=zeros)] = 0.0
+    return numerics.SymmetricTridiagonal(d.astype(e.dtype), e), np.diag(d) + np.diag(e, 1) + np.diag(e.conj(), -1)
+
+
+class TestTridiagonalQueries:
+    """Counts, sigma_min and the norm from the bisection memo, against the code and the dense kernels they replace."""
+
+    tridiagonals = dict(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 80),
+        case=hst.sampled_from(["real", "complex"]),
+        zeros=hst.integers(0, 4),
+    )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**tridiagonals, shifts=hst.lists(hst.floats(-1.5, 1.5), min_size=1, max_size=8))
+    @example(seed=0, n=1, case="real", zeros=0, shifts=[-1.0, 0.0, 1.0])
+    @example(seed=1, n=40, case="complex", zeros=4, shifts=[-1.5, -0.5, 0.0, 0.5, 1.5])
+    def test_lapack_count_matches_the_recurrence(self, seed, n, case, zeros, shifts):
+        t, a = hermitian_tridiagonal(seed, n, case, zeros)
+        lam = np.linalg.eigvalsh(a)
+        norm = max(float(np.abs(lam).max()), 1e-300)
+        # the two agree but at exact ties: keep shifts 1e-8 ||T|| from every eigenvalue
+        for z in [s * norm for s in shifts] + list((lam[1:] + lam[:-1]) / 2):
+            if np.abs(lam - z).min() >= 1e-8 * norm:
+                assert t.sturm_count(z) == reference_sturm_count(t.d, t.e, z) == np.count_nonzero(lam <= z)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        **tridiagonals,
+        shifts=hst.lists(
+            hst.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=6
+        ),
+    )
+    @example(seed=2, n=1, case="complex", zeros=0, shifts=[0.5j, -2.0])
+    @example(seed=3, n=60, case="real", zeros=3, shifts=[0.0, 1.0, -1.0 + 0.5j])
+    @example(seed=1770, n=2, case="real", zeros=1, shifts=[3.25 + 0.5j])  # a shift far from a small spectrum
+    def test_distance_to_spectrum_matches_dense_svd(self, seed, n, case, zeros, shifts):
+        t, a = hermitian_tridiagonal(seed, n, case, zeros)
+        lam = np.linalg.eigvalsh(a)
+        # shifts between and at the eigenvalues too, where the nearest one is on either side
+        for z in shifts + list(lam) + list((lam[1:] + 3 * lam[:-1]) / 4) + list((3 * lam[1:] + lam[:-1]) / 4):
+            s = np.linalg.svd(a - z * np.eye(n), compute_uv=False)
+            # the SVD's own error is a few eps ||T - z I||, which is about eps ||T|| for z near the spectrum
+            assert abs(t.distance_to_spectrum(complex(z)) - s[-1]) <= 4 * np.finfo(float).eps * s[0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**tridiagonals, offset=hst.sampled_from([-3.0, 0.0, 3.0]))
+    @example(seed=4, n=1, case="real", zeros=0, offset=-3.0)
+    @example(seed=5, n=30, case="complex", zeros=2, offset=-3.0)
+    def test_op_norm_matches_dense_norm(self, seed, n, case, zeros, offset):
+        # an offset makes the most negative or the most positive eigenvalue the largest in magnitude
+        a = hermitian_tridiagonal(seed, n, case, zeros)[1] + offset * np.eye(n)
+        sec = numerics.Section(a)
+        want = np.linalg.norm(a, 2)
+        got = numerics.op_norm(sec)
+        # the dense SVD's own error reaches about 7 ulps at n <= 80
+        assert abs(got - want) <= 16 * np.finfo(float).eps * want
+        if sec.tridiagonal is not None:
+            assert sec.tridiagonal._by_index.keys() <= {0, n - 1}
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=hst.integers(0, 2**32 - 1), n=hst.sampled_from([2, 50, 300]))
+    def test_concurrent_distances_give_the_serial_bits(self, seed, n):
+        rng = np.random.default_rng(seed)
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        shifts = rng.uniform(-3.0, 3.0, 96) + 1j * rng.uniform(-0.5, 0.5, 96)
+        serial = numerics.SymmetricTridiagonal(d, e)
+        want = [serial.distance_to_spectrum(z) for z in shifts]
+        shared = numerics.SymmetricTridiagonal(d, e)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with counting_dstebz() as lapack, ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(shared.distance_to_spectrum, z) for z in shifts]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        # the lock lets no index be bisected twice
+        assert len(lapack.ranges) == len(set(lapack.ranges)) == len(shared._by_index)
 
 
 def banded_diagonals(kind, n, half, rng):
@@ -593,8 +730,12 @@ class TestDirectLapack:
         want = scipy.linalg.eigvalsh_tridiagonal(t.d, t.e)
         assert np.array_equal(t.eigenvalues(), want)
         k = t.sturm_count(z.real)
-        pair = (max(k - 1, 0), min(k, n - 1))
-        lam = scipy.linalg.eigvalsh_tridiagonal(t.d, t.e, select="i", select_range=pair)
+        # one index per call, as the memo bisects: a call for several moves their last bits
+        tol = 2 * np.finfo(float).tiny
+        lam = np.concatenate([
+            scipy.linalg.eigvalsh_tridiagonal(t.d, t.e, select="i", select_range=(j, j), tol=tol)
+            for j in range(max(k - 1, 0), min(k, n - 1) + 1)
+        ])
         assert np.array_equal(t.distance_to_spectrum(z), float(np.min(np.abs(lam - z))))
         if n >= 2:
             sec = numerics.Section({0: d, 1: e, -1: e.conj()})
