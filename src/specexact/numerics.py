@@ -317,19 +317,29 @@ class Factorization:
     """One matrix made ready for optional-adjoint solves, in one of three storage kinds.
 
     LU in LAPACK band storage (``ab``), dense LU (``dense``), or an upper
-    triangular matrix in Fortran order (``triangular``) that ``trtrs`` solves
-    as it stands.  Raises ``LinAlgError`` when the factorization meets an
-    exact zero pivot; for a triangular matrix, an exact zero on its diagonal.
+    triangular matrix that ``trtrs`` solves as it stands (``triangular``).
+    A triangular factor is a matrix its section shares among all its shifts,
+    complex and in Fortran order, plus this shift's ``diagonal``: O(n) of
+    its own.  Each solve writes that diagonal into the shared matrix under
+    the section's ``lock`` and solves before releasing it.  The lock costs
+    threads no parallelism, as ``trtrs`` holds the interpreter lock anyway.
+    Raises ``LinAlgError`` when the factorization meets an exact zero pivot;
+    for a triangular matrix, an exact zero on its diagonal.
     """
 
-    def __init__(self, n: int, kl: int = 0, ku: int = 0, ab=None, dense=None, triangular=None):
+    def __init__(
+        self, n: int, kl: int = 0, ku: int = 0, ab=None, dense=None, triangular=None, diagonal=None, lock=None
+    ):
         self.n = n
         self.banded = ab is not None
         self._triangular = triangular
         if triangular is not None:
-            if not np.all(np.diagonal(triangular)):
+            if not np.all(diagonal):
                 raise np.linalg.LinAlgError("exact zero on the triangular diagonal")
-            # a C-ordered matrix would be copied by the wrapper on every solve
+            self._diagonal, self._lock = diagonal, lock
+            # a view, so writing it writes the shared matrix; a matrix not in Fortran order raises
+            # here, where the wrapper would copy it on every solve
+            self._slot = np.reshape(triangular, -1, order="F", copy=False)[:: n + 1]
             self._trtrs = _lapack("trtrs", triangular)
         elif self.banded:
             self.kl, self.ku = kl, ku
@@ -351,7 +361,9 @@ class Factorization:
     def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         trans = 2 if adjoint else 0
         if self._triangular is not None:
-            x, info = self._trtrs(self._triangular, b, trans=trans)
+            with self._lock:
+                self._slot[...] = self._diagonal
+                x, info = self._trtrs(self._triangular, b, trans=trans)
         elif self.banded:
             x, info = self._gbtrs(self._lu, self.kl, self.ku, b, self._ipiv, trans=trans)
         else:
@@ -407,10 +419,15 @@ class Section:
       Lanczos on (z I - A)^-H (z I - A)^-1 with the solves of :meth:`factor`;
     - ``dense``: everything else, by SVD of the dense A - z I.
 
-    ``data``, the band and triangular templates (-A, stored for those
-    routes), the Lanczos start vector, :attr:`norm` and :attr:`inf_norm` are
-    built on first use.  Instances are read-only apart from those and ``fallbacks`` (the
-    shifts whose Lanczos run fell back to dense SVD): threads may share one.
+    ``data``, the band template and the triangular matrix (-A, stored for
+    those routes and built from the diagonals), the Lanczos start vector,
+    :attr:`norm` and :attr:`inf_norm` are built on first use.  A triangular
+    section keeps one -A for all its shifts: each factor holds only its
+    diagonal z - a_ii and writes it in before each solve, under the
+    section's lock, which costs threads no parallelism, as ``trtrs`` holds
+    the interpreter lock anyway.  Instances are read-only apart from those,
+    that diagonal and ``fallbacks`` (the shifts whose Lanczos run fell back
+    to dense SVD): threads may share one.
     """
 
     def __init__(self, m):
@@ -434,6 +451,8 @@ class Section:
         self.banded = n >= 64 and (kl + ku + 1) <= max(4, n // 8)
         self.triangular = n >= 64 and kl == 0 and not self.banded
         self.fallbacks: list[complex] = []
+        #: held by a triangular factor while it writes its diagonal into the shared matrix and solves
+        self._triangular_lock = threading.Lock()
 
     @classmethod
     def of(cls, m) -> "Section":
@@ -546,9 +565,18 @@ class Section:
         return ab0
 
     @cached_property
-    def _triangular_template(self) -> np.ndarray:
-        """-A of the triangular route, complex and in Fortran order."""
-        return -np.asfortranarray(self.data, dtype=complex)
+    def _triangular_matrix(self) -> np.ndarray:
+        """-A of the triangular route, complex and in Fortran order: one matrix for every shift.
+
+        Placed from the diagonals (all of offset >= 0) and negated in place,
+        so no other n x n array is built.  Its diagonal holds the z - a_ii of
+        whichever factor solved last (see :class:`Factorization`); no other
+        entry is ever written.
+        """
+        t = np.zeros((self.n, self.n), dtype=complex, order="F")
+        for off, d in self.diagonals.items():
+            np.fill_diagonal(t[:, off:], d)
+        return np.negative(t, out=t)
 
     @cached_property
     def _lanczos_start(self) -> np.ndarray:
@@ -562,16 +590,31 @@ class Section:
         return v / np.linalg.norm(v)
 
     def factor(self, z: complex) -> Factorization:
-        """z I - A, factored: banded LU if stored banded, as it stands if triangular, else dense LU."""
+        """z I - A, factored: banded LU if stored banded, else dense LU; triangular, as it stands.
+
+        A triangular factor keeps only its diagonal z - a_ii and solves against
+        the section's one shared matrix (:class:`Factorization`), so a shift
+        costs O(n) storage, not an n x n copy.
+        """
         if self.banded:
             ab = self._band_template.copy()
             ab[self.kl + self.ku, :] += z
             return Factorization(self.n, self.kl, self.ku, ab=ab)
         if self.triangular:
-            t = self._triangular_template.copy(order="F")
-            t[np.diag_indices(self.n)] += z
-            return Factorization(self.n, triangular=t)
-        return Factorization(self.n, dense=z * np.eye(self.n) - self.data)
+            return Factorization(
+                self.n, triangular=self._triangular_matrix, diagonal=z - self.diagonals[0], lock=self._triangular_lock
+            )
+        return Factorization(self.n, dense=self._shifted_dense(z))
+
+    def _shifted_dense(self, z: complex) -> np.ndarray:
+        """z I - A as a new dense array: one copy of ``data``, negated, with its diagonal shifted.
+
+        Its singular values are those of A - z I, which the SVD fallback of
+        :meth:`sigma_min` takes.
+        """
+        a = np.negative(self.data, dtype=np.result_type(self.data, z))
+        np.fill_diagonal(a, z - self.data.diagonal())
+        return a
 
     def sigma_min_route(self, z: complex) -> str:
         """The route :meth:`sigma_min` takes at z, one of the four in the class docstring."""
@@ -604,7 +647,7 @@ class Section:
                 return float(1.0 / np.sqrt(theta))
             self.fallbacks.append(z)
         shift = z.real if self.real and z.imag == 0.0 else z
-        return float(np.linalg.svd(self.data - shift * np.eye(self.n), compute_uv=False)[-1])
+        return float(np.linalg.svd(self._shifted_dense(shift), compute_uv=False)[-1])
 
     def _largest_inverse_eigenvalue(self, fact: Factorization) -> float | None:
         """theta_max = 1 / sigma_min^2 of (z I - A)^-H (z I - A)^-1 by Lanczos.

@@ -296,14 +296,14 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
     else:
         for iy in range(ny):
             fill_row(iy)
-    routes = Counter(section.sigma_min_route(complex(re, im)) for im in ims for re in res)
     return PseudoGrid(
         rect=(re0, re1, im0, im1),
         nx=nx,
         ny=ny,
         size=section.n,
         values=values,
-        routes=dict(sorted(routes.items())),
+        # the route reads the section's structure alone, so every point takes this one
+        routes={section.sigma_min_route(complex(re0, im0)): nx * ny},
         dense_fallbacks=len(section.fallbacks) - earlier_fallbacks,
     )
 

@@ -2,6 +2,8 @@
 
 import contextlib
 import sys
+import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -672,6 +674,112 @@ class TestFactorization:
         a[k, k] = z
         with pytest.raises(np.linalg.LinAlgError):
             factor(a)
+
+
+def fresh_triangular_solve(a, z, b, adjoint):
+    """ztrtrs on z I - A built afresh for this one shift, from the dense A."""
+    t = -np.asfortranarray(a, dtype=complex)
+    t[np.diag_indices(a.shape[0])] += z
+    x, info = numerics._flapack.ztrtrs(t, b, trans=2 if adjoint else 0)
+    assert info == 0
+    return x
+
+
+def declared_upper_triangular(rng, n, complex_a):
+    """An upper triangular A with its diagonal in the unit annulus, and the Section its diagonals declare."""
+    a = np.triu(rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_a else 0.0), 1)
+    a = a / np.sqrt(n) + np.diag(rng.uniform(0.5, 1.0, n) * (np.exp(2j * np.pi * rng.random(n)) if complex_a else 1.0))
+    return a, numerics.Section({k: a.diagonal(k) for k in range(n)})
+
+
+class TestSharedTriangularMatrix:
+    """Every shift of a triangular section solves against one shared -A with its own diagonal written in."""
+
+    SHIFTS = (2.5, -2.0 + 0.5j, 0.3 + 2.1j, -1.2 - 1.9j, 1.7 - 0.2j)
+
+    @staticmethod
+    def solves(rng, n, shifts):
+        """(shift index, adjoint, b) for every shift, adjoint or not, 1-d and 2-d b, in a shuffled order."""
+        cases = [
+            (k, adjoint, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for k in range(len(shifts))
+            for adjoint in (False, True)
+            for shape in ((n,), (n, 3))
+        ]
+        return [cases[i] for i in rng.permutation(len(cases))]
+
+    @pytest.mark.parametrize("n", [80, 400])
+    @pytest.mark.parametrize("complex_a", [False, True])
+    def test_interleaved_solves_equal_a_fresh_matrix(self, n, complex_a):
+        rng = np.random.default_rng(n + complex_a)
+        a, sec = declared_upper_triangular(rng, n, complex_a)
+        assert sec.triangular
+        facts = [sec.factor(z) for z in self.SHIFTS]
+        for k, adjoint, b in self.solves(rng, n, self.SHIFTS) * 2:
+            got = facts[k].solve(b, adjoint=adjoint)
+            assert np.array_equal(got, fresh_triangular_solve(a, self.SHIFTS[k], b, adjoint))
+        # the shared matrix is placed from the diagonals: the dense A is never built
+        assert "data" not in vars(sec)
+
+    def test_two_threads_equal_a_fresh_matrix(self):
+        rng = np.random.default_rng(5)
+        n = 80
+        a, sec = declared_upper_triangular(rng, n, complex_a=True)
+        facts = [sec.factor(z) for z in self.SHIFTS]
+        work = self.solves(rng, n, self.SHIFTS) * 10
+        want = [fresh_triangular_solve(a, self.SHIFTS[k], b, adjoint) for k, adjoint, b in work]
+
+        class Yielding:
+            """b, whose conversion inside the ``trtrs`` wrapper, after the diagonal is written and
+            before LAPACK reads it, hands the interpreter to the other thread"""
+
+            def __init__(self, b):
+                self.b = b
+
+            def __array__(self, dtype=None, copy=None):
+                time.sleep(0)
+                # a copy: the wrapper takes a converted b as its own and solves in place
+                return self.b.copy()
+
+        def run(half):
+            return [facts[k].solve(Yielding(b), adjoint=adjoint) for k, adjoint, b in work[half::2]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                futures = [pool.submit(run, half) for half in (0, 1)]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(x, y) for x, y in zip(got[0], want[0::2]))
+        assert all(np.array_equal(x, y) for x, y in zip(got[1], want[1::2]))
+
+    def test_held_factors_cost_no_matrix_each(self):
+        n = 400
+        _, sec = declared_upper_triangular(np.random.default_rng(6), n, complex_a=True)
+        sec.factor(3.0).solve(np.ones(n))  # builds the shared matrix
+        shifts = 3.0 * np.exp(2j * np.pi * np.arange(64) / 64)
+        tracemalloc.start()
+        try:
+            held = [sec.factor(z) for z in shifts]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 64 and peak < n * n * np.dtype(complex).itemsize
+
+    def test_exact_zero_on_the_shifted_diagonal(self):
+        rng = np.random.default_rng(7)
+        n = 80
+        a, _ = declared_upper_triangular(rng, n, complex_a=True)
+        z = complex(a[40, 40])
+        sec = numerics.Section(a)
+        with pytest.raises(np.linalg.LinAlgError):
+            sec.factor(z)
+        assert sec.sigma_min(z) == 0.0 and sec.fallbacks == []
+        # the refused shift left the shared matrix fit for the next one
+        b = rng.standard_normal(n) + 0j
+        assert np.array_equal(sec.factor(z + 0.5).solve(b), fresh_triangular_solve(a, z + 0.5, b, False))
 
 
 def reference_inverse_iteration_residual(sec, lam):
