@@ -20,7 +20,9 @@ hypothesis.json {problem, reports: [{theorem, lambda, constants, per_size,
                verdict, notes}]} with the constants named per theorem tag.
 report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                status, outputs, error, seconds, spectrum_cache}]}; the only
-               file with timing.  ``spectrum_cache`` is {hits, misses}: the
+               file with timing.  Every count below comes from the stage's
+               :class:`numerics.Ledger`, opened fresh around each stage.
+               ``spectrum_cache`` is {hits, misses}: the
                stage's spectrum requests answered from the problem's cache
                and by an eigensolve.  Spectra and classify stages also
                record ``eig_routes`` (the stage's eigensolves per route:
@@ -36,7 +38,8 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                so it is banded.
                A finished classify stage records ``probe_ratios``, one entry
                per candidate: its lambda and verdict, the four ratios its
-               region probe was judged by (``RegionProbe.ratios``) and
+               region probe was judged by (``RegionProbe.ratios``; null
+               where a denominator is zero or the quotient overflows) and
                ``contours``, one entry per contour rank size: size, route
                (closed_form, sketched or dense), gap (the kept/dropped
                singular-value ratio, judged against 10; null when infinite)
@@ -62,7 +65,6 @@ import math
 import os
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -244,8 +246,8 @@ class Problem:
 
     Every ladder of one problem shares ``cache``, the problem's single store
     of sections and spectra keyed by size, so later stages reuse what
-    earlier ones computed.  :func:`run_problem` clears it once no remaining
-    stage reads a ladder.
+    earlier ones computed.  :func:`run_problem` drops it for an empty one
+    once no remaining stage reads a ladder.
     """
 
     kind: str
@@ -482,7 +484,7 @@ def _unique_name(name: str, used: set) -> str:
     return name
 
 
-def _run_spectra(prob: Problem, stage: dict, path: Path, threads: int) -> dict:
+def _run_spectra(prob: Problem, stage: dict, path: Path, threads: int, ledger: numerics.Ledger) -> dict:
     ladder, window = prob.ladder(stage["sizes"]), stage["window"]
     lines = ["n,re,im,residual"]
     for size in ladder.sizes:
@@ -493,17 +495,18 @@ def _run_spectra(prob: Problem, stage: dict, path: Path, threads: int) -> dict:
     return {}
 
 
-def _run_pseudo(prob: Problem, stage: dict, path: Path, threads: int) -> dict:
+def _run_pseudo(prob: Problem, stage: dict, path: Path, threads: int, ledger: numerics.Ledger) -> dict:
     size = stage["size"]
     matrix = prob.ladder([size]).matrix(size)
     grid = ra.pseudospectrum_grid(matrix, stage["rect"], stage["nx"], stage["ny"], threads=threads)
     buf = io.StringIO()
     grid.write_csv(buf)
     _atomic_write(path, buf.getvalue())
-    return {"sigma_min_routes": grid.routes, "dense_fallbacks": grid.dense_fallbacks}
+    counts = ledger.counts
+    return {"sigma_min_routes": dict(counts["sigma_min_routes"]), "dense_fallbacks": counts["dense_fallbacks"].total()}
 
 
-def _run_classify(prob: Problem, stage: dict, path: Path, threads: int) -> dict:
+def _run_classify(prob: Problem, stage: dict, path: Path, threads: int, ledger: numerics.Ledger) -> dict:
     certified = prob.ladder(stage["certified_sizes"], label=stage["certified_label"])
     uncertified = None
     if stage["uncertified_sizes"]:
@@ -532,7 +535,7 @@ def _run_classify(prob: Problem, stage: dict, path: Path, threads: int) -> dict:
         }
         for p in points
     ]
-    routes = Counter(c["route"] for p in points for c in p.contours if c["route"] is not None)
+    routes = ledger.counts["contour_routes"]
     return {"probe_ratios": ratios, "contour_routes": {route: routes[route] for route in ra.CONTOUR_ROUTES}}
 
 
@@ -584,7 +587,7 @@ def _verify_checks(prob: Problem, stage: dict) -> list[hc.HypothesisReport]:
     return reports
 
 
-def _run_verify(prob: Problem, stage: dict, path: Path, threads: int) -> dict:
+def _run_verify(prob: Problem, stage: dict, path: Path, threads: int, ledger: numerics.Ledger) -> dict:
     reports = _verify_checks(prob, stage)
     _atomic_write(path, _dump_json({"problem": prob.name, "reports": [r.to_dict() for r in reports]}))
     return {}
@@ -594,38 +597,33 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int =
     """Execute the analysis block in declaration order; failures don't stop later stages.
 
     Each op's runner is ``_run_<op>``, looked up when its stage runs.  The
-    stages share ``prob.cache``.  It is cleared as soon as no remaining stage
-    reads a ladder (see ``STAGES``), so a verify stage does not keep the
-    sections alive.
+    stages share ``prob.cache``.  It is replaced by an empty one as soon as
+    no remaining stage reads a ladder (see ``STAGES``), so a verify stage
+    does not keep the sections alive.  Each stage runs in a fresh
+    :class:`numerics.Ledger`, which its runner also gets: the one source of
+    its entry's counts.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     used: set = set()
     entries: list[dict] = []
-    cache = prob.cache
     for i, stage in enumerate(prob.analysis):
         op = stage["op"]
         entry = {"op": op, "status": "ok", "outputs": [], "error": ""}
-        hits, misses = cache.spectrum_hits, cache.spectrum_misses
-        routes, residuals = cache.eig_routes.copy(), cache.residuals_computed
-        checks = len(cache.windowed_checks)
         start = time.perf_counter()
         name = _unique_name(STAGES[op][0], used)
-        try:
-            entry.update(globals()[f"_run_{op}"](prob, stage, out_dir / name, threads), outputs=[name])
-        except Exception as exc:  # recorded per stage, run continues
-            entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
-        entry["spectrum_cache"] = {
-            "hits": cache.spectrum_hits - hits,
-            "misses": cache.spectrum_misses - misses,
-        }
+        with numerics.Ledger() as ledger:
+            try:
+                entry.update(globals()[f"_run_{op}"](prob, stage, out_dir / name, threads, ledger), outputs=[name])
+            except Exception as exc:  # recorded per stage, run continues
+                entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
+        counts = ledger.counts
+        entry["spectrum_cache"] = {key: counts["spectrum_cache"][key] for key in ("hits", "misses")}
         if STAGES[op][1] == "spectra":
-            entry["eig_routes"] = {
-                route: cache.eig_routes[route] - routes[route] for route in numerics.EIG_ROUTES
-            }
-            entry["residuals_computed"] = cache.residuals_computed - residuals
-            entry["windowed_checks"] = cache.windowed_checks[checks:]
+            entry["eig_routes"] = {route: counts["eig_routes"][route] for route in numerics.EIG_ROUTES}
+            entry["residuals_computed"] = counts["residuals_computed"].total()
+            entry["windowed_checks"] = ledger.records["windowed_checks"]
         if not any(STAGES[later["op"]][1] for later in prob.analysis[i + 1 :]):
-            cache.clear()
+            prob.cache = ra.SectionCache()
         entry["seconds"] = time.perf_counter() - start
         entries.append(entry)
     report = {

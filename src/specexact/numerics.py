@@ -17,7 +17,9 @@ Everything here is deterministic for a fixed input, and threads may share a
 Section.  Backed by LAPACK (balancing + Hessenberg + implicitly shifted QR
 for general eigenproblems, band reduction for Hermitian banded ones,
 bisection and inverse iteration for tridiagonal ones, LU and triangular
-solves for shifts, bidiagonalization for singular values).
+solves for shifts, bidiagonalization for singular values).  What a stage's
+kernels did (routes, cache hits, residuals, fallbacks) is counted in its
+:class:`Ledger`.
 
 LAPACK and BLAS are reached through SciPy's two compiled extension modules,
 ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, loaded on their own
@@ -31,6 +33,8 @@ those functions made on ``info`` are made here (:func:`_check_info`).
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import importlib.machinery
 import importlib.util
 import os
@@ -98,6 +102,48 @@ def _check_info(info: int, routine: str) -> None:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
     if info > 0:
         raise np.linalg.LinAlgError(f"{routine} failed (LAPACK info={info})")
+
+
+class Ledger:
+    """What the kernels of one stage did: ``counts[kind][key]``, plus ``records[kind]``, a list.
+
+    ``with Ledger() as ledger`` opens ``ledger`` in the running context for the
+    block.  :meth:`count` and :meth:`record` add to the open ledger and do
+    nothing when none is open.  A thread reaches it only by running in a copy
+    of the opening context (``contextvars.copy_context``, one per task); a
+    lock serializes the additions.  Each kind is named after the
+    ``report.json`` key it feeds; the kernels that add to it say so.
+    """
+
+    _open = contextvars.ContextVar("specexact_ledger", default=None)
+
+    def __init__(self):
+        self.counts = collections.defaultdict(collections.Counter)
+        self.records = collections.defaultdict(list)
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "Ledger":
+        self._token = Ledger._open.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        Ledger._open.reset(self._token)
+
+    @classmethod
+    def count(cls, kind: str, key: str, n: int = 1) -> None:
+        """Add ``n`` to ``counts[kind][key]`` of the open ledger, if one is open."""
+        ledger = cls._open.get()
+        if ledger is not None:
+            with ledger._lock:
+                ledger.counts[kind][key] += n
+
+    @classmethod
+    def record(cls, kind: str, entry) -> None:
+        """Append ``entry`` to ``records[kind]`` of the open ledger, if one is open."""
+        ledger = cls._open.get()
+        if ledger is not None:
+            with ledger._lock:
+                ledger.records[kind].append(entry)
 
 
 def _stevd(d: np.ndarray, e: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -425,9 +471,8 @@ class Section:
     section keeps one -A for all its shifts: each factor holds only its
     diagonal z - a_ii and writes it in before each solve, under the
     section's lock, which costs threads no parallelism, as ``trtrs`` holds
-    the interpreter lock anyway.  Instances are read-only apart from those,
-    that diagonal and ``fallbacks`` (the shifts whose Lanczos run fell back
-    to dense SVD): threads may share one.
+    the interpreter lock anyway.  Instances are read-only apart from those
+    and that diagonal: threads may share one.
     """
 
     def __init__(self, m):
@@ -450,7 +495,6 @@ class Section:
         # banded storage only pays off when the band is genuinely narrow
         self.banded = n >= 64 and (kl + ku + 1) <= max(4, n // 8)
         self.triangular = n >= 64 and kl == 0 and not self.banded
-        self.fallbacks: list[complex] = []
         #: held by a triangular factor while it writes its diagonal into the shared matrix and solves
         self._triangular_lock = threading.Lock()
 
@@ -630,8 +674,9 @@ class Section:
         On the banded and triangular routes an exact zero pivot of the LU, or
         an exact zero on the diagonal of z I - A, gives 0.0, and a Lanczos run
         that hits its step cap or a non-finite value is redone by dense SVD
-        (and recorded in ``fallbacks``).  Their relative accuracy is the
-        stopping tolerance 1e-10 on top of the conditioning of the solves.
+        (and counted in the open :class:`Ledger`'s ``dense_fallbacks``).
+        Their relative accuracy is the stopping tolerance 1e-10 on top of the
+        conditioning of the solves.
         """
         z = complex(z)
         route = self.sigma_min_route(z)
@@ -645,7 +690,7 @@ class Section:
             theta = self._largest_inverse_eigenvalue(fact)
             if theta is not None:
                 return float(1.0 / np.sqrt(theta))
-            self.fallbacks.append(z)
+            Ledger.count("dense_fallbacks", route)
         shift = z.real if self.real and z.imag == 0.0 else z
         return float(np.linalg.svd(self._shifted_dense(shift), compute_uv=False)[-1])
 
@@ -709,15 +754,15 @@ class EigenDecomposition:
     eigenvector is computed, and :meth:`residuals_at` computes the residuals
     of the requested eigenvalues only, each time it is asked: v comes from
     ``dstein`` (:meth:`SymmetricTridiagonal.residuals`) or from two steps of
-    inverse iteration (:meth:`Section.inverse_iteration_residual`).
-    ``residuals_computed`` counts the residuals computed so far.
+    inverse iteration (:meth:`Section.inverse_iteration_residual`).  Each
+    residual computed, here or by :func:`eig_dense`, is counted by route in
+    the open :class:`Ledger`'s ``residuals_computed``.
     """
 
     eigenvalues: np.ndarray
     route: str
     section: Section = field(repr=False)
     all_residuals: np.ndarray | None = field(default=None, repr=False)
-    residuals_computed: int = 0
     window: tuple | None = None
 
     @property
@@ -729,7 +774,7 @@ class EigenDecomposition:
         rows = np.asarray(rows, dtype=np.intp)
         if self.all_residuals is not None:
             return self.all_residuals[rows]
-        self.residuals_computed += rows.size
+        Ledger.count("residuals_computed", self.route, rows.size)
         if self.section.tridiagonal is not None:
             return self.section.tridiagonal.residuals(self.eigenvalues.real[rows])
         return np.array([self.section.inverse_iteration_residual(lam) for lam in self.eigenvalues[rows]])
@@ -817,9 +862,8 @@ def eig_dense(m, window=None) -> EigenDecomposition:
     w = w[order]
     v = v[:, order]
     resid = np.linalg.norm(a @ v - v * w[np.newaxis, :], axis=0) / np.linalg.norm(v, axis=0)
-    return EigenDecomposition(
-        eigenvalues=w, route=route, section=sec, all_residuals=resid, residuals_computed=w.size
-    )
+    Ledger.count("residuals_computed", route, w.size)
+    return EigenDecomposition(eigenvalues=w, route=route, section=sec, all_residuals=resid)
 
 
 def sigma_min(m) -> float:

@@ -18,8 +18,8 @@ and the fallback recorded.  Every other request gets the whole spectrum.
 
 from __future__ import annotations
 
+import contextvars
 import enum
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -73,38 +73,13 @@ class SectionCache:
     (bisection or contour extraction) it serves only requests without a
     window, because a windowed solve gives other bits in the last digits.
     So the bytes a windowed request yields do not depend on which requests
-    came before it.  ``spectrum_hits`` and ``spectrum_misses``
-    count the :meth:`SectionLadder.spectrum` calls it answered from memory
-    and by an eigensolve, ``eig_routes`` counts those eigensolves per route
-    (``numerics.EIG_ROUTES``), and ``windowed_checks`` holds the count check
-    of each windowed solve, its ladder size included (see
-    :class:`WindowedCheck`).  :meth:`clear` drops the stored data and keeps
-    these counts.
+    came before it.  The cache keeps no counts: each
+    :meth:`SectionLadder.spectrum` request is counted in the open
+    :class:`numerics.Ledger`.
     """
 
     sections: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict)
-    spectrum_hits: int = 0
-    spectrum_misses: int = 0
-    eig_routes: Counter = field(default_factory=Counter)
-    windowed_checks: list = field(default_factory=list)
-    _dropped_residuals: int = field(default=0, repr=False)
-
-    @property
-    def residuals_computed(self) -> int:
-        """Residuals computed so far by the spectra the cache holds or has dropped."""
-        return self._dropped_residuals + sum(dec.residuals_computed for dec in self.spectra.values())
-
-    def store(self, size, decomposition: numerics.EigenDecomposition) -> None:
-        """Hold ``decomposition`` as the spectrum at ``size``, replacing the one held."""
-        if size in self.spectra:
-            self._dropped_residuals += self.spectra[size].residuals_computed
-        self.spectra[size] = decomposition
-
-    def clear(self) -> None:
-        self._dropped_residuals = self.residuals_computed
-        self.sections.clear()
-        self.spectra.clear()
 
 
 def _bounds(window) -> tuple:
@@ -178,22 +153,24 @@ class SectionLadder:
         :func:`windowed_spectrum`; every other request to
         :func:`numerics.eig_dense`, with its window, which a Hermitian
         tridiagonal section answers by bisection and any other by its whole
-        spectrum.
+        spectrum.  The open :class:`numerics.Ledger` counts the request as a
+        ``spectrum_cache`` hit or miss, and a miss's eigensolve in
+        ``eig_routes`` by the route of the spectrum it returns, with the count
+        check of a windowed solve in ``windowed_checks``.
         """
-        cache = self.cache
-        held = cache.spectra.get(size)
+        held = self.cache.spectra.get(size)
         if held is not None and _serves(held, window):
-            cache.spectrum_hits += 1
+            numerics.Ledger.count("spectrum_cache", "hits")
             return held
-        cache.spectrum_misses += 1
+        numerics.Ledger.count("spectrum_cache", "misses")
         section = self.matrix(size)
         if window is not None and _window_route(section) == "windowed":
             dec, check = windowed_spectrum(section, window)
-            cache.windowed_checks.append({"size": size, **asdict(check)})
+            numerics.Ledger.record("windowed_checks", {"size": size, **asdict(check)})
         else:
             dec = numerics.eig_dense(section, window)
-        cache.store(size, dec)
-        cache.eig_routes[dec.route] += 1
+        self.cache.spectra[size] = dec
+        numerics.Ledger.count("eig_routes", dec.route)
         return dec
 
     def norm(self, size) -> float:
@@ -228,10 +205,9 @@ class PseudoGrid:
 
     ``values[iy, ix]`` is 1/sigma_min(M - z) at z = re_points[ix] + 1j * im_points[iy];
     infinite values mark exactly singular shifts.  CSV layout is row-major over
-    the lattice: iy outer, ix inner.  ``routes`` counts the lattice points per
-    sigma_min route (``dense``, ``tridiagonal``, ``banded``, ``triangular``);
-    ``dense_fallbacks`` counts the banded and triangular points redone by
-    dense SVD.
+    the lattice: iy outer, ix inner.  The lattice's sigma_min route and dense
+    fallbacks are counted in the open :class:`numerics.Ledger`, not here
+    (see :func:`pseudospectrum_grid`).
     """
 
     rect: tuple[float, float, float, float]
@@ -239,8 +215,6 @@ class PseudoGrid:
     ny: int
     size: int
     values: np.ndarray
-    routes: dict = field(default_factory=dict)
-    dense_fallbacks: int = 0
 
     @property
     def re_points(self) -> np.ndarray:
@@ -271,8 +245,10 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
     the :meth:`numerics.Section.sigma_min` route its structure picks.  ``m``
     is a Section, or an array read as one.  ``threads`` only parallelizes
     independent lattice rows, on at most one thread per row; values are
-    bitwise independent of the schedule.  ``dense_fallbacks`` counts this
-    lattice's fallbacks only, not those the Section recorded before.
+    bitwise independent of the schedule.  Each row thread runs in its own
+    copy of the caller's context, so the open :class:`numerics.Ledger`
+    counts every dense fallback; its ``sigma_min_routes`` counts the
+    lattice's one route nx * ny times.
     """
     re0, re1, im0, im1 = (float(v) for v in rect)
     if not (re1 > re0 and im1 > im0):
@@ -283,7 +259,6 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
     ims = np.linspace(im0, im1, ny)
     values = np.empty((ny, nx), dtype=float)
     section = numerics.Section.of(m)
-    earlier_fallbacks = len(section.fallbacks)
 
     def fill_row(iy: int) -> None:
         for ix in range(nx):
@@ -291,20 +266,21 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
             values[iy, ix] = np.inf if s == 0.0 else 1.0 / s
 
     if threads and threads > 1:
+        # a context is entered by one thread at a time: a copy per row, taken in this thread
+        contexts = [contextvars.copy_context() for _ in range(ny)]
         with ThreadPoolExecutor(max_workers=min(int(threads), ny)) as pool:
-            list(pool.map(fill_row, range(ny)))
+            list(pool.map(lambda iy: contexts[iy].run(fill_row, iy), range(ny)))
     else:
         for iy in range(ny):
             fill_row(iy)
+    # the route reads the section's structure alone, so every point takes this one
+    numerics.Ledger.count("sigma_min_routes", section.sigma_min_route(complex(re0, im0)), nx * ny)
     return PseudoGrid(
         rect=(re0, re1, im0, im1),
         nx=nx,
         ny=ny,
         size=section.n,
         values=values,
-        # the route reads the section's structure alone, so every point takes this one
-        routes={section.sigma_min_route(complex(re0, im0)): nx * ny},
-        dense_fallbacks=len(section.fallbacks) - earlier_fallbacks,
     )
 
 
@@ -349,8 +325,12 @@ def _geomean(values: np.ndarray) -> float:
 
 
 def _ratio(num: float, den: float) -> float | None:
-    """num / den, or None where the denominator is zero."""
-    return float(num / den) if den != 0.0 else None
+    """num / den, or None where the denominator is zero or the quotient overflows.
+
+    The division is Python's, which overflows to inf without numpy's warning.
+    """
+    ratio = float(num) / float(den) if den != 0.0 else np.inf
+    return ratio if np.isfinite(ratio) else None
 
 
 def region_probe(
@@ -372,8 +352,8 @@ def region_probe(
     Inconclusive.  ``scale`` is the spectral norm of the largest section.
     The probe's ``ratios`` record final / (``zero_floor`` * scale), tail /
     head, min / (``bounded_floor`` * scale) and final / first, None where a
-    denominator is zero, so a report can show how near each threshold the
-    verdict was.
+    denominator is zero or the quotient overflows, so a report can show how
+    near each threshold the verdict was.
     """
     if len(ladder.sizes) < 6:
         raise ValueError("region probe needs a ladder of at least 6 sizes")
@@ -592,7 +572,9 @@ def contour_rank(
       the n-column projection is formed.
 
     ``m`` is a :class:`numerics.Section`, or an array read as one; a
-    ladder's own Section reuses its band template across calls.
+    ladder's own Section reuses its band template across calls.  The open
+    :class:`numerics.Ledger`'s ``contour_routes`` counts each rank returned
+    by its route; a contour that raises is not counted.
     """
     q = int(quadrature_points)
     if q < 16:
@@ -604,8 +586,11 @@ def contour_rank(
         raise ValueError("radius must be positive")
     section = numerics.Section.of(m)
     if section.tridiagonal is not None:
-        return _closed_form_contour_rank(section.tridiagonal, center, radius, q)
-    return _contour_rank(section, center, radius, q, section.n if section.banded else 0)
+        contour = _closed_form_contour_rank(section.tridiagonal, center, radius, q)
+    else:
+        contour = _contour_rank(section, center, radius, q, section.n if section.banded else 0)
+    numerics.Ledger.count("contour_routes", contour.route)
+    return contour
 
 
 def _rank_and_gap(svals: np.ndarray, q: int) -> tuple[int, float]:

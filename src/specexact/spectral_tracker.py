@@ -53,13 +53,14 @@ class SpectrumResult:
     ) -> "SpectrumResult":
         """The eigenvalues in the closed rectangle ``window`` (re0, re1, im0, im1), or all.
 
-        Residuals are asked of the decomposition only with ``residuals``, and
-        only for the eigenvalues kept.
+        The window's corners may come in any order.  Residuals are asked of
+        the decomposition only with ``residuals``, and only for the
+        eigenvalues kept.
         """
         w = decomposition.eigenvalues
         rows = np.arange(w.size)
         if window is not None:
-            re0, re1, im0, im1 = window
+            re0, re1, im0, im1 = ra._bounds(window)
             rows = rows[(w.real >= re0) & (w.real <= re1) & (w.imag >= im0) & (w.imag <= im1)]
         return cls(
             size=size,

@@ -1,5 +1,6 @@
 """CLI surface: problem files, stage outputs, demos, determinism, error paths."""
 
+import gc
 import json
 import math
 import os
@@ -7,6 +8,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +231,42 @@ class TestPseudo:
                 v = float(tok)
                 assert f"{v:.17g}" == tok
 
+    def test_reversed_window_corners_write_the_same_bytes(self, tmp_path):
+        # a window reaches every filter with its corners in either order: the
+        # jacobi spectra rows at sizes 2-11, and the oscillator's 4 TrueEigenvalue verdicts
+        oscillator = cli.demo_problem("oscillator")
+        cases = (
+            (jacobi_stage(op="spectra", sizes=list(range(2, 12))), "spectra.csv", [-3, 3, -1, 1], [3, -3, -1, 1]),
+            (dict(oscillator, analysis=oscillator["analysis"][1:2]), "classify.json", [0, 8, -1, 1], [8, 0, 1, -1]),
+        )
+        for doc, name, ordered, reversed_corners in cases:
+            written = []
+            for label, window in (("ordered", ordered), ("reversed", reversed_corners)):
+                doc["analysis"][0]["window"] = window
+                out = tmp_path / f"{name}-{label}"
+                assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
+                written.append((out / name).read_bytes())
+            assert written[0] == written[1]
+        assert len(json.loads(written[0])["candidates"]) == 4
+        assert (tmp_path / "spectra.csv-ordered" / "spectra.csv").read_text().count("\n") > 1
+
+    def test_report_is_strict_json_at_an_extreme_shift(self, tmp_path):
+        # the probe ratios over the floors overflow at |lambda| = 1e308: null in
+        # report.json, not Infinity, and computed without a numpy warning
+        doc = jacobi_stage(op="classify", certified_sizes=list(range(2, 14, 2)), **{"lambda": [1e308, 0.0]})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"report.json holds {constant}")
+
+        (classify,) = json.loads((out / "report.json").read_text(), parse_constant=refuse)["stages"]
+        assert classify["status"] == "ok"
+        (ratios,) = classify["probe_ratios"]
+        assert ratios["final_over_zero_floor"] is None and ratios["min_over_bounded_floor"] is None
+
 
 class TestSharedCache:
     @pytest.mark.parametrize("demo", cli.DEMO_NAMES)
@@ -267,22 +306,28 @@ class TestSharedCache:
 
     def test_cache_released_before_verify(self, tmp_path, monkeypatch):
         prob = cli.parse_problem(cli.demo_problem("sl_matrix"))
-        cache = prob.cache
-        stores = lambda: (cache.sections, cache.spectra)
-        seen = []
-        run_verify = cli._run_verify
+        sections, seen = [], []
+        init, run_verify = numerics.Section.__init__, cli._run_verify
+
+        def tracking_init(self, m):
+            sections.append(weakref.ref(self))
+            init(self, m)
 
         def spy(*args):
-            seen.append([len(store) for store in stores()])
+            gc.collect()
+            alive = sum(ref() is not None for ref in sections)
+            seen.append([len(prob.cache.sections), len(prob.cache.spectra), alive])
             return run_verify(*args)
 
+        monkeypatch.setattr(numerics.Section, "__init__", tracking_init)
         monkeypatch.setattr(cli, "_run_verify", spy)
         report = cli.run_problem(prob, tmp_path / "out", b"")
         assert [s["status"] for s in report["stages"]] == ["ok", "ok"]
-        assert cache.spectrum_misses == 10
-        # no stage after spectra reads a ladder, so verify runs on an empty cache
-        assert seen == [[0, 0]]
-        assert all(len(store) == 0 for store in stores())
+        assert report["stages"][0]["spectrum_cache"] == {"hits": 0, "misses": 10}
+        # no stage after spectra reads a ladder, so verify runs on an empty
+        # cache, and the 10 spectra sections are already released
+        assert len(sections) >= 10 and seen == [[0, 0, 0]]
+        assert len(prob.cache.sections) == len(prob.cache.spectra) == 0
 
     def test_oscillator_demo_sections_stay_declared(self, tmp_path, monkeypatch):
         # spectra, shifted solves, norms and contour ranks all read one

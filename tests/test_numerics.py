@@ -16,6 +16,11 @@ from specexact import numerics, resolvent_analysis as ra
 from specexact.errors import DataError, DimensionError
 
 
+def residuals_counted(ledger):
+    """The residuals ``ledger`` counted, over every route."""
+    return ledger.counts["residuals_computed"].total()
+
+
 def random_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return a + a.conj().T
@@ -86,25 +91,28 @@ class TestTridiagonalEig:
             h = n // 2
             main[h : 2 * h], off[h : 2 * h - 1], off[h - 1] = main[:h], off[: h - 1], 0.0
         m = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-        d = numerics.eig_dense(m)
+        with numerics.Ledger() as ledger:
+            d = numerics.eig_dense(m)
         norm = np.linalg.norm(m, 2)
-        assert d.route == "tridiagonal" and d.residuals_computed == 0
+        assert d.route == "tridiagonal" and residuals_counted(ledger) == 0
         np.testing.assert_array_equal(d.eigenvalues.imag, 0.0)
         assert np.max(np.abs(d.eigenvalues.real - np.linalg.eigvalsh(m))) <= 1e-10 * norm
         rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-        res = d.residuals_at(rows)
-        assert res.shape == rows.shape and d.residuals_computed == rows.size
+        with numerics.Ledger() as ledger:
+            res = d.residuals_at(rows)
+        assert res.shape == rows.shape and dict(ledger.counts["residuals_computed"]) == {"tridiagonal": rows.size}
         assert np.all(res <= 100 * np.finfo(float).eps * norm)
 
     def test_general_route_computes_every_residual_eagerly(self):
         m = np.array([[1.0, 2.0], [0.0, 3.0]])
-        d = numerics.eig_dense(m)
-        assert d.route == "general" and d.residuals_computed == 2
-        np.testing.assert_array_equal(d.residuals_at([1]), d.residuals[[1]])
-        assert d.residuals_computed == 2
-        # a dense Hermitian input: a Hermitian tridiagonal one takes the tridiagonal route
-        h = numerics.eig_dense(np.array([[2.0, 1j, 1.0], [-1j, 2.0, 1j], [1.0, -1j, 2.0]]))
-        assert h.route == "hermitian" and h.residuals_computed == 3
+        with numerics.Ledger() as ledger:
+            d = numerics.eig_dense(m)
+            assert d.route == "general" and dict(ledger.counts["residuals_computed"]) == {"general": 2}
+            np.testing.assert_array_equal(d.residuals_at([1]), d.residuals[[1]])
+            assert residuals_counted(ledger) == 2
+            # a dense Hermitian input: a Hermitian tridiagonal one takes the tridiagonal route
+            h = numerics.eig_dense(np.array([[2.0, 1j, 1.0], [-1j, 2.0, 1j], [1.0, -1j, 2.0]]))
+        assert h.route == "hermitian" and dict(ledger.counts["residuals_computed"]) == {"general": 2, "hermitian": 3}
 
 
 def bisection_case(rng, n, case):
@@ -168,9 +176,10 @@ class TestBisectionEig:
             lo = d[isolated] + side * np.finfo(float).eps * norm
             hi = max(hi, lo + 2 * np.finfo(float).eps * norm)
         im = (0.5, 1.0) if case == "off_axis" else (-1.0, 1.0)
-        dec = numerics.eig_dense(sec, (hi, lo, *im))
+        with numerics.Ledger() as ledger:
+            dec = numerics.eig_dense(sec, (hi, lo, *im))
         assert dec.route == "bisection" and dec.window == (lo, hi, -np.inf, np.inf)
-        assert dec.residuals_computed == 0
+        assert residuals_counted(ledger) == 0
         got = dec.eigenvalues
         np.testing.assert_array_equal(got.imag, 0.0)
         got = got.real
@@ -184,8 +193,9 @@ class TestBisectionEig:
             sterf = scipy.linalg.eigvalsh_tridiagonal(d, e)
             assert sliding_match(got, sterf, 8 * tol) <= 8 * tol
             rows = rng.permutation(got.size)
-            assert np.all(dec.residuals_at(rows) <= 1e-13 * norm)
-            assert dec.residuals_computed == got.size
+            with numerics.Ledger() as ledger:
+                assert np.all(dec.residuals_at(rows) <= 1e-13 * norm)
+            assert dict(ledger.counts["residuals_computed"]) == {"bisection": got.size}
         # the same bits from a window inside this one
         if inside(got).size:
             sub = numerics.eig_dense(sec, (inside(got)[0], inside(got)[-1], -1.0, 1.0)).eigenvalues
@@ -436,8 +446,9 @@ class TestBandedEig:
         sec = numerics.Section(banded_diagonals(kind, n, half, rng))
         a = sec.dense()  # a copy the Section does not keep
         norm = np.linalg.norm(a, 2)
-        d = numerics.eig_dense(sec)
-        assert d.route == "banded" and d.section is sec and d.residuals_computed == 0
+        with numerics.Ledger() as ledger:
+            d = numerics.eig_dense(sec)
+        assert d.route == "banded" and d.section is sec and residuals_counted(ledger) == 0
         if sec.hermitian:
             np.testing.assert_array_equal(d.eigenvalues.imag, 0.0)
             assert np.max(np.abs(d.eigenvalues.real - np.linalg.eigvalsh(a))) <= 1e-14 * norm
@@ -446,8 +457,9 @@ class TestBandedEig:
             dist = np.abs(d.eigenvalues[:, np.newaxis] - want[np.newaxis, :])
             assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-10 * norm
         rows = rng.permutation(n)[: int(rng.integers(1, 12))]
-        res = d.residuals_at(rows)
-        assert res.shape == rows.shape and d.residuals_computed == rows.size
+        with numerics.Ledger() as ledger:
+            res = d.residuals_at(rows)
+        assert res.shape == rows.shape and dict(ledger.counts["residuals_computed"]) == {"banded": rows.size}
         assert np.all(np.isfinite(res))
         if kind != "non_normal":  # normal inputs, and the Jordan block's exact eigenvector
             assert np.all(res <= 1e-12 * norm)
@@ -776,7 +788,9 @@ class TestSharedTriangularMatrix:
         sec = numerics.Section(a)
         with pytest.raises(np.linalg.LinAlgError):
             sec.factor(z)
-        assert sec.sigma_min(z) == 0.0 and sec.fallbacks == []
+        with numerics.Ledger() as ledger:
+            assert sec.sigma_min(z) == 0.0
+        assert ledger.counts["dense_fallbacks"].total() == 0
         # the refused shift left the shared matrix fit for the next one
         b = rng.standard_normal(n) + 0j
         assert np.array_equal(sec.factor(z + 0.5).solve(b), fresh_triangular_solve(a, z + 0.5, b, False))

@@ -649,6 +649,21 @@ def dense_sigma_min(m, z):
     return numerics.sigma_min(m - shift * np.eye(m.shape[0]))
 
 
+def counted_grid(m, rect, nx, ny, threads=1):
+    """A pseudospectrum grid in a ledger of its own, with that ledger's sigma_min routes and dense fallbacks."""
+    with numerics.Ledger() as ledger:
+        grid = ra.pseudospectrum_grid(m, rect, nx, ny, threads=threads)
+    return grid, dict(ledger.counts["sigma_min_routes"]), ledger.counts["dense_fallbacks"].total()
+
+
+def assert_no_ledger_records(section, z, rect, threads, closed):
+    """With no ledger open, sigma_min and a grid run, raise nothing and add nothing to the ``closed`` ledger."""
+    counts = {kind: dict(c) for kind, c in closed.counts.items()}
+    section.sigma_min(z)
+    ra.pseudospectrum_grid(section, rect, 2, 2, threads=threads)
+    assert {kind: dict(c) for kind, c in closed.counts.items()} == counts
+
+
 def gate_tolerance(sigma, norm, z):
     """The benchmark's pseudospectrum gate: 1e-8 sigma + 100 ulp (||A|| + |z|)."""
     return 1e-8 * sigma + 100 * np.finfo(float).eps * (norm + abs(z))
@@ -733,8 +748,9 @@ class TestShiftFamilySigmaMin:
         section = numerics.Section(m)
         for z in (2.0 + 2.2j, 3 * np.exp(0.25j * np.pi) + 0.05, 5.0 + 4.9j, 1.0 + 1.0j, 8.0 + 0.5j):
             assert section.sigma_min_route(z) == "banded"
-            assert section.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
-        assert section.fallbacks == []
+            with numerics.Ledger() as ledger:
+                assert section.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
+            assert ledger.counts["dense_fallbacks"].total() == 0
 
     def test_real_symmetric_tridiagonal_real_shift_is_within_gate_tolerance(self):
         rng = np.random.default_rng(31)
@@ -770,30 +786,33 @@ class TestShiftFamilySigmaMin:
         m = complex_oscillator_section(200)
         section = numerics.Section(m)
         z = 2.0 + 2.0j
-        assert section.sigma_min(z) == dense_sigma_min(m, z)
-        assert section.fallbacks == [z]
-        # the grid on the same Section counts its own four fallbacks, not the earlier one
-        g = ra.pseudospectrum_grid(section, (1.0, 3.0, 1.0, 3.0), 2, 2)
-        assert (g.routes, g.dense_fallbacks) == ({"banded": 4}, 4)
-        assert len(section.fallbacks) == 5
+        with numerics.Ledger() as ledger:
+            assert section.sigma_min(z) == dense_sigma_min(m, z)
+        assert dict(ledger.counts["dense_fallbacks"]) == {"banded": 1}
+        # the grid's own ledger counts its four fallbacks, row threads included
+        rect = (1.0, 3.0, 1.0, 3.0)
+        for threads in (1, 2):
+            _, routes, fallbacks = counted_grid(section, rect, 2, 2, threads)
+            assert (routes, fallbacks) == ({"banded": 4}, 4)
+            assert_no_ledger_records(section, z, rect, threads, ledger)
 
     def test_fallbacks_counted_under_thread_contention(self, monkeypatch):
-        # every point falls back, and four row threads append to one list
+        # every point falls back, and the row threads add to one ledger
         monkeypatch.setattr(numerics, "_LANCZOS_STEPS", 1)
         m = complex_oscillator_section(80)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            g = ra.pseudospectrum_grid(m, (1.0, 3.0, 1.0, 3.0), 6, 16, threads=4)
+            counts = [counted_grid(m, (1.0, 3.0, 1.0, 3.0), 6, 16, threads)[1:] for threads in (1, 2, 4)]
         finally:
             sys.setswitchinterval(interval)
-        assert g.dense_fallbacks == 6 * 16
+        assert counts == [({"banded": 6 * 16}, 6 * 16)] * 3
 
     def test_banded_grid_bitwise_equal_across_threads(self):
         m = complex_oscillator_section(200)
-        g1 = ra.pseudospectrum_grid(m, (-1.0, 12.0, -1.0, 12.0), 6, 5, threads=1)
+        g1, routes, fallbacks = counted_grid(m, (-1.0, 12.0, -1.0, 12.0), 6, 5, threads=1)
         g2 = ra.pseudospectrum_grid(m, (-1.0, 12.0, -1.0, 12.0), 6, 5, threads=2)
-        assert (g1.routes, g1.dense_fallbacks) == ({"banded": 30}, 0)
+        assert (routes, fallbacks) == ({"banded": 30}, 0)
         assert g1.values.tobytes() == g2.values.tobytes()
 
     def test_upper_triangular_400_takes_triangular_route(self):
@@ -801,8 +820,8 @@ class TestShiftFamilySigmaMin:
         section = numerics.Section(m)
         assert not section.banded and section.sigma_min_route(5.0 + 1.0j) == "triangular"
         rect = (-2.0, 30.0, -10.0, 10.0)
-        g = ra.pseudospectrum_grid(m, rect, 2, 2)
-        assert (g.routes, g.dense_fallbacks) == ({"triangular": 4}, 0)
+        g, routes, fallbacks = counted_grid(m, rect, 2, 2)
+        assert (routes, fallbacks) == ({"triangular": 4}, 0)
         # the tolerance of the benchmark's pseudospectrum gate
         norm = numerics.op_norm(m)
         for iy, im in enumerate(rect[2:]):
@@ -815,8 +834,8 @@ class TestShiftFamilySigmaMin:
     def test_upper_triangular_40_stays_dense_and_bit_identical(self):
         m = om.truncate(om.upper_triangular_spec(), 40).data
         assert numerics.Section(m).sigma_min_route(5.0 + 1.0j) == "dense"
-        g = ra.pseudospectrum_grid(m, (-2.0, 30.0, -10.0, 10.0), 2, 2)
-        assert (g.routes, g.dense_fallbacks) == ({"dense": 4}, 0)
+        g, routes, fallbacks = counted_grid(m, (-2.0, 30.0, -10.0, 10.0), 2, 2)
+        assert (routes, fallbacks) == ({"dense": 4}, 0)
         assert g.values[0, 0] == 1.0 / dense_sigma_min(m, complex(-2.0, -10.0))
 
 
@@ -842,15 +861,16 @@ class TestTriangularRoute:
         z = complex(zr, zi)
         section = numerics.Section(m)
         assert not section.banded and section.sigma_min_route(z) == "triangular"
-        assert section.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
-        assert section.fallbacks == []
+        with numerics.Ledger() as ledger:
+            assert section.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
+        assert ledger.counts["dense_fallbacks"].total() == 0
 
     def test_general_dense_section_takes_dense_route(self):
         m = complex_gaussian(np.random.default_rng(3), 100, 100) / np.sqrt(200)
         section = numerics.Section(m)
         assert not section.banded and section.sigma_min_route(0.5j) == "dense"
-        g = ra.pseudospectrum_grid(m, (0.0, 1.0, 0.0, 1.0), 2, 2)
-        assert (g.routes, g.dense_fallbacks) == ({"dense": 4}, 0)
+        g, routes, fallbacks = counted_grid(m, (0.0, 1.0, 0.0, 1.0), 2, 2)
+        assert (routes, fallbacks) == ({"dense": 4}, 0)
         assert g.values[0, 0] == 1.0 / dense_sigma_min(m, 0.0)
 
     def test_exact_diagonal_eigenvalue_is_inf(self):
@@ -862,8 +882,8 @@ class TestTriangularRoute:
         d[40] = z
         m = np.diag(d) + np.triu(complex_gaussian(rng, n, n), 1) / n
         assert numerics.Section(m).sigma_min_route(z) == "triangular"
-        g = ra.pseudospectrum_grid(m, rect, nx, ny)
-        assert g.routes == {"triangular": nx * ny}
+        g, routes, _ = counted_grid(m, rect, nx, ny)
+        assert routes == {"triangular": nx * ny}
         assert g.values[2, 3] == np.inf
         assert np.count_nonzero(np.isinf(g.values)) == 1
         assert ra.resolvent_norm(m, z) == np.inf
@@ -873,18 +893,21 @@ class TestTriangularRoute:
         m = upper_triangular_complex(np.random.default_rng(8), 80)
         section = numerics.Section(m)
         z = 0.2 + 0.1j
-        assert section.sigma_min(z) == dense_sigma_min(m, z)
-        assert section.fallbacks == [z]
-        # the grid on the same Section counts its own four fallbacks, not the earlier one
-        g = ra.pseudospectrum_grid(section, (0.0, 1.0, 0.0, 1.0), 2, 2)
-        assert (g.routes, g.dense_fallbacks) == ({"triangular": 4}, 4)
-        assert len(section.fallbacks) == 5
+        with numerics.Ledger() as ledger:
+            assert section.sigma_min(z) == dense_sigma_min(m, z)
+        assert dict(ledger.counts["dense_fallbacks"]) == {"triangular": 1}
+        # the grid's own ledger counts its four fallbacks, row threads included
+        rect = (0.0, 1.0, 0.0, 1.0)
+        for threads in (1, 2):
+            _, routes, fallbacks = counted_grid(section, rect, 2, 2, threads)
+            assert (routes, fallbacks) == ({"triangular": 4}, 4)
+            assert_no_ledger_records(section, z, rect, threads, ledger)
 
     def test_triangular_grid_bitwise_equal_across_threads(self):
         m = upper_triangular_complex(np.random.default_rng(9), 120)
-        g1 = ra.pseudospectrum_grid(m, (-1.5, 1.5, -1.0, 1.0), 6, 5, threads=1)
+        g1, routes, fallbacks = counted_grid(m, (-1.5, 1.5, -1.0, 1.0), 6, 5, threads=1)
         g4 = ra.pseudospectrum_grid(m, (-1.5, 1.5, -1.0, 1.0), 6, 5, threads=4)
-        assert (g1.routes, g1.dense_fallbacks) == ({"triangular": 30}, 0)
+        assert (routes, fallbacks) == ({"triangular": 30}, 0)
         assert g1.values.tobytes() == g4.values.tobytes()
 
 
@@ -1152,6 +1175,10 @@ class TestWindowedSpectrum:
         assert dec.route == "banded" and check.fallback.startswith("no circle")
 
 
+def hits_and_misses(ledger):
+    return ledger.counts["spectrum_cache"]["hits"], ledger.counts["spectrum_cache"]["misses"]
+
+
 class TestSpectrumCacheContainment:
     @staticmethod
     def ladder():
@@ -1160,68 +1187,68 @@ class TestSpectrumCacheContainment:
 
     def test_windowed_entry_serves_contained_windows(self):
         lad = self.ladder()
-        cache = lad.cache
-        first = lad.spectrum(1, DEMO_WINDOW)
-        assert first.route == "windowed" and first.window == DEMO_WINDOW
-        assert (cache.spectrum_hits, cache.spectrum_misses) == (0, 1)
-        # a sub-window, and the same window written corner-swapped, hit
-        assert lad.spectrum(1, DEMO_CLASSIFY_WINDOW) is first
-        assert lad.spectrum(1, (4.0, -0.5, 4.0, -0.5)) is first
-        assert (cache.spectrum_hits, cache.spectrum_misses) == (2, 1)
-        first.residuals_at([0, 1])
-        # a window reaching outside misses and replaces the entry
-        other = lad.spectrum(1, (2.5, 5.0, 2.5, 5.0))
-        assert other is not first and other.route == "windowed"
-        assert cache.spectra[1] is other
-        assert (cache.spectrum_hits, cache.spectrum_misses) == (2, 2)
-        # no window asks for the whole spectrum: a miss, whatever window is held
-        whole = lad.spectrum(1)
-        assert whole.route == "banded" and whole.window is None
-        assert whole.dimension == lad.matrix(1).n
-        assert (cache.spectrum_hits, cache.spectrum_misses) == (2, 3)
-        assert lad.spectrum(1) is whole
-        assert (cache.spectrum_hits, cache.spectrum_misses) == (3, 3)
-        # a whole zgeev spectrum does not serve a window: the windowed solve's
-        # bits differ, and must not depend on what was asked before
-        again = lad.spectrum(1, DEMO_WINDOW)
-        assert again.route == "windowed" and again.window == DEMO_WINDOW
-        np.testing.assert_array_equal(again.eigenvalues, first.eigenvalues)
-        assert (cache.spectrum_hits, cache.spectrum_misses) == (3, 4)
-        # other sizes have their own entries
-        assert lad.spectrum(2, DEMO_CLASSIFY_WINDOW).route == "windowed"
-        assert (cache.spectrum_hits, cache.spectrum_misses) == (3, 5)
-        assert dict(cache.eig_routes) == {"windowed": 4, "banded": 1}
-        assert [c["size"] for c in cache.windowed_checks] == [1, 1, 1, 2]
-        assert all(c["fallback"] is None for c in cache.windowed_checks)
-        # residuals of a replaced entry stay counted, and clear() keeps the count
-        assert cache.residuals_computed == 2
-        cache.clear()
-        assert cache.residuals_computed == 2 and cache.spectra == {}
+        with numerics.Ledger() as ledger:
+            first = lad.spectrum(1, DEMO_WINDOW)
+            assert first.route == "windowed" and first.window == DEMO_WINDOW
+            assert hits_and_misses(ledger) == (0, 1)
+            # a sub-window, and the same window written corner-swapped, hit
+            assert lad.spectrum(1, DEMO_CLASSIFY_WINDOW) is first
+            assert lad.spectrum(1, (4.0, -0.5, 4.0, -0.5)) is first
+            assert hits_and_misses(ledger) == (2, 1)
+            first.residuals_at([0, 1])
+            # a window reaching outside misses and replaces the entry
+            other = lad.spectrum(1, (2.5, 5.0, 2.5, 5.0))
+            assert other is not first and other.route == "windowed"
+            assert lad.cache.spectra[1] is other
+            assert hits_and_misses(ledger) == (2, 2)
+            # no window asks for the whole spectrum: a miss, whatever window is held
+            whole = lad.spectrum(1)
+            assert whole.route == "banded" and whole.window is None
+            assert whole.dimension == lad.matrix(1).n
+            assert hits_and_misses(ledger) == (2, 3)
+            assert lad.spectrum(1) is whole
+            assert hits_and_misses(ledger) == (3, 3)
+            # a whole zgeev spectrum does not serve a window: the windowed solve's
+            # bits differ, and must not depend on what was asked before
+            again = lad.spectrum(1, DEMO_WINDOW)
+            assert again.route == "windowed" and again.window == DEMO_WINDOW
+            np.testing.assert_array_equal(again.eigenvalues, first.eigenvalues)
+            assert hits_and_misses(ledger) == (3, 4)
+            # other sizes have their own entries
+            assert lad.spectrum(2, DEMO_CLASSIFY_WINDOW).route == "windowed"
+        assert hits_and_misses(ledger) == (3, 5)
+        assert dict(ledger.counts["eig_routes"]) == {"windowed": 4, "banded": 1}
+        checks = ledger.records["windowed_checks"]
+        assert [c["size"] for c in checks] == [1, 1, 1, 2]
+        assert all(c["fallback"] is None for c in checks)
+        # the residuals of the entry since replaced stay counted
+        assert dict(ledger.counts["residuals_computed"]) == {"windowed": 2}
 
     def test_hermitian_tridiagonal_window_takes_bisection(self):
         # the window's real interval, by bisection; the held interval serves
         # every window inside it, whatever its imaginary extent, with the bits
         # a fresh solve for that window gives
         lad = ra.SectionLadder("osc", (1,), lambda n: demo_ladder("oscillator").matrix(7))
-        cache = lad.cache
         spectra_window, classify_window = (0.0, 8.5, -1.0, 1.0), (0.0, 8.0, -1.0, 1.0)
-        held = lad.spectrum(1, spectra_window)
-        assert held.route == "bisection" and held.window == (0.0, 8.5, -np.inf, np.inf)
-        assert held.dimension == 4 and "data" not in vars(held.section)
-        for window in (classify_window, (8.0, 0.0, 5.0, 6.0), (1.0, 2.0, -1e9, 1e9)):
-            assert lad.spectrum(1, window) is held
-        assert (cache.spectrum_hits, cache.spectrum_misses) == (3, 1)
+        with numerics.Ledger() as ledger:
+            held = lad.spectrum(1, spectra_window)
+            assert held.route == "bisection" and held.window == (0.0, 8.5, -np.inf, np.inf)
+            assert held.dimension == 4 and "data" not in vars(held.section)
+            for window in (classify_window, (8.0, 0.0, 5.0, 6.0), (1.0, 2.0, -1e9, 1e9)):
+                assert lad.spectrum(1, window) is held
+            assert hits_and_misses(ledger) == (3, 1)
         fresh = numerics.eig_dense(held.section, classify_window)
         np.testing.assert_array_equal(fresh.eigenvalues, held.eigenvalues)
-        # a whole spectrum replaces it, and serves no window
-        whole = lad.spectrum(1)
-        assert whole.route == "tridiagonal" and whole.window is None
-        again = lad.spectrum(1, classify_window)
+        with ledger:
+            # a whole spectrum replaces it, and serves no window
+            whole = lad.spectrum(1)
+            assert whole.route == "tridiagonal" and whole.window is None
+            again = lad.spectrum(1, classify_window)
         assert again.route == "bisection" and again is not whole
         np.testing.assert_array_equal(again.eigenvalues, held.eigenvalues)
-        assert (cache.spectrum_hits, cache.spectrum_misses) == (3, 3)
-        assert dict(cache.eig_routes) == {"bisection": 2, "tridiagonal": 1}
-        assert cache.windowed_checks == []
+        assert hits_and_misses(ledger) == (3, 3)
+        assert dict(ledger.counts["eig_routes"]) == {"bisection": 2, "tridiagonal": 1}
+        assert ledger.records["windowed_checks"] == []
 
     def test_hermitian_and_small_sections_ignore_the_window(self):
         # a Hermitian section wider than tridiagonal and a small one have no
@@ -1230,8 +1257,9 @@ class TestSpectrumCacheContainment:
         herm = ra.SectionLadder("h", (1,), lambda n: numerics.Section(band))
         small = ra.SectionLadder("s", (1,), lambda n: numerics.Section({0: np.arange(20.0) + 1j, 1: np.ones(19)}))
         for lad, route in ((herm, "banded"), (small, "general")):
-            whole = lad.spectrum(1, DEMO_WINDOW)
-            assert whole.route == route and whole.window is None
-            assert lad.spectrum(1, (-1e3, 1e3, -1e3, 1e3)) is whole and lad.spectrum(1) is whole
-            assert (lad.cache.spectrum_hits, lad.cache.spectrum_misses) == (2, 1)
-            assert lad.cache.windowed_checks == []
+            with numerics.Ledger() as ledger:
+                whole = lad.spectrum(1, DEMO_WINDOW)
+                assert whole.route == route and whole.window is None
+                assert lad.spectrum(1, (-1e3, 1e3, -1e3, 1e3)) is whole and lad.spectrum(1) is whole
+            assert hits_and_misses(ledger) == (2, 1)
+            assert ledger.records["windowed_checks"] == []
