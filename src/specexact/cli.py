@@ -33,7 +33,12 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                section) and
                ``windowed_checks`` (per windowed solve: size, found,
                contour_rank, gap, probe_columns, and fallback, null or the
-               reason the whole spectrum was computed instead).  An
+               reason the whole spectrum was computed instead) and
+               ``contour_guards`` (the factored contour nodes of the stage,
+               windowed solves' and classify contours' alike, by how the
+               resolvent-norm guard cleared each: imaginary_part,
+               probe_bound, frobenius or estimated; a node refused is not
+               counted).  An
                sl_matrix section interleaves its two components' unknowns,
                so it is banded.
                A finished classify stage records ``probe_ratios``, one entry
@@ -622,6 +627,7 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int =
             entry["eig_routes"] = {route: counts["eig_routes"][route] for route in numerics.EIG_ROUTES}
             entry["residuals_computed"] = counts["residuals_computed"].total()
             entry["windowed_checks"] = ledger.records["windowed_checks"]
+            entry["contour_guards"] = {key: counts["contour_guards"][key] for key in ra.CONTOUR_GUARDS}
         if not any(STAGES[later["op"]][1] for later in prob.analysis[i + 1 :]):
             prob.cache = ra.SectionCache()
         entry["seconds"] = time.perf_counter() - start

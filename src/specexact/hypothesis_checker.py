@@ -371,64 +371,63 @@ def schrodinger_constants(prob_or_constants, *, knob_grid=KNOB_GRID) -> Hypothes
     grid = np.asarray(knob_grid, dtype=float)
     top = LAMBDA_EXPONENTS[-1]
     lam_max = 10.0**top
+    powers = 10.0 ** np.arange(top + 2)
+    # what depends on neither nu nor beta: one row per alpha < 1 (alpha >= 1 is
+    # dropped before it can reach b / (1 - alpha)), one column per eps
+    alpha = grid[grid < 1.0][:, np.newaxis]
+    eps = grid[np.newaxis, :]
+    # largest admissible grid delta for each eps minimizes C_alpha
+    pos = np.searchsorted(grid, alpha * eps * (1 + 1e-15), side="right") - 1
+    ok = pos >= 0
+    if b_grad != 0.0:
+        ok &= eps * b_grad <= alpha
+    # the admissible (alpha, eps) cells, in loop order
+    rows, cols = np.nonzero(ok)
+    alpha, eps, delta = alpha[rows, 0], grid[cols], grid[pos[rows, cols]]
+    c_alpha = eps * a_grad + 1.0 / (4.0 * eps * delta)
+    one_m = 1.0 - alpha
     best = None  # (key, record), key = (|lam0|, gamma, nu, beta, alpha, eps)
     best_fail = None  # (gamma, record) at the largest lambda scanned
-    eps = grid[np.newaxis, :]
     for nu in grid:
         nu_factor = 1.0 + 1.0 / (4.0 * nu)
-        for beta in grid:
-            b = max(beta * nu_factor, b_r * (1.0 + nu))
-            if b >= 1.0:
-                continue
-            a = p_sup**4 / (4.0 * beta) * nu_factor + a_r * (1.0 + nu)
-            # one row per admissible alpha, one column per eps; alpha >= 1 is
-            # dropped before it can reach b / (1 - alpha)
-            alpha = grid[grid < 1.0]
-            alpha = alpha[b / (1.0 - alpha) < 1.0][:, np.newaxis]
-            if alpha.size == 0:
-                continue
-            # largest admissible grid delta for each eps minimizes C_alpha
-            pos = np.searchsorted(grid, alpha * eps * (1 + 1e-15), side="right") - 1
-            ok = pos >= 0
-            if b_grad != 0.0:
-                ok &= eps * b_grad <= alpha
-            delta = grid[pos]
-            c_alpha = eps * a_grad + 1.0 / (4.0 * eps * delta)
-            num = a + b * c_alpha / (1.0 - alpha)
-            den = 1.0 - b / (1.0 - alpha)
-            needed = np.sqrt(num / den)
-            exps = np.ceil(np.log10(np.maximum(needed, 1.0)))
-            # strict inequality: bump when 10^k equals the threshold exactly
-            exps = np.where(10.0**exps <= needed, exps + 1, exps)
+        b = np.maximum(grid * nu_factor, b_r * (1.0 + nu))
+        beta, b = grid[b < 1.0], b[b < 1.0]
+        a = p_sup**4 / (4.0 * beta) * nu_factor + a_r * (1.0 + nu)
+        # one row per beta with b < 1, one column per (alpha, eps) cell
+        b, a = b[:, np.newaxis], a[:, np.newaxis]
+        ratio = b / one_m
+        usable = ratio < 1.0  # elsewhere the values below may be nan, and no cell is picked
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num = a + b * c_alpha / one_m
+            needed = np.sqrt(num / (1.0 - ratio))
+            # the least k with 10^k > needed: strict, so 10^k equal to the threshold takes k + 1
+            exps = np.searchsorted(powers, needed, side="right")
             missed = exps > top
             # gamma at lambda_0 = -10^k; where gamma stays >= 1 on the whole
             # lambda scan, at the largest lambda scanned
-            lam0 = 10.0 ** np.minimum(exps, top)
-            gamma = np.sqrt(num / lam0**2 + b / (1.0 - alpha))
+            lam0 = powers[np.minimum(exps, top)]
+            gamma = np.sqrt(num / lam0**2 + ratio)
 
-            # nonzero walks (alpha, eps) in loop order, so ties keep the first
-            rows, cols = np.nonzero(ok & ~missed & (gamma < 1.0))
-            if rows.size:
-                k = np.lexsort((grid[cols], alpha[rows, 0], gamma[rows, cols], lam0[rows, cols]))[0]
-                i, j = rows[k], cols[k]
-                key = (lam0[i, j], float(gamma[i, j]), nu, beta, alpha[i, 0], grid[j])
-                if best is None or key < best[0]:
-                    best = (
-                        key,
-                        dict(nu=nu, beta=beta, alpha=alpha[i, 0], eps=grid[j], delta=delta[i, j],
-                             a=a, b=b, c_alpha=c_alpha[i, j], lambda0=-lam0[i, j], gamma=key[1]),
-                    )
-            rows, cols = np.nonzero(ok & missed)
-            if rows.size:
-                k = np.argmin(gamma[rows, cols])
-                i, j = rows[k], cols[k]
-                gamma_at_max = float(gamma[i, j])
-                if best_fail is None or gamma_at_max < best_fail[0]:
-                    best_fail = (
-                        gamma_at_max,
-                        dict(nu=nu, beta=beta, alpha=alpha[i, 0], eps=grid[j], delta=delta[i, j],
-                             a=a, b=b, c_alpha=c_alpha[i, j], lambda0=-lam_max, gamma=gamma_at_max),
-                    )
+        def knobs(i, j, lambda0, gamma_at):
+            return dict(nu=nu, beta=beta[i], alpha=alpha[j], eps=eps[j], delta=delta[j],
+                        a=a[i, 0], b=b[i, 0], c_alpha=c_alpha[j], lambda0=lambda0, gamma=gamma_at)
+
+        # the least key within this nu; across nu, a key must be smaller to replace the best
+        i, j = np.nonzero(usable & ~missed & (gamma < 1.0))
+        if i.size:
+            first = np.lexsort((eps[j], alpha[j], beta[i], gamma[i, j], lam0[i, j]))[0]
+            i, j = i[first], j[first]
+            key = (lam0[i, j], float(gamma[i, j]), nu, beta[i], alpha[j], eps[j])
+            if best is None or key < best[0]:
+                best = (key, knobs(i, j, -lam0[i, j], key[1]))
+        # nonzero walks (beta, alpha, eps) in loop order, so argmin keeps the first of equal gammas
+        i, j = np.nonzero(usable & missed)
+        if i.size:
+            first = np.argmin(gamma[i, j])
+            i, j = i[first], j[first]
+            gamma_at_max = float(gamma[i, j])
+            if best_fail is None or gamma_at_max < best_fail[0]:
+                best_fail = (gamma_at_max, knobs(i, j, -lam_max, gamma_at_max))
     base = {"a_grad": a_grad, "b_grad": b_grad, "a_r": a_r, "b_r": b_r, "p_sup": p_sup}
     if best is not None:
         record = best[1]

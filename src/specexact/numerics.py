@@ -419,7 +419,12 @@ class Factorization:
         return x
 
     def inverse_norm_estimate(self, iterations: int = 8) -> float:
-        """Power-iteration lower estimate of ||A^{-1}||_2 (converging from below)."""
+        """Power-iteration lower estimate of ||A^{-1}||_2 (converging from below), 16 solves.
+
+        The contour guard of ``resolvent_analysis`` runs it only at a node
+        whose upper bound on ||A^{-1}||_2 does not already clear the limit: a
+        lower estimate cannot exceed a bound that passes.
+        """
         x = np.ones(self.n, dtype=complex) / np.sqrt(self.n)
         est = 0.0
         for _ in range(iterations):

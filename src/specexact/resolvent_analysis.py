@@ -415,44 +415,81 @@ def _probe_matrix(n: int, columns: int) -> np.ndarray:
     return np.random.default_rng(_SKETCH_SEED).standard_normal((columns, n)).T
 
 
-def _checked_factor(section: numerics.Section, z: complex, limit: float) -> numerics.Factorization:
-    """Factor z I - A, refusing nodes where the resolvent norm exceeds ``limit``.
+#: Halko, Martinsson & Tropp (2011, SIAM Rev. 53, Lemma 4.1): ||B|| <= 10 sqrt(2/pi) max_i ||B w_i|| over
+#: the _SKETCH_COLUMNS real Gaussian probes w_i, except with probability 10^-16; sqrt(2) covers a complex B
+_PROBE_BOUND_FACTOR = np.sqrt(2.0) * 10.0 * np.sqrt(2.0 / np.pi)
+#: how a factored contour node was cleared, the keys of the open Ledger's ``contour_guards`` (see _clear_node)
+CONTOUR_GUARDS = ("imaginary_part", "probe_bound", "frobenius", "estimated")
+
+
+def _clear_node(
+    section: numerics.Section, fact: numerics.Factorization, z: complex, limit: float, bound=None, key=None
+) -> None:
+    """Clear the factored node z, or raise :class:`ContourError` where its resolvent norm exceeds ``limit``.
 
     The norm is the power estimate :meth:`numerics.Factorization.inverse_norm_estimate`,
-    a lower bound, except at a node where a bound already passes: for a
-    Hermitian A, ||(z I - A)^-1|| = 1 / dist(z, spectrum) <= 1 / |Im z|, so
-    where that is at most ``limit`` / 2 the estimate cannot exceed the limit
-    and is skipped.  On a contour's circle of radius r, with limit 1e8 / r,
-    that is every node farther than 2e-8 r from the real axis.  The nodes
-    refused are the same either way.  The bound serves the Hermitian
-    sections that are not tridiagonal: :func:`contour_rank` takes a
-    Hermitian tridiagonal one in closed form and factors no node.
+    a lower bound, except where an upper bound already passes, and then the
+    estimate cannot exceed the limit and is skipped.  For a Hermitian A,
+    ||(z I - A)^-1|| = 1 / dist(z, spectrum) <= 1 / |Im z|; where that is at
+    most ``limit`` / 2 the node is cleared by ``imaginary_part``, checked
+    first.  Otherwise ``bound``, when given, is an upper bound on the norm
+    from the contour's own solves, named by ``key`` (see :func:`_node_bound`).
+    So the nodes refused are those the estimate alone refuses.  The open
+    :class:`numerics.Ledger` counts each cleared node in ``contour_guards``
+    by the key that cleared it, ``estimated`` for the estimate.
     """
-    try:
-        fact = section.factor(z)
-    except np.linalg.LinAlgError as exc:
-        raise ContourError(
-            f"eigenvalue on the contour: factorization at node {z} failed ({exc})"
-        ) from exc
     if section.hermitian and abs(z.imag) * limit >= 2.0:
-        return fact
-    est = fact.inverse_norm_estimate()
-    if not np.isfinite(est) or est > limit:
-        raise ContourError(
-            f"eigenvalue too close to the contour: resolvent norm ~{est:.3e} "
-            f"at node {z} exceeds {limit:.3e}"
-        )
-    return fact
+        key = "imaginary_part"
+    elif bound is None or not bound <= limit:
+        est = fact.inverse_norm_estimate()
+        if not np.isfinite(est) or est > limit:
+            raise ContourError(
+                f"eigenvalue too close to the contour: resolvent norm ~{est:.3e} "
+                f"at node {z} exceeds {limit:.3e}"
+            )
+        key = "estimated"
+    numerics.Ledger.count("contour_guards", key)
 
 
-def _weighted_solves(factors, weights, b: np.ndarray, real_pairs: bool, adjoint: bool = False, nodes=None):
+def _factored_nodes(section: numerics.Section, nodes):
+    """z I - A factored at each node in turn; a failed factorization raises :class:`ContourError`."""
+    for z in nodes:
+        try:
+            fact = section.factor(z)
+        except np.linalg.LinAlgError as exc:
+            raise ContourError(
+                f"eigenvalue on the contour: factorization at node {z} failed ({exc})"
+            ) from exc
+        yield fact
+
+
+def _node_bound(x: np.ndarray, key: str) -> float:
+    """An upper bound on ||R|| from the solves ``x`` at one node, R = (z I - A)^-1; inf or nan past overflow.
+
+    ``probe_bound``: x = R^H Omega, the first sketch pass's ``_SKETCH_COLUMNS``
+    probes, and the bound is ``_PROBE_BOUND_FACTOR`` times the largest column
+    norm; it fails with probability at most 1e-16.  ``frobenius``: x = R,
+    the identity solves, and the bound is ||R||_F, which never fails.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.square(x.real).sum(axis=0) + np.square(x.imag).sum(axis=0)
+        if key == "probe_bound":
+            return float(_PROBE_BOUND_FACTOR * np.sqrt(squares.max()))
+        return float(np.sqrt(squares.sum()))
+
+
+def _weighted_solves(
+    factors, weights, b: np.ndarray, real_pairs: bool, adjoint: bool = False, nodes=None, guard=None
+):
     """P b = sum_k w_k (z_k - A)^{-1} b, or P^H b when ``adjoint``.
 
     With ``nodes`` (the z_k) it returns the pair (P b, M b), where
     M b = sum_k w_k z_k (z_k - A)^{-1} b is the first moment, from the same
     solves.  With ``real_pairs`` the factors cover the upper half circle of a
     real problem; each node stands for itself and its conjugate, so its term
-    is 2 Re(w X), and 1x at the two real nodes (first and last).
+    is 2 Re(w X), and 1x at the two real nodes (first and last).  With
+    ``guard``, each node's factor F_k and solve X_k are passed as
+    guard(k, F_k, X_k) before it is added, in node order.
     """
     last = len(weights) - 1
     dtype = float if real_pairs else complex
@@ -464,13 +501,17 @@ def _weighted_solves(factors, weights, b: np.ndarray, real_pairs: bool, adjoint:
 
     for k, (fact, w) in enumerate(zip(factors, weights)):
         x = fact.solve(b, adjoint=adjoint)
+        if guard is not None:
+            guard(k, fact, x)
         add(total, (np.conj(w) if adjoint else w) * x, k)
         if first is not None:
             add(first, w * nodes[k] * x, k)
     return total if first is None else (total, first)
 
 
-def _sketched_singular_values(factors, weights, n: int, real_pairs: bool, sketch_below: float, nodes=None):
+def _sketched_singular_values(
+    factors, weights, n: int, real_pairs: bool, sketch_below: float, nodes=None, guard=None
+):
     """Leading singular values of the contour projection P from L probe columns.
 
     Y = P^H Omega by adjoint solves, Q = orth(Y), then the singular values of
@@ -480,11 +521,13 @@ def _sketched_singular_values(factors, weights, n: int, real_pairs: bool, sketch
     beyond the counted rank.  Returns ``(singular_values, L, solved)``, where
     ``solved`` is what :func:`_weighted_solves` gave for Q (P Q, or the pair
     (P Q, M Q) with ``nodes``), or None once L reaches ``sketch_below`` (the
-    caller then forms P densely).
+    caller then forms P densely).  ``guard`` sees the adjoint solves of the
+    first pass alone (see :func:`_weighted_solves`).
     """
     columns = _SKETCH_COLUMNS
     while columns < sketch_below:
-        y = _weighted_solves(factors, weights, _probe_matrix(n, columns), real_pairs, adjoint=True)
+        y = _weighted_solves(factors, weights, _probe_matrix(n, columns), real_pairs, adjoint=True, guard=guard)
+        guard = None
         basis = np.linalg.qr(y)[0]
         solved = _weighted_solves(factors, weights, basis, real_pairs, nodes=nodes)
         svals = _projection_singular_values(solved if nodes is None else solved[0])
@@ -565,11 +608,25 @@ def contour_rank(
       Y = P^H Omega by adjoint banded solves, and the singular values of
       P orth(Y) stand in for P's.  L starts at 16 and doubles until at least
       8 columns lie beyond the counted rank.  The probes depend only on n
-      and L, so results are byte-deterministic.  The guard estimates the
-      resolvent norm at each node, or bounds it on a Hermitian section
-      (:func:`_checked_factor`);
+      and L, so results are byte-deterministic;
     - ``dense``: every other section, and a sketch whose L would reach n:
       the n-column projection is formed.
+
+    On the last two routes the guard refuses a node whose 8-step power
+    estimate of the resolvent norm ||R_k|| = ||(z_k I - A)^-1|| exceeds
+    1e8 / radius.  The estimate is a lower bound, so a node whose upper
+    bound passes needs none
+    (:func:`_clear_node`).  On a Hermitian section 1 / |Im z_k| is one,
+    checked first.  Else the bound comes from the solves the contour already
+    makes: on the sketched route, 10 sqrt(2/pi) max_i ||R_k^H omega_i|| over
+    the first pass's 16 real Gaussian probes (Halko, Martinsson & Tropp
+    2011, Lemma 4.1), which fails with probability at most 1e-16 per node,
+    times sqrt(2) for a complex R_k; on the dense route the Frobenius norm
+    of R_k from the identity solves, which never fails.  The estimate runs
+    only where the bound does not pass, so the nodes refused, the error and
+    its message are those of estimating every node in order.  The open
+    :class:`numerics.Ledger`'s ``contour_guards`` counts the nodes cleared
+    by each of the four ways (``CONTOUR_GUARDS``).
 
     ``m`` is a :class:`numerics.Section`, or an array read as one; a
     ladder's own Section reuses its band template across calls.  The open
@@ -657,7 +714,7 @@ def _closed_form_contour_rank(
 
     The guard reads the exact ||(z_k - A)^{-1}|| = 1 / min_j |z_k - lambda_j|
     over those eigenvalues, which hold every one within rho - r > 1e-8 r
-    (for q < 1e8) of the circle, and refuses above 1e8 / r as :func:`_checked_factor` does (a
+    (for q < 1e8) of the circle, and refuses above 1e8 / r as :func:`_clear_node` does (a
     zero distance is an infinite norm).  Rank and gap are split as on the
     other routes.  Costs two Sturm counts and a bisection per eigenvalue
     taken, O(n) each.
@@ -721,6 +778,13 @@ def _contour_rank(
     """Contour rank with the sketch tried while L < ``sketch_below`` (0: dense only).
 
     With ``moments`` the result also carries Beyn's (A0, A1), from the same solves.
+    The first pass over the nodes clears each in turn (:func:`_clear_node`)
+    by the bound its own solves give (:func:`_node_bound`).  The dense
+    route factors each node just before its solve, so it holds one LU at a
+    time; the sketch's two passes reuse every node's LU, so it factors them
+    all first, and where one fails the nodes before it are cleared by the
+    estimate before the failure raises.  Either way the error is that of
+    factoring and estimating one node at a time.
     """
     n = section.n
     theta = 2.0 * np.pi * np.arange(q) / q
@@ -731,14 +795,35 @@ def _contour_rank(
     real_pairs = section.real and center.imag == 0.0 and q % 2 == 0
     ks = range(q // 2 + 1) if real_pairs else range(q)
     weights = [(radius / q) * np.exp(1j * theta[k]) for k in ks]
-    solve_nodes = [nodes[k] for k in ks] if moments else None
-    factors = (_checked_factor(section, nodes[k], limit) for k in ks)
+    zs = [nodes[k] for k in ks]
+    solve_nodes = zs if moments else None
+    factors = _factored_nodes(section, zs)
+
+    def guard(key):
+        return lambda k, fact, x: _clear_node(section, fact, zs[k], limit, _node_bound(x, key), key)
+
+    sketched = _SKETCH_COLUMNS < sketch_below
     sketch = None
-    if _SKETCH_COLUMNS < sketch_below:
-        factors = list(factors)  # both sketch passes reuse every node's LU
-        sketch = _sketched_singular_values(factors, weights, n, real_pairs, sketch_below, solve_nodes)
+    if sketched:
+        # both sketch passes reuse every node's LU; where one fails, the nodes before it are
+        # cleared first, by the estimate, as a guard taking one node at a time would
+        factored = []
+        try:
+            for fact in factors:
+                factored.append(fact)
+        except ContourError:
+            for fact, z in zip(factored, zs):
+                _clear_node(section, fact, z, limit)
+            raise
+        factors = factored
+        sketch = _sketched_singular_values(
+            factors, weights, n, real_pairs, sketch_below, solve_nodes, guard("probe_bound")
+        )
     if sketch is None:
-        solved = _weighted_solves(factors, weights, np.eye(n, dtype=complex), real_pairs, nodes=solve_nodes)
+        solved = _weighted_solves(
+            factors, weights, np.eye(n, dtype=complex), real_pairs, nodes=solve_nodes,
+            guard=None if sketched else guard("frobenius"),
+        )
         proj = solved if solve_nodes is None else solved[0]
         svals, probe_columns = _projection_singular_values(proj), n
     else:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as hst
 
-from specexact import cli, discretize as dz, numerics
+from specexact import cli, discretize as dz, numerics, resolvent_analysis as ra
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -213,6 +213,9 @@ class TestPseudo:
         spectra, classify, verify = json.loads((out / "report.json").read_text())["stages"]
         assert classify["contour_routes"] == {"closed_form": 12, "sketched": 0, "dense": 0}
         assert "contour_routes" not in spectra and "contour_routes" not in verify
+        # bisection and the closed form factor no contour node
+        assert spectra["contour_guards"] == classify["contour_guards"] == dict.fromkeys(ra.CONTOUR_GUARDS, 0)
+        assert "contour_guards" not in verify
         candidates = json.loads((out / "classify.json").read_text())["candidates"]
         assert "contours" not in candidates[0]
         for ratios, cand in zip(classify["probe_ratios"], candidates):
@@ -221,6 +224,23 @@ class TestPseudo:
                 assert set(contour) == {"size", "route", "gap", "node_distance"}
                 assert contour["route"] == "closed_form"
                 assert contour["gap"] > 1e3 and contour["node_distance"] > 1e-6
+
+    def test_report_records_complex_oscillator_contour_guards(self, tmp_path, monkeypatch):
+        # 7 windowed solves and 3 sketched classify contours, 64 nodes each on a non-Hermitian
+        # section: every node is cleared by the first sketch pass's probe bound, none estimated
+        estimates = []
+        estimate = numerics.Factorization.inverse_norm_estimate
+        monkeypatch.setattr(
+            numerics.Factorization, "inverse_norm_estimate", lambda self: estimates.append(1) or estimate(self)
+        )
+        out = tmp_path / "out"
+        assert cli.main(["demo", "complex_oscillator", "--out", str(out)]) == 0
+        spectra, classify, verify = json.loads((out / "report.json").read_text())["stages"]
+        none = dict.fromkeys(ra.CONTOUR_GUARDS, 0)
+        assert spectra["contour_guards"] == none | {"probe_bound": 448}
+        assert classify["contour_guards"] == none | {"probe_bound": 192}
+        assert classify["contour_routes"] == {"closed_form": 0, "sketched": 3, "dense": 0}
+        assert "contour_guards" not in verify and estimates == []
 
     def test_seventeen_digit_roundtrip(self, tmp_path):
         doc = {"kind": "jacobi", "analysis": [{"op": "spectra", "sizes": [2, 3]}]}

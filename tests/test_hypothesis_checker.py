@@ -383,6 +383,86 @@ def loop_schrodinger_constants(consts, knob_grid=hc.KNOB_GRID) -> hc.HypothesisR
     )
 
 
+def per_pair_schrodinger_constants(consts, knob_grid=hc.KNOB_GRID) -> hc.HypothesisReport:
+    """Reference: the search with one numpy pass per (nu, beta) pair, which the per-nu search replaced."""
+    a_grad, b_grad = float(consts["a_grad"]), float(consts["b_grad"])
+    a_r, b_r = float(consts["a_r"]), float(consts["b_r"])
+    p_sup = float(consts.get("p_sup", 0.0))
+    grid = np.asarray(knob_grid, dtype=float)
+    top = hc.LAMBDA_EXPONENTS[-1]
+    lam_max = 10.0**top
+    best = None  # (key, record), key = (|lam0|, gamma, nu, beta, alpha, eps)
+    best_fail = None  # (gamma, record) at the largest lambda scanned
+    eps = grid[np.newaxis, :]
+    for nu in grid:
+        nu_factor = 1.0 + 1.0 / (4.0 * nu)
+        for beta in grid:
+            b = max(beta * nu_factor, b_r * (1.0 + nu))
+            if b >= 1.0:
+                continue
+            a = p_sup**4 / (4.0 * beta) * nu_factor + a_r * (1.0 + nu)
+            # one row per admissible alpha, one column per eps; alpha >= 1 is
+            # dropped before it can reach b / (1 - alpha)
+            alpha = grid[grid < 1.0]
+            alpha = alpha[b / (1.0 - alpha) < 1.0][:, np.newaxis]
+            if alpha.size == 0:
+                continue
+            # largest admissible grid delta for each eps minimizes C_alpha
+            pos = np.searchsorted(grid, alpha * eps * (1 + 1e-15), side="right") - 1
+            ok = pos >= 0
+            if b_grad != 0.0:
+                ok &= eps * b_grad <= alpha
+            delta = grid[pos]
+            c_alpha = eps * a_grad + 1.0 / (4.0 * eps * delta)
+            num = a + b * c_alpha / (1.0 - alpha)
+            den = 1.0 - b / (1.0 - alpha)
+            needed = np.sqrt(num / den)
+            exps = np.ceil(np.log10(np.maximum(needed, 1.0)))
+            # strict inequality: bump when 10^k equals the threshold exactly
+            exps = np.where(10.0**exps <= needed, exps + 1, exps)
+            missed = exps > top
+            # gamma at lambda_0 = -10^k; where gamma stays >= 1 on the whole
+            # lambda scan, at the largest lambda scanned
+            lam0 = 10.0 ** np.minimum(exps, top)
+            gamma = np.sqrt(num / lam0**2 + b / (1.0 - alpha))
+
+            # nonzero walks (alpha, eps) in loop order, so ties keep the first
+            rows, cols = np.nonzero(ok & ~missed & (gamma < 1.0))
+            if rows.size:
+                k = np.lexsort((grid[cols], alpha[rows, 0], gamma[rows, cols], lam0[rows, cols]))[0]
+                i, j = rows[k], cols[k]
+                key = (lam0[i, j], float(gamma[i, j]), nu, beta, alpha[i, 0], grid[j])
+                if best is None or key < best[0]:
+                    best = (
+                        key,
+                        dict(nu=nu, beta=beta, alpha=alpha[i, 0], eps=grid[j], delta=delta[i, j],
+                             a=a, b=b, c_alpha=c_alpha[i, j], lambda0=-lam0[i, j], gamma=key[1]),
+                    )
+            rows, cols = np.nonzero(ok & missed)
+            if rows.size:
+                k = np.argmin(gamma[rows, cols])
+                i, j = rows[k], cols[k]
+                gamma_at_max = float(gamma[i, j])
+                if best_fail is None or gamma_at_max < best_fail[0]:
+                    best_fail = (
+                        gamma_at_max,
+                        dict(nu=nu, beta=beta, alpha=alpha[i, 0], eps=grid[j], delta=delta[i, j],
+                             a=a, b=b, c_alpha=c_alpha[i, j], lambda0=-lam_max, gamma=gamma_at_max),
+                    )
+    base = {"a_grad": a_grad, "b_grad": b_grad, "a_r": a_r, "b_r": b_r, "p_sup": p_sup}
+    if best is not None:
+        record = best[1]
+        return hc.HypothesisReport(
+            theorem="Schrodinger", lam=complex(record["lambda0"]), constants={**base, **record},
+            per_size={}, verdict=Verdict.PASS,
+        )
+    return hc.HypothesisReport(
+        theorem="Schrodinger", lam=None, constants={**base, **(best_fail[1] if best_fail else {})},
+        per_size={}, verdict=Verdict.FAIL,
+        notes="no knob combination reached gamma < 1 within the lambda_0 scan",
+    )
+
+
 def assert_same_as_loop(consts, knob_grid=hc.KNOB_GRID) -> hc.HypothesisReport:
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -417,6 +497,42 @@ class TestSchrodingerConstantsVectorized:
     def test_property_bit_identical_to_loop(self, a_grad, b_grad, a_r, b_r, p_sup, knobs):
         consts = {"a_grad": a_grad, "b_grad": b_grad, "a_r": a_r, "b_r": b_r, "p_sup": p_sup}
         assert_same_as_loop(consts, tuple(sorted(knobs)))
+
+
+class TestSchrodingerConstantsPerNu:
+    """One numpy pass per nu against the per-(nu, beta) search it replaced, record for record."""
+
+    @staticmethod
+    def assert_same_as_per_pair(consts, knob_grid=hc.KNOB_GRID) -> hc.HypothesisReport:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = hc.schrodinger_constants(consts, knob_grid=knob_grid)
+        want = per_pair_schrodinger_constants(consts, knob_grid)
+        assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
+        return rep
+
+    @pytest.mark.parametrize("demo", ["oscillator", "complex_oscillator"])
+    def test_demo_constants(self, demo):
+        prob = cli.parse_problem(cli.demo_problem(demo))
+        assert self.assert_same_as_per_pair(prob.schrodinger.assumption_constants()).verdict is Verdict.PASS
+
+    def test_zero_constants_ties(self):
+        # a = 0 and a_grad = b_grad = 0: many cells share lambda_0 and gamma, so the tie-breaks decide
+        zero = {"a_grad": 0.0, "b_grad": 0.0, "a_r": 0.0, "b_r": 0.0, "p_sup": 0.0}
+        assert self.assert_same_as_per_pair(zero).verdict is Verdict.PASS
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        a_grad=scaled(-3.0, 12.0, zero=True),
+        b_grad=scaled(-3.0, 4.0, zero=True),
+        a_r=scaled(-3.0, 20.0, zero=True),
+        b_r=hst.one_of(hst.just(0.0), hst.floats(0.0, 0.999)),
+        p_sup=scaled(-2.0, 3.0, zero=True),
+        knobs=hst.one_of(hst.just(hc.KNOB_GRID), hst.sets(hst.sampled_from(hc.KNOB_GRID), min_size=1, max_size=20)),
+    )
+    def test_property_same_records(self, a_grad, b_grad, a_r, b_r, p_sup, knobs):
+        consts = {"a_grad": a_grad, "b_grad": b_grad, "a_r": a_r, "b_r": b_r, "p_sup": p_sup}
+        self.assert_same_as_per_pair(consts, tuple(sorted(knobs)))
 
 
 class TestBandedCaseReport:

@@ -232,27 +232,32 @@ def contour_nodes(section, center, radius, q):
 
 
 def old_rule_refuses(section, center, radius, q):
-    """The contour guard with a power estimate at every node: True when some node is refused."""
+    """The contour guard that factors each node in turn and power-estimates it: its message, or None.
+
+    The message is the ContourError of the first node in order whose
+    factorization fails or whose estimate exceeds the limit.
+    """
     limit = ra._PRECONDITION_RESNORM / radius
     for z in contour_nodes(section, center, radius, q):
         try:
-            est = section.factor(z).inverse_norm_estimate()
-        except np.linalg.LinAlgError:
-            return True
+            fact = section.factor(z)
+        except np.linalg.LinAlgError as exc:
+            return f"eigenvalue on the contour: factorization at node {z} failed ({exc})"
+        est = fact.inverse_norm_estimate()
         if not np.isfinite(est) or est > limit:
-            return True
-    return False
+            return f"eigenvalue too close to the contour: resolvent norm ~{est:.3e} at node {z} exceeds {limit:.3e}"
+    return None
 
 
 def refuses(section, center, radius, q):
-    """True when contour_rank raises ContourError; a ResolutionError is no refusal."""
+    """The message of the ContourError contour_rank raises, or None; a ResolutionError is no refusal."""
     try:
         ra.contour_rank(section, center, radius, q)
-    except ContourError:
-        return True
+    except ContourError as exc:
+        return str(exc)
     except ResolutionError:
-        return False
-    return False
+        return None
+    return None
 
 
 def hermitian_with_eigenvalue(rng, n, lam, half, complex_a):
@@ -296,7 +301,11 @@ class TestHermitianContourGuard:
         lam = crossing + rng.choice([-1.0, 1.0]) * distance * radius
         sec = hermitian_with_eigenvalue(rng, n, lam, half, complex_a)
         assert sec.hermitian and sec.banded == (storage != "dense") and (sec.tridiagonal is not None) == (half == 1)
-        assert refuses(sec, center, radius, 32) == old_rule_refuses(sec, center, radius, 32)
+        got, want = refuses(sec, center, radius, 32), old_rule_refuses(sec, center, radius, 32)
+        if storage == "tridiagonal":  # the closed form reads the exact norm, and says so in its message
+            assert (got is None) == (want is None)
+        else:
+            assert got == want
 
     @pytest.mark.parametrize("storage", ["tridiagonal", "dense"])
     @pytest.mark.parametrize("complex_a", [False, True])
@@ -367,16 +376,134 @@ class TestHermitianContourGuard:
         assert factored == [] and estimated == []
 
     def test_hermitian_pentadiagonal_section_estimates_real_nodes_only(self, monkeypatch):
-        # the same section with a small second diagonal: 2 of the 17 nodes of a 32-point contour
+        # the same section with a small second diagonal: 15 of the 17 nodes of a 32-point contour are
+        # cleared by 1 / |Im z|, and the two real ones by the probe bound, or else by the estimate
         diagonals = dict(self.osc_classify_section().diagonals)
         diagonals[2] = diagonals[-2] = np.full(diagonals[0].size - 2, 1e-3)
         sec = numerics.Section(diagonals)
         assert sec.n == 1599 and sec.hermitian and sec.real and sec.banded and sec.tridiagonal is None
         factored, estimated = self.count_factors_and_estimates(monkeypatch)
-        res = ra.contour_rank(sec, 3.0, 1.0, 32)
+        with numerics.Ledger() as ledger:
+            res = ra.contour_rank(sec, 3.0, 1.0, 32)
         assert (res.rank, res.route) == (1, "sketched")
-        assert len(factored) == 17 and len(estimated) == 2
-        assert np.allclose(sorted(np.real(estimated)), [2.0, 4.0]) and np.all(np.abs(np.imag(estimated)) < 1e-12)
+        assert len(factored) == 17
+        real_nodes = [z for z in factored if abs(z.imag) < 1e-12]
+        assert np.allclose(sorted(np.real(real_nodes)), [2.0, 4.0])
+        assert set(estimated) <= set(real_nodes)
+        guards = ledger.counts["contour_guards"]
+        assert guards["imaginary_part"] == 15 and guards["probe_bound"] + guards["estimated"] == 2
+        assert guards["estimated"] == len(estimated) and guards.total() == 17
+
+
+def non_hermitian_with_eigenvalue(rng, n, lam, half, complex_a, jordan):
+    """A non-Hermitian section with band half-width ``half`` (n - 1: dense) and the exact eigenvalue lam.
+
+    Random entries, with column k = n // 2 cut to its diagonal lam, so
+    A e_k = lam e_k.  With ``jordan`` column k + 1 is cut to the pair
+    [[lam, 1e3], [0, lam]] in rows k, k + 1: a Jordan-like block whose
+    resolvent norm grows as 1e3 / dist^2.
+    """
+    i, j = np.indices((n, n))
+    a = rng.standard_normal((n, n)) * (np.abs(i - j) <= half)
+    if complex_a:
+        a = a + 1j * rng.standard_normal((n, n)) * (np.abs(i - j) <= half)
+    k = n // 2
+    a[:, k] = 0.0
+    a[k, k] = lam
+    if jordan:
+        a[:, k + 1] = 0.0
+        a[k, k + 1], a[k + 1, k + 1] = 1e3, lam
+    return numerics.Section(a)
+
+
+class TestNonHermitianContourGuard:
+    """The bound from the contour's own solves skips the power estimate, and the same nodes are refused."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        storage=hst.sampled_from(["tridiagonal", "pentadiagonal", "dense"]),
+        complex_a=hst.booleans(),
+        jordan=hst.booleans(),
+        distance=hst.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-3, 0.3]),
+        node=hst.integers(0, 31),
+    )
+    @example(seed=0, storage="tridiagonal", complex_a=True, jordan=False, distance=1e-7, node=5)
+    @example(seed=1, storage="pentadiagonal", complex_a=False, jordan=True, distance=1e-3, node=0)
+    @example(seed=2, storage="dense", complex_a=True, jordan=False, distance=0.0, node=9)
+    @example(seed=3, storage="dense", complex_a=False, jordan=False, distance=1e-7, node=16)
+    def test_property_refuses_as_the_old_rule(self, seed, storage, complex_a, jordan, distance, node):
+        # an eigenvalue ``distance`` r from a node: a complex one beside any node of a complex
+        # circle, a real one beside a real node of a circle with a real centre (node 0 or 16)
+        rng = np.random.default_rng(seed)
+        n = 40 if storage == "dense" else 96
+        half = {"tridiagonal": 1, "pentadiagonal": 2, "dense": n - 1}[storage]
+        radius = float(rng.uniform(0.5, 2.0))
+        if complex_a:
+            center = complex(*rng.uniform(-1.0, 1.0, 2))
+            offset = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        else:
+            center, node, offset = complex(rng.uniform(-1.0, 1.0)), node % 2 * 16, rng.choice([-1.0, 1.0])
+        z = (center + radius * np.exp(1j * (2.0 * np.pi * np.arange(32) / 32)))[node]
+        lam = z + offset * distance * radius
+        if not complex_a:
+            lam = float(lam.real)
+        sec = non_hermitian_with_eigenvalue(rng, n, lam, half, complex_a, jordan)
+        assert not sec.hermitian and sec.banded == (storage != "dense") and sec.real == (not complex_a)
+        assert refuses(sec, center, radius, 32) == old_rule_refuses(sec, center, radius, 32)
+
+    @staticmethod
+    def diagonal_section(values):
+        """A complex diagonal section, stored banded from n >= 64 (the sketched route), else dense."""
+        return numerics.Section({0: np.asarray(values, dtype=complex)})
+
+    @pytest.mark.parametrize("n", [12, 80])
+    def test_earlier_refusal_raised_before_a_later_failed_factorization(self, n):
+        # node 3 is exactly an eigenvalue (its LU fails); node 1 has one 1e-10 r away (refused)
+        center, radius, q = 0.2 + 0.1j, 1.0, 32
+        nodes = center + radius * np.exp(1j * (2.0 * np.pi * np.arange(q) / q))
+        values = 10.0 + np.arange(float(n)) + 0j
+        values[5], values[9] = nodes[3], nodes[1] * (1.0 + 1e-10)
+        sec = self.diagonal_section(values)
+        assert sec.banded == (n >= 64)
+        want = old_rule_refuses(sec, center, radius, q)
+        assert want.startswith("eigenvalue too close") and f"at node {nodes[1]}" in want
+        assert refuses(sec, center, radius, q) == want
+        # without the earlier refusal, the failed factorization is the error
+        values[9] = 10.0 - 1j
+        sec = self.diagonal_section(values)
+        want = old_rule_refuses(sec, center, radius, q)
+        assert want.startswith("eigenvalue on the contour: factorization") and f"at node {nodes[3]}" in want
+        assert refuses(sec, center, radius, q) == want
+
+    def test_probe_bound_factor_is_needed(self):
+        # the eigenvalue next to node 4 sits on a coordinate where all 16 probes are below 1 in
+        # magnitude (at most p < 1), with ||R|| = (1 + 1/p) / 2 times the limit there: the largest
+        # probe image alone stays below the limit, so only the factor 10 sqrt(2/pi) sqrt(2) sends
+        # the node to the estimate, which refuses it
+        n, center, radius, q = 1000, 0.0 + 0.5j, 1.0, 64
+        limit = ra._PRECONDITION_RESNORM / radius
+        probes = np.abs(ra._probe_matrix(n, ra._SKETCH_COLUMNS)).max(axis=1)
+        i = int(np.argmin(probes))
+        assert probes[i] < 1.0
+        z = (center + radius * np.exp(1j * (2.0 * np.pi * np.arange(q) / q)))[4]
+        values = 10.0 + 1j + np.arange(n, dtype=complex)
+        values[i] = z * (1.0 + 2.0 / ((1.0 + 1.0 / probes[i]) * limit * abs(z)))
+        sec = self.diagonal_section(values)
+        x = sec.factor(z).solve(ra._probe_matrix(n, ra._SKETCH_COLUMNS), adjoint=True)
+        assert np.linalg.norm(x, axis=0).max() < limit < ra._node_bound(x, "probe_bound")
+        want = old_rule_refuses(sec, center, radius, q)
+        assert want is not None and f"at node {z}" in want
+        assert refuses(sec, center, radius, q) == want
+        with numerics.Ledger() as ledger:
+            ra.contour_rank(self.diagonal_section(np.delete(values, i)), center, radius, q)
+        assert dict(ledger.counts["contour_guards"]) == {"probe_bound": q}
+
+    def test_dense_route_clears_by_frobenius(self):
+        a = np.diag([0.1, 0.2, 5.0]) + np.diag([0.0, 1.0], 1)
+        with numerics.Ledger() as ledger:
+            res = ra.contour_rank(a, 0.0, 1.0)
+        assert res.route == "dense" and dict(ledger.counts["contour_guards"]) == {"frobenius": 33}
 
 
 def contour_outcome(m, center, radius, sketch):
