@@ -99,8 +99,8 @@ CHECKS = {
     "schrodinger": ("schrodinger",),
 }
 ENV_THREADS = "SPECEXACT_THREADS"
-#: the most grid threads a run may ask for: values never depend on the count, and
-#: a pool may start up to min(threads, lattice rows) OS threads
+#: the largest ``--threads`` or ``$SPECEXACT_THREADS`` a run accepts: no count
+#: changes a run, and the cap stays so that a larger value still exits 2
 MAX_THREADS = 256
 #: the largest section a problem may ask for: its dense complex128 array,
 #: 16 n^2 bytes, must fit in 1 GiB, so n <= 8192
@@ -489,7 +489,7 @@ def _unique_name(name: str, used: set) -> str:
     return name
 
 
-def _run_spectra(prob: Problem, stage: dict, path: Path, threads: int, ledger: numerics.Ledger) -> dict:
+def _run_spectra(prob: Problem, stage: dict, path: Path, ledger: numerics.Ledger) -> dict:
     ladder, window = prob.ladder(stage["sizes"]), stage["window"]
     lines = ["n,re,im,residual"]
     for size in ladder.sizes:
@@ -500,10 +500,10 @@ def _run_spectra(prob: Problem, stage: dict, path: Path, threads: int, ledger: n
     return {}
 
 
-def _run_pseudo(prob: Problem, stage: dict, path: Path, threads: int, ledger: numerics.Ledger) -> dict:
+def _run_pseudo(prob: Problem, stage: dict, path: Path, ledger: numerics.Ledger) -> dict:
     size = stage["size"]
     matrix = prob.ladder([size]).matrix(size)
-    grid = ra.pseudospectrum_grid(matrix, stage["rect"], stage["nx"], stage["ny"], threads=threads)
+    grid = ra.pseudospectrum_grid(matrix, stage["rect"], stage["nx"], stage["ny"])
     buf = io.StringIO()
     grid.write_csv(buf)
     _atomic_write(path, buf.getvalue())
@@ -511,7 +511,7 @@ def _run_pseudo(prob: Problem, stage: dict, path: Path, threads: int, ledger: nu
     return {"sigma_min_routes": dict(counts["sigma_min_routes"]), "dense_fallbacks": counts["dense_fallbacks"].total()}
 
 
-def _run_classify(prob: Problem, stage: dict, path: Path, threads: int, ledger: numerics.Ledger) -> dict:
+def _run_classify(prob: Problem, stage: dict, path: Path, ledger: numerics.Ledger) -> dict:
     certified = prob.ladder(stage["certified_sizes"], label=stage["certified_label"])
     uncertified = None
     if stage["uncertified_sizes"]:
@@ -592,13 +592,13 @@ def _verify_checks(prob: Problem, stage: dict) -> list[hc.HypothesisReport]:
     return reports
 
 
-def _run_verify(prob: Problem, stage: dict, path: Path, threads: int, ledger: numerics.Ledger) -> dict:
+def _run_verify(prob: Problem, stage: dict, path: Path, ledger: numerics.Ledger) -> dict:
     reports = _verify_checks(prob, stage)
     _atomic_write(path, _dump_json({"problem": prob.name, "reports": [r.to_dict() for r in reports]}))
     return {}
 
 
-def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int = 1) -> dict:
+def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes) -> dict:
     """Execute the analysis block in declaration order; failures don't stop later stages.
 
     Each op's runner is ``_run_<op>``, looked up when its stage runs.  The
@@ -618,7 +618,7 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes, threads: int =
         name = _unique_name(STAGES[op][0], used)
         with numerics.Ledger() as ledger:
             try:
-                entry.update(globals()[f"_run_{op}"](prob, stage, out_dir / name, threads, ledger), outputs=[name])
+                entry.update(globals()[f"_run_{op}"](prob, stage, out_dir / name, ledger), outputs=[name])
             except Exception as exc:  # recorded per stage, run continues
                 entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
         counts = ledger.counts
@@ -866,20 +866,18 @@ def _load_problem(path: str) -> tuple[Problem, bytes]:
     return parse_problem(doc, name_hint=p.stem), raw
 
 
-def _threads_from(args) -> int:
-    """``--threads``, else ``$SPECEXACT_THREADS``, else 1; at least 1, and above ``MAX_THREADS`` refused."""
+def _check_threads(args) -> None:
+    """Refuse ``--threads``, else ``$SPECEXACT_THREADS``, above ``MAX_THREADS``; no count changes a run."""
     if args.threads is not None:
-        threads, where = max(1, args.threads), "--threads"
+        threads, where = args.threads, "--threads"
     else:
-        env = os.environ.get(ENV_THREADS, "")
         try:
-            threads = max(1, int(env)) if env else 1
+            threads = int(os.environ.get(ENV_THREADS) or 1)
         except ValueError:
             threads = 1
         where = f"${ENV_THREADS}"
     if threads > MAX_THREADS:
         raise ProblemError(f"{where}: at most {MAX_THREADS} threads, got {threads}")
-    return threads
 
 
 def _exit_code(report: dict) -> int:
@@ -899,8 +897,8 @@ def main(argv=None) -> int:
             sp.add_argument("problem", help="path to a JSON problem file")
         sp.add_argument("--out", default="specexact-out", help="output directory")
         sp.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads for grid stages (default ${ENV_THREADS} or 1, at most {MAX_THREADS}); "
-                        "affects speed only, never values")
+                        help=f"accepted for compatibility and changes nothing (default ${ENV_THREADS}); "
+                        f"a value above {MAX_THREADS} exits 2")
 
     add_common(sub.add_parser("run", help="run the problem file's analysis block"))
     p_demo = sub.add_parser("demo", help="run a baked-in demo and print a verdict summary")
@@ -938,7 +936,8 @@ def main(argv=None) -> int:
             prob = parse_problem(doc, name_hint=args.name)
             out_dir = Path(args.out or f"demo-{args.name}")
             raw = _dump_json(doc).encode()
-            report = run_problem(prob, out_dir, raw, threads=_threads_from(args))
+            _check_threads(args)
+            report = run_problem(prob, out_dir, raw)
             for line in _demo_summary(args.name, out_dir):
                 print(line)
             print(f"outputs in {out_dir}")
@@ -961,7 +960,8 @@ def main(argv=None) -> int:
                 if args.lam:
                     stage["lambda"] = args.lam if len(args.lam) == 2 else args.lam[0]
             prob.analysis = [_parse_stage(prob, stage, args.command)]
-        report = run_problem(prob, Path(args.out), raw, threads=_threads_from(args))
+        _check_threads(args)
+        report = run_problem(prob, Path(args.out), raw)
         for s in report["stages"]:
             status = s["status"] + ("" if s["status"] == "ok" else f" ({s['error']})")
             print(f"[{s['op']}] {status} -> {', '.join(s['outputs']) or '-'}")

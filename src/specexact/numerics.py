@@ -13,11 +13,11 @@ only those, by bisection.  An eigenvalue estimate is refined by two-sided
 Rayleigh-quotient iteration on the same shifted factorizations;
 ``resolvent_analysis.windowed_spectrum`` refines its contour estimates so,
 and adds the ``windowed`` route to ``EIG_ROUTES``.
-Everything here is deterministic for a fixed input, and threads may share a
-Section.  Backed by LAPACK (balancing + Hessenberg + implicitly shifted QR
-for general eigenproblems, band reduction for Hermitian banded ones,
-bisection and inverse iteration for tridiagonal ones, LU and triangular
-solves for shifts, bidiagonalization for singular values).  What a stage's
+Everything here is deterministic for a fixed input.  Backed by LAPACK
+(balancing + Hessenberg + implicitly shifted QR for general eigenproblems,
+band reduction for Hermitian banded ones, bisection and inverse iteration
+for tridiagonal ones, LU and triangular solves for shifts,
+bidiagonalization for singular values).  What a stage's
 kernels did (routes, cache hits, residuals, fallbacks) is counted in its
 :class:`Ledger`.
 
@@ -39,7 +39,6 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -109,9 +108,7 @@ class Ledger:
 
     ``with Ledger() as ledger`` opens ``ledger`` in the running context for the
     block.  :meth:`count` and :meth:`record` add to the open ledger and do
-    nothing when none is open.  A thread reaches it only by running in a copy
-    of the opening context (``contextvars.copy_context``, one per task); a
-    lock serializes the additions.  Each kind is named after the
+    nothing when none is open.  Each kind is named after the
     ``report.json`` key it feeds; the kernels that add to it say so.
     """
 
@@ -120,7 +117,6 @@ class Ledger:
     def __init__(self):
         self.counts = collections.defaultdict(collections.Counter)
         self.records = collections.defaultdict(list)
-        self._lock = threading.Lock()
 
     def __enter__(self) -> "Ledger":
         self._token = Ledger._open.set(self)
@@ -134,16 +130,14 @@ class Ledger:
         """Add ``n`` to ``counts[kind][key]`` of the open ledger, if one is open."""
         ledger = cls._open.get()
         if ledger is not None:
-            with ledger._lock:
-                ledger.counts[kind][key] += n
+            ledger.counts[kind][key] += n
 
     @classmethod
     def record(cls, kind: str, entry) -> None:
         """Append ``entry`` to ``records[kind]`` of the open ledger, if one is open."""
         ledger = cls._open.get()
         if ledger is not None:
-            with ledger._lock:
-                ledger.records[kind].append(entry)
+            ledger.records[kind].append(entry)
 
 
 def _stevd(d: np.ndarray, e: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +194,7 @@ class SymmetricTridiagonal:
     with no bisection), or residuals at chosen eigenvalues (``dstein``).
     Every other query, the eigenvalues in an interval, the distance from a
     shift to the spectrum and the norm max |lambda| (:func:`op_norm`), reads
-    one eigenvalue source, the memo of :meth:`eigenvalues_by_index`, which
-    threads may share.
+    one eigenvalue source, the memo of :meth:`eigenvalues_by_index`.
     """
 
     def __init__(self, d: np.ndarray, e: np.ndarray):
@@ -211,7 +204,6 @@ class SymmetricTridiagonal:
         #: index -> the values one dstebz call returned for it (see eigenvalues_by_index);
         #: of order 1 the eigenvalue is d[0], as dstebz refuses an empty e
         self._by_index: dict[int, np.ndarray] = {0: self.d.copy()} if self.n == 1 else {}
-        self._lock = threading.Lock()
         #: Gershgorin's bound, >= ||T||
         self._bound = float(np.abs(self.d).max() + 2.0 * np.abs(self.e).max(initial=0.0))
 
@@ -252,14 +244,12 @@ class SymmetricTridiagonal:
         """
         abstol = 2.0 * np.finfo(float).tiny
         indices = range(max(first, 0), min(stop, self.n))
-        # dstebz holds the interpreter lock, so holding this one too costs threads no parallelism
-        with self._lock:
-            for k in indices:
-                if k not in self._by_index:
-                    m, w, _, _, info = _flapack.dstebz(self.d, self.e, 2, 0.0, 0.0, k + 1, k + 1, abstol, b"E")
-                    if info != 0:
-                        raise ConvergenceError(f"bisection for eigenvalue {k} failed (info={info})")
-                    self._by_index[k] = w[:m].copy()
+        for k in indices:
+            if k not in self._by_index:
+                m, w, _, _, info = _flapack.dstebz(self.d, self.e, 2, 0.0, 0.0, k + 1, k + 1, abstol, b"E")
+                if info != 0:
+                    raise ConvergenceError(f"bisection for eigenvalue {k} failed (info={info})")
+                self._by_index[k] = w[:m].copy()
         found = [self._by_index[k] for k in indices]
         return np.sort(np.concatenate(found)) if found else np.zeros(0)
 
@@ -366,23 +356,20 @@ class Factorization:
     triangular matrix that ``trtrs`` solves as it stands (``triangular``).
     A triangular factor is a matrix its section shares among all its shifts,
     complex and in Fortran order, plus this shift's ``diagonal``: O(n) of
-    its own.  Each solve writes that diagonal into the shared matrix under
-    the section's ``lock`` and solves before releasing it.  The lock costs
-    threads no parallelism, as ``trtrs`` holds the interpreter lock anyway.
+    its own.  Each solve writes that diagonal into the shared matrix, then
+    solves.
     Raises ``LinAlgError`` when the factorization meets an exact zero pivot;
     for a triangular matrix, an exact zero on its diagonal.
     """
 
-    def __init__(
-        self, n: int, kl: int = 0, ku: int = 0, ab=None, dense=None, triangular=None, diagonal=None, lock=None
-    ):
+    def __init__(self, n: int, kl: int = 0, ku: int = 0, ab=None, dense=None, triangular=None, diagonal=None):
         self.n = n
         self.banded = ab is not None
         self._triangular = triangular
         if triangular is not None:
             if not np.all(diagonal):
                 raise np.linalg.LinAlgError("exact zero on the triangular diagonal")
-            self._diagonal, self._lock = diagonal, lock
+            self._diagonal = diagonal
             # a view, so writing it writes the shared matrix; a matrix not in Fortran order raises
             # here, where the wrapper would copy it on every solve
             self._slot = np.reshape(triangular, -1, order="F", copy=False)[:: n + 1]
@@ -407,9 +394,8 @@ class Factorization:
     def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         trans = 2 if adjoint else 0
         if self._triangular is not None:
-            with self._lock:
-                self._slot[...] = self._diagonal
-                x, info = self._trtrs(self._triangular, b, trans=trans)
+            self._slot[...] = self._diagonal
+            x, info = self._trtrs(self._triangular, b, trans=trans)
         elif self.banded:
             x, info = self._gbtrs(self._lu, self.kl, self.ku, b, self._ipiv, trans=trans)
         else:
@@ -474,10 +460,8 @@ class Section:
     those routes and built from the diagonals), the Lanczos start vector,
     :attr:`norm` and :attr:`inf_norm` are built on first use.  A triangular
     section keeps one -A for all its shifts: each factor holds only its
-    diagonal z - a_ii and writes it in before each solve, under the
-    section's lock, which costs threads no parallelism, as ``trtrs`` holds
-    the interpreter lock anyway.  Instances are read-only apart from those
-    and that diagonal: threads may share one.
+    diagonal z - a_ii and writes it in before each solve.  Instances are
+    read-only apart from those and that diagonal.
     """
 
     def __init__(self, m):
@@ -500,8 +484,6 @@ class Section:
         # banded storage only pays off when the band is genuinely narrow
         self.banded = n >= 64 and (kl + ku + 1) <= max(4, n // 8)
         self.triangular = n >= 64 and kl == 0 and not self.banded
-        #: held by a triangular factor while it writes its diagonal into the shared matrix and solves
-        self._triangular_lock = threading.Lock()
 
     @classmethod
     def of(cls, m) -> "Section":
@@ -650,9 +632,7 @@ class Section:
             ab[self.kl + self.ku, :] += z
             return Factorization(self.n, self.kl, self.ku, ab=ab)
         if self.triangular:
-            return Factorization(
-                self.n, triangular=self._triangular_matrix, diagonal=z - self.diagonals[0], lock=self._triangular_lock
-            )
+            return Factorization(self.n, triangular=self._triangular_matrix, diagonal=z - self.diagonals[0])
         return Factorization(self.n, dense=self._shifted_dense(z))
 
     def _shifted_dense(self, z: complex) -> np.ndarray:

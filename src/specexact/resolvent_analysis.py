@@ -18,9 +18,7 @@ and the fallback recorded.  Every other request gets the whole spectrum.
 
 from __future__ import annotations
 
-import contextvars
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -238,15 +236,13 @@ class PseudoGrid:
             fh.write(f"{re:.17g},{im:.17g},{sval}\n")
 
 
-def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGrid:
+def pseudospectrum_grid(m, rect, nx: int, ny: int) -> PseudoGrid:
     """Evaluate the resolvent norm on an nx-by-ny lattice over ``rect``.
 
     One :class:`numerics.Section` serves the whole lattice; each point takes
     the :meth:`numerics.Section.sigma_min` route its structure picks.  ``m``
-    is a Section, or an array read as one.  ``threads`` only parallelizes
-    independent lattice rows, on at most one thread per row; values are
-    bitwise independent of the schedule.  Each row thread runs in its own
-    copy of the caller's context, so the open :class:`numerics.Ledger`
+    is a Section, or an array read as one.  Rows run in order, bottom to
+    top, and each row left to right.  The open :class:`numerics.Ledger`
     counts every dense fallback; its ``sigma_min_routes`` counts the
     lattice's one route nx * ny times.
     """
@@ -260,19 +256,10 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int, threads: int = 1) -> PseudoGr
     values = np.empty((ny, nx), dtype=float)
     section = numerics.Section.of(m)
 
-    def fill_row(iy: int) -> None:
+    for iy in range(ny):
         for ix in range(nx):
             s = section.sigma_min(complex(res[ix], ims[iy]))
             values[iy, ix] = np.inf if s == 0.0 else 1.0 / s
-
-    if threads and threads > 1:
-        # a context is entered by one thread at a time: a copy per row, taken in this thread
-        contexts = [contextvars.copy_context() for _ in range(ny)]
-        with ThreadPoolExecutor(max_workers=min(int(threads), ny)) as pool:
-            list(pool.map(lambda iy: contexts[iy].run(fill_row, iy), range(ny)))
-    else:
-        for iy in range(ny):
-            fill_row(iy)
     # the route reads the section's structure alone, so every point takes this one
     numerics.Ledger.count("sigma_min_routes", section.sigma_min_route(complex(re0, im0)), nx * ny)
     return PseudoGrid(

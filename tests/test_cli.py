@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -755,7 +756,7 @@ class TestThreadCap:
     @pytest.mark.parametrize("value", [cli.MAX_THREADS + 1, 10**9])
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_above_cap_exit_2(self, tmp_path, monkeypatch, capsys, source, value):
-        # refused before any stage runs, so no pool is ever sized from the value
+        # refused before any stage runs
         monkeypatch.setattr(cli, "run_problem", lambda *a, **k: pytest.fail("a stage ran"))
         path = write_problem(tmp_path, jacobi_stage(op="pseudo", size=8, rect=[-1, 1, -1, 1], nx=2, ny=2))
         flags = ["--threads", str(value)] if source == "flag" else []
@@ -768,11 +769,15 @@ class TestThreadCap:
         assert cli.main(["demo", "jacobi", "--out", str(tmp_path / "d"), *flags]) == 2
 
     def test_at_cap_accepted(self, tmp_path, monkeypatch):
-        # a spectra stage starts no pool, whatever the thread count
-        monkeypatch.setenv(cli.ENV_THREADS, str(cli.MAX_THREADS))
-        path = write_problem(tmp_path, jacobi_stage(op="spectra", sizes=[4]))
-        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 0
-        assert cli.main(["run", path, "--out", str(tmp_path / "p"), "--threads", str(cli.MAX_THREADS)]) == 0
+        # no stage starts a thread, whatever the thread count: a grid runs its rows in turn
+        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread was started"))
+        stages = {"spectra": {"sizes": [4]}, "pseudo": {"size": 8, "rect": [-1, 1, -1, 1], "nx": 2, "ny": 4}}
+        for op, stage in stages.items():
+            path = write_problem(tmp_path, jacobi_stage(op=op, **stage), f"{op}.json")
+            assert cli.main(["run", path, "--out", str(tmp_path / f"{op}-flag"), "--threads", str(cli.MAX_THREADS)]) == 0
+            with monkeypatch.context() as env:
+                env.setenv(cli.ENV_THREADS, str(cli.MAX_THREADS))
+                assert cli.main(["run", path, "--out", str(tmp_path / f"{op}-env")]) == 0
 
 
 class TestSizeGuard:
@@ -940,7 +945,7 @@ class TestContractFuzz:
     )
     def test_main_exits_0_or_2(self, tmp_path, monkeypatch, capsys, command, target, flags):
         # nothing is computed, so fuzzed --threads and --grid values start no work
-        monkeypatch.setattr(cli, "run_problem", lambda prob, out_dir, raw, threads=1: {
+        monkeypatch.setattr(cli, "run_problem", lambda prob, out_dir, raw: {
             "stages": [{"op": s["op"], "status": "ok", "outputs": [], "error": ""} for s in prob.analysis]
         })
         monkeypatch.chdir(tmp_path)
@@ -970,7 +975,7 @@ class TestDemoDeterminism:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_jacobi_pseudo_byte_identical_at_one_and_two_threads(self, tmp_path):
-        # the row threads share each section's bisection memo
+        # the thread flag moves no byte of pseudo.csv
         outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
         for threads, out in zip((1, 2), outs):
             assert cli.main(["demo", "jacobi", "--out", str(out), "--threads", str(threads)]) == 0

@@ -1,11 +1,8 @@
 """Kernel contracts: section structure, eigensolve, singular values, and their invariants."""
 
 import contextlib
-import sys
-import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -393,27 +390,6 @@ class TestTridiagonalQueries:
         if sec.tridiagonal is not None:
             assert sec.tridiagonal._by_index.keys() <= {0, n - 1}
 
-    @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(seed=hst.integers(0, 2**32 - 1), n=hst.sampled_from([2, 50, 300]))
-    def test_concurrent_distances_give_the_serial_bits(self, seed, n):
-        rng = np.random.default_rng(seed)
-        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
-        shifts = rng.uniform(-3.0, 3.0, 96) + 1j * rng.uniform(-0.5, 0.5, 96)
-        serial = numerics.SymmetricTridiagonal(d, e)
-        want = [serial.distance_to_spectrum(z) for z in shifts]
-        shared = numerics.SymmetricTridiagonal(d, e)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with counting_dstebz() as lapack, ThreadPoolExecutor(8) as pool:
-                futures = [pool.submit(shared.distance_to_spectrum, z) for z in shifts]
-                got = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-        # the lock lets no index be bisected twice
-        assert len(lapack.ranges) == len(set(lapack.ranges)) == len(shared._by_index)
-
 
 def banded_diagonals(kind, n, half, rng):
     """Diagonals {j - i: d} of a random banded matrix of the given kind."""
@@ -732,40 +708,6 @@ class TestSharedTriangularMatrix:
             assert np.array_equal(got, fresh_triangular_solve(a, self.SHIFTS[k], b, adjoint))
         # the shared matrix is placed from the diagonals: the dense A is never built
         assert "data" not in vars(sec)
-
-    def test_two_threads_equal_a_fresh_matrix(self):
-        rng = np.random.default_rng(5)
-        n = 80
-        a, sec = declared_upper_triangular(rng, n, complex_a=True)
-        facts = [sec.factor(z) for z in self.SHIFTS]
-        work = self.solves(rng, n, self.SHIFTS) * 10
-        want = [fresh_triangular_solve(a, self.SHIFTS[k], b, adjoint) for k, adjoint, b in work]
-
-        class Yielding:
-            """b, whose conversion inside the ``trtrs`` wrapper, after the diagonal is written and
-            before LAPACK reads it, hands the interpreter to the other thread"""
-
-            def __init__(self, b):
-                self.b = b
-
-            def __array__(self, dtype=None, copy=None):
-                time.sleep(0)
-                # a copy: the wrapper takes a converted b as its own and solves in place
-                return self.b.copy()
-
-        def run(half):
-            return [facts[k].solve(Yielding(b), adjoint=adjoint) for k, adjoint, b in work[half::2]]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(2) as pool:
-                futures = [pool.submit(run, half) for half in (0, 1)]
-                got = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(np.array_equal(x, y) for x, y in zip(got[0], want[0::2]))
-        assert all(np.array_equal(x, y) for x, y in zip(got[1], want[1::2]))
 
     def test_held_factors_cost_no_matrix_each(self):
         n = 400

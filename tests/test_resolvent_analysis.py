@@ -2,7 +2,6 @@
 
 import io
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -74,36 +73,6 @@ class TestPseudospectrumGrid:
         want = 1.0 / closed_form_sigma_min_2x2_triangular(-z, 100.0)
         assert g.values[iy, ix] == pytest.approx(want, rel=1e-10)
         assert g.values[iy, ix] >= 1000.0
-
-    def test_thread_count_does_not_change_values(self):
-        m = np.diag([0.0, 1.0, 2.0])
-        g1 = ra.pseudospectrum_grid(m, (-1, 3, -1, 1), 11, 9, threads=1)
-        g4 = ra.pseudospectrum_grid(m, (-1, 3, -1, 1), 11, 9, threads=4)
-        np.testing.assert_array_equal(g1.values, g4.values)
-
-    @pytest.mark.parametrize("threads, ny, workers", [(10**9, 3, 3), (2, 5, 2), (7, 7, 7)])
-    def test_pool_takes_at_most_one_thread_per_row(self, monkeypatch, threads, ny, workers):
-        # a stand-in executor that runs the rows here: a huge thread count starts no thread
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, rows):
-                return map(fn, rows)
-
-        monkeypatch.setattr(ra, "ThreadPoolExecutor", SerialPool)
-        m = np.diag([0.0, 1.0, 2.0])
-        g = ra.pseudospectrum_grid(m, (-1, 3, -1, 1), 4, ny, threads=threads)
-        assert pools == [workers]
-        np.testing.assert_array_equal(g.values, ra.pseudospectrum_grid(m, (-1, 3, -1, 1), 4, ny).values)
 
     def test_csv_format(self):
         g = ra.pseudospectrum_grid(np.diag([0.0, 1.0]), (0, 1, 0, 1), 2, 2)
@@ -776,18 +745,18 @@ def dense_sigma_min(m, z):
     return numerics.sigma_min(m - shift * np.eye(m.shape[0]))
 
 
-def counted_grid(m, rect, nx, ny, threads=1):
+def counted_grid(m, rect, nx, ny):
     """A pseudospectrum grid in a ledger of its own, with that ledger's sigma_min routes and dense fallbacks."""
     with numerics.Ledger() as ledger:
-        grid = ra.pseudospectrum_grid(m, rect, nx, ny, threads=threads)
+        grid = ra.pseudospectrum_grid(m, rect, nx, ny)
     return grid, dict(ledger.counts["sigma_min_routes"]), ledger.counts["dense_fallbacks"].total()
 
 
-def assert_no_ledger_records(section, z, rect, threads, closed):
+def assert_no_ledger_records(section, z, rect, closed):
     """With no ledger open, sigma_min and a grid run, raise nothing and add nothing to the ``closed`` ledger."""
     counts = {kind: dict(c) for kind, c in closed.counts.items()}
     section.sigma_min(z)
-    ra.pseudospectrum_grid(section, rect, 2, 2, threads=threads)
+    ra.pseudospectrum_grid(section, rect, 2, 2)
     assert {kind: dict(c) for kind, c in closed.counts.items()} == counts
 
 
@@ -916,29 +885,16 @@ class TestShiftFamilySigmaMin:
         with numerics.Ledger() as ledger:
             assert section.sigma_min(z) == dense_sigma_min(m, z)
         assert dict(ledger.counts["dense_fallbacks"]) == {"banded": 1}
-        # the grid's own ledger counts its four fallbacks, row threads included
+        # the grid's own ledger counts its four fallbacks
         rect = (1.0, 3.0, 1.0, 3.0)
-        for threads in (1, 2):
-            _, routes, fallbacks = counted_grid(section, rect, 2, 2, threads)
-            assert (routes, fallbacks) == ({"banded": 4}, 4)
-            assert_no_ledger_records(section, z, rect, threads, ledger)
+        _, routes, fallbacks = counted_grid(section, rect, 2, 2)
+        assert (routes, fallbacks) == ({"banded": 4}, 4)
+        assert_no_ledger_records(section, z, rect, ledger)
 
-    def test_fallbacks_counted_under_thread_contention(self, monkeypatch):
-        # every point falls back, and the row threads add to one ledger
-        monkeypatch.setattr(numerics, "_LANCZOS_STEPS", 1)
-        m = complex_oscillator_section(80)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            counts = [counted_grid(m, (1.0, 3.0, 1.0, 3.0), 6, 16, threads)[1:] for threads in (1, 2, 4)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert counts == [({"banded": 6 * 16}, 6 * 16)] * 3
-
-    def test_banded_grid_bitwise_equal_across_threads(self):
-        m = complex_oscillator_section(200)
-        g1, routes, fallbacks = counted_grid(m, (-1.0, 12.0, -1.0, 12.0), 6, 5, threads=1)
-        g2 = ra.pseudospectrum_grid(m, (-1.0, 12.0, -1.0, 12.0), 6, 5, threads=2)
+    def test_banded_grid_takes_one_route_and_repeats_its_bits(self):
+        section = numerics.Section(complex_oscillator_section(200))
+        g1, routes, fallbacks = counted_grid(section, (-1.0, 12.0, -1.0, 12.0), 6, 5)
+        g2 = ra.pseudospectrum_grid(section, (-1.0, 12.0, -1.0, 12.0), 6, 5)
         assert (routes, fallbacks) == ({"banded": 30}, 0)
         assert g1.values.tobytes() == g2.values.tobytes()
 
@@ -1023,19 +979,19 @@ class TestTriangularRoute:
         with numerics.Ledger() as ledger:
             assert section.sigma_min(z) == dense_sigma_min(m, z)
         assert dict(ledger.counts["dense_fallbacks"]) == {"triangular": 1}
-        # the grid's own ledger counts its four fallbacks, row threads included
+        # the grid's own ledger counts its four fallbacks
         rect = (0.0, 1.0, 0.0, 1.0)
-        for threads in (1, 2):
-            _, routes, fallbacks = counted_grid(section, rect, 2, 2, threads)
-            assert (routes, fallbacks) == ({"triangular": 4}, 4)
-            assert_no_ledger_records(section, z, rect, threads, ledger)
+        _, routes, fallbacks = counted_grid(section, rect, 2, 2)
+        assert (routes, fallbacks) == ({"triangular": 4}, 4)
+        assert_no_ledger_records(section, z, rect, ledger)
 
-    def test_triangular_grid_bitwise_equal_across_threads(self):
-        m = upper_triangular_complex(np.random.default_rng(9), 120)
-        g1, routes, fallbacks = counted_grid(m, (-1.5, 1.5, -1.0, 1.0), 6, 5, threads=1)
-        g4 = ra.pseudospectrum_grid(m, (-1.5, 1.5, -1.0, 1.0), 6, 5, threads=4)
+    def test_triangular_grid_takes_one_route_and_repeats_its_bits(self):
+        # the second grid solves against the shared matrix the first one left shifted
+        section = numerics.Section(upper_triangular_complex(np.random.default_rng(9), 120))
+        g1, routes, fallbacks = counted_grid(section, (-1.5, 1.5, -1.0, 1.0), 6, 5)
+        g2 = ra.pseudospectrum_grid(section, (-1.5, 1.5, -1.0, 1.0), 6, 5)
         assert (routes, fallbacks) == ({"triangular": 30}, 0)
-        assert g1.values.tobytes() == g4.values.tobytes()
+        assert g1.values.tobytes() == g2.values.tobytes()
 
 
 class TestNeumannBoundOnSections:
