@@ -36,9 +36,8 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                reason the whole spectrum was computed instead) and
                ``contour_guards`` (the factored contour nodes of the stage,
                windowed solves' and classify contours' alike, by how the
-               resolvent-norm guard cleared each: imaginary_part,
-               probe_bound, frobenius or estimated; a node refused is not
-               counted).  An
+               resolvent-norm guard cleared each: probe_bound,
+               frobenius or estimated; a node refused is not counted).  An
                sl_matrix section interleaves its two components' unknowns,
                so it is banded.
                A finished classify stage records ``probe_ratios``, one entry

@@ -445,8 +445,8 @@ class Section:
     n >= 2, else None.  ``banded``: stored banded for shifted solves (n >= 64
     with a narrow band); ``triangular``: upper triangular, n >= 64, not banded.
 
-    The structure picks the route of :meth:`sigma_min` (z), the smallest
-    singular value of A - z I:
+    The structure picks ``sigma_min_route``, the route of :meth:`sigma_min` (z),
+    the smallest singular value of A - z I, at every z:
 
     - ``tridiagonal``: every shift of a Hermitian tridiagonal A, by the
       distance from z to the spectrum (A is normal), from a Sturm count at
@@ -484,6 +484,12 @@ class Section:
         # banded storage only pays off when the band is genuinely narrow
         self.banded = n >= 64 and (kl + ku + 1) <= max(4, n // 8)
         self.triangular = n >= 64 and kl == 0 and not self.banded
+        self.sigma_min_route = (
+            "tridiagonal" if self.tridiagonal is not None
+            else "banded" if self.banded
+            else "triangular" if self.triangular
+            else "dense"
+        )
 
     @classmethod
     def of(cls, m) -> "Section":
@@ -645,14 +651,6 @@ class Section:
         np.fill_diagonal(a, z - self.data.diagonal())
         return a
 
-    def sigma_min_route(self, z: complex) -> str:
-        """The route :meth:`sigma_min` takes at z, one of the four in the class docstring."""
-        if self.tridiagonal is not None:
-            return "tridiagonal"
-        if self.banded:
-            return "banded"
-        return "triangular" if self.triangular else "dense"
-
     def sigma_min(self, z: complex) -> float:
         """Smallest singular value of A - z I; exactly 0.0 when it is exactly singular.
 
@@ -664,7 +662,7 @@ class Section:
         conditioning of the solves.
         """
         z = complex(z)
-        route = self.sigma_min_route(z)
+        route = self.sigma_min_route
         if route == "tridiagonal":
             return self.tridiagonal.distance_to_spectrum(z)
         if route != "dense":

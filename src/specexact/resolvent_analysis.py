@@ -260,8 +260,7 @@ def pseudospectrum_grid(m, rect, nx: int, ny: int) -> PseudoGrid:
         for ix in range(nx):
             s = section.sigma_min(complex(res[ix], ims[iy]))
             values[iy, ix] = np.inf if s == 0.0 else 1.0 / s
-    # the route reads the section's structure alone, so every point takes this one
-    numerics.Ledger.count("sigma_min_routes", section.sigma_min_route(complex(re0, im0)), nx * ny)
+    numerics.Ledger.count("sigma_min_routes", section.sigma_min_route, nx * ny)
     return PseudoGrid(
         rect=(re0, re1, im0, im1),
         nx=nx,
@@ -406,28 +405,21 @@ def _probe_matrix(n: int, columns: int) -> np.ndarray:
 #: the _SKETCH_COLUMNS real Gaussian probes w_i, except with probability 10^-16; sqrt(2) covers a complex B
 _PROBE_BOUND_FACTOR = np.sqrt(2.0) * 10.0 * np.sqrt(2.0 / np.pi)
 #: how a factored contour node was cleared, the keys of the open Ledger's ``contour_guards`` (see _clear_node)
-CONTOUR_GUARDS = ("imaginary_part", "probe_bound", "frobenius", "estimated")
+CONTOUR_GUARDS = ("probe_bound", "frobenius", "estimated")
 
 
-def _clear_node(
-    section: numerics.Section, fact: numerics.Factorization, z: complex, limit: float, bound=None, key=None
-) -> None:
+def _clear_node(fact: numerics.Factorization, z: complex, limit: float, bound: float, key: str) -> None:
     """Clear the factored node z, or raise :class:`ContourError` where its resolvent norm exceeds ``limit``.
 
-    The norm is the power estimate :meth:`numerics.Factorization.inverse_norm_estimate`,
-    a lower bound, except where an upper bound already passes, and then the
-    estimate cannot exceed the limit and is skipped.  For a Hermitian A,
-    ||(z I - A)^-1|| = 1 / dist(z, spectrum) <= 1 / |Im z|; where that is at
-    most ``limit`` / 2 the node is cleared by ``imaginary_part``, checked
-    first.  Otherwise ``bound``, when given, is an upper bound on the norm
-    from the contour's own solves, named by ``key`` (see :func:`_node_bound`).
-    So the nodes refused are those the estimate alone refuses.  The open
+    ``bound`` is an upper bound on the norm from the contour's own solves,
+    named by ``key`` (see :func:`_node_bound`); where it passes, the node is
+    cleared by ``key``.  Else the norm is the power estimate
+    :meth:`numerics.Factorization.inverse_norm_estimate`, a lower bound, so
+    the nodes refused are those the estimate alone refuses.  The open
     :class:`numerics.Ledger` counts each cleared node in ``contour_guards``
     by the key that cleared it, ``estimated`` for the estimate.
     """
-    if section.hermitian and abs(z.imag) * limit >= 2.0:
-        key = "imaginary_part"
-    elif bound is None or not bound <= limit:
+    if not bound <= limit:
         est = fact.inverse_norm_estimate()
         if not np.isfinite(est) or est > limit:
             raise ContourError(
@@ -448,6 +440,19 @@ def _factored_nodes(section: numerics.Section, nodes):
                 f"eigenvalue on the contour: factorization at node {z} failed ({exc})"
             ) from exc
         yield fact
+
+
+class _KeptFactors:
+    """``factors`` for several passes: the first draws each factor as it reaches it, the later ones reuse it."""
+
+    def __init__(self, factors):
+        self._source, self._kept = factors, []
+
+    def __iter__(self):
+        yield from self._kept
+        for fact in self._source:
+            self._kept.append(fact)
+            yield fact
 
 
 def _node_bound(x: np.ndarray, key: str) -> float:
@@ -509,7 +514,8 @@ def _sketched_singular_values(
     ``solved`` is what :func:`_weighted_solves` gave for Q (P Q, or the pair
     (P Q, M Q) with ``nodes``), or None once L reaches ``sketch_below`` (the
     caller then forms P densely).  ``guard`` sees the adjoint solves of the
-    first pass alone (see :func:`_weighted_solves`).
+    first pass alone (see :func:`_weighted_solves`).  ``factors`` is iterated
+    once per pass, in node order.
     """
     columns = _SKETCH_COLUMNS
     while columns < sketch_below:
@@ -602,18 +608,17 @@ def contour_rank(
     On the last two routes the guard refuses a node whose 8-step power
     estimate of the resolvent norm ||R_k|| = ||(z_k I - A)^-1|| exceeds
     1e8 / radius.  The estimate is a lower bound, so a node whose upper
-    bound passes needs none
-    (:func:`_clear_node`).  On a Hermitian section 1 / |Im z_k| is one,
-    checked first.  Else the bound comes from the solves the contour already
-    makes: on the sketched route, 10 sqrt(2/pi) max_i ||R_k^H omega_i|| over
-    the first pass's 16 real Gaussian probes (Halko, Martinsson & Tropp
-    2011, Lemma 4.1), which fails with probability at most 1e-16 per node,
-    times sqrt(2) for a complex R_k; on the dense route the Frobenius norm
+    bound passes needs none (:func:`_clear_node`).  The bound comes from the
+    solves the contour already makes: on the sketched route,
+    10 sqrt(2/pi) max_i ||R_k^H omega_i|| over the first pass's 16 real
+    Gaussian probes (Halko, Martinsson & Tropp 2011, Lemma 4.1), which
+    fails with probability at most 1e-16 per node, times sqrt(2) for a
+    complex R_k; on the dense route the Frobenius norm
     of R_k from the identity solves, which never fails.  The estimate runs
     only where the bound does not pass, so the nodes refused, the error and
     its message are those of estimating every node in order.  The open
     :class:`numerics.Ledger`'s ``contour_guards`` counts the nodes cleared
-    by each of the four ways (``CONTOUR_GUARDS``).
+    by each of the three ways (``CONTOUR_GUARDS``).
 
     ``m`` is a :class:`numerics.Section`, or an array read as one; a
     ladder's own Section reuses its band template across calls.  The open
@@ -632,7 +637,7 @@ def contour_rank(
     if section.tridiagonal is not None:
         contour = _closed_form_contour_rank(section.tridiagonal, center, radius, q)
     else:
-        contour = _contour_rank(section, center, radius, q, section.n if section.banded else 0)
+        contour = _contour_rank(section, center, radius, q)
     numerics.Ledger.count("contour_routes", contour.route)
     return contour
 
@@ -759,21 +764,22 @@ def _contour_rank(
     center: complex,
     radius: float,
     q: int,
-    sketch_below: float,
+    sketch_below: float | None = None,
     moments: bool = False,
 ) -> ContourRank:
     """Contour rank with the sketch tried while L < ``sketch_below`` (0: dense only).
 
-    With ``moments`` the result also carries Beyn's (A0, A1), from the same solves.
-    The first pass over the nodes clears each in turn (:func:`_clear_node`)
-    by the bound its own solves give (:func:`_node_bound`).  The dense
-    route factors each node just before its solve, so it holds one LU at a
-    time; the sketch's two passes reuse every node's LU, so it factors them
-    all first, and where one fails the nodes before it are cleared by the
-    estimate before the failure raises.  Either way the error is that of
-    factoring and estimating one node at a time.
+    ``sketch_below`` defaults to n for a section stored banded, else 0.  With
+    ``moments`` the result also carries Beyn's (A0, A1), from the same solves.
+    The first pass over the nodes factors each in turn, solves against it
+    and clears it (:func:`_clear_node`) by the bound those solves give
+    (:func:`_node_bound`), so the error is that of factoring and estimating
+    one node at a time.  The sketch keeps each LU for its later passes; the
+    dense route holds one at a time.
     """
     n = section.n
+    if sketch_below is None:
+        sketch_below = n if section.banded else 0
     theta = 2.0 * np.pi * np.arange(q) / q
     nodes = center + radius * np.exp(1j * theta)
     limit = _PRECONDITION_RESNORM / radius
@@ -787,22 +793,12 @@ def _contour_rank(
     factors = _factored_nodes(section, zs)
 
     def guard(key):
-        return lambda k, fact, x: _clear_node(section, fact, zs[k], limit, _node_bound(x, key), key)
+        return lambda k, fact, x: _clear_node(fact, zs[k], limit, _node_bound(x, key), key)
 
     sketched = _SKETCH_COLUMNS < sketch_below
     sketch = None
     if sketched:
-        # both sketch passes reuse every node's LU; where one fails, the nodes before it are
-        # cleared first, by the estimate, as a guard taking one node at a time would
-        factored = []
-        try:
-            for fact in factors:
-                factored.append(fact)
-        except ContourError:
-            for fact, z in zip(factored, zs):
-                _clear_node(section, fact, z, limit)
-            raise
-        factors = factored
+        factors = _KeptFactors(factors)
         sketch = _sketched_singular_values(
             factors, weights, n, real_pairs, sketch_below, solve_nodes, guard("probe_bound")
         )
@@ -921,9 +917,7 @@ def windowed_spectrum(m, window) -> tuple[numerics.EigenDecomposition, WindowedC
         check.fallback = f"no circle around the window {tuple(window)}"
         return numerics.eig_dense(section), check
     try:
-        contour = _contour_rank(
-            section, center, radius, DEFAULT_QUADRATURE, section.n if section.banded else 0, moments=True
-        )
+        contour = _contour_rank(section, center, radius, DEFAULT_QUADRATURE, moments=True)
     except (ContourError, ResolutionError) as exc:
         check.fallback = f"{type(exc).__name__}: {exc}"
         return numerics.eig_dense(section), check

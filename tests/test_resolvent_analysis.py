@@ -247,7 +247,7 @@ def hermitian_with_eigenvalue(rng, n, lam, half, complex_a):
 
 
 class TestHermitianContourGuard:
-    """The guard skips the power estimate at non-real nodes of Hermitian sections, and refuses the same contours."""
+    """Hermitian sections' nodes are cleared as any other section's, and the same contours are refused."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -315,9 +315,9 @@ class TestHermitianContourGuard:
         factored, estimated = [], []
 
         def tagged_factor(self, z):
+            factored.append(z)
             fact = factor(self, z)
             fact.node = z
-            factored.append(z)
             return fact
 
         def counted_estimate(self, iterations=8):
@@ -344,9 +344,9 @@ class TestHermitianContourGuard:
         assert (res.rank, res.route, res.projection, res.probe_columns) == (1, "closed_form", None, 0)
         assert factored == [] and estimated == []
 
-    def test_hermitian_pentadiagonal_section_estimates_real_nodes_only(self, monkeypatch):
-        # the same section with a small second diagonal: 15 of the 17 nodes of a 32-point contour are
-        # cleared by 1 / |Im z|, and the two real ones by the probe bound, or else by the estimate
+    def test_hermitian_pentadiagonal_section_clears_every_node_by_the_probe_bound(self, monkeypatch):
+        # the same section with a small second diagonal: all 17 nodes of a 32-point contour (its
+        # upper half circle) are cleared by the bound from the sketch's own first pass, none estimated
         diagonals = dict(self.osc_classify_section().diagonals)
         diagonals[2] = diagonals[-2] = np.full(diagonals[0].size - 2, 1e-3)
         sec = numerics.Section(diagonals)
@@ -355,13 +355,8 @@ class TestHermitianContourGuard:
         with numerics.Ledger() as ledger:
             res = ra.contour_rank(sec, 3.0, 1.0, 32)
         assert (res.rank, res.route) == (1, "sketched")
-        assert len(factored) == 17
-        real_nodes = [z for z in factored if abs(z.imag) < 1e-12]
-        assert np.allclose(sorted(np.real(real_nodes)), [2.0, 4.0])
-        assert set(estimated) <= set(real_nodes)
-        guards = ledger.counts["contour_guards"]
-        assert guards["imaginary_part"] == 15 and guards["probe_bound"] + guards["estimated"] == 2
-        assert guards["estimated"] == len(estimated) and guards.total() == 17
+        assert len(factored) == 17 and estimated == []
+        assert dict(ledger.counts["contour_guards"]) == {"probe_bound": 17}
 
 
 def non_hermitian_with_eigenvalue(rng, n, lam, half, complex_a, jordan):
@@ -444,6 +439,25 @@ class TestNonHermitianContourGuard:
         want = old_rule_refuses(sec, center, radius, q)
         assert want.startswith("eigenvalue on the contour: factorization") and f"at node {nodes[3]}" in want
         assert refuses(sec, center, radius, q) == want
+
+    def test_sketch_clears_each_node_before_factoring_the_next(self, monkeypatch):
+        # node 3 is exactly an eigenvalue: nodes 0-2 are factored, solved against and cleared by
+        # the probe bound before node 3's LU is tried, and none of them is estimated
+        center, radius, q, n = 0.2 + 0.1j, 1.0, 32, 80
+        nodes = center + radius * np.exp(1j * (2.0 * np.pi * np.arange(q) / q))
+        values = 10.0 + np.arange(float(n)) + 0j
+        values[5] = nodes[3]
+        sec = self.diagonal_section(values)
+        assert sec.banded
+        want = old_rule_refuses(sec, center, radius, q)
+        assert want.startswith("eigenvalue on the contour: factorization") and f"at node {nodes[3]}" in want
+        factored, estimated = TestHermitianContourGuard.count_factors_and_estimates(monkeypatch)
+        with numerics.Ledger() as ledger:
+            with pytest.raises(ContourError) as exc:
+                ra.contour_rank(sec, center, radius, q)
+        assert str(exc.value) == want
+        assert factored == list(nodes[:4]) and estimated == []
+        assert dict(ledger.counts["contour_guards"]) == {"probe_bound": 3}
 
     def test_probe_bound_factor_is_needed(self):
         # the eigenvalue next to node 4 sits on a coordinate where all 16 probes are below 1 in
@@ -801,7 +815,7 @@ class TestTridiagonalRoute:
         if stored == "complex":
             z = complex(z, rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 2.0))
         section = numerics.Section(m)
-        assert section.sigma_min_route(z) == "tridiagonal"
+        assert section.sigma_min_route == "tridiagonal"
         if where in ("below", "above"):
             assert section.tridiagonal.sturm_count(np.real(z)) == (0 if where == "below" else n)
         want = np.linalg.svd(m - z * np.eye(n), compute_uv=False)[-1]
@@ -811,7 +825,7 @@ class TestTridiagonalRoute:
         # an all-zero off-diagonal splits T into 1 x 1 blocks, whose eigenvalues are exact
         m = np.diag([3.0, -1.0, 2.0, 2.0])
         section = numerics.Section(m)
-        assert section.sigma_min_route(2.0) == "tridiagonal"
+        assert section.sigma_min_route == "tridiagonal"
         assert section.sigma_min(2.0) == 0.0 and ra.resolvent_norm(m, 2.0) == np.inf
         assert section.sigma_min(0.0) == 1.0
 
@@ -833,7 +847,7 @@ class TestShiftFamilySigmaMin:
             m += np.diag(rng.standard_normal(n - abs(off)) + 1j * rng.standard_normal(n - abs(off)), off)
         z = complex(zr, zi)
         section = numerics.Section(m)
-        assert section.sigma_min_route(z) == "banded"
+        assert section.sigma_min_route == "banded"
         assert section.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
 
     def test_persymmetric_complex_oscillator(self):
@@ -842,8 +856,8 @@ class TestShiftFamilySigmaMin:
         # sigma_min belongs to an odd one
         m = complex_oscillator_section(200)
         section = numerics.Section(m)
+        assert section.sigma_min_route == "banded"
         for z in (2.0 + 2.2j, 3 * np.exp(0.25j * np.pi) + 0.05, 5.0 + 4.9j, 1.0 + 1.0j, 8.0 + 0.5j):
-            assert section.sigma_min_route(z) == "banded"
             with numerics.Ledger() as ledger:
                 assert section.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
             assert ledger.counts["dense_fallbacks"].total() == 0
@@ -855,12 +869,11 @@ class TestShiftFamilySigmaMin:
             m = np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
             section = numerics.Section(m)
             norm = numerics.op_norm(m)
+            # every shift of a Hermitian tridiagonal section takes the tridiagonal route
+            assert section.sigma_min_route == "tridiagonal"
             for z in (0.0, -0.7, complex(1.3, 0.0), float(np.linalg.eigvalsh(m)[n // 2])):
-                assert section.sigma_min_route(z) == "tridiagonal"
                 want = dense_sigma_min(m, z)
                 assert abs(section.sigma_min(z) - want) <= gate_tolerance(want, norm, z)
-            # every shift of a Hermitian tridiagonal section takes the tridiagonal route
-            assert section.sigma_min_route(0.5 + 0.1j) == "tridiagonal"
             want = dense_sigma_min(m, 0.5 + 0.1j)
             assert abs(section.sigma_min(0.5 + 0.1j) - want) <= gate_tolerance(want, norm, 0.5 + 0.1j)
 
@@ -871,7 +884,7 @@ class TestShiftFamilySigmaMin:
         d = np.linspace(2.0, 3.0, n) + 1j
         d[40] = z
         m = np.diag(d)
-        assert numerics.Section(m).sigma_min_route(z) == "banded"
+        assert numerics.Section(m).sigma_min_route == "banded"
         g = ra.pseudospectrum_grid(m, rect, nx, ny)
         assert g.values[2, 3] == np.inf
         assert np.count_nonzero(np.isinf(g.values)) == 1
@@ -901,7 +914,7 @@ class TestShiftFamilySigmaMin:
     def test_upper_triangular_400_takes_triangular_route(self):
         m = om.truncate(om.upper_triangular_spec(), 400).data
         section = numerics.Section(m)
-        assert not section.banded and section.sigma_min_route(5.0 + 1.0j) == "triangular"
+        assert not section.banded and section.sigma_min_route == "triangular"
         rect = (-2.0, 30.0, -10.0, 10.0)
         g, routes, fallbacks = counted_grid(m, rect, 2, 2)
         assert (routes, fallbacks) == ({"triangular": 4}, 0)
@@ -916,7 +929,7 @@ class TestShiftFamilySigmaMin:
 
     def test_upper_triangular_40_stays_dense_and_bit_identical(self):
         m = om.truncate(om.upper_triangular_spec(), 40).data
-        assert numerics.Section(m).sigma_min_route(5.0 + 1.0j) == "dense"
+        assert numerics.Section(m).sigma_min_route == "dense"
         g, routes, fallbacks = counted_grid(m, (-2.0, 30.0, -10.0, 10.0), 2, 2)
         assert (routes, fallbacks) == ({"dense": 4}, 0)
         assert g.values[0, 0] == 1.0 / dense_sigma_min(m, complex(-2.0, -10.0))
@@ -943,7 +956,7 @@ class TestTriangularRoute:
         m = upper_triangular_complex(np.random.default_rng(seed), n)
         z = complex(zr, zi)
         section = numerics.Section(m)
-        assert not section.banded and section.sigma_min_route(z) == "triangular"
+        assert not section.banded and section.sigma_min_route == "triangular"
         with numerics.Ledger() as ledger:
             assert section.sigma_min(z) == pytest.approx(dense_sigma_min(m, z), rel=1e-9)
         assert ledger.counts["dense_fallbacks"].total() == 0
@@ -951,7 +964,7 @@ class TestTriangularRoute:
     def test_general_dense_section_takes_dense_route(self):
         m = complex_gaussian(np.random.default_rng(3), 100, 100) / np.sqrt(200)
         section = numerics.Section(m)
-        assert not section.banded and section.sigma_min_route(0.5j) == "dense"
+        assert not section.banded and section.sigma_min_route == "dense"
         g, routes, fallbacks = counted_grid(m, (0.0, 1.0, 0.0, 1.0), 2, 2)
         assert (routes, fallbacks) == ({"dense": 4}, 0)
         assert g.values[0, 0] == 1.0 / dense_sigma_min(m, 0.0)
@@ -964,7 +977,7 @@ class TestTriangularRoute:
         d = np.linspace(2.0, 3.0, n) + 1j
         d[40] = z
         m = np.diag(d) + np.triu(complex_gaussian(rng, n, n), 1) / n
-        assert numerics.Section(m).sigma_min_route(z) == "triangular"
+        assert numerics.Section(m).sigma_min_route == "triangular"
         g, routes, _ = counted_grid(m, rect, nx, ny)
         assert routes == {"triangular": nx * ny}
         assert g.values[2, 3] == np.inf
