@@ -264,12 +264,17 @@ class Problem:
     grid_m: int = 0
     cache: ra.SectionCache = field(default_factory=ra.SectionCache, repr=False)
 
+    @property
+    def ladder_length(self) -> int | None:
+        """The number of truncations (``a_n`` or ``L_n``); None on a Galerkin problem, which has no ladder."""
+        model = self.sl or self.sl_matrix or self.schrodinger
+        return None if model is None else model.ladder_length
+
     def default_sizes(self, where: str) -> tuple:
         """The whole ladder; Galerkin problems have none, so ``where`` must name its sizes."""
-        if self.kind in GALERKIN_KINDS:
+        if self.ladder_length is None:
             raise ProblemError(f"{where}: {self.kind} problems need explicit section sizes")
-        n = (self.sl or self.sl_matrix or self.schrodinger).ladder_length
-        return tuple(range(1, n + 1))
+        return tuple(range(1, self.ladder_length + 1))
 
     def ladder(self, sizes, label: str | None = None) -> ra.SectionLadder:
         """A view of the problem's sections at ``sizes``, backed by ``cache``."""
@@ -293,6 +298,16 @@ def _check_section_size(n, where: str) -> None:
             f"{where}: a section of order {n} needs {nbytes} bytes as a dense complex128 "
             f"array, above the cap of {MAX_SECTION_BYTES} bytes"
         )
+
+
+def _check_ladder(values: tuple, where: str, top: int | None = None) -> None:
+    """Refuse ``values`` unless they increase strictly from at least 1 (to at most ``top``, if given)."""
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ProblemError(f"{where}: expected strictly increasing values, got {list(values)}")
+    if values and values[0] < 1:
+        raise ProblemError(f"{where}: expected values of at least 1, got {values[0]!r}")
+    if values and top is not None and values[-1] > top:
+        raise ProblemError(f"{where}: expected values of at most the ladder length {top}, got {values[-1]!r}")
 
 
 def _parse_sl_component(node: dict, a: float, b: float, a_n, where: str, name: str) -> dz.SLProblem:
@@ -399,7 +414,10 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
 
     The runners read these fields and neither cast nor range-check them.  On
     Galerkin problems each section size meets :func:`_check_section_size` as
-    written, before any other check of its stage.
+    written, before any other check of that field.  Every ladder, and a
+    pseudo stage's ``size``, is then refused unless it increases strictly
+    from at least 1 to at most the problem's ladder length, if it has one
+    (:func:`_check_ladder`).
     """
     if not isinstance(stage, dict) or "op" not in stage:
         raise ProblemError(f"{where}: each stage needs an 'op' field")
@@ -408,7 +426,11 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
         raise ProblemError(f"{where}: unknown op {op!r}")
     cap = prob.kind in GALERKIN_KINDS
     read = lambda key, parse, default, *args: parse(stage.get(key, default), f"{where}.{key}", *args)
-    sizes = lambda key: read(key, _parse_list, [], int, cap)
+
+    def sizes(key):
+        value = read(key, _parse_list, [], int, cap)
+        _check_ladder(value, f"{where}.{key}", prob.ladder_length)
+        return value
 
     def above(key, low, default, *args, most=math.inf):  # refused here, not later as a stage error
         value = read(key, _parse_number, default, *args)
@@ -426,6 +448,7 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
         rect = read("rect", _parse_rect, None)
         if size is None or rect is None:
             raise ProblemError(f"{where}: pseudo stage needs 'size' and 'rect'")
+        _check_ladder((size,), f"{where}.size", prob.ladder_length)
         nx, ny = (above(key, 1, 40, int) for key in ("nx", "ny"))
         if nx * ny > MAX_SECTION_BYTES // 80:  # per point, a float64 and a pseudo.csv row in one buffer
             raise ProblemError(f"{where}.nx, {where}.ny: a lattice of {nx} x {ny} points is above "
@@ -450,11 +473,15 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
 
 
 def _parse_check(prob: Problem, check, where: str, cap: bool) -> dict:
-    """One verify check, typed and defaulted like a stage, its section sizes capped first."""
+    """One verify check, typed and defaulted like a stage, its section sizes capped first, then range-checked."""
     check = _parse_as(check, where, dict)
     read = lambda key, parse, default, *args: parse(check.get(key, default), f"{where}.{key}", *args)
     cuts, sizes = read("cuts", _parse_list, [], int, cap), read("sizes", _parse_list, [], int, cap)
     scan = read("scan", _parse_number, 100, int, cap)
+    _check_ladder(cuts, f"{where}.cuts")
+    _check_ladder(sizes, f"{where}.sizes", prob.ladder_length)
+    if scan < 2:
+        raise ProblemError(f"{where}.scan: expected a value of at least 2, got {scan!r}")
     kind = check.get("check")
     if not isinstance(kind, str) or kind not in CHECKS:
         raise ProblemError(f"{where}: unknown check {kind!r}; checks are {sorted(CHECKS)}")
@@ -750,12 +777,12 @@ def demo_problem(name: str) -> dict:
     raise ProblemError(f"unknown demo {name!r}; available: {', '.join(DEMO_NAMES)}")
 
 
-def _demo_summary(name: str, out_dir: Path) -> list[str]:
+def _demo_summary(name: str, out_dir: Path, report: dict) -> list[str]:
+    """The verdict lines of the outputs that ``report``'s finished stages wrote, never another run's files."""
     lines = []
-    classify_path = out_dir / "classify.json"
-    hypothesis_path = out_dir / "hypothesis.json"
-    if classify_path.exists():
-        doc = json.loads(classify_path.read_text())
+    written = {s["op"]: out_dir / out for s in report["stages"] if s["status"] == "ok" for out in s["outputs"]}
+    if "classify" in written:
+        doc = json.loads(written["classify"].read_text())
         for cand in doc["candidates"]:
             lam = complex(cand["lambda"][0], cand["lambda"][1])
             verdict = cand["verdict"]
@@ -770,8 +797,8 @@ def _demo_summary(name: str, out_dir: Path) -> list[str]:
                     lines.append(f"lambda = {lam:.6g}: Spurious ({cand['note']})")
             else:
                 lines.append(f"lambda = {lam:.6g}: Undecided ({cand['note']})")
-    if hypothesis_path.exists():
-        doc = json.loads(hypothesis_path.read_text())
+    if "verify" in written:
+        doc = json.loads(written["verify"].read_text())
         for rep in doc["reports"]:
             consts = rep["constants"]
             if rep["theorem"] == "BandedCase":
@@ -937,7 +964,7 @@ def main(argv=None) -> int:
             raw = _dump_json(doc).encode()
             _check_threads(args)
             report = run_problem(prob, out_dir, raw)
-            for line in _demo_summary(args.name, out_dir):
+            for line in _demo_summary(args.name, out_dir, report):
                 print(line)
             print(f"outputs in {out_dir}")
             return _exit_code(report)

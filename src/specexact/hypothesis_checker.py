@@ -2,9 +2,13 @@
 
 Each checker evaluates the finite-section counterpart of one theorem's
 hypothesis and reports the computed constants together with a verdict.
-Sups over the truncation family are sups over the computed ladder; a
-margin (default 1e-3) guards the strict inequalities.  Verdicts are
-evidence about the scanned range, never proofs about all n.
+Sups over the truncation family are sups over the computed ladder.  The
+thresholds are named constants of this module: ``MARGIN`` guards the strict
+inequalities of :func:`relative_bound` and :func:`gamma_product_2x2`,
+``DECAY_FACTOR`` and ``TAIL_THRESHOLD`` judge
+:func:`uniform_resolvent_decay`, and ``EPS_GRID`` and ``LINE_SAMPLES`` set
+the search of :func:`sl_lambda0_search`.  Verdicts are evidence about the
+scanned range, never proofs about all n.
 """
 
 from __future__ import annotations
@@ -19,7 +23,12 @@ from . import numerics
 from .errors import AssumptionError, PoleError
 from .operator_model import BandProfile
 
-DEFAULT_MARGIN = 1e-3
+#: PassEvidence for a sup (or product) of at most 1 - MARGIN
+MARGIN = 1e-3
+#: uniform decay: the head-third geometric mean is at least DECAY_FACTOR times the tail-third one ...
+DECAY_FACTOR = 2.0
+#: ... and the tail minimum is below TAIL_THRESHOLD
+TAIL_THRESHOLD = 0.1
 POLE_REL = 1e-12
 
 
@@ -93,10 +102,9 @@ def relative_bound(
     lam: complex,
     sizes: Sequence | None = None,
     *,
-    margin: float = DEFAULT_MARGIN,
     tag: str = "PerturbGSR",
 ) -> HypothesisReport:
-    """gamma_n = ||S_n (T_n - lam)^{-1}|| per section; PassEvidence iff sup <= 1 - margin.
+    """gamma_n = ||S_n (T_n - lam)^{-1}|| per section; PassEvidence iff sup <= 1 - ``MARGIN``.
 
     ``tag`` selects which perturbation theorem the report is filed under
     ('PerturbGSR' for resolvent convergence, 'PerturbDiscComp' for discrete
@@ -112,11 +120,11 @@ def relative_bound(
     gammas = np.asarray(gammas)
     sup = float(gammas.max())
     third = max(1, len(gammas) // 3)
-    verdict = Verdict.PASS if sup <= 1.0 - margin else Verdict.FAIL
+    verdict = Verdict.PASS if sup <= 1.0 - MARGIN else Verdict.FAIL
     return HypothesisReport(
         theorem=tag,
         lam=lam,
-        constants={"gamma_sup": sup, "margin": margin},
+        constants={"gamma_sup": sup, "margin": MARGIN},
         per_size={
             "sizes": sizes,
             "gamma": gammas,
@@ -134,12 +142,10 @@ def gamma_product_2x2(
     d_sections: Sequence,
     lam: complex,
     sizes: Sequence | None = None,
-    *,
-    margin: float = DEFAULT_MARGIN,
 ) -> HypothesisReport:
     """gamma^AC = sup ||C_n (A_n-lam)^{-1}||, gamma^DB = sup ||B_n (D_n-lam)^{-1}||.
 
-    PassEvidence iff the product is <= 1 - margin.
+    PassEvidence iff the product is <= 1 - ``MARGIN``.
     """
     lam = complex(lam)
     lengths = {len(a_sections), len(b_sections), len(c_sections), len(d_sections)}
@@ -156,33 +162,25 @@ def gamma_product_2x2(
     return HypothesisReport(
         theorem="TwoByTwo",
         lam=lam,
-        constants={"gamma_ac": gamma_ac, "gamma_db": gamma_db, "product": product, "margin": margin},
+        constants={"gamma_ac": gamma_ac, "gamma_db": gamma_db, "product": product, "margin": MARGIN},
         per_size={"sizes": sizes, "gamma_ac": np.asarray(g_ac), "gamma_db": np.asarray(g_db)},
-        verdict=Verdict.PASS if product <= 1.0 - margin else Verdict.FAIL,
+        verdict=Verdict.PASS if product <= 1.0 - MARGIN else Verdict.FAIL,
     )
 
 
-def uniform_resolvent_decay(
-    block_family: Sequence,
-    lam: complex,
-    js: Sequence | None = None,
-    *,
-    tag: str = "DiagonalDecay",
-    decay_factor: float = 2.0,
-    tail_threshold: float = 0.1,
-) -> HypothesisReport:
-    """Decay profile d_j = sup_n ||(B_j^{(n)} - lam)^{-1}|| along the block index.
+def uniform_resolvent_decay(block_family: Sequence, lam: complex, *, tag: str = "DiagonalDecay") -> HypothesisReport:
+    """Decay profile d_j = sup_n ||(B_j^{(n)} - lam)^{-1}|| along the block index j = 1, 2, ....
 
-    ``block_family[j]`` is either one matrix B_j (a ``numerics.Section`` or
-    an array) or a sequence of them over the inner n-range.  PassEvidence iff
-    the head-third geometric mean exceeds the tail-third one by at least
-    ``decay_factor`` and the tail minimum is below ``tail_threshold``.  File
+    ``block_family[j - 1]`` is either one matrix B_j (a ``numerics.Section``
+    or an array) or a sequence of them over the inner n-range.  PassEvidence
+    iff the head-third geometric mean exceeds the tail-third one by at least
+    ``DECAY_FACTOR`` and the tail minimum is below ``TAIL_THRESHOLD``.  File
     under 'Galerkin' via ``tag`` when the blocks come from a block-aligned
     finite-section splitting.
     """
     lam = complex(lam)
     profile = []
-    js = list(js) if js is not None else list(range(1, len(block_family) + 1))
+    js = list(range(1, len(block_family) + 1))
     for j, entry in zip(js, block_family):
         mats = entry if isinstance(entry, (list, tuple)) else [entry]
         sup = 0.0
@@ -195,7 +193,7 @@ def uniform_resolvent_decay(
     head = float(np.exp(np.mean(np.log(profile[:third]))))
     tail = float(np.exp(np.mean(np.log(profile[-third:]))))
     tail_min = float(profile[-third:].min())
-    ok = head >= decay_factor * tail and tail_min < tail_threshold
+    ok = head >= DECAY_FACTOR * tail and tail_min < TAIL_THRESHOLD
     return HypothesisReport(
         theorem=tag,
         lam=lam,
@@ -203,8 +201,8 @@ def uniform_resolvent_decay(
             "head_geomean": head,
             "tail_geomean": tail,
             "tail_min": tail_min,
-            "decay_factor": decay_factor,
-            "tail_threshold": tail_threshold,
+            "decay_factor": DECAY_FACTOR,
+            "tail_threshold": TAIL_THRESHOLD,
         },
         per_size={"j": js, "d": profile},
         verdict=Verdict.PASS if ok else Verdict.FAIL,
@@ -227,7 +225,9 @@ def sl_coercivity(p_min: float, q_min: float, beta: float) -> float:
 
 # ------------------------- lambda_0 selection for 2x2 SL -------------------------
 
+#: the eps values sl_lambda0_search tries, in order
 EPS_GRID = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
+#: points per line at which sl_lambda0_search samples |xi| / |xi - lambda_0|
 LINE_SAMPLES = 10_000
 
 
@@ -243,10 +243,10 @@ def _angle_to_line(direction: float, line: float) -> float:
     return min(d, np.pi - d)
 
 
-def _sup_ratio(lam0: complex, line_angle: float, samples: int) -> float:
-    """max over the line of |xi| / |xi - lam0|, by dense sampling plus the limit 1."""
+def _sup_ratio(lam0: complex, line_angle: float) -> float:
+    """max over the line of |xi| / |xi - lam0|, by ``LINE_SAMPLES`` samples plus the limit 1."""
     r = 10.0 * abs(lam0)
-    ts = np.linspace(-r, r, samples)
+    ts = np.linspace(-r, r, LINE_SAMPLES)
     xs = ts * np.exp(1j * line_angle)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.abs(xs) / np.abs(xs - lam0)
@@ -261,15 +261,13 @@ def sl_lambda0_search(
     sup_t: float,
     sup_u: float,
     sup_v: float,
-    *,
-    eps_grid: Sequence[float] = EPS_GRID,
-    samples: int = LINE_SAMPLES,
 ) -> HypothesisReport:
     """Find (lambda_0, eps) off both lines gamma_i R satisfying the 2x2 SL criteria.
 
     Candidates sit on the bisector ray maximizing the angle to both lines, at
-    radius sqrt(2) / (eps sin(theta_min)).  A candidate passes when, for both
-    lines, the sampled sup of |xi|/|xi - lambda_0| stays <= 1 + eps and
+    radius sqrt(2) / (eps sin(theta_min)), for each eps of ``EPS_GRID`` in
+    turn.  A candidate passes when, for both lines, the sup of
+    |xi|/|xi - lambda_0| over ``LINE_SAMPLES`` points stays <= 1 + eps and
     dist(lambda_0, gamma_i R) >= 1/eps, and the relaxed coupling bounds satisfy
 
         (|u|/|g1| (1+eps) + |v| eps) (|s|/|g2| (1+eps) + |t| eps) < 1.
@@ -291,11 +289,11 @@ def sl_lambda0_search(
     theta_min = min(_angle_to_line(psi, phi1), _angle_to_line(psi, phi2))
 
     best = None
-    for eps in eps_grid:
+    for eps in EPS_GRID:
         radius = np.sqrt(2.0) / (eps * np.sin(theta_min))
         lam0 = radius * np.exp(1j * psi)
-        sup1 = _sup_ratio(lam0, phi1, samples)
-        sup2 = _sup_ratio(lam0, phi2, samples)
+        sup1 = _sup_ratio(lam0, phi1)
+        sup2 = _sup_ratio(lam0, phi2)
         dist1 = abs(lam0) * np.sin(_angle_to_line(psi, phi1))
         dist2 = abs(lam0) * np.sin(_angle_to_line(psi, phi2))
         bound1 = sup_u / abs(gamma1) * (1.0 + eps) + sup_v * eps

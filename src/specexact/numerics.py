@@ -158,24 +158,24 @@ def _nrm2(x: np.ndarray) -> float:
     return (_fblas.dznrm2 if np.iscomplexobj(x) else _fblas.dnrm2)(x)
 
 
-def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
+def as_matrix(a, *, square: bool = False) -> np.ndarray:
     """Validate and coerce to a float64/complex128 2-d array with finite entries."""
     arr = np.asarray(a)
     if arr.ndim == 0 or arr.ndim > 2:
-        raise DimensionError(f"{name} must be 2-d, got ndim={arr.ndim}")
+        raise DimensionError(f"matrix must be 2-d, got ndim={arr.ndim}")
     if arr.ndim == 1:
-        raise DimensionError(f"{name} must be 2-d, got a vector of length {arr.shape[0]}")
+        raise DimensionError(f"matrix must be 2-d, got a vector of length {arr.shape[0]}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise DimensionError(f"{name} must have positive dimensions, got {arr.shape}")
+        raise DimensionError(f"matrix must have positive dimensions, got {arr.shape}")
     if square and arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"{name} must be square, got {arr.shape}")
+        raise DimensionError(f"matrix must be square, got {arr.shape}")
     if np.iscomplexobj(arr):
         arr = arr.astype(np.complex128, copy=False)
     else:
         arr = arr.astype(np.float64, copy=False)
     if arr.size and not np.all(np.isfinite(arr)):
         i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise DataError(f"{name} has a non-finite entry at ({i + 1}, {j + 1})")
+        raise DataError(f"matrix has a non-finite entry at ({i + 1}, {j + 1})")
     return arr
 
 
@@ -347,6 +347,8 @@ _LANCZOS_STEPS = 64
 #: the Ritz residual, relative to the Ritz value, that stops the Lanczos iteration
 _LANCZOS_TOL = 1e-10
 _LANCZOS_SEED = 19990601
+#: power steps of Factorization.inverse_norm_estimate, two solves each
+_INVERSE_NORM_STEPS = 8
 
 
 class Factorization:
@@ -404,8 +406,8 @@ class Factorization:
         _check_info(info, "the solve")
         return x
 
-    def inverse_norm_estimate(self, iterations: int = 8) -> float:
-        """Power-iteration lower estimate of ||A^{-1}||_2 (converging from below), 16 solves.
+    def inverse_norm_estimate(self) -> float:
+        """Power-iteration lower estimate of ||A^{-1}||_2, from below: ``_INVERSE_NORM_STEPS`` steps of 2 solves.
 
         The contour guard of ``resolvent_analysis`` runs it only at a node
         whose upper bound on ||A^{-1}||_2 does not already clear the limit: a
@@ -413,7 +415,7 @@ class Factorization:
         """
         x = np.ones(self.n, dtype=complex) / np.sqrt(self.n)
         est = 0.0
-        for _ in range(iterations):
+        for _ in range(_INVERSE_NORM_STEPS):
             w = self.solve(self.solve(x), adjoint=True)
             norm = np.linalg.norm(w)
             if not np.isfinite(norm) or norm == 0.0:

@@ -48,7 +48,6 @@ class BlockSplit:
     once; every section of T and S is sliced from it.
     """
 
-    spec: OperatorSpec
     cut_points: tuple[int, ...]
     diagonal_blocks: tuple[np.ndarray, ...] = field(repr=False)
     matrix: np.ndarray = field(repr=False)
@@ -88,7 +87,7 @@ def split_blocks(spec: OperatorSpec, cut_points: Sequence[int]) -> BlockSplit:
     for cut in cuts:
         blocks.append(a[lo:cut, lo:cut].copy())
         lo = cut
-    return BlockSplit(spec=spec, cut_points=cuts, diagonal_blocks=tuple(blocks), matrix=a)
+    return BlockSplit(cut_points=cuts, diagonal_blocks=tuple(blocks), matrix=a)
 
 
 # -------------------------------- band profiles -------------------------------
@@ -105,7 +104,6 @@ class BandProfile:
     """
 
     scan_limit: int
-    normalized: bool
     lam: complex | None
     row_counts: np.ndarray
     col_counts: np.ndarray
@@ -114,9 +112,6 @@ class BandProfile:
     row_partial_sums: np.ndarray
     col_partial_sums: np.ndarray
     hint: str
-    rows_stable: bool
-    cols_stable: bool
-    max_counts_stable: bool
     envelope_bounded: bool
 
     @property
@@ -209,7 +204,6 @@ def band_profile(
 
     return BandProfile(
         scan_limit=scan_limit,
-        normalized=normalize_by_diag,
         lam=lam,
         row_counts=row_counts,
         col_counts=col_counts,
@@ -218,9 +212,6 @@ def band_profile(
         row_partial_sums=row_psums,
         col_partial_sums=col_psums,
         hint=hint,
-        rows_stable=rows_stable,
-        cols_stable=cols_stable,
-        max_counts_stable=max_stable,
         envelope_bounded=envelope_bounded,
     )
 

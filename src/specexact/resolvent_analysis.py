@@ -2,8 +2,10 @@
 
 Verdicts produced here are *evidence*, never proofs: the region of
 boundedness is an asymptotic notion and a finite ladder can only exhibit
-trends.  The thresholds that define the evidence standard are keyword
-arguments with the documented defaults.
+trends.  The thresholds that define the evidence standard are named module
+constants: the region probe's ``PROBE_ZERO_FLOOR``, ``PROBE_BOUNDED_FLOOR``,
+``PROBE_DECAY_RATIO`` and ``PROBE_FINAL_DROP``, and the contour rank's
+``RANK_THRESHOLD`` and ``GAP_FACTOR``, all defined here.
 
 A ladder's spectrum request may carry a window.  Two kinds of section answer
 it with the window's eigenvalues alone (their window route, see
@@ -32,6 +34,14 @@ from .errors import ContourError, ResolutionError
 RANK_THRESHOLD = 0.5
 #: ... and the kept/dropped ratio must be at least this factor
 GAP_FACTOR = 10.0
+#: region probe: UnboundedEvidence where the final sigma_min is below this times the scale ...
+PROBE_ZERO_FLOOR = 1e-10
+#: ... BoundedEvidence needs the ladder minimum at least this times the scale ...
+PROBE_BOUNDED_FLOOR = 1e-6
+#: ... and final/first at least this; a tail/head geometric mean below it is decay ...
+PROBE_DECAY_RATIO = 0.5
+#: ... which is UnboundedEvidence when final/first is also below this
+PROBE_FINAL_DROP = 0.1
 #: default number of trapezoid points on a circle
 DEFAULT_QUADRATURE = 64
 #: the routes of a contour rank (see ContourRank)
@@ -319,25 +329,18 @@ def _ratio(num: float, den: float) -> float | None:
     return ratio if np.isfinite(ratio) else None
 
 
-def region_probe(
-    ladder: SectionLadder,
-    z: complex,
-    *,
-    zero_floor: float = 1e-10,
-    bounded_floor: float = 1e-6,
-    decay_ratio: float = 0.5,
-    final_drop: float = 0.1,
-) -> RegionProbe:
+def region_probe(ladder: SectionLadder, z: complex) -> RegionProbe:
     """Probe whether z behaves like a point of the region of boundedness.
 
-    UnboundedEvidence: the final sigma_min falls below ``zero_floor * scale``,
-    or the last-third geometric mean is below ``decay_ratio`` times the
-    first-third one with the final value below ``final_drop`` times the first.
-    BoundedEvidence: the ladder minimum stays above ``bounded_floor * scale``
-    and final/initial stays at least ``decay_ratio``.  Anything else is
-    Inconclusive.  ``scale`` is the spectral norm of the largest section.
-    The probe's ``ratios`` record final / (``zero_floor`` * scale), tail /
-    head, min / (``bounded_floor`` * scale) and final / first, None where a
+    UnboundedEvidence: the final sigma_min falls below ``PROBE_ZERO_FLOOR *
+    scale``, or the last-third geometric mean is below ``PROBE_DECAY_RATIO``
+    times the first-third one with the final value below
+    ``PROBE_FINAL_DROP`` times the first.  BoundedEvidence: the ladder
+    minimum stays at least ``PROBE_BOUNDED_FLOOR * scale`` and final/initial
+    stays at least ``PROBE_DECAY_RATIO``.  Anything else is Inconclusive.
+    ``scale`` is the spectral norm of the largest section.  The probe's
+    ``ratios`` record final / (``PROBE_ZERO_FLOOR`` * scale), tail / head,
+    min / (``PROBE_BOUNDED_FLOOR`` * scale) and final / first, None where a
     denominator is zero or the quotient overflows, so a report can show how
     near each threshold the verdict was.
     """
@@ -351,9 +354,10 @@ def region_probe(
     tail = _geomean(values[-third:])
     final, first = values[-1], values[0]
 
-    if final < zero_floor * scale or (tail < decay_ratio * head and final < final_drop * first):
+    zero_floor, bounded_floor = PROBE_ZERO_FLOOR * scale, PROBE_BOUNDED_FLOOR * scale
+    if final < zero_floor or (tail < PROBE_DECAY_RATIO * head and final < PROBE_FINAL_DROP * first):
         verdict = ProbeVerdict.UNBOUNDED
-    elif values.min() >= bounded_floor * scale and final >= decay_ratio * first:
+    elif values.min() >= bounded_floor and final >= PROBE_DECAY_RATIO * first:
         verdict = ProbeVerdict.BOUNDED
     else:
         verdict = ProbeVerdict.INCONCLUSIVE
@@ -367,9 +371,9 @@ def region_probe(
         tail_min=float(values[-third:].min()),
         scale=scale,
         ratios={
-            "final_over_zero_floor": _ratio(final, zero_floor * scale),
+            "final_over_zero_floor": _ratio(final, zero_floor),
             "tail_over_head": _ratio(tail, head),
-            "min_over_bounded_floor": _ratio(values.min(), bounded_floor * scale),
+            "min_over_bounded_floor": _ratio(values.min(), bounded_floor),
             "final_over_first": _ratio(final, first),
         },
     )
@@ -554,8 +558,6 @@ class ContourRank:
     probe columns (the sketch basis Q, or the identity).
     """
 
-    center: complex
-    radius: float
     quadrature_points: int
     projection: np.ndarray | None = field(repr=False)
     rank: int
@@ -746,8 +748,6 @@ def _closed_form_contour_rank(
     svals = np.sort(_filter_values(lam, center, radius, q))[::-1]
     rank, gap = _rank_and_gap(svals, q)
     return ContourRank(
-        center=center,
-        radius=radius,
         quadrature_points=q,
         projection=None,
         rank=rank,
@@ -814,8 +814,6 @@ def _contour_rank(
         svals, probe_columns, solved = sketch
     rank, gap = _rank_and_gap(svals, q)
     return ContourRank(
-        center=center,
-        radius=radius,
         quadrature_points=q,
         projection=proj,
         rank=rank,

@@ -112,7 +112,7 @@ def _median(x: np.ndarray) -> float:
 
 
 def _nn_spacing_radius(values: np.ndarray) -> float:
-    """Default matching radius: half the median nearest-neighbor spacing.
+    """Matching radius: half the median nearest-neighbor spacing.
 
     The distances are taken in blocks of about ``_NN_BLOCK`` entries, so
     memory stays O(n) per block rather than an n x n matrix; each row's
@@ -211,12 +211,11 @@ def _assignment(prev: np.ndarray, curr: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.arange(nr), col4row
 
 
-def match_trajectories(
-    spectra: Sequence[SpectrumResult], match_radius: float | None = None
-) -> list[Trajectory]:
+def match_trajectories(spectra: Sequence[SpectrumResult]) -> list[Trajectory]:
     """Pair eigenvalues between consecutive sizes by minimum-total-cost assignment.
 
-    Cost is |lam - mu|; pairs costlier than the matching radius are cut (the
+    Cost is |lam - mu|; pairs costlier than the matching radius of the step
+    (:func:`_nn_spacing_radius` of the smaller spectrum) are cut (the
     trajectory ends and a new one starts).  Spectra are lex-sorted first so
     ties break deterministically by (Re, Im).
     """
@@ -241,10 +240,7 @@ def match_trajectories(
 
     for step in range(1, len(spectra)):
         prev, curr = sorted_vals[step - 1], sorted_vals[step]
-        radius = match_radius
-        if radius is None:
-            smaller = prev if prev.shape[0] <= curr.shape[0] else curr
-            radius = _nn_spacing_radius(smaller)
+        radius = _nn_spacing_radius(prev if prev.shape[0] <= curr.shape[0] else curr)
         next_active: dict[int, Trajectory] = {}
         if prev.size and curr.size:
             rows, cols = _assignment(prev, curr)
@@ -266,26 +262,19 @@ def match_trajectories(
 
 @dataclass
 class LimitCandidate:
-    """A converged limit point with merged multiplicity and its source paths."""
+    """A converged limit point with merged multiplicity."""
 
     value: complex
     multiplicity: int
-    trajectories: list[Trajectory] = field(repr=False, default_factory=list)
 
 
-def detect_limits(
-    trajectories: Sequence[Trajectory],
-    tol: float,
-    *,
-    ladder_length: int,
-    scale: float | None = None,
-) -> list[LimitCandidate]:
+def detect_limits(trajectories: Sequence[Trajectory], tol: float, *, ladder_length: int) -> list[LimitCandidate]:
     """Converged trajectories become candidates; nearby candidates merge.
 
     A trajectory qualifies when its Cauchy tail is below ``tol`` and it spans
     at least half the ladder.  Candidates closer than
-    max(1e-6 * scale, 10 * tol) merge with multiplicities summed; ``scale``
-    defaults to the largest eigenvalue magnitude seen.
+    max(``CAND_REL`` * scale, ``CAND_TOL_FACTOR`` * tol) merge with
+    multiplicities summed; ``scale`` is the largest eigenvalue magnitude seen.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -296,11 +285,7 @@ def detect_limits(
     ]
     if not qualified:
         return []
-    if scale is None:
-        scale = max(
-            (float(np.abs(np.asarray(t.values)).max()) for t in trajectories if len(t)),
-            default=0.0,
-        )
+    scale = max((float(np.abs(np.asarray(t.values)).max()) for t in trajectories if len(t)), default=0.0)
     radius = max(CAND_REL * scale, CAND_TOL_FACTOR * tol)
     values = np.asarray([t.last for t in qualified])
     order = np.lexsort((values.imag, values.real))
@@ -312,16 +297,7 @@ def detect_limits(
                 break
         else:
             groups.append([idx])
-    out = []
-    for g in groups:
-        member_vals = values[g]
-        out.append(
-            LimitCandidate(
-                value=complex(member_vals.mean()),
-                multiplicity=len(g),
-                trajectories=[qualified[i] for i in g],
-            )
-        )
+    out = [LimitCandidate(value=complex(values[g].mean()), multiplicity=len(g)) for g in groups]
     out.sort(key=lambda c: (c.value.real, c.value.imag))
     return out
 
@@ -401,7 +377,6 @@ def classify_point(
     tol: float = 1e-6,
     neighbors: Sequence[complex] = (),
     quadrature_points: int = ra.DEFAULT_QUADRATURE,
-    probe_kwargs: dict | None = None,
 ) -> ClassifiedPoint:
     """Classify a limit candidate as TrueEigenvalue(m) / Spurious / Undecided.
 
@@ -413,7 +388,7 @@ def classify_point(
     Undecided with a note, never an exception.
     """
     lam = complex(lam)
-    probe = ra.region_probe(certified, lam, **(probe_kwargs or {}))
+    probe = ra.region_probe(certified, lam)
     clustering_radius = max(CAND_REL * probe.scale, CAND_TOL_FACTOR * tol)
 
     if probe.verdict is ProbeVerdict.UNBOUNDED:

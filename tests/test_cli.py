@@ -751,6 +751,48 @@ class TestErrors:
         doc = jacobi_stage(op="classify", certified_sizes=[2, 4, 6], quadrature_points=cli.MAX_QUADRATURE_POINTS)
         assert cli.parse_problem(doc).analysis[0]["quadrature_points"] == cli.MAX_QUADRATURE_POINTS
 
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            (jacobi_stage(op="verify", checks=[{"check": "band_case", "scan": 1}]), "analysis[0].checks[0].scan"),
+            (jacobi_stage(op="verify", checks=[{"check": "relative_bound", "cuts": [4, 2]}]),
+             "analysis[0].checks[0].cuts"),
+            (jacobi_stage(op="verify", checks=[{"check": "uniform_decay", "cuts": [0, 2]}]),
+             "analysis[0].checks[0].cuts"),
+            (jacobi_stage(op="verify", checks=[{"check": "relative_bound", "cuts": [2, 4, 6], "sizes": [6, 4]}]),
+             "analysis[0].checks[0].sizes"),
+            (jacobi_stage(op="spectra", sizes=[5, 3]), "analysis[0].sizes"),
+            (jacobi_stage(op="spectra", sizes=[0, 3]), "analysis[0].sizes"),
+            (jacobi_stage(op="classify", certified_sizes=[4, 4, 6]), "analysis[0].certified_sizes"),
+            (jacobi_stage(op="classify", sizes=[-2, 4, 6]), "analysis[0].sizes"),
+            (jacobi_stage(op="classify", certified_sizes=[2, 4, 6], uncertified_sizes=[3, 1]),
+             "analysis[0].uncertified_sizes"),
+            (jacobi_stage(op="pseudo", size=0, rect=[-1, 1, -1, 1]), "analysis[0].size"),
+            ({"kind": "sl", "a_n": [0.5, 0.0], "m": 20, "analysis": [{"op": "spectra", "sizes": [1, 3]}]},
+             "analysis[0].sizes"),
+            ({"kind": "schrodinger", "q": "x^2", "L_n": [4, 5], "m": 20,
+              "analysis": [{"op": "pseudo", "size": 3, "rect": [0, 1, 0, 1]}]}, "analysis[0].size"),
+            ({"kind": "schrodinger", "q": "x^2", "L_n": [4, 5], "m": 20,
+              "analysis": [{"op": "classify", "certified_sizes": [1, 2], "uncertified_sizes": [2, 3]}]},
+             "analysis[0].uncertified_sizes"),
+            ({**cli.demo_problem("sl_matrix"), "m": 20,
+              "analysis": [{"op": "verify", "checks": [{"check": "sl_matrix", "sizes": [1, 11]}]}]},
+             "analysis[0].checks[0].sizes"),
+        ],
+        ids=["scan_1", "cuts_decreasing", "cuts_0", "check_sizes_decreasing", "sizes_decreasing", "sizes_0",
+             "certified_repeated", "classify_sizes_negative", "uncertified_decreasing", "pseudo_size_0",
+             "sl_above_ladder", "schrodinger_pseudo_above_ladder", "schrodinger_uncertified_above_ladder",
+             "sl_matrix_check_above_ladder"],
+    )
+    def test_malformed_ladder_or_check_field_exits_2(self, tmp_path, capsys, doc, where):
+        # refused when the file is parsed: no stage runs and no output directory is made
+        with pytest.raises(cli.ProblemError, match=re.escape(where)):
+            cli.parse_problem(doc)
+        assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: expected ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestThreadCap:
     @pytest.mark.parametrize("value", [cli.MAX_THREADS + 1, 10**9])
@@ -973,6 +1015,18 @@ class TestDemoDeterminism:
         assert {"spectra.csv", "pseudo.csv", "classify.json", "hypothesis.json"} <= set(names)
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_demo_summary_reads_only_its_own_outputs(self, tmp_path, capsys):
+        # jacobi leaves classify.json behind; upper_triangular, run next into the same directory, has
+        # no classify stage, so it prints no lambda line and the same summary as in a fresh directory
+        assert cli.main(["demo", "upper_triangular", "--out", str(tmp_path / "fresh")]) == 0
+        fresh = capsys.readouterr().out.splitlines()[:-1]
+        shared = str(tmp_path / "shared")
+        assert cli.main(["demo", "jacobi", "--out", shared]) == 0
+        assert any(line.startswith("lambda") for line in capsys.readouterr().out.splitlines())
+        assert cli.main(["demo", "upper_triangular", "--out", shared]) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert lines == fresh and not any(line.startswith("lambda") for line in lines)
 
     def test_jacobi_pseudo_byte_identical_at_one_and_two_threads(self, tmp_path):
         # the thread flag moves no byte of pseudo.csv

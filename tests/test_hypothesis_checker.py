@@ -137,7 +137,27 @@ class TestRelativeBound:
             assert numerics.sigma_min(t + s) >= (1 - g) * numerics.sigma_min(t) - 1e-10
 
 
+    @pytest.mark.parametrize("e, verdict", [(1.0 - 1e-6, Verdict.PASS), (1.0 + 1e-6, Verdict.FAIL)])
+    def test_verdict_flips_at_margin(self, e, verdict):
+        # T = I, S = g I at lam = 0: gamma = g, placed at e times 1 - MARGIN
+        g = e * (1.0 - hc.MARGIN)
+        rep = hc.relative_bound([np.eye(3)] * 2, [g * np.eye(3)] * 2, 0.0)
+        assert rep.constants["gamma_sup"] == pytest.approx(g, rel=1e-14)
+        assert rep.constants["margin"] == hc.MARGIN
+        assert rep.verdict is verdict
+
+
 class TestGammaProduct2x2:
+    @pytest.mark.parametrize("e, verdict", [(1.0 - 1e-6, Verdict.PASS), (1.0 + 1e-6, Verdict.FAIL)])
+    def test_verdict_flips_at_margin(self, e, verdict):
+        # A = D = I, B = I, C = c I at lam = 0: gamma^AC = c and gamma^DB = 1, so the product is c
+        c = e * (1.0 - hc.MARGIN)
+        eye = [np.eye(3)] * 2
+        rep = hc.gamma_product_2x2(eye, eye, [c * np.eye(3)] * 2, eye, 0.0)
+        assert rep.constants["product"] == pytest.approx(c, rel=1e-14)
+        assert rep.constants["margin"] == hc.MARGIN
+        assert rep.verdict is verdict
+
     def test_zero_couplings(self):
         eye = [np.eye(3)] * 3
         zero = [np.zeros((3, 3))] * 3
@@ -204,6 +224,26 @@ class TestUniformDecay:
     def test_pole(self):
         with pytest.raises(PoleError):
             hc.uniform_resolvent_decay([np.array([[0.0]])], 0.0)
+
+    @pytest.mark.parametrize(
+        "profile, below, above",
+        [
+            # head/tail = e * DECAY_FACTOR with the tail minimum 0.05, below TAIL_THRESHOLD
+            (lambda e: [0.05 * e * hc.DECAY_FACTOR] * 4 + [0.05] * 2, Verdict.FAIL, Verdict.PASS),
+            # tail minimum e * TAIL_THRESHOLD with head/tail 10, above DECAY_FACTOR
+            (lambda e: [1.0] * 4 + [e * hc.TAIL_THRESHOLD] * 2, Verdict.PASS, Verdict.FAIL),
+        ],
+        ids=["decay_factor", "tail_threshold"],
+    )
+    def test_verdict_flips_at_threshold(self, profile, below, above):
+        for e, verdict in ((1.0 - 1e-6, below), (1.0 + 1e-6, above)):
+            # 1x1 blocks [1 / d_j] at lam = 0 give the profile d_j
+            d = profile(e)
+            rep = hc.uniform_resolvent_decay([np.array([[1.0 / dj]]) for dj in d], 0.0)
+            np.testing.assert_allclose(rep.per_size["d"], d, rtol=1e-14)
+            assert rep.constants["decay_factor"] == hc.DECAY_FACTOR
+            assert rep.constants["tail_threshold"] == hc.TAIL_THRESHOLD
+            assert rep.verdict is verdict, e
 
 
 class TestSLCoercivity:

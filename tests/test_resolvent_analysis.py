@@ -126,6 +126,51 @@ class TestRegionProbe:
         with pytest.raises(ValueError):
             ra.region_probe(ra.galerkin_ladder(om.jacobi_spec(), (2, 4, 6)), 0.0)
 
+    #: each probe threshold: the sigma_min ladder at z = 0 as a function of the factor e that places
+    #: its decided quantity at e times the threshold, the verdicts at e = 1 -+ 1e-6, and that quantity
+    #: over the threshold, read from the probe's ratios
+    THRESHOLDS = {
+        "zero_floor": (
+            lambda e: [e * ra.PROBE_ZERO_FLOOR * 10.0] * 6,
+            ProbeVerdict.UNBOUNDED, ProbeVerdict.INCONCLUSIVE,
+            lambda r: r["final_over_zero_floor"],
+        ),
+        "bounded_floor": (
+            lambda e: [e * ra.PROBE_BOUNDED_FLOOR * 10.0] * 6,
+            ProbeVerdict.INCONCLUSIVE, ProbeVerdict.BOUNDED,
+            lambda r: r["min_over_bounded_floor"],
+        ),
+        "decay_ratio_final": (
+            lambda e: [1.0] * 5 + [e * ra.PROBE_DECAY_RATIO],
+            ProbeVerdict.INCONCLUSIVE, ProbeVerdict.BOUNDED,
+            lambda r: r["final_over_first"] / ra.PROBE_DECAY_RATIO,
+        ),
+        "decay_ratio_tail": (
+            # the tail third's geometric mean is e * PROBE_DECAY_RATIO, its final value far below the first
+            lambda e: [1.0] * 4 + [(e * ra.PROBE_DECAY_RATIO) ** 2 / 0.05, 0.05],
+            ProbeVerdict.UNBOUNDED, ProbeVerdict.INCONCLUSIVE,
+            lambda r: r["tail_over_head"] / ra.PROBE_DECAY_RATIO,
+        ),
+        "final_drop": (
+            lambda e: [1.0] * 4 + [ra.PROBE_FINAL_DROP, e * ra.PROBE_FINAL_DROP],
+            ProbeVerdict.UNBOUNDED, ProbeVerdict.INCONCLUSIVE,
+            lambda r: r["final_over_first"] / ra.PROBE_FINAL_DROP,
+        ),
+    }
+
+    @pytest.mark.parametrize("threshold", sorted(THRESHOLDS))
+    def test_verdict_flips_at_threshold(self, threshold):
+        values, below, above, ratio = self.THRESHOLDS[threshold]
+        for e, verdict in ((1.0 - 1e-6, below), (1.0 + 1e-6, above)):
+            sigmas = values(e)
+            # diag(10, v_k): sigma_min at 0 is v_k, and the largest section's norm, the scale, is 10
+            section = lambda k: numerics.Section({0: np.array([10.0, sigmas[k - 1]])})
+            probe = ra.region_probe(ra.SectionLadder("diagonal", range(1, 7), section), 0.0)
+            assert probe.scale == pytest.approx(10.0, rel=1e-14)
+            np.testing.assert_allclose(probe.values, sigmas, rtol=1e-14)
+            assert probe.verdict is verdict, (threshold, e)
+            assert (ratio(probe.ratios) < 1.0) == (e < 1.0)
+
 
 class TestContourRank:
     def test_single_enclosed(self):
@@ -320,9 +365,9 @@ class TestHermitianContourGuard:
             fact.node = z
             return fact
 
-        def counted_estimate(self, iterations=8):
+        def counted_estimate(self):
             estimated.append(self.node)
-            return estimate(self, iterations)
+            return estimate(self)
 
         monkeypatch.setattr(numerics.Section, "factor", tagged_factor)
         monkeypatch.setattr(numerics.Factorization, "inverse_norm_estimate", counted_estimate)

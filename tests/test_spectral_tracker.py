@@ -89,7 +89,7 @@ class TestMedian:
         assert np.isnan(st._median(np.array([1.0, np.nan, 0.0])))
 
 
-def scipy_match_trajectories(spectra, match_radius=None):
+def scipy_match_trajectories(spectra):
     """The matching as it was, by SciPy's assignment on the dense cost matrix: the reference."""
     sizes = [s.size for s in spectra]
     sorted_vals = []
@@ -104,9 +104,7 @@ def scipy_match_trajectories(spectra, match_radius=None):
         active[j] = t
     for step in range(1, len(spectra)):
         prev, curr = sorted_vals[step - 1], sorted_vals[step]
-        radius = match_radius
-        if radius is None:
-            radius = dense_nn_spacing_radius(prev if prev.shape[0] <= curr.shape[0] else curr)
+        radius = dense_nn_spacing_radius(prev if prev.shape[0] <= curr.shape[0] else curr)
         next_active = {}
         if prev.size and curr.size:
             cost = np.abs(prev[:, None] - curr[None, :])
