@@ -489,6 +489,8 @@ def _parse_check(prob: Problem, check, where: str, cap: bool) -> dict:
         raise ProblemError(f"{where}: the {kind} check needs a {' or '.join(CHECKS[kind])} problem")
     if kind in ("relative_bound", "uniform_decay") and not cuts:
         raise ProblemError(f"{where}: {kind} needs block 'cuts'")
+    if kind == "relative_bound" and sizes and sizes[-1] > cuts[-1]:
+        raise ProblemError(f"{where}.sizes: expected values of at most the last cut {cuts[-1]}, got {sizes[-1]!r}")
     if not sizes and kind in ("relative_bound", "sl_matrix"):
         sizes = cuts if kind == "relative_bound" else prob.default_sizes(where)
     return {

@@ -7,7 +7,8 @@ Robin condition at the regular endpoint b and a Dirichlet cut at a_n > a
 v = q + r.  Second-order schemes throughout: conservative staggered fluxes
 for -(p f')', central differences for the first-order term.  The singular
 endpoint a is never sampled; the scheme only ever sees the regular
-truncated problem.
+truncated problem.  Every builder here, :func:`sl_blocks` included,
+declares its :class:`numerics.Section` from diagonals: none is dense.
 """
 
 from __future__ import annotations
@@ -195,33 +196,34 @@ class SLMatrixProblem:
 
 def _sl_components(prob: SLMatrixProblem, n: int, m: int) -> tuple:
     """T1, T2 (the :func:`sl_assemble` sections) and s, t, u, v sampled at the interior nodes."""
-    k1 = prob.tau1.unknowns(m)
-    k2 = prob.tau2.unknowns(m)
+    k1, k2 = prob.tau1.unknowns(m), prob.tau2.unknowns(m)
     if k1 != k2:
-        raise ValueError(
-            f"component grids mismatch: {k1} vs {k2} interior unknowns (check the betas)"
-        )
-    t1 = sl_assemble(prob.tau1, n, m)
-    t2 = sl_assemble(prob.tau2, n, m)
+        raise ValueError(f"component grids mismatch: {k1} vs {k2} interior unknowns (check the betas)")
+    t1, t2 = sl_assemble(prob.tau1, n, m), sl_assemble(prob.tau2, n, m)
     an = prob.tau1.a_n[n - 1]
     h = (prob.tau1.b - an) / m
     nodes = an + h * np.arange(1, k1 + 1)
     return t1, t2, *(_sample(getattr(prob, c), nodes, c) for c in "stuv")
 
 
-def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[np.ndarray, ...]:
+def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[Section, ...]:
     """The four K x K blocks (A, B, C, D) of the 2x2 section at truncation index n.
 
     A = g1 T1, B = diag(s) T2 + diag(t), C = diag(u) T1 + diag(v) and
     D = g2 T2, where T1 and T2 are the :func:`sl_assemble` sections of the
     two components on m grid cells and the multipliers are sampled at the
-    interior nodes.
+    interior nodes.  Each block is a Section declared tridiagonal from the
+    diagonals of T1 or T2: no dense array is built.
     """
     t1, t2, s, t, u, v = _sl_components(prob, n, m)
-    t1, t2 = t1.data, t2.data
-    # row scaling gives the entries of diag(s) @ t2 exactly (each of its sums has one nonzero
-    # term); only a zero's sign can differ, and adding diag(t) makes each off-diagonal zero +0.0
-    return prob.gamma1 * t1, s[:, None] * t2 + np.diag(t), u[:, None] * t1 + np.diag(v), prob.gamma2 * t2
+
+    def scaled(sec, rows, plus=None):
+        # diag(rows) T + diag(plus): entry i of diagonal off lies in row i + max(-off, 0)
+        rows = np.broadcast_to(rows, (sec.n,))
+        diagonals = {off: rows[max(-off, 0) :][: d.shape[0]] * d for off, d in sec.diagonals.items()}
+        return Section(diagonals if plus is None else {**diagonals, 0: diagonals[0] + plus})
+
+    return scaled(t1, prob.gamma1), scaled(t2, s, t), scaled(t1, u, v), scaled(t2, prob.gamma2)
 
 
 def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> Section:
@@ -229,33 +231,29 @@ def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> Section:
 
     Unknown 2i is the first component at node i and 2i + 1 the second: a
     permutation similarity of the block matrix, so the spectrum is the same,
-    and every coupling of the tridiagonal T1, T2 lands within three
-    diagonals of the main one.  The Section is declared from the diagonals
-    of T1, T2 and the sampled multipliers, offsets -3..3; no block is built.
+    and every coupling of the tridiagonal blocks lands within three
+    diagonals of the main one.  The Section is declared from the four
+    blocks' diagonals, offsets -3..3; no block is made dense.
     """
-    t1, t2, s, t, u, v = _sl_components(prob, n, m)
-    k = s.shape[0]
-    (l1, d1, u1), (l2, d2, u2) = (
-        [sec.diagonals.get(off, np.zeros(k - 1)) for off in (-1, 0, 1)] for sec in (t1, t2)
-    )
-    g1, g2 = prob.gamma1, prob.gamma2
+    a, b, c, d = sl_blocks(prob, n, m)
+    k = a.n
 
     def interleave(off, even, odd):
-        # row 2i holds the first component's entry, row 2i + 1 the second's
-        d = np.zeros(max(2 * k - abs(off), 0), dtype=complex)
-        d[0::2], d[1::2] = even, odd
-        return d
+        # slot 2i of diagonal off holds the first component's row (off >= 0) or column (off < 0)
+        out = np.zeros(max(2 * k - abs(off), 0), dtype=complex)
+        out[0::2], out[1::2] = (sec.diagonals.get(block_off, 0.0) for sec, block_off in (even, odd))
+        return out
 
     diagonals = {
-        -3: interleave(-3, u[1:] * l1, 0.0),
-        -2: interleave(-2, g1 * l1, g2 * l2),
-        -1: interleave(-1, u * d1 + v, s[1:] * l2),
-        0: interleave(0, g1 * d1, g2 * d2),
-        1: interleave(1, s * d2 + t, u[:-1] * u1),
-        2: interleave(2, g1 * u1, g2 * u2),
-        3: interleave(3, s[:-1] * u2, 0.0),
+        -3: interleave(-3, (c, -1), (b, -2)),
+        -2: interleave(-2, (a, -1), (d, -1)),
+        -1: interleave(-1, (c, 0), (b, -1)),
+        0: interleave(0, (a, 0), (d, 0)),
+        1: interleave(1, (b, 0), (c, 1)),
+        2: interleave(2, (a, 1), (d, 1)),
+        3: interleave(3, (b, 1), (c, 2)),
     }
-    return Section({off: d for off, d in diagonals.items() if abs(off) < 2 * k})
+    return Section({off: dg for off, dg in diagonals.items() if abs(off) < 2 * k})
 
 
 # -------------------------------- Schrodinger ----------------------------------

@@ -89,11 +89,13 @@ def _pole_checked(section, lam: complex, message: str, index) -> tuple[numerics.
 def _gamma(t, s, lam: complex, size, what: str) -> float:
     """||S (T - lam)^-1|| = ||(lam - T)^-H S^H||, by adjoint solves against ``Section.factor``.
 
-    T is a Section, or an array read as one; PoleError when lam is in its spectrum.
+    T and S are Sections, or arrays read as them; PoleError when lam is in T's spectrum.
+    S is made dense only for its own solve (:meth:`numerics.Section.dense`, not ``data``).
     """
     message = f"lambda = {lam} is (numerically) in the spectrum of {what}"
     t, _ = _pole_checked(t, lam, message, size)
-    return numerics.op_norm(t.factor(lam).solve(np.asarray(s).conj().T, adjoint=True))
+    s = s.dense() if isinstance(s, numerics.Section) else np.asarray(s)
+    return numerics.op_norm(t.factor(lam).solve(s.conj().T, adjoint=True))
 
 
 def relative_bound(
@@ -113,7 +115,8 @@ def relative_bound(
     lam = complex(lam)
     if len(t_sections) != len(s_sections):
         raise ValueError("need matching T and S section lists")
-    sizes = list(sizes) if sizes is not None else [np.shape(t)[0] for t in t_sections]
+    t_sections = [numerics.Section.of(t) for t in t_sections]
+    sizes = list(sizes) if sizes is not None else [t.n for t in t_sections]
     gammas = []
     for size, t, s in zip(sizes, t_sections, s_sections):
         gammas.append(_gamma(t, s, lam, size, f"T-section at size {size}"))
@@ -151,7 +154,8 @@ def gamma_product_2x2(
     lengths = {len(a_sections), len(b_sections), len(c_sections), len(d_sections)}
     if len(lengths) != 1:
         raise ValueError("the four section lists must have equal length")
-    sizes = list(sizes) if sizes is not None else [np.shape(a)[0] for a in a_sections]
+    a_sections = [numerics.Section.of(a) for a in a_sections]
+    sizes = list(sizes) if sizes is not None else [a.n for a in a_sections]
     g_ac, g_db = [], []
     for size, a, b, c, d in zip(sizes, a_sections, b_sections, c_sections, d_sections):
         g_ac.append(_gamma(a, c, lam, size, f"A-section at size {size}"))

@@ -179,11 +179,6 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     return arr
 
 
-def real_if_exact(a: np.ndarray) -> np.ndarray:
-    """A real copy of ``a`` when no imaginary part is nonzero, else ``a``."""
-    return a if np.any(a.imag) else a.real.copy()
-
-
 class SymmetricTridiagonal:
     """A Hermitian tridiagonal A kept as the diagonals of a real symmetric T: O(n) storage.
 

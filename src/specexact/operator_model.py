@@ -4,8 +4,9 @@ A spec is a name and a function ``diagonals(k)`` that gives the leading
 k-by-k section as the ``{j - i: diagonal}`` dict :class:`numerics.Section`
 accepts, which checks it, stores it real when it can and trims its all-zero
 outer diagonals.  Each built-in spec computes its diagonals with numpy over
-the 1-based row index i of A_ij = <A e_j, e_i>.  Specs are immutable after
-construction and all operations are pure.
+the 1-based row index i of A_ij = <A e_j, e_i>.  :func:`truncate` and
+:class:`BlockSplit` give Sections declared from them, with no dense A.
+Specs are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataError, PoleError
-from .numerics import Section, real_if_exact
+from .numerics import Section
 
 #: ratio-test threshold for the summability hints (cases b/c)
 RATIO_THRESHOLD = 0.99
@@ -44,50 +45,50 @@ def truncate(spec: OperatorSpec, k: int) -> Section:
 class BlockSplit:
     """Splitting A = T + S with T the block diagonal over the given cut points.
 
-    ``matrix`` is the leading section of A up to the last cut, assembled
-    once; every section of T and S is sliced from it.
+    ``diagonals`` are A's up to the last cut, assembled and checked once;
+    each section of T and S and each diagonal block is a Section declared
+    from them, with no dense A.
     """
 
     cut_points: tuple[int, ...]
-    diagonal_blocks: tuple[np.ndarray, ...] = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
+    diagonals: dict = field(repr=False)
 
-    def _leading(self, k: int) -> np.ndarray:
-        """The leading k-by-k section of A, real when its entries are (as :func:`truncate` gives)."""
+    def _masked(self, k: int, inside: bool) -> Section:
+        """A's leading k-by-k section, keeping the entries whose row and column share a block iff ``inside``."""
         if not 1 <= k <= self.cut_points[-1]:
             raise ValueError(f"cut points cover only 1..{self.cut_points[-1]}, need {k}")
-        return real_if_exact(self.matrix[:k, :k])
+        block = np.searchsorted(self.cut_points, np.arange(k), side="right")
+        # entry t of diagonal off sits in rows and columns t and t + |off|
+        return Section({
+            off: np.where((block[: k - abs(off)] == block[abs(off) :]) == inside, d[: k - abs(off)], 0.0)
+            for off, d in self.diagonals.items()
+            if abs(off) < k
+        })
 
-    def diag_section(self, k: int) -> np.ndarray:
+    def diag_section(self, k: int) -> Section:
         """Leading k-by-k section of T = diag(B_n)."""
-        a = self._leading(k)
-        t = np.zeros_like(a)
-        lo = 0
-        for cut in self.cut_points:
-            hi = min(cut, k)
-            t[lo:hi, lo:hi] = a[lo:hi, lo:hi]
-            if hi == k:
-                break
-            lo = hi
-        return t
+        return self._masked(k, True)
 
-    def coupling_section(self, k: int) -> np.ndarray:
+    def coupling_section(self, k: int) -> Section:
         """Leading k-by-k section of S = A - T (exact complement of diag_section)."""
-        return self._leading(k) - self.diag_section(k)
+        return self._masked(k, False)
+
+    @property
+    def diagonal_blocks(self) -> tuple[Section, ...]:
+        """The blocks B_n = (A_ij) for k_{n-1} < i, j <= k_n, declared from A's diagonals on each read."""
+        diags = self.diagonals
+        return tuple(
+            Section({off: diags[off][lo : cut - abs(off)] for off in range(lo - cut + 1, cut - lo) if off in diags})
+            for lo, cut in zip((0,) + self.cut_points, self.cut_points)
+        )
 
 
 def split_blocks(spec: OperatorSpec, cut_points: Sequence[int]) -> BlockSplit:
-    """Extract the diagonal blocks B_n = (A_ij) for k_{n-1} < i, j <= k_n."""
+    """Split A = T + S over the cut points k_1 < k_2 < ..., from A's diagonals up to the last cut."""
     cuts = tuple(int(c) for c in cut_points)
     if not cuts or any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])) or cuts[0] < 1:
         raise ValueError("cut points must be strictly increasing positive integers")
-    a = Section(spec.diagonals(cuts[-1])).data
-    blocks = []
-    lo = 0
-    for cut in cuts:
-        blocks.append(a[lo:cut, lo:cut].copy())
-        lo = cut
-    return BlockSplit(cut_points=cuts, diagonal_blocks=tuple(blocks), matrix=a)
+    return BlockSplit(cut_points=cuts, diagonals=Section(spec.diagonals(cuts[-1])).diagonals)
 
 
 # -------------------------------- band profiles -------------------------------

@@ -482,16 +482,14 @@ def multiplicity_check(
 
     Non-stabilizing ranks produce an instability note, not an exception.
     The default radius is half the spectral gap around ``lam`` in the largest
-    section (clamped like the classifier's contours).
+    section, clamped by :func:`candidate_radius` like the classifier's contours.
     """
     lam = complex(lam)
     if radius is None:
         w = certified.spectrum(certified.sizes[-1]).eigenvalues
         spectrum_scale = max(float(np.abs(w).max(initial=0.0)), 1.0)
         near = CAND_REL * spectrum_scale
-        outside = np.abs(w - lam)[np.abs(w - lam) > max(near, 1e-12)]
-        gap = float(outside.min()) if outside.size else np.inf
-        radius = min(CONTOUR_RADIUS_CAP, max(gap / 2.0, CONTOUR_RADIUS_FLOOR_FACTOR * near))
+        radius = candidate_radius(lam, w[np.abs(w - lam) > max(near, 1e-12)], near)
     ranks, _, note = _contour_ranks(certified, certified.sizes, lam, radius, quadrature_points)
     multiplicity = None
     first_stable = None

@@ -191,9 +191,9 @@ def test_criterion_09_neumann_inequality_across_demos():
         rep = hc.relative_bound(t_secs, s_secs, lam)
         for t, s, g in zip(t_secs, s_secs, rep.per_size["gamma"]):
             if g < 1.0:
-                eye = np.eye(t.shape[0])
-                lhs = numerics.sigma_min((t + s) - lam * eye)
-                rhs = (1.0 - g) * numerics.sigma_min(t - lam * eye)
+                eye = np.eye(t.n)
+                lhs = numerics.sigma_min((t.data + s.data) - lam * eye)
+                rhs = (1.0 - g) * numerics.sigma_min(t.data - lam * eye)
                 assert lhs >= rhs - 1e-10
                 checked += 1
     ok(9, f"Neumann lower bound held on {checked} sections with gamma < 1")

@@ -413,10 +413,10 @@ class TestSharedCache:
         assert all(c["fallback"] is None and c["found"] == c["contour_rank"] for c in checks)
 
     def test_jacobi_verify_stage_builds_one_section_per_pole_check(self, tmp_path, monkeypatch):
-        # 60 T-sections of relative_bound and 60 diagonal blocks of
-        # uniform_decay; the products S (T - lambda)^-1 go to the SVD unscanned.
-        # Three more are the declared sections the two splits and the band
-        # profile assemble once each.
+        # 60 T- and 60 S-sections of relative_bound and 60 diagonal blocks of
+        # uniform_decay, each declared from its split's diagonals; the products
+        # S (T - lambda)^-1 go to the SVD unscanned.  Three more are the
+        # declared sections the two splits and the band profile assemble once each.
         doc = cli.demo_problem("jacobi")
         doc["analysis"] = [stage for stage in doc["analysis"] if stage["op"] == "verify"]
         sections = []
@@ -429,7 +429,22 @@ class TestSharedCache:
         monkeypatch.setattr(numerics.Section, "__init__", counting_init)
         report = cli.run_problem(cli.parse_problem(doc), tmp_path / "out", b"")
         assert [s["status"] for s in report["stages"]] == ["ok"]
-        assert len(sections) == 120 + 3
+        assert len(sections) == 180 + 3
+
+    def test_demo_sections_are_all_declared(self, tmp_path, monkeypatch):
+        # every section the five demos build, verify's T, S, blocks and 2x2
+        # blocks included, is declared by its builder: no band is scanned
+        scans = []
+        band_widths = numerics._band_widths
+
+        def counting_band_widths(a):
+            scans.append(a.shape[0])
+            return band_widths(a)
+
+        monkeypatch.setattr(numerics, "_band_widths", counting_band_widths)
+        for demo in cli.DEMO_NAMES:
+            assert cli.main(["demo", demo, "--out", str(tmp_path / demo)]) == 0
+        assert scans == []
 
     def test_jacobi_pseudo_stage_builds_one_section(self, tmp_path, monkeypatch):
         # all 297 lattice shifts of the size-20 section take the tridiagonal
@@ -761,6 +776,8 @@ class TestErrors:
              "analysis[0].checks[0].cuts"),
             (jacobi_stage(op="verify", checks=[{"check": "relative_bound", "cuts": [2, 4, 6], "sizes": [6, 4]}]),
              "analysis[0].checks[0].sizes"),
+            (jacobi_stage(op="verify", checks=[{"check": "relative_bound", "cuts": [2, 4], "sizes": [2, 6]}]),
+             "analysis[0].checks[0].sizes"),
             (jacobi_stage(op="spectra", sizes=[5, 3]), "analysis[0].sizes"),
             (jacobi_stage(op="spectra", sizes=[0, 3]), "analysis[0].sizes"),
             (jacobi_stage(op="classify", certified_sizes=[4, 4, 6]), "analysis[0].certified_sizes"),
@@ -779,7 +796,8 @@ class TestErrors:
               "analysis": [{"op": "verify", "checks": [{"check": "sl_matrix", "sizes": [1, 11]}]}]},
              "analysis[0].checks[0].sizes"),
         ],
-        ids=["scan_1", "cuts_decreasing", "cuts_0", "check_sizes_decreasing", "sizes_decreasing", "sizes_0",
+        ids=["scan_1", "cuts_decreasing", "cuts_0", "check_sizes_decreasing", "check_sizes_past_last_cut",
+             "sizes_decreasing", "sizes_0",
              "certified_repeated", "classify_sizes_negative", "uncertified_decreasing", "pseudo_size_0",
              "sl_above_ladder", "schrodinger_pseudo_above_ladder", "schrodinger_uncertified_above_ladder",
              "sl_matrix_check_above_ladder"],

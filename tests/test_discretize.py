@@ -344,9 +344,9 @@ class TestDeclaredStructure:
         assert declared.hermitian is not vary and declared.banded is (m == 80)
         # the interleaved unknowns: a permutation similarity of the block matrix
         a, b, c, d = dz.sl_blocks(mp, 1, m)
-        k = a.shape[0]
+        k = a.n
         perm = np.ravel(np.column_stack([np.arange(k), k + np.arange(k)]))
-        blocks = np.block([[a, b], [c, d]])
+        blocks = np.block([[a.data, b.data], [c.data, d.data]])
         np.testing.assert_array_equal(declared.data, blocks[np.ix_(perm, perm)].real)
 
         rows = [0, declared.n // 2, declared.n - 1]
@@ -368,8 +368,8 @@ class TestDeclaredStructure:
         mp = dz.SLMatrixProblem("blk", tau, tau, 1.0, 1.0, s, lambda x: 0.1 * x, u, ZERO, 0.3, 0.4, 0.2, 0.0)
         t1, t2, s_v, t_v, u_v, v_v = dz._sl_components(mp, 1, 60)
         _, b, c, _ = dz.sl_blocks(mp, 1, 60)
-        assert b.tobytes() == (np.diag(s_v) @ t2.data + np.diag(t_v)).tobytes()
-        assert c.tobytes() == (np.diag(u_v) @ t1.data + np.diag(v_v)).tobytes()
+        assert b.data.tobytes() == (np.diag(s_v) @ t2.data + np.diag(t_v)).tobytes()
+        assert c.data.tobytes() == (np.diag(u_v) @ t1.data + np.diag(v_v)).tobytes()
 
     def test_sl_block_banded_spectra_build_no_dense_array(self):
         # the Hermitian banded route reads the diagonals: eigenvalues and residuals alike

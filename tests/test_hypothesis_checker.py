@@ -1,6 +1,7 @@
 """Sufficient-condition checkers: relative bounds, decay profiles, constant pipelines."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -134,7 +135,22 @@ class TestRelativeBound:
         rep = hc.relative_bound(t_secs, s_secs, 0.0, sizes)
         for t, s, g in zip(t_secs, s_secs, rep.per_size["gamma"]):
             assert g < 1
-            assert numerics.sigma_min(t + s) >= (1 - g) * numerics.sigma_min(t) - 1e-10
+            assert numerics.sigma_min(t.data + s.data) >= (1 - g) * numerics.sigma_min(t) - 1e-10
+
+    def test_jacobi_gamma_at_1024_stays_under_two_complex_squares(self):
+        # T is declared tridiagonal and S is dense only while its own size is
+        # solved: the peak holds S and the complex solve, under two complex
+        # 1024 x 1024 arrays (32 MiB); the SVD of the product is LAPACK's
+        n = 1024
+        tracemalloc.start()
+        try:
+            split = om.split_blocks(om.jacobi_spec(), range(2, n + 1, 2))
+            rep = hc.relative_bound([split.diag_section(n)], [split.coupling_section(n)], 0.0, [n])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * n * n
+        np.testing.assert_allclose(rep.per_size["gamma"], 0.5, atol=1e-10)
 
 
     @pytest.mark.parametrize("e, verdict", [(1.0 - 1e-6, Verdict.PASS), (1.0 + 1e-6, Verdict.FAIL)])

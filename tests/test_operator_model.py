@@ -42,7 +42,7 @@ def custom_banded_rule(table, tail):
 
 def reference_array(rule, k):
     a = np.array([[complex(rule(i, j)) for j in range(1, k + 1)] for i in range(1, k + 1)])
-    return numerics.real_if_exact(a)
+    return a if np.any(a.imag) else a.real.copy()
 
 
 class TestTruncate:
@@ -123,19 +123,19 @@ class TestSplitBlocks:
     def test_jacobi_even_cuts(self):
         sp = om.split_blocks(om.jacobi_spec(), range(2, 22, 2))
         for n, block in enumerate(sp.diagonal_blocks, start=1):
-            np.testing.assert_array_equal(block, [[0, 2 * n], [2 * n, 0]])
+            np.testing.assert_array_equal(block.data, [[0, 2 * n], [2 * n, 0]])
 
     def test_diagonal_spec_unit_cuts(self):
         spec = om.OperatorSpec("diag", lambda k: {0: np.arange(1.0, k + 1)})
         sp = om.split_blocks(spec, range(1, 9))
-        assert all(b.shape == (1, 1) for b in sp.diagonal_blocks)
-        np.testing.assert_array_equal(sp.coupling_section(8), np.zeros((8, 8)))
+        assert all(b.n == 1 for b in sp.diagonal_blocks)
+        np.testing.assert_array_equal(sp.coupling_section(8).data, np.zeros((8, 8)))
 
     def test_upper_triangular_unit_cuts(self):
         sp = om.split_blocks(om.upper_triangular_spec(), range(1, 9))
         for j, block in enumerate(sp.diagonal_blocks, start=1):
-            np.testing.assert_array_equal(block, [[j**3]])
-        s = sp.coupling_section(8)
+            np.testing.assert_array_equal(block.data, [[j**3]])
+        s = sp.coupling_section(8).data
         assert s[1, 4] == 5.0 and s[4, 1] == 0.0 and s[4, 4] == 0.0
 
     def test_reassembly_exact(self):
@@ -153,9 +153,34 @@ class TestSplitBlocks:
             sp = om.split_blocks(spec, cuts)
             for k in (1, 2, 3, 4, 5, 17, 20):
                 want = om.truncate(spec, k).data
-                t, s = sp.diag_section(k), sp.coupling_section(k)
+                t, s = sp.diag_section(k).data, sp.coupling_section(k).data
                 assert t.dtype == s.dtype == want.dtype
                 np.testing.assert_array_equal(t + s, want)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        width=hst.integers(1, 6),
+        cuts=hst.lists(hst.integers(1, 30), min_size=1, max_size=6, unique=True).map(sorted),
+        complex_entries=hst.booleans(),
+    )
+    def test_property_declared_sections_match_dense_blocks(self, seed, width, cuts, complex_entries):
+        # the declared T, S and blocks against the blocks copied out of the dense section
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal((width, width))
+        if complex_entries:
+            table = table + 1j * rng.standard_normal((width, width))
+        spec = om.custom_banded_spec(table, tail="repeat_edge")
+        a = om.truncate(spec, cuts[-1]).data
+        t = np.zeros_like(a)
+        for lo, hi in zip([0] + cuts, cuts):
+            t[lo:hi, lo:hi] = a[lo:hi, lo:hi]
+        sp = om.split_blocks(spec, cuts)
+        for block, lo, hi in zip(sp.diagonal_blocks, [0] + cuts, cuts):
+            np.testing.assert_array_equal(block.data, a[lo:hi, lo:hi])
+        for k in {1, cuts[0], (cuts[0] + cuts[-1]) // 2, cuts[-1]}:
+            np.testing.assert_array_equal(sp.diag_section(k).data, t[:k, :k])
+            np.testing.assert_array_equal(sp.coupling_section(k).data, (a - t)[:k, :k])
 
     def test_one_assembly_per_split(self):
         # the jacobi demo's relative_bound: 60 sizes, each a T and an S section
