@@ -55,7 +55,9 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                finished pseudo stage records ``sigma_min_routes`` (lattice
                points per route: dense, tridiagonal, banded, triangular) and
                ``dense_fallbacks`` (banded and triangular points redone by
-               dense SVD).
+               dense SVD).  A finished verify stage records ``gamma_routes``,
+               its coupling norms ||S (T - lam)^-1|| per route: eigenvalues
+               (a constant sl_matrix coupling) or svd.
 """
 
 from __future__ import annotations
@@ -623,7 +625,8 @@ def _verify_checks(prob: Problem, stage: dict) -> list[hc.HypothesisReport]:
 def _run_verify(prob: Problem, stage: dict, path: Path, ledger: numerics.Ledger) -> dict:
     reports = _verify_checks(prob, stage)
     _atomic_write(path, _dump_json({"problem": prob.name, "reports": [r.to_dict() for r in reports]}))
-    return {}
+    routes = ledger.counts["gamma_routes"]
+    return {"gamma_routes": {route: routes[route] for route in hc.GAMMA_ROUTES}}
 
 
 def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes) -> dict:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AssumptionError, CoefficientError
-from .numerics import Section
+from .numerics import Affine, Section
 
 #: fraction of audit nodes allowed to violate a declared assumption constant
 AUDIT_VIOLATION_BUDGET = 1e-3
@@ -213,7 +213,10 @@ def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[Section, ...]:
     D = g2 T2, where T1 and T2 are the :func:`sl_assemble` sections of the
     two components on m grid cells and the multipliers are sampled at the
     interior nodes.  Each block is a Section declared tridiagonal from the
-    diagonals of T1 or T2: no dense array is built.
+    diagonals of T1 or T2: no dense array is built.  When T1 is Hermitian
+    tridiagonal (beta = 0 makes it so; a ghost row at b does not) and every
+    sampled u is equal, and every sampled v, C is also declared
+    u T1 + v over A = g1 T1 (:class:`numerics.Affine`); B over D likewise.
     """
     t1, t2, s, t, u, v = _sl_components(prob, n, m)
 
@@ -223,7 +226,11 @@ def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[Section, ...]:
         diagonals = {off: rows[max(-off, 0) :][: d.shape[0]] * d for off, d in sec.diagonals.items()}
         return Section(diagonals if plus is None else {**diagonals, 0: diagonals[0] + plus})
 
-    return scaled(t1, prob.gamma1), scaled(t2, s, t), scaled(t1, u, v), scaled(t2, prob.gamma2)
+    a, b, c, d = scaled(t1, prob.gamma1), scaled(t2, s, t), scaled(t1, u, v), scaled(t2, prob.gamma2)
+    for coupling, block, base, gamma, rows, plus in ((c, a, t1, prob.gamma1, u, v), (b, d, t2, prob.gamma2, s, t)):
+        if base.tridiagonal is not None and np.all(rows == rows[0]) and np.all(plus == plus[0]):
+            coupling.affine = Affine(base, block, complex(gamma), complex(rows[0]), complex(plus[0]))
+    return a, b, c, d
 
 
 def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> Section:

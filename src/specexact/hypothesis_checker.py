@@ -86,14 +86,30 @@ def _pole_checked(section, lam: complex, message: str, index) -> tuple[numerics.
     return section, smin
 
 
-def _gamma(t, s, lam: complex, size, what: str) -> float:
-    """||S (T - lam)^-1|| = ||(lam - T)^-H S^H||, by adjoint solves against ``Section.factor``.
+#: the routes of _gamma, counted per call in the open Ledger's ``gamma_routes``
+GAMMA_ROUTES = ("eigenvalues", "svd")
 
-    T and S are Sections, or arrays read as them; PoleError when lam is in T's spectrum.
-    S is made dense only for its own solve (:meth:`numerics.Section.dense`, not ``data``).
+
+def _gamma(t, s, lam: complex, size, what: str) -> float:
+    """||S (T - lam)^-1||, by one of ``GAMMA_ROUTES``; PoleError when lam is in T's spectrum.
+
+    T and S are Sections, or arrays read as them.  The pole check comes first
+    on either route.  ``eigenvalues``: S declares itself u H + v I over T = gamma H
+    (:class:`numerics.Affine`, from :func:`discretize.sl_blocks`), so the product
+    is normal and its norm is max |(u theta + v) / (gamma theta - lam)| over the
+    eigenvalues theta of the Hermitian tridiagonal H (``dstevd``, no vectors).
+    ``svd``: every other input, ||(lam - T)^-H S^H|| by adjoint solves against
+    ``Section.factor`` and the SVD of the n x n result; S is made dense only
+    for its own solve (:meth:`numerics.Section.dense`, not ``data``).
     """
     message = f"lambda = {lam} is (numerically) in the spectrum of {what}"
     t, _ = _pole_checked(t, lam, message, size)
+    affine = s.affine if isinstance(s, numerics.Section) else None
+    if affine is not None and affine.block is t:
+        numerics.Ledger.count("gamma_routes", "eigenvalues")
+        theta = affine.base.tridiagonal.eigenvalues()
+        return float(np.abs((affine.u * theta + affine.v) / (affine.gamma * theta - lam)).max())
+    numerics.Ledger.count("gamma_routes", "svd")
     s = s.dense() if isinstance(s, numerics.Section) else np.asarray(s)
     return numerics.op_norm(t.factor(lam).solve(s.conj().T, adjoint=True))
 
@@ -117,6 +133,8 @@ def relative_bound(
         raise ValueError("need matching T and S section lists")
     t_sections = [numerics.Section.of(t) for t in t_sections]
     sizes = list(sizes) if sizes is not None else [t.n for t in t_sections]
+    if len(sizes) != len(t_sections):
+        raise ValueError(f"need one size per section: {len(sizes)} sizes for {len(t_sections)} sections")
     gammas = []
     for size, t, s in zip(sizes, t_sections, s_sections):
         gammas.append(_gamma(t, s, lam, size, f"T-section at size {size}"))
@@ -148,7 +166,10 @@ def gamma_product_2x2(
 ) -> HypothesisReport:
     """gamma^AC = sup ||C_n (A_n-lam)^{-1}||, gamma^DB = sup ||B_n (D_n-lam)^{-1}||.
 
-    PassEvidence iff the product is <= 1 - ``MARGIN``.
+    PassEvidence iff the product is <= 1 - ``MARGIN``.  Each norm is one
+    :func:`_gamma` call: from the eigenvalues of T1 or T2 when the coupling
+    is declared over its diagonal block (constant couplings in
+    :func:`discretize.sl_blocks`), else by solves and an SVD.
     """
     lam = complex(lam)
     lengths = {len(a_sections), len(b_sections), len(c_sections), len(d_sections)}
@@ -156,6 +177,8 @@ def gamma_product_2x2(
         raise ValueError("the four section lists must have equal length")
     a_sections = [numerics.Section.of(a) for a in a_sections]
     sizes = list(sizes) if sizes is not None else [a.n for a in a_sections]
+    if len(sizes) != len(a_sections):
+        raise ValueError(f"need one size per section: {len(sizes)} sizes for {len(a_sections)} sections")
     g_ac, g_db = [], []
     for size, a, b, c, d in zip(sizes, a_sections, b_sections, c_sections, d_sections):
         g_ac.append(_gamma(a, c, lam, size, f"A-section at size {size}"))

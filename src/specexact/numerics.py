@@ -457,7 +457,8 @@ class Section:
     those routes and built from the diagonals), the Lanczos start vector,
     :attr:`norm` and :attr:`inf_norm` are built on first use.  A triangular
     section keeps one -A for all its shifts: each factor holds only its
-    diagonal z - a_ii and writes it in before each solve.  Instances are
+    diagonal z - a_ii and writes it in before each solve.  ``affine`` is
+    None unless a builder declares it (:class:`Affine`).  Instances are
     read-only apart from those and that diagonal.
     """
 
@@ -476,6 +477,7 @@ class Section:
             np.array_equal(diagonals[-k], diagonals[k].conj()) for k in range(kl + 1)
         )
         self.tridiagonal = None
+        self.affine = None
         if self.hermitian and n >= 2 and kl <= 1:
             self.tridiagonal = SymmetricTridiagonal(diagonals[0], diagonals.get(1, np.zeros(n - 1)))
         # banded storage only pays off when the band is genuinely narrow
@@ -704,6 +706,23 @@ class Section:
                 return float(theta)
             v = w / beta[k]
         return None
+
+
+@dataclass(frozen=True, eq=False)
+class Affine:
+    """A builder's declaration that a Section is u T + v I, and its diagonal block ``block`` is gamma T.
+
+    T, ``base``, is one Hermitian tridiagonal Section (``base.tridiagonal``
+    is set) and u, v, gamma are scalars.  Both blocks are then functions of
+    T, so S (block - lam)^-1 is normal, with eigenvalues
+    (u theta + v) / (gamma theta - lam) over T's eigenvalues theta.
+    """
+
+    base: Section
+    block: Section
+    gamma: complex
+    u: complex
+    v: complex
 
 
 #: spectrum routes: the five of eig_dense, ``bisection`` for a Hermitian tridiagonal

@@ -523,6 +523,20 @@ class TestVerify:
         assert rep["constants"]["c_beta"] == 3.0
         assert rep["verdict"] == "PassEvidence"
 
+    @pytest.mark.parametrize(
+        "demo, eigenvalues, svd",
+        [("jacobi", 0, 60), ("upper_triangular", 0, 4), ("sl_matrix", 20, 0), ("oscillator", 0, 0)],
+    )
+    def test_report_records_gamma_routes(self, tmp_path, demo, eigenvalues, svd):
+        # one count per coupling norm: the sl_matrix demo's constant couplings read the
+        # eigenvalues of T1 and T2, the Galerkin splits' products take solves and an SVD
+        doc = cli.demo_problem(demo)
+        doc["analysis"] = [stage for stage in doc["analysis"] if stage["op"] == "verify"]
+        report = cli.run_problem(cli.parse_problem(doc), tmp_path / "out", b"")
+        (stage,) = report["stages"]
+        assert stage["status"] == "ok"
+        assert stage["gamma_routes"] == {"eigenvalues": eigenvalues, "svd": svd}
+
     def test_verify_requires_stage(self, tmp_path):
         rc = cli.main(
             ["verify", write_problem(tmp_path, {"kind": "jacobi", "analysis": []}), "--out", str(tmp_path / "o")]

@@ -371,6 +371,31 @@ class TestDeclaredStructure:
         assert b.data.tobytes() == (np.diag(s_v) @ t2.data + np.diag(t_v)).tobytes()
         assert c.data.tobytes() == (np.diag(u_v) @ t1.data + np.diag(v_v)).tobytes()
 
+    @pytest.mark.parametrize(
+        "u, beta, declared",
+        [(lambda x: 0.2, 0.0, "cb"), (lambda x: 0.2 * np.cos(x), 0.0, "b"), (lambda x: 0.2, np.pi / 4, "")],
+        ids=["constant", "x_dependent_u", "beta_nonzero"],
+    )
+    def test_sl_blocks_declare_constant_couplings(self, u, beta, declared):
+        # C = u T1 + v over A = g1 T1 (B over D likewise) is declared when u and v are
+        # constant and T1 is Hermitian tridiagonal; the ghost row of beta != 0 is not symmetric
+        tau = dz.SLProblem("varp", lambda x: 2.0 + np.sin(x), lambda x: 1.0 + x * x, 0.0, np.pi, beta, (0.1,), 1.0, 1.0)
+        mp = dz.SLMatrixProblem(
+            "blk", tau, tau, 1.0 + 1.0j, 2.0, lambda x: 0.3, lambda x: -0.1, u, lambda x: 0.4j, 0.3, 0.1, 0.2, 0.4
+        )
+        a, b, c, d = dz.sl_blocks(mp, 1, 40)
+        assert a.affine is d.affine is None
+        assert "".join(name for name, sec in (("c", c), ("b", b)) if sec.affine is not None) == declared
+        for coupling, block, gamma, scale, plus in ((c, a, 1.0 + 1.0j, 0.2, 0.4j), (b, d, 2.0, 0.3, -0.1)):
+            affine = coupling.affine
+            if affine is None:
+                continue
+            assert affine.block is block and (affine.gamma, affine.u, affine.v) == (gamma, scale, plus)
+            base = affine.base.dense()
+            assert affine.base.tridiagonal is not None and "data" not in vars(coupling)
+            np.testing.assert_array_equal(block.dense(), gamma * base)
+            np.testing.assert_array_equal(coupling.dense(), scale * base + plus * np.eye(base.shape[0]))
+
     def test_sl_block_banded_spectra_build_no_dense_array(self):
         # the Hermitian banded route reads the diagonals: eigenvalues and residuals alike
         tau = dz.SLProblem("lap", ONE, ZERO, 0.0, np.pi, 0.0, (0.1,), 1.0, 0.0)

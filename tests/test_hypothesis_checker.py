@@ -3,10 +3,11 @@
 import json
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import assume, given, settings, strategies as hst
 
 from specexact import cli, discretize as dz, hypothesis_checker as hc, numerics, operator_model as om
 from specexact.errors import AssumptionError, PoleError
@@ -209,6 +210,105 @@ class TestGammaProduct2x2:
             assert got == pytest.approx(want, rel=1e-8)
         # and the proof-side bound dominates the computed sups
         assert rep.constants["gamma_ac"] <= search.constants["gamma_bound_1"] + 1e-12
+
+    @staticmethod
+    def sl_matrix_blocks(g1, g2, s, t, u, v, m, beta=0.0):
+        """sl_blocks at both truncations of a two-step ladder, varying p and q, one beta for both components.
+
+        The declared sup norms are zero: sl_blocks samples the couplings and never reads them.
+        """
+        tau1 = dz.SLProblem(
+            "t1", lambda x: 1.5 + np.sin(x), lambda x: 1.0 + x * x, 0.0, np.pi, beta, (0.2, 0.1), 0.5, 1.0
+        )
+        tau2 = dz.SLProblem("t2", lambda x: 2.0 + np.cos(x), ZERO, 0.0, np.pi, beta, (0.2, 0.1), 1.0, 0.0)
+        coefficient = lambda c: c if callable(c) else (lambda x: c)
+        mp = dz.SLMatrixProblem(
+            "blk", tau1, tau2, g1, g2, *map(coefficient, (s, t, u, v)), 0.0, 0.0, 0.0, 0.0
+        )
+        return [dz.sl_blocks(mp, n, m) for n in (1, 2)]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        m=hst.sampled_from([6, 40, 90]),
+    )
+    def test_property_eigenvalue_route_matches_svd_route(self, seed, m):
+        # constant couplings over beta = 0 components: each coupling is declared over its
+        # diagonal block, and the eigenvalue formula agrees with solves and an SVD, the
+        # route the same couplings take when paired with dense diagonal blocks instead
+        rng = np.random.default_rng(seed)
+        g1, g2, s, t, u, v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        blocks = self.sl_matrix_blocks(g1, g2, s, t, u, v, m)
+        lam = complex(*rng.uniform(-3.0, 3.0, 2)) * max(blocks[0][0].norm, 1.0)
+        for a, b, c, d in blocks:
+            assert c.affine.block is a and b.affine.block is d
+            assert (c.affine.u, c.affine.v, b.affine.u, b.affine.v) == (u, v, s, t)
+            for block, coupling in ((a, c), (d, b)):
+                theta = coupling.affine.base.tridiagonal.eigenvalues()
+                assume(np.min(np.abs(coupling.affine.gamma * theta - lam)) > 1e-6 * np.max(np.abs(theta)))
+        with numerics.Ledger() as ledger:
+            got = hc.gamma_product_2x2(*zip(*blocks), lam)
+        assert dict(ledger.counts["gamma_routes"]) == {"eigenvalues": 4}
+        with numerics.Ledger() as ledger:
+            want = hc.gamma_product_2x2(*zip(*((a.dense(), b, c, d.dense()) for a, b, c, d in blocks)), lam)
+        assert dict(ledger.counts["gamma_routes"]) == {"svd": 4}
+        for key in ("gamma_ac", "gamma_db"):
+            np.testing.assert_allclose(got.per_size[key], want.per_size[key], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [20, 90])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_eigenvalue_route_keeps_the_pole_error(self, m, k):
+        g1 = 1.0 + 0.5j
+        blocks = self.sl_matrix_blocks(g1, 1j, 0.3, 0.0, 0.2 - 0.1j, 0.4, m)
+        lam = g1 * blocks[1][2].affine.base.tridiagonal.eigenvalues()[k]  # on A's spectrum at size 2
+        with pytest.raises(PoleError) as declared:
+            hc.gamma_product_2x2(*zip(*blocks), lam, [5, 7])
+        with pytest.raises(PoleError) as dense:
+            hc.gamma_product_2x2(*zip(*([sec.dense() for sec in blk] for blk in blocks)), lam, [5, 7])
+        message = f"lambda = {lam} is (numerically) in the spectrum of A-section at size 7"
+        assert str(declared.value) == str(dense.value) == message
+        assert declared.value.index == dense.value.index == 7
+
+    @pytest.mark.parametrize(
+        "u, beta, svd_per_size",
+        [(lambda x: 0.2 * np.cos(x), 0.0, 1), (0.2, np.pi / 4, 2)],
+        ids=["x_dependent_u", "beta_nonzero"],
+    )
+    def test_undeclared_couplings_keep_the_svd_route(self, monkeypatch, u, beta, svd_per_size):
+        # the route of every input the builder does not declare: one solve and one SVD
+        # of the n x n product per coupling, bit for bit the explicit formula
+        blocks = self.sl_matrix_blocks(1.0 + 0.5j, 1.0, 0.3, 0.1, u, 0.4, 90, beta)
+        lam = -50.0 + 20.0j
+        products = []
+        op_norm = numerics.op_norm
+        monkeypatch.setattr(
+            numerics, "op_norm", lambda m: products.append(not isinstance(m, numerics.Section)) or op_norm(m)
+        )
+        with numerics.Ledger() as ledger:
+            rep = hc.gamma_product_2x2(*zip(*blocks), lam)
+        assert sum(products) == svd_per_size * len(blocks)
+        assert ledger.counts["gamma_routes"] == Counter(svd=svd_per_size * 2, eigenvalues=(2 - svd_per_size) * 2)
+
+        def explicit(t, s):
+            return op_norm(t.factor(lam).solve(s.dense().conj().T, adjoint=True))
+
+        assert blocks[0][2].affine is None
+        assert list(rep.per_size["gamma_ac"]) == [explicit(a, c) for a, _, c, _ in blocks]
+        if beta:
+            assert list(rep.per_size["gamma_db"]) == [explicit(d, b) for _, b, _, d in blocks]
+
+    @pytest.mark.parametrize("check", ["relative_bound", "gamma_product_2x2"])
+    def test_short_sizes_raise(self, check):
+        t = [np.diag([2.0, 3.0]), np.diag([2.0, 3.0, 4.0])]
+        s = [np.zeros((2, 2)), 0.5 * np.eye(3)]
+        run = {
+            "relative_bound": lambda sizes: hc.relative_bound(t, s, 0.0, sizes=sizes),
+            "gamma_product_2x2": lambda sizes: hc.gamma_product_2x2(t, s, s, t, 0.0, sizes=sizes),
+        }[check]
+        for sizes in ([2], [2, 3, 4]):
+            with pytest.raises(ValueError, match="one size per section"):
+                run(sizes)
+        assert run([2, 3]).per_size["sizes"] == [2, 3]
 
 
 class TestUniformDecay:
