@@ -6,8 +6,8 @@ Sups over the truncation family are sups over the computed ladder.  The
 thresholds are named constants of this module: ``MARGIN`` guards the strict
 inequalities of :func:`relative_bound` and :func:`gamma_product_2x2`,
 ``DECAY_FACTOR`` and ``TAIL_THRESHOLD`` judge
-:func:`uniform_resolvent_decay`, and ``EPS_GRID`` and ``LINE_SAMPLES`` set
-the search of :func:`sl_lambda0_search`.  Verdicts are evidence about the
+:func:`uniform_resolvent_decay`, and ``EPS_GRID`` sets the search of
+:func:`sl_lambda0_search`.  Verdicts are evidence about the
 scanned range, never proofs about all n.
 """
 
@@ -254,8 +254,6 @@ def sl_coercivity(p_min: float, q_min: float, beta: float) -> float:
 
 #: the eps values sl_lambda0_search tries, in order
 EPS_GRID = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
-#: points per line at which sl_lambda0_search samples |xi| / |xi - lambda_0|
-LINE_SAMPLES = 10_000
 
 
 def _line_angle(gamma: complex) -> float:
@@ -268,17 +266,6 @@ def _angle_to_line(direction: float, line: float) -> float:
     """Minimal angle in [0, pi/2] between a ray direction and a line (mod pi)."""
     d = abs((direction - line) % np.pi)
     return min(d, np.pi - d)
-
-
-def _sup_ratio(lam0: complex, line_angle: float) -> float:
-    """max over the line of |xi| / |xi - lam0|, by ``LINE_SAMPLES`` samples plus the limit 1."""
-    r = 10.0 * abs(lam0)
-    ts = np.linspace(-r, r, LINE_SAMPLES)
-    xs = ts * np.exp(1j * line_angle)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.abs(xs) / np.abs(xs - lam0)
-    vals = vals[np.isfinite(vals)]
-    return float(max(vals.max(initial=0.0), 1.0))
 
 
 def sl_lambda0_search(
@@ -294,7 +281,8 @@ def sl_lambda0_search(
     Candidates sit on the bisector ray maximizing the angle to both lines, at
     radius sqrt(2) / (eps sin(theta_min)), for each eps of ``EPS_GRID`` in
     turn.  A candidate passes when, for both lines, the sup of
-    |xi|/|xi - lambda_0| over ``LINE_SAMPLES`` points stays <= 1 + eps and
+    |xi|/|xi - lambda_0| over the line, which is |lambda_0| / dist(lambda_0,
+    gamma_i R) = 1 / sin(angle between them) exactly, stays <= 1 + eps and
     dist(lambda_0, gamma_i R) >= 1/eps, and the relaxed coupling bounds satisfy
 
         (|u|/|g1| (1+eps) + |v| eps) (|s|/|g2| (1+eps) + |t| eps) < 1.
@@ -319,10 +307,10 @@ def sl_lambda0_search(
     for eps in EPS_GRID:
         radius = np.sqrt(2.0) / (eps * np.sin(theta_min))
         lam0 = radius * np.exp(1j * psi)
-        sup1 = _sup_ratio(lam0, phi1)
-        sup2 = _sup_ratio(lam0, phi2)
-        dist1 = abs(lam0) * np.sin(_angle_to_line(psi, phi1))
-        dist2 = abs(lam0) * np.sin(_angle_to_line(psi, phi2))
+        sin1, sin2 = np.sin(_angle_to_line(psi, phi1)), np.sin(_angle_to_line(psi, phi2))
+        # the sup is reached at xi = |lambda_0| / cos(angle) along the line (the limit 1 at a right angle)
+        sup1, sup2 = float(1.0 / sin1), float(1.0 / sin2)
+        dist1, dist2 = abs(lam0) * sin1, abs(lam0) * sin2
         bound1 = sup_u / abs(gamma1) * (1.0 + eps) + sup_v * eps
         bound2 = sup_s / abs(gamma2) * (1.0 + eps) + sup_t * eps
         product = bound1 * bound2

@@ -179,6 +179,10 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     return arr
 
 
+#: eigenvalues per block of SymmetricTridiagonal.residuals: its n x block vectors bound the memory
+_RESIDUAL_BLOCK = 64
+
+
 class SymmetricTridiagonal:
     """A Hermitian tridiagonal A kept as the diagonals of a real symmetric T: O(n) storage.
 
@@ -289,19 +293,25 @@ class SymmetricTridiagonal:
         blocks, but needs no block assignment: inverse iteration at an
         eigenvalue of one block still converges to an eigenvector of T, so a
         value is all dstein is given, whichever interval it was computed for.
+        The values go in blocks of ``_RESIDUAL_BLOCK``, so the vectors and
+        their temporaries take O(n) memory, not O(n m).
         """
         n = self.n
         iblock = np.ones(n, dtype=np.int32)
         isplit = np.zeros(n, dtype=np.int32)
         isplit[0] = n
-        vecs = np.empty((n, lam.size))
-        for i in range(lam.size):
-            # a vector that missed dstein's convergence test still yields its residual
-            vecs[:, i] = _flapack.dstein(self.d, self.e, lam[i : i + 1], iblock, isplit)[0][:, 0]
-        tv = self.d[:, np.newaxis] * vecs
-        tv[:-1] += self.e[:, np.newaxis] * vecs[1:]
-        tv[1:] += self.e[:, np.newaxis] * vecs[:-1]
-        return np.linalg.norm(tv - vecs * lam, axis=0) / np.linalg.norm(vecs, axis=0)
+        out = np.empty(lam.size)
+        for lo in range(0, lam.size, _RESIDUAL_BLOCK):
+            block = lam[lo : lo + _RESIDUAL_BLOCK]
+            vecs = np.empty((n, block.size))
+            for i in range(block.size):
+                # a vector that missed dstein's convergence test still yields its residual
+                vecs[:, i] = _flapack.dstein(self.d, self.e, block[i : i + 1], iblock, isplit)[0][:, 0]
+            tv = self.d[:, np.newaxis] * vecs
+            tv[:-1] += self.e[:, np.newaxis] * vecs[1:]
+            tv[1:] += self.e[:, np.newaxis] * vecs[:-1]
+            out[lo : lo + block.size] = np.linalg.norm(tv - vecs * block, axis=0) / np.linalg.norm(vecs, axis=0)
+        return out
 
 
 def _band_widths(a: np.ndarray) -> tuple[int, int]:

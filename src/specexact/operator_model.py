@@ -137,13 +137,27 @@ def _decade_ratio(terms: np.ndarray) -> float:
     return float((terms[last] / terms[first]) ** (1.0 / (last - first)))
 
 
+def _profile(mags: dict, k: int) -> tuple:
+    """Row and column nonzero counts, then maxima, of the leading k-by-k section of magnitude diagonals ``mags``."""
+    # entry t of diagonal off sits in row t + max(-off, 0) and column t + max(off, 0)
+    offs = [off for off in mags if abs(off) < k]
+    vals = np.concatenate([mags[off][: k - abs(off)] for off in offs])
+    rows = np.concatenate([np.arange(max(-off, 0), k + min(-off, 0)) for off in offs])
+    cols = np.concatenate([np.arange(max(off, 0), k + min(off, 0)) for off in offs])
+    row_env, col_env = np.zeros(k), np.zeros(k)
+    np.maximum.at(row_env, rows, vals)
+    np.maximum.at(col_env, cols, vals)
+    nz = vals > 0.0
+    return np.bincount(rows[nz], minlength=k), np.bincount(cols[nz], minlength=k), row_env, col_env
+
+
 def band_profile(
     spec: OperatorSpec,
     scan_limit: int,
     lam: complex | None = None,
     normalize_by_diag: bool = False,
 ) -> BandProfile:
-    """Profile #N_i, #M_j, C_i, D_j over the leading section of size ``scan_limit``.
+    """Profile #N_i, #M_j, C_i, D_j over the leading section of size ``scan_limit``, from its diagonals.
 
     With ``normalize_by_diag`` the profiled matrix is B = S (T - lam)^{-1}
     where T is the diagonal part, i.e. B_ij = A_ij / (A_jj - lam) off the
@@ -151,48 +165,32 @@ def band_profile(
     """
     if scan_limit < 2:
         raise ValueError("scan_limit must be >= 2")
-    a = Section(spec.diagonals(scan_limit)).data
+    diags = Section(spec.diagonals(scan_limit)).diagonals
     if normalize_by_diag:
         if lam is None:
             raise ValueError("normalize_by_diag requires lam")
-        d = np.diag(a) - lam
+        d = diags[0] - lam
         bad = np.nonzero(np.abs(d) <= 1e-12)[0]
         if bad.size:
             raise PoleError(
                 f"lam = {lam} hits the diagonal entry at j = {bad[0] + 1}", index=int(bad[0] + 1)
             )
-        b = a / d[np.newaxis, :]
-        np.fill_diagonal(b, 0.0)
+        mags = {off: np.abs(v / d[max(off, 0) :][: v.size]) for off, v in diags.items()}
+        mags[0] = np.zeros(scan_limit)
     else:
-        b = a
+        mags = {off: np.abs(v) for off, v in diags.items()}
 
-    mags = np.abs(b)
-    nz = mags > 0.0
-    row_counts = nz.sum(axis=1)
-    col_counts = nz.sum(axis=0)
-    row_env = mags.max(axis=1)
-    col_env = mags.max(axis=0)
+    row_counts, col_counts, row_env, col_env = _profile(mags, scan_limit)
     row_terms = row_env**2 * row_counts
     col_terms = col_env**2 * col_counts
-    row_psums = np.cumsum(row_terms)
-    col_psums = np.cumsum(col_terms)
 
     # stability diagnostics: compare against the half-scan subsection
-    half = scan_limit // 2
     quarter = scan_limit // 4
-    nz_half = nz[:half, :half]
-    if quarter >= 1:
-        rows_stable = bool(np.array_equal(nz_half[:quarter].sum(axis=1), row_counts[:quarter]))
-        cols_stable = bool(np.array_equal(nz_half[:, :quarter].sum(axis=0), col_counts[:quarter]))
-    else:
-        rows_stable = cols_stable = True
-    max_stable = bool(
-        (nz_half.sum(axis=1).max(initial=0) == row_counts.max(initial=0))
-        and (nz_half.sum(axis=0).max(initial=0) == col_counts.max(initial=0))
-    )
-    env_half = mags[:half, :half].max(initial=0.0)
-    env_full = mags.max(initial=0.0)
-    envelope_bounded = bool(env_full <= env_half * (1 + 1e-12) + 1e-300)
+    half_rows, half_cols, half_env, _ = _profile(mags, scan_limit // 2)
+    rows_stable = bool(np.array_equal(half_rows[:quarter], row_counts[:quarter]))
+    cols_stable = bool(np.array_equal(half_cols[:quarter], col_counts[:quarter]))
+    max_stable = bool(half_rows.max() == row_counts.max() and half_cols.max() == col_counts.max())
+    envelope_bounded = bool(row_env.max() <= half_env.max() * (1 + 1e-12) + 1e-300)
 
     if rows_stable and cols_stable and max_stable:
         hint = "a"
@@ -210,8 +208,8 @@ def band_profile(
         col_counts=col_counts,
         row_envelope=row_env,
         col_envelope=col_env,
-        row_partial_sums=row_psums,
-        col_partial_sums=col_psums,
+        row_partial_sums=np.cumsum(row_terms),
+        col_partial_sums=np.cumsum(col_terms),
         hint=hint,
         envelope_bounded=envelope_bounded,
     )

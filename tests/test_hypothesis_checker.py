@@ -421,6 +421,19 @@ class TestSLLambda0Search:
         assert sup <= 1 + eps
         assert abs(lam_small.imag) >= 1 / eps
 
+    def test_sup_peak_far_along_the_line(self):
+        # lines 6 degrees apart put lambda_0 at 87 degrees to each; |xi| / |xi - lambda_0| peaks at
+        # 1 / sin(87 deg) = 1.00137 > 1 + 0.001, at |xi| = |lambda_0| / cos(87 deg), 19 |lambda_0| out
+        # along the line, so the eps = 0.001 candidate must fail its sup condition
+        gamma2 = np.exp(1j * np.deg2rad(6.0))
+        rep = hc.sl_lambda0_search(1.0, gamma2, 0.9985, 0.0, 0.9985, 0.0)
+        assert rep.verdict is Verdict.FAIL
+        lam0 = np.sqrt(2.0) / 0.001 * np.exp(1j * np.deg2rad(93.0))
+        xi = np.linspace(-21.0, -18.0, 30_001) * abs(lam0)  # Re lambda_0 < 0
+        oracle = np.max(np.abs(xi) / np.abs(xi - lam0))
+        assert oracle > 1.001 and oracle == pytest.approx(1.0 / np.sin(np.deg2rad(87.0)), rel=1e-12)
+        assert rep.constants["sup_ratio_1"] == pytest.approx(oracle, rel=1e-12)
+
     def test_self_audit(self):
         rep = hc.sl_lambda0_search(2.0, 1j, 0.3, 0.1, 0.4, 0.2)
         if rep.verdict is Verdict.PASS:

@@ -100,6 +100,21 @@ class TestTridiagonalEig:
         assert res.shape == rows.shape and dict(ledger.counts["residuals_computed"]) == {"tridiagonal": rows.size}
         assert np.all(res <= 100 * np.finfo(float).eps * norm)
 
+    def test_every_residual_in_bounded_memory(self):
+        # the residuals go in blocks of dstein vectors: all 4096 of them peak at a few n x 64
+        # arrays, where the n x n matrix of vectors and its three temporaries take 512 MiB
+        rng = np.random.default_rng(18)
+        t = numerics.SymmetricTridiagonal(rng.standard_normal(4096), rng.standard_normal(4095))
+        lam = t.eigenvalues()
+        tracemalloc.start()
+        try:
+            res = t.residuals(lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.shape == lam.shape and peak < 32 * 2**20
+        assert np.all(res <= 100 * np.finfo(float).eps * np.abs(lam).max())
+
     def test_general_route_computes_every_residual_eagerly(self):
         m = np.array([[1.0, 2.0], [0.0, 3.0]])
         with numerics.Ledger() as ledger:

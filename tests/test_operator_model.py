@@ -1,5 +1,8 @@
 """Truncation, block splitting and band profiling of generative operator specs."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hst
@@ -204,6 +207,111 @@ class TestSplitBlocks:
             om.split_blocks(om.jacobi_spec(), (2, 2, 4))
 
 
+def dense_band_profile(spec, scan_limit, lam=None, normalize_by_diag=False):
+    """The dense reference of om.band_profile: every count and envelope read off the scan x scan array."""
+    if scan_limit < 2:
+        raise ValueError("scan_limit must be >= 2")
+    a = numerics.Section(spec.diagonals(scan_limit)).data
+    if normalize_by_diag:
+        if lam is None:
+            raise ValueError("normalize_by_diag requires lam")
+        d = np.diag(a) - lam
+        bad = np.nonzero(np.abs(d) <= 1e-12)[0]
+        if bad.size:
+            raise PoleError(
+                f"lam = {lam} hits the diagonal entry at j = {bad[0] + 1}", index=int(bad[0] + 1)
+            )
+        b = a / d[np.newaxis, :]
+        np.fill_diagonal(b, 0.0)
+    else:
+        b = a
+
+    mags = np.abs(b)
+    nz = mags > 0.0
+    row_counts = nz.sum(axis=1)
+    col_counts = nz.sum(axis=0)
+    row_env = mags.max(axis=1)
+    col_env = mags.max(axis=0)
+    row_terms = row_env**2 * row_counts
+    col_terms = col_env**2 * col_counts
+    row_psums = np.cumsum(row_terms)
+    col_psums = np.cumsum(col_terms)
+
+    # stability diagnostics: compare against the half-scan subsection
+    half = scan_limit // 2
+    quarter = scan_limit // 4
+    nz_half = nz[:half, :half]
+    if quarter >= 1:
+        rows_stable = bool(np.array_equal(nz_half[:quarter].sum(axis=1), row_counts[:quarter]))
+        cols_stable = bool(np.array_equal(nz_half[:, :quarter].sum(axis=0), col_counts[:quarter]))
+    else:
+        rows_stable = cols_stable = True
+    max_stable = bool(
+        (nz_half.sum(axis=1).max(initial=0) == row_counts.max(initial=0))
+        and (nz_half.sum(axis=0).max(initial=0) == col_counts.max(initial=0))
+    )
+    env_half = mags[:half, :half].max(initial=0.0)
+    env_full = mags.max(initial=0.0)
+    envelope_bounded = bool(env_full <= env_half * (1 + 1e-12) + 1e-300)
+
+    if rows_stable and cols_stable and max_stable:
+        hint = "a"
+    elif rows_stable and om._decade_ratio(row_terms) < om.RATIO_THRESHOLD:
+        hint = "b"
+    elif cols_stable and om._decade_ratio(col_terms) < om.RATIO_THRESHOLD:
+        hint = "c"
+    else:
+        hint = "none"
+
+    return om.BandProfile(
+        scan_limit=scan_limit,
+        lam=lam,
+        row_counts=row_counts,
+        col_counts=col_counts,
+        row_envelope=row_env,
+        col_envelope=col_env,
+        row_partial_sums=row_psums,
+        col_partial_sums=col_psums,
+        hint=hint,
+        envelope_bounded=envelope_bounded,
+    )
+
+
+#: the array fields of a BandProfile
+PROFILE_ARRAYS = (
+    "row_counts", "col_counts", "row_envelope", "col_envelope", "row_partial_sums", "col_partial_sums"
+)
+
+
+def raise_on_dense(section):
+    raise AssertionError(f"dense {section.n} x {section.n} section")
+
+
+def declared_band_profile(spec, scan, lam, normalize):
+    """om.band_profile with the dense array of every Section made to raise."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics.Section, "dense", raise_on_dense)
+        return om.band_profile(spec, scan, lam=lam, normalize_by_diag=normalize)
+
+
+def assert_same_profile(spec, scan, lam, normalize):
+    """The declared profile against the dense reference: each field's values and dtype, or the PoleError."""
+    try:
+        want = dense_band_profile(spec, scan, lam=lam, normalize_by_diag=normalize)
+    except PoleError as exc:
+        with pytest.raises(PoleError) as got:
+            declared_band_profile(spec, scan, lam, normalize)
+        assert (str(got.value), got.value.index) == (str(exc), exc.index)
+        return
+    got = declared_band_profile(spec, scan, lam, normalize)
+    for f in PROFILE_ARRAYS:
+        g, w = getattr(got, f), getattr(want, f)
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), f
+    assert (got.scan_limit, got.lam, got.hint, got.envelope_bounded) == (
+        want.scan_limit, want.lam, want.hint, want.envelope_bounded
+    )
+
+
 class TestBandProfile:
     def test_jacobi_counts_and_hint(self):
         p = om.band_profile(om.jacobi_spec(), 50)
@@ -247,6 +355,55 @@ class TestBandProfile:
     def test_scan_too_small(self):
         with pytest.raises(ValueError):
             om.band_profile(om.jacobi_spec(), 1)
+
+    @pytest.mark.parametrize(
+        "spec, scan, lam, normalize",
+        [
+            (om.jacobi_spec(), 50, None, False),
+            (om.upper_triangular_spec(), 200, 50j, True),
+            (om.upper_triangular_spec(), 200, None, False),
+            (om.upper_triangular_spec(), 10, 8.0, True),
+        ],
+    )
+    def test_builtin_specs_match_dense_profile(self, spec, scan, lam, normalize):
+        assert_same_profile(spec, scan, lam, normalize)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        s=hst.integers(1, 8),
+        scan=hst.integers(2, 80),
+        entries=hst.sampled_from(["real", "complex"]),
+        holes=hst.sampled_from([0.0, 0.3, 0.7]),
+        tail=hst.sampled_from(["zero", "repeat_edge"]),
+        lam=hst.sampled_from([None, "real", "complex"]),
+    )
+    def test_property_matches_dense_profile(self, seed, s, scan, entries, holes, tail, lam):
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal((s, s)) * (rng.random((s, s)) >= holes)  # exact zeros
+        if entries == "complex":
+            table = table + 1j * rng.standard_normal((s, s)) * (rng.random((s, s)) >= holes)
+        spec = om.custom_banded_spec(table, tail=tail)
+        # a real lam sits off a real diagonal unless it hits one exactly; a complex one has Im lam >= 1
+        if lam == "real":
+            lam = float(rng.standard_normal())
+        elif lam == "complex":
+            lam = complex(rng.standard_normal(), 1.0 + rng.random())
+        assert_same_profile(spec, scan, lam, lam is not None)
+
+    def test_jacobi_at_the_section_cap_from_diagonals(self, monkeypatch):
+        # 3 diagonals of 8192 entries, where the dense scan held six 8192 x 8192 arrays
+        monkeypatch.setattr(numerics.Section, "dense", raise_on_dense)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            p = om.band_profile(om.jacobi_spec(), 8192)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.hint == "a" and (p.max_row_count, p.max_col_count) == (2, 2)
+        assert elapsed < 1.0 and peak < 8 * 2**20
 
 
 class TestJacobiSpectralSymmetry:
