@@ -55,7 +55,9 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                finished pseudo stage records ``sigma_min_routes`` (lattice
                points per route: dense, tridiagonal, banded, triangular) and
                ``dense_fallbacks`` (banded and triangular points redone by
-               dense SVD).  A finished verify stage records ``gamma_routes``,
+               dense SVD) and ``lanczos_steps`` (the Lanczos steps its
+               banded and triangular points ran, per route, zeros
+               included).  A finished verify stage records ``gamma_routes``,
                its coupling norms ||S (T - lam)^-1|| per route: eigenvalues
                (a constant sl_matrix coupling) or svd.
 """
@@ -538,7 +540,11 @@ def _run_pseudo(prob: Problem, stage: dict, path: Path, ledger: numerics.Ledger)
     grid.write_csv(buf)
     _atomic_write(path, buf.getvalue())
     counts = ledger.counts
-    return {"sigma_min_routes": dict(counts["sigma_min_routes"]), "dense_fallbacks": counts["dense_fallbacks"].total()}
+    return {
+        "sigma_min_routes": dict(counts["sigma_min_routes"]),
+        "dense_fallbacks": counts["dense_fallbacks"].total(),
+        "lanczos_steps": {route: counts["lanczos_steps"][route] for route in ("banded", "triangular")},
+    }
 
 
 def _run_classify(prob: Problem, stage: dict, path: Path, ledger: numerics.Ledger) -> dict:

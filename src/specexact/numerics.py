@@ -16,7 +16,8 @@ and adds the ``windowed`` route to ``EIG_ROUTES``.
 Everything here is deterministic for a fixed input.  Backed by LAPACK
 (balancing + Hessenberg + implicitly shifted QR for general eigenproblems,
 band reduction for Hermitian banded ones, bisection and inverse iteration
-for tridiagonal ones, LU and triangular solves for shifts,
+for tridiagonal ones, tridiagonal, banded and dense LU and triangular solves
+for shifts,
 bidiagonalization for singular values).  What a stage's
 kernels did (routes, cache hits, residuals, fallbacks) is counted in its
 :class:`Ledger`.
@@ -332,35 +333,58 @@ def _band_widths(a: np.ndarray) -> tuple[int, int]:
 
 
 def _declared_diagonals(declared: dict) -> dict:
-    """A builder's ``{j - i: diagonal}`` as :class:`Section` keeps it (see there)."""
+    """A builder's ``{j - i: diagonal}`` as :class:`Section` keeps it (see there).
+
+    The diagonals are checked stacked end to end, in one pass: the first, in
+    the order declared, that has the wrong shape or a non-finite entry
+    raises.  The stack serves the checks alone; a diagonal that already has
+    the kept dtype is kept as the builder's array, not copied.
+    """
     diags = {int(off): np.asarray(d) for off, d in declared.items()}
     n = np.size(diags.setdefault(0, np.zeros(0)))
-    for off, d in diags.items():
-        if n == 0 or d.shape != (n - abs(off),):
-            raise DimensionError(f"declared diagonal {off} has shape {d.shape}, the order is {n}")
-        if not np.all(np.isfinite(d)):
-            t = int(np.argmin(np.isfinite(d))) + 1
-            raise DataError(f"matrix has a non-finite entry at ({t + max(-off, 0)}, {t + max(off, 0)})")
-    real = not any(np.any(np.imag(d)) for d in diags.values())
+    offsets = list(diags)
+    shaped = [n > 0 and diags[off].shape == (n - abs(off),) for off in offsets]
+    good = offsets[: shaped.index(False)] if not all(shaped) else offsets
+    lengths = np.array([n - abs(off) for off in good], dtype=np.intp)
+    ends = np.cumsum(lengths)
+    flat = np.concatenate([diags[off] for off in good]) if good else np.zeros(0)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        k = int(np.searchsorted(ends, i, side="right"))
+        off, t = good[k], i - int(ends[k] - lengths[k]) + 1
+        raise DataError(f"matrix has a non-finite entry at ({t + max(-off, 0)}, {t + max(off, 0)})")
+    if len(good) < len(offsets):
+        off = offsets[len(good)]
+        raise DimensionError(f"declared diagonal {off} has shape {diags[off].shape}, the order is {n}")
+    real = not (np.iscomplexobj(flat) and np.any(flat.imag))
+    # empty diagonals (|off| = n) left out, so each reduceat segment is one whole diagonal
+    held = [off for off, length in zip(good, lengths) if length]
+    hit = np.logical_or.reduceat(flat != 0, (ends - lengths)[lengths > 0])
+    nonzero = [off for off, h in zip(held, hit) if h] + [0]
     keep = lambda d: np.asarray(np.real(d), dtype=float) if real else np.asarray(d, dtype=complex)
-    nonzero = [off for off, d in diags.items() if np.any(d)] + [0]
     return {off: keep(diags.get(off, np.zeros(n - abs(off)))) for off in range(min(nonzero), max(nonzero) + 1)}
 
 
-#: Lanczos steps per banded or triangular sigma_min; a point needing more falls back to dense SVD
+#: Lanczos steps per banded or triangular sigma_min, each two solves against its
+#: tridiagonal, banded or triangular factor; a point needing more falls back to dense SVD
 _LANCZOS_STEPS = 64
 #: the Ritz residual, relative to the Ritz value, that stops the Lanczos iteration
 _LANCZOS_TOL = 1e-10
+#: seed of the Lanczos start vector, a function of n alone (Section._lanczos_start)
 _LANCZOS_SEED = 19990601
 #: power steps of Factorization.inverse_norm_estimate, two solves each
 _INVERSE_NORM_STEPS = 8
 
 
 class Factorization:
-    """One matrix made ready for optional-adjoint solves, in one of three storage kinds.
+    """One matrix made ready for optional-adjoint solves, in one of four storage kinds.
 
-    LU in LAPACK band storage (``ab``), dense LU (``dense``), or an upper
-    triangular matrix that ``trtrs`` solves as it stands (``triangular``).
+    Tridiagonal LU by ``zgttrf`` (``tridiagonal``: its sub-, main and
+    superdiagonal), LU in LAPACK band storage (``ab``), dense LU (``dense``),
+    or an upper triangular matrix that ``trtrs`` solves as it stands
+    (``triangular``).  The tridiagonal LU is complex; ``zgttrf`` copies the
+    three diagonals, so arrays a section caches may be passed in.
     A triangular factor is a matrix its section shares among all its shifts,
     complex and in Fortran order, plus this shift's ``diagonal``: O(n) of
     its own.  Each solve writes that diagonal into the shared matrix, then
@@ -369,10 +393,13 @@ class Factorization:
     for a triangular matrix, an exact zero on its diagonal.
     """
 
-    def __init__(self, n: int, kl: int = 0, ku: int = 0, ab=None, dense=None, triangular=None, diagonal=None):
+    def __init__(
+        self, n: int, kl: int = 0, ku: int = 0, ab=None, dense=None, triangular=None, diagonal=None, tridiagonal=None
+    ):
         self.n = n
         self.banded = ab is not None
         self._triangular = triangular
+        self._tridiagonal = None
         if triangular is not None:
             if not np.all(diagonal):
                 raise np.linalg.LinAlgError("exact zero on the triangular diagonal")
@@ -381,6 +408,10 @@ class Factorization:
             # here, where the wrapper would copy it on every solve
             self._slot = np.reshape(triangular, -1, order="F", copy=False)[:: n + 1]
             self._trtrs = _lapack("trtrs", triangular)
+        elif tridiagonal is not None:
+            *lu, info = _flapack.zgttrf(*tridiagonal)
+            _check_info(info, "the tridiagonal LU")
+            self._tridiagonal = lu  # dl, d, du, du2, ipiv: the arguments of zgttrs before b
         elif self.banded:
             self.kl, self.ku = kl, ku
             lu, ipiv, info = _lapack("gbtrf", ab)(ab, kl, ku)
@@ -403,6 +434,8 @@ class Factorization:
         if self._triangular is not None:
             self._slot[...] = self._diagonal
             x, info = self._trtrs(self._triangular, b, trans=trans)
+        elif self._tridiagonal is not None:
+            x, info = _flapack.zgttrs(*self._tridiagonal, b, trans=b"C" if adjoint else b"N")
         elif self.banded:
             x, info = self._gbtrs(self._lu, self.kl, self.ku, b, self._ipiv, trans=trans)
         else:
@@ -463,11 +496,16 @@ class Section:
       Lanczos on (z I - A)^-H (z I - A)^-1 with the solves of :meth:`factor`;
     - ``dense``: everything else, by SVD of the dense A - z I.
 
-    ``data``, the band template and the triangular matrix (-A, stored for
-    those routes and built from the diagonals), the Lanczos start vector,
-    :attr:`norm` and :attr:`inf_norm` are built on first use.  A triangular
-    section keeps one -A for all its shifts: each factor holds only its
-    diagonal z - a_ii and writes it in before each solve.  ``affine`` is
+    :meth:`factor` (z) gives z I - A in one of the four storage kinds of
+    :class:`Factorization`: tridiagonal LU for a section stored banded with
+    kl <= 1 and ku <= 1, banded LU for a wider band, the triangular matrix
+    for a triangular section, dense LU otherwise.  ``data``, the negated
+    off-diagonals, the band template and the triangular matrix (-A's parts
+    or -A, stored for those kinds and built from the diagonals), the
+    Lanczos start vector, :attr:`norm` and :attr:`inf_norm` are built on
+    first use.  A triangular section keeps one -A for all its shifts: each
+    factor holds only its diagonal z - a_ii and writes it in before each
+    solve.  ``affine`` is
     None unless a builder declares it (:class:`Affine`).  Instances are
     read-only apart from those and that diagonal.
     """
@@ -602,6 +640,16 @@ class Section:
         return float(rows.max())
 
     @cached_property
+    def _negated_off_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
+        """(-A's subdiagonal, -A's superdiagonal), complex: ``zgttrf``'s dl and du for every shift.
+
+        Zeros stand for an off-diagonal a bidiagonal or diagonal section does
+        not hold.  ``zgttrf`` copies its inputs, so these are never written.
+        """
+        zeros = np.zeros(self.n - 1)
+        return tuple(-np.asarray(self.diagonals.get(off, zeros), dtype=complex) for off in (-1, 1))
+
+    @cached_property
     def _band_template(self) -> np.ndarray:
         """-A in ``gbtrf`` band layout: entry (i, j) at row kl + ku + i - j."""
         kl, ku = self.kl, self.ku
@@ -636,12 +684,18 @@ class Section:
         return v / np.linalg.norm(v)
 
     def factor(self, z: complex) -> Factorization:
-        """z I - A, factored: banded LU if stored banded, else dense LU; triangular, as it stands.
+        """z I - A, factored: tridiagonal or banded LU if stored banded, else dense LU; triangular, as it stands.
 
-        A triangular factor keeps only its diagonal z - a_ii and solves against
-        the section's one shared matrix (:class:`Factorization`), so a shift
+        A section stored banded with kl <= 1 and ku <= 1 takes the tridiagonal
+        LU (``zgttrf``) of z - a_ii and the cached negated off-diagonals, and
+        builds no band template; a wider band takes ``gbtrf``.  A triangular
+        factor keeps only its diagonal z - a_ii and solves against the
+        section's one shared matrix (:class:`Factorization`), so a shift
         costs O(n) storage, not an n x n copy.
         """
+        if self.banded and self.kl <= 1 and self.ku <= 1:
+            dl, du = self._negated_off_diagonals
+            return Factorization(self.n, tridiagonal=(dl, z - self.diagonals[0], du))
         if self.banded:
             ab = self._band_template.copy()
             ab[self.kl + self.ku, :] += z
@@ -692,22 +746,29 @@ class Section:
         Full reorthogonalisation (classical Gram-Schmidt, applied twice) keeps
         the basis orthonormal; the run stops once the Ritz residual
         beta_k |e_k^T s| is at most ``_LANCZOS_TOL`` theta.  None when the
-        step cap is reached first or a non-finite number appears.
+        step cap is reached first or a non-finite number appears.  The basis
+        is kept as Fortran-ordered columns V, so each pass, w -= V (V^H w),
+        is two BLAS ``zgemv`` calls with no temporary beyond V^H w; w is
+        tested by its norm (:func:`_nrm2`, which propagates NaN and inf) before any
+        numpy operation reads it, so an overflowing solve warns of nothing.
+        Each step run is counted in the open :class:`Ledger`'s
+        ``lanczos_steps`` under the section's route.
         """
         steps = min(self.n, _LANCZOS_STEPS)
-        basis = np.empty((steps, self.n), dtype=complex)
+        basis = np.empty((self.n, steps), dtype=complex, order="F")
         alpha, beta = np.empty(steps), np.empty(steps)
         v = self._lanczos_start
         for k in range(steps):
-            basis[k] = v
+            Ledger.count("lanczos_steps", self.sigma_min_route)
+            basis[:, k] = v
             w = fact.solve(fact.solve(v), adjoint=True)
-            if not np.all(np.isfinite(w)):
+            if not np.isfinite(_nrm2(w)):
                 return None
             alpha[k] = np.vdot(v, w).real
-            done = basis[: k + 1]
+            done = basis[:, : k + 1]
             for _ in range(2):
-                w -= np.conj(done @ np.conj(w)) @ done
-            beta[k] = np.linalg.norm(w)
+                w = _fblas.zgemv(-1.0, done, _fblas.zgemv(1.0, done, w, trans=2), beta=1.0, y=w, overwrite_y=1)
+            beta[k] = _nrm2(w)
             ritz, vecs = _stevd(alpha[: k + 1], beta[:k], vectors=True)
             theta = ritz[-1]
             if not (np.isfinite(theta) and theta > 0.0):

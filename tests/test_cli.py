@@ -166,6 +166,22 @@ class TestPseudo:
         assert spectra["spectrum_cache"] == {"hits": 0, "misses": 2}
         assert pseudo["spectrum_cache"] == {"hits": 0, "misses": 0}
 
+    def test_report_records_lanczos_steps(self, tmp_path):
+        # every jacobi point is tridiagonal: no Lanczos step, and both routes written out as zeros
+        out = tmp_path / "jacobi"
+        assert cli.main(["demo", "jacobi", "--out", str(out)]) == 0
+        (pseudo,) = [s for s in json.loads((out / "report.json").read_text())["stages"] if s["op"] == "pseudo"]
+        assert pseudo["sigma_min_routes"] == {"tridiagonal": 297}
+        assert pseudo["lanczos_steps"] == {"banded": 0, "triangular": 0} and pseudo["dense_fallbacks"] == 0
+        # the complex oscillator at n = 99 is stored banded: at least one step per point, at most the cap
+        lattice = {"op": "pseudo", "size": 1, "rect": [-1.0, 12.0, -1.0, 12.0], "nx": 4, "ny": 3}
+        doc = {"kind": "schrodinger", "p": 0.0, "q": "i*x^2", "r": 0.0, "L_n": [6.0], "m": 100, "analysis": [lattice]}
+        out = tmp_path / "banded"
+        assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
+        (pseudo,) = json.loads((out / "report.json").read_text())["stages"]
+        assert pseudo["sigma_min_routes"] == {"banded": 12} and pseudo["dense_fallbacks"] == 0
+        assert 12 <= pseudo["lanczos_steps"]["banded"] <= 64 * 12 and pseudo["lanczos_steps"]["triangular"] == 0
+
     def test_report_records_spectrum_cache_hits(self, tmp_path):
         # the classify stage tracks the 7 spectra the spectra stage computed
         out = tmp_path / "out"

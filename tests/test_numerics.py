@@ -894,3 +894,235 @@ class TestDirectLapack:
         for lam in lams:
             got = sec.inverse_iteration_residual(lam)
             assert np.array_equal(got, reference_inverse_iteration_residual(sec, lam))
+
+
+def parent_declared_diagonals(declared: dict) -> dict:
+    """``numerics._declared_diagonals`` as it was before it stacked the diagonals: three reductions per diagonal."""
+    diags = {int(off): np.asarray(d) for off, d in declared.items()}
+    n = np.size(diags.setdefault(0, np.zeros(0)))
+    for off, d in diags.items():
+        if n == 0 or d.shape != (n - abs(off),):
+            raise DimensionError(f"declared diagonal {off} has shape {d.shape}, the order is {n}")
+        if not np.all(np.isfinite(d)):
+            t = int(np.argmin(np.isfinite(d))) + 1
+            raise DataError(f"matrix has a non-finite entry at ({t + max(-off, 0)}, {t + max(off, 0)})")
+    real = not any(np.any(np.imag(d)) for d in diags.values())
+    keep = lambda d: np.asarray(np.real(d), dtype=float) if real else np.asarray(d, dtype=complex)
+    nonzero = [off for off, d in diags.items() if np.any(d)] + [0]
+    return {off: keep(diags.get(off, np.zeros(n - abs(off)))) for off in range(min(nonzero), max(nonzero) + 1)}
+
+
+def declared_or_error(fn, declared):
+    """``fn(declared)``, or the type and message of the error it raises."""
+    try:
+        return fn(declared)
+    except (DataError, DimensionError) as exc:
+        return type(exc), str(exc)
+
+
+@hst.composite
+def declarations(draw):
+    """A builder's ``{offset: diagonal}``: shuffled offsets, sometimes a wrong length or no main diagonal,
+    entries among finite values, exact and complex zeros, NaN and inf, in float or complex dtype."""
+    n = draw(hst.integers(0, 7))
+    inside = list(range(-n, n + 1))
+    offsets = draw(hst.lists(hst.sampled_from(inside * 4 + [-n - 1, n + 1]), max_size=6, unique=True))
+    if draw(hst.booleans()) and 0 not in offsets:
+        offsets.append(0)
+    offsets = draw(hst.permutations(offsets))
+    finite = [0.0, -0.0, 1.5, -2.0, 0j, complex(0.0, -0.0), 1j, 2.0 - 1j]
+    entries = hst.sampled_from(finite * 8 + [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
+    out = {}
+    for off in offsets:
+        length = max(n - abs(off), 0) + draw(hst.sampled_from([0] * 12 + [1, -1]))
+        values = draw(hst.lists(entries, min_size=max(length, 0), max_size=max(length, 0)))
+        kind = draw(hst.sampled_from(["float", "complex", "list", "int"]))
+        if kind == "int" and all(np.isfinite(v) and complex(v).imag == 0 for v in values):
+            out[off] = np.array([int(complex(v).real) for v in values], dtype=np.int64)
+        elif kind == "float" and all(complex(v).imag == 0 for v in values):
+            out[off] = np.array([complex(v).real for v in values], dtype=float)
+        elif kind == "list":
+            out[off] = values
+        else:
+            out[off] = np.array(values, dtype=complex)
+    return out
+
+
+class TestDeclaredDiagonals:
+    """The one-pass check of a builder's diagonals gives what the per-diagonal loop gave."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(declared=declarations())
+    @example(declared={1: [np.nan], 0: np.zeros(3)})  # a wrong shape declared before a finite main diagonal
+    @example(declared={-1: [1.0, np.inf], 2: [0.0], 0: [1.0, 2.0]})  # non-finite before a wrong shape
+    @example(declared={0: np.zeros(4), 3: [0j], -2: [0.0, 1j]})  # an outer zero diagonal is trimmed
+    def test_property_matches_the_per_diagonal_loop(self, declared):
+        want = declared_or_error(parent_declared_diagonals, declared)
+        got = declared_or_error(numerics._declared_diagonals, declared)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert isinstance(got, dict) and list(got) == list(want)
+        for off in want:
+            assert got[off].dtype == want[off].dtype and np.array_equal(got[off], want[off])
+            # -0.0 stays -0.0: the same bits, not only equal values
+            assert np.array_equal(np.signbit(got[off].real), np.signbit(want[off].real))
+
+    def test_many_diagonals_in_one_pass(self):
+        from specexact.operator_model import upper_triangular_spec
+
+        declared = upper_triangular_spec().diagonals(200)
+        got, want = numerics._declared_diagonals(declared), parent_declared_diagonals(declared)
+        assert list(got) == list(want) == list(range(200))
+        assert all(np.array_equal(got[k], want[k]) and got[k].dtype == want[k].dtype for k in want)
+
+
+def parent_largest_inverse_eigenvalue(sec, fact):
+    """``Section._largest_inverse_eigenvalue`` as it was before its step ran on BLAS: the reference."""
+    steps = min(sec.n, numerics._LANCZOS_STEPS)
+    basis = np.empty((steps, sec.n), dtype=complex)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    v = sec._lanczos_start
+    for k in range(steps):
+        basis[k] = v
+        w = fact.solve(fact.solve(v), adjoint=True)
+        if not np.all(np.isfinite(w)):
+            return None
+        alpha[k] = np.vdot(v, w).real
+        done = basis[: k + 1]
+        for _ in range(2):
+            w -= np.conj(done @ np.conj(w)) @ done
+        beta[k] = np.linalg.norm(w)
+        ritz, vecs = numerics._stevd(alpha[: k + 1], beta[:k], vectors=True)
+        theta = ritz[-1]
+        if not (np.isfinite(theta) and theta > 0.0):
+            return None
+        if beta[k] * abs(vecs[-1, -1]) <= numerics._LANCZOS_TOL * theta:
+            return float(theta)
+        v = w / beta[k]
+    return None
+
+
+@contextlib.contextmanager
+def no_band_lu():
+    """``zgbtrf`` made to raise, so a section that reaches the banded LU fails."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("banded LU of a tridiagonal section")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics._flapack, "zgbtrf", refuse)
+        yield
+
+
+def tridiagonal_section(rng, n, kl, ku, complex_a, zeros):
+    """A Section declared with kl, ku <= 1 and a ``zeros`` share of exact zeros in its off-diagonals."""
+    draw = lambda m: rng.standard_normal(m) + (1j * rng.standard_normal(m) if complex_a else 0.0)
+    diagonals = {0: draw(n)}
+    for off in [-k for k in range(1, kl + 1)] + list(range(1, ku + 1)):
+        diagonals[off] = draw(n - 1) * (rng.random(n - 1) >= zeros)
+        diagonals[off][rng.integers(n - 1)] = 1.0  # not all zero, so the declared band is kept
+    return numerics.Section(diagonals)
+
+
+def pseudo_workload_sections():
+    """The pseudo stages' sections of the benchmark: the complex oscillator (n = 399, banded) and the
+    upper-triangular section of size 400, with their 12 x 12 lattices."""
+    from specexact import cli
+
+    oscillator = {"kind": "schrodinger", "p": 0.0, "q": "i*x^2", "r": 0.0, "L_n": [6.0], "m": 400, "analysis": []}
+    triangular = {"kind": "upper_triangular", "analysis": []}
+    cases = [(oscillator, 1, (-1.0, 12.0, -1.0, 12.0)), (triangular, 400, (-2.0, 30.0, -10.0, 10.0))]
+    for doc, size, (re0, re1, im0, im1) in cases:
+        sec = cli.parse_problem(doc).ladder([size]).matrix(size)
+        yield sec, [complex(x, y) for y in np.linspace(im0, im1, 12) for x in np.linspace(re0, re1, 12)]
+
+
+class TestTridiagonalFactorization:
+    """Sections stored banded with kl, ku <= 1 factor by zgttrf and agree with the dense references."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(64, 300),
+        kl=hst.integers(0, 1),
+        ku=hst.integers(0, 1),
+        complex_a=hst.booleans(),
+        zeros=hst.sampled_from([0.0, 0.2, 0.6]),
+    )
+    @example(seed=0, n=64, kl=0, ku=0, complex_a=False, zeros=0.0)
+    @example(seed=1, n=300, kl=1, ku=1, complex_a=True, zeros=0.6)
+    def test_property_solves_and_sigma_min_match_dense(self, seed, n, kl, ku, complex_a, zeros):
+        rng = np.random.default_rng(seed)
+        sec = tridiagonal_section(rng, n, kl, ku, complex_a, zeros)
+        assert sec.banded and (sec.kl, sec.ku) == (kl, ku) and sec.real == (not complex_a)
+        a = sec.dense()
+        z = complex(rng.standard_normal(), rng.standard_normal())
+        shifted = z * np.eye(n) - a
+        with no_band_lu():
+            fact = sec.factor(z)
+            for columns in (1, 16):
+                b = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
+                for adjoint, mat in ((False, shifted), (True, shifted.conj().T)):
+                    x = fact.solve(b[:, 0] if columns == 1 else b, adjoint=adjoint).reshape(n, columns)
+                    # normwise backward error of a backward-stable solve
+                    err = np.linalg.norm(mat @ x - b) / (np.linalg.norm(mat, 2) * np.linalg.norm(x) + np.linalg.norm(b))
+                    assert err <= 64 * n * np.finfo(float).eps
+                    np.testing.assert_allclose(x, np.linalg.solve(mat, b), rtol=0, atol=1e-8 * np.linalg.norm(x))
+            # the pseudo gate's tolerance; a real diagonal section is Hermitian and takes the tridiagonal route
+            got = sec.sigma_min(z)
+            want = np.linalg.svd(shifted, compute_uv=False)[-1]
+            assert abs(got - want) <= 1e-8 * want + 100 * np.finfo(float).eps * (np.linalg.norm(a, 2) + abs(z))
+        assert "_band_template" not in vars(sec)
+
+    @pytest.mark.parametrize("kl, ku", [(0, 1), (1, 0), (0, 0)])
+    @pytest.mark.parametrize("complex_a", [False, True])
+    def test_shift_at_a_diagonal_entry_is_exactly_singular(self, kl, ku, complex_a):
+        rng = np.random.default_rng(3 + kl + 2 * ku)
+        sec = tridiagonal_section(rng, 100, kl, ku, complex_a, zeros=0.0)
+        z = complex(sec.diagonals[0][37])
+        with no_band_lu():
+            with pytest.raises(np.linalg.LinAlgError):
+                sec.factor(z)
+            with numerics.Ledger() as ledger:
+                assert sec.sigma_min(z) == 0.0
+        assert ledger.counts["dense_fallbacks"].total() == 0
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_step_matches_the_reference_step(self, case):
+        sec, shifts = list(pseudo_workload_sections())[case]
+        assert sec.sigma_min_route == ("banded", "triangular")[case]
+        for z in shifts:
+            fact = sec.factor(z)
+            want = parent_largest_inverse_eigenvalue(sec, fact)
+            got = sec._largest_inverse_eigenvalue(fact)
+            assert want is not None and got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_overflowing_solve_warns_of_nothing(self):
+        # Toeplitz with symbol 2 + e^{i t} + 0.5 e^{-i t}: sigma_min(A - 2) is about 1e-155 at n = 1024, so the
+        # double solve overflows and the point is redone by SVD
+        n = 1024
+        sec = numerics.Section({0: np.full(n, 2.0), 1: np.ones(n - 1), -1: np.full(n - 1, 0.5)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with numerics.Ledger() as ledger:
+                got = sec.sigma_min(2.0)
+        assert dict(ledger.counts["dense_fallbacks"]) == {"banded": 1}
+        assert got == np.linalg.svd(sec._shifted_dense(2.0), compute_uv=False)[-1]
+        assert 0.0 < got < 1e-150
+
+    def test_ledger_counts_lanczos_steps_per_route(self):
+        rng = np.random.default_rng(5)
+        banded = tridiagonal_section(rng, 120, 1, 1, True, zeros=0.0)
+        _, triangular = declared_upper_triangular(rng, 80, complex_a=True)
+        with numerics.Ledger() as ledger:
+            for z in (3.0, 2j, -1.5 + 0.5j):
+                banded.sigma_min(z)
+                triangular.sigma_min(z)
+        steps = ledger.counts["lanczos_steps"]
+        assert set(steps) == {"banded", "triangular"}
+        assert all(3 <= steps[route] <= 3 * numerics._LANCZOS_STEPS for route in steps)
+        # the tridiagonal route runs no Lanczos
+        with numerics.Ledger() as ledger:
+            numerics.Section({0: np.arange(80.0), 1: np.ones(79), -1: np.ones(79)}).sigma_min(0.5)
+        assert not ledger.counts["lanczos_steps"]
