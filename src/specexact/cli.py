@@ -59,7 +59,9 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                banded and triangular points ran, per route, zeros
                included).  A finished verify stage records ``gamma_routes``,
                its coupling norms ||S (T - lam)^-1|| per route: eigenvalues
-               (a constant sl_matrix coupling) or svd.
+               (a constant sl_matrix coupling) or svd, and ``knob_pairs``,
+               the (nu, beta) pairs its Schrodinger constant searches
+               evaluated and pruned (zeros without a schrodinger check).
 """
 
 from __future__ import annotations
@@ -304,6 +306,14 @@ def _check_section_size(n, where: str) -> None:
         )
 
 
+def _parse_grid_m(doc: dict, default: int, least: int) -> int:
+    """The problem's ``m``, refused below the ``least`` grid cells its assembly needs."""
+    m = _parse_number(doc.get("m", default), "m", int)
+    if m < least:
+        raise ProblemError(f"m: expected at least {least} grid cells, got {m!r}")
+    return m
+
+
 def _check_ladder(values: tuple, where: str, top: int | None = None) -> None:
     """Refuse ``values`` unless they increase strictly from at least 1 (to at most ``top``, if given)."""
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -358,7 +368,7 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
     elif kind == "sl":
         a, b = _parse_number(doc.get("a", 0.0), "a"), _parse_number(doc.get("b", 1.0), "b")
         prob.sl = _parse_sl_component(doc, a, b, _parse_list(doc.get("a_n", []), "a_n"), "sl", name)
-        prob.grid_m = _parse_number(doc.get("m", 500), "m", int)
+        prob.grid_m = _parse_grid_m(doc, 500, 2)
         _check_section_size(prob.sl.unknowns(prob.grid_m), "m")
     elif kind == "sl_matrix":
         a, b = _parse_number(doc.get("a", 0.0), "a"), _parse_number(doc.get("b", 1.0), "b")
@@ -386,7 +396,7 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
             )
         except ValueError as exc:
             raise ProblemError(f"sl_matrix: {exc}") from exc
-        prob.grid_m = _parse_number(doc.get("m", 300), "m", int)
+        prob.grid_m = _parse_grid_m(doc, 300, 2)
         _check_section_size(2 * prob.sl_matrix.tau1.unknowns(prob.grid_m), "m")
     else:  # schrodinger
         consts = _parse_as(doc.get("constants", {}), "constants", dict)
@@ -407,7 +417,7 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
             )
         except ValueError as exc:
             raise ProblemError(f"schrodinger: {exc}") from exc
-        prob.grid_m = _parse_number(doc.get("m", 800), "m", int)
+        prob.grid_m = _parse_grid_m(doc, 800, 4)
         _check_section_size(prob.grid_m - 1, "m")
     prob.analysis = [_parse_stage(prob, stage, f"analysis[{i}]") for i, stage in enumerate(analysis)]
     return prob
@@ -631,8 +641,11 @@ def _verify_checks(prob: Problem, stage: dict) -> list[hc.HypothesisReport]:
 def _run_verify(prob: Problem, stage: dict, path: Path, ledger: numerics.Ledger) -> dict:
     reports = _verify_checks(prob, stage)
     _atomic_write(path, _dump_json({"problem": prob.name, "reports": [r.to_dict() for r in reports]}))
-    routes = ledger.counts["gamma_routes"]
-    return {"gamma_routes": {route: routes[route] for route in hc.GAMMA_ROUTES}}
+    routes, pairs = ledger.counts["gamma_routes"], ledger.counts["knob_pairs"]
+    return {
+        "gamma_routes": {route: routes[route] for route in hc.GAMMA_ROUTES},
+        "knob_pairs": {key: pairs[key] for key in hc.KNOB_PAIR_COUNTS},
+    }
 
 
 def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes) -> dict:

@@ -358,6 +358,10 @@ def sl_lambda0_search(
 
 KNOB_GRID = tuple(np.geomspace(1e-4, 1.0, 33))  # 8 points per decade over [1e-4, 1]
 LAMBDA_EXPONENTS = tuple(range(0, 9))  # lambda_0 scanned over -10^k
+#: the counts of schrodinger_constants' (nu, beta) pairs in the open Ledger's ``knob_pairs``
+KNOB_PAIR_COUNTS = ("evaluated", "pruned")
+#: relative shrink of the pair bounds, so that no rounding lifts one above a computed lambda_0 or gamma
+BOUND_SAFETY = 1.0 - 1e-9
 
 
 def schrodinger_constants(prob_or_constants, *, knob_grid=KNOB_GRID) -> HypothesisReport:
@@ -368,8 +372,15 @@ def schrodinger_constants(prob_or_constants, *, knob_grid=KNOB_GRID) -> Hypothes
     C_alpha = eps a_grad + 1/(4 eps delta) subject to max(delta/eps, eps b_grad) <= alpha,
     gamma^2 = (a + b C_alpha / (1 - alpha)) / lambda_0^2 + b / (1 - alpha).
 
-    Returns the knob combination minimizing |lambda_0| (then gamma) with
-    gamma < 1, or FailEvidence with the best gamma found.
+    Returns the knob combination minimizing |lambda_0| (then gamma, nu, beta,
+    alpha, eps) with gamma < 1, or FailEvidence with the least gamma (then nu,
+    beta, alpha, eps) at the largest lambda_0 scanned; ``knob_grid`` ascends.
+    The (nu, beta) pairs are visited best-first by a lower bound on their
+    cells' keys: |lambda_0| >= 10^k, the least power of ten above sqrt(a), and
+    there gamma^2 >= a / 10^2k + b min over cells of (C_alpha / 10^2k + 1) /
+    (1 - alpha).  The visit ends at the first bound above the best key, so the
+    record is the full grid's; the open Ledger's ``knob_pairs`` counts the
+    pairs evaluated and pruned.
     """
     if hasattr(prob_or_constants, "assumption_constants"):
         consts = prob_or_constants.assumption_constants()
@@ -399,19 +410,30 @@ def schrodinger_constants(prob_or_constants, *, knob_grid=KNOB_GRID) -> Hypothes
     alpha, eps, delta = alpha[rows, 0], grid[cols], grid[pos[rows, cols]]
     c_alpha = eps * a_grad + 1.0 / (4.0 * eps * delta)
     one_m = 1.0 - alpha
+    # the (nu, beta) pairs with b < 1, nu-major
+    nu, beta = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+    nu_factor = 1.0 + 1.0 / (4.0 * nu)
+    b = np.maximum(beta * nu_factor, b_r * (1.0 + nu))
+    nu, beta, nu_factor, b = nu[b < 1.0], beta[b < 1.0], nu_factor[b < 1.0], b[b < 1.0]
+    a = p_sup**4 / (4.0 * beta) * nu_factor + a_r * (1.0 + nu)
+    # each pair's bound (lam_lb, gamma_lb); the least gamma term of the cells is taken once per power of ten
+    k_lb = np.minimum(np.searchsorted(powers, np.sqrt(a) * BOUND_SAFETY, side="right"), top + 1)
+    cell_min = ((c_alpha / powers[:, np.newaxis] ** 2 + 1.0) / one_m).min(axis=1, initial=np.inf)
+    lam_lb = powers[k_lb]
+    gamma_lb = np.sqrt(a / lam_lb**2 + b * cell_min[k_lb]) * BOUND_SAFETY
+    # with no admissible cell, no pair holds a record: each is pruned unseen
+    order = np.lexsort((gamma_lb, k_lb))[: b.size if c_alpha.size else 0]
     best = None  # (key, record), key = (|lam0|, gamma, nu, beta, alpha, eps)
-    best_fail = None  # (gamma, record) at the largest lambda scanned
-    for nu in grid:
-        nu_factor = 1.0 + 1.0 / (4.0 * nu)
-        b = np.maximum(grid * nu_factor, b_r * (1.0 + nu))
-        beta, b = grid[b < 1.0], b[b < 1.0]
-        a = p_sup**4 / (4.0 * beta) * nu_factor + a_r * (1.0 + nu)
-        # one row per beta with b < 1, one column per (alpha, eps) cell
-        b, a = b[:, np.newaxis], a[:, np.newaxis]
-        ratio = b / one_m
+    best_fail = None  # (key, record), key = (gamma, nu, beta) at the largest lambda scanned
+    evaluated = 0
+    for p in order:
+        if best is not None and (lam_lb[p], gamma_lb[p]) > best[0][:2]:
+            break
+        evaluated += 1
+        ratio = b[p] / one_m
         usable = ratio < 1.0  # elsewhere the values below may be nan, and no cell is picked
         with np.errstate(divide="ignore", invalid="ignore"):
-            num = a + b * c_alpha / one_m
+            num = a[p] + b[p] * c_alpha / one_m
             needed = np.sqrt(num / (1.0 - ratio))
             # the least k with 10^k > needed: strict, so 10^k equal to the threshold takes k + 1
             exps = np.searchsorted(powers, needed, side="right")
@@ -421,26 +443,25 @@ def schrodinger_constants(prob_or_constants, *, knob_grid=KNOB_GRID) -> Hypothes
             lam0 = powers[np.minimum(exps, top)]
             gamma = np.sqrt(num / lam0**2 + ratio)
 
-        def knobs(i, j, lambda0, gamma_at):
-            return dict(nu=nu, beta=beta[i], alpha=alpha[j], eps=eps[j], delta=delta[j],
-                        a=a[i, 0], b=b[i, 0], c_alpha=c_alpha[j], lambda0=lambda0, gamma=gamma_at)
+        def knobs(j, lambda0, gamma_at):
+            return dict(nu=nu[p], beta=beta[p], alpha=alpha[j], eps=eps[j], delta=delta[j],
+                        a=a[p], b=b[p], c_alpha=c_alpha[j], lambda0=lambda0, gamma=gamma_at)
 
-        # the least key within this nu; across nu, a key must be smaller to replace the best
-        i, j = np.nonzero(usable & ~missed & (gamma < 1.0))
-        if i.size:
-            first = np.lexsort((eps[j], alpha[j], beta[i], gamma[i, j], lam0[i, j]))[0]
-            i, j = i[first], j[first]
-            key = (lam0[i, j], float(gamma[i, j]), nu, beta[i], alpha[j], eps[j])
+        j = np.flatnonzero(usable & ~missed & (gamma < 1.0))
+        if j.size:
+            j = j[np.lexsort((eps[j], alpha[j], gamma[j], lam0[j]))[0]]
+            key = (lam0[j], float(gamma[j]), nu[p], beta[p], alpha[j], eps[j])
             if best is None or key < best[0]:
-                best = (key, knobs(i, j, -lam0[i, j], key[1]))
-        # nonzero walks (beta, alpha, eps) in loop order, so argmin keeps the first of equal gammas
-        i, j = np.nonzero(usable & missed)
-        if i.size:
-            first = np.argmin(gamma[i, j])
-            i, j = i[first], j[first]
-            gamma_at_max = float(gamma[i, j])
-            if best_fail is None or gamma_at_max < best_fail[0]:
-                best_fail = (gamma_at_max, knobs(i, j, -lam_max, gamma_at_max))
+                best = (key, knobs(j, -lam0[j], key[1]))
+        # flatnonzero walks (alpha, eps) in loop order, so argmin keeps the least of equal gammas
+        j = np.flatnonzero(usable & missed)
+        if j.size:
+            j = j[np.argmin(gamma[j])]
+            key = (float(gamma[j]), nu[p], beta[p])
+            if best_fail is None or key < best_fail[0]:
+                best_fail = (key, knobs(j, -lam_max, key[0]))
+    numerics.Ledger.count("knob_pairs", "evaluated", evaluated)
+    numerics.Ledger.count("knob_pairs", "pruned", b.size - evaluated)
     base = {"a_grad": a_grad, "b_grad": b_grad, "a_r": a_r, "b_r": b_r, "p_sup": p_sup}
     if best is not None:
         record = best[1]

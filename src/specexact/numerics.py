@@ -455,7 +455,7 @@ class Factorization:
         est = 0.0
         for _ in range(_INVERSE_NORM_STEPS):
             w = self.solve(self.solve(x), adjoint=True)
-            norm = np.linalg.norm(w)
+            norm = _nrm2(w)  # scaled, and NaN or inf before any numpy operation reads w
             if not np.isfinite(norm) or norm == 0.0:
                 return np.inf if not np.isfinite(norm) else 0.0
             # Rayleigh quotient of (A^-1 A^-H) at x equals <w, x>

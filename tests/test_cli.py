@@ -553,6 +553,20 @@ class TestVerify:
         assert stage["status"] == "ok"
         assert stage["gamma_routes"] == {"eigenvalues": eigenvalues, "svd": svd}
 
+    @pytest.mark.parametrize(
+        "demo, evaluated, pruned",
+        [("jacobi", 0, 0), ("sl_matrix", 0, 0), ("oscillator", 1, 666), ("complex_oscillator", 1, 666)],
+    )
+    def test_report_records_knob_pairs(self, tmp_path, demo, evaluated, pruned):
+        # the Schrodinger constant search visits its 667 (nu, beta) pairs best-first: the first pair holds
+        # the record, and every other pair's bound is above it; a verify stage with no schrodinger check reads 0
+        doc = cli.demo_problem(demo)
+        doc["analysis"] = [stage for stage in doc["analysis"] if stage["op"] == "verify"]
+        report = cli.run_problem(cli.parse_problem(doc), tmp_path / "out", b"")
+        (stage,) = report["stages"]
+        assert stage["status"] == "ok"
+        assert stage["knob_pairs"] == {"evaluated": evaluated, "pruned": pruned}
+
     def test_verify_requires_stage(self, tmp_path):
         rc = cli.main(
             ["verify", write_problem(tmp_path, {"kind": "jacobi", "analysis": []}), "--out", str(tmp_path / "o")]
@@ -703,6 +717,22 @@ class TestErrors:
         rc = cli.main(["run", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"error: {key}: expected a number, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, least", [("sl", 2), ("sl_matrix", 2), ("schrodinger", 4)])
+    def test_too_few_grid_cells_refused_when_parsed(self, tmp_path, capsys, kind, least):
+        # each assembly needs `least` grid cells; below that every stage would fail, so the file is refused
+        docs = {
+            "sl": {"kind": "sl", "a": 0.0, "b": math.pi, "a_n": [0.0], "analysis": [{"op": "spectra", "sizes": [1]}]},
+            "sl_matrix": cli.demo_problem("sl_matrix"),
+            "schrodinger": cli.demo_problem("oscillator"),
+        }
+        doc = dict(docs[kind], m=least)
+        cli.parse_problem(doc)
+        doc["m"] = least - 1
+        rc = cli.main(["run", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "Traceback" not in err and not (tmp_path / "o").exists()
+        assert f"error: m: expected at least {least} grid cells, got {least - 1}" in err
 
 
     @pytest.mark.parametrize(

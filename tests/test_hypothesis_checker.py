@@ -704,6 +704,79 @@ class TestSchrodingerConstantsPerNu:
         self.assert_same_as_per_pair(consts, tuple(sorted(knobs)))
 
 
+def schrodinger_consts(a_grad=0.0, b_grad=0.0, a_r=0.0, b_r=0.0, p_sup=0.0) -> dict:
+    return {"a_grad": a_grad, "b_grad": b_grad, "a_r": a_r, "b_r": b_r, "p_sup": p_sup}
+
+
+class TestSchrodingerConstantsBestFirst:
+    """The best-first visit of the (nu, beta) pairs: both references' record, and the pairs it evaluates."""
+
+    @staticmethod
+    def search(consts, knob_grid=hc.KNOB_GRID) -> tuple[hc.HypothesisReport, dict]:
+        """The report, equal to both references', and the open Ledger's ``knob_pairs`` counts."""
+        with warnings.catch_warnings(), numerics.Ledger() as ledger:
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = hc.schrodinger_constants(consts, knob_grid=knob_grid)
+        got = json.dumps(rep.to_dict(), sort_keys=True)
+        for reference in (per_pair_schrodinger_constants, loop_schrodinger_constants):
+            assert got == json.dumps(reference(consts, knob_grid).to_dict(), sort_keys=True)
+        return rep, dict(ledger.counts["knob_pairs"])
+
+    @pytest.mark.parametrize("demo", ["oscillator", "complex_oscillator"])
+    def test_demos_evaluate_a_handful_of_pairs(self, demo):
+        # every pair has a = 0, so each cell's lambda_0 is at least 1; the first pair visited holds the
+        # record, and its gamma is below every other pair's bound: the search ends after a few pairs, not 667
+        rep, counts = self.search(cli.parse_problem(cli.demo_problem(demo)).schrodinger.assumption_constants())
+        assert rep.verdict is Verdict.PASS and rep.constants["lambda0"] == -1.0
+        assert counts["evaluated"] <= 4 and counts["evaluated"] + counts["pruned"] == 667
+
+    @pytest.mark.parametrize(
+        "consts, lambda0, evaluated",
+        [(schrodinger_consts(a_r=1e6), -1e4, 1), (schrodinger_consts(p_sup=3.0), -100.0, 16)],
+        ids=["a_r", "p_sup"],
+    )
+    def test_best_lambda0_above_one(self, consts, lambda0, evaluated):
+        # |lambda_0| >= 10^k, the least power of ten above sqrt(a), so a gamma bound taken at lambda_0 = 1
+        # would prune pairs that hold the record, and a bound of 1 on |lambda_0| would prune next to none
+        rep, counts = self.search(consts)
+        assert rep.verdict is Verdict.PASS and rep.constants["lambda0"] == lambda0
+        assert counts == {"evaluated": evaluated, "pruned": 667 - evaluated}
+
+    def test_pairs_of_one_nu_tie_and_beta_decides(self):
+        # p_sup = 0 and b = b_r (1 + nu) for the three least betas at nu = 1e-4: those pairs have equal a
+        # and b, so equal cells; all three are evaluated, and the least beta keeps the record
+        rep, counts = self.search(schrodinger_consts(a_grad=1.0, a_r=100.0, b_r=0.5))
+        c = rep.constants
+        assert rep.verdict is Verdict.PASS and c["lambda0"] == -100.0
+        assert (c["nu"], c["beta"], c["b"]) == (hc.KNOB_GRID[0], hc.KNOB_GRID[0], 0.5 * (1.0 + hc.KNOB_GRID[0]))
+        assert counts == {"evaluated": 3, "pruned": 632}
+
+    @pytest.mark.parametrize(
+        "consts, pairs",
+        [(schrodinger_consts(a_grad=1.0, a_r=1e20, b_r=0.1), 667), (schrodinger_consts(a_r=2e18, b_r=0.5, p_sup=0.07), 635)],
+        ids=["huge_a_r", "gamma_tie"],
+    )
+    def test_fail_only_evaluates_every_pair(self, consts, pairs):
+        # no pair passes, so each is evaluated and the record is the least (gamma, nu, beta, alpha, eps) at
+        # lambda_0 = -10^8.  In gamma_tie the pairs (1e-4, 1e-4) and (1e-4, 1.33e-4) differ in a by one ulp
+        # and tie in that gamma: the second, with the smaller bound, is visited first, yet the first holds it
+        rep, counts = self.search(consts)
+        assert rep.verdict is Verdict.FAIL and rep.constants["lambda0"] == -1e8
+        assert (rep.constants["nu"], rep.constants["beta"]) == (hc.KNOB_GRID[0], hc.KNOB_GRID[0])
+        assert counts == {"evaluated": pairs, "pruned": 0}
+
+    @pytest.mark.parametrize(
+        "consts, knob_grid, pairs",
+        [(schrodinger_consts(), (1e-4, 1e-3), 3), (schrodinger_consts(b_grad=1e5), hc.KNOB_GRID, 667)],
+        ids=["no_delta", "no_eps"],
+    )
+    def test_no_admissible_cell(self, consts, knob_grid, pairs):
+        # (1e-4, 1e-3): alpha eps is below every grid delta; b_grad = 1e5: eps b_grad is above every alpha
+        rep, counts = self.search(consts, knob_grid)
+        assert rep.verdict is Verdict.FAIL and "nu" not in rep.constants
+        assert counts == {"evaluated": 0, "pruned": pairs}
+
+
 class TestBandedCaseReport:
     def test_upper_triangular_case_c(self):
         profile = om.band_profile(om.upper_triangular_spec(), 200, lam=50j, normalize_by_diag=True)

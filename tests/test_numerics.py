@@ -1111,6 +1111,15 @@ class TestTridiagonalFactorization:
         assert got == np.linalg.svd(sec._shifted_dense(2.0), compute_uv=False)[-1]
         assert 0.0 < got < 1e-150
 
+    def test_overflowing_inverse_norm_estimate_warns_of_nothing(self):
+        # the same section: its first double solve is finite, but its squared norm overflows a dot product,
+        # and the next solve overflows; the estimate reads inf, ||(A - 2)^-1|| is about 1e155
+        n = 1024
+        sec = numerics.Section({0: np.full(n, 2.0), 1: np.ones(n - 1), -1: np.full(n - 1, 0.5)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sec.factor(2.0).inverse_norm_estimate() == np.inf
+
     def test_ledger_counts_lanczos_steps_per_route(self):
         rng = np.random.default_rng(5)
         banded = tridiagonal_section(rng, 120, 1, 1, True, zeros=0.0)
