@@ -19,8 +19,13 @@ classify.json  {problem, certified_sizes, uncertified_sizes, tol, candidates:
 hypothesis.json {problem, reports: [{theorem, lambda, constants, per_size,
                verdict, notes}]} with the constants named per theorem tag.
 report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
-               status, outputs, error, seconds, spectrum_cache}]}; the only
-               file with timing.  Every count below comes from the stage's
+               status, outputs, error, seconds, spectrum_cache,
+               blas_threads}]}; the only file with timing.
+               ``blas_threads`` lists the thread count of each OpenBLAS pool
+               of the process (numpy's and SciPy's) while the stage ran:
+               1 in each below ``numerics.SERIAL_BLAS_BELOW``, where the
+               stage is pinned, else the pools' own counts.  Every count
+               below comes from the stage's
                :class:`numerics.Ledger`, opened fresh around each stage.
                ``spectrum_cache`` is {hits, misses}: the
                stage's spectrum requests answered from the problem's cache
@@ -67,6 +72,7 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -268,6 +274,9 @@ class Problem:
     sl_matrix: dz.SLMatrixProblem | None = None
     schrodinger: dz.SchrodingerProblem | None = None
     grid_m: int = 0
+    #: the order of every section of an sl, sl_matrix or schrodinger problem, as capped; 0 on a
+    #: Galerkin problem, whose stages name their own sizes
+    order: int = 0
     cache: ra.SectionCache = field(default_factory=ra.SectionCache, repr=False)
 
     @property
@@ -369,7 +378,7 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
         a, b = _parse_number(doc.get("a", 0.0), "a"), _parse_number(doc.get("b", 1.0), "b")
         prob.sl = _parse_sl_component(doc, a, b, _parse_list(doc.get("a_n", []), "a_n"), "sl", name)
         prob.grid_m = _parse_grid_m(doc, 500, 2)
-        _check_section_size(prob.sl.unknowns(prob.grid_m), "m")
+        prob.order = prob.sl.unknowns(prob.grid_m)
     elif kind == "sl_matrix":
         a, b = _parse_number(doc.get("a", 0.0), "a"), _parse_number(doc.get("b", 1.0), "b")
         a_n = _parse_list(doc.get("a_n", []), "a_n")
@@ -397,7 +406,7 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
         except ValueError as exc:
             raise ProblemError(f"sl_matrix: {exc}") from exc
         prob.grid_m = _parse_grid_m(doc, 300, 2)
-        _check_section_size(2 * prob.sl_matrix.tau1.unknowns(prob.grid_m), "m")
+        prob.order = 2 * prob.sl_matrix.tau1.unknowns(prob.grid_m)
     else:  # schrodinger
         consts = _parse_as(doc.get("constants", {}), "constants", dict)
         # an absent (or null) constant is fitted
@@ -418,7 +427,8 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
         except ValueError as exc:
             raise ProblemError(f"schrodinger: {exc}") from exc
         prob.grid_m = _parse_grid_m(doc, 800, 4)
-        _check_section_size(prob.grid_m - 1, "m")
+        prob.order = prob.grid_m - 1
+    _check_section_size(prob.order, "m")
     prob.analysis = [_parse_stage(prob, stage, f"analysis[{i}]") for i, stage in enumerate(analysis)]
     return prob
 
@@ -431,7 +441,10 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
     written, before any other check of that field.  Every ladder, and a
     pseudo stage's ``size``, is then refused unless it increases strictly
     from at least 1 to at most the problem's ladder length, if it has one
-    (:func:`_check_ladder`).
+    (:func:`_check_ladder`).  ``order`` is the largest section order the
+    stage builds: the problem's on an sl, sl_matrix or schrodinger problem,
+    else the largest size the stage names (on a verify stage, the last cut
+    of each check that splits and each band_case scan).
     """
     if not isinstance(stage, dict) or "op" not in stage:
         raise ProblemError(f"{where}: each stage needs an 'op' field")
@@ -440,6 +453,7 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
         raise ProblemError(f"{where}: unknown op {op!r}")
     cap = prob.kind in GALERKIN_KINDS
     read = lambda key, parse, default, *args: parse(stage.get(key, default), f"{where}.{key}", *args)
+    largest = lambda *orders: prob.order or max(orders, default=0)
 
     def sizes(key):
         value = read(key, _parse_list, [], int, cap)
@@ -456,7 +470,8 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
 
     if op == "spectra":
         window = read("window", _parse_rect, None)
-        return {"op": op, "sizes": sizes("sizes") or prob.default_sizes(where), "window": window}
+        ladder = sizes("sizes") or prob.default_sizes(where)
+        return {"op": op, "sizes": ladder, "window": window, "order": largest(*ladder)}
     if op == "pseudo":
         size = read("size", _parse_number, None, int, cap) if "size" in stage else None
         rect = read("rect", _parse_rect, None)
@@ -467,12 +482,13 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
         if nx * ny > MAX_SECTION_BYTES // 80:  # per point, a float64 and a pseudo.csv row in one buffer
             raise ProblemError(f"{where}.nx, {where}.ny: a lattice of {nx} x {ny} points is above "
                                f"the cap of {MAX_SECTION_BYTES // 80} points")
-        return {"op": op, "size": size, "rect": rect, "nx": nx, "ny": ny}
+        return {"op": op, "size": size, "rect": rect, "nx": nx, "ny": ny, "order": largest(size)}
     if op == "classify":
         uncertified = sizes("uncertified_sizes")
+        certified = sizes("certified_sizes") or sizes("sizes") or prob.default_sizes(where)
         return {
             "op": op,
-            "certified_sizes": sizes("certified_sizes") or sizes("sizes") or prob.default_sizes(where),
+            "certified_sizes": certified,
             "uncertified_sizes": uncertified,
             "certified_label": read("certified_label", _parse_as, "certified", str),
             "tol": above("tol", 0, 1e-6),
@@ -481,9 +497,12 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
                 "quadrature_points", 15, ra.DEFAULT_QUADRATURE, int, most=MAX_QUADRATURE_POINTS
             ),
             "lambda": None if stage.get("lambda") is None else read("lambda", _parse_complex, None),
+            "order": largest(*certified, *uncertified),
         }
-    checks = enumerate(read("checks", _parse_as, [], list))
-    return {"op": op, "checks": [_parse_check(prob, c, f"{where}.checks[{j}]", cap) for j, c in checks]}
+    checks = [_parse_check(prob, c, f"{where}.checks[{j}]", cap)
+              for j, c in enumerate(read("checks", _parse_as, [], list))]
+    orders = (n for c in checks for n in (*c["cuts"], c["scan"] if c["check"] == "band_case" else 0))
+    return {"op": op, "checks": checks, "order": largest(*orders)}
 
 
 def _parse_check(prob: Problem, check, where: str, cap: bool) -> dict:
@@ -656,7 +675,10 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes) -> dict:
     no remaining stage reads a ladder (see ``STAGES``), so a verify stage
     does not keep the sections alive.  Each stage runs in a fresh
     :class:`numerics.Ledger`, which its runner also gets: the one source of
-    its entry's counts.
+    its entry's counts.  A stage whose largest section order is below
+    ``numerics.SERIAL_BLAS_BELOW`` runs with every OpenBLAS pool on one
+    thread (:func:`numerics.serial_blas`), and the pools get their counts
+    back when it ends.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     used: set = set()
@@ -666,7 +688,9 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes) -> dict:
         entry = {"op": op, "status": "ok", "outputs": [], "error": ""}
         start = time.perf_counter()
         name = _unique_name(STAGES[op][0], used)
-        with numerics.Ledger() as ledger:
+        serial = stage["order"] < numerics.SERIAL_BLAS_BELOW
+        with numerics.Ledger() as ledger, numerics.serial_blas() if serial else contextlib.nullcontext():
+            entry["blas_threads"] = numerics.blas_threads()
             try:
                 entry.update(globals()[f"_run_{op}"](prob, stage, out_dir / name, ledger), outputs=[name])
             except Exception as exc:  # recorded per stage, run continues

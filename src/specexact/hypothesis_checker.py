@@ -379,8 +379,12 @@ def schrodinger_constants(prob_or_constants, *, knob_grid=KNOB_GRID) -> Hypothes
     cells' keys: |lambda_0| >= 10^k, the least power of ten above sqrt(a), and
     there gamma^2 >= a / 10^2k + b min over cells of (C_alpha / 10^2k + 1) /
     (1 - alpha).  The visit ends at the first bound above the best key, so the
-    record is the full grid's; the open Ledger's ``knob_pairs`` counts the
-    pairs evaluated and pruned.
+    record is the full grid's.  A pair whose bound 10^k is above the scan has
+    no cell that passes: with no pass among the others, these pairs are
+    visited last, in ascending order of a bound on their gamma at
+    lambda_0 = -10^8, sqrt(a / 10^16 + b min over cells of (C_alpha / 10^16
+    + 1) / (1 - alpha)), until it exceeds the least gamma found.  The open
+    Ledger's ``knob_pairs`` counts the pairs evaluated and pruned.
     """
     if hasattr(prob_or_constants, "assumption_constants"):
         consts = prob_or_constants.assumption_constants()
@@ -421,15 +425,15 @@ def schrodinger_constants(prob_or_constants, *, knob_grid=KNOB_GRID) -> Hypothes
     cell_min = ((c_alpha / powers[:, np.newaxis] ** 2 + 1.0) / one_m).min(axis=1, initial=np.inf)
     lam_lb = powers[k_lb]
     gamma_lb = np.sqrt(a / lam_lb**2 + b * cell_min[k_lb]) * BOUND_SAFETY
-    # with no admissible cell, no pair holds a record: each is pruned unseen
-    order = np.lexsort((gamma_lb, k_lb))[: b.size if c_alpha.size else 0]
+    # a pair whose |lambda_0| bound is above the scan (k_lb = top + 1) has no cell that passes; with
+    # no admissible cell, no pair holds a record: each is pruned unseen
+    passable = k_lb <= top if c_alpha.size else np.zeros(b.size, dtype=bool)
+    order = np.lexsort((gamma_lb, k_lb))[: np.count_nonzero(passable)]
     best = None  # (key, record), key = (|lam0|, gamma, nu, beta, alpha, eps)
     best_fail = None  # (key, record), key = (gamma, nu, beta) at the largest lambda scanned
-    evaluated = 0
-    for p in order:
-        if best is not None and (lam_lb[p], gamma_lb[p]) > best[0][:2]:
-            break
-        evaluated += 1
+
+    def evaluate(p):
+        nonlocal best, best_fail
         ratio = b[p] / one_m
         usable = ratio < 1.0  # elsewhere the values below may be nan, and no cell is picked
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -460,6 +464,23 @@ def schrodinger_constants(prob_or_constants, *, knob_grid=KNOB_GRID) -> Hypothes
             key = (float(gamma[j]), nu[p], beta[p])
             if best_fail is None or key < best_fail[0]:
                 best_fail = (key, knobs(j, -lam_max, key[0]))
+
+    evaluated = 0
+    for p in order:
+        if best is not None and (lam_lb[p], gamma_lb[p]) > best[0][:2]:
+            break
+        evaluated += 1
+        evaluate(p)
+    if best is None and c_alpha.size:
+        # every passable pair was evaluated and none passed; the rest can only hold the FailEvidence
+        # record, and a pair's gamma at lambda_0 = -10^8 is at least its fail_lb
+        rest = np.flatnonzero(~passable)
+        fail_lb = np.sqrt(a[rest] / lam_max**2 + b[rest] * cell_min[top]) * BOUND_SAFETY
+        for i in np.argsort(fail_lb, kind="stable"):
+            if best_fail is not None and fail_lb[i] > best_fail[0][0]:
+                break
+            evaluated += 1
+            evaluate(rest[i])
     numerics.Ledger.count("knob_pairs", "evaluated", evaluated)
     numerics.Ledger.count("knob_pairs", "pruned", b.size - evaluated)
     base = {"a_grad": a_grad, "b_grad": b_grad, "a_r": a_r, "b_r": b_r, "p_sup": p_sup}

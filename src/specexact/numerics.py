@@ -22,20 +22,33 @@ bidiagonalization for singular values).  What a stage's
 kernels did (routes, cache hits, residuals, fallbacks) is counted in its
 :class:`Ledger`.
 
-LAPACK and BLAS are reached through SciPy's two compiled extension modules,
-``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, loaded on their own
-(:func:`_scipy_linalg_extension`): ``scipy.linalg``'s Python layer, and the
-numpy submodules it imports, are never loaded.  Each call names the typed
-routine the ``scipy.linalg`` function it stands for would pick (``d`` for
-float64 operands, ``z`` when any operand is complex128) with the same
-arguments, so results are bit-for-bit those of ``scipy.linalg``; the checks
-those functions made on ``info`` are made here (:func:`_check_info`).
+LAPACK and BLAS are reached through two libraries.  Most kernels call
+SciPy's two compiled extension modules, ``scipy.linalg._flapack`` and
+``scipy.linalg._fblas``, loaded on their own (:func:`_scipy_linalg_extension`):
+``scipy.linalg``'s Python layer, and the numpy submodules it imports, are
+never loaded.  Each call names the typed routine the ``scipy.linalg``
+function it stands for would pick (``d`` for float64 operands, ``z`` when
+any operand is complex128) with the same arguments, so results are
+bit-for-bit those of ``scipy.linalg``; the checks those functions made on
+``info`` are made here (:func:`_check_info`).  numpy.linalg, on numpy's own
+OpenBLAS, serves the rest: :func:`op_norm`, the SVD fallback of
+:func:`sigma_min`, the ``hermitian`` route of :func:`eig_dense`, and
+elsewhere the contour's Gram ``eigvalsh`` and sketch QR and
+``_beyn_eigenvalues`` (``resolvent_analysis``) and the ``lstsq`` of
+``discretize._cover_fit``; numpy's matrix products run on that BLAS too.
+Each library keeps its own thread pool.  :func:`serial_blas` pins every
+OpenBLAS pool of the process, SciPy's and numpy's alike, to one thread for
+a block, and ``cli.run_problem`` runs a stage in it when the stage's largest
+section order is below :data:`SERIAL_BLAS_BELOW`; no kernel pins its own
+calls, so a library caller keeps the pools as it set them.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import contextvars
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -89,6 +102,65 @@ import numpy as np  # noqa: E402
 import numpy.random  # noqa: E402  loaded here so that no run pays for it (np.random.default_rng)
 
 from .errors import ConvergenceError, DataError, DimensionError  # noqa: E402
+
+#: ``cli.run_problem`` runs a stage whose largest section order is below this
+#: with every OpenBLAS pool on one thread.  On a 2-vCPU machine a pool of two
+#: saved no wall time on smaller sections and spent up to twice the CPU, while
+#: jacobi relative_bound and upper_triangular spectra at orders 512 and 1024
+#: ran faster on it
+SERIAL_BLAS_BELOW = 512
+
+
+def _openblas_pools() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS loaded in the process, in map order.
+
+    The libraries are the shared objects mapped into the process whose path
+    holds ``openblas`` (``/proc/self/maps``); each is asked for the symbols
+    of SciPy's 64-bit and 32-bit builds, then of a plain OpenBLAS.  Where
+    the map cannot be read, or no OpenBLAS is loaded, there are none.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = dict.fromkeys(line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line)
+    except OSError:
+        return ()
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.append((get, put))
+                break
+    return tuple(pools)
+
+
+# found once numpy's OpenBLAS and SciPy's (loaded with _flapack above) are both mapped
+_BLAS_POOLS = _openblas_pools()
+
+
+def blas_threads() -> list[int]:
+    """The thread count of each OpenBLAS pool of the process, in map order; empty when none is found."""
+    return [get() for get, _ in _BLAS_POOLS]
+
+
+@contextlib.contextmanager
+def serial_blas():
+    """Every OpenBLAS pool of the process on one thread for the block, its own count back after, even on an error."""
+    previous = blas_threads()
+    try:
+        for _, put in _BLAS_POOLS:
+            put(1)
+        yield
+    finally:
+        for (_, put), count in zip(_BLAS_POOLS, previous):
+            put(count)
 
 
 def _lapack(name: str, *operands):

@@ -1106,12 +1106,78 @@ class TestDemoDeterminism:
         lines = capsys.readouterr().out.splitlines()[:-1]
         assert lines == fresh and not any(line.startswith("lambda") for line in lines)
 
+    def test_demos_byte_identical_at_one_and_two_blas_threads(self, tmp_path):
+        # OPENBLAS_NUM_THREADS sets each pool's count as its library loads; every demo stage runs pinned
+        # to one thread either way, and each pool, found here from the process's own map, has its count
+        # back once cli.main returns
+        code = (
+            "import contextlib, ctypes, io, json, os\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '{threads}'\n"
+            "import specexact.cli as cli\n"
+            "def counts():\n"
+            "    with open('/proc/self/maps') as maps:\n"
+            "        paths = dict.fromkeys(line.split(maxsplit=5)[5].strip() for line in maps if 'openblas' in line)\n"
+            "    names = ('scipy_openblas_get_num_threads64_', 'scipy_openblas_get_num_threads', "
+            "'openblas_get_num_threads')\n"
+            "    libs = [ctypes.CDLL(path) for path in paths]\n"
+            "    return [getattr(lib, name)() for lib in libs for name in names if hasattr(lib, name)]\n"
+            f"for name in {cli.DEMO_NAMES!r}:\n"
+            "    before = counts()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(['demo', name, '--out', os.path.join({out!r}, name)]) == 0\n"
+            "    print(json.dumps([name, before, counts()]))\n"
+        )
+        outs = {threads: tmp_path / f"blas{threads}" for threads in (1, 2)}
+        for threads, out in outs.items():
+            runs = [json.loads(line) for line in run_fresh(code.format(threads=threads, out=str(out))).splitlines()]
+            assert [name for name, _, _ in runs] == list(cli.DEMO_NAMES)
+            for name, before, after in runs:
+                assert before and after == before, (threads, name)
+        for name in cli.DEMO_NAMES:
+            one, two = outs[1] / name, outs[2] / name
+            assert data_files(one) == data_files(two)
+            for data in data_files(one):
+                assert (one / data).read_bytes() == (two / data).read_bytes(), f"{name}/{data}"
+
     def test_jacobi_pseudo_byte_identical_at_one_and_two_threads(self, tmp_path):
         # the thread flag moves no byte of pseudo.csv
         outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
         for threads, out in zip((1, 2), outs):
             assert cli.main(["demo", "jacobi", "--out", str(out), "--threads", str(threads)]) == 0
         assert (outs[0] / "pseudo.csv").read_bytes() == (outs[1] / "pseudo.csv").read_bytes()
+
+
+class TestBlasThreads:
+    def test_report_records_blas_threads(self, tmp_path):
+        # the jacobi demo's sections are of order 120 at most, so each stage runs with every pool on one
+        # thread; a tridiagonal spectra stage at order 1024 keeps the pools' own counts
+        pools = numerics.blas_threads()
+        assert cli.main(["demo", "jacobi", "--out", str(tmp_path / "demo")]) == 0
+        stages = json.loads((tmp_path / "demo" / "report.json").read_text())["stages"]
+        assert [s["blas_threads"] for s in stages] == [[1] * len(pools)] * 4
+        big = write_problem(tmp_path, jacobi_stage(op="spectra", sizes=[numerics.SERIAL_BLAS_BELOW * 2]))
+        assert cli.main(["run", big, "--out", str(tmp_path / "big")]) == 0
+        (spectra,) = json.loads((tmp_path / "big" / "report.json").read_text())["stages"]
+        assert spectra["blas_threads"] == pools and numerics.blas_threads() == pools
+
+    @pytest.mark.parametrize(
+        "doc, order",
+        [
+            (jacobi_stage(op="pseudo", size=511, rect=[-1.0, 1.0, -1.0, 1.0], nx=2, ny=2), 511),
+            (jacobi_stage(op="classify", certified_sizes=[2, 4], uncertified_sizes=[3, 600]), 600),
+            ({"kind": "upper_triangular", "analysis": [{"op": "verify", "checks": [
+                {"check": "relative_bound", "cuts": [10, 700], "sizes": [10]},
+                {"check": "band_case", "scan": 900}]}]}, 900),
+            ({**VALID_DOCS["sl_matrix"], "analysis": [{"op": "spectra"}]}, 598),
+            ({**VALID_DOCS["schrodinger"], "analysis": [{"op": "verify", "checks": []}]}, 49),
+        ],
+        ids=["pseudo", "classify", "verify", "sl_matrix", "schrodinger"],
+    )
+    def test_stage_order_is_its_largest_section(self, doc, order):
+        # the order run_problem compares with SERIAL_BLAS_BELOW: a Galerkin stage's largest named size,
+        # an ODE problem's one section order
+        (stage,) = cli.parse_problem(doc).analysis
+        assert stage["order"] == order
 
 
 def run_fresh(code: str) -> str:

@@ -752,18 +752,40 @@ class TestSchrodingerConstantsBestFirst:
         assert counts == {"evaluated": 3, "pruned": 632}
 
     @pytest.mark.parametrize(
-        "consts, pairs",
-        [(schrodinger_consts(a_grad=1.0, a_r=1e20, b_r=0.1), 667), (schrodinger_consts(a_r=2e18, b_r=0.5, p_sup=0.07), 635)],
+        "consts, pairs, evaluated",
+        [(schrodinger_consts(a_grad=1.0, a_r=1e20, b_r=0.1), 667, 1),
+         (schrodinger_consts(a_r=2e18, b_r=0.5, p_sup=0.07), 635, 3)],
         ids=["huge_a_r", "gamma_tie"],
     )
-    def test_fail_only_evaluates_every_pair(self, consts, pairs):
-        # no pair passes, so each is evaluated and the record is the least (gamma, nu, beta, alpha, eps) at
-        # lambda_0 = -10^8.  In gamma_tie the pairs (1e-4, 1e-4) and (1e-4, 1.33e-4) differ in a by one ulp
-        # and tie in that gamma: the second, with the smaller bound, is visited first, yet the first holds it
+    def test_fail_only_prunes_by_the_gamma_bound(self, consts, pairs, evaluated):
+        # sqrt(a) >= 10^8 for every pair, so none passes; they are visited by their bound on gamma at
+        # lambda_0 = -10^8, and the record is the least (gamma, nu, beta, alpha, eps) there.  In gamma_tie
+        # the pairs (1e-4, 1e-4) and (1e-4, 1.33e-4) differ in a by one ulp and tie in that gamma: the
+        # second, with the smaller bound, is visited first, yet the first holds the record
         rep, counts = self.search(consts)
         assert rep.verdict is Verdict.FAIL and rep.constants["lambda0"] == -1e8
         assert (rep.constants["nu"], rep.constants["beta"]) == (hc.KNOB_GRID[0], hc.KNOB_GRID[0])
-        assert counts == {"evaluated": pairs, "pruned": 0}
+        assert counts == {"evaluated": evaluated, "pruned": pairs - evaluated}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        a_grad=scaled(-3.0, 12.0, zero=True),
+        b_grad=scaled(-3.0, 4.0, zero=True),
+        a_r=scaled(13.0, 22.0),
+        b_r=hst.one_of(hst.just(0.0), hst.floats(0.0, 0.999)),
+        p_sup=scaled(-2.0, 3.0, zero=True),
+        knobs=hst.one_of(hst.just(hc.KNOB_GRID), hst.sets(hst.sampled_from(hc.KNOB_GRID), min_size=1, max_size=20)),
+    )
+    def test_property_fail_records_match_per_pair(self, a_grad, b_grad, a_r, b_r, p_sup, knobs):
+        # a_r from 1e13 up: most sets pass nowhere, some with pairs whose 10^k is inside the scan
+        consts = schrodinger_consts(a_grad, b_grad, a_r, b_r, p_sup)
+        knob_grid = tuple(sorted(knobs))
+        want = per_pair_schrodinger_constants(consts, knob_grid)
+        assume(want.verdict is Verdict.FAIL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = hc.schrodinger_constants(consts, knob_grid=knob_grid)
+        assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
 
     @pytest.mark.parametrize(
         "consts, knob_grid, pairs",

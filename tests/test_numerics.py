@@ -1135,3 +1135,28 @@ class TestTridiagonalFactorization:
         with numerics.Ledger() as ledger:
             numerics.Section({0: np.arange(80.0), 1: np.ones(79), -1: np.ones(79)}).sigma_min(0.5)
         assert not ledger.counts["lanczos_steps"]
+
+
+class TestSerialBlas:
+    def test_pins_every_pool_and_restores_each_count_on_an_exception(self, monkeypatch):
+        counts = [3, 2]
+        pools = tuple((lambda i=i: counts[i], lambda c, i=i: counts.__setitem__(i, c)) for i in range(2))
+        monkeypatch.setattr(numerics, "_BLAS_POOLS", pools)
+        with pytest.raises(KeyboardInterrupt):
+            with numerics.serial_blas():
+                assert numerics.blas_threads() == [1, 1]
+                raise KeyboardInterrupt
+        assert counts == [3, 2]
+
+    def test_without_a_pool_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_BLAS_POOLS", ())
+        with numerics.serial_blas():
+            assert numerics.blas_threads() == []
+
+    def test_pins_the_pools_of_this_process(self):
+        # numpy's and SciPy's wheels each bundle an OpenBLAS, found once at import
+        before = numerics.blas_threads()
+        assert before
+        with numerics.serial_blas():
+            assert numerics.blas_threads() == [1] * len(before)
+        assert numerics.blas_threads() == before
