@@ -31,11 +31,11 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                stage's spectrum requests answered from the problem's cache
                and by an eigensolve.  Spectra and classify stages also
                record ``eig_routes`` (the stage's eigensolves per route:
-               tridiagonal, bisection, banded, windowed, hermitian,
-               general), ``residuals_computed`` (residuals the stage
-               computed: n per hermitian or general eigensolve, one per
-               written row of a tridiagonal, bisection, banded or windowed
-               section) and
+               tridiagonal, bisection, kronecker, banded, windowed,
+               hermitian, general), ``residuals_computed`` (residuals the
+               stage computed: n per hermitian or general eigensolve, one
+               per written row of a tridiagonal, bisection, kronecker,
+               banded or windowed section) and
                ``windowed_checks`` (per windowed solve: size, found,
                contour_rank, gap, probe_columns, and fallback, null or the
                reason the whole spectrum was computed instead) and
@@ -44,7 +44,9 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                resolvent-norm guard cleared each: probe_bound,
                frobenius or estimated; a node refused is not counted).  An
                sl_matrix section interleaves its two components' unknowns,
-               so it is banded.
+               so it is banded; one whose components share one T and whose
+               couplings are constants is declared a Kronecker sum over T
+               and takes the kronecker route (the demo's 10).
                A finished classify stage records ``probe_ratios``, one entry
                per candidate: its lambda and verdict, the four ratios its
                region probe was judged by (``RegionProbe.ratios``; null
@@ -444,7 +446,10 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
     (:func:`_check_ladder`).  ``order`` is the largest section order the
     stage builds: the problem's on an sl, sl_matrix or schrodinger problem,
     else the largest size the stage names (on a verify stage, the last cut
-    of each check that splits and each band_case scan).
+    of each check that splits and each band_case scan).  A classify stage
+    is refused with fewer than 2 certified sizes, the fewest its trajectories
+    match, or with a ``lambda`` and fewer than ``ra.PROBE_MIN_SIZES``, the
+    fewest its region probe reads.
     """
     if not isinstance(stage, dict) or "op" not in stage:
         raise ProblemError(f"{where}: each stage needs an 'op' field")
@@ -486,7 +491,7 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
     if op == "classify":
         uncertified = sizes("uncertified_sizes")
         certified = sizes("certified_sizes") or sizes("sizes") or prob.default_sizes(where)
-        return {
+        parsed = {
             "op": op,
             "certified_sizes": certified,
             "uncertified_sizes": uncertified,
@@ -499,6 +504,15 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
             "lambda": None if stage.get("lambda") is None else read("lambda", _parse_complex, None),
             "order": largest(*certified, *uncertified),
         }
+        # trajectories match two spectra at least, and a lambda's region probe needs a longer ladder
+        least, why = (ra.PROBE_MIN_SIZES, " with a 'lambda'") if parsed["lambda"] is not None else (2, "")
+        if len(certified) < least:
+            key = "certified_sizes" if stage.get("certified_sizes") else "sizes"
+            raise ProblemError(
+                f"{where}.{key}: expected at least {least} certified sizes on a classify stage{why}, "
+                f"got {list(certified)}"
+            )
+        return parsed
     checks = [_parse_check(prob, c, f"{where}.checks[{j}]", cap)
               for j, c in enumerate(read("checks", _parse_as, [], list))]
     orders = (n for c in checks for n in (*c["cuts"], c["scan"] if c["check"] == "band_case" else 0))

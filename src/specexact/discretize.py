@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AssumptionError, CoefficientError
-from .numerics import Affine, Section
+from .numerics import Affine, Kronecker, Section
 
 #: fraction of audit nodes allowed to violate a declared assumption constant
 AUDIT_VIOLATION_BUDGET = 1e-3
@@ -161,7 +161,9 @@ class SLMatrixProblem:
     """2x2 operator matrix [[g1 T1, s T2 + t], [u T1 + v, g2 T2]] on one interval.
 
     Couplings s, t, u, v are bounded multipliers with declared sup norms;
-    the declared norms must satisfy |s| |u| < |g1| |g2|.
+    the declared norms must satisfy |s| |u| < |g1| |g2|.  ``_components``
+    keeps T1 and T2 per (n, m) (:func:`_sl_components`), so every stage of a
+    run reads one T per truncation, with the eigenvalues it keeps.
     """
 
     name: str
@@ -177,6 +179,7 @@ class SLMatrixProblem:
     sup_t: float
     sup_u: float
     sup_v: float
+    _components: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gamma1 == 0 or self.gamma2 == 0:
@@ -195,11 +198,22 @@ class SLMatrixProblem:
 
 
 def _sl_components(prob: SLMatrixProblem, n: int, m: int) -> tuple:
-    """T1, T2 (the :func:`sl_assemble` sections) and s, t, u, v sampled at the interior nodes."""
+    """T1, T2 (the :func:`sl_assemble` sections) and s, t, u, v sampled at the interior nodes.
+
+    T2 is T1 itself when their diagonals are equal, so the blocks over them
+    share one T.  Both are assembled once per (n, m) and kept by the problem.
+    """
     k1, k2 = prob.tau1.unknowns(m), prob.tau2.unknowns(m)
     if k1 != k2:
         raise ValueError(f"component grids mismatch: {k1} vs {k2} interior unknowns (check the betas)")
-    t1, t2 = sl_assemble(prob.tau1, n, m), sl_assemble(prob.tau2, n, m)
+    if (n, m) not in prob._components:
+        t1, t2 = sl_assemble(prob.tau1, n, m), sl_assemble(prob.tau2, n, m)
+        if t1.diagonals.keys() == t2.diagonals.keys() and all(
+            np.array_equal(d, t2.diagonals[off]) for off, d in t1.diagonals.items()
+        ):
+            t2 = t1
+        prob._components[n, m] = t1, t2
+    t1, t2 = prob._components[n, m]
     an = prob.tau1.a_n[n - 1]
     h = (prob.tau1.b - an) / m
     nodes = an + h * np.arange(1, k1 + 1)
@@ -240,7 +254,11 @@ def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> Section:
     permutation similarity of the block matrix, so the spectrum is the same,
     and every coupling of the tridiagonal blocks lands within three
     diagonals of the main one.  The Section is declared from the four
-    blocks' diagonals, offsets -3..3; no block is made dense.
+    blocks' diagonals, offsets -3..3; no block is made dense.  When both
+    couplings are declared over one shared T (:class:`numerics.Affine`: T1
+    and T2 equal and every coupling constant), the section is declared
+    kron(T, K1) + kron(I, K0) with K1 = [[g1, s], [u, g2]] and
+    K0 = [[0, t], [v, 0]] (:class:`numerics.Kronecker`).
     """
     a, b, c, d = sl_blocks(prob, n, m)
     k = a.n
@@ -260,7 +278,12 @@ def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> Section:
         2: interleave(2, (a, 1), (d, 1)),
         3: interleave(3, (b, 1), (c, 2)),
     }
-    return Section({off: dg for off, dg in diagonals.items() if abs(off) < 2 * k})
+    sec = Section({off: dg for off, dg in diagonals.items() if abs(off) < 2 * k})
+    ca, bd = c.affine, b.affine
+    if ca is not None and bd is not None and ca.base is bd.base:
+        k1 = np.array([[ca.gamma, bd.u], [ca.u, bd.gamma]])
+        sec.kronecker = Kronecker(ca.base, k1, np.array([[0.0, bd.v], [ca.v, 0.0]]))
+    return sec
 
 
 # -------------------------------- Schrodinger ----------------------------------

@@ -73,16 +73,20 @@ class HypothesisReport:
         }
 
 
-def _pole_checked(section, lam: complex, message: str, index) -> tuple[numerics.Section, float]:
-    """A Section (an array is read as one) and sigma_min(A - lam).
+def _check_pole(smin: float, norm: float, message: str, index) -> None:
+    """:class:`PoleError` with ``message`` and ``index`` when sigma_min(A - lam) is at most ``POLE_REL`` max(||A||, 1).
 
-    Raises :class:`PoleError` with ``message`` and ``index`` when sigma_min
-    is at most ``POLE_REL`` max(||A||, 1): lam is (numerically) in the spectrum.
+    lam is then (numerically) in the spectrum of A.
     """
+    if smin <= POLE_REL * max(norm, 1.0):
+        raise PoleError(message, index=index)
+
+
+def _pole_checked(section, lam: complex, message: str, index) -> tuple[numerics.Section, float]:
+    """A Section (an array is read as one) and sigma_min(A - lam), checked by :func:`_check_pole`."""
     section = numerics.Section.of(section)
     smin = section.sigma_min(lam)
-    if smin <= POLE_REL * max(section.norm, 1.0):
-        raise PoleError(message, index=index)
+    _check_pole(smin, section.norm, message, index)
     return section, smin
 
 
@@ -93,22 +97,29 @@ GAMMA_ROUTES = ("eigenvalues", "svd")
 def _gamma(t, s, lam: complex, size, what: str) -> float:
     """||S (T - lam)^-1||, by one of ``GAMMA_ROUTES``; PoleError when lam is in T's spectrum.
 
-    T and S are Sections, or arrays read as them.  The pole check comes first
-    on either route.  ``eigenvalues``: S declares itself u H + v I over T = gamma H
+    T and S are Sections, or arrays read as them.  The pole check
+    (:func:`_check_pole`) comes first on either route.
+    ``eigenvalues``: S declares itself u H + v I over T = gamma H
     (:class:`numerics.Affine`, from :func:`discretize.sl_blocks`), so the product
     is normal and its norm is max |(u theta + v) / (gamma theta - lam)| over the
-    eigenvalues theta of the Hermitian tridiagonal H (``dstevd``, no vectors).
-    ``svd``: every other input, ||(lam - T)^-H S^H|| by adjoint solves against
-    ``Section.factor`` and the SVD of the n x n result; S is made dense only
-    for its own solve (:meth:`numerics.Section.dense`, not ``data``).
+    eigenvalues theta of the Hermitian tridiagonal H (``dstevd``, no vectors,
+    kept by H, so the two products over one shared H take one eigensolve).
+    T is normal too, so the pole check reads the same theta: sigma_min(T - lam)
+    is min |gamma theta - lam| and ||T|| is max |gamma theta|; no bisection runs.
+    ``svd``: every other input, sigma_min(T - lam) by ``Section.sigma_min``,
+    then ||(lam - T)^-H S^H|| by adjoint solves against ``Section.factor`` and
+    the SVD of the n x n result; S is made dense only for its own solve
+    (:meth:`numerics.Section.dense`, not ``data``).
     """
     message = f"lambda = {lam} is (numerically) in the spectrum of {what}"
-    t, _ = _pole_checked(t, lam, message, size)
     affine = s.affine if isinstance(s, numerics.Section) else None
     if affine is not None and affine.block is t:
-        numerics.Ledger.count("gamma_routes", "eigenvalues")
         theta = affine.base.tridiagonal.eigenvalues()
-        return float(np.abs((affine.u * theta + affine.v) / (affine.gamma * theta - lam)).max())
+        poles = affine.gamma * theta - lam
+        _check_pole(np.abs(poles).min(), np.abs(affine.gamma * theta).max(), message, size)
+        numerics.Ledger.count("gamma_routes", "eigenvalues")
+        return float(np.abs((affine.u * theta + affine.v) / poles).max())
+    t, _ = _pole_checked(t, lam, message, size)
     numerics.Ledger.count("gamma_routes", "svd")
     s = s.dense() if isinstance(s, numerics.Section) else np.asarray(s)
     return numerics.op_norm(t.factor(lam).solve(s.conj().T, adjoint=True))

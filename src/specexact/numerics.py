@@ -8,6 +8,8 @@ n x n array.  A Section is also the shifted operator A - z I over many
 shifts z (factorization, sigma_min) and caches its norm.  Eigenvalues of a
 tridiagonal or banded section come without eigenvectors; a residual is
 computed only when asked for, by inverse iteration at its eigenvalue.  A
+section its builder declares as a Kronecker sum over one symmetric
+tridiagonal T (:class:`Kronecker`) takes its spectrum from T's.  A
 Hermitian tridiagonal section asked for the eigenvalues in a window computes
 only those, by bisection.  An eigenvalue estimate is refined by two-sided
 Rayleigh-quotient iteration on the same shifted factorizations;
@@ -262,8 +264,9 @@ class SymmetricTridiagonal:
     Built from A's diagonal and superdiagonal; ``d``, ``e`` are T's, A's own
     when A is real, (Re d, |e|) when it is complex: A = U T U^H for a diagonal
     unitary U.  Each method solves only for what its caller reads: all
-    eigenvalues (``dstevd``, which runs ``dsterf``), Sturm counts (LAPACK's,
-    with no bisection), or residuals at chosen eigenvalues (``dstein``).
+    eigenvalues (``dstevd``, which runs ``dsterf``, once per object), Sturm
+    counts (LAPACK's, with no bisection), or residuals at chosen eigenvalues
+    (``dstein``).
     Every other query, the eigenvalues in an interval, the distance from a
     shift to the spectrum and the norm max |lambda| (:func:`op_norm`), reads
     one eigenvalue source, the memo of :meth:`eigenvalues_by_index`.
@@ -273,6 +276,8 @@ class SymmetricTridiagonal:
         if np.iscomplexobj(d):
             d, e = d.real, np.abs(e)
         self.d, self.e = d.copy(), e.copy()
+        #: all eigenvalues, read-only, once :meth:`eigenvalues` has computed them
+        self._all: np.ndarray | None = None
         #: index -> the values one dstebz call returned for it (see eigenvalues_by_index);
         #: of order 1 the eigenvalue is d[0], as dstebz refuses an empty e
         self._by_index: dict[int, np.ndarray] = {0: self.d.copy()} if self.n == 1 else {}
@@ -284,8 +289,14 @@ class SymmetricTridiagonal:
         return self.d.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        """All eigenvalues, ascending, by ``dstevd`` without vectors (:func:`_stevd`)."""
-        return _stevd(self.d, self.e, vectors=False)[0]
+        """All eigenvalues, ascending, by ``dstevd`` without vectors (:func:`_stevd`).
+
+        Computed once per object; every call returns the same read-only array.
+        """
+        if self._all is None:
+            self._all = _stevd(self.d, self.e, vectors=False)[0]
+            self._all.flags.writeable = False
+        return self._all
 
     def eigenvalues_between(self, lo: float, hi: float) -> np.ndarray:
         """The eigenvalues in [lo, hi], ascending, and any within a small pad of it.
@@ -356,30 +367,39 @@ class SymmetricTridiagonal:
         k = self.sturm_count(z.real)
         return float(np.min(np.abs(self.eigenvalues_by_index(k - 1, k + 1) - z)))
 
-    def residuals(self, lam: np.ndarray) -> np.ndarray:
-        """||T v - mu v|| / ||v|| for the inverse-iteration vector v at each eigenvalue mu in ``lam``.
+    def vectors(self, lam: np.ndarray) -> np.ndarray:
+        """The inverse-iteration vectors at the eigenvalues ``lam``, one column each, by LAPACK ``dstein``.
 
-        LAPACK ``dstein`` runs once per value, on all of T: one call
+        ``dstein`` runs once per value, on all of T: one call
         reorthogonalizes its vectors within clusters of eigenvalues closer
         than 1e-3 ||T||, which costs O(n m^2) for m values, and a residual
         needs no orthogonality.  An exact zero off-diagonal splits T into
         blocks, but needs no block assignment: inverse iteration at an
         eigenvalue of one block still converges to an eigenvector of T, so a
         value is all dstein is given, whichever interval it was computed for.
-        The values go in blocks of ``_RESIDUAL_BLOCK``, so the vectors and
-        their temporaries take O(n) memory, not O(n m).
+        A vector that missed dstein's convergence test is kept: it still
+        yields its residual.
         """
         n = self.n
         iblock = np.ones(n, dtype=np.int32)
         isplit = np.zeros(n, dtype=np.int32)
         isplit[0] = n
+        vecs = np.empty((n, lam.size))
+        for i in range(lam.size):
+            vecs[:, i] = _flapack.dstein(self.d, self.e, lam[i : i + 1], iblock, isplit)[0][:, 0]
+        return vecs
+
+    def residuals(self, lam: np.ndarray) -> np.ndarray:
+        """||T v - mu v|| / ||v|| for the inverse-iteration vector v at each eigenvalue mu in ``lam``.
+
+        v comes from :meth:`vectors`.  The values go in blocks of
+        ``_RESIDUAL_BLOCK``, so the vectors and their temporaries take O(n)
+        memory, not O(n m) for m values.
+        """
         out = np.empty(lam.size)
         for lo in range(0, lam.size, _RESIDUAL_BLOCK):
             block = lam[lo : lo + _RESIDUAL_BLOCK]
-            vecs = np.empty((n, block.size))
-            for i in range(block.size):
-                # a vector that missed dstein's convergence test still yields its residual
-                vecs[:, i] = _flapack.dstein(self.d, self.e, block[i : i + 1], iblock, isplit)[0][:, 0]
+            vecs = self.vectors(block)
             tv = self.d[:, np.newaxis] * vecs
             tv[:-1] += self.e[:, np.newaxis] * vecs[1:]
             tv[1:] += self.e[:, np.newaxis] * vecs[:-1]
@@ -577,9 +597,10 @@ class Section:
     Lanczos start vector, :attr:`norm` and :attr:`inf_norm` are built on
     first use.  A triangular section keeps one -A for all its shifts: each
     factor holds only its diagonal z - a_ii and writes it in before each
-    solve.  ``affine`` is
-    None unless a builder declares it (:class:`Affine`).  Instances are
-    read-only apart from those and that diagonal.
+    solve.  ``affine`` and
+    ``kronecker`` are None unless a builder declares them (:class:`Affine`,
+    :class:`Kronecker`).  Instances are read-only apart from those and that
+    diagonal.
     """
 
     def __init__(self, m):
@@ -597,7 +618,7 @@ class Section:
             np.array_equal(diagonals[-k], diagonals[k].conj()) for k in range(kl + 1)
         )
         self.tridiagonal = None
-        self.affine = None
+        self.affine = self.kronecker = None
         if self.hermitian and n >= 2 and kl <= 1:
             self.tridiagonal = SymmetricTridiagonal(diagonals[0], diagonals.get(1, np.zeros(n - 1)))
         # banded storage only pays off when the band is genuinely narrow
@@ -637,13 +658,14 @@ class Section:
         return op_norm(self)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x from the diagonals, O(n (kl + ku + 1))."""
-        y = self.diagonals[0] * x
+        """A x from the diagonals, O(n (kl + ku + 1)) per column; x is a vector or an n x k block of columns."""
+        rows = (slice(None),) + (np.newaxis,) * (x.ndim - 1)  # a diagonal scales the rows of each column
+        y = self.diagonals[0][rows] * x
         for off, d in self.diagonals.items():
             if off > 0:
-                y[: self.n - off] += d * x[off:]
+                y[: self.n - off] += d[rows] * x[off:]
             elif off < 0:
-                y[-off:] += d * x[: self.n + off]
+                y[-off:] += d[rows] * x[: self.n + off]
         return y
 
     def inverse_iteration_residual(self, lam: complex) -> float:
@@ -868,10 +890,77 @@ class Affine:
     v: complex
 
 
-#: spectrum routes: the five of eig_dense, ``bisection`` for a Hermitian tridiagonal
+@dataclass(frozen=True, eq=False)
+class Kronecker:
+    """A builder's declaration that a Section of order 2K is kron(T, K1) + kron(I, K0).
+
+    T, ``base``, is one real symmetric tridiagonal Section of order K
+    (``base.tridiagonal`` is set); ``k1`` and ``k0`` are 2 x 2 complex
+    matrices, and unknown 2i + c of the Section is component c at node i.
+    With T phi = theta phi, the Section maps phi (x) w to phi (x) (K1 theta
+    + K0) w, so it is the direct sum of the 2 x 2 matrices K1 theta + K0
+    over T's eigenvalues theta, and each of their eigenpairs (lam, w) is an
+    eigenpair (lam, phi (x) w) of the Section.
+    """
+
+    base: Section
+    k1: np.ndarray
+    k0: np.ndarray
+
+    def blocks(self, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The entries (a, b, c, d) of [[a, b], [c, d]] = K1 theta + K0, one per theta."""
+        return tuple(self.k1[i, j] * theta + self.k0[i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+    def eigenvalues(self, hermitian: bool) -> np.ndarray:
+        """The two eigenvalues of each K1 theta + K0, in closed form: mean -+ sqrt(half^2 + b c).
+
+        theta runs over T's eigenvalues, ascending (``dstevd``, kept by T's
+        :class:`SymmetricTridiagonal`), and row k holds the pair of the k-th.
+        mean and half are (a + d) / 2 and (a - d) / 2.  A ``hermitian``
+        Section has Hermitian blocks, whose eigenvalues are real: there the
+        root is hypot(half, |b|), as c is the conjugate of b.
+        """
+        a, b, c, d = self.blocks(self.base.tridiagonal.eigenvalues())
+        mean, half = (a + d) / 2.0, (a - d) / 2.0
+        if hermitian:
+            mean, root = mean.real, np.hypot(half.real, np.abs(b))
+        else:
+            root = np.sqrt(half * half + b * c)
+        return np.stack([mean - root, mean + root], axis=1).astype(np.complex128)
+
+    def residuals(self, section: Section, lam: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """||A v - lam v|| / ||v|| for each eigenvalue lam of K1 theta + K0, v = phi (x) w.
+
+        theta is T's eigenvalue of the same position in ``index`` (row k of
+        :meth:`eigenvalues`), phi is T's inverse-iteration vector at theta
+        (:meth:`SymmetricTridiagonal.vectors`) and w the null vector of
+        K1 theta + K0 - lam, orthogonal to its larger row ((1, 0) when both
+        rows are zero: the block is lam I); A v is :meth:`Section.matvec` of
+        ``section``, the Section declared.  The values go in blocks of
+        ``_RESIDUAL_BLOCK``, as in :meth:`SymmetricTridiagonal.residuals`.
+        """
+        theta = self.base.tridiagonal.eigenvalues()[index]
+        a, b, c, d = self.blocks(theta)
+        first = np.stack([b, lam - a])  # orthogonal to the row (a - lam, b)
+        second = np.stack([lam - d, c])  # orthogonal to the row (c, d - lam)
+        norms = np.linalg.norm(first, axis=0), np.linalg.norm(second, axis=0)
+        w = np.where(norms[0] >= norms[1], first, second)  # column j is the 2-vector of lam[j]
+        w[:, np.maximum(*norms) == 0.0] = [[1.0], [0.0]]
+        out = np.empty(lam.size)
+        for lo in range(0, lam.size, _RESIDUAL_BLOCK):
+            block = slice(lo, lo + _RESIDUAL_BLOCK)
+            phi = self.base.tridiagonal.vectors(theta[block])
+            # column j: phi_j (x) w_j, interleaved as the Section's unknowns
+            v = (phi[:, np.newaxis, :] * w[np.newaxis, :, block]).reshape(section.n, -1)
+            r = section.matvec(v) - v * lam[block]
+            out[block] = np.linalg.norm(r, axis=0) / np.linalg.norm(v, axis=0)
+        return out
+
+
+#: spectrum routes: the six of eig_dense, ``bisection`` for a Hermitian tridiagonal
 #: section asked with a window and one per structure otherwise, and ``windowed``
 #: (``resolvent_analysis.windowed_spectrum``, the eigenvalues inside one circle)
-EIG_ROUTES = ("tridiagonal", "bisection", "banded", "windowed", "hermitian", "general")
+EIG_ROUTES = ("tridiagonal", "bisection", "kronecker", "banded", "windowed", "hermitian", "general")
 
 
 @dataclass(eq=False)
@@ -892,13 +981,14 @@ class EigenDecomposition:
     it.  On the dense ``hermitian`` and ``general`` routes v is the computed
     eigenvector and every residual is computed with the eigenvalues, into
     ``all_residuals``; the eigenvectors are then dropped.  On the
-    ``tridiagonal``, ``bisection``, ``banded`` and ``windowed`` routes no
-    eigenvector is computed, and :meth:`residuals_at` computes the residuals
-    of the requested eigenvalues only, each time it is asked: v comes from
-    ``dstein`` (:meth:`SymmetricTridiagonal.residuals`) or from two steps of
-    inverse iteration (:meth:`Section.inverse_iteration_residual`).  Each
-    residual computed, here or by :func:`eig_dense`, is counted by route in
-    the open :class:`Ledger`'s ``residuals_computed``.
+    ``tridiagonal``, ``bisection``, ``kronecker``, ``banded`` and
+    ``windowed`` routes no eigenvector is computed, and :meth:`residuals_at`
+    computes the residuals of the requested eigenvalues only, each time it
+    is asked.  On the ``kronecker`` route ``theta_index`` holds, for each
+    eigenvalue, the index of the eigenvalue theta of the declared T whose
+    2 x 2 block it comes from (:class:`Kronecker`).  Each residual computed,
+    here or by :func:`eig_dense`, is counted by route in the open
+    :class:`Ledger`'s ``residuals_computed``.
     """
 
     eigenvalues: np.ndarray
@@ -906,17 +996,28 @@ class EigenDecomposition:
     section: Section = field(repr=False)
     all_residuals: np.ndarray | None = field(default=None, repr=False)
     window: tuple | None = None
+    theta_index: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
 
     def residuals_at(self, rows) -> np.ndarray:
-        """Residuals of ``eigenvalues[rows]``, in the order of ``rows``."""
+        """Residuals of ``eigenvalues[rows]``, in the order of ``rows``.
+
+        On the routes without eigenvectors, v is ``dstein``'s vector at the
+        eigenvalue (:meth:`SymmetricTridiagonal.residuals`), ``dstein``'s
+        vector of T at theta times the 2 x 2 block's eigenvector
+        (``kronecker``: :meth:`Kronecker.residuals`, through
+        :meth:`Section.matvec`), or from two steps of inverse iteration
+        (:meth:`Section.inverse_iteration_residual`).
+        """
         rows = np.asarray(rows, dtype=np.intp)
         if self.all_residuals is not None:
             return self.all_residuals[rows]
         Ledger.count("residuals_computed", self.route, rows.size)
+        if self.route == "kronecker":
+            return self.section.kronecker.residuals(self.section, self.eigenvalues[rows], self.theta_index[rows])
         if self.section.tridiagonal is not None:
             return self.section.tridiagonal.residuals(self.eigenvalues.real[rows])
         return np.array([self.section.inverse_iteration_residual(lam) for lam in self.eigenvalues[rows]])
@@ -945,8 +1046,17 @@ def eig_dense(m, window=None) -> EigenDecomposition:
     """Eigenvalues of a :class:`Section`, with residuals (see :class:`EigenDecomposition`).
 
     ``m`` is a Section, or an array read as one; ``window`` is None or a
-    rectangle (re0, re1, im0, im1), corners in any order.  Only a Hermitian
-    tridiagonal section reads the window:
+    rectangle (re0, re1, im0, im1), corners in any order.  A section a
+    builder declares as kron(T, K1) + kron(I, K0) takes one route whatever
+    the window:
+
+    - ``kronecker``: the two eigenvalues of each 2 x 2 K1 theta + K0 in
+      closed form (:meth:`Kronecker.eigenvalues`; real on a Hermitian
+      section), over the eigenvalues theta of T (``dstevd``, kept by T's
+      :class:`SymmetricTridiagonal`), sorted by (Re, Im).  No band
+      eigensolver runs, and no dense array is built.
+
+    Of the others, only a Hermitian tridiagonal section reads the window:
 
     - ``bisection``: a Hermitian tridiagonal section, in either dtype, asked
       with a window: the eigenvalues whose real part lies in [re0, re1]
@@ -965,11 +1075,15 @@ def eig_dense(m, window=None) -> EigenDecomposition:
     - ``hermitian``: other Hermitian sections, by ``eigh`` with eigenvectors;
     - ``general``: everything else, by ``zgeev`` with eigenvectors.
 
-    The first three compute residuals on demand, the last two every residual
-    here.  Raises :class:`ConvergenceError` naming the stuck index if QR
+    ``hermitian`` and ``general`` compute every residual here, the other
+    routes on demand.  Raises :class:`ConvergenceError` naming the stuck index if QR
     iteration or bisection fails.
     """
     sec = Section.of(m)
+    if sec.kronecker is not None:
+        w = sec.kronecker.eigenvalues(sec.hermitian).ravel()
+        order = np.lexsort((w.imag, w.real))
+        return EigenDecomposition(w[order], "kronecker", sec, theta_index=order // 2)
     if sec.tridiagonal is not None:
         if window is not None:
             re0, re1 = sorted(float(v) for v in window[:2])

@@ -11,7 +11,8 @@ A ladder's spectrum request may carry a window.  Two kinds of section answer
 it with the window's eigenvalues alone (their window route, see
 :func:`_window_route`).  A Hermitian tridiagonal one computes the eigenvalues
 in the window's real interval by bisection (``numerics.eig_dense``).  One
-stored banded and not Hermitian goes to :func:`windowed_spectrum`: the
+stored banded, not Hermitian and not declared a Kronecker sum goes to
+:func:`windowed_spectrum`: the
 eigenvalues inside a circle around the window, extracted from the same node
 factorizations and solves as the circle's contour rank, and accepted only
 when their number equals that rank; otherwise the whole spectrum is computed
@@ -42,6 +43,8 @@ PROBE_BOUNDED_FLOOR = 1e-6
 PROBE_DECAY_RATIO = 0.5
 #: ... which is UnboundedEvidence when final/first is also below this
 PROBE_FINAL_DROP = 0.1
+#: the fewest sizes a region probe's ladder may have
+PROBE_MIN_SIZES = 6
 #: default number of trapezoid points on a circle
 DEFAULT_QUADRATURE = 64
 #: the routes of a contour rank (see ContourRank)
@@ -101,7 +104,11 @@ def _window_route(section: numerics.Section) -> str | None:
 
     ``bisection`` for a Hermitian tridiagonal section (:func:`numerics.eig_dense`),
     ``windowed`` for one stored banded and not Hermitian (:func:`windowed_spectrum`).
+    A section declared as a Kronecker sum has none: its whole spectrum costs
+    one tridiagonal eigensolve (the ``kronecker`` route).
     """
+    if section.kronecker is not None:
+        return None
     if section.tridiagonal is not None:
         return "bisection"
     if section.banded and not section.hermitian:
@@ -344,8 +351,8 @@ def region_probe(ladder: SectionLadder, z: complex) -> RegionProbe:
     denominator is zero or the quotient overflows, so a report can show how
     near each threshold the verdict was.
     """
-    if len(ladder.sizes) < 6:
-        raise ValueError("region probe needs a ladder of at least 6 sizes")
+    if len(ladder.sizes) < PROBE_MIN_SIZES:
+        raise ValueError(f"region probe needs a ladder of at least {PROBE_MIN_SIZES} sizes")
     zc = complex(z)
     values = np.asarray([ladder.matrix(size).sigma_min(zc) for size in ladder.sizes])
     scale = ladder.matrix(ladder.sizes[-1]).norm

@@ -352,8 +352,10 @@ class TestSharedCache:
 
         def spy(*args):
             gc.collect()
-            alive = sum(ref() is not None for ref in sections)
-            seen.append([len(prob.cache.sections), len(prob.cache.spectra), alive])
+            # the problem keeps each truncation's tridiagonal T (order 299), which verify reads again
+            kept = {id(t): t.n for pair in prob.sl_matrix._components.values() for t in pair}
+            alive = sum(ref() is not None and id(ref()) not in kept for ref in sections)
+            seen.append([len(prob.cache.sections), len(prob.cache.spectra), alive, sorted(kept.values())])
             return run_verify(*args)
 
         monkeypatch.setattr(numerics.Section, "__init__", tracking_init)
@@ -363,7 +365,7 @@ class TestSharedCache:
         assert report["stages"][0]["spectrum_cache"] == {"hits": 0, "misses": 10}
         # no stage after spectra reads a ladder, so verify runs on an empty
         # cache, and the 10 spectra sections are already released
-        assert len(sections) >= 10 and seen == [[0, 0, 0]]
+        assert len(sections) >= 10 and seen == [[0, 0, 0, [299] * 10]]
         assert len(prob.cache.sections) == len(prob.cache.spectra) == 0
 
     def test_oscillator_demo_sections_stay_declared(self, tmp_path, monkeypatch):
@@ -389,11 +391,11 @@ class TestSharedCache:
 
     @pytest.mark.parametrize("demo, solves", [("sl_matrix", 10), ("complex_oscillator", 7)])
     def test_demo_spectra_take_banded_route(self, tmp_path, monkeypatch, demo, solves):
-        # eigenvalues without eigenvectors, one inverse-iteration residual per
-        # written row, and the sections keep their declared band: no scan, and
-        # no dense array built.  The Hermitian sl_matrix sections take the
-        # banded route; the non-Hermitian complex_oscillator ones, asked with
-        # the stage window, the windowed route, with no fallback
+        # eigenvalues without eigenvectors, one residual per written row, and
+        # the sections keep their declared band: no scan, and no dense array
+        # built.  The sl_matrix sections, declared kron(T, K1) + kron(I, K0),
+        # take the kronecker route; the non-Hermitian complex_oscillator ones,
+        # asked with the stage window, the windowed route, with no fallback
         sections, scans, dense = [], [], []
         init, band_widths, dense_copy = numerics.Section.__init__, numerics._band_widths, numerics.Section.dense
 
@@ -417,7 +419,7 @@ class TestSharedCache:
         out = tmp_path / "out"
         assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
         (spectra,) = json.loads((out / "report.json").read_text())["stages"]
-        route = "banded" if demo == "sl_matrix" else "windowed"
+        route = "kronecker" if demo == "sl_matrix" else "windowed"
         routes = dict.fromkeys(numerics.EIG_ROUTES, 0) | {route: solves}
         assert spectra["eig_routes"] == routes
         rows = len((out / "spectra.csv").read_text().splitlines()) - 1
@@ -855,12 +857,20 @@ class TestErrors:
             ({**cli.demo_problem("sl_matrix"), "m": 20,
               "analysis": [{"op": "verify", "checks": [{"check": "sl_matrix", "sizes": [1, 11]}]}]},
              "analysis[0].checks[0].sizes"),
+            # a lambda's region probe reads at least 6 certified sizes, and trajectories match at least 2
+            ({"kind": "jacobi", "analysis": [{"op": "spectra", "sizes": [4]},
+                                             {"op": "classify", "sizes": [10, 20, 30], "lambda": 0}]},
+             "analysis[1].sizes"),
+            (jacobi_stage(op="classify", certified_sizes=[10], window=[-3, 3, -1, 1]),
+             "analysis[0].certified_sizes"),
+            ({"kind": "sl", "a_n": [0.5], "m": 20, "analysis": [{"op": "classify"}]}, "analysis[0].sizes"),
         ],
         ids=["scan_1", "cuts_decreasing", "cuts_0", "check_sizes_decreasing", "check_sizes_past_last_cut",
              "sizes_decreasing", "sizes_0",
              "certified_repeated", "classify_sizes_negative", "uncertified_decreasing", "pseudo_size_0",
              "sl_above_ladder", "schrodinger_pseudo_above_ladder", "schrodinger_uncertified_above_ladder",
-             "sl_matrix_check_above_ladder"],
+             "sl_matrix_check_above_ladder", "classify_lambda_3_sizes", "classify_1_size",
+             "classify_default_ladder_of_1"],
     )
     def test_malformed_ladder_or_check_field_exits_2(self, tmp_path, capsys, doc, where):
         # refused when the file is parsed: no stage runs and no output directory is made
@@ -870,6 +880,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}: expected ") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "stage",
+        [{"sizes": [10, 20], "window": [-3, 3, -1, 1]}, {"sizes": [10, 20, 30, 40, 50, 60], "lambda": 0}],
+        ids=["window_2_sizes", "lambda_6_sizes"],
+    )
+    def test_classify_ladders_of_the_least_sizes_still_run(self, tmp_path, stage):
+        out = tmp_path / "o"
+        doc = jacobi_stage(op="classify", **stage)
+        assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["stages"][0]["status"] == "ok"
 
 
 class TestThreadCap:

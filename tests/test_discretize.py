@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 from scipy.linalg import solve_banded
 from scipy.optimize import linear_sum_assignment
 
-from specexact import discretize as dz, numerics, operator_model as om
+from specexact import discretize as dz, numerics, operator_model as om, resolvent_analysis as ra
 from specexact.errors import AssumptionError, CoefficientError, DataError, DimensionError
 
 ONE = lambda x: 1.0
@@ -397,10 +398,12 @@ class TestDeclaredStructure:
             np.testing.assert_array_equal(coupling.dense(), scale * base + plus * np.eye(base.shape[0]))
 
     def test_sl_block_banded_spectra_build_no_dense_array(self):
-        # the Hermitian banded route reads the diagonals: eigenvalues and residuals alike
-        tau = dz.SLProblem("lap", ONE, ZERO, 0.0, np.pi, 0.0, (0.1,), 1.0, 0.0)
+        # the Hermitian banded route reads the diagonals: eigenvalues and residuals alike.  T2 = T1 + 1,
+        # so the blocks share no T and the section is not declared a Kronecker sum (TestKroneckerRoute)
+        tau1 = dz.SLProblem("lap", ONE, ZERO, 0.0, np.pi, 0.0, (0.1,), 1.0, 0.0)
+        tau2 = dz.SLProblem("lap", ONE, ONE, 0.0, np.pi, 0.0, (0.1,), 1.0, 0.0)
         half = lambda x: 0.5
-        mp = dz.SLMatrixProblem("blk", tau, tau, 1.0, 1.0, half, ZERO, half, ZERO, 0.5, 0, 0.5, 0)
+        mp = dz.SLMatrixProblem("blk", tau1, tau2, 1.0, 1.0, half, ZERO, half, ZERO, 0.5, 0, 0.5, 0)
         sec = dz.sl_block_assemble(mp, 1, 300)
         dec = numerics.eig_dense(sec)
         assert dec.route == "banded" and dec.residuals_at([0, 1, sec.n - 1]).shape == (3,)
@@ -421,3 +424,126 @@ class TestDeclaredStructure:
     def test_malformed_declared_diagonals_raise(self, diagonals):
         with pytest.raises(DimensionError):
             numerics.Section(diagonals)
+
+
+def constant(z):
+    return lambda x: z
+
+
+def raising(name):
+    def routine(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return routine
+
+
+class TestKroneckerRoute:
+    """A 2x2 section over one shared T with constant couplings is declared kron(T, K1) + kron(I, K0).
+
+    It then takes the ``kronecker`` eigen route; every other section keeps its route.
+    """
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        m=hst.sampled_from([3, 8, 20, 40]),
+        coupling=hst.sampled_from(["hermitian", "non_hermitian", "zero", "x_dependent"]),
+        shared=hst.booleans(),
+        beta=hst.sampled_from([0.0, np.pi / 4]),
+    )
+    def test_property_route_agrees_with_zgeev(self, seed, m, coupling, shared, beta):
+        rng = np.random.default_rng(seed)
+        if coupling == "hermitian":  # real gammas, u = conj(s), v = conj(t): Hermitian when T1 = T2
+            g1, g2 = rng.uniform(0.5, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+            s, t = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            u, v = np.conj(s), np.conj(t)
+        elif coupling == "zero":  # criterion 05: each eigenvalue of T twice
+            g1 = g2 = 1.0
+            s = t = u = v = 0.0
+        else:
+            g1, g2, s, t, u, v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        p = lambda x: 1.5 + np.sin(x)
+        tau1 = dz.SLProblem("t1", p, lambda x: 1.0 + x * x, 0.0, np.pi, beta, (0.1,), 0.5, 1.0)
+        tau2 = tau1 if shared else dz.SLProblem("t2", p, lambda x: 2.0 + x * x, 0.0, np.pi, beta, (0.1,), 0.5, 2.0)
+        u_coefficient = (lambda x: u * np.cos(x)) if coupling == "x_dependent" else constant(u)
+        mp = dz.SLMatrixProblem(
+            "blk", tau1, tau2, g1, g2, constant(s), constant(t), u_coefficient, constant(v), 0.0, 0.0, 0.0, 0.0
+        )
+        sec = dz.sl_block_assemble(mp, 1, m)
+        declared = shared and beta == 0.0 and coupling != "x_dependent"
+        assert (sec.kronecker is not None) == declared
+        dec = numerics.eig_dense(sec)
+        assert (dec.route == "kronecker") == declared
+        a = sec.dense()  # a copy the Section does not keep
+        eps = np.finfo(float).eps
+        assert_spectra_match(dec.eigenvalues, numerics._zgeev(a, vectors=False)[0], 64 * eps * sec.inf_norm)
+        assert np.array_equal(np.lexsort((dec.eigenvalues.imag, dec.eigenvalues.real)), np.arange(sec.n))
+        if not declared:
+            return
+        if sec.hermitian:
+            np.testing.assert_array_equal(dec.eigenvalues.imag, 0.0)
+        rows = rng.permutation(sec.n)[: int(rng.integers(1, sec.n + 1))]
+        with numerics.Ledger() as ledger:
+            res = dec.residuals_at(rows)
+        assert dict(ledger.counts["residuals_computed"]) == {"kronecker": rows.size}
+        # the banded route's bar on its normal inputs
+        assert res.shape == rows.shape and np.all(res <= 1e-12 * np.linalg.norm(a, 2))
+        assert "data" not in vars(sec)
+
+    def test_dirichlet_laplacian_in_closed_form(self):
+        # p = 1, q = 0, beta = 0: T's eigenvalues are theta_k = (4 / h^2) sin^2(k pi / 2m), and
+        # K1 = [[1, 1/2], [1/2, 1]], K0 = 0 give the section theta_k / 2 and 3 theta_k / 2
+        m = 300
+        tau = dz.SLProblem("lap", ONE, ZERO, 0.0, np.pi, 0.0, (0.1,), 1.0, 0.0)
+        half = constant(0.5)
+        mp = dz.SLMatrixProblem("blk", tau, tau, 1.0, 1.0, half, ZERO, half, ZERO, 0.5, 0, 0.5, 0)
+        sec = dz.sl_block_assemble(mp, 1, m)
+        h = (np.pi - 0.1) / m
+        theta = 4.0 / h**2 * np.sin(np.arange(1, m) * np.pi / (2 * m)) ** 2
+        exact = np.sort(np.concatenate([theta / 2.0, 1.5 * theta]))
+        kronecker, banded = numerics.eig_dense(sec), numerics.eig_dense(numerics.Section(sec.diagonals))
+        assert (kronecker.route, banded.route) == ("kronecker", "banded")
+        for dec in (kronecker, banded):
+            np.testing.assert_array_equal(dec.eigenvalues.imag, 0.0)
+            assert np.max(np.abs(dec.eigenvalues.real - exact) / exact) <= 1e-10
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_demo_size_runs_no_band_or_dense_eigensolver(self, monkeypatch, hermitian):
+        # n = 598 as in the sl_matrix demo, with s = u (Hermitian) or s != conj(u) (not Hermitian):
+        # dsbevd, zhbevd and zgeev made to raise, and the spectrum and every residual still come
+        tau = dz.SLProblem("lap", ONE, ZERO, 0.0, np.pi, 0.0, (0.1,), 1.0, 0.0)
+        u = 0.5 if hermitian else 0.5j
+        mp = dz.SLMatrixProblem("blk", tau, tau, 1.0, 1.0, constant(0.5), ZERO, constant(u), ZERO, 0.5, 0, 0.5, 0)
+        sec = dz.sl_block_assemble(mp, 1, 300)
+        for name in ("dsbevd", "zhbevd", "zgeev"):
+            monkeypatch.setattr(numerics._flapack, name, raising(name))
+        dec = numerics.eig_dense(sec)
+        assert dec.route == "kronecker" and sec.hermitian is hermitian
+        assert np.all(dec.residuals <= 1e-12 * np.abs(dec.eigenvalues).max())
+        assert "data" not in vars(sec)
+
+    def test_ladder_window_takes_the_kronecker_route(self):
+        # a banded non-Hermitian section asked with a window takes the windowed route; one declared a
+        # Kronecker sum has no window route, so one whole spectrum serves every window and the whole
+        tau = dz.SLProblem("lap", ONE, ZERO, 0.0, np.pi, 0.0, (0.1,), 1.0, 0.0)
+        mp = dz.SLMatrixProblem("blk", tau, tau, 1.0, 1.0, constant(0.5), ZERO, constant(0.5j), ZERO, 0.5, 0, 0.5, 0)
+        ladder = ra.SectionLadder("blk", (1,), lambda n: dz.sl_block_assemble(mp, n, 40))
+        with numerics.Ledger() as ledger:
+            first = ladder.spectrum(1, (0.0, 50.0, -5.0, 5.0))
+            assert ladder.matrix(1).banded and not ladder.matrix(1).hermitian
+            assert first is ladder.spectrum(1, (0.0, 20.0, -1.0, 1.0)) is ladder.spectrum(1)
+        assert first.route == "kronecker" and first.window is None
+        assert dict(ledger.counts["eig_routes"]) == {"kronecker": 1} and not ledger.records["windowed_checks"]
+
+    def test_shared_t_is_one_object(self):
+        # T2 is T1 itself when their diagonals are equal, so both couplings and the section's
+        # declaration read one SymmetricTridiagonal, whose eigenvalues are solved once
+        tau = dz.SLProblem("lap", ONE, ZERO, 0.0, np.pi, 0.0, (0.1,), 1.0, 0.0)
+        same = dz.SLProblem("again", ONE, ZERO, 0.0, np.pi, 0.0, (0.1,), 1.0, 0.0)
+        mp = dz.SLMatrixProblem("blk", tau, same, 1.0, 2.0, constant(0.3), ONE, constant(0.2), ZERO, 0.3, 1, 0.2, 0)
+        t1, t2, *_ = dz._sl_components(mp, 1, 40)
+        _, b, c, _ = dz.sl_blocks(mp, 1, 40)
+        assert t1 is t2 and b.affine.base is c.affine.base
+        kron = dz.sl_block_assemble(mp, 1, 40).kronecker
+        np.testing.assert_array_equal(kron.k1, [[1.0, 0.3], [0.2, 2.0]])
+        np.testing.assert_array_equal(kron.k0, [[0.0, 1.0], [0.0, 0.0]])

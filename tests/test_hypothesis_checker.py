@@ -269,6 +269,48 @@ class TestGammaProduct2x2:
         assert str(declared.value) == str(dense.value) == message
         assert declared.value.index == dense.value.index == 7
 
+    @pytest.mark.parametrize("k", [0, 5, -1])
+    def test_shared_t_pole_error_keeps_its_message_and_index(self, k):
+        # T1 = T2, so both products read one theta; lambda = g2 theta_k lies on D's spectrum at
+        # size 2 and off A's (g1 theta is not real), so the D-section raises as on the dense route
+        g2 = 2.0
+        tau = dz.SLProblem("t", lambda x: 1.5 + np.sin(x), lambda x: 1.0 + x * x, 0.0, np.pi, 0.0, (0.2, 0.1), 0.5, 1.0)
+        c = lambda z: (lambda x: z)
+        mp = dz.SLMatrixProblem("blk", tau, tau, 1.0 + 0.5j, g2, c(0.3), c(0.1), c(0.2), c(0.4), 0.0, 0.0, 0.0, 0.0)
+        blocks = [dz.sl_blocks(mp, n, 40) for n in (1, 2)]
+        for _, b, c_sec, _ in blocks:
+            assert b.affine.base is c_sec.affine.base
+        lam = complex(g2 * blocks[1][1].affine.base.tridiagonal.eigenvalues()[k])
+        with pytest.raises(PoleError) as declared:
+            hc.gamma_product_2x2(*zip(*blocks), lam, [5, 7])
+        with pytest.raises(PoleError) as dense:
+            hc.gamma_product_2x2(*zip(*([sec.dense() for sec in blk] for blk in blocks)), lam, [5, 7])
+        message = f"lambda = {lam} is (numerically) in the spectrum of D-section at size 7"
+        assert str(declared.value) == str(dense.value) == message
+        assert declared.value.index == dense.value.index == 7
+
+    @pytest.mark.parametrize("stages", ["verify", "demo"])
+    def test_demo_verify_stage_solves_each_t_once(self, tmp_path, monkeypatch, stages):
+        # the sl_matrix demo's 10 sizes: one dstevd per size serves both products and their pole
+        # checks, and no block is bisected (dstebz); run after the spectra stage, verify reads the
+        # T that stage solved, which the problem keeps, so the whole demo makes the same 10 calls
+        calls = Counter()
+
+        def counting(name, routine):
+            return lambda *args, **kwargs: calls.update([name]) or routine(*args, **kwargs)
+
+        for name in ("dstevd", "dstebz"):
+            monkeypatch.setattr(numerics._flapack, name, counting(name, getattr(numerics._flapack, name)))
+        doc = cli.demo_problem("sl_matrix")
+        if stages == "verify":
+            doc["analysis"] = [{"op": "verify", "checks": [{"check": "sl_matrix"}]}]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        verify = json.loads((tmp_path / "out" / "report.json").read_text())["stages"][-1]
+        assert verify["op"] == "verify" and verify["gamma_routes"] == {"eigenvalues": 20, "svd": 0}
+        assert calls == Counter(dstevd=10)
+
     @pytest.mark.parametrize(
         "u, beta, svd_per_size",
         [(lambda x: 0.2 * np.cos(x), 0.0, 1), (0.2, np.pi / 4, 2)],

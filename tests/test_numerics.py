@@ -100,6 +100,18 @@ class TestTridiagonalEig:
         assert res.shape == rows.shape and dict(ledger.counts["residuals_computed"]) == {"tridiagonal": rows.size}
         assert np.all(res <= 100 * np.finfo(float).eps * norm)
 
+    def test_eigenvalues_are_solved_once_and_read_only(self, monkeypatch):
+        # every caller reads one array per object: eig_dense, sigma_min and verify's gammas alike
+        calls, stevd = [], numerics._flapack.dstevd
+        monkeypatch.setattr(numerics._flapack, "dstevd", lambda *args, **kw: calls.append(1) or stevd(*args, **kw))
+        rng = np.random.default_rng(3)
+        t = numerics.SymmetricTridiagonal(rng.standard_normal(50), rng.standard_normal(49))
+        first = t.eigenvalues()
+        assert t.eigenvalues() is first and len(calls) == 1 and not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        np.testing.assert_array_equal(first, numerics.SymmetricTridiagonal(t.d, t.e).eigenvalues())
+
     def test_every_residual_in_bounded_memory(self):
         # the residuals go in blocks of dstein vectors: all 4096 of them peak at a few n x 64
         # arrays, where the n x n matrix of vectors and its three temporaries take 512 MiB
