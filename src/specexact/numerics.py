@@ -34,7 +34,7 @@ any operand is complex128) with the same arguments, so results are
 bit-for-bit those of ``scipy.linalg``; the checks those functions made on
 ``info`` are made here (:func:`_check_info`).  numpy.linalg, on numpy's own
 OpenBLAS, serves the rest: :func:`op_norm`, the SVD fallback of
-:func:`sigma_min`, the ``hermitian`` route of :func:`eig_dense`, and
+:meth:`Section.sigma_min`, the ``hermitian`` route of :func:`eig_dense`, and
 elsewhere the contour's Gram ``eigvalsh`` and sketch QR and
 ``_beyn_eigenvalues`` (``resolvent_analysis``) and the ``lstsq`` of
 ``discretize._cover_fit``; numpy's matrix products run on that BLAS too.
@@ -1120,23 +1120,6 @@ def eig_dense(m, window=None) -> EigenDecomposition:
     resid = np.linalg.norm(a @ v - v * w[np.newaxis, :], axis=0) / np.linalg.norm(v, axis=0)
     Ledger.count("residuals_computed", route, w.size)
     return EigenDecomposition(eigenvalues=w, route=route, section=sec, all_residuals=resid)
-
-
-def sigma_min(m) -> float:
-    """Smallest singular value of a :class:`Section` (or of an array read as one).
-
-    The dense reference: bidiagonalization SVD, with no thresholding, so
-    exactly-singular structure yields exactly 0.0.  A Hermitian tridiagonal
-    input, in either dtype, takes the eigenvalue path instead: its smallest
-    absolute eigenvalue by the tridiagonal symmetric solver, same accuracy
-    class, far cheaper.  :meth:`Section.sigma_min` (z) serves shifts; its
-    ``dense`` route and Lanczos fallback take the SVD of A - z I directly.
-    """
-    sec = Section.of(m)
-    if sec.tridiagonal is not None:
-        return float(np.min(np.abs(sec.tridiagonal.eigenvalues())))
-    s = np.linalg.svd(sec.data, compute_uv=False)
-    return float(s[-1])
 
 
 def op_norm(m) -> float:

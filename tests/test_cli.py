@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as hst
 
-from specexact import cli, discretize as dz, numerics, resolvent_analysis as ra
+import specexact
+from specexact import cli, discretize as dz, numerics
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -167,29 +168,22 @@ class TestPseudo:
         assert pseudo["spectrum_cache"] == {"hits": 0, "misses": 0}
 
     def test_report_records_lanczos_steps(self, tmp_path):
-        # every jacobi point is tridiagonal: no Lanczos step, and both routes written out as zeros
-        out = tmp_path / "jacobi"
-        assert cli.main(["demo", "jacobi", "--out", str(out)]) == 0
-        (pseudo,) = [s for s in json.loads((out / "report.json").read_text())["stages"] if s["op"] == "pseudo"]
-        assert pseudo["sigma_min_routes"] == {"tridiagonal": 297}
-        assert pseudo["lanczos_steps"] == {"banded": 0, "triangular": 0} and pseudo["dense_fallbacks"] == 0
-        # the complex oscillator at n = 99 is stored banded: at least one step per point, at most the cap
-        lattice = {"op": "pseudo", "size": 1, "rect": [-1.0, 12.0, -1.0, 12.0], "nx": 4, "ny": 3}
-        doc = {"kind": "schrodinger", "p": 0.0, "q": "i*x^2", "r": 0.0, "L_n": [6.0], "m": 100, "analysis": [lattice]}
-        out = tmp_path / "banded"
-        assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
-        (pseudo,) = json.loads((out / "report.json").read_text())["stages"]
-        assert pseudo["sigma_min_routes"] == {"banded": 12} and pseudo["dense_fallbacks"] == 0
-        assert 12 <= pseudo["lanczos_steps"]["banded"] <= 64 * 12 and pseudo["lanczos_steps"]["triangular"] == 0
-
-    def test_report_records_spectrum_cache_hits(self, tmp_path):
-        # the classify stage tracks the 7 spectra the spectra stage computed
-        out = tmp_path / "out"
-        assert cli.main(["demo", "oscillator", "--out", str(out)]) == 0
-        spectra, classify, verify = json.loads((out / "report.json").read_text())["stages"]
-        assert spectra["spectrum_cache"] == {"hits": 0, "misses": 7}
-        assert classify["spectrum_cache"] == {"hits": 7, "misses": 0}
-        assert verify["spectrum_cache"] == {"hits": 0, "misses": 0}
+        # the complex oscillator at n = 99 is stored banded, and the upper-triangular section of size 400 is its
+        # own Schur form: at least one step per point, at most the cap, none on the other route, no dense fallback
+        oscillator = {"kind": "schrodinger", "p": 0.0, "q": "i*x^2", "r": 0.0, "L_n": [6.0], "m": 100}
+        cases = [
+            (oscillator, {"size": 1, "rect": [-1.0, 12.0, -1.0, 12.0], "nx": 4, "ny": 3}, "banded", 12),
+            ({"kind": "upper_triangular"}, {"size": 400, "rect": [-2.0, 30.0, -10.0, 10.0], "nx": 6, "ny": 6},
+             "triangular", 36),
+        ]
+        for doc, lattice, route, points in cases:
+            doc = {**doc, "analysis": [{"op": "pseudo", **lattice}]}
+            out = tmp_path / route
+            assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
+            (pseudo,) = json.loads((out / "report.json").read_text())["stages"]
+            assert pseudo["sigma_min_routes"] == {route: points} and pseudo["dense_fallbacks"] == 0
+            steps = pseudo["lanczos_steps"]
+            assert points <= steps.pop(route) <= 64 * points and list(steps.values()) == [0]
 
     def test_classify_computes_no_residuals(self, tmp_path):
         # classify first: it runs the 7 bisection eigensolves of its window
@@ -223,16 +217,11 @@ class TestPseudo:
             assert ratios["final_over_first"] == values[-1] / values[0]
 
     def test_report_records_contour_routes_and_margins(self, tmp_path):
-        # 4 candidates x 3 rank sizes, all Hermitian tridiagonal: 12 closed-form contours,
-        # every gap and node distance far from its threshold (10, and 1e-8 of the radius)
+        # 4 candidates x 3 rank sizes, all Hermitian tridiagonal: 12 closed-form contours (their counts are
+        # in the golden ledger), every gap and node distance far from its threshold (10, and 1e-8 of the radius)
         out = tmp_path / "out"
         assert cli.main(["demo", "oscillator", "--out", str(out)]) == 0
-        spectra, classify, verify = json.loads((out / "report.json").read_text())["stages"]
-        assert classify["contour_routes"] == {"closed_form": 12, "sketched": 0, "dense": 0}
-        assert "contour_routes" not in spectra and "contour_routes" not in verify
-        # bisection and the closed form factor no contour node
-        assert spectra["contour_guards"] == classify["contour_guards"] == dict.fromkeys(ra.CONTOUR_GUARDS, 0)
-        assert "contour_guards" not in verify
+        classify = json.loads((out / "report.json").read_text())["stages"][1]
         candidates = json.loads((out / "classify.json").read_text())["candidates"]
         assert "contours" not in candidates[0]
         for ratios, cand in zip(classify["probe_ratios"], candidates):
@@ -243,21 +232,16 @@ class TestPseudo:
                 assert contour["gap"] > 1e3 and contour["node_distance"] > 1e-6
 
     def test_report_records_complex_oscillator_contour_guards(self, tmp_path, monkeypatch):
-        # 7 windowed solves and 3 sketched classify contours, 64 nodes each on a non-Hermitian
-        # section: every node is cleared by the first sketch pass's probe bound, none estimated
+        # 7 windowed solves and 3 sketched classify contours, 64 nodes each on a non-Hermitian section:
+        # every node is cleared by the first sketch pass's probe bound (448 and 192 in the golden
+        # ledger), so no power estimate runs
         estimates = []
         estimate = numerics.Factorization.inverse_norm_estimate
         monkeypatch.setattr(
             numerics.Factorization, "inverse_norm_estimate", lambda self: estimates.append(1) or estimate(self)
         )
-        out = tmp_path / "out"
-        assert cli.main(["demo", "complex_oscillator", "--out", str(out)]) == 0
-        spectra, classify, verify = json.loads((out / "report.json").read_text())["stages"]
-        none = dict.fromkeys(ra.CONTOUR_GUARDS, 0)
-        assert spectra["contour_guards"] == none | {"probe_bound": 448}
-        assert classify["contour_guards"] == none | {"probe_bound": 192}
-        assert classify["contour_routes"] == {"closed_form": 0, "sketched": 3, "dense": 0}
-        assert "contour_guards" not in verify and estimates == []
+        assert cli.main(["demo", "complex_oscillator", "--out", str(tmp_path / "out")]) == 0
+        assert estimates == []
 
     def test_seventeen_digit_roundtrip(self, tmp_path):
         doc = {"kind": "jacobi", "analysis": [{"op": "spectra", "sizes": [2, 3]}]}
@@ -541,34 +525,6 @@ class TestVerify:
         assert rep["constants"]["c_beta"] == 3.0
         assert rep["verdict"] == "PassEvidence"
 
-    @pytest.mark.parametrize(
-        "demo, eigenvalues, svd",
-        [("jacobi", 0, 60), ("upper_triangular", 0, 4), ("sl_matrix", 20, 0), ("oscillator", 0, 0)],
-    )
-    def test_report_records_gamma_routes(self, tmp_path, demo, eigenvalues, svd):
-        # one count per coupling norm: the sl_matrix demo's constant couplings read the
-        # eigenvalues of T1 and T2, the Galerkin splits' products take solves and an SVD
-        doc = cli.demo_problem(demo)
-        doc["analysis"] = [stage for stage in doc["analysis"] if stage["op"] == "verify"]
-        report = cli.run_problem(cli.parse_problem(doc), tmp_path / "out", b"")
-        (stage,) = report["stages"]
-        assert stage["status"] == "ok"
-        assert stage["gamma_routes"] == {"eigenvalues": eigenvalues, "svd": svd}
-
-    @pytest.mark.parametrize(
-        "demo, evaluated, pruned",
-        [("jacobi", 0, 0), ("sl_matrix", 0, 0), ("oscillator", 1, 666), ("complex_oscillator", 1, 666)],
-    )
-    def test_report_records_knob_pairs(self, tmp_path, demo, evaluated, pruned):
-        # the Schrodinger constant search visits its 667 (nu, beta) pairs best-first: the first pair holds
-        # the record, and every other pair's bound is above it; a verify stage with no schrodinger check reads 0
-        doc = cli.demo_problem(demo)
-        doc["analysis"] = [stage for stage in doc["analysis"] if stage["op"] == "verify"]
-        report = cli.run_problem(cli.parse_problem(doc), tmp_path / "out", b"")
-        (stage,) = report["stages"]
-        assert stage["status"] == "ok"
-        assert stage["knob_pairs"] == {"evaluated": evaluated, "pruned": pruned}
-
     def test_verify_requires_stage(self, tmp_path):
         rc = cli.main(
             ["verify", write_problem(tmp_path, {"kind": "jacobi", "analysis": []}), "--out", str(tmp_path / "o")]
@@ -840,6 +796,7 @@ class TestErrors:
              "analysis[0].checks[0].sizes"),
             (jacobi_stage(op="verify", checks=[{"check": "relative_bound", "cuts": [2, 4], "sizes": [2, 6]}]),
              "analysis[0].checks[0].sizes"),
+            (jacobi_stage(op="spectra", sizes=[2.5]), "analysis[0].sizes[0]"),
             (jacobi_stage(op="spectra", sizes=[5, 3]), "analysis[0].sizes"),
             (jacobi_stage(op="spectra", sizes=[0, 3]), "analysis[0].sizes"),
             (jacobi_stage(op="classify", certified_sizes=[4, 4, 6]), "analysis[0].certified_sizes"),
@@ -866,7 +823,7 @@ class TestErrors:
             ({"kind": "sl", "a_n": [0.5], "m": 20, "analysis": [{"op": "classify"}]}, "analysis[0].sizes"),
         ],
         ids=["scan_1", "cuts_decreasing", "cuts_0", "check_sizes_decreasing", "check_sizes_past_last_cut",
-             "sizes_decreasing", "sizes_0",
+             "sizes_fractional", "sizes_decreasing", "sizes_0",
              "certified_repeated", "classify_sizes_negative", "uncertified_decreasing", "pseudo_size_0",
              "sl_above_ladder", "schrodinger_pseudo_above_ladder", "schrodinger_uncertified_above_ladder",
              "sl_matrix_check_above_ladder", "classify_lambda_3_sizes", "classify_1_size",
@@ -1103,18 +1060,6 @@ class TestContractFuzz:
 
 
 class TestDemoDeterminism:
-    def test_jacobi_demo_byte_identical_across_threads(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv(cli.ENV_THREADS, "1")
-        assert cli.main(["demo", "jacobi", "--out", str(out1)]) == 0
-        monkeypatch.setenv(cli.ENV_THREADS, "4")
-        assert cli.main(["demo", "jacobi", "--out", str(out2)]) == 0
-        names = data_files(out1)
-        assert names == data_files(out2)
-        assert {"spectra.csv", "pseudo.csv", "classify.json", "hypothesis.json"} <= set(names)
-        for name in names:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
     def test_demo_summary_reads_only_its_own_outputs(self, tmp_path, capsys):
         # jacobi leaves classify.json behind; upper_triangular, run next into the same directory, has
         # no classify stage, so it prints no lambda line and the same summary as in a fresh directory
@@ -1160,13 +1105,6 @@ class TestDemoDeterminism:
             for data in data_files(one):
                 assert (one / data).read_bytes() == (two / data).read_bytes(), f"{name}/{data}"
 
-    def test_jacobi_pseudo_byte_identical_at_one_and_two_threads(self, tmp_path):
-        # the thread flag moves no byte of pseudo.csv
-        outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
-        for threads, out in zip((1, 2), outs):
-            assert cli.main(["demo", "jacobi", "--out", str(out), "--threads", str(threads)]) == 0
-        assert (outs[0] / "pseudo.csv").read_bytes() == (outs[1] / "pseudo.csv").read_bytes()
-
 
 class TestBlasThreads:
     def test_report_records_blas_threads(self, tmp_path):
@@ -1202,11 +1140,13 @@ class TestBlasThreads:
 
 
 def run_fresh(code: str) -> str:
-    """stdout of ``code`` in a fresh interpreter on this checkout's ``src``; the code must exit 0."""
-    src = Path(__file__).resolve().parents[1] / "src"
+    """stdout of ``code`` in a fresh interpreter on the specexact this process imported; the code must exit 0.
+
+    The child's PYTHONPATH is the directory that holds that package, the checkout's ``src`` or an
+    installed package's site-packages, so an installed package is tested as installed."""
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(Path(specexact.__file__).resolve().parents[1])},
         capture_output=True,
         text=True,
         timeout=300,
@@ -1288,16 +1228,26 @@ class TestImportFootprint:
 
 
 def test_oscillator_demo_and_criterion_06_make_no_full_tridiagonal_solve(tmp_path):
-    # every Hermitian tridiagonal query of a windowed run, the section norm too, is answered by bisection;
-    # the probe script is the one the CI runs against the installed package
-    probe = Path(__file__).resolve().parent / "no_full_tridiagonal_solve.py"
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, str(probe), str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=300,
+    # every Hermitian tridiagonal query of a windowed run, the section norm too, is answered by bisection: the
+    # oscillator demo and criterion 06 (seven n = 1599 sections) make no dstevd call (all eigenvalues of a section)
+    criterion_06 = {
+        "kind": "schrodinger", "name": "criterion-06", "p": 0.0, "q": "x^2", "r": 0.0,
+        "L_n": [float(L) for L in range(4, 11)], "m": 1600,
+        "analysis": [{"op": "classify", "window": [0.0, 8.0, -1.0, 1.0], "tol": 2e-4, "quadrature_points": 32}],
+    }
+    problem = write_problem(tmp_path, criterion_06)
+    code = (
+        "import contextlib, io\n"
+        "import specexact.cli as cli\n"
+        "from specexact import numerics\n"
+        "orders, dstevd = [], numerics._flapack.dstevd\n"
+        "def counting(d, *args, **kwargs):\n"
+        "    orders.append(d.shape[0])\n"
+        "    return dstevd(d, *args, **kwargs)\n"
+        "numerics._flapack.dstevd = counting\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = [cli.main(['demo', 'oscillator', '--out', {str(tmp_path / 'osc')!r}]),\n"
+        f"          cli.main(['run', {problem!r}, '--out', {str(tmp_path / 'c06')!r}])]\n"
+        "print('exit codes', rc, 'dstevd orders', orders)\n"
     )
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.strip() == "exit codes [0, 0] dstevd orders []"
+    assert run_fresh(code) == "exit codes [0, 0] dstevd orders []"

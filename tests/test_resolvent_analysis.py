@@ -12,6 +12,8 @@ from specexact import cli, discretize as dz, numerics, operator_model as om, res
 from specexact.errors import ContourError, ResolutionError
 from specexact.resolvent_analysis import ProbeVerdict
 
+import dense_reference
+
 
 def closed_form_sigma_min_2x2_triangular(a, b):
     """Smallest singular value of [[a, b], [0, a]]: stable form via det/sigma_max."""
@@ -804,10 +806,10 @@ def complex_oscillator_section(m: int, half: float = 6.0) -> np.ndarray:
 
 
 def dense_sigma_min(m, z):
-    """The dense reference: numerics.sigma_min of the explicitly shifted matrix."""
+    """The dense reference: dense_reference.sigma_min of the explicitly shifted matrix."""
     z = complex(z)
     shift = z.real if z.imag == 0.0 and not np.iscomplexobj(m) else z
-    return numerics.sigma_min(m - shift * np.eye(m.shape[0]))
+    return dense_reference.sigma_min(m - shift * np.eye(m.shape[0]))
 
 
 def counted_grid(m, rect, nx, ny):
@@ -1069,8 +1071,8 @@ class TestNeumannBoundOnSections:
             s = split.coupling_section(k).data
             gamma = numerics.op_norm(s @ np.linalg.inv(t))
             assert gamma < 1
-            lhs = numerics.sigma_min(t + s)
-            rhs = (1 - gamma) * numerics.sigma_min(t)
+            lhs = dense_reference.sigma_min(t + s)
+            rhs = (1 - gamma) * dense_reference.sigma_min(t)
             assert lhs >= rhs - 1e-10
             # same bound in resolvent-norm form
             assert ra.resolvent_norm(t + s, 0.0) <= ra.resolvent_norm(t, 0.0) / (1 - gamma) + 1e-8
