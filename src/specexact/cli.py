@@ -175,10 +175,10 @@ def parse_coefficient(node, where: str):
     if isinstance(node, bool):
         raise ProblemError(f"{where}: booleans are not coefficients")
     if isinstance(node, (int, float)):
-        c = float(node)
+        c = _parse_number(node, where)
         return lambda x, c=c: c
     if isinstance(node, list) and len(node) == 2 and all(isinstance(v, (int, float)) for v in node):
-        c = complex(node[0], node[1])
+        c = _parse_complex(node, where)
         return lambda x, c=c: c
     if isinstance(node, str):
         if node in _NAMED_COEFFS:
@@ -192,8 +192,10 @@ def parse_coefficient(node, where: str):
             xs = np.asarray(tab["x"], dtype=float)
             re = np.asarray(tab["re"], dtype=float)
             im = np.asarray(tab.get("im", np.zeros_like(re)), dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProblemError(f"{where}: malformed table ({exc})") from exc
+        if not all(np.isfinite(v).all() for v in (xs, re, im)):
+            raise ProblemError(f"{where}: expected finite table x/re/im values")
         if xs.ndim != 1 or xs.shape != re.shape or xs.shape != im.shape or xs.size < 2:
             raise ProblemError(f"{where}: table needs matching 1-d x/re/im with >= 2 samples")
         if np.any(np.diff(xs) <= 0):
@@ -204,10 +206,10 @@ def parse_coefficient(node, where: str):
 
 
 def _parse_number(value, where: str, cast=float, cap: bool = False):
-    """``cast(value)``, refusing non-numbers, booleans and, for ``int``, fractions.
+    """``cast(value)``, refusing non-numbers, booleans, NaN, infinities and, for ``int``, fractions.
 
     With ``cap`` the number is a section order: :func:`_check_section_size`
-    sees it as written, before the integer check.
+    sees it as written, before the finiteness and integer checks.
     """
     if isinstance(value, bool):
         raise ProblemError(f"{where}: expected a number, got {value!r}")
@@ -217,6 +219,8 @@ def _parse_number(value, where: str, cast=float, cap: bool = False):
         raise ProblemError(f"{where}: expected a number, got {value!r}") from exc
     if cap:
         _check_section_size(value if isinstance(value, (int, float)) else number, where)
+    if not math.isfinite(number):
+        raise ProblemError(f"{where}: expected a finite number, got {value!r}")
     if cast is int and not number.is_integer():
         raise ProblemError(f"{where}: expected an integer, got {value!r}")
     return value if cast is int and isinstance(value, int) else cast(number)
@@ -482,6 +486,9 @@ def _parse_stage(prob: Problem, stage, where: str) -> dict:
         rect = read("rect", _parse_rect, None)
         if size is None or rect is None:
             raise ProblemError(f"{where}: pseudo stage needs 'size' and 'rect'")
+        if not all(0.0 < width < math.inf for width in (rect[1] - rect[0], rect[3] - rect[2])):
+            raise ProblemError(f"{where}.rect: expected re_min < re_max and im_min < im_max, with finite "
+                               f"widths, got {list(rect)}")
         _check_ladder((size,), f"{where}.size", prob.ladder_length)
         nx, ny = (above(key, 1, 40, int) for key in ("nx", "ny"))
         if nx * ny > MAX_SECTION_BYTES // 80:  # per point, a float64 and a pseudo.csv row in one buffer
@@ -951,6 +958,8 @@ def _load_problem(path: str) -> tuple[Problem, bytes]:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ProblemError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer literal past Python's digit limit
+        raise ProblemError(f"{path}: {exc}") from exc
     return parse_problem(doc, name_hint=p.stem), raw
 
 

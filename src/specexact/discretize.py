@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AssumptionError, CoefficientError
-from .numerics import Affine, Kronecker, Section
+from .numerics import Kronecker, Section, _declared_diagonals
 
 #: fraction of audit nodes allowed to violate a declared assumption constant
 AUDIT_VIOLATION_BUDGET = 1e-3
@@ -161,7 +161,8 @@ class SLMatrixProblem:
     """2x2 operator matrix [[g1 T1, s T2 + t], [u T1 + v, g2 T2]] on one interval.
 
     Couplings s, t, u, v are bounded multipliers with declared sup norms;
-    the declared norms must satisfy |s| |u| < |g1| |g2|.  ``_components``
+    the declared norms must satisfy |s| |u| < |g1| |g2|.  Both betas are 0
+    or neither, so the components have one grid of unknowns.  ``_components``
     keeps T1 and T2 per (n, m) (:func:`_sl_components`), so every stage of a
     run reads one T per truncation, with the eigenvalues it keeps.
     """
@@ -191,6 +192,9 @@ class SLMatrixProblem:
             )
         if (self.tau1.a, self.tau1.b, self.tau1.a_n) != (self.tau2.a, self.tau2.b, self.tau2.a_n):
             raise ValueError("components must share the interval and truncation ladder")
+        if (self.tau1.beta == 0.0) != (self.tau2.beta == 0.0):
+            raise ValueError(f"component grids mismatch: beta = {self.tau1.beta} and {self.tau2.beta} "
+                             "(beta = 0 drops the endpoint b, so both betas are 0 or neither)")
 
     @property
     def ladder_length(self) -> int:
@@ -203,9 +207,6 @@ def _sl_components(prob: SLMatrixProblem, n: int, m: int) -> tuple:
     T2 is T1 itself when their diagonals are equal, so the blocks over them
     share one T.  Both are assembled once per (n, m) and kept by the problem.
     """
-    k1, k2 = prob.tau1.unknowns(m), prob.tau2.unknowns(m)
-    if k1 != k2:
-        raise ValueError(f"component grids mismatch: {k1} vs {k2} interior unknowns (check the betas)")
     if (n, m) not in prob._components:
         t1, t2 = sl_assemble(prob.tau1, n, m), sl_assemble(prob.tau2, n, m)
         if t1.diagonals.keys() == t2.diagonals.keys() and all(
@@ -216,35 +217,38 @@ def _sl_components(prob: SLMatrixProblem, n: int, m: int) -> tuple:
     t1, t2 = prob._components[n, m]
     an = prob.tau1.a_n[n - 1]
     h = (prob.tau1.b - an) / m
-    nodes = an + h * np.arange(1, k1 + 1)
+    nodes = an + h * np.arange(1, prob.tau1.unknowns(m) + 1)
     return t1, t2, *(_sample(getattr(prob, c), nodes, c) for c in "stuv")
 
 
-def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[Section, ...]:
-    """The four K x K blocks (A, B, C, D) of the 2x2 section at truncation index n.
+def _sl_block_diagonals(prob: SLMatrixProblem, n: int, m: int) -> list[tuple[dict, Kronecker | None]]:
+    """The four K x K blocks (A, B, C, D) at truncation index n, each ``({j - i: diagonal}, declaration)``.
 
     A = g1 T1, B = diag(s) T2 + diag(t), C = diag(u) T1 + diag(v) and
     D = g2 T2, where T1 and T2 are the :func:`sl_assemble` sections of the
     two components on m grid cells and the multipliers are sampled at the
-    interior nodes.  Each block is a Section declared tridiagonal from the
-    diagonals of T1 or T2: no dense array is built.  When T1 is Hermitian
-    tridiagonal (beta = 0 makes it so; a ghost row at b does not) and every
-    sampled u is equal, and every sampled v, C is also declared
-    u T1 + v over A = g1 T1 (:class:`numerics.Affine`); B over D likewise.
+    interior nodes.  A block diag(rows) T + diag(plus) with rows and plus
+    constant and T Hermitian tridiagonal (beta = 0 makes it so; a ghost row
+    at b does not) is declared rows T + plus I, an order-1
+    :class:`numerics.Kronecker` over T; any other block's declaration is None.
     """
     t1, t2, s, t, u, v = _sl_components(prob, n, m)
+    out = []
+    for base, rows, plus in ((t1, prob.gamma1, None), (t2, s, t), (t1, u, v), (t2, prob.gamma2, None)):
+        # entry i of diagonal off lies in row i + max(-off, 0)
+        rows = np.broadcast_to(rows, (base.n,))
+        diagonals = {off: rows[max(-off, 0) :][: d.shape[0]] * d for off, d in base.diagonals.items()}
+        if plus is not None:
+            diagonals[0] = diagonals[0] + plus
+        constant = np.all(rows == rows[0]) and (plus is None or np.all(plus == plus[0]))
+        k1, k0 = (np.full((1, 1), c, dtype=complex) for c in (rows[0], 0.0 if plus is None else plus[0]))
+        out.append((diagonals, Kronecker(base, k1, k0) if constant and base.tridiagonal is not None else None))
+    return out
 
-    def scaled(sec, rows, plus=None):
-        # diag(rows) T + diag(plus): entry i of diagonal off lies in row i + max(-off, 0)
-        rows = np.broadcast_to(rows, (sec.n,))
-        diagonals = {off: rows[max(-off, 0) :][: d.shape[0]] * d for off, d in sec.diagonals.items()}
-        return Section(diagonals if plus is None else {**diagonals, 0: diagonals[0] + plus})
 
-    a, b, c, d = scaled(t1, prob.gamma1), scaled(t2, s, t), scaled(t1, u, v), scaled(t2, prob.gamma2)
-    for coupling, block, base, gamma, rows, plus in ((c, a, t1, prob.gamma1, u, v), (b, d, t2, prob.gamma2, s, t)):
-        if base.tridiagonal is not None and np.all(rows == rows[0]) and np.all(plus == plus[0]):
-            coupling.affine = Affine(base, block, complex(gamma), complex(rows[0]), complex(plus[0]))
-    return a, b, c, d
+def sl_blocks(prob: SLMatrixProblem, n: int, m: int) -> tuple[Section, ...]:
+    """The four blocks of :func:`_sl_block_diagonals` as Sections, each given its declaration; none is dense."""
+    return tuple(Section(diagonals, kronecker=kron) for diagonals, kron in _sl_block_diagonals(prob, n, m))
 
 
 def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> Section:
@@ -254,36 +258,30 @@ def sl_block_assemble(prob: SLMatrixProblem, n: int, m: int) -> Section:
     permutation similarity of the block matrix, so the spectrum is the same,
     and every coupling of the tridiagonal blocks lands within three
     diagonals of the main one.  The Section is declared from the four
-    blocks' diagonals, offsets -3..3; no block is made dense.  When both
-    couplings are declared over one shared T (:class:`numerics.Affine`: T1
-    and T2 equal and every coupling constant), the section is declared
-    kron(T, K1) + kron(I, K0) with K1 = [[g1, s], [u, g2]] and
-    K0 = [[0, t], [v, 0]] (:class:`numerics.Kronecker`).
+    blocks' diagonals (:func:`_sl_block_diagonals`), offsets -3..3; no block
+    Section is built.  When all four blocks are declared over one shared T
+    (T1 and T2 equal, beta = 0 and every coupling constant), the section is
+    declared kron(T, K1) + kron(I, K0) with K1 = [[g1, s], [u, g2]] and
+    K0 = [[0, t], [v, 0]] (:class:`numerics.Kronecker` of order 2).
     """
-    a, b, c, d = sl_blocks(prob, n, m)
-    k = a.n
+    # each block's diagonals as a Section keeps them: an all-zero one is trimmed, so it reads +0.0 below
+    blocks = ((_declared_diagonals(diagonals), kron) for diagonals, kron in _sl_block_diagonals(prob, n, m))
+    (a, ka), (b, kb), (c, kc), (d, kd) = blocks
+    k = a[0].shape[0]
 
     def interleave(off, even, odd):
         # slot 2i of diagonal off holds the first component's row (off >= 0) or column (off < 0)
-        out = np.zeros(max(2 * k - abs(off), 0), dtype=complex)
-        out[0::2], out[1::2] = (sec.diagonals.get(block_off, 0.0) for sec, block_off in (even, odd))
+        out = np.zeros(2 * k - abs(off), dtype=complex)
+        out[0::2], out[1::2] = (block.get(block_off, 0.0) for block, block_off in (even, odd))
         return out
 
-    diagonals = {
-        -3: interleave(-3, (c, -1), (b, -2)),
-        -2: interleave(-2, (a, -1), (d, -1)),
-        -1: interleave(-1, (c, 0), (b, -1)),
-        0: interleave(0, (a, 0), (d, 0)),
-        1: interleave(1, (b, 0), (c, 1)),
-        2: interleave(2, (a, 1), (d, 1)),
-        3: interleave(3, (b, 1), (c, 2)),
-    }
-    sec = Section({off: dg for off, dg in diagonals.items() if abs(off) < 2 * k})
-    ca, bd = c.affine, b.affine
-    if ca is not None and bd is not None and ca.base is bd.base:
-        k1 = np.array([[ca.gamma, bd.u], [ca.u, bd.gamma]])
-        sec.kronecker = Kronecker(ca.base, k1, np.array([[0.0, bd.v], [ca.v, 0.0]]))
-    return sec
+    pairs = {-3: ((c, -1), (b, -2)), -2: ((a, -1), (d, -1)), -1: ((c, 0), (b, -1)), 0: ((a, 0), (d, 0)),
+             1: ((b, 0), (c, 1)), 2: ((a, 1), (d, 1)), 3: ((b, 1), (c, 2))}
+    kron = None
+    if all(x is not None and x.base is ka.base for x in (ka, kb, kc, kd)):
+        k1 = np.block([[ka.k1, kb.k1], [kc.k1, kd.k1]])
+        kron = Kronecker(ka.base, k1, np.block([[ka.k0, kb.k0], [kc.k0, kd.k0]]))
+    return Section({off: interleave(off, *pair) for off, pair in pairs.items() if abs(off) < 2 * k}, kronecker=kron)
 
 
 # -------------------------------- Schrodinger ----------------------------------

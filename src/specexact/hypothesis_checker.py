@@ -99,26 +99,27 @@ def _gamma(t, s, lam: complex, size, what: str) -> float:
 
     T and S are Sections, or arrays read as them.  The pole check
     (:func:`_check_pole`) comes first on either route.
-    ``eigenvalues``: S declares itself u H + v I over T = gamma H
-    (:class:`numerics.Affine`, from :func:`discretize.sl_blocks`), so the product
-    is normal and its norm is max |(u theta + v) / (gamma theta - lam)| over the
-    eigenvalues theta of the Hermitian tridiagonal H (``dstevd``, no vectors,
-    kept by H, so the two products over one shared H take one eigensolve).
-    T is normal too, so the pole check reads the same theta: sigma_min(T - lam)
-    is min |gamma theta - lam| and ||T|| is max |gamma theta|; no bisection runs.
+    ``eigenvalues``: T and S are declared g H + w I and u H + v I over one
+    Hermitian tridiagonal H (order-1 :class:`numerics.Kronecker`s, from
+    :func:`discretize.sl_blocks`), so the product is normal, with norm
+    max |(u theta + v) / (g theta + w - lam)| over H's eigenvalues theta
+    (``dstevd``, no vectors, kept by H: one eigensolve for both products
+    over a shared H).  T is normal too, so the pole check reads the same
+    theta: sigma_min(T - lam) = min |g theta + w - lam|, ||T|| = max |g theta + w|.
     ``svd``: every other input, sigma_min(T - lam) by ``Section.sigma_min``,
     then ||(lam - T)^-H S^H|| by adjoint solves against ``Section.factor`` and
     the SVD of the n x n result; S is made dense only for its own solve
     (:meth:`numerics.Section.dense`, not ``data``).
     """
     message = f"lambda = {lam} is (numerically) in the spectrum of {what}"
-    affine = s.affine if isinstance(s, numerics.Section) else None
-    if affine is not None and affine.block is t:
-        theta = affine.base.tridiagonal.eigenvalues()
-        poles = affine.gamma * theta - lam
-        _check_pole(np.abs(poles).min(), np.abs(affine.gamma * theta).max(), message, size)
+    tk, sk = getattr(t, "kronecker", None), getattr(s, "kronecker", None)
+    if tk is not None and sk is not None and tk.p == sk.p == 1 and tk.base is sk.base:
+        theta = tk.base.tridiagonal.eigenvalues()
+        (block,), (coupling,) = tk.blocks(theta), sk.blocks(theta)
+        poles = block - lam
+        _check_pole(np.abs(poles).min(), np.abs(block).max(), message, size)
         numerics.Ledger.count("gamma_routes", "eigenvalues")
-        return float(np.abs((affine.u * theta + affine.v) / poles).max())
+        return float(np.abs(coupling / poles).max())
     t, _ = _pole_checked(t, lam, message, size)
     numerics.Ledger.count("gamma_routes", "svd")
     s = s.dense() if isinstance(s, numerics.Section) else np.asarray(s)
@@ -179,7 +180,7 @@ def gamma_product_2x2(
 
     PassEvidence iff the product is <= 1 - ``MARGIN``.  Each norm is one
     :func:`_gamma` call: from the eigenvalues of T1 or T2 when the coupling
-    is declared over its diagonal block (constant couplings in
+    and its diagonal block are declared over one T (constant couplings in
     :func:`discretize.sl_blocks`), else by solves and an SVD.
     """
     lam = complex(lam)

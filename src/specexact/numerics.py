@@ -8,7 +8,7 @@ n x n array.  A Section is also the shifted operator A - z I over many
 shifts z (factorization, sigma_min) and caches its norm.  Eigenvalues of a
 tridiagonal or banded section come without eigenvectors; a residual is
 computed only when asked for, by inverse iteration at its eigenvalue.  A
-section its builder declares as a Kronecker sum over one symmetric
+section its builder declares as a Kronecker sum over one Hermitian
 tridiagonal T (:class:`Kronecker`) takes its spectrum from T's.  A
 Hermitian tridiagonal section asked for the eigenvalues in a window computes
 only those, by bisection.  An eigenvalue estimate is refined by two-sided
@@ -597,13 +597,11 @@ class Section:
     Lanczos start vector, :attr:`norm` and :attr:`inf_norm` are built on
     first use.  A triangular section keeps one -A for all its shifts: each
     factor holds only its diagonal z - a_ii and writes it in before each
-    solve.  ``affine`` and
-    ``kronecker`` are None unless a builder declares them (:class:`Affine`,
-    :class:`Kronecker`).  Instances are read-only apart from those and that
-    diagonal.
+    solve.  ``kronecker`` is the builder's :class:`Kronecker` declaration,
+    given here, or None.  Instances are read-only apart from that diagonal.
     """
 
-    def __init__(self, m):
+    def __init__(self, m, kronecker=None):
         if isinstance(m, dict):
             diagonals = _declared_diagonals(m)
         else:
@@ -618,7 +616,7 @@ class Section:
             np.array_equal(diagonals[-k], diagonals[k].conj()) for k in range(kl + 1)
         )
         self.tridiagonal = None
-        self.affine = self.kronecker = None
+        self.kronecker = kronecker
         if self.hermitian and n >= 2 and kl <= 1:
             self.tridiagonal = SymmetricTridiagonal(diagonals[0], diagonals.get(1, np.zeros(n - 1)))
         # banded storage only pays off when the band is genuinely narrow
@@ -874,53 +872,42 @@ class Section:
 
 
 @dataclass(frozen=True, eq=False)
-class Affine:
-    """A builder's declaration that a Section is u T + v I, and its diagonal block ``block`` is gamma T.
-
-    T, ``base``, is one Hermitian tridiagonal Section (``base.tridiagonal``
-    is set) and u, v, gamma are scalars.  Both blocks are then functions of
-    T, so S (block - lam)^-1 is normal, with eigenvalues
-    (u theta + v) / (gamma theta - lam) over T's eigenvalues theta.
-    """
-
-    base: Section
-    block: Section
-    gamma: complex
-    u: complex
-    v: complex
-
-
-@dataclass(frozen=True, eq=False)
 class Kronecker:
-    """A builder's declaration that a Section of order 2K is kron(T, K1) + kron(I, K0).
+    """A builder's declaration that a Section of order pK is kron(T, K1) + kron(I, K0), p = 1 or 2.
 
-    T, ``base``, is one real symmetric tridiagonal Section of order K
-    (``base.tridiagonal`` is set); ``k1`` and ``k0`` are 2 x 2 complex
-    matrices, and unknown 2i + c of the Section is component c at node i.
-    With T phi = theta phi, the Section maps phi (x) w to phi (x) (K1 theta
-    + K0) w, so it is the direct sum of the 2 x 2 matrices K1 theta + K0
-    over T's eigenvalues theta, and each of their eigenpairs (lam, w) is an
-    eigenpair (lam, phi (x) w) of the Section.
+    T, ``base``, is one Hermitian tridiagonal Section of order K
+    (``base.tridiagonal`` is set); ``k1`` and ``k0`` are p x p complex
+    matrices, and unknown pi + c is component c at node i (at p = 1 the
+    Section is K1 T + K0 I).  With T phi = theta phi, the Section maps
+    phi (x) w to phi (x) (K1 theta + K0) w, so each eigenpair (lam, w) of
+    K1 theta + K0 over T's eigenvalues theta is one (lam, phi (x) w) of it.
     """
 
     base: Section
     k1: np.ndarray
     k0: np.ndarray
 
+    @property
+    def p(self) -> int:
+        return self.k1.shape[0]
+
     def blocks(self, theta: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The entries (a, b, c, d) of [[a, b], [c, d]] = K1 theta + K0, one per theta."""
-        return tuple(self.k1[i, j] * theta + self.k0[i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        """The entries of K1 theta + K0 row by row, one array over theta each: (a,) or (a, b, c, d)."""
+        return tuple(self.k1[i, j] * theta + self.k0[i, j] for i in range(self.p) for j in range(self.p))
 
     def eigenvalues(self, hermitian: bool) -> np.ndarray:
-        """The two eigenvalues of each K1 theta + K0, in closed form: mean -+ sqrt(half^2 + b c).
+        """The p eigenvalues of each K1 theta + K0, in closed form: a, or mean -+ sqrt(half^2 + b c).
 
         theta runs over T's eigenvalues, ascending (``dstevd``, kept by T's
-        :class:`SymmetricTridiagonal`), and row k holds the pair of the k-th.
+        :class:`SymmetricTridiagonal`), and row k holds those of the k-th;
         mean and half are (a + d) / 2 and (a - d) / 2.  A ``hermitian``
-        Section has Hermitian blocks, whose eigenvalues are real: there the
-        root is hypot(half, |b|), as c is the conjugate of b.
+        Section has Hermitian blocks, whose eigenvalues are real: there a is
+        taken real, and the root is hypot(half, |b|), as c is b's conjugate.
         """
-        a, b, c, d = self.blocks(self.base.tridiagonal.eigenvalues())
+        a, *bcd = self.blocks(self.base.tridiagonal.eigenvalues())
+        if self.p == 1:
+            return (a.real if hermitian else a)[:, np.newaxis].astype(np.complex128)
+        b, c, d = bcd
         mean, half = (a + d) / 2.0, (a - d) / 2.0
         if hermitian:
             mean, root = mean.real, np.hypot(half.real, np.abs(b))
@@ -934,18 +921,21 @@ class Kronecker:
         theta is T's eigenvalue of the same position in ``index`` (row k of
         :meth:`eigenvalues`), phi is T's inverse-iteration vector at theta
         (:meth:`SymmetricTridiagonal.vectors`) and w the null vector of
-        K1 theta + K0 - lam, orthogonal to its larger row ((1, 0) when both
-        rows are zero: the block is lam I); A v is :meth:`Section.matvec` of
-        ``section``, the Section declared.  The values go in blocks of
-        ``_RESIDUAL_BLOCK``, as in :meth:`SymmetricTridiagonal.residuals`.
+        K1 theta + K0 - lam, 1 at p = 1, else orthogonal to its larger row
+        ((1, 0) when both rows are zero: the block is lam I); A v is
+        :meth:`Section.matvec` of ``section``, the Section declared, in
+        blocks of ``_RESIDUAL_BLOCK`` as in :meth:`SymmetricTridiagonal.residuals`.
         """
         theta = self.base.tridiagonal.eigenvalues()[index]
-        a, b, c, d = self.blocks(theta)
-        first = np.stack([b, lam - a])  # orthogonal to the row (a - lam, b)
-        second = np.stack([lam - d, c])  # orthogonal to the row (c, d - lam)
-        norms = np.linalg.norm(first, axis=0), np.linalg.norm(second, axis=0)
-        w = np.where(norms[0] >= norms[1], first, second)  # column j is the 2-vector of lam[j]
-        w[:, np.maximum(*norms) == 0.0] = [[1.0], [0.0]]
+        if self.p == 1:
+            w = np.ones((1, lam.size))
+        else:
+            a, b, c, d = self.blocks(theta)
+            first = np.stack([b, lam - a])  # orthogonal to the row (a - lam, b)
+            second = np.stack([lam - d, c])  # orthogonal to the row (c, d - lam)
+            norms = np.linalg.norm(first, axis=0), np.linalg.norm(second, axis=0)
+            w = np.where(norms[0] >= norms[1], first, second)  # column j is the 2-vector of lam[j]
+            w[:, np.maximum(*norms) == 0.0] = [[1.0], [0.0]]
         out = np.empty(lam.size)
         for lo in range(0, lam.size, _RESIDUAL_BLOCK):
             block = slice(lo, lo + _RESIDUAL_BLOCK)
@@ -986,7 +976,7 @@ class EigenDecomposition:
     computes the residuals of the requested eigenvalues only, each time it
     is asked.  On the ``kronecker`` route ``theta_index`` holds, for each
     eigenvalue, the index of the eigenvalue theta of the declared T whose
-    2 x 2 block it comes from (:class:`Kronecker`).  Each residual computed,
+    p x p block it comes from (:class:`Kronecker`).  Each residual computed,
     here or by :func:`eig_dense`, is counted by route in the open
     :class:`Ledger`'s ``residuals_computed``.
     """
@@ -1007,7 +997,7 @@ class EigenDecomposition:
 
         On the routes without eigenvectors, v is ``dstein``'s vector at the
         eigenvalue (:meth:`SymmetricTridiagonal.residuals`), ``dstein``'s
-        vector of T at theta times the 2 x 2 block's eigenvector
+        vector of T at theta times the p x p block's eigenvector
         (``kronecker``: :meth:`Kronecker.residuals`, through
         :meth:`Section.matvec`), or from two steps of inverse iteration
         (:meth:`Section.inverse_iteration_residual`).
@@ -1050,7 +1040,7 @@ def eig_dense(m, window=None) -> EigenDecomposition:
     builder declares as kron(T, K1) + kron(I, K0) takes one route whatever
     the window:
 
-    - ``kronecker``: the two eigenvalues of each 2 x 2 K1 theta + K0 in
+    - ``kronecker``: the p eigenvalues of each p x p K1 theta + K0 in
       closed form (:meth:`Kronecker.eigenvalues`; real on a Hermitian
       section), over the eigenvalues theta of T (``dstevd``, kept by T's
       :class:`SymmetricTridiagonal`), sorted by (Re, Im).  No band
@@ -1083,7 +1073,7 @@ def eig_dense(m, window=None) -> EigenDecomposition:
     if sec.kronecker is not None:
         w = sec.kronecker.eigenvalues(sec.hermitian).ravel()
         order = np.lexsort((w.imag, w.real))
-        return EigenDecomposition(w[order], "kronecker", sec, theta_index=order // 2)
+        return EigenDecomposition(w[order], "kronecker", sec, theta_index=order // sec.kronecker.p)
     if sec.tridiagonal is not None:
         if window is not None:
             re0, re1 = sorted(float(v) for v in window[:2])

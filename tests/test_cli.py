@@ -50,6 +50,18 @@ def data_files(out_dir):
     )
 
 
+def record_sections(monkeypatch, record=lambda sec: sec):
+    """The list into which each Section built from now on goes, through ``record``, before it is initialized."""
+    built, init = [], numerics.Section.__init__
+
+    def recording_init(self, m, **kwargs):
+        built.append(record(self))
+        init(self, m, **kwargs)
+
+    monkeypatch.setattr(numerics.Section, "__init__", recording_init)
+    return built
+
+
 class TestRun:
     def test_jacobi_classify_spurious(self, tmp_path):
         doc = {
@@ -99,10 +111,12 @@ class TestRun:
         np.testing.assert_allclose(vals[:3], [1.0, 4.0, 9.0], atol=1e-2)
 
     def test_stage_error_recorded_and_run_continues(self, tmp_path):
+        # the 1 x 1 diagonal blocks of the jacobi matrix are 0, so lambda = 0 is a pole of each T-section,
+        # which only the computed sigma_min shows
         doc = {
             "kind": "jacobi",
             "analysis": [
-                {"op": "pseudo", "size": 8, "rect": [0, 0, 0, 1], "nx": 4, "ny": 4},  # degenerate
+                {"op": "verify", "checks": [{"check": "relative_bound", "cuts": [1, 2, 3]}]},
                 {"op": "spectra", "sizes": [2, 3]},
             ],
         }
@@ -111,7 +125,8 @@ class TestRun:
         assert rc == 1
         report = json.loads((out / "report.json").read_text())
         assert [s["status"] for s in report["stages"]] == ["error", "ok"]
-        assert (out / "spectra.csv").exists()
+        assert report["stages"][0]["error"].startswith("PoleError: ")
+        assert (out / "spectra.csv").exists() and not (out / "hypothesis.json").exists()
 
 
 class TestPseudo:
@@ -327,12 +342,8 @@ class TestSharedCache:
 
     def test_cache_released_before_verify(self, tmp_path, monkeypatch):
         prob = cli.parse_problem(cli.demo_problem("sl_matrix"))
-        sections, seen = [], []
-        init, run_verify = numerics.Section.__init__, cli._run_verify
-
-        def tracking_init(self, m):
-            sections.append(weakref.ref(self))
-            init(self, m)
+        sections, seen = record_sections(monkeypatch, weakref.ref), []
+        run_verify = cli._run_verify
 
         def spy(*args):
             gc.collect()
@@ -342,7 +353,6 @@ class TestSharedCache:
             seen.append([len(prob.cache.sections), len(prob.cache.spectra), alive, sorted(kept.values())])
             return run_verify(*args)
 
-        monkeypatch.setattr(numerics.Section, "__init__", tracking_init)
         monkeypatch.setattr(cli, "_run_verify", spy)
         report = cli.run_problem(prob, tmp_path / "out", b"")
         assert [s["status"] for s in report["stages"]] == ["ok", "ok"]
@@ -352,22 +362,26 @@ class TestSharedCache:
         assert len(sections) >= 10 and seen == [[0, 0, 0, [299] * 10]]
         assert len(prob.cache.sections) == len(prob.cache.spectra) == 0
 
+    def test_sl_matrix_demo_section_builds_per_stage(self, tmp_path, monkeypatch):
+        # per size, spectra builds T1 and T2, which the problem keeps, and the interleaved section
+        # from the four blocks' diagonals, no block a Section; verify builds the four blocks over
+        # the kept T1 and T2
+        sections, before_verify, run_verify = record_sections(monkeypatch), [], cli._run_verify
+        monkeypatch.setattr(cli, "_run_verify", lambda *args: before_verify.append(len(sections)) or run_verify(*args))
+        assert cli.main(["demo", "sl_matrix", "--out", str(tmp_path / "out")]) == 0
+        assert (before_verify, len(sections)) == ([30], 30 + 40)
+
     def test_oscillator_demo_sections_stay_declared(self, tmp_path, monkeypatch):
         # spectra, shifted solves, norms and contour ranks all read one
         # Section per ladder size, declared tridiagonal by its builder: no
         # band scan, and no dense array built
-        sections, scans = [], []
-        init, band_widths = numerics.Section.__init__, numerics._band_widths
-
-        def counting_init(self, m):
-            sections.append(self)
-            init(self, m)
+        sections, scans = record_sections(monkeypatch), []
+        band_widths = numerics._band_widths
 
         def counting_band_widths(a):
             scans.append(a.shape[0])
             return band_widths(a)
 
-        monkeypatch.setattr(numerics.Section, "__init__", counting_init)
         monkeypatch.setattr(numerics, "_band_widths", counting_band_widths)
         assert cli.main(["demo", "oscillator", "--out", str(tmp_path / "out")]) == 0
         assert len(sections) == 7 and scans == []
@@ -380,12 +394,8 @@ class TestSharedCache:
         # built.  The sl_matrix sections, declared kron(T, K1) + kron(I, K0),
         # take the kronecker route; the non-Hermitian complex_oscillator ones,
         # asked with the stage window, the windowed route, with no fallback
-        sections, scans, dense = [], [], []
-        init, band_widths, dense_copy = numerics.Section.__init__, numerics._band_widths, numerics.Section.dense
-
-        def counting_init(self, m):
-            sections.append(self)
-            init(self, m)
+        sections, scans, dense = record_sections(monkeypatch), [], []
+        band_widths, dense_copy = numerics._band_widths, numerics.Section.dense
 
         def counting_band_widths(a):
             scans.append(a.shape[0])
@@ -395,7 +405,6 @@ class TestSharedCache:
             dense.append(self.n)
             return dense_copy(self)
 
-        monkeypatch.setattr(numerics.Section, "__init__", counting_init)
         monkeypatch.setattr(numerics, "_band_widths", counting_band_widths)
         monkeypatch.setattr(numerics.Section, "dense", counting_dense)
         doc = cli.demo_problem(demo)
@@ -421,14 +430,7 @@ class TestSharedCache:
         # declared sections the two splits and the band profile assemble once each.
         doc = cli.demo_problem("jacobi")
         doc["analysis"] = [stage for stage in doc["analysis"] if stage["op"] == "verify"]
-        sections = []
-        init = numerics.Section.__init__
-
-        def counting_init(self, m):
-            sections.append(self)
-            init(self, m)
-
-        monkeypatch.setattr(numerics.Section, "__init__", counting_init)
+        sections = record_sections(monkeypatch)
         report = cli.run_problem(cli.parse_problem(doc), tmp_path / "out", b"")
         assert [s["status"] for s in report["stages"]] == ["ok"]
         assert len(sections) == 180 + 3
@@ -453,14 +455,7 @@ class TestSharedCache:
         # route, on the Section's own diagonals
         doc = cli.demo_problem("jacobi")
         doc["analysis"] = [stage for stage in doc["analysis"] if stage["op"] == "pseudo"]
-        sections = []
-        init = numerics.Section.__init__
-
-        def counting_init(self, m):
-            sections.append(self)
-            init(self, m)
-
-        monkeypatch.setattr(numerics.Section, "__init__", counting_init)
+        sections = record_sections(monkeypatch)
         report = cli.run_problem(cli.parse_problem(doc), tmp_path / "out", b"")
         (stage,) = report["stages"]
         assert stage["status"] == "ok" and stage["sigma_min_routes"] == {"tridiagonal": 297}
@@ -646,6 +641,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "broken.json:2" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [(b'{"kind": "jacobi", "m": ' + b"9" * 5000 + b"}", "Exceeds the limit"),
+         (b'{"kind": "jacobi", "name": "\xff"}', "can't decode byte 0xff")],
+        ids=["integer_past_the_digit_limit", "not_utf8"],
+    )
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err and "Traceback" not in err
+
     def test_unknown_demo_lists_names(self, capsys):
         rc = cli.main(["demo", "bogus"])
         assert rc == 2
@@ -750,6 +758,13 @@ class TestErrors:
              "analysis[0].quadrature_points"),
             ("pseudo", ["--size", "1", "--rect", "0,1,0,1", "--grid", "1,40"], {}, "pseudo.nx"),
             ("classify", ["--sizes", "1,2", "--tol", "0"], {"L_n": [4, 5]}, "classify.tol"),
+            ("run", [], {"q": math.inf}, "q: expected a finite number"),
+            ("run", [], {"r": [0.0, math.nan]}, "r[1]: expected a finite number"),
+            ("run", [], {"p": 10**400}, "p: expected a number"),
+            ("run", [], {"q": {"table": {"x": [0.0, 1.0], "re": [0.0, -math.inf]}}}, "q: expected finite table"),
+            ("run", [], {"q": {"table": {"x": [0.0, 1.0], "re": [0.0, 10**400]}}}, "q: malformed table"),
+            ("run", [], {**cli.demo_problem("sl_matrix"), "analysis": [], "tau2": {"beta": 0.5}},
+             "sl_matrix: component grids mismatch"),
         ],
         ids=["rect", "grid", "sizes", "L_n", "constants", "tau1", "tau2", "sup_norms", "beta",
              "p_min", "a_n_entry", "L_n_entry", "sup_norms_entry", "b_r", "a_grad", "m_bool",
@@ -757,7 +772,9 @@ class TestErrors:
              "stage_sizes_bool", "pseudo_size_frac", "pseudo_nx_frac", "pseudo_nx_str", "quadrature_frac",
              "cuts_frac", "scan_str", "rect_str", "tol_str", "window_entry", "checks_int",
              "checks_entry", "lambda_strs", "pseudo_lattice", "sizes_range", "pseudo_nx_1", "pseudo_ny_neg",
-             "tol_neg", "tol_zero", "quadrature_15", "grid_1", "classify_tol_0"],
+             "tol_neg", "tol_zero", "quadrature_15", "grid_1", "classify_tol_0", "coefficient_infinite",
+             "coefficient_pair_nan", "coefficient_int_overflows", "table_infinite", "table_int_overflows",
+             "sl_matrix_betas_mismatched"],
     )
     def test_bad_input_exits_2_with_error_line(self, tmp_path, capsys, command, flags, problem, where):
         doc = {"kind": "schrodinger", "q": "x^2", "L_n": [4], "m": 50, "analysis": [], **problem}
@@ -821,13 +838,20 @@ class TestErrors:
             (jacobi_stage(op="classify", certified_sizes=[10], window=[-3, 3, -1, 1]),
              "analysis[0].certified_sizes"),
             ({"kind": "sl", "a_n": [0.5], "m": 20, "analysis": [{"op": "classify"}]}, "analysis[0].sizes"),
+            # JSON's Infinity, NaN and 1e400 parse as floats; a rect's widths are finite and positive
+            (jacobi_stage(op="pseudo", size=20, rect=[-1, math.inf, -1, 1]), "analysis[0].rect[1]"),
+            (jacobi_stage(op="classify", sizes=[10, 20, 30, 40, 50, 60], **{"lambda": math.inf}),
+             "analysis[0].lambda"),
+            (jacobi_stage(op="pseudo", size=20, rect=[-1e308, 1e308, -1, 1]), "analysis[0].rect"),
+            (jacobi_stage(op="pseudo", size=20, rect=[1, 1, -1, 1]), "analysis[0].rect"),
         ],
         ids=["scan_1", "cuts_decreasing", "cuts_0", "check_sizes_decreasing", "check_sizes_past_last_cut",
              "sizes_fractional", "sizes_decreasing", "sizes_0",
              "certified_repeated", "classify_sizes_negative", "uncertified_decreasing", "pseudo_size_0",
              "sl_above_ladder", "schrodinger_pseudo_above_ladder", "schrodinger_uncertified_above_ladder",
              "sl_matrix_check_above_ladder", "classify_lambda_3_sizes", "classify_1_size",
-             "classify_default_ladder_of_1"],
+             "classify_default_ladder_of_1", "pseudo_rect_infinite", "classify_lambda_infinite",
+             "pseudo_rect_width_overflows", "pseudo_rect_degenerate"],
     )
     def test_malformed_ladder_or_check_field_exits_2(self, tmp_path, capsys, doc, where):
         # refused when the file is parsed: no stage runs and no output directory is made

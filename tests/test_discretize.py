@@ -191,9 +191,8 @@ class TestSLBlockAssemble:
         # beta = 0 eliminates the endpoint, beta = pi/2 keeps it: K differs
         d = dirichlet_laplacian()
         n = dz.SLProblem("neu", ONE, ZERO, 0.0, np.pi, np.pi / 2, (0.0,), 1.0, 0.0)
-        mp = dz.SLMatrixProblem("mix", d, n, 1.0, 1.0, ZERO, ZERO, ZERO, ZERO, 0, 0, 0, 0)
         with pytest.raises(ValueError, match="mismatch"):
-            dz.sl_block_assemble(mp, 1, 20)
+            dz.SLMatrixProblem("mix", d, n, 1.0, 1.0, ZERO, ZERO, ZERO, ZERO, 0, 0, 0, 0)
 
 
 class TestSchrodingerAssemble:
@@ -372,30 +371,80 @@ class TestDeclaredStructure:
         assert b.data.tobytes() == (np.diag(s_v) @ t2.data + np.diag(t_v)).tobytes()
         assert c.data.tobytes() == (np.diag(u_v) @ t1.data + np.diag(v_v)).tobytes()
 
+    @staticmethod
+    def interleaved_from_block_sections(blocks):
+        """The 2x2 section's diagonals interleaved from the four block Sections' kept ones, and its K1, K0 or None."""
+        a, b, c, d = blocks
+        k = a.n
+
+        def interleave(off, even, odd):
+            out = np.zeros(max(2 * k - abs(off), 0), dtype=complex)
+            out[0::2], out[1::2] = (sec.diagonals.get(block_off, 0.0) for sec, block_off in (even, odd))
+            return out
+
+        pairs = {-3: ((c, -1), (b, -2)), -2: ((a, -1), (d, -1)), -1: ((c, 0), (b, -1)), 0: ((a, 0), (d, 0)),
+                 1: ((b, 0), (c, 1)), 2: ((a, 1), (d, 1)), 3: ((b, 1), (c, 2))}
+        sec = numerics.Section({off: interleave(off, *pair) for off, pair in pairs.items() if abs(off) < 2 * k})
+        krons = [blk.kronecker for blk in blocks]
+        if any(kron is None or kron.base is not krons[0].base for kron in krons):
+            return sec.diagonals, None
+        ka, kb, kc, kd = krons
+        return sec.diagonals, (np.block([[ka.k1, kb.k1], [kc.k1, kd.k1]]), np.block([[ka.k0, kb.k0], [kc.k0, kd.k0]]))
+
+    @pytest.mark.parametrize("m", [3, 8, 40])
+    @pytest.mark.parametrize("case", ["zero", "real", "zero_imaginary", "complex", "x_dependent", "robin", "t1_ne_t2"])
+    def test_interleaved_diagonals_match_the_block_sections_bit_for_bit(self, case, m):
+        # the section interleaves the blocks' diagonals as a block Section keeps them: a zero coupling's
+        # all-zero diagonals are trimmed, so they read +0.0, and a zero imaginary part is dropped
+        rng = np.random.default_rng(m)
+        g1, g2, s, t, u, v = {
+            "zero": (1.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+            "real": (1.0, -2.0, *rng.standard_normal(4)),
+            "zero_imaginary": (1.0 + 0j, 2.0, *(rng.standard_normal(4) + 0j)),
+        }.get(case, tuple(rng.standard_normal(6) + 1j * rng.standard_normal(6)))
+        tau1 = dz.SLProblem("t1", lambda x: 1.5 + np.sin(x), lambda x: 1.0 + x * x, 0.0, np.pi,
+                            np.pi / 4 if case == "robin" else 0.0, (0.2, 0.1), 0.5, 1.0)
+        tau2 = dz.SLProblem("t2", tau1.p, ZERO, 0.0, np.pi, 0.0, (0.2, 0.1), 0.5, 0.0) if case == "t1_ne_t2" else tau1
+        couplings = [constant(z) for z in (s, t, u, v)]
+        if case == "x_dependent":
+            couplings[0], couplings[2] = (lambda x: s * np.sin(3.0 * x)), (lambda x: u * np.cos(x))
+        mp = dz.SLMatrixProblem("blk", tau1, tau2, g1, g2, *couplings, 0.0, 0.0, 0.0, 0.0)
+        for n in (1, 2):
+            want, want_k = self.interleaved_from_block_sections(dz.sl_blocks(mp, n, m))
+            got = dz.sl_block_assemble(mp, n, m)
+            assert list(got.diagonals) == list(want)
+            for off, diagonal in got.diagonals.items():
+                assert (diagonal.dtype, diagonal.tobytes()) == (want[off].dtype, want[off].tobytes()), off
+            declared = case in ("zero", "real", "zero_imaginary", "complex")
+            assert (got.kronecker is not None) == (want_k is not None) == declared
+            if want_k is not None:
+                assert (got.kronecker.k1.tobytes(), got.kronecker.k0.tobytes()) == tuple(k.tobytes() for k in want_k)
+
     @pytest.mark.parametrize(
         "u, beta, declared",
-        [(lambda x: 0.2, 0.0, "cb"), (lambda x: 0.2 * np.cos(x), 0.0, "b"), (lambda x: 0.2, np.pi / 4, "")],
+        [(lambda x: 0.2, 0.0, "abcd"), (lambda x: 0.2 * np.cos(x), 0.0, "abd"), (lambda x: 0.2, np.pi / 4, "")],
         ids=["constant", "x_dependent_u", "beta_nonzero"],
     )
     def test_sl_blocks_declare_constant_couplings(self, u, beta, declared):
-        # C = u T1 + v over A = g1 T1 (B over D likewise) is declared when u and v are
-        # constant and T1 is Hermitian tridiagonal; the ghost row of beta != 0 is not symmetric
+        # a block diag(rows) T + diag(plus) is declared rows T + plus I, an order-1 Kronecker over T,
+        # when rows and plus are constant and T is Hermitian tridiagonal; the ghost row of beta != 0
+        # is not symmetric
         tau = dz.SLProblem("varp", lambda x: 2.0 + np.sin(x), lambda x: 1.0 + x * x, 0.0, np.pi, beta, (0.1,), 1.0, 1.0)
         mp = dz.SLMatrixProblem(
             "blk", tau, tau, 1.0 + 1.0j, 2.0, lambda x: 0.3, lambda x: -0.1, u, lambda x: 0.4j, 0.3, 0.1, 0.2, 0.4
         )
-        a, b, c, d = dz.sl_blocks(mp, 1, 40)
-        assert a.affine is d.affine is None
-        assert "".join(name for name, sec in (("c", c), ("b", b)) if sec.affine is not None) == declared
-        for coupling, block, gamma, scale, plus in ((c, a, 1.0 + 1.0j, 0.2, 0.4j), (b, d, 2.0, 0.3, -0.1)):
-            affine = coupling.affine
-            if affine is None:
+        t1, t2, *_ = dz._sl_components(mp, 1, 40)
+        blocks = dict(zip("abcd", dz.sl_blocks(mp, 1, 40)))
+        assert "".join(name for name, sec in blocks.items() if sec.kronecker is not None) == declared
+        expected = (("a", t1, 1.0 + 1.0j, 0.0), ("b", t2, 0.3, -0.1), ("c", t1, 0.2, 0.4j), ("d", t2, 2.0, 0.0))
+        for name, base, scale, plus in expected:
+            kron = blocks[name].kronecker
+            if kron is None:
                 continue
-            assert affine.block is block and (affine.gamma, affine.u, affine.v) == (gamma, scale, plus)
-            base = affine.base.dense()
-            assert affine.base.tridiagonal is not None and "data" not in vars(coupling)
-            np.testing.assert_array_equal(block.dense(), gamma * base)
-            np.testing.assert_array_equal(coupling.dense(), scale * base + plus * np.eye(base.shape[0]))
+            assert kron.base is base and base.tridiagonal is not None and "data" not in vars(blocks[name])
+            assert kron.p == 1 and (kron.k1[0, 0], kron.k0[0, 0]) == (scale, plus)
+            dense = base.dense()
+            np.testing.assert_array_equal(blocks[name].dense(), scale * dense + plus * np.eye(dense.shape[0]))
 
     def test_sl_block_banded_spectra_build_no_dense_array(self):
         # the Hermitian banded route reads the diagonals: eigenvalues and residuals alike.  T2 = T1 + 1,
@@ -440,7 +489,8 @@ def raising(name):
 class TestKroneckerRoute:
     """A 2x2 section over one shared T with constant couplings is declared kron(T, K1) + kron(I, K0).
 
-    It then takes the ``kronecker`` eigen route; every other section keeps its route.
+    It then takes the ``kronecker`` eigen route, as does each block declared rows T + plus I; every
+    other section keeps its route.
     """
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -469,8 +519,15 @@ class TestKroneckerRoute:
         mp = dz.SLMatrixProblem(
             "blk", tau1, tau2, g1, g2, constant(s), constant(t), u_coefficient, constant(v), 0.0, 0.0, 0.0, 0.0
         )
-        sec = dz.sl_block_assemble(mp, 1, m)
+        # the 2x2 section is declared of order 2, and each of its blocks A, B, C, D of order 1
         declared = shared and beta == 0.0 and coupling != "x_dependent"
+        self.check_route(rng, dz.sl_block_assemble(mp, 1, m), declared)
+        for name, block in zip("abcd", dz.sl_blocks(mp, 1, m)):
+            self.check_route(rng, block, beta == 0.0 and not (name == "c" and coupling == "x_dependent"))
+
+    @staticmethod
+    def check_route(rng, sec, declared):
+        """The section takes the kronecker route iff ``declared``, and agrees with zgeev either way."""
         assert (sec.kronecker is not None) == declared
         dec = numerics.eig_dense(sec)
         assert (dec.route == "kronecker") == declared
@@ -543,7 +600,7 @@ class TestKroneckerRoute:
         mp = dz.SLMatrixProblem("blk", tau, same, 1.0, 2.0, constant(0.3), ONE, constant(0.2), ZERO, 0.3, 1, 0.2, 0)
         t1, t2, *_ = dz._sl_components(mp, 1, 40)
         _, b, c, _ = dz.sl_blocks(mp, 1, 40)
-        assert t1 is t2 and b.affine.base is c.affine.base
+        assert t1 is t2 and b.kronecker.base is c.kronecker.base
         kron = dz.sl_block_assemble(mp, 1, 40).kronecker
         np.testing.assert_array_equal(kron.k1, [[1.0, 0.3], [0.2, 2.0]])
         np.testing.assert_array_equal(kron.k0, [[0.0, 1.0], [0.0, 0.0]])

@@ -243,11 +243,13 @@ class TestGammaProduct2x2:
         blocks = self.sl_matrix_blocks(g1, g2, s, t, u, v, m)
         lam = complex(*rng.uniform(-3.0, 3.0, 2)) * max(blocks[0][0].norm, 1.0)
         for a, b, c, d in blocks:
-            assert c.affine.block is a and b.affine.block is d
-            assert (c.affine.u, c.affine.v, b.affine.u, b.affine.v) == (u, v, s, t)
-            for block, coupling in ((a, c), (d, b)):
-                theta = coupling.affine.base.tridiagonal.eigenvalues()
-                assume(np.min(np.abs(coupling.affine.gamma * theta - lam)) > 1e-6 * np.max(np.abs(theta)))
+            assert c.kronecker.base is a.kronecker.base and b.kronecker.base is d.kronecker.base
+            assert [(sec.kronecker.k1[0, 0], sec.kronecker.k0[0, 0]) for sec in (a, b, c, d)] == [
+                (g1, 0), (s, t), (u, v), (g2, 0)
+            ]
+            for block in (a, d):
+                theta = block.kronecker.base.tridiagonal.eigenvalues()
+                assume(np.min(np.abs(block.kronecker.blocks(theta)[0] - lam)) > 1e-6 * np.max(np.abs(theta)))
         with numerics.Ledger() as ledger:
             got = hc.gamma_product_2x2(*zip(*blocks), lam)
         assert dict(ledger.counts["gamma_routes"]) == {"eigenvalues": 4}
@@ -262,7 +264,7 @@ class TestGammaProduct2x2:
     def test_eigenvalue_route_keeps_the_pole_error(self, m, k):
         g1 = 1.0 + 0.5j
         blocks = self.sl_matrix_blocks(g1, 1j, 0.3, 0.0, 0.2 - 0.1j, 0.4, m)
-        lam = g1 * blocks[1][2].affine.base.tridiagonal.eigenvalues()[k]  # on A's spectrum at size 2
+        lam = g1 * blocks[1][0].kronecker.base.tridiagonal.eigenvalues()[k]  # on A's spectrum at size 2
         with pytest.raises(PoleError) as declared:
             hc.gamma_product_2x2(*zip(*blocks), lam, [5, 7])
         with pytest.raises(PoleError) as dense:
@@ -281,8 +283,8 @@ class TestGammaProduct2x2:
         mp = dz.SLMatrixProblem("blk", tau, tau, 1.0 + 0.5j, g2, c(0.3), c(0.1), c(0.2), c(0.4), 0.0, 0.0, 0.0, 0.0)
         blocks = [dz.sl_blocks(mp, n, 40) for n in (1, 2)]
         for _, b, c_sec, _ in blocks:
-            assert b.affine.base is c_sec.affine.base
-        lam = complex(g2 * blocks[1][1].affine.base.tridiagonal.eigenvalues()[k])
+            assert b.kronecker.base is c_sec.kronecker.base
+        lam = complex(g2 * blocks[1][1].kronecker.base.tridiagonal.eigenvalues()[k])
         with pytest.raises(PoleError) as declared:
             hc.gamma_product_2x2(*zip(*blocks), lam, [5, 7])
         with pytest.raises(PoleError) as dense:
@@ -336,7 +338,7 @@ class TestGammaProduct2x2:
         def explicit(t, s):
             return op_norm(t.factor(lam).solve(s.dense().conj().T, adjoint=True))
 
-        assert blocks[0][2].affine is None
+        assert blocks[0][2].kronecker is None
         assert list(rep.per_size["gamma_ac"]) == [explicit(a, c) for a, _, c, _ in blocks]
         if beta:
             assert list(rep.per_size["gamma_db"]) == [explicit(d, b) for _, b, _, d in blocks]
