@@ -339,21 +339,24 @@ def _check_ladder(values: tuple, where: str, top: int | None = None) -> None:
         raise ProblemError(f"{where}: expected values of at most the ladder length {top}, got {values[-1]!r}")
 
 
-def _parse_sl_component(node: dict, a: float, b: float, a_n, where: str, name: str) -> dz.SLProblem:
+def _parse_sl_component(node: dict, a: float, b: float, a_n, name: str, key: str | None = None) -> dz.SLProblem:
+    """The SL problem of ``node``: the whole file, or its ``tau1``/``tau2`` object ``key``.
+
+    A field error names the field's path (``q``, ``tau1.beta``); an error
+    of the constructor is prefixed with ``key``, or ``sl``.
+    """
+    path = f"{key}." if key else ""
+    fields = dict(
+        p=parse_coefficient(node.get("p", 1.0), f"{path}p"),
+        q=parse_coefficient(node.get("q", 0.0), f"{path}q"),
+        beta=_parse_number(node.get("beta", 0.0), f"{path}beta"),
+        p_min=_parse_number(node.get("p_min", 1.0), f"{path}p_min"),
+        q_min=_parse_number(node.get("q_min", 0.0), f"{path}q_min"),
+    )
     try:
-        return dz.SLProblem(
-            name=name,
-            p=parse_coefficient(node.get("p", 1.0), f"{where}.p"),
-            q=parse_coefficient(node.get("q", 0.0), f"{where}.q"),
-            a=a,
-            b=b,
-            beta=_parse_number(node.get("beta", 0.0), "beta"),
-            a_n=a_n,
-            p_min=_parse_number(node.get("p_min", 1.0), "p_min"),
-            q_min=_parse_number(node.get("q_min", 0.0), "q_min"),
-        )
+        return dz.SLProblem(name=name, a=a, b=b, a_n=a_n, **fields)
     except ValueError as exc:
-        raise ProblemError(f"{where}: {exc}") from exc
+        raise ProblemError(f"{key or 'sl'}: {exc}") from exc
 
 
 def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
@@ -382,33 +385,25 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
             raise ProblemError(f"table: {exc}") from exc
     elif kind == "sl":
         a, b = _parse_number(doc.get("a", 0.0), "a"), _parse_number(doc.get("b", 1.0), "b")
-        prob.sl = _parse_sl_component(doc, a, b, _parse_list(doc.get("a_n", []), "a_n"), "sl", name)
+        prob.sl = _parse_sl_component(doc, a, b, _parse_list(doc.get("a_n", []), "a_n"), name)
         prob.grid_m = _parse_grid_m(doc, 500, 2)
         prob.order = prob.sl.unknowns(prob.grid_m)
     elif kind == "sl_matrix":
         a, b = _parse_number(doc.get("a", 0.0), "a"), _parse_number(doc.get("b", 1.0), "b")
         a_n = _parse_list(doc.get("a_n", []), "a_n")
         tau1, tau2 = (
-            _parse_sl_component(_parse_as(doc.get(key, {}), key, dict), a, b, a_n, key, f"{name}.{key}")
+            _parse_sl_component(_parse_as(doc.get(key, {}), key, dict), a, b, a_n, f"{name}.{key}", key)
             for key in ("tau1", "tau2")
         )
         sup = _parse_as(doc.get("sup_norms", {}), "sup_norms", dict)
+        fields = dict(
+            gamma1=_parse_complex(doc.get("gamma1", 1.0), "gamma1"),
+            gamma2=_parse_complex(doc.get("gamma2", 1.0), "gamma2"),
+            **{key: parse_coefficient(doc.get(key, 0.0), key) for key in "stuv"},
+            **{f"sup_{key}": _parse_number(sup.get(key, 0.0), f"sup_norms.{key}") for key in "stuv"},
+        )
         try:
-            prob.sl_matrix = dz.SLMatrixProblem(
-                name=name,
-                tau1=tau1,
-                tau2=tau2,
-                gamma1=_parse_complex(doc.get("gamma1", 1.0), "gamma1"),
-                gamma2=_parse_complex(doc.get("gamma2", 1.0), "gamma2"),
-                s=parse_coefficient(doc.get("s", 0.0), "s"),
-                t=parse_coefficient(doc.get("t", 0.0), "t"),
-                u=parse_coefficient(doc.get("u", 0.0), "u"),
-                v=parse_coefficient(doc.get("v", 0.0), "v"),
-                sup_s=_parse_number(sup.get("s", 0.0), "sup_norms.s"),
-                sup_t=_parse_number(sup.get("t", 0.0), "sup_norms.t"),
-                sup_u=_parse_number(sup.get("u", 0.0), "sup_norms.u"),
-                sup_v=_parse_number(sup.get("v", 0.0), "sup_norms.v"),
-            )
+            prob.sl_matrix = dz.SLMatrixProblem(name=name, tau1=tau1, tau2=tau2, **fields)
         except ValueError as exc:
             raise ProblemError(f"sl_matrix: {exc}") from exc
         prob.grid_m = _parse_grid_m(doc, 300, 2)
@@ -421,15 +416,10 @@ def parse_problem(doc: dict, name_hint: str = "problem") -> Problem:
             for key in ("a_grad", "b_grad", "a_r", "b_r")
             if consts.get(key) is not None
         }
+        fields = {key: parse_coefficient(doc.get(key, 0.0), key) for key in "pqr"}
+        half_widths = _parse_list(doc.get("L_n", []), "L_n")
         try:
-            prob.schrodinger = dz.SchrodingerProblem(
-                name=name,
-                p=parse_coefficient(doc.get("p", 0.0), "p"),
-                q=parse_coefficient(doc.get("q", 0.0), "q"),
-                r=parse_coefficient(doc.get("r", 0.0), "r"),
-                L_n=_parse_list(doc.get("L_n", []), "L_n"),
-                **declared,
-            )
+            prob.schrodinger = dz.SchrodingerProblem(name=name, L_n=half_widths, **fields, **declared)
         except ValueError as exc:
             raise ProblemError(f"schrodinger: {exc}") from exc
         prob.grid_m = _parse_grid_m(doc, 800, 4)
@@ -989,19 +979,14 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_problem=True):
-        if with_problem:
-            sp.add_argument("problem", help="path to a JSON problem file")
+    def add_common(sp):
+        sp.add_argument("problem", help="path to a JSON problem file")
         sp.add_argument("--out", default="specexact-out", help="output directory")
-        sp.add_argument("--threads", type=int, default=None,
-                        help=f"accepted for compatibility and changes nothing (default ${ENV_THREADS}); "
-                        f"a value above {MAX_THREADS} exits 2")
 
     add_common(sub.add_parser("run", help="run the problem file's analysis block"))
     p_demo = sub.add_parser("demo", help="run a baked-in demo and print a verdict summary")
     p_demo.add_argument("name", help=f"one of: {', '.join(DEMO_NAMES)}")
     p_demo.add_argument("--out", default=None, help="output directory (default demo-<name>)")
-    p_demo.add_argument("--threads", type=int, default=None)
 
     p_spectra = sub.add_parser("spectra", help="eigenvalues along a ladder -> spectra.csv")
     add_common(p_spectra)
@@ -1024,6 +1009,10 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the problem's verify checks -> hypothesis.json")
     add_common(p_verify)
+    for sp in sub.choices.values():
+        sp.add_argument("--threads", type=int, default=None,
+                        help=f"accepted for compatibility and changes nothing (default ${ENV_THREADS}); "
+                        f"a value above {MAX_THREADS} exits 2")
 
     args = parser.parse_args(argv)
 

@@ -470,69 +470,19 @@ _INVERSE_NORM_STEPS = 8
 
 
 class Factorization:
-    """One matrix made ready for optional-adjoint solves, in one of four storage kinds.
+    """An n x n matrix made ready for optional-adjoint solves, as :meth:`Section.factor` builds it.
 
-    Tridiagonal LU by ``zgttrf`` (``tridiagonal``: its sub-, main and
-    superdiagonal), LU in LAPACK band storage (``ab``), dense LU (``dense``),
-    or an upper triangular matrix that ``trtrs`` solves as it stands
-    (``triangular``).  The tridiagonal LU is complex; ``zgttrf`` copies the
-    three diagonals, so arrays a section caches may be passed in.
-    A triangular factor is a matrix its section shares among all its shifts,
-    complex and in Fortran order, plus this shift's ``diagonal``: O(n) of
-    its own.  Each solve writes that diagonal into the shared matrix, then
-    solves.
-    Raises ``LinAlgError`` when the factorization meets an exact zero pivot;
-    for a triangular matrix, an exact zero on its diagonal.
+    ``solve(b, adjoint)`` is the storage kind's LAPACK solve, bound to its
+    factors: it returns the routine's ``(x, info)``, which :meth:`solve`
+    checks.
     """
 
-    def __init__(
-        self, n: int, kl: int = 0, ku: int = 0, ab=None, dense=None, triangular=None, diagonal=None, tridiagonal=None
-    ):
+    def __init__(self, n: int, solve):
         self.n = n
-        self.banded = ab is not None
-        self._triangular = triangular
-        self._tridiagonal = None
-        if triangular is not None:
-            if not np.all(diagonal):
-                raise np.linalg.LinAlgError("exact zero on the triangular diagonal")
-            self._diagonal = diagonal
-            # a view, so writing it writes the shared matrix; a matrix not in Fortran order raises
-            # here, where the wrapper would copy it on every solve
-            self._slot = np.reshape(triangular, -1, order="F", copy=False)[:: n + 1]
-            self._trtrs = _lapack("trtrs", triangular)
-        elif tridiagonal is not None:
-            *lu, info = _flapack.zgttrf(*tridiagonal)
-            _check_info(info, "the tridiagonal LU")
-            self._tridiagonal = lu  # dl, d, du, du2, ipiv: the arguments of zgttrs before b
-        elif self.banded:
-            self.kl, self.ku = kl, ku
-            lu, ipiv, info = _lapack("gbtrf", ab)(ab, kl, ku)
-            if info < 0:
-                raise ValueError(f"illegal argument {-info} passed to the banded LU")
-            if info > 0:
-                raise np.linalg.LinAlgError(f"banded LU failed with info={info}")
-            self._lu, self._ipiv = lu, ipiv
-            self._gbtrs = _lapack("gbtrs", lu)
-        else:
-            # getrf as lu_factor calls it; a zero pivot is refused here, not warned about
-            self._lu, self._piv, info = _lapack("getrf", dense)(dense)
-            if info < 0:
-                raise ValueError(f"illegal argument {-info} passed to the LU")
-            if np.abs(np.diag(self._lu)).min() == 0.0:
-                raise np.linalg.LinAlgError("exact zero pivot")
+        self._solve = solve
 
     def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        trans = 2 if adjoint else 0
-        if self._triangular is not None:
-            self._slot[...] = self._diagonal
-            x, info = self._trtrs(self._triangular, b, trans=trans)
-        elif self._tridiagonal is not None:
-            x, info = _flapack.zgttrs(*self._tridiagonal, b, trans=b"C" if adjoint else b"N")
-        elif self.banded:
-            x, info = self._gbtrs(self._lu, self.kl, self.ku, b, self._ipiv, trans=trans)
-        else:
-            # getrs of the type lu_solve picks: a real LU meets a complex b as complex
-            x, info = _lapack("getrs", self._lu, b)(self._lu, self._piv, b, trans=trans)
+        x, info = self._solve(b, adjoint)
         _check_info(info, "the solve")
         return x
 
@@ -565,11 +515,13 @@ class Section:
     builder declares, ``{j - i: diagonal}`` with the main one included:
     checked for finite values, stored real when no imaginary part is
     nonzero, and trimmed of all-zero outer diagonals, so either input gives
-    the same structure.  ``data``, the dense array, is the input array or is
-    built by the dense routes alone (SVD, ``zgeev`` and ``eigh`` with
-    eigenvectors, dense LU); :meth:`dense` gives a copy the Section does not
-    keep.  :meth:`matvec` applies A from the diagonals; :attr:`inf_norm` is
-    ||A||_inf, read from them.
+    the same band widths and ``hermitian``.  ``real`` follows the stored
+    dtype: a complex array whose imaginary parts are all zero gives False,
+    its diagonals declared give True.  ``data``, the dense array, is the
+    input array or is built by the dense routes alone (SVD, ``zgeev`` and
+    ``eigh`` with eigenvectors, dense LU); :meth:`dense` gives a copy the
+    Section does not keep.  :meth:`matvec` applies A from the diagonals;
+    :attr:`inf_norm` is ||A||_inf, read from them.
     ``kl``, ``ku`` are the outermost nonzero sub- and superdiagonal; ``real``
     says A is real; ``hermitian``, A = A^H exactly: kl == ku and the kl + 1
     diagonal pairs inside the band conjugate.  ``tridiagonal`` holds the
@@ -588,17 +540,14 @@ class Section:
       Lanczos on (z I - A)^-H (z I - A)^-1 with the solves of :meth:`factor`;
     - ``dense``: everything else, by SVD of the dense A - z I.
 
-    :meth:`factor` (z) gives z I - A in one of the four storage kinds of
-    :class:`Factorization`: tridiagonal LU for a section stored banded with
-    kl <= 1 and ku <= 1, banded LU for a wider band, the triangular matrix
-    for a triangular section, dense LU otherwise.  ``data``, the negated
-    off-diagonals, the band template and the triangular matrix (-A's parts
-    or -A, stored for those kinds and built from the diagonals), the
-    Lanczos start vector, :attr:`norm` and :attr:`inf_norm` are built on
-    first use.  A triangular section keeps one -A for all its shifts: each
-    factor holds only its diagonal z - a_ii and writes it in before each
-    solve.  ``kronecker`` is the builder's :class:`Kronecker` declaration,
-    given here, or None.  Instances are read-only apart from that diagonal.
+    :meth:`factor` (z) gives z I - A, factored in the storage kind the
+    structure picks (tridiagonal, banded, triangular or dense).  ``data``,
+    the negated off-diagonals, the band template and the triangular matrix
+    (-A's parts or -A, stored for those kinds and built from the diagonals),
+    the Lanczos start vector, :attr:`norm` and :attr:`inf_norm` are built on
+    first use.  ``kronecker`` is the builder's :class:`Kronecker`
+    declaration, given here, or None.  Instances are read-only apart from
+    the triangular matrix's diagonal, which each triangular factor writes.
     """
 
     def __init__(self, m, kronecker=None):
@@ -756,7 +705,7 @@ class Section:
 
         Placed from the diagonals (all of offset >= 0) and negated in place,
         so no other n x n array is built.  Its diagonal holds the z - a_ii of
-        whichever factor solved last (see :class:`Factorization`); no other
+        whichever factor solved last (see :meth:`factor`); no other
         entry is ever written.
         """
         t = np.zeros((self.n, self.n), dtype=complex, order="F")
@@ -776,25 +725,61 @@ class Section:
         return v / np.linalg.norm(v)
 
     def factor(self, z: complex) -> Factorization:
-        """z I - A, factored: tridiagonal or banded LU if stored banded, else dense LU; triangular, as it stands.
+        """z I - A, factored in one of four storage kinds, with that kind's solve bound to it.
 
-        A section stored banded with kl <= 1 and ku <= 1 takes the tridiagonal
-        LU (``zgttrf``) of z - a_ii and the cached negated off-diagonals, and
-        builds no band template; a wider band takes ``gbtrf``.  A triangular
-        factor keeps only its diagonal z - a_ii and solves against the
-        section's one shared matrix (:class:`Factorization`), so a shift
-        costs O(n) storage, not an n x n copy.
+        - tridiagonal, a section stored banded with kl <= 1 and ku <= 1: the
+          complex LU (``zgttrf``) of z - a_ii and the cached negated
+          off-diagonals, which ``zgttrf`` copies; no band template is built;
+        - banded, a wider stored band: ``gbtrf`` on a copy of the band template;
+        - triangular: the section's one shared -A, complex and in Fortran
+          order, plus this shift's diagonal z - a_ii, O(n) of its own; each
+          solve writes that diagonal into the shared matrix, then runs ``trtrs``;
+        - dense, everything else: ``getrf`` of :meth:`_shifted_dense`.
+
+        Raises ``LinAlgError`` when the factorization meets an exact zero
+        pivot; for a triangular section, an exact zero on the diagonal.
         """
-        if self.banded and self.kl <= 1 and self.ku <= 1:
+        n, kl, ku = self.n, self.kl, self.ku
+        trans = lambda adjoint: 2 if adjoint else 0
+        if self.banded and kl <= 1 and ku <= 1:
             dl, du = self._negated_off_diagonals
-            return Factorization(self.n, tridiagonal=(dl, z - self.diagonals[0], du))
+            *lu, info = _flapack.zgttrf(dl, z - self.diagonals[0], du)
+            _check_info(info, "the tridiagonal LU")
+            # lu: dl, d, du, du2, ipiv, the arguments of zgttrs before b
+            return Factorization(n, lambda b, adjoint: _flapack.zgttrs(*lu, b, trans=b"C" if adjoint else b"N"))
         if self.banded:
             ab = self._band_template.copy()
-            ab[self.kl + self.ku, :] += z
-            return Factorization(self.n, self.kl, self.ku, ab=ab)
+            ab[kl + ku, :] += z
+            lu, ipiv, info = _lapack("gbtrf", ab)(ab, kl, ku)
+            if info < 0:
+                raise ValueError(f"illegal argument {-info} passed to the banded LU")
+            if info > 0:
+                raise np.linalg.LinAlgError(f"banded LU failed with info={info}")
+            gbtrs = _lapack("gbtrs", lu)
+            return Factorization(n, lambda b, adjoint: gbtrs(lu, kl, ku, b, ipiv, trans=trans(adjoint)))
         if self.triangular:
-            return Factorization(self.n, triangular=self._triangular_matrix, diagonal=z - self.diagonals[0])
-        return Factorization(self.n, dense=self._shifted_dense(z))
+            t, diagonal = self._triangular_matrix, z - self.diagonals[0]
+            if not np.all(diagonal):
+                raise np.linalg.LinAlgError("exact zero on the triangular diagonal")
+            # a view, so writing it writes the shared matrix; a matrix not in Fortran order raises
+            # here, where the wrapper would copy it on every solve
+            slot = np.reshape(t, -1, order="F", copy=False)[:: n + 1]
+            trtrs = _lapack("trtrs", t)
+
+            def solve(b, adjoint):
+                slot[...] = diagonal
+                return trtrs(t, b, trans=trans(adjoint))
+
+            return Factorization(n, solve)
+        # getrf as lu_factor calls it; a zero pivot is refused here, not warned about
+        dense = self._shifted_dense(z)
+        lu, piv, info = _lapack("getrf", dense)(dense)
+        if info < 0:
+            raise ValueError(f"illegal argument {-info} passed to the LU")
+        if np.abs(np.diag(lu)).min() == 0.0:
+            raise np.linalg.LinAlgError("exact zero pivot")
+        # getrs of the type lu_solve picks: a real LU meets a complex b as complex
+        return Factorization(n, lambda b, adjoint: _lapack("getrs", lu, b)(lu, piv, b, trans=trans(adjoint)))
 
     def _shifted_dense(self, z: complex) -> np.ndarray:
         """z I - A as a new dense array: one copy of ``data``, negated, with its diagonal shifted.

@@ -787,6 +787,31 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error:" in err and where in err and "Traceback" not in err
 
+    SL = {"kind": "sl", "a_n": [0.0], "analysis": []}
+    SL_MATRIX = {**cli.demo_problem("sl_matrix"), "analysis": []}
+
+    @pytest.mark.parametrize(
+        "problem, line",
+        [
+            ({**SL, "q": math.inf}, "q: expected a finite number, got inf"),
+            ({**SL, "q": [0, math.nan]}, "q[1]: expected a finite number, got nan"),
+            ({**SL_MATRIX, "tau1": {**SL_MATRIX["tau1"], "p": "y"}},
+             "tau1.p: unknown coefficient 'y'; built-ins are ['exp(-x^2)', 'i*x^2', 'x', 'x^2']"),
+            ({**SL_MATRIX, "tau1": {**SL_MATRIX["tau1"], "beta": "x"}}, "tau1.beta: expected a number, got 'x'"),
+            ({**SL_MATRIX, "s": math.inf}, "s: expected a finite number, got inf"),
+            ({"q": math.inf}, "q: expected a finite number, got inf"),
+            ({"L_n": 5}, "L_n: expected a list, got 5"),
+            ({**SL, "beta": 4}, "sl: beta must lie in [0, pi), got 4.0"),
+        ],
+        ids=["sl_q", "sl_q_entry", "tau1_p", "tau1_beta", "sl_matrix_s", "schrodinger_q", "schrodinger_L_n",
+             "sl_constructor"],
+    )
+    def test_field_error_names_its_path_once(self, tmp_path, capsys, problem, line):
+        # a field error reads "error: <path>: <reason>"; only a constructor's error carries the kind
+        doc = {"kind": "schrodinger", "q": "x^2", "L_n": [4], "m": 50, "analysis": [], **problem}
+        rc = cli.main(["run", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")])
+        assert rc == 2 and capsys.readouterr().err == f"error: {line}\n"
+
     @pytest.mark.parametrize(
         "points", [cli.MAX_QUADRATURE_POINTS + 1, 10**9, 1e9], ids=["cap_plus_1", "int_1e9", "float_1e9"]
     )

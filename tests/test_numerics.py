@@ -645,7 +645,7 @@ class TestOpNorm:
 
 
 class TestFactorization:
-    """The shifted solves behind verify's gamma and the contour gate, in all three storage kinds."""
+    """The shifted solves behind verify's gamma and the contour gate, in every storage kind."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -870,29 +870,65 @@ class TestDirectLapack:
         assert d.route == "banded" and sec.real == (kind == "real_symmetric")
         assert np.array_equal(d.eigenvalues, scipy.linalg.eigvals_banded(ab).astype(complex))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    #: per storage kind of Section.factor: (orders it is drawn at, band widths kl, ku or None for full)
+    FACTOR_KINDS = {
+        "tridiagonal": ((64, 65, 80, 200), (1, 1)),
+        "banded": ((64, 97, 130, 200), (2, 3)),
+        "triangular": ((64, 80, 97, 130), (0, None)),
+        "dense": ((1, 2, 5, 40), (None, None)),
+    }
+
+    @staticmethod
+    def direct_solver(kind, a, z, kl, ku):
+        """solve(b, adjoint) for z I - A by the kind's LAPACK pair, called here on z I - A built afresh."""
+        n = a.shape[0]
+        shifted = np.negative(a, dtype=np.result_type(a, z))
+        np.fill_diagonal(shifted, z - a.diagonal())
+        if kind == "tridiagonal":
+            lu = scipy.linalg.lapack.zgttrf(shifted.diagonal(-1), shifted.diagonal(), shifted.diagonal(1))
+            assert lu[-1] == 0
+            return lambda b, adjoint: scipy.linalg.lapack.zgttrs(*lu[:-1], b, trans="C" if adjoint else "N")[0]
+        if kind == "banded":
+            ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)  # entry (i, j) at row kl + ku + i - j
+            for off in range(-kl, ku + 1):
+                ab[kl + ku - off, max(off, 0) : max(off, 0) + n - abs(off)] = shifted.diagonal(off)
+            lu, ipiv, info = scipy.linalg.lapack.zgbtrf(ab, kl, ku)
+            assert info == 0
+            return lambda b, adjoint: scipy.linalg.lapack.zgbtrs(lu, kl, ku, b, ipiv, trans=2 if adjoint else 0)[0]
+        if kind == "triangular":
+            return lambda b, adjoint: fresh_triangular_solve(a, z, b, adjoint)
+        lu_piv = scipy.linalg.lu_factor(shifted, check_finite=False)
+        return lambda b, adjoint: scipy.linalg.lu_solve(lu_piv, b, trans=2 if adjoint else 0, check_finite=False)
+
+    @pytest.mark.parametrize("kind", list(FACTOR_KINDS))
+    @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
         seed=hst.integers(0, 2**32 - 1),
-        n=hst.sampled_from([1, 2, 5, 40]),
+        size=hst.integers(0, 3),
         complex_a=hst.booleans(),
         complex_z=hst.booleans(),
-        complex_b=hst.booleans(),
-        columns=hst.sampled_from([0, 1, 3]),
     )
-    def test_dense_factorization_solves(self, seed, n, complex_a, complex_z, complex_b, columns):
+    def test_factorization_solves(self, kind, seed, size, complex_a, complex_z):
+        orders, (kl, ku) = self.FACTOR_KINDS[kind]
+        n = orders[size]
+        kl, ku = (n - 1 if k is None else k for k in (kl, ku))
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_a else 0.0)
-        z = 3.0 * n + (2j if complex_z else 0.0)
-        shape = (n, columns) if columns else (n,)
-        b = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_b else 0.0)
-        dense = z * np.eye(n) - a
-        fact = numerics.Factorization(n, dense=dense)
-        lu_piv = scipy.linalg.lu_factor(dense, check_finite=False)
-        assert np.array_equal(fact._lu, lu_piv[0]) and np.array_equal(fact._piv, lu_piv[1])
-        for adjoint in (False, True):
-            want = scipy.linalg.lu_solve(lu_piv, b, trans=2 if adjoint else 0, check_finite=False)
-            got = fact.solve(b, adjoint=adjoint)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        i, j = np.indices((n, n))
+        band = (i - j <= kl) & (j - i <= ku) & (i != j)
+        # the band scaled to norm about 1 and the diagonal in the unit disc: |z| = 4 is far from the spectrum
+        a = rng.standard_normal((n, n)) * band / (2 * np.sqrt(n)) + np.diag(rng.uniform(-1.0, 1.0, n))
+        if complex_a:
+            a = a + 1j * (rng.standard_normal((n, n)) * band / (2 * np.sqrt(n)) + np.diag(rng.uniform(-0.5, 0.5, n)))
+        z = complex(4.0, 1.5) if complex_z else -4.0
+        sec = numerics.Section(a)
+        assert (sec.kl, sec.ku, sec.sigma_min_route) == (kl, ku, {"tridiagonal": "banded"}.get(kind, kind))
+        fact, solve = sec.factor(z), self.direct_solver(kind, a, z, kl, ku)
+        assert fact.n == n
+        for shape in ((n,), (n, 3)):
+            for b in (rng.standard_normal(shape), rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+                for adjoint in (False, True):
+                    got, want = fact.solve(b, adjoint=adjoint), solve(b, adjoint)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
