@@ -20,7 +20,7 @@ hypothesis.json {problem, reports: [{theorem, lambda, constants, per_size,
                verdict, notes}]} with the constants named per theorem tag.
 report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                status, outputs, error, seconds, spectrum_cache,
-               blas_threads}]}; the only file with timing.
+               dense_builds, blas_threads}]}; the only file with timing.
                ``blas_threads`` lists the thread count of each OpenBLAS pool
                of the process (numpy's and SciPy's) while the stage ran:
                1 in each below ``numerics.SERIAL_BLAS_BELOW``, where the
@@ -29,7 +29,11 @@ report.json    {tool, version, problem, kind, input_sha256, stages: [{op,
                :class:`numerics.Ledger`, opened fresh around each stage.
                ``spectrum_cache`` is {hits, misses}: the
                stage's spectrum requests answered from the problem's cache
-               and by an eigensolve.  Spectra and classify stages also
+               and by an eigensolve.  ``dense_builds`` is {calls, max_n}:
+               the n x n arrays the stage's sections placed from their
+               diagonals (``numerics.Section.dense``, z I - A for a dense
+               solve or SVD, the triangular route's -A) and the largest n,
+               0 when none.  Spectra and classify stages also
                record ``eig_routes`` (the stage's eigensolves per route:
                tridiagonal, bisection, kronecker, banded, windowed,
                hermitian, general), ``residuals_computed`` (residuals the
@@ -708,6 +712,8 @@ def run_problem(prob: Problem, out_dir: Path, input_bytes: bytes) -> dict:
                 entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
         counts = ledger.counts
         entry["spectrum_cache"] = {key: counts["spectrum_cache"][key] for key in ("hits", "misses")}
+        builds = counts["dense_builds"]
+        entry["dense_builds"] = {"calls": builds.total(), "max_n": max(builds, default=0)}
         if STAGES[op][1] == "spectra":
             entry["eig_routes"] = {route: counts["eig_routes"][route] for route in numerics.EIG_ROUTES}
             entry["residuals_computed"] = counts["residuals_computed"].total()

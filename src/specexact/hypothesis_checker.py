@@ -108,8 +108,8 @@ def _gamma(t, s, lam: complex, size, what: str) -> float:
     theta: sigma_min(T - lam) = min |g theta + w - lam|, ||T|| = max |g theta + w|.
     ``svd``: every other input, sigma_min(T - lam) by ``Section.sigma_min``,
     then ||(lam - T)^-H S^H|| by adjoint solves against ``Section.factor`` and
-    the SVD of the n x n result; S is made dense only for its own solve
-    (:meth:`numerics.Section.dense`, not ``data``).
+    the SVD of the n x n result; S is placed dense for its own solve alone
+    (:meth:`numerics.Section.dense`, which the Section does not keep).
     """
     message = f"lambda = {lam} is (numerically) in the spectrum of {what}"
     tk, sk = getattr(t, "kronecker", None), getattr(s, "kronecker", None)

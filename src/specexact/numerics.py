@@ -1,11 +1,12 @@
 """Linear-algebra kernels with explicit tolerance contracts.
 
 A square input is read as a :class:`Section`: its nonzero diagonals, as a
-builder declares them or one band scan of an array finds them, plus the
-structure they give (band widths, real or complex, Hermitian or not).  Each
-kernel picks its route from that structure; only dense routes build the
-n x n array.  A Section is also the shifted operator A - z I over many
-shifts z (factorization, sigma_min) and caches its norm.  Eigenvalues of a
+builder declares them or as read once from an array, plus the structure
+they give (band widths, real or complex, Hermitian or not).  Each kernel
+picks its route from that structure; only dense routes build an n x n
+array, from the diagonals, and hold it for that call alone.  A Section is
+also the shifted operator A - z I over many shifts z (factorization,
+sigma_min) and caches its norm.  Eigenvalues of a
 tridiagonal or banded section come without eigenvectors; a residual is
 computed only when asked for, by inverse iteration at its eigenvalue.  A
 section its builder declares as a Kronecker sum over one Hermitian
@@ -201,7 +202,7 @@ class Ledger:
         Ledger._open.reset(self._token)
 
     @classmethod
-    def count(cls, kind: str, key: str, n: int = 1) -> None:
+    def count(cls, kind: str, key: str | int, n: int = 1) -> None:
         """Add ``n`` to ``counts[kind][key]`` of the open ledger, if one is open."""
         ledger = cls._open.get()
         if ledger is not None:
@@ -407,30 +408,13 @@ class SymmetricTridiagonal:
         return out
 
 
-def _band_widths(a: np.ndarray) -> tuple[int, int]:
-    """(kl, ku): the outermost nonzero sub- and superdiagonal of a square a, (0, 0) if none.
-
-    Diagonals are counted outward from the main one until they hold every
-    nonzero of a, so a narrow band costs one pass over a, not an index array.
-    """
-    remaining = np.count_nonzero(a) - np.count_nonzero(a.diagonal())
-    kl = ku = 0
-    k = 1
-    while remaining:
-        lower, upper = np.count_nonzero(a.diagonal(-k)), np.count_nonzero(a.diagonal(k))
-        kl, ku = (k if lower else kl), (k if upper else ku)
-        remaining -= lower + upper
-        k += 1
-    return kl, ku
-
-
 def _declared_diagonals(declared: dict) -> dict:
-    """A builder's ``{j - i: diagonal}`` as :class:`Section` keeps it (see there).
+    """``{j - i: diagonal}``, a builder's or every diagonal of an array, as :class:`Section` keeps it (see there).
 
     The diagonals are checked stacked end to end, in one pass: the first, in
     the order declared, that has the wrong shape or a non-finite entry
     raises.  The stack serves the checks alone; a diagonal that already has
-    the kept dtype is kept as the builder's array, not copied.
+    the kept dtype is returned as the array given, not copied.
     """
     diags = {int(off): np.asarray(d) for off, d in declared.items()}
     n = np.size(diags.setdefault(0, np.zeros(0)))
@@ -510,18 +494,18 @@ class Section:
     """A square matrix A kept as its nonzero diagonals, with its structure, and A - z I over shifts z.
 
     ``diagonals`` maps each offset j - i from -kl to ku to its float64 or
-    complex128 diagonal; ``n`` is the order.  The input is a square array
-    (see :func:`as_matrix`), whose band one scan finds, or the diagonals a
-    builder declares, ``{j - i: diagonal}`` with the main one included:
-    checked for finite values, stored real when no imaginary part is
-    nonzero, and trimmed of all-zero outer diagonals, so either input gives
-    the same band widths and ``hermitian``.  ``real`` follows the stored
-    dtype: a complex array whose imaginary parts are all zero gives False,
-    its diagonals declared give True.  ``data``, the dense array, is the
-    input array or is built by the dense routes alone (SVD, ``zgeev`` and
-    ``eigh`` with eigenvectors, dense LU); :meth:`dense` gives a copy the
-    Section does not keep.  :meth:`matvec` applies A from the diagonals;
-    :attr:`inf_norm` is ||A||_inf, read from them.
+    complex128 diagonal; ``n`` is the order.  The input is the diagonals a
+    builder declares, ``{j - i: diagonal}`` with the main one included, or a
+    square array (see :func:`as_matrix`), read once into all its diagonals
+    and kept only as copies of those, so the Section does not hold the
+    array.  Either input is read by :func:`_declared_diagonals`: checked for
+    finite values, stored real when no imaginary part is nonzero, and
+    trimmed of all-zero outer diagonals, so both give the same diagonals,
+    dtypes and structure.  No n x n array of A is kept: :meth:`dense` and
+    ``__array__`` place a new one each call, and the dense routes (SVD,
+    ``zgeev`` and ``eigh`` with eigenvectors, dense LU) hold theirs for that
+    call only.  :meth:`matvec` applies A from the diagonals; :attr:`inf_norm`
+    is ||A||_inf, read from them.
     ``kl``, ``ku`` are the outermost nonzero sub- and superdiagonal; ``real``
     says A is real; ``hermitian``, A = A^H exactly: kl == ku and the kl + 1
     diagonal pairs inside the band conjugate.  ``tridiagonal`` holds the
@@ -541,23 +525,23 @@ class Section:
     - ``dense``: everything else, by SVD of the dense A - z I.
 
     :meth:`factor` (z) gives z I - A, factored in the storage kind the
-    structure picks (tridiagonal, banded, triangular or dense).  ``data``,
-    the negated off-diagonals, the band template and the triangular matrix
-    (-A's parts or -A, stored for those kinds and built from the diagonals),
-    the Lanczos start vector, :attr:`norm` and :attr:`inf_norm` are built on
+    structure picks (tridiagonal, banded, triangular or dense).  The negated
+    off-diagonals, the band template and the triangular matrix (-A's parts
+    or -A, stored for those kinds and built from the diagonals; the
+    triangular route's -A is the one n x n array a Section keeps), the
+    Lanczos start vector, :attr:`norm` and :attr:`inf_norm` are built on
     first use.  ``kronecker`` is the builder's :class:`Kronecker`
     declaration, given here, or None.  Instances are read-only apart from
     the triangular matrix's diagonal, which each triangular factor writes.
     """
 
     def __init__(self, m, kronecker=None):
-        if isinstance(m, dict):
-            diagonals = _declared_diagonals(m)
-        else:
-            a = self.data = as_matrix(m, square=True)
-            kl, ku = _band_widths(a)
-            diagonals = {off: a.diagonal(off) for off in range(-kl, ku + 1)}
-        self.diagonals = diagonals
+        array = not isinstance(m, dict)
+        if array:
+            a = as_matrix(m, square=True)
+            m = {off: a.diagonal(off) for off in range(1 - a.shape[0], a.shape[0])}
+        # an array's diagonals come back as views of it, so they are copied
+        self.diagonals = diagonals = {off: d.copy() if array else d for off, d in _declared_diagonals(m).items()}
         self.n = n = diagonals[0].shape[0]
         self.kl, self.ku = kl, ku = -min(diagonals), max(diagonals)
         self.real = not np.iscomplexobj(diagonals[0])
@@ -584,19 +568,32 @@ class Section:
         return m if isinstance(m, cls) else cls(m)
 
     def __array__(self, dtype=None, copy=None):
-        """``data``, so numpy reads a Section as its matrix."""
-        return self.data if dtype is None and not copy else np.array(self.data, dtype=dtype)
-
-    @cached_property
-    def data(self) -> np.ndarray:
-        """The dense n x n array, kept once built (:meth:`dense`)."""
-        return self.dense()
+        """A new dense array (:meth:`dense`), so numpy reads a Section as its matrix; the Section does not keep it."""
+        return self.dense().astype(dtype or self.diagonals[0].dtype, copy=False)
 
     def dense(self) -> np.ndarray:
-        """A new dense n x n array, placed from the diagonals."""
-        a = np.zeros((self.n, self.n), dtype=self.diagonals[0].dtype)
+        """A new dense n x n array A, placed from the diagonals (:meth:`_placed`); the Section does not keep it."""
+        return self._placed()
+
+    def _placed(self, z=None, order: str = "C") -> np.ndarray:
+        """A new n x n array placed from the diagonals: A when ``z`` is None, else z I - A.
+
+        The one loop that places an n x n array of the section; each array is
+        counted, under its order n, in the open :class:`Ledger`'s
+        ``dense_builds``.  z I - A takes the dtype of A and z together: A is
+        placed, negated in place, and its diagonal set to z - a_ii, so a zero
+        outside the band reads -0.0, as in ``np.negative`` of A.  Its singular
+        values are those of A - z I, which the SVD fallback of
+        :meth:`sigma_min` takes.
+        """
+        dtype = self.diagonals[0].dtype if z is None else np.result_type(self.diagonals[0], z)
+        a = np.zeros((self.n, self.n), dtype=dtype, order=order)
         for off, d in self.diagonals.items():
             np.fill_diagonal(a[max(-off, 0) :, max(off, 0) :], d)
+        if z is not None:
+            np.negative(a, out=a)
+            np.fill_diagonal(a, z - self.diagonals[0])
+        Ledger.count("dense_builds", self.n)
         return a
 
     @cached_property
@@ -703,15 +700,11 @@ class Section:
     def _triangular_matrix(self) -> np.ndarray:
         """-A of the triangular route, complex and in Fortran order: one matrix for every shift.
 
-        Placed from the diagonals (all of offset >= 0) and negated in place,
-        so no other n x n array is built.  Its diagonal holds the z - a_ii of
-        whichever factor solved last (see :meth:`factor`); no other
-        entry is ever written.
+        z I - A at z = 0 (:meth:`_placed`), so no other n x n array is built.
+        Its diagonal holds the z - a_ii of whichever factor solved last (see
+        :meth:`factor`); no other entry is ever written.
         """
-        t = np.zeros((self.n, self.n), dtype=complex, order="F")
-        for off, d in self.diagonals.items():
-            np.fill_diagonal(t[:, off:], d)
-        return np.negative(t, out=t)
+        return self._placed(0j, order="F")
 
     @cached_property
     def _lanczos_start(self) -> np.ndarray:
@@ -734,7 +727,7 @@ class Section:
         - triangular: the section's one shared -A, complex and in Fortran
           order, plus this shift's diagonal z - a_ii, O(n) of its own; each
           solve writes that diagonal into the shared matrix, then runs ``trtrs``;
-        - dense, everything else: ``getrf`` of :meth:`_shifted_dense`.
+        - dense, everything else: ``getrf`` of z I - A placed dense (:meth:`_placed`).
 
         Raises ``LinAlgError`` when the factorization meets an exact zero
         pivot; for a triangular section, an exact zero on the diagonal.
@@ -772,7 +765,7 @@ class Section:
 
             return Factorization(n, solve)
         # getrf as lu_factor calls it; a zero pivot is refused here, not warned about
-        dense = self._shifted_dense(z)
+        dense = self._placed(z)
         lu, piv, info = _lapack("getrf", dense)(dense)
         if info < 0:
             raise ValueError(f"illegal argument {-info} passed to the LU")
@@ -780,16 +773,6 @@ class Section:
             raise np.linalg.LinAlgError("exact zero pivot")
         # getrs of the type lu_solve picks: a real LU meets a complex b as complex
         return Factorization(n, lambda b, adjoint: _lapack("getrs", lu, b)(lu, piv, b, trans=trans(adjoint)))
-
-    def _shifted_dense(self, z: complex) -> np.ndarray:
-        """z I - A as a new dense array: one copy of ``data``, negated, with its diagonal shifted.
-
-        Its singular values are those of A - z I, which the SVD fallback of
-        :meth:`sigma_min` takes.
-        """
-        a = np.negative(self.data, dtype=np.result_type(self.data, z))
-        np.fill_diagonal(a, z - self.data.diagonal())
-        return a
 
     def sigma_min(self, z: complex) -> float:
         """Smallest singular value of A - z I; exactly 0.0 when it is exactly singular.
@@ -815,7 +798,7 @@ class Section:
                 return float(1.0 / np.sqrt(theta))
             Ledger.count("dense_fallbacks", route)
         shift = z.real if self.real and z.imag == 0.0 else z
-        return float(np.linalg.svd(self._shifted_dense(shift), compute_uv=False)[-1])
+        return float(np.linalg.svd(self._placed(shift), compute_uv=False)[-1])
 
     def _largest_inverse_eigenvalue(self, fact: Factorization) -> float | None:
         """theta_max = 1 / sigma_min^2 of (z I - A)^-H (z I - A)^-1 by Lanczos.
@@ -1045,10 +1028,13 @@ def eig_dense(m, window=None) -> EigenDecomposition:
       per index with a window;
     - ``banded``: every other section stored banded, Hermitian ones by
       ``dsbevd``/``zhbevd`` on the diagonals (no dense array is built), the
-      rest by ``zgeev`` without eigenvectors on a dense copy the Section
-      does not keep;
+      rest by ``zgeev`` without eigenvectors;
     - ``hermitian``: other Hermitian sections, by ``eigh`` with eigenvectors;
     - ``general``: everything else, by ``zgeev`` with eigenvectors.
+
+    The non-Hermitian ``banded``, ``hermitian`` and ``general`` routes solve
+    a dense array placed for the call (:meth:`Section.dense`), which the
+    Section does not keep.
 
     ``hermitian`` and ``general`` compute every residual here, the other
     routes on demand.  Raises :class:`ConvergenceError` naming the stuck index if QR
@@ -1078,10 +1064,10 @@ def eig_dense(m, window=None) -> EigenDecomposition:
             _check_info(info, "the banded eigensolver")
             w = w.astype(np.complex128)
         else:
-            w, _ = _zgeev(sec.dense(), vectors=False)  # a temporary: the Section keeps its band
+            w, _ = _zgeev(sec.dense(), vectors=False)
             w = w[np.lexsort((w.imag, w.real))]
         return EigenDecomposition(eigenvalues=w, route="banded", section=sec)
-    a = sec.data
+    a = sec.dense()
     if sec.hermitian:
         route = "hermitian"
         w, v = np.linalg.eigh(a)
@@ -1109,7 +1095,7 @@ def op_norm(m) -> float:
         tri = sec.tridiagonal
         ends = np.concatenate([tri.eigenvalues_by_index(0, 1), tri.eigenvalues_by_index(tri.n - 1, tri.n)])
         return float(np.abs(ends).max())
-    a = sec.data if sec is not None else as_matrix(m)
+    a = sec.dense() if sec is not None else as_matrix(m)
     if not np.any(a):
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])

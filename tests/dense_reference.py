@@ -16,5 +16,5 @@ def sigma_min(m) -> float:
     sec = numerics.Section.of(m)
     if sec.tridiagonal is not None:
         return float(np.min(np.abs(sec.tridiagonal.eigenvalues())))
-    s = np.linalg.svd(sec.data, compute_uv=False)
+    s = np.linalg.svd(sec.dense(), compute_uv=False)
     return float(s[-1])

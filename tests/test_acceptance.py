@@ -40,10 +40,10 @@ def test_criterion_01_jacobi_pollution():
     start = time.perf_counter()
     spec = om.jacobi_spec()
     for k in range(3, 42, 2):
-        w = numerics.eig_dense(om.truncate(spec, k).data).eigenvalues
+        w = numerics.eig_dense(om.truncate(spec, k).dense()).eigenvalues
         assert np.min(np.abs(w)) <= 1e-10
     for k in range(2, 41, 2):
-        w = numerics.eig_dense(om.truncate(spec, k).data).eigenvalues
+        w = numerics.eig_dense(om.truncate(spec, k).dense()).eigenvalues
         assert np.min(np.abs(w)) >= JACOBI_EVEN_FLOOR
     certified = ra.galerkin_ladder(spec, range(2, 42, 2))
     uncertified = ra.galerkin_ladder(spec, range(3, 43, 2))
@@ -99,7 +99,7 @@ def test_criterion_04_sturm_liouville_convergence():
     prob = dz.SLProblem("lap", ONE, ZERO, 0.0, math.pi, 0.0, (0.0,), 1.0, 0.0)
     lowest = {}
     for m in (250, 500, 1000, 2000):
-        w = numerics.eig_dense(dz.sl_assemble(prob, 1, m).data).eigenvalues.real
+        w = numerics.eig_dense(dz.sl_assemble(prob, 1, m).dense()).eigenvalues.real
         lowest[m] = w[0]
         if m == 2000:
             np.testing.assert_allclose(w[:3], [1.0, 4.0, 9.0], atol=1e-2)
@@ -194,8 +194,8 @@ def test_criterion_09_neumann_inequality_across_demos():
         for t, s, g in zip(t_secs, s_secs, rep.per_size["gamma"]):
             if g < 1.0:
                 eye = np.eye(t.n)
-                lhs = dense_reference.sigma_min((t.data + s.data) - lam * eye)
-                rhs = (1.0 - g) * dense_reference.sigma_min(t.data - lam * eye)
+                lhs = dense_reference.sigma_min((t.dense() + s.dense()) - lam * eye)
+                rhs = (1.0 - g) * dense_reference.sigma_min(t.dense() - lam * eye)
                 assert lhs >= rhs - 1e-10
                 checked += 1
     ok(9, f"Neumann lower bound held on {checked} sections with gamma < 1")

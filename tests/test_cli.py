@@ -21,6 +21,13 @@ import specexact
 from specexact import cli, discretize as dz, numerics
 
 
+def raising(name):
+    def routine(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return routine
+
+
 def write_problem(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -50,16 +57,26 @@ def data_files(out_dir):
     )
 
 
-def record_sections(monkeypatch, record=lambda sec: sec):
-    """The list into which each Section built from now on goes, through ``record``, before it is initialized."""
+def record_sections(monkeypatch, record=lambda sec, m: sec):
+    """The list into which each Section built from now on goes, as ``record`` (it, its input), before it is initialized."""
     built, init = [], numerics.Section.__init__
 
     def recording_init(self, m, **kwargs):
-        built.append(record(self))
+        built.append(record(self, m))
         init(self, m, **kwargs)
 
     monkeypatch.setattr(numerics.Section, "__init__", recording_init)
     return built
+
+
+def array_input(sec, m):
+    """For :func:`record_sections`: whether the Section is built from an array, not from declared diagonals."""
+    return not isinstance(m, dict)
+
+
+def dense_builds(out_dir):
+    """Each stage's ``dense_builds`` in the report.json under ``out_dir``."""
+    return [stage["dense_builds"] for stage in json.loads((out_dir / "report.json").read_text())["stages"]]
 
 
 class TestRun:
@@ -342,7 +359,7 @@ class TestSharedCache:
 
     def test_cache_released_before_verify(self, tmp_path, monkeypatch):
         prob = cli.parse_problem(cli.demo_problem("sl_matrix"))
-        sections, seen = record_sections(monkeypatch, weakref.ref), []
+        sections, seen = record_sections(monkeypatch, lambda sec, m: weakref.ref(sec)), []
         run_verify = cli._run_verify
 
         def spy(*args):
@@ -374,39 +391,20 @@ class TestSharedCache:
     def test_oscillator_demo_sections_stay_declared(self, tmp_path, monkeypatch):
         # spectra, shifted solves, norms and contour ranks all read one
         # Section per ladder size, declared tridiagonal by its builder: no
-        # band scan, and no dense array built
-        sections, scans = record_sections(monkeypatch), []
-        band_widths = numerics._band_widths
-
-        def counting_band_widths(a):
-            scans.append(a.shape[0])
-            return band_widths(a)
-
-        monkeypatch.setattr(numerics, "_band_widths", counting_band_widths)
+        # array input, and no dense array built
+        arrays = record_sections(monkeypatch, array_input)
         assert cli.main(["demo", "oscillator", "--out", str(tmp_path / "out")]) == 0
-        assert len(sections) == 7 and scans == []
-        assert not any("data" in vars(sec) for sec in sections)
+        assert arrays == [False] * 7
+        assert dense_builds(tmp_path / "out") == [{"calls": 0, "max_n": 0}] * 3
 
     @pytest.mark.parametrize("demo, solves", [("sl_matrix", 10), ("complex_oscillator", 7)])
     def test_demo_spectra_take_banded_route(self, tmp_path, monkeypatch, demo, solves):
         # eigenvalues without eigenvectors, one residual per written row, and
-        # the sections keep their declared band: no scan, and no dense array
-        # built.  The sl_matrix sections, declared kron(T, K1) + kron(I, K0),
+        # the sections keep their declared band: no array input, and no dense
+        # array built.  The sl_matrix sections, declared kron(T, K1) + kron(I, K0),
         # take the kronecker route; the non-Hermitian complex_oscillator ones,
         # asked with the stage window, the windowed route, with no fallback
-        sections, scans, dense = record_sections(monkeypatch), [], []
-        band_widths, dense_copy = numerics._band_widths, numerics.Section.dense
-
-        def counting_band_widths(a):
-            scans.append(a.shape[0])
-            return band_widths(a)
-
-        def counting_dense(self):
-            dense.append(self.n)
-            return dense_copy(self)
-
-        monkeypatch.setattr(numerics, "_band_widths", counting_band_widths)
-        monkeypatch.setattr(numerics.Section, "dense", counting_dense)
+        arrays = record_sections(monkeypatch, array_input)
         doc = cli.demo_problem(demo)
         doc["analysis"] = doc["analysis"][:1]
         out = tmp_path / "out"
@@ -417,8 +415,8 @@ class TestSharedCache:
         assert spectra["eig_routes"] == routes
         rows = len((out / "spectra.csv").read_text().splitlines()) - 1
         assert spectra["residuals_computed"] == rows > 0
-        assert scans == [] and not any("data" in vars(sec) for sec in sections)
-        assert dense == []
+        assert arrays and not any(arrays)
+        assert spectra["dense_builds"] == {"calls": 0, "max_n": 0}
         checks = spectra["windowed_checks"]
         assert len(checks) == (0 if demo == "sl_matrix" else solves)
         assert all(c["fallback"] is None and c["found"] == c["contour_rank"] for c in checks)
@@ -437,18 +435,33 @@ class TestSharedCache:
 
     def test_demo_sections_are_all_declared(self, tmp_path, monkeypatch):
         # every section the five demos build, verify's T, S, blocks and 2x2
-        # blocks included, is declared by its builder: no band is scanned
-        scans = []
-        band_widths = numerics._band_widths
-
-        def counting_band_widths(a):
-            scans.append(a.shape[0])
-            return band_widths(a)
-
-        monkeypatch.setattr(numerics, "_band_widths", counting_band_widths)
+        # blocks included, is declared by its builder: none is read from an array
+        arrays = record_sections(monkeypatch, array_input)
         for demo in cli.DEMO_NAMES:
             assert cli.main(["demo", demo, "--out", str(tmp_path / demo)]) == 0
-        assert scans == []
+        assert arrays and not any(arrays)
+
+    @pytest.mark.parametrize("problem", ["oscillator_demo", "criterion_06"])
+    def test_oscillator_runs_with_no_dense_array(self, tmp_path, monkeypatch, problem):
+        # the oscillator demo, and criterion 06's classify at m = 1600, with every way a Section
+        # places an n x n array made to raise: each of their sections is read from its diagonals
+        for name in ("dense", "_placed", "__array__"):
+            monkeypatch.setattr(numerics.Section, name, raising(name))
+        if problem == "oscillator_demo":
+            doc = cli.demo_problem("oscillator")
+        else:
+            doc = {
+                "kind": "schrodinger", "p": 0.0, "q": "x^2", "r": 0.0,
+                "L_n": [float(L) for L in range(4, 11)], "m": 1600,
+                "analysis": [{"op": "classify", "window": [0.0, 8.0, -1.0, 1.0], "tol": 2e-4, "quadrature_points": 32}],
+            }
+        out = tmp_path / "out"
+        assert cli.main(["run", write_problem(tmp_path, doc), "--out", str(out)]) == 0
+        stages = json.loads((out / "report.json").read_text())["stages"]
+        assert [stage["status"] for stage in stages] == ["ok"] * len(doc["analysis"])
+        assert dense_builds(out) == [{"calls": 0, "max_n": 0}] * len(stages)
+        verdicts = [c["verdict"] for c in json.loads((out / "classify.json").read_text())["candidates"]]
+        assert verdicts.count("TrueEigenvalue") == 4
 
     def test_jacobi_pseudo_stage_builds_one_section(self, tmp_path, monkeypatch):
         # all 297 lattice shifts of the size-20 section take the tridiagonal

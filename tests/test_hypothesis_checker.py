@@ -138,7 +138,7 @@ class TestRelativeBound:
         rep = hc.relative_bound(t_secs, s_secs, 0.0, sizes)
         for t, s, g in zip(t_secs, s_secs, rep.per_size["gamma"]):
             assert g < 1
-            assert dense_reference.sigma_min(t.data + s.data) >= (1 - g) * dense_reference.sigma_min(t) - 1e-10
+            assert dense_reference.sigma_min(t.dense() + s.dense()) >= (1 - g) * dense_reference.sigma_min(t) - 1e-10
 
     def test_jacobi_gamma_at_1024_stays_under_two_complex_squares(self):
         # T is declared tridiagonal and S is dense only while its own size is
@@ -198,7 +198,7 @@ class TestGammaProduct2x2:
         assert search.verdict is Verdict.PASS
         lam0 = search.lam
         prob = dz.SLProblem("lap", ONE, ZERO, 0.0, np.pi, 0.0, (0.1,), 1.0, 0.0)
-        t1 = [dz.sl_assemble(prob, 1, m).data for m in (40, 80, 120)]
+        t1 = [dz.sl_assemble(prob, 1, m).dense() for m in (40, 80, 120)]
         a_secs = [1.0 * t for t in t1]
         d_secs = [1.0 * t for t in t1]
         b_secs = [0.5 * t for t in t1]

@@ -1,8 +1,10 @@
 """Kernel contracts: section structure, eigensolve, singular values, and their invariants."""
 
 import contextlib
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -454,6 +456,8 @@ class TestBandedEig:
         with numerics.Ledger() as ledger:
             d = numerics.eig_dense(sec)
         assert d.route == "banded" and d.section is sec and residuals_counted(ledger) == 0
+        # only zgeev, on the non-Hermitian sections, takes a dense array, placed for the call
+        assert dict(ledger.counts["dense_builds"]) == ({} if sec.hermitian else {n: 1})
         if sec.hermitian:
             np.testing.assert_array_equal(d.eigenvalues.imag, 0.0)
             assert np.max(np.abs(d.eigenvalues.real - np.linalg.eigvalsh(a))) <= 1e-14 * norm
@@ -468,8 +472,6 @@ class TestBandedEig:
         assert np.all(np.isfinite(res))
         if kind != "non_normal":  # normal inputs, and the Jordan block's exact eigenvector
             assert np.all(res <= 1e-12 * norm)
-        if sec.hermitian:
-            assert "data" not in vars(sec)
 
 
 class TestSigmaMin:
@@ -583,6 +585,7 @@ class TestStructureDetection:
     )
     @example(seed=0, n=1, kl=0, ku=0, holes=0.0, dtype="complex", shape="band", negative_zero=False)
     @example(seed=1, n=6, kl=1, ku=1, holes=0.0, dtype="real", shape="stray", negative_zero=True)
+    @example(seed=2, n=5, kl=1, ku=2, holes=0.0, dtype="complex_dtype", shape="band", negative_zero=True)
     def test_property_matches_reference_formulas(
         self, seed, n, kl, ku, holes, dtype, shape, negative_zero
     ):
@@ -603,22 +606,70 @@ class TestStructureDetection:
         if negative_zero:  # -0.0 above the diagonal, facing +0.0 below it
             a[(a == 0) & (i < j)] = -0.0
         sec = numerics.Section(a)
-        assert (sec.n, sec.real) == (n, dtype == "real")
+        real = not np.any(a.imag)  # one rule for array and declared input: no nonzero imaginary part
+        assert (sec.n, sec.real) == (n, real)
         assert (sec.kl, sec.ku) == reference_band_widths(a)
         assert sec.hermitian == np.array_equal(a, a.conj().T)
         assert (sec.tridiagonal is not None) == mask_is_hermitian_tridiagonal(a)
-        if sec.tridiagonal is not None:  # (Re d, |e|) for complex input, the diagonals as stored for real
-            want_e = np.abs(np.diag(a, 1)) if dtype != "real" else np.diag(a, 1)
+        if sec.tridiagonal is not None:  # (Re d, |e|) for complex A, the diagonals as stored for real
+            want_e = np.diag(a, 1).real if real else np.abs(np.diag(a, 1))
             np.testing.assert_array_equal(sec.tridiagonal.d, np.diag(a).real)
             np.testing.assert_array_equal(sec.tridiagonal.e, want_e)
+        # every diagonal of the array declared gives the same Section, bit for bit
+        declared = numerics.Section({off: np.diag(a, off) for off in range(1 - n, n)})
+        assert declared.real == sec.real and list(declared.diagonals) == list(sec.diagonals)
+        for off, d in sec.diagonals.items():
+            assert d.dtype == declared.diagonals[off].dtype and d.tobytes() == declared.diagonals[off].tobytes()
 
     def test_of_accepts_array_and_section(self):
         a = np.diag([1.0, 2.0]) + np.diag([3.0], 1) + np.diag([3.0], -1)
         sec = numerics.Section.of(a)
         assert numerics.Section.of(sec) is sec and sec.tridiagonal is not None
-        # numpy reads a Section as its matrix
-        assert np.asarray(sec) is sec.data
+        # numpy reads a Section as its matrix, placed anew on each read and not kept
+        first = np.asarray(sec)
+        assert first is not np.asarray(sec) and first.dtype == np.float64
+        np.testing.assert_array_equal(first, a)
         np.testing.assert_array_equal(np.asarray(sec, dtype=complex), a)
+        assert np.asarray(sec, dtype=complex).dtype == np.complex128
+
+
+def largest_held_array(value) -> int:
+    """The most entries of any array in ``value``, looking through dicts, tuples and lists; 0 when none."""
+    if isinstance(value, np.ndarray):
+        return value.size
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return max((largest_held_array(item) for item in value), default=0)
+    return 0
+
+
+class TestNoDenseArrayKept:
+    def test_banded_section_keeps_no_square_array(self):
+        # complex, not Hermitian and stored banded: its norm takes the SVD and its spectrum zgeev,
+        # each on an n x n array placed for that call alone
+        n, rng = 512, np.random.default_rng(41)
+        sec = numerics.Section(
+            {off: rng.standard_normal(n - abs(off)) + 1j * rng.standard_normal(n - abs(off)) for off in (-2, -1, 0, 1)}
+        )
+        assert sec.banded and not sec.hermitian
+        with numerics.Ledger() as ledger:
+            norm = sec.norm
+            assert numerics.eig_dense(sec).route == "banded"
+        assert dict(ledger.counts["dense_builds"]) == {n: 2}
+        assert norm == np.linalg.svd(sec.dense(), compute_uv=False)[0]
+        assert largest_held_array(vars(sec)) < n * n
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 0.5j])
+    def test_array_input_is_not_kept(self, scale):
+        n = 70
+        a = scale * (np.diag(np.arange(1.0, n + 1)) + np.diag(np.full(n - 2, 0.5), 2))
+        want, ref = a.copy(), weakref.ref(a)
+        sec = numerics.Section(a)
+        del a
+        gc.collect()
+        assert ref() is None
+        assert sec.dense().tobytes() == want.tobytes() and (sec.kl, sec.ku) == (0, 2)
 
 
 class TestOpNorm:
@@ -733,12 +784,14 @@ class TestSharedTriangularMatrix:
         rng = np.random.default_rng(n + complex_a)
         a, sec = declared_upper_triangular(rng, n, complex_a)
         assert sec.triangular
-        facts = [sec.factor(z) for z in self.SHIFTS]
+        with numerics.Ledger() as ledger:
+            facts = [sec.factor(z) for z in self.SHIFTS]
         for k, adjoint, b in self.solves(rng, n, self.SHIFTS) * 2:
-            got = facts[k].solve(b, adjoint=adjoint)
+            with ledger:
+                got = facts[k].solve(b, adjoint=adjoint)
             assert np.array_equal(got, fresh_triangular_solve(a, self.SHIFTS[k], b, adjoint))
-        # the shared matrix is placed from the diagonals: the dense A is never built
-        assert "data" not in vars(sec)
+        # the shared -A, placed from the diagonals, is the one n x n array of every shift
+        assert dict(ledger.counts["dense_builds"]) == {n: 1}
 
     def test_held_factors_cost_no_matrix_each(self):
         n = 400
@@ -777,7 +830,7 @@ def reference_inverse_iteration_residual(sec, lam):
             return sec.factor(mu).solve
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(mu * np.eye(sec.n) - sec.data, check_finite=False)
+            lu = scipy.linalg.lu_factor(mu * np.eye(sec.n) - sec.dense(), check_finite=False)
         if np.abs(np.diag(lu[0])).min() == 0.0:
             raise np.linalg.LinAlgError("exact zero pivot")
         return lambda b: scipy.linalg.lu_solve(lu, b, check_finite=False)
@@ -1163,7 +1216,7 @@ class TestTridiagonalFactorization:
             with numerics.Ledger() as ledger:
                 got = sec.sigma_min(2.0)
         assert dict(ledger.counts["dense_fallbacks"]) == {"banded": 1}
-        assert got == np.linalg.svd(sec._shifted_dense(2.0), compute_uv=False)[-1]
+        assert got == np.linalg.svd(sec._placed(2.0), compute_uv=False)[-1]
         assert 0.0 < got < 1e-150
 
     def test_overflowing_inverse_norm_estimate_warns_of_nothing(self):

@@ -51,22 +51,22 @@ def reference_array(rule, k):
 class TestTruncate:
     def test_jacobi_k3(self):
         m = om.truncate(om.jacobi_spec(), 3)
-        np.testing.assert_array_equal(m.data, [[0, 2, 0], [2, 0, 1], [0, 1, 0]])
+        np.testing.assert_array_equal(m.dense(), [[0, 2, 0], [2, 0, 1], [0, 1, 0]])
         assert isinstance(m, numerics.Section) and m.tridiagonal is not None
 
     def test_single_entry(self):
         m = om.truncate(om.upper_triangular_spec(), 1)
-        np.testing.assert_array_equal(m.data, [[1.0]])
+        np.testing.assert_array_equal(m.dense(), [[1.0]])
 
     def test_upper_triangular_k2(self):
         m = om.truncate(om.upper_triangular_spec(), 2)
-        np.testing.assert_array_equal(m.data, [[1, 2], [0, 8]])
+        np.testing.assert_array_equal(m.dense(), [[1, 2], [0, 8]])
 
     @pytest.mark.parametrize("spec", [om.jacobi_spec(), om.upper_triangular_spec()])
     def test_nesting(self, spec):
-        big = om.truncate(spec, 17).data
+        big = om.truncate(spec, 17).dense()
         for k in (1, 2, 5, 16):
-            np.testing.assert_array_equal(om.truncate(spec, k).data, big[:k, :k])
+            np.testing.assert_array_equal(om.truncate(spec, k).dense(), big[:k, :k])
 
     def test_nonfinite_entry_named(self):
         # A_23 is the second entry of the first superdiagonal
@@ -80,19 +80,20 @@ class TestTruncate:
 
     @pytest.mark.parametrize("k", [2, 3, 80, 400])
     def test_jacobi_stays_tridiagonal(self, k):
-        sec = om.truncate(om.jacobi_spec(), k)
-        assert "data" not in vars(sec) and (sec.kl, sec.ku) == (1, 1) and sec.tridiagonal is not None
+        with numerics.Ledger() as ledger:
+            sec = om.truncate(om.jacobi_spec(), k)
+        assert not ledger.counts["dense_builds"] and (sec.kl, sec.ku) == (1, 1) and sec.tridiagonal is not None
 
     @staticmethod
     def assert_matches_rule(spec, rule, k, big):
         """truncate(spec, k) is the per-entry reference: values, dtype, structure, nesting in size big."""
         want = reference_array(rule, k)
         sec = om.truncate(spec, k)
-        assert sec.data.dtype == want.dtype
-        np.testing.assert_array_equal(sec.data, want)
+        assert sec.dense().dtype == want.dtype
+        np.testing.assert_array_equal(sec.dense(), want)
         reference = numerics.Section(want)
         assert [getattr(sec, f) for f in STRUCTURE] == [getattr(reference, f) for f in STRUCTURE]
-        np.testing.assert_array_equal(sec.data, om.truncate(spec, big).data[:k, :k])
+        np.testing.assert_array_equal(sec.dense(), om.truncate(spec, big).dense()[:k, :k])
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 12])
     def test_builtin_specs_match_entry_rules(self, k):
@@ -126,19 +127,19 @@ class TestSplitBlocks:
     def test_jacobi_even_cuts(self):
         sp = om.split_blocks(om.jacobi_spec(), range(2, 22, 2))
         for n, block in enumerate(sp.diagonal_blocks, start=1):
-            np.testing.assert_array_equal(block.data, [[0, 2 * n], [2 * n, 0]])
+            np.testing.assert_array_equal(block.dense(), [[0, 2 * n], [2 * n, 0]])
 
     def test_diagonal_spec_unit_cuts(self):
         spec = om.OperatorSpec("diag", lambda k: {0: np.arange(1.0, k + 1)})
         sp = om.split_blocks(spec, range(1, 9))
         assert all(b.n == 1 for b in sp.diagonal_blocks)
-        np.testing.assert_array_equal(sp.coupling_section(8).data, np.zeros((8, 8)))
+        np.testing.assert_array_equal(sp.coupling_section(8).dense(), np.zeros((8, 8)))
 
     def test_upper_triangular_unit_cuts(self):
         sp = om.split_blocks(om.upper_triangular_spec(), range(1, 9))
         for j, block in enumerate(sp.diagonal_blocks, start=1):
-            np.testing.assert_array_equal(block.data, [[j**3]])
-        s = sp.coupling_section(8).data
+            np.testing.assert_array_equal(block.dense(), [[j**3]])
+        s = sp.coupling_section(8).dense()
         assert s[1, 4] == 5.0 and s[4, 1] == 0.0 and s[4, 4] == 0.0
 
     def test_reassembly_exact(self):
@@ -155,8 +156,8 @@ class TestSplitBlocks:
         ]:
             sp = om.split_blocks(spec, cuts)
             for k in (1, 2, 3, 4, 5, 17, 20):
-                want = om.truncate(spec, k).data
-                t, s = sp.diag_section(k).data, sp.coupling_section(k).data
+                want = om.truncate(spec, k).dense()
+                t, s = sp.diag_section(k).dense(), sp.coupling_section(k).dense()
                 assert t.dtype == s.dtype == want.dtype
                 np.testing.assert_array_equal(t + s, want)
 
@@ -174,16 +175,16 @@ class TestSplitBlocks:
         if complex_entries:
             table = table + 1j * rng.standard_normal((width, width))
         spec = om.custom_banded_spec(table, tail="repeat_edge")
-        a = om.truncate(spec, cuts[-1]).data
+        a = om.truncate(spec, cuts[-1]).dense()
         t = np.zeros_like(a)
         for lo, hi in zip([0] + cuts, cuts):
             t[lo:hi, lo:hi] = a[lo:hi, lo:hi]
         sp = om.split_blocks(spec, cuts)
         for block, lo, hi in zip(sp.diagonal_blocks, [0] + cuts, cuts):
-            np.testing.assert_array_equal(block.data, a[lo:hi, lo:hi])
+            np.testing.assert_array_equal(block.dense(), a[lo:hi, lo:hi])
         for k in {1, cuts[0], (cuts[0] + cuts[-1]) // 2, cuts[-1]}:
-            np.testing.assert_array_equal(sp.diag_section(k).data, t[:k, :k])
-            np.testing.assert_array_equal(sp.coupling_section(k).data, (a - t)[:k, :k])
+            np.testing.assert_array_equal(sp.diag_section(k).dense(), t[:k, :k])
+            np.testing.assert_array_equal(sp.coupling_section(k).dense(), (a - t)[:k, :k])
 
     def test_one_assembly_per_split(self):
         # the jacobi demo's relative_bound: 60 sizes, each a T and an S section
@@ -211,7 +212,7 @@ def dense_band_profile(spec, scan_limit, lam=None, normalize_by_diag=False):
     """The dense reference of om.band_profile: every count and envelope read off the scan x scan array."""
     if scan_limit < 2:
         raise ValueError("scan_limit must be >= 2")
-    a = numerics.Section(spec.diagonals(scan_limit)).data
+    a = numerics.Section(spec.diagonals(scan_limit)).dense()
     if normalize_by_diag:
         if lam is None:
             raise ValueError("normalize_by_diag requires lam")
@@ -412,7 +413,7 @@ class TestJacobiSpectralSymmetry:
     def test_symmetry_and_odd_kernel(self):
         spec = om.jacobi_spec()
         for k in range(2, 22):
-            w = numerics.eig_dense(om.truncate(spec, k).data).eigenvalues
+            w = numerics.eig_dense(om.truncate(spec, k).dense()).eigenvalues
             w_sorted = np.sort_complex(w)
             np.testing.assert_allclose(
                 w_sorted, -np.sort_complex(-w)[::-1], atol=1e-10 * max(np.abs(w))
@@ -424,12 +425,12 @@ class TestJacobiSpectralSymmetry:
 class TestCustomBanded:
     def test_zero_tail(self):
         spec = om.custom_banded_spec([[1, 2], [3, 4]], tail="zero")
-        m = om.truncate(spec, 3).data
+        m = om.truncate(spec, 3).dense()
         np.testing.assert_array_equal(m, [[1, 2, 0], [3, 4, 0], [0, 0, 0]])
 
     def test_repeat_edge_extends_diagonals(self):
         spec = om.custom_banded_spec([[2, -1], [-1, 2]], tail="repeat_edge")
-        m = om.truncate(spec, 4).data
+        m = om.truncate(spec, 4).dense()
         expect = 2 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)
         np.testing.assert_array_equal(m, expect)
 

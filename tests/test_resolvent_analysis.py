@@ -965,7 +965,7 @@ class TestShiftFamilySigmaMin:
         assert g1.values.tobytes() == g2.values.tobytes()
 
     def test_upper_triangular_400_takes_triangular_route(self):
-        m = om.truncate(om.upper_triangular_spec(), 400).data
+        m = om.truncate(om.upper_triangular_spec(), 400).dense()
         section = numerics.Section(m)
         assert not section.banded and section.sigma_min_route == "triangular"
         rect = (-2.0, 30.0, -10.0, 10.0)
@@ -981,7 +981,7 @@ class TestShiftFamilySigmaMin:
                 assert abs(1.0 / g.values[iy, ix] - want) <= tol
 
     def test_upper_triangular_40_stays_dense_and_bit_identical(self):
-        m = om.truncate(om.upper_triangular_spec(), 40).data
+        m = om.truncate(om.upper_triangular_spec(), 40).dense()
         assert numerics.Section(m).sigma_min_route == "dense"
         g, routes, fallbacks = counted_grid(m, (-2.0, 30.0, -10.0, 10.0), 2, 2)
         assert (routes, fallbacks) == ({"dense": 4}, 0)
@@ -1067,8 +1067,8 @@ class TestNeumannBoundOnSections:
         spec = om.jacobi_spec()
         split = om.split_blocks(spec, range(2, 42, 2))
         for k in range(4, 42, 4):
-            t = split.diag_section(k).data
-            s = split.coupling_section(k).data
+            t = split.diag_section(k).dense()
+            s = split.coupling_section(k).dense()
             gamma = numerics.op_norm(s @ np.linalg.inv(t))
             assert gamma < 1
             lhs = dense_reference.sigma_min(t + s)
@@ -1086,18 +1086,19 @@ def conjugate_transpose(sec):
 class TestConjugatedLadder:
     def test_schrodinger_adjoint_ladder_stays_declared(self):
         # the conjugate transpose is declared from the diagonals: no dense
-        # array on either ladder, and the spectrum is the conjugate
+        # array kept on either ladder, and the spectrum is the conjugate
         prob = dz.SchrodingerProblem("osc", p=lambda x: 0.0, q=lambda x: 1j * x * x, r=lambda x: 0.0, L_n=(3.0, 4.0))
         lad = ra.SectionLadder("osc", (1, 2), lambda n: dz.schrodinger_assemble(prob, n, 80))
         adj = ra.SectionLadder("osc*", lad.sizes, lambda n: conjugate_transpose(lad.matrix(n)))
-        for size in adj.sizes:
-            sec, sec_h = lad.matrix(size), adj.matrix(size)
-            assert (sec_h.kl, sec_h.ku, sec_h.hermitian, sec_h.banded) == (sec.ku, sec.kl, False, True)
-            np.testing.assert_array_equal(sec_h.diagonals[1], sec.diagonals[-1].conj())
-            w, w_h = lad.spectrum(size).eigenvalues, adj.spectrum(size).eigenvalues
-            assert np.max(np.abs(np.sort_complex(w.conj()) - np.sort_complex(w_h))) <= 1e-10 * np.abs(w).max()
-        assert not any("data" in vars(sec) for sec in lad.cache.sections.values())
-        assert not any("data" in vars(sec) for sec in adj.cache.sections.values())
+        with numerics.Ledger() as ledger:
+            for size in adj.sizes:
+                sec, sec_h = lad.matrix(size), adj.matrix(size)
+                assert (sec_h.kl, sec_h.ku, sec_h.hermitian, sec_h.banded) == (sec.ku, sec.kl, False, True)
+                np.testing.assert_array_equal(sec_h.diagonals[1], sec.diagonals[-1].conj())
+                w, w_h = lad.spectrum(size).eigenvalues, adj.spectrum(size).eigenvalues
+                assert np.max(np.abs(np.sort_complex(w.conj()) - np.sort_complex(w_h))) <= 1e-10 * np.abs(w).max()
+        # each of the four spectra runs zgeev on an array placed for that call alone
+        assert dict(ledger.counts["dense_builds"]) == {79: 4}
 
 
 # ---------------------------------- windowed spectra ---------------------------------
@@ -1224,7 +1225,8 @@ class TestWindowedSpectrum:
         ladder = demo_ladder()
         for size in ladder.sizes:
             sec = ladder.matrix(size)
-            dec, check = ra.windowed_spectrum(sec, DEMO_WINDOW)
+            with numerics.Ledger() as ledger:
+                dec, check = ra.windowed_spectrum(sec, DEMO_WINDOW)
             assert dec.route == "windowed" and check.fallback is None
             assert check.found == check.contour_rank and check.gap >= ra.GAP_FACTOR
             got = in_window(dec.eigenvalues, DEMO_WINDOW)
@@ -1233,8 +1235,9 @@ class TestWindowedSpectrum:
             np.testing.assert_array_less(np.abs(got - want), 1e-10 * np.abs(want))
             rows = np.flatnonzero(np.isin(dec.eigenvalues, got))
             norm = np.linalg.norm(sec.dense(), 2)
-            assert np.all(dec.residuals_at(rows) <= 1e-14 * norm)
-        assert not any("data" in vars(sec) for sec in ladder.cache.sections.values())
+            with ledger:
+                assert np.all(dec.residuals_at(rows) <= 1e-14 * norm)
+            assert not ledger.counts["dense_builds"]
 
     def test_demo_classify_unchanged_against_banded_route(self, tmp_path, monkeypatch):
         # the demo's candidates and verdicts with the windowed route and with
@@ -1382,10 +1385,11 @@ class TestSpectrumCacheContainment:
         with numerics.Ledger() as ledger:
             held = lad.spectrum(1, spectra_window)
             assert held.route == "bisection" and held.window == (0.0, 8.5, -np.inf, np.inf)
-            assert held.dimension == 4 and "data" not in vars(held.section)
+            assert held.dimension == 4
             for window in (classify_window, (8.0, 0.0, 5.0, 6.0), (1.0, 2.0, -1e9, 1e9)):
                 assert lad.spectrum(1, window) is held
             assert hits_and_misses(ledger) == (3, 1)
+        assert not ledger.counts["dense_builds"]
         fresh = numerics.eig_dense(held.section, classify_window)
         np.testing.assert_array_equal(fresh.eigenvalues, held.eigenvalues)
         with ledger:
